@@ -89,10 +89,16 @@ def _xy(x) -> tuple[float, float]:
     return float(x[0]), float(x[1])
 
 
+def dpv_coords(cfg: ArrayConfig, theta, phi):
+    """Direction coordinates (x1, x2) of arrival angles; vectorized."""
+    x1 = cfg.m * cfg.d1 * np.cos(theta) * np.cos(phi) / cfg.wavelength
+    x2 = cfg.n * cfg.d2 * np.sin(theta) / cfg.wavelength
+    return x1, x2
+
+
 def dpv_from_aoa(cfg: ArrayConfig, aoa: Aoa) -> Dpv:
     """Map an arrival angle to direction coordinates."""
-    x1 = cfg.m * cfg.d1 * np.cos(aoa.theta) * np.cos(aoa.phi) / cfg.wavelength
-    x2 = cfg.n * cfg.d2 * np.sin(aoa.theta) / cfg.wavelength
+    x1, x2 = dpv_coords(cfg, aoa.theta, aoa.phi)
     return Dpv(float(x1), float(x2))
 
 
@@ -241,9 +247,14 @@ def element_gain_db(pc: PatternConfig, aoa: Aoa) -> float:
     return float(element_gain_db_angles(pc, aoa.theta, aoa.phi))
 
 
+def element_gain_angles(pc: PatternConfig, theta, phi):
+    """Element gain as a linear amplitude factor (vectorized)."""
+    return 10.0 ** (element_gain_db_angles(pc, theta, phi) / 20.0)
+
+
 def element_gain(pc: PatternConfig, aoa: Aoa) -> float:
     """Element gain as a linear amplitude factor (multiplies the path gain)."""
-    return float(10.0 ** (element_gain_db(pc, aoa) / 20.0))
+    return float(element_gain_angles(pc, aoa.theta, aoa.phi))
 
 
 def in_main_lobe(center, candidate) -> bool:

@@ -5,19 +5,24 @@ Scenario kinds: quasi-static Rician gain with a fixed arrival; fast Rayleigh
 gain redrawn each cycle with a fixed arrival; Gauss-Markov gain with a
 reflected random walk over the arrival angles.  The per-element pattern
 attenuates the path gain into the equivalent gain actually observed.
+
+The per-trial functions (``init_channel``, ``evolve``, ``initial_estimate``)
+draw from a generator; their ``*_batch`` counterparts apply the same
+transforms to many trials at once, from random numbers drawn beforehand in
+the same order (``initial_draws``, ``evolve_normals``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 import numpy as np
 
-from .arrays import (Aoa, ArrayConfig, PatternConfig, aoa_from_dpv,
-                     dpv_from_aoa, element_gain)
-from .signal import ChannelParams, OffsetSet, build_ebm, observe
-from .trackers import bootstrap_gain
+from .arrays import (Aoa, ArrayConfig, PatternConfig, dpv_coords,
+                     dpv_from_aoa, element_gain, element_gain_angles,
+                     probe_kernels)
+from .signal import ChannelParams, OffsetSet, observe_fast
 
 AOA_REGIONS = {
     "central": ((-np.pi / 6, np.pi / 6), (np.pi / 3, 2 * np.pi / 3)),
@@ -159,6 +164,26 @@ def evolve(state: ChannelState, sc: ScenarioConfig, cfg: ArrayConfig,
     return ChannelState(aoa, x, beta_c, eta * beta_c, state.ecc_index + 1)
 
 
+def bootstrap_gains(cfg: ArrayConfig, offsets: OffsetSet, x, beta_eff, x0,
+                    normals):
+    """Bootstrap gain fits from one probing cycle centred at ``x0``.
+
+    Observes channels (``x`` (..., 2), ``beta_eff`` (...)) with probes at
+    ``x0 + offsets`` and noise from ``normals`` (..., 6), then fits
+    beta = (e^H e)^-1 e^H y / s with e the probe kernels at the offsets.
+    The kernel path of building an EBM at ``x0``, :func:`~.signal.observe`
+    and :func:`~.trackers.bootstrap_gain`.
+    """
+    x0 = np.asarray(x0, float)
+    y0 = observe_fast(cfg, x, beta_eff, x0[..., None, :] + offsets.deltas,
+                      normals)
+    e, _, _ = probe_kernels(offsets.deltas, cfg.m, cfg.n)
+    denom = cfg.pilot_amp * float(np.vdot(e, e).real)
+    if denom < 1e-30:
+        return np.zeros(y0.shape[:-1], complex)
+    return (e.conj() * y0).sum(-1) / denom
+
+
 def initial_estimate(state: ChannelState, cfg: ArrayConfig,
                      rng: np.random.Generator, halfwidth: float = 0.5,
                      offsets: Optional[OffsetSet] = None) -> ChannelParams:
@@ -172,16 +197,134 @@ def initial_estimate(state: ChannelState, cfg: ArrayConfig,
     x0 = state.x + rng.uniform(-halfwidth, halfwidth, 2)
     beta0 = 0.0 + 0.0j
     if offsets is not None:
-        ebm = build_ebm(cfg, x0, offsets)
-        y0 = observe(cfg, state.params, ebm, rng)
-        beta0 = bootstrap_gain(cfg, ebm, x0, y0)
+        beta0 = complex(bootstrap_gains(cfg, offsets, state.x,
+                                        state.beta_eff, x0,
+                                        rng.standard_normal(6)))
     return ChannelParams.from_parts(beta0, x0)
 
 
 def estimated_gain_variance(sc: ScenarioConfig, cfg: ArrayConfig, x_hat,
-                            sigma_beta_c_sq: float) -> float:
-    """Equivalent-gain variance inferred from the pattern at the current
-    direction estimate (clamped to the physical cone)."""
-    aoa = aoa_from_dpv(cfg, x_hat, clamp=True)
-    eta = element_gain(sc.pattern, aoa)
-    return float(eta**2 * sigma_beta_c_sq)
+                            sigma_beta_c_sq: float):
+    """Equivalent-gain variance inferred from the pattern at direction
+    estimates ``x_hat`` (..., 2), clamped to the physical cone (the branch
+    of :func:`~.arrays.aoa_from_dpv` with ``clamp``)."""
+    x = np.asarray(x_hat, float)
+    s = np.clip(cfg.wavelength * x[..., 1] / (cfg.n * cfg.d2), -1.0, 1.0)
+    theta = np.arcsin(s)
+    c = np.cos(theta)
+    tiny = c < 1e-15
+    u = np.where(tiny, 0.0, cfg.wavelength * x[..., 0]
+                 / (cfg.m * cfg.d1 * np.where(tiny, 1.0, c)))
+    phi = np.arccos(np.clip(u, -1.0, 1.0))
+    eta = element_gain_angles(sc.pattern, theta, phi)
+    return eta**2 * sigma_beta_c_sq
+
+
+# ---------------------------------------------------------------------------
+# batches of trials: one row per trial, drawn from per-trial streams
+# ---------------------------------------------------------------------------
+
+INITIAL_DRAWS = 13
+
+
+def initial_draws(sc: ScenarioConfig, rng: np.random.Generator,
+                  halfwidth: float) -> np.ndarray:
+    """One trial's initial random numbers, drawn as :func:`init_channel`
+    and then :func:`initial_estimate` (with offsets) draw them: arrival
+    angles theta and phi, the Rician phase (0 and not drawn for the other
+    kinds), two gain normals, two estimate offsets, six bootstrap noise
+    normals."""
+    (t_lo, t_hi), (p_lo, p_hi) = sc.ranges()
+    out = np.zeros(INITIAL_DRAWS)
+    out[0] = rng.uniform(t_lo, t_hi)
+    out[1] = rng.uniform(p_lo, p_hi)
+    if isinstance(sc.kind, QuasiStatic):
+        out[2] = rng.uniform(0, 2 * np.pi)
+    out[3:5] = rng.standard_normal(2)
+    out[5:7] = rng.uniform(-halfwidth, halfwidth, 2)
+    out[7:] = rng.standard_normal(6)
+    return out
+
+
+def evolve_normals(kind: ScenarioKind) -> int:
+    """Standard normals one trial's channel transition uses per cycle."""
+    if isinstance(kind, QuasiStatic):
+        return 0
+    return 2 if isinstance(kind, DynamicI) else 4
+
+
+@dataclass(frozen=True)
+class ChannelBatch:
+    """Ground truth of a batch of trials at one cycle, one row per trial."""
+
+    theta: np.ndarray     # (T,) arrival elevation
+    phi: np.ndarray       # (T,) arrival azimuth
+    x: np.ndarray         # (T, 2) direction coordinates
+    beta_c: np.ndarray    # (T,) complex path gain
+    eta: np.ndarray       # (T,) element gain at the arrival
+    beta_eff: np.ndarray  # (T,) eta * beta_c
+
+
+def _channel_batch(sc: ScenarioConfig, cfg: ArrayConfig, theta, phi,
+                   beta_c) -> ChannelBatch:
+    x1, x2 = dpv_coords(cfg, theta, phi)
+    eta = element_gain_angles(sc.pattern, theta, phi)
+    return ChannelBatch(theta, phi, np.stack([x1, x2], axis=-1), beta_c,
+                        eta, eta * beta_c)
+
+
+def init_channel_batch(sc: ScenarioConfig, cfg: ArrayConfig,
+                       draws: np.ndarray) -> ChannelBatch:
+    """Batched :func:`init_channel` from rows of :func:`initial_draws`."""
+    kind = sc.kind
+    z = draws[:, 3] + 1j * draws[:, 4]
+    if isinstance(kind, QuasiStatic):
+        kappa = 10.0 ** (kind.rician_k_db / 10.0)
+        los = np.sqrt(kappa / (kappa + 1.0)) * np.exp(1j * draws[:, 2])
+        beta_c = los + z * np.sqrt(1.0 / (kappa + 1.0) / 2.0)
+    elif isinstance(kind, DynamicI):
+        beta_c = z * np.sqrt(kind.sigma_beta_c_sq / 2.0)
+    else:
+        beta_c = z * np.sqrt(1.0 / 2.0)
+    return _channel_batch(sc, cfg, draws[:, 0].copy(), draws[:, 1].copy(),
+                          beta_c)
+
+
+def initial_estimate_batch(ch: ChannelBatch, cfg: ArrayConfig,
+                           offsets: OffsetSet, draws: np.ndarray):
+    """Batched :func:`initial_estimate` with offsets: (x0 (T, 2), beta0
+    (T,)) from rows of :func:`initial_draws`."""
+    x0 = ch.x + draws[:, 5:7]
+    return x0, bootstrap_gains(cfg, offsets, ch.x, ch.beta_eff, x0,
+                               draws[:, 7:])
+
+
+def _reflect_batch(value: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    for _ in range(8):
+        out = (value > hi) | (value < lo)
+        if not out.any():
+            break
+        value = np.where(value > hi, 2 * hi - value,
+                         np.where(value < lo, 2 * lo - value, value))
+    return np.clip(value, lo, hi)
+
+
+def evolve_batch(ch: ChannelBatch, sc: ScenarioConfig, cfg: ArrayConfig,
+                 normals: np.ndarray) -> ChannelBatch:
+    """Batched :func:`evolve`; ``normals`` (T, evolve_normals(kind)) are
+    the standard normals :func:`evolve` draws, in its order."""
+    kind = sc.kind
+    if isinstance(kind, QuasiStatic):
+        return ch
+    if isinstance(kind, DynamicI):
+        beta_c = (normals[:, 0] + 1j * normals[:, 1]) \
+            * np.sqrt(kind.sigma_beta_c_sq / 2.0)
+        return replace(ch, beta_c=beta_c, beta_eff=ch.eta * beta_c)
+    (t_lo, t_hi), (p_lo, p_hi) = sc.ranges()
+    t_rng = kind.theta_range or (t_lo, t_hi)
+    p_rng = kind.phi_range or (p_lo, p_hi)
+    theta = _reflect_batch(ch.theta + kind.delta_a * normals[:, 0], *t_rng)
+    phi = _reflect_batch(ch.phi + kind.delta_a * normals[:, 1], *p_rng)
+    beta_c = kind.rho * ch.beta_c + (normals[:, 2] + 1j * normals[:, 3]) \
+        * np.sqrt((1.0 - kind.rho**2) / 2.0)
+    return _channel_batch(sc, cfg, theta, phi, beta_c)

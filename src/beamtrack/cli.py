@@ -91,33 +91,42 @@ def _resolve_cli_offsets(token: str):
     if token in OFFSET_PRESETS:
         return OFFSET_PRESETS[token]
     try:
-        vals = [float(v) for v in token.split(",")]
-        return OffsetSet(np.array(vals).reshape(3, 2))
-    except Exception:
+        vals = np.array([float(v) for v in token.split(",")]).reshape(3, 2)
+    except ValueError:
         raise ConfigError(f"offsets: expected a preset name or six numbers, "
-                          f"got {token!r}")
+                          f"got {token!r}") from None
+    try:
+        return OffsetSet(vals)
+    except ValueError as exc:
+        raise ConfigError(f"offsets: {exc}") from None
 
 
 def _cmd_track(args) -> int:
-    from .harness import (ConfigError, config_from_mapping, emit_csv,
-                          parse_config_text, run_experiment)
+    from .harness import (config_from_mapping, emit_csv, parse_config_text,
+                          run_experiment)
     try:
         with open(args.config) as fh:
             mapping = parse_config_text(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read config {args.config}: {exc}", file=sys.stderr)
         return 1
     out_path = args.out or mapping.get("out")
     overrides = {"seed": args.seed, "trials": args.trials, "eccs": args.eccs,
                  "snr_db": args.snr_db, "scenario": args.scenario,
-                 "tracker": args.tracker, "offsets": args.offsets}
+                 "tracker": args.tracker}
+    if args.offsets is not None:
+        overrides["offsets"] = _resolve_cli_offsets(args.offsets)
     for key, val in overrides.items():
         if val is not None:
             mapping[key] = val
     ec = config_from_mapping(mapping)
     records = run_experiment(ec)
     if out_path:
-        emit_csv(records, out_path)
+        try:
+            emit_csv(records, out_path)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         print(f"wrote {len(records)} records to {out_path}")
     else:
         from .harness import CSV_HEADER

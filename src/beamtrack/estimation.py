@@ -222,14 +222,15 @@ def crlb_di(cfg: ArrayConfig, x, model: DiModel, ebm: Ebm) -> float:
     return float(np.trace(_guarded_solve(info, np.eye(2))))
 
 
-def di_offsets_fisher(deltas, m: int, n: int, snr_beta: float):
+def di_offsets_fisher(deltas, m: int, n: int, snr_beta):
     """Vectorized direction Fisher matrices from the offsets alone.
-    ``snr_beta`` is |s|^2 sigma_beta^2 / noise_var; ``deltas`` (..., 3, 2)."""
+    ``snr_beta`` is |s|^2 sigma_beta^2 / noise_var, a scalar or an array
+    that broadcasts against the leading shape of ``deltas`` (..., 3, 2)."""
     g, k1, k2 = probe_kernels(deltas, m, n)
     return _di_fisher_batch(g, k1, k2, snr_beta)
 
 
-def _di_fisher_batch(g, k1, k2, snr_beta: float):
+def _di_fisher_batch(g, k1, k2, snr_beta):
     # noise_var normalized to 1; snr_beta plays the role of c
     c = snr_beta
     g0 = np.einsum("...i,...i->...", g.conj(), g).real
@@ -242,16 +243,20 @@ def _di_fisher_batch(g, k1, k2, snr_beta: float):
     quad = np.einsum("...i,...pij,...qjk,...k->...pq", g.conj(), big, big, g).real
     quad = quad + np.swapaxes(quad, -1, -2)
     pref = c**3 / det**2
+    inv_c = 1.0 / c
+    if getattr(inv_c, "ndim", 0):   # one SNR per offset set
+        inv_c = inv_c[..., None, None]
     info = pref[..., None, None] * (
         -2.0 * g0[..., None, None] * np.einsum("...p,...q->...pq", gt, gt)
-        + (1.0 / c) * tr + quad)
+        + inv_c * tr + quad)
     return info
 
 
-def di_offsets_crlb(deltas, m: int, n: int, snr_beta: float):
-    """Vectorized Tr{I_DI^-1} from the offsets alone."""
+def di_offsets_crlb(deltas, m: int, n: int, snr_beta):
+    """Vectorized Tr{I_DI^-1} from the offsets alone (``snr_beta`` as in
+    :func:`di_offsets_fisher`)."""
     info = di_offsets_fisher(deltas, m, n, snr_beta)
-    return _trace_inv_2x2(info, np.asarray(deltas).shape[:-2])
+    return _trace_inv_2x2(info, info.shape[:-2])
 
 
 def _trace_inv_2x2(info, lead_shape):

@@ -1,12 +1,29 @@
-"""Monte-Carlo experiment orchestration: per-trial tracking loops, metric
-aggregation, CSV emission, and flat config-file parsing.
+"""Monte-Carlo experiment orchestration: the trial-batched tracking engine,
+metric aggregation, CSV emission, and flat config-file parsing.
 
-Each trial draws a channel and an in-main-lobe initial estimate (one
-bootstrap probing cycle fits the initial gain), then runs the cycle loop:
-build the probe pattern at the current estimate, evolve the channel, observe,
-update, record.  Trials use counter-based independent RNG streams derived
-from (seed, trial index), so results are byte-identical for a fixed seed at
-any parallelism degree (``BEAMTRACK_THREADS``; 0 = auto, unset = serial).
+The engine holds a batch of trials as arrays with one row per trial and
+runs each cycle as one numpy pass over the batch: build the probe pattern
+at the current estimates, evolve the channels, observe, update, record the
+errors.  Each trial first draws its channel and an in-main-lobe initial
+estimate (one bootstrap probing cycle fits the initial gain).  Trackers are
+reached through one batched interface (:class:`~.trackers.BatchTracker`)
+looked up in ``TRACKERS``.
+
+Random numbers (the contract).  Trial ``t`` owns the stream
+``default_rng(SeedSequence(seed, spawn_key=(t,)))``.  It first makes the
+initial draws of :func:`~.channels.initial_draws`, then fills one block of
+standard normals per cycle, ``standard_normal((K, c))`` drawn in chunks of
+at most ``CYCLE_CHUNK`` cycles: the channel transition's normals
+(quasi-static none; fading gain the two gain normals; Gauss-Markov the
+theta and phi steps, scaled by ``delta_a``, then the two gain normals),
+then the real and the imaginary parts of the three noise values.  These
+are the numbers, in the order, that the per-trial functions
+:func:`~.channels.init_channel`, :func:`~.channels.initial_estimate`,
+:func:`~.channels.evolve` and :func:`~.signal.observe` draw.  A trial's
+numbers therefore depend on neither the batch nor the worker, and the
+per-trial errors are reduced in trial order, so for a fixed seed the CSV is
+byte-identical at any batch split and any ``BEAMTRACK_THREADS`` (0 = auto,
+unset = serial; one contiguous batch of trials per worker).
 """
 
 from __future__ import annotations
@@ -18,20 +35,29 @@ from typing import List, Optional, Union
 
 import numpy as np
 
-from .arrays import ArrayConfig, element_gain, probe_kernels
-from .channels import (ChannelState, DynamicI, DynamicII, QuasiStatic,
-                       ScenarioConfig, estimated_gain_variance, evolve,
-                       init_channel, initial_estimate)
-from .estimation import DiModel, di_offsets_crlb, static_offsets_crlb
+from .arrays import ArrayConfig, probe_kernels
+from .channels import (ChannelBatch, DynamicI, DynamicII, QuasiStatic,
+                       ScenarioConfig, estimated_gain_variance, evolve_batch,
+                       evolve_normals, init_channel_batch, initial_draws,
+                       initial_estimate_batch)
+from .estimation import di_offsets_crlb, static_offsets_crlb
 from .offsets import OFFSET_PRESETS
-from .signal import OffsetSet
-from .trackers import (ConstantStep, DiminishingStep, baseline_beam_switch_step,
-                       baseline_ekf_step, beam_switch_probes,
-                       beam_switch_tracker, ekf_probes, ekf_tracker,
-                       jbct_dii_step, jbct_static_step, jbct_tracker,
-                       rbt_di_step, rbt_tracker)
+from .signal import OffsetSet, observe_fast
+from .trackers import (BeamSwitchBatch, ConstantStep, DiminishingStep,
+                       EkfBatch, JbctBatch, RbtBatch, TrackerRun)
 
-TRACKER_NAMES = ("JBCT_S", "RBT_DI", "JBCT_DII", "BeamSwitch", "EKF")
+# tracker name -> (batched implementation, default step schedule)
+TRACKERS = {
+    "JBCT_S": (JbctBatch, DiminishingStep(1.0)),
+    "RBT_DI": (RbtBatch, DiminishingStep(1.0)),
+    "JBCT_DII": (JbctBatch, ConstantStep(0.7)),
+    "BeamSwitch": (BeamSwitchBatch, DiminishingStep(1.0)),
+    "EKF": (EkfBatch, DiminishingStep(1.0)),
+}
+TRACKER_NAMES = tuple(TRACKERS)
+
+CYCLE_CHUNK = 256   # cycles of normals drawn per trial at a time
+NOISE_NORMALS = 6   # real then imaginary parts of three noise values
 
 
 class ConfigError(ValueError):
@@ -65,13 +91,15 @@ class MetricsRecord:
 
 
 def _validate(ec: ExperimentConfig):
-    if ec.tracker not in TRACKER_NAMES:
+    if ec.tracker not in TRACKERS:
         raise ConfigError(f"tracker: unknown tracker {ec.tracker!r}; "
                           f"expected one of {TRACKER_NAMES}")
     if ec.num_trials < 1:
         raise ConfigError("num_trials: must be at least 1")
     if ec.num_eccs < 1:
         raise ConfigError("num_eccs: must be at least 1")
+    if ec.seed < 0:
+        raise ConfigError("seed: must be nonnegative")
     if ec.record_every < 1:
         raise ConfigError("record_every: must be at least 1")
     if not 0 <= ec.init_halfwidth < 1:
@@ -102,151 +130,115 @@ def _stationary_gain_var(kind) -> float:
     return 1.0  # Rician (unit mean power) and Gauss-Markov stationary
 
 
-def _default_schedule(tracker: str):
-    if tracker == "JBCT_DII":
-        return ConstantStep(0.7)
-    return DiminishingStep(1.0)
-
-
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(trial,)))
 
 
-def _observe_fast(cfg: ArrayConfig, state: ChannelState, dirs: np.ndarray,
-                  rng: np.random.Generator) -> np.ndarray:
-    """Observation via the shift-property kernels; equal to building the
-    explicit probing matrix (tested), but O(M+N) per probe."""
-    g, _, _ = probe_kernels(dirs - state.x[None, :], cfg.m, cfg.n)
-    noise = np.sqrt(cfg.noise_var / 2.0) * (rng.standard_normal(3)
-                                            + 1j * rng.standard_normal(3))
-    return cfg.pilot_amp * state.beta_eff * g + noise
-
-
-def _channel_errors(cfg: ArrayConfig, state: ChannelState, x_hat: np.ndarray,
-                    beta_hat: Optional[complex]):
-    """(per-element channel-vector SE, direction SE) for one cycle."""
-    dx = x_hat - state.x
-    err_x = float(dx @ dx)
+def _channel_errors(cfg: ArrayConfig, ch: ChannelBatch, x_hat: np.ndarray,
+                    beta_hat: Optional[np.ndarray]):
+    """Per-trial (per-element channel-vector SE, direction SE) of a cycle;
+    the first is NaN for a direction-only tracker."""
+    dx = x_hat - ch.x
+    err_x = dx[:, 0] * dx[:, 0] + dx[:, 1] * dx[:, 1]
     if beta_hat is None:
-        return np.nan, err_x
+        return np.full(len(dx), np.nan), err_x
     g, _, _ = probe_kernels(dx, cfg.m, cfg.n)
     cross = np.sqrt(cfg.size) * g
-    beta = state.beta_eff
-    err_h = (cfg.size * (abs(beta_hat) ** 2 + abs(beta) ** 2)
+    beta = ch.beta_eff
+    err_h = (cfg.size * (np.abs(beta_hat) ** 2 + np.abs(beta) ** 2)
              - 2.0 * np.real(np.conj(beta_hat) * beta * cross))
-    return max(float(err_h), 0.0) / cfg.size, err_x
+    return np.maximum(err_h, 0.0) / cfg.size, err_x
 
 
-def _run_trial(ec: ExperimentConfig, trial: int):
+def _crlb_refs(ec: ExperimentConfig, cfg: ArrayConfig, offsets: OffsetSet,
+               ch: ChannelBatch) -> np.ndarray:
+    """Per-trial one-cycle bound: the static channel-vector CRLB (the same
+    for every trial), the direction CRLB at each trial's equivalent-gain
+    SNR for fading gains, NaN otherwise."""
+    kind = ec.scenario.kind
+    if isinstance(kind, QuasiStatic):
+        value = static_offsets_crlb(offsets.deltas, cfg.m, cfg.n,
+                                    cfg.pilot_amp, cfg.noise_var)
+        return np.full(len(ch.x), float(value))
+    if isinstance(kind, DynamicI):
+        snr_b = (cfg.pilot_amp**2 * ch.eta**2 * _stationary_gain_var(kind)
+                 / cfg.noise_var)
+        return np.asarray(di_offsets_crlb(offsets.deltas, cfg.m, cfg.n,
+                                          snr_b), float)
+    return np.full(len(ch.x), np.nan)
+
+
+def _run_batch(ec: ExperimentConfig, trials: range):
+    """Run trials ``trials`` as one batch.  Returns the per-trial errors
+    (err_h, err_x), each (B, num_eccs), and the per-trial bounds (B,)."""
     cfg = effective_array(ec)
     sc = ec.scenario
     offsets = _resolve_offsets(ec)
-    rng = _trial_rng(ec.seed, trial)
-    state = init_channel(sc, cfg, rng)
-    psi0 = initial_estimate(state, cfg, rng, ec.init_halfwidth, offsets)
-    schedule = ec.schedule or _default_schedule(ec.tracker)
+    tracker_cls, default_schedule = TRACKERS[ec.tracker]
+    rngs = [_trial_rng(ec.seed, t) for t in trials]
+    draws = np.array([initial_draws(sc, rng, ec.init_halfwidth)
+                      for rng in rngs])
+    ch = init_channel_batch(sc, cfg, draws)
+    x0, beta0 = initial_estimate_batch(ch, cfg, offsets, draws)
     sigma_c_sq = _stationary_gain_var(sc.kind)
+    gain_var_at = None
+    if ec.rbt_sigma_mode == "estimated":
+        def gain_var_at(x):
+            return estimated_gain_variance(sc, cfg, x, sigma_c_sq)
+    run = TrackerRun(cfg, offsets, ec.schedule or default_schedule,
+                     ch.eta**2 * sigma_c_sq, gain_var_at)
+    tracker = tracker_cls(run, x0, beta0)
+    crlb = _crlb_refs(ec, cfg, offsets, ch)
 
-    tracker = ec.tracker
-    crlb_ref = np.nan
-    if isinstance(sc.kind, QuasiStatic):
-        crlb_ref = float(static_offsets_crlb(offsets.deltas, cfg.m, cfg.n,
-                                             cfg.pilot_amp, cfg.noise_var))
-    if tracker in ("JBCT_S", "JBCT_DII"):
-        ts = jbct_tracker(cfg, psi0, offsets, schedule)
-        step = jbct_static_step if tracker == "JBCT_S" else jbct_dii_step
-        probes_of = lambda: ts.probe_directions()
-        estimate_of = lambda: (ts.psi[2:], complex(ts.psi[0], ts.psi[1]))
-    elif tracker == "RBT_DI":
-        eta = element_gain(sc.pattern, state.aoa)
-        model = DiModel(eta**2 * sigma_c_sq)
-        ts = rbt_tracker(cfg, psi0.x, offsets, schedule, model)
-        probes_of = lambda: ts.probe_directions()
-        estimate_of = lambda: (ts.x, None)
-    elif tracker == "BeamSwitch":
-        ts = beam_switch_tracker(cfg, psi0.x)
-        probes_of = lambda: beam_switch_probes(ts)
-        estimate_of = lambda: (ts.x, ts.beta_hat)
-    else:  # EKF
-        ts = ekf_tracker(cfg, psi0.x)
-        ts.beta_hat = psi0.beta
-        probes_of = lambda: ekf_probes(ts)
-        estimate_of = lambda: (ts.x, ts.beta_hat)
-
-    if isinstance(sc.kind, DynamicI):
-        # per-trial direction bound at this trial's equivalent-gain variance
-        eta_true = element_gain(sc.pattern, state.aoa)
-        snr_b = cfg.pilot_amp**2 * eta_true**2 * sigma_c_sq / cfg.noise_var
-        crlb_ref = float(di_offsets_crlb(offsets.deltas, cfg.m, cfg.n, snr_b))
-
-    err_h = np.empty(ec.num_eccs)
-    err_x = np.empty(ec.num_eccs)
-    for k in range(ec.num_eccs):
-        dirs = probes_of()
-        state = evolve(state, sc, cfg, rng)
-        y = _observe_fast(cfg, state, dirs, rng)
-        if tracker == "RBT_DI":
-            if ec.rbt_sigma_mode == "estimated":
-                model = DiModel(estimated_gain_variance(sc, cfg, ts.x,
-                                                        sigma_c_sq))
-            rbt_di_step(ts, cfg, model, y)
-        elif tracker == "BeamSwitch":
-            baseline_beam_switch_step(ts, cfg, y)
-        elif tracker == "EKF":
-            baseline_ekf_step(ts, cfg, y)
-        else:
-            step(ts, cfg, y)
-        x_hat, beta_hat = estimate_of()
-        err_h[k], err_x[k] = _channel_errors(cfg, state, x_hat, beta_hat)
-    return trial, err_h, err_x, crlb_ref
-
-
-def _worker(args):
-    ec, trials = args
-    return [_run_trial(ec, t) for t in trials]
+    batch, cycles = len(rngs), ec.num_eccs
+    width = evolve_normals(sc.kind) + NOISE_NORMALS
+    err_h = np.empty((batch, cycles))
+    err_x = np.empty((batch, cycles))
+    for first in range(0, cycles, CYCLE_CHUNK):
+        count = min(CYCLE_CHUNK, cycles - first)
+        block = np.stack([rng.standard_normal((count, width)) for rng in rngs],
+                         axis=1)                      # (count, B, width)
+        for k, z in enumerate(block, first):
+            dirs = tracker.probes()
+            ch = evolve_batch(ch, sc, cfg, z[:, :-NOISE_NORMALS])
+            y = observe_fast(cfg, ch.x, ch.beta_eff, dirs,
+                             z[:, -NOISE_NORMALS:])
+            tracker.update(y)
+            err_h[:, k], err_x[:, k] = _channel_errors(cfg, ch,
+                                                       *tracker.estimate())
+    return err_h, err_x, crlb
 
 
 def _worker_count() -> int:
     env = os.environ.get("BEAMTRACK_THREADS", "")
     if env == "":
         return 1
-    count = int(env)
+    try:
+        count = int(env)
+    except ValueError:
+        count = -1
+    if count < 0:
+        raise ConfigError(f"BEAMTRACK_THREADS: expected a worker count "
+                          f"(0 = auto), got {env!r}")
     if count == 0:
         return os.cpu_count() or 1
-    return max(1, count)
+    return count
 
 
-def run_experiment(ec: ExperimentConfig) -> List[MetricsRecord]:
-    """Run the configured Monte-Carlo experiment and aggregate per-cycle
-    mean squared errors across trials.
-
-    Every tracker consumes exactly 3 probes per cycle plus one bootstrap
-    cycle, so ``explorations_total`` = 3 * (ecc + 1) for all of them.
-    ``crlb_ref`` reports the relevant achieved CRLB over the cycle count for
-    the quasi-static (channel-vector) and fading-gain (direction) scenarios,
-    NaN otherwise.
-    """
-    _validate(ec)
-    workers = _worker_count()
-    if workers <= 1 or ec.num_trials == 1:
-        results = [_run_trial(ec, t) for t in range(ec.num_trials)]
-    else:
-        chunks = np.array_split(np.arange(ec.num_trials), workers * 4)
-        chunks = [c for c in chunks if len(c)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(_worker, [(ec, list(c)) for c in chunks])
-        results = [r for part in parts for r in part]
-        results.sort(key=lambda r: r[0])  # deterministic reduction order
-
+def _records(ec: ExperimentConfig, err_h: np.ndarray, err_x: np.ndarray,
+             crlb: np.ndarray) -> List[MetricsRecord]:
+    """Reduce per-trial errors (T, num_eccs) and bounds (T,) in trial order
+    by sequential accumulation, so the sums do not depend on the batches."""
     sum_h = np.zeros(ec.num_eccs)
     sum_x = np.zeros(ec.num_eccs)
+    for row_h, row_x in zip(err_h, err_x):
+        sum_h += row_h
+        sum_x += row_x
     sum_crlb = 0.0
     crlb_count = 0
-    for _, err_h, err_x, crlb in results:
-        sum_h += err_h
-        sum_x += err_x
-        if np.isfinite(crlb):
-            sum_crlb += crlb
+    for value in crlb:
+        if np.isfinite(value):
+            sum_crlb += value
             crlb_count += 1
     trials = ec.num_trials
     mean_crlb = sum_crlb / crlb_count if crlb_count else np.nan
@@ -264,6 +256,28 @@ def run_experiment(ec: ExperimentConfig) -> List[MetricsRecord]:
             trials=trials,
         ))
     return records
+
+
+def run_experiment(ec: ExperimentConfig) -> List[MetricsRecord]:
+    """Run the configured Monte-Carlo experiment and aggregate per-cycle
+    mean squared errors across trials.
+
+    Every tracker consumes exactly 3 probes per cycle plus one bootstrap
+    cycle, so ``explorations_total`` = 3 * (ecc + 1) for all of them.
+    ``crlb_ref`` reports the relevant achieved CRLB over the cycle count for
+    the quasi-static (channel-vector) and fading-gain (direction) scenarios,
+    NaN otherwise.
+    """
+    _validate(ec)
+    workers = min(_worker_count(), ec.num_trials)
+    if workers == 1:
+        parts = [_run_batch(ec, range(ec.num_trials))]
+    else:
+        batches = [range(c[0], c[-1] + 1) for c in
+                   np.array_split(np.arange(ec.num_trials), workers)]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(_run_batch, [ec] * workers, batches))
+    return _records(ec, *(np.concatenate(arrays) for arrays in zip(*parts)))
 
 
 CSV_HEADER = "ecc,explorations_total,mse_h,mse_x,crlb_ref,trials"
@@ -338,56 +352,93 @@ def parse_config_text(text: str) -> dict:
     return out
 
 
+def _pop_int(kv: dict, key: str, default: int) -> int:
+    value = kv.pop(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key}: expected an integer, got {value!r}")
+    return value
+
+
+def _pop_float(kv: dict, key: str, default: float) -> float:
+    value = kv.pop(key, default)
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not np.isfinite(value)):
+        raise ConfigError(f"{key}: expected a finite number, got {value!r}")
+    return float(value)
+
+
+def _pop_str(kv: dict, key: str, default: str) -> str:
+    value = kv.pop(key, default)
+    if not isinstance(value, str):
+        raise ConfigError(f"{key}: expected a string, got {value!r}")
+    return value
+
+
+def _build(keys: str, factory, *args, **kwargs):
+    """Call a validating constructor; its ValueError becomes a ConfigError
+    naming the config keys it was built from."""
+    try:
+        return factory(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{keys}: {exc}") from None
+
+
 def config_from_mapping(kv: dict) -> ExperimentConfig:
     """Build an :class:`ExperimentConfig` from parsed key-value pairs.
-    The ``out`` key (output CSV path) is the CLI's to consume."""
+    The ``out`` key (output CSV path) is the CLI's to consume; ``offsets``
+    holds a preset name or an :class:`OffsetSet`."""
     kv = dict(kv)
-    kv.pop("out", None)
-    name = kv.pop("scenario", "quasi-static")
+    _pop_str(kv, "out", "")
+    name = _pop_str(kv, "scenario", "quasi-static")
     if name == "quasi-static":
-        kind = QuasiStatic(rician_k_db=float(kv.pop("rician_k_db", 15.0)))
+        kind = QuasiStatic(rician_k_db=_pop_float(kv, "rician_k_db", 15.0))
     elif name == "dynamic-i":
-        kind = DynamicI(sigma_beta_c_sq=float(kv.pop("sigma_beta_c_sq", 1.0)))
+        kind = _build("sigma_beta_c_sq", DynamicI,
+                      sigma_beta_c_sq=_pop_float(kv, "sigma_beta_c_sq", 1.0))
     elif name == "dynamic-ii":
-        kind = DynamicII(rho=float(kv.pop("rho", 0.995)),
-                         delta_a=float(np.deg2rad(kv.pop("delta_a_deg", 0.3))))
+        kind = _build("rho, delta_a_deg", DynamicII,
+                      rho=_pop_float(kv, "rho", 0.995),
+                      delta_a=float(np.deg2rad(
+                          _pop_float(kv, "delta_a_deg", 0.3))))
     else:
         raise ConfigError(f"scenario: unknown scenario {name!r}")
-    scenario = ScenarioConfig(kind, kv.pop("aoa_region", "central"))
+    scenario = ScenarioConfig(kind, _pop_str(kv, "aoa_region", "central"))
+    _build("aoa_region", scenario.ranges)
 
-    try:
-        array = ArrayConfig(m=int(kv.pop("m", 8)), n=int(kv.pop("n", 8)),
-                            d1=float(kv.pop("d1", 0.5)),
-                            d2=float(kv.pop("d2", 0.5)),
-                            noise_var=float(kv.pop("noise_var", 1.0)))
-    except ValueError as exc:
-        raise ConfigError(f"array: {exc}")
+    array = _build("m, n, d1, d2, noise_var", ArrayConfig,
+                   m=_pop_int(kv, "m", 8), n=_pop_int(kv, "n", 8),
+                   d1=_pop_float(kv, "d1", 0.5),
+                   d2=_pop_float(kv, "d2", 0.5),
+                   noise_var=_pop_float(kv, "noise_var", 1.0))
 
     schedule = None
     sched_name = kv.pop("schedule", None)
-    eps = kv.pop("epsilon", 1.0)
-    k0 = kv.pop("k0", 0.0)
-    step = kv.pop("step", 0.7)
+    eps = _pop_float(kv, "epsilon", 1.0)
+    k0 = _pop_float(kv, "k0", 0.0)
+    step = _pop_float(kv, "step", 0.7)
     if sched_name == "diminishing":
-        schedule = DiminishingStep(float(eps), float(k0))
+        schedule = _build("epsilon, k0", DiminishingStep, eps, k0)
     elif sched_name == "constant":
-        schedule = ConstantStep(float(step))
+        schedule = _build("step", ConstantStep, step)
     elif sched_name is not None:
         raise ConfigError(f"schedule: unknown schedule {sched_name!r}")
 
+    offsets = kv.pop("offsets", "tableII")
+    if not isinstance(offsets, (str, OffsetSet)):
+        raise ConfigError(f"offsets: expected a preset name, got {offsets!r}")
     ec = ExperimentConfig(
         scenario=scenario,
         array=array,
-        tracker=str(kv.pop("tracker", "JBCT_S")),
-        offsets=str(kv.pop("offsets", "tableII")),
+        tracker=_pop_str(kv, "tracker", "JBCT_S"),
+        offsets=offsets,
         schedule=schedule,
-        num_trials=int(kv.pop("trials", 1)),
-        num_eccs=int(kv.pop("eccs", 100)),
-        seed=int(kv.pop("seed", 0)),
-        snr_db=float(kv.pop("snr_db", 0.0)),
-        record_every=int(kv.pop("record_every", 1)),
-        init_halfwidth=float(kv.pop("init_halfwidth", 0.5)),
-        rbt_sigma_mode=str(kv.pop("rbt_sigma_mode", "perfect")),
+        num_trials=_pop_int(kv, "trials", 1),
+        num_eccs=_pop_int(kv, "eccs", 100),
+        seed=_pop_int(kv, "seed", 0),
+        snr_db=_pop_float(kv, "snr_db", 0.0),
+        record_every=_pop_int(kv, "record_every", 1),
+        init_halfwidth=_pop_float(kv, "init_halfwidth", 0.5),
+        rbt_sigma_mode=_pop_str(kv, "rbt_sigma_mode", "perfect"),
     )
     if kv:
         raise ConfigError(f"unused keys: {sorted(kv)}")

@@ -68,7 +68,7 @@ class OffsetSet:
         d = np.asarray(self.deltas, float)
         if d.shape != (3, 2):
             raise ValueError("exactly three 2D offsets are required")
-        if np.any(np.abs(d) >= 1.0):
+        if not np.all(np.abs(d) < 1.0):
             raise ValueError("offsets must lie in the open square (-1, 1)^2")
         for i in range(3):
             for j in range(i + 1, 3):
@@ -108,6 +108,24 @@ def observe(cfg: ArrayConfig, psi: ChannelParams, ebm: Ebm,
     scale = np.sqrt(cfg.noise_var / 2.0)
     z = scale * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
     return mean + z
+
+
+def observe_fast(cfg: ArrayConfig, x, beta, dirs, normals) -> np.ndarray:
+    """Noisy observations of a batch of channels on the kernel path.
+
+    ``x`` (..., 2) and ``beta`` (...) are the channels' directions and
+    equivalent gains, ``dirs`` (..., 3, 2) the probe directions and
+    ``normals`` (..., 6) standard normals: the real parts of the three noise
+    values, then their imaginary parts.  Equal to :func:`observe` with an
+    EBM pointing at ``dirs`` (shift property), at O(M+N) per probe.
+    """
+    x = np.asarray(x, float)
+    g, _, _ = probe_kernels(np.asarray(dirs, float) - x[..., None, :],
+                            cfg.m, cfg.n)
+    normals = np.asarray(normals, float)
+    noise = np.sqrt(cfg.noise_var / 2.0) * (normals[..., :3]
+                                            + 1j * normals[..., 3:])
+    return cfg.pilot_amp * np.asarray(beta)[..., None] * g + noise
 
 
 def observation_kernels(cfg: ArrayConfig, x, ebm: Ebm):

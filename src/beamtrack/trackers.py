@@ -13,17 +13,26 @@ Re/Im/conjugate extractions free.  Cache construction is offline and
 excluded; so is the final step-size scale-and-add.  Under this convention
 one cycle costs 39 operations for the joint tracker and 28 for the
 direction-only tracker (see ``count_ops``).
+
+Batched trackers
+----------------
+The Monte-Carlo harness runs the ``*Batch`` classes at the end of this
+module: the same updates over a batch of trials, one row per trial, behind
+one interface (``BatchTracker``).  The per-trial steps above stay as the
+instrumented audit and as the reference the batched updates are tested
+against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional, Protocol
 
 import numpy as np
 
 from .arrays import ArrayConfig, _xy, probe_kernels
-from .estimation import COND_LIMIT, DiModel, SingularFisher, jacobian
+from .estimation import (COND_LIMIT, DiModel, SingularFisher,
+                         _di_fisher_batch, jacobian)
 from .signal import ChannelParams, Ebm, OffsetSet, noiseless_mean
 
 
@@ -288,29 +297,39 @@ class RbtCache:
     i_inv: np.ndarray    # (2, 2) inverse direction Fisher
 
 
+def _rbt_terms(e, d1, d2, c, sz2: float):
+    """Offset-only terms of the direction tracker at gain powers
+    c = |s|^2 sigma_beta^2 (a scalar or an array of any shape): the
+    derivatives of the inverse covariance (..., 2, 3, 3), the
+    log-determinant slopes (..., 2) and the inverse direction Fisher
+    (..., 2, 2)."""
+    c = np.asarray(c, float)
+    if np.any(c <= 0):
+        raise SingularFisher("zero gain variance carries no direction information")
+    cv = c[..., None]
+    g0 = float(np.vdot(e, e).real)
+    ds = np.stack([d1, d2])
+    gt = 2 * np.real(ds @ e.conj())
+    det = sz2**2 * (cv * g0 + sz2)                         # (..., 1)
+    ddet = sz2**2 * cv * gt                                # (..., 2)
+    big = (ds[:, :, None] * e.conj()[None, None, :]
+           + e[None, :, None] * ds.conj()[:, None, :])     # (2, 3, 3)
+    gg = np.outer(e, e.conj())
+    det4 = det[..., None, None]
+    q_mats = -sz2 * cv[..., None, None] * (
+        big * det4 - gg * ddet[..., None, None]) / det4**2
+    info = _di_fisher_batch(e, d1, d2, c / sz2)
+    if not np.all(np.isfinite(info)) or np.any(np.linalg.cond(info) > COND_LIMIT):
+        raise SingularFisher("direction Fisher is singular at these offsets")
+    return q_mats, -ddet / det, np.linalg.inv(info)
+
+
 def build_rbt_cache(cfg: ArrayConfig, offsets: OffsetSet,
                     sigma_beta_sq: float) -> RbtCache:
-    from .estimation import _di_fisher_from_kernels
     e, d1, d2 = probe_kernels(offsets.deltas, cfg.m, cfg.n)
-    c = cfg.pilot_amp**2 * sigma_beta_sq
-    sz2 = cfg.noise_var
-    if c <= 0:
-        raise SingularFisher("zero gain variance carries no direction information")
-    g0 = float(np.vdot(e, e).real)
-    det = sz2**2 * (c * g0 + sz2)
-    gg = np.outer(e, e.conj())
-    q_mats = np.empty((2, 3, 3), complex)
-    c0 = np.empty(2)
-    for p, d in enumerate((d1, d2)):
-        gt = 2 * np.real(np.vdot(e, d))
-        ddet = sz2**2 * c * gt
-        big = np.outer(d, e.conj()) + np.outer(e, d.conj())
-        q_mats[p] = -sz2 * c * (big * det - gg * ddet) / det**2
-        c0[p] = -ddet / det
-    info = _di_fisher_from_kernels(e, d1, d2, c, sz2).m
-    if not np.all(np.isfinite(info)) or np.linalg.cond(info) > COND_LIMIT:
-        raise SingularFisher("direction Fisher is singular at these offsets")
-    return RbtCache(sigma_beta_sq, q_mats, c0, np.linalg.inv(info))
+    return RbtCache(sigma_beta_sq,
+                    *_rbt_terms(e, d1, d2, cfg.pilot_amp**2 * sigma_beta_sq,
+                                cfg.noise_var))
 
 
 @dataclass
@@ -464,8 +483,12 @@ class EkfState:
     prior_var: float
 
 
-def ekf_tracker(cfg: ArrayConfig, x0, process_noise: float = 1e-4,
-                prior_var: float = 0.1) -> EkfState:
+EKF_PROCESS_NOISE = 1e-4
+EKF_PRIOR_VAR = 0.1
+
+
+def ekf_tracker(cfg: ArrayConfig, x0, process_noise: float = EKF_PROCESS_NOISE,
+                prior_var: float = EKF_PRIOR_VAR) -> EkfState:
     return EkfState(np.asarray(_xy(x0), float), prior_var * np.eye(2),
                     0.0 + 0.0j, 0, process_noise, prior_var)
 
@@ -503,3 +526,227 @@ def baseline_ekf_step(state: EkfState, cfg: ArrayConfig, y) -> EkfState:
     state.p = p_new
     state.k += 1
     return state
+
+
+# ---------------------------------------------------------------------------
+# batched trackers: one row per trial, one numpy pass per cycle
+# ---------------------------------------------------------------------------
+#
+# Each class runs the update of its scalar counterpart above on a batch of
+# independent trials.  The safeguards become per-trial masks: a trial whose
+# update is skipped or dropped keeps its estimate while the others move.
+
+
+@dataclass(frozen=True)
+class TrackerRun:
+    """What a batched tracker knows of its run."""
+
+    cfg: ArrayConfig
+    offsets: OffsetSet
+    schedule: object
+    gain_var: np.ndarray      # (T,) equivalent-gain variance per trial
+    # variance estimated at the direction estimates, x (T, 2) -> (T,);
+    # None means the direction tracker uses ``gain_var``
+    gain_var_at: Optional[Callable] = None
+
+
+class BatchTracker(Protocol):
+    """The interface the Monte-Carlo harness drives: construct from the run
+    and the initial estimates (x0 (T, 2), beta0 (T,)), then each cycle
+    ``probes`` (T, 3, 2), ``update(y)`` with y (T, 3), and ``estimate`` ->
+    (x_hat (T, 2), beta_hat (T,) or None for a direction-only tracker)."""
+
+    def __init__(self, run: TrackerRun, x0: np.ndarray,
+                 beta0: np.ndarray): ...
+
+    def probes(self) -> np.ndarray: ...
+
+    def update(self, y: np.ndarray) -> None: ...
+
+    def estimate(self): ...
+
+
+def _as_complex(re, im) -> np.ndarray:
+    out = np.empty(np.shape(re), complex)
+    out.real = re
+    out.imag = im
+    return out
+
+
+def _capped_step(schedule, k: int, direction: np.ndarray) -> np.ndarray:
+    """Scheduled steps with each row truncated to STEP_CAP in max-norm."""
+    step = schedule.at(k) * direction
+    largest = np.abs(step).max(axis=1)
+    scale = np.where(largest > STEP_CAP, STEP_CAP / largest, 1.0)
+    return step * scale[:, None]
+
+
+def _jbct_direction_batch(cache: FastUpdateCache, beta: np.ndarray,
+                          y: np.ndarray) -> np.ndarray:
+    """:func:`_jbct_direction_fast` for a batch: beta (T,), y (T, 3)."""
+    resid = y - beta[:, None] * cache.se
+    ip0 = (cache.e_s.conj() * resid).sum(1)
+    ub0 = ((beta[:, None] * cache.d1_s).conj() * resid).sum(1).real
+    ub1 = ((beta[:, None] * cache.d2_s).conj() * resid).sum(1).real
+    br0 = beta * cache.r12[0]
+    br1 = beta * cache.r12[1]
+    t0 = cache.a_inv * ip0.real
+    t1 = cache.a_inv * ip0.imag
+    v0 = ub0 - (br0.real * t0 + br0.imag * t1)
+    v1 = ub1 - (br1.real * t0 + br1.imag * t1)
+    b2 = np.maximum((beta * beta.conjugate()).real, cache.gain_floor_sq)
+    w0 = (cache.is_inv[0, 0] * v0 + cache.is_inv[0, 1] * v1) / b2
+    w1 = (cache.is_inv[1, 0] * v0 + cache.is_inv[1, 1] * v1) / b2
+    xa0 = cache.a_inv * (ip0.real - (br0.real * w0 + br1.real * w1))
+    xa1 = cache.a_inv * (ip0.imag - (br0.imag * w0 + br1.imag * w1))
+    return np.stack([xa0, xa1, w0, w1], axis=1)
+
+
+class JbctBatch:
+    """Joint gain + direction tracker (both step configurations)."""
+
+    def __init__(self, run: TrackerRun, x0, beta0):
+        self.psi = np.column_stack([beta0.real, beta0.imag, x0])
+        self.k = 0
+        self.schedule = run.schedule
+        self.deltas = run.offsets.deltas
+        self.cache = build_fast_cache(run.cfg, run.offsets)
+
+    def probes(self) -> np.ndarray:
+        return self.psi[:, None, 2:] + self.deltas
+
+    def update(self, y: np.ndarray) -> None:
+        self.k += 1
+        beta = _as_complex(self.psi[:, 0], self.psi[:, 1])
+        b2 = np.abs(beta) ** 2
+        with np.errstate(all="ignore"):
+            direction = _jbct_direction_batch(self.cache, beta, y)
+            step = _capped_step(self.schedule, self.k, direction)
+        # the Fisher is singular at a vanishing gain estimate: skip those
+        apply = (np.isfinite(b2) & (b2 >= 1e-24)
+                 & np.isfinite(direction).all(axis=1))
+        self.psi = np.where(apply[:, None], self.psi + step, self.psi)
+
+    def estimate(self):
+        return self.psi[:, 2:], _as_complex(self.psi[:, 0], self.psi[:, 1])
+
+
+class RbtBatch:
+    """Direction-only tracker for fading gains."""
+
+    def __init__(self, run: TrackerRun, x0, beta0):
+        self.x = np.array(x0, float)
+        self.k = 0
+        self.run = run
+        self.kernels = probe_kernels(run.offsets.deltas, run.cfg.m, run.cfg.n)
+        self.var = np.array(run.gain_var, float)
+        self.q_mats, self.c0, self.i_inv = self._terms(self.var)
+
+    def _terms(self, var):
+        cfg = self.run.cfg
+        return _rbt_terms(*self.kernels, cfg.pilot_amp**2 * var, cfg.noise_var)
+
+    def probes(self) -> np.ndarray:
+        return self.x[:, None, :] + self.run.offsets.deltas
+
+    def update(self, y: np.ndarray) -> None:
+        if self.run.gain_var_at is not None:
+            var = self.run.gain_var_at(self.x)
+            changed = var != self.var
+            if changed.any():
+                q_mats, c0, i_inv = self._terms(var[changed])
+                self.q_mats[changed] = q_mats
+                self.c0[changed] = c0
+                self.i_inv[changed] = i_inv
+                self.var = var
+        qy = (self.q_mats @ y[:, None, :, None])[..., 0]      # (T, 2, 3)
+        qf = (y.conj()[:, None, :] * qy).sum(-1).real
+        grad = self.c0 - qf
+        direction = (self.i_inv @ grad[..., None])[..., 0]
+        self.k += 1
+        with np.errstate(all="ignore"):
+            step = _capped_step(self.run.schedule, self.k, direction)
+        apply = np.isfinite(direction).all(axis=1)
+        self.x = np.where(apply[:, None], self.x + step, self.x)
+
+    def estimate(self):
+        return self.x, None
+
+
+class BeamSwitchBatch:
+    """Grid-of-beams baseline (oversampling 2)."""
+
+    def __init__(self, run: TrackerRun, x0, beta0):
+        cfg = run.cfg
+        self.spacing = 0.5
+        self.limits = np.array([cfg.m / 2.0, cfg.n / 2.0])
+        snapped = np.round(np.asarray(x0, float) / self.spacing) * self.spacing
+        self.x = np.clip(snapped, -self.limits, self.limits)
+        self.beta_hat = np.zeros(len(self.x), complex)
+        self.k = 0
+        self.gain_scale = cfg.pilot_amp * np.sqrt(cfg.size)
+
+    def probes(self) -> np.ndarray:
+        step = np.zeros(2)
+        step[self.k % 2] = self.spacing
+        probes = np.stack([self.x, self.x + step, self.x - step], axis=1)
+        return np.clip(probes, -self.limits, self.limits)
+
+    def update(self, y: np.ndarray) -> None:
+        rows = np.arange(len(y))
+        best = np.argmax(np.abs(y), axis=1)
+        self.x = self.probes()[rows, best]
+        self.beta_hat = y[rows, best] / self.gain_scale
+        self.k += 1
+
+    def estimate(self):
+        return self.x, self.beta_hat
+
+
+class EkfBatch:
+    """Identity-dynamics EKF baseline with the Joseph-form update."""
+
+    def __init__(self, run: TrackerRun, x0, beta0):
+        cfg = run.cfg
+        self.cfg = cfg
+        self.x = np.array(x0, float)
+        self.p = np.tile(EKF_PRIOR_VAR * np.eye(2), (len(self.x), 1, 1))
+        self.beta_hat = np.array(beta0, complex)
+        g, k1, k2 = probe_kernels(EKF_PROBE_OFFSETS, cfg.m, cfg.n)
+        self.g = g
+        self.k12 = np.stack([k1, k2], axis=1)
+        self.denom = cfg.pilot_amp * float(np.vdot(g, g).real)
+        self.r_mat = (cfg.noise_var / 2.0) * np.eye(6)
+
+    def probes(self) -> np.ndarray:
+        return self.x[:, None, :] + EKF_PROBE_OFFSETS
+
+    def update(self, y: np.ndarray) -> None:
+        s = self.cfg.pilot_amp
+        p_pred = self.p + EKF_PROCESS_NOISE * np.eye(2)
+        if self.denom > 1e-30:
+            beta = (self.g.conj() * y).sum(1) / self.denom
+        else:
+            beta = np.zeros(len(y), complex)
+        self.beta_hat = beta
+        sb = s * beta
+        resid_c = y - sb[:, None] * self.g
+        h_cplx = sb[:, None, None] * self.k12                  # (T, 3, 2)
+        h_r = np.concatenate([h_cplx.real, h_cplx.imag], axis=1)
+        h_t = np.swapaxes(h_r, 1, 2)
+        resid = np.concatenate([resid_c.real, resid_c.imag], axis=1)
+        s_mat = h_r @ p_pred @ h_t + self.r_mat
+        gain = p_pred @ h_t @ np.linalg.pinv(s_mat, rcond=1e-12)
+        self.x = self.x + (gain @ resid[..., None])[..., 0]
+        ikh = np.eye(2) - gain @ h_r
+        p_new = (ikh @ p_pred @ np.swapaxes(ikh, 1, 2)
+                 + gain @ self.r_mat @ np.swapaxes(gain, 1, 2))
+        p_new = 0.5 * (p_new + np.swapaxes(p_new, 1, 2))
+        # covariance reset where the update lost definiteness
+        bad = ~np.isfinite(p_new).all(axis=(1, 2))
+        safe = np.where(bad[:, None, None], np.eye(2), p_new)
+        bad |= np.linalg.eigvalsh(safe)[:, 0] < -1e-12
+        self.p = np.where(bad[:, None, None], EKF_PRIOR_VAR * np.eye(2), p_new)
+
+    def estimate(self):
+        return self.x, self.beta_hat

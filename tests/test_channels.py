@@ -179,6 +179,24 @@ class TestInitialEstimate:
                                offsets=STATIC_OFFSETS)
         assert abs(est.beta - st.beta_eff) < 1e-8
 
+    def test_kernel_bootstrap_matches_explicit_route(self):
+        """The bootstrap cycle on the kernel path equals building an EBM,
+        observing through it and fitting the gain, on the same draws."""
+        from beamtrack.signal import build_ebm, observe
+        from beamtrack.trackers import bootstrap_gain
+        cfg = ArrayConfig(8, 6, pilot_amp=1.7, noise_var=0.6)
+        for seed in range(20):
+            sc = ScenarioConfig(DynamicII())
+            st = init_channel(sc, cfg, np.random.default_rng(seed))
+            est = initial_estimate(st, cfg, np.random.default_rng(seed + 100),
+                                   0.4, STATIC_OFFSETS)
+            rng = np.random.default_rng(seed + 100)
+            x0 = st.x + rng.uniform(-0.4, 0.4, 2)
+            ebm = build_ebm(cfg, x0, STATIC_OFFSETS)
+            want = bootstrap_gain(cfg, ebm, x0, observe(cfg, st.params, ebm, rng))
+            assert np.array_equal(est.x.as_array(), x0)
+            assert abs(est.beta - want) <= 1e-12 * max(1.0, abs(want))
+
     def test_halfwidth_validation(self):
         sc = ScenarioConfig(QuasiStatic())
         rng = np.random.default_rng(14)

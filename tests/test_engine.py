@@ -1,0 +1,302 @@
+"""Oracle tests for the trial-batched Monte-Carlo engine.
+
+The reference is the per-trial loop the engine replaced: scalar channel
+functions, scalar tracker steps, and each trial's RNG stream drawn call by
+call.  The engine must reproduce it per trial and cycle, and its CSV bytes
+must not depend on how the trials are split into batches or workers.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from beamtrack.arrays import ArrayConfig, aoa_from_dpv, element_gain, probe_kernels
+from beamtrack.channels import (DynamicI, DynamicII, QuasiStatic,
+                                ScenarioConfig, evolve, init_channel,
+                                initial_estimate)
+from beamtrack.estimation import DiModel, di_offsets_crlb, static_offsets_crlb
+from beamtrack.harness import (TRACKERS, ExperimentConfig, _records,
+                               _resolve_offsets, _run_batch,
+                               _stationary_gain_var, _trial_rng,
+                               effective_array, emit_csv, run_experiment)
+from beamtrack.offsets import STATIC_OFFSETS
+from beamtrack.signal import ChannelParams
+from beamtrack.trackers import (STEP_CAP, DiminishingStep, EkfBatch,
+                                JbctBatch, OpCounter, TrackerRun,
+                                _jbct_direction_fast,
+                                baseline_beam_switch_step, baseline_ekf_step,
+                                beam_switch_probes, beam_switch_tracker,
+                                ekf_probes, ekf_tracker, jbct_dii_step,
+                                jbct_static_step, jbct_tracker, rbt_di_step,
+                                rbt_tracker)
+
+# ---------------------------------------------------------------------------
+# reference: one trial at a time
+# ---------------------------------------------------------------------------
+
+
+def _observe(cfg, state, dirs, rng):
+    g, _, _ = probe_kernels(dirs - state.x[None, :], cfg.m, cfg.n)
+    noise = np.sqrt(cfg.noise_var / 2.0) * (rng.standard_normal(3)
+                                            + 1j * rng.standard_normal(3))
+    return cfg.pilot_amp * state.beta_eff * g + noise
+
+
+def _errors(cfg, state, x_hat, beta_hat):
+    dx = x_hat - state.x
+    err_x = float(dx @ dx)
+    if beta_hat is None:
+        return np.nan, err_x
+    g, _, _ = probe_kernels(dx, cfg.m, cfg.n)
+    cross = np.sqrt(cfg.size) * g
+    beta = state.beta_eff
+    err_h = (cfg.size * (abs(beta_hat) ** 2 + abs(beta) ** 2)
+             - 2.0 * np.real(np.conj(beta_hat) * beta * cross))
+    return max(float(err_h), 0.0) / cfg.size, err_x
+
+
+def _estimated_gain_variance(sc, cfg, x_hat, sigma_c_sq):
+    aoa = aoa_from_dpv(cfg, x_hat, clamp=True)
+    return float(element_gain(sc.pattern, aoa) ** 2 * sigma_c_sq)
+
+
+def reference_trial(ec, trial, hits=None):
+    """Per-trial errors (err_h, err_x), each (num_eccs,), and the trial's
+    bound.  ``hits`` (a dict) counts the joint tracker's gain-floor and
+    step-cap activations."""
+    cfg = effective_array(ec)
+    sc = ec.scenario
+    offsets = _resolve_offsets(ec)
+    rng = _trial_rng(ec.seed, trial)
+    state = init_channel(sc, cfg, rng)
+    psi0 = initial_estimate(state, cfg, rng, ec.init_halfwidth, offsets)
+    schedule = ec.schedule or TRACKERS[ec.tracker][1]
+    sigma_c_sq = _stationary_gain_var(sc.kind)
+
+    tracker = ec.tracker
+    crlb_ref = np.nan
+    if isinstance(sc.kind, QuasiStatic):
+        crlb_ref = float(static_offsets_crlb(offsets.deltas, cfg.m, cfg.n,
+                                             cfg.pilot_amp, cfg.noise_var))
+    if tracker in ("JBCT_S", "JBCT_DII"):
+        ts = jbct_tracker(cfg, psi0, offsets, schedule)
+        step = jbct_static_step if tracker == "JBCT_S" else jbct_dii_step
+        probes_of = lambda: ts.probe_directions()
+        estimate_of = lambda: (ts.psi[2:], complex(ts.psi[0], ts.psi[1]))
+    elif tracker == "RBT_DI":
+        eta = element_gain(sc.pattern, state.aoa)
+        model = DiModel(eta**2 * sigma_c_sq)
+        ts = rbt_tracker(cfg, psi0.x, offsets, schedule, model)
+        probes_of = lambda: ts.probe_directions()
+        estimate_of = lambda: (ts.x, None)
+    elif tracker == "BeamSwitch":
+        ts = beam_switch_tracker(cfg, psi0.x)
+        probes_of = lambda: beam_switch_probes(ts)
+        estimate_of = lambda: (ts.x, ts.beta_hat)
+    else:  # EKF
+        ts = ekf_tracker(cfg, psi0.x)
+        ts.beta_hat = psi0.beta
+        probes_of = lambda: ekf_probes(ts)
+        estimate_of = lambda: (ts.x, ts.beta_hat)
+
+    if isinstance(sc.kind, DynamicI):
+        eta_true = element_gain(sc.pattern, state.aoa)
+        snr_b = cfg.pilot_amp**2 * eta_true**2 * sigma_c_sq / cfg.noise_var
+        crlb_ref = float(di_offsets_crlb(offsets.deltas, cfg.m, cfg.n, snr_b))
+
+    err_h = np.empty(ec.num_eccs)
+    err_x = np.empty(ec.num_eccs)
+    for k in range(ec.num_eccs):
+        dirs = probes_of()
+        state = evolve(state, sc, cfg, rng)
+        y = _observe(cfg, state, dirs, rng)
+        if tracker == "RBT_DI":
+            if ec.rbt_sigma_mode == "estimated":
+                model = DiModel(_estimated_gain_variance(sc, cfg, ts.x,
+                                                         sigma_c_sq))
+            rbt_di_step(ts, cfg, model, y)
+        elif tracker == "BeamSwitch":
+            baseline_beam_switch_step(ts, cfg, y)
+        elif tracker == "EKF":
+            baseline_ekf_step(ts, cfg, y)
+        else:
+            if hits is not None:
+                _count_safeguards(ts, y, hits)
+            step(ts, cfg, y)
+        x_hat, beta_hat = estimate_of()
+        err_h[k], err_x[k] = _errors(cfg, state, x_hat, beta_hat)
+    return err_h, err_x, crlb_ref
+
+
+def _count_safeguards(ts, y, hits):
+    beta = complex(ts.psi[0], ts.psi[1])
+    if not abs(beta) ** 2 >= 1e-24:
+        return
+    hits["floor"] += (beta * beta.conjugate()).real < ts.cache.gain_floor_sq
+    direction = _jbct_direction_fast(ts.cache, beta, y, OpCounter())
+    if np.all(np.isfinite(direction)):
+        hits["cap"] += np.abs(ts.schedule.at(ts.k + 1) * direction).max() > STEP_CAP
+
+
+def reference_run(ec, hits=None):
+    parts = [reference_trial(ec, t, hits) for t in range(ec.num_trials)]
+    return (np.array([p[0] for p in parts]), np.array([p[1] for p in parts]),
+            np.array([p[2] for p in parts]))
+
+
+# ---------------------------------------------------------------------------
+# cases
+# ---------------------------------------------------------------------------
+
+QS = ScenarioConfig(QuasiStatic())
+DI = ScenarioConfig(DynamicI(1.0))
+DII = ScenarioConfig(DynamicII(rho=0.995, delta_a=np.deg2rad(0.3)))
+
+CASES = {
+    "JBCT_S-qs": dict(tracker="JBCT_S", scenario=QS),
+    "JBCT_S-dii": dict(tracker="JBCT_S", scenario=DII),
+    "JBCT_DII-qs": dict(tracker="JBCT_DII", scenario=QS),
+    "JBCT_DII-dii": dict(tracker="JBCT_DII", scenario=DII),
+    "BeamSwitch-qs": dict(tracker="BeamSwitch", scenario=QS),
+    "BeamSwitch-dii": dict(tracker="BeamSwitch", scenario=DII),
+    "EKF-qs": dict(tracker="EKF", scenario=QS),
+    "EKF-dii": dict(tracker="EKF", scenario=DII),
+    # a fast walk that keeps reflecting off the arrival region's edges
+    "JBCT_DII-walls": dict(tracker="JBCT_DII", scenario=ScenarioConfig(
+        DynamicII(rho=0.9, delta_a=0.25))),
+    "RBT_DI-perfect": dict(tracker="RBT_DI", scenario=DI, offsets="tableIII",
+                           schedule=DiminishingStep(1.0, 5.0)),
+    "RBT_DI-estimated": dict(tracker="RBT_DI", scenario=DI,
+                             offsets="tableIII", rbt_sigma_mode="estimated",
+                             schedule=DiminishingStep(1.0, 5.0)),
+}
+
+
+def _config(case, **kw):
+    base = dict(array=ArrayConfig(8, 8), offsets="tableII", num_trials=12,
+                num_eccs=40, seed=3, record_every=1, init_halfwidth=0.25)
+    base.update(CASES[case])
+    base.update(kw)
+    return ExperimentConfig(**base)
+
+
+def _batched(ec, size):
+    parts = [_run_batch(ec, range(first, min(first + size, ec.num_trials)))
+             for first in range(0, ec.num_trials, size)]
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+
+
+def _assert_matches_reference(ec, hits=None):
+    want = reference_run(ec, hits)
+    got = _batched(ec, ec.num_trials)
+    for w, g in zip(want, got):
+        np.testing.assert_allclose(g, w, rtol=1e-9, atol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# tests
+# ---------------------------------------------------------------------------
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_per_trial_cycle_errors(self, case):
+        _assert_matches_reference(_config(case))
+
+    def test_deep_fade_hits_gain_floor_and_step_cap(self):
+        """Rayleigh gain at -10 dB: the joint tracker's safeguards act, and
+        the masked batch still follows the reference."""
+        ec = _config("JBCT_S-qs", scenario=DI, snr_db=-10.0, num_trials=16)
+        hits = {"floor": 0, "cap": 0}
+        _assert_matches_reference(ec, hits)
+        assert hits["floor"] > 0
+        assert hits["cap"] > 0
+
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), trials=st.integers(1, 8),
+           eccs=st.integers(1, 12), case=st.sampled_from(sorted(CASES)))
+    def test_property_random_runs(self, seed, trials, eccs, case):
+        _assert_matches_reference(_config(case, seed=seed, num_trials=trials,
+                                          num_eccs=eccs))
+
+
+class TestCsvBytes:
+    @pytest.mark.parametrize("case", ["JBCT_DII-dii", "EKF-dii",
+                                      "RBT_DI-estimated"])
+    def test_independent_of_batch_size(self, case, tmp_path):
+        ec = _config(case, num_trials=15, num_eccs=20)
+        runs = {size: _batched(ec, size) for size in (1, 7, ec.num_trials)}
+        for size, arrays in runs.items():
+            for a, b in zip(arrays, runs[1]):
+                assert np.array_equal(a, b, equal_nan=True)
+            emit_csv(_records(ec, *arrays), tmp_path / f"{size}.csv")
+        first = (tmp_path / "1.csv").read_bytes()
+        assert all((tmp_path / f"{size}.csv").read_bytes() == first
+                   for size in runs)
+
+    def test_independent_of_worker_count(self, tmp_path, monkeypatch):
+        ec = _config("EKF-dii", num_trials=7, num_eccs=15)
+        monkeypatch.delenv("BEAMTRACK_THREADS", raising=False)
+        emit_csv(run_experiment(ec), tmp_path / "serial.csv")
+        monkeypatch.setenv("BEAMTRACK_THREADS", "2")
+        emit_csv(run_experiment(ec), tmp_path / "pooled.csv")
+        assert (tmp_path / "serial.csv").read_bytes() \
+            == (tmp_path / "pooled.csv").read_bytes()
+
+    def test_cycles_beyond_one_chunk(self):
+        """Normals are drawn in chunks of cycles; a run longer than one
+        chunk still follows the reference."""
+        from beamtrack import harness
+        ec = _config("JBCT_DII-dii", num_trials=3, num_eccs=harness.CYCLE_CHUNK + 5)
+        _assert_matches_reference(ec)
+
+
+class TestSafeguardMasks:
+    """Rows that trip a safeguard against the scalar step, one row each."""
+
+    CFG = ArrayConfig(8, 8)
+
+    def _run(self, tracker_cls, x0, beta0):
+        return tracker_cls(TrackerRun(self.CFG, STATIC_OFFSETS,
+                                      DiminishingStep(1.0), np.ones(len(x0))),
+                           np.array(x0, float), np.array(beta0, complex))
+
+    def test_joint_tracker_rows(self):
+        """Healthy, vanishing (skipped), faded (floored), non-finite
+        (dropped) and far-off (capped) gain estimates."""
+        betas = [0.8 - 0.3j, 0.0, 1e-3 + 1e-3j, complex(np.nan, 0.0), 0.05j]
+        x0 = [(0.1, -0.2)] * len(betas)
+        y = np.array([[0.3 + 0.1j, -0.2j, 0.5], [1.0, 0.2, 0.1j],
+                      [0.4, -0.4j, 0.3], [0.1, 0.1, 0.1], [40.0, -35j, 20]])
+        batch = self._run(JbctBatch, x0, betas)
+        batch.update(y)
+        for row, beta in enumerate(betas):
+            ts = jbct_tracker(self.CFG, ChannelParams.from_parts(beta, x0[row]),
+                              STATIC_OFFSETS, DiminishingStep(1.0))
+            jbct_static_step(ts, self.CFG, y[row])
+            np.testing.assert_allclose(batch.psi[row], ts.psi, rtol=1e-12,
+                                       atol=1e-15)
+        assert np.array_equal(batch.psi[1], [0.0, 0.0, 0.1, -0.2])
+        assert np.abs(batch.psi[4] - [0.0, 0.05, 0.1, -0.2]).max() \
+            == pytest.approx(STEP_CAP)
+
+    def test_ekf_covariance_reset_rows(self):
+        """A row whose covariance update loses definiteness is reset to the
+        prior; a healthy row is not."""
+        x0 = [(0.1, 0.2)] * 2
+        batch = self._run(EkfBatch, x0, [0.5, 0.5])
+        batch.p[1] = np.diag([0.1, -5.0])
+        # a near-silent row: the gain fit is small, so P barely moves
+        y = np.array([[0.3, 0.2j, 0.1], [1e-6, 0.0, 0.0]])
+        scalars = []
+        for row in range(2):
+            ts = ekf_tracker(self.CFG, x0[row])
+            ts.p = batch.p[row].copy()
+            baseline_ekf_step(ts, self.CFG, y[row])
+            scalars.append(ts)
+        batch.update(y)
+        for row, ts in enumerate(scalars):
+            np.testing.assert_allclose(batch.p[row], ts.p, rtol=1e-12)
+            np.testing.assert_allclose(batch.x[row], ts.x, rtol=1e-12)
+        assert np.array_equal(batch.p[1], 0.1 * np.eye(2))
+        assert not np.array_equal(batch.p[0], 0.1 * np.eye(2))

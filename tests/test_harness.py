@@ -12,8 +12,9 @@ from beamtrack.arrays import ArrayConfig
 from beamtrack.channels import DynamicI, QuasiStatic, ScenarioConfig
 from beamtrack.harness import (CSV_HEADER, ConfigError, ExperimentConfig,
                                MetricsRecord, config_from_mapping, emit_csv,
-                               load_experiment, parse_config_text, read_csv,
-                               run_experiment)
+                               _worker_count, load_experiment,
+                               parse_config_text, read_csv, run_experiment)
+from beamtrack.cli import main
 from beamtrack.trackers import ConstantStep, DiminishingStep
 
 
@@ -74,6 +75,18 @@ class TestRunExperiment:
             else:
                 os.environ["BEAMTRACK_THREADS"] = old
         assert filecmp.cmp(a, b, shallow=False)
+
+    @pytest.mark.parametrize("env,want", [("", 1), ("3", 3),
+                                          ("0", os.cpu_count() or 1)])
+    def test_worker_count(self, env, want, monkeypatch):
+        monkeypatch.setenv("BEAMTRACK_THREADS", env)
+        assert _worker_count() == want
+
+    @pytest.mark.parametrize("env", ["abc", "-3", "1.5"])
+    def test_malformed_worker_count_names_the_variable(self, env, monkeypatch):
+        monkeypatch.setenv("BEAMTRACK_THREADS", env)
+        with pytest.raises(ConfigError, match="BEAMTRACK_THREADS"):
+            _worker_count()
 
     def test_crlb_ref_quasi_static_scales_as_one_over_k(self):
         ec = _quasi_static_config(num_eccs=40, record_every=20)
@@ -221,6 +234,14 @@ class TestCli:
         proc = _run_cli("track", "--config", str(cfg))
         assert proc.returncode == 1
 
+    def test_track_accepts_six_offsets(self, tmp_path, capsys):
+        cfg = tmp_path / "run.toml"
+        cfg.write_text(TestConfigFile.GOOD)
+        code = main(["track", "--config", str(cfg),
+                     "--offsets", "0.1,0.2,0.3,-0.4,-0.5,0.1"])
+        assert code == 0
+        assert capsys.readouterr().out.startswith(CSV_HEADER)
+
     def test_crlb_subcommand(self):
         proc = _run_cli("crlb", "--objective", "static-asymptotic")
         assert proc.returncode == 0
@@ -252,3 +273,54 @@ class TestCli:
         proc = _run_cli("verify", "--quick")
         assert proc.returncode == 0
         assert proc.stdout.count("PASS") == 4
+
+
+GOOD_RUN = TestConfigFile.GOOD
+
+
+# (config text, extra argv, BEAMTRACK_THREADS); each is one bad input
+BAD_INPUTS = {
+    "fractional trials": (GOOD_RUN + "trials = 1.7\n", [], None),
+    "string for an integer": (GOOD_RUN.replace("seed = 7", 'seed = "7"'),
+                              [], None),
+    "non-numeric snr": (GOOD_RUN.replace("snr_db = 0.0", 'snr_db = "loud"'),
+                        [], None),
+    "rho out of range": ('scenario = "dynamic-ii"\nrho = 1.5\n', [], None),
+    "negative epsilon": (GOOD_RUN.replace("epsilon = 1.0", "epsilon = -1.0"),
+                         [], None),
+    "empty array": (GOOD_RUN.replace("m = 8", "m = 0"), [], None),
+    "unknown region": ('aoa_region = "nowhere"\n', [], None),
+    "unknown tracker": ('tracker = "nope"\n', [], None),
+    "zero cycles": (GOOD_RUN.replace("eccs = 10", "eccs = 0"), [], None),
+    "unknown key": ("bogus = 3\n", [], None),
+    "unparsable value": ("seed = zebra\n", [], None),
+    "bad offsets flag": (GOOD_RUN, ["--offsets", "0.1,0.2,0.3"], None),
+    "offsets outside the square": (
+        GOOD_RUN, ["--offsets", "0.1,0.2,0.3,-0.4,-1.5,0.1"], None),
+    "non-finite offsets": (
+        GOOD_RUN, ["--offsets", "0.1,0.2,0.3,nan,0.5,0.1"], None),
+    "negative seed": (GOOD_RUN, ["--seed", "-1"], None),
+    "non-integer flag": (GOOD_RUN, ["--trials", "abc"], None),
+    "unwritable output": (GOOD_RUN, ["--out", "/no/such/dir/out.csv"], None),
+    "malformed thread count": (GOOD_RUN, [], "abc"),
+    "negative thread count": (GOOD_RUN, [], "-3"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_INPUTS))
+def test_bad_track_input_exits_1_with_one_error_line(name, tmp_path,
+                                                     monkeypatch, capsys):
+    text, extra, threads = BAD_INPUTS[name]
+    cfg = tmp_path / "run.toml"
+    cfg.write_text(text)
+    if threads is None:
+        monkeypatch.delenv("BEAMTRACK_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("BEAMTRACK_THREADS", threads)
+    try:
+        code = main(["track", "--config", str(cfg), *extra])
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 1
+    assert [line.startswith("error:") for line in err.splitlines()].count(True) == 1
