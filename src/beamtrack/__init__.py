@@ -36,7 +36,7 @@ from .signal import (AmbiguousSolution, ChannelParams, Ebm, NoSolution,
 from .trackers import (ConstantStep, DiminishingStep, EkfState, JbctState,
                        RbtState, baseline_beam_switch_step, baseline_ekf_step,
                        beam_switch_tracker, count_ops, ekf_tracker,
-                       jbct_dii_step, jbct_static_step, jbct_tracker,
-                       mean_field, rbt_di_step, rbt_tracker)
+                       jbct_step, jbct_tracker, mean_field, rbt_di_step,
+                       rbt_tracker)
 
 __version__ = "0.1.0"

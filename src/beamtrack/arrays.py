@@ -102,6 +102,19 @@ def dpv_from_aoa(cfg: ArrayConfig, aoa: Aoa) -> Dpv:
     return Dpv(float(x1), float(x2))
 
 
+def aoa_coords(cfg: ArrayConfig, x1, x2):
+    """Arrival angles (theta, phi) of direction coordinates, clamped to the
+    physical cone: the inverse of :func:`dpv_coords` on the branch
+    theta in [-pi/2, pi/2], phi in [0, pi]; vectorized."""
+    theta = np.arcsin(np.clip(cfg.wavelength * x2 / (cfg.n * cfg.d2),
+                              -1.0, 1.0))
+    c = np.cos(theta)
+    tiny = c < 1e-15
+    u = np.where(tiny, 0.0, cfg.wavelength * x1
+                 / (cfg.m * cfg.d1 * np.where(tiny, 1.0, c)))
+    return theta, np.arccos(np.clip(u, -1.0, 1.0))
+
+
 def aoa_from_dpv(cfg: ArrayConfig, x, clamp: bool = False) -> Aoa:
     """Invert :func:`dpv_from_aoa` on the branch theta in [-pi/2, pi/2),
     phi in [0, pi].
@@ -112,20 +125,15 @@ def aoa_from_dpv(cfg: ArrayConfig, x, clamp: bool = False) -> Aoa:
     a running estimate).
     """
     x1, x2 = _xy(x)
-    s = cfg.wavelength * x2 / (cfg.n * cfg.d2)
-    if abs(s) > 1 + 1e-12 and not clamp:
-        raise OutOfPhysicalRange(f"x2={x2} exceeds the physical range")
-    s = min(1.0, max(-1.0, s))
-    theta = float(np.arcsin(s))
-    c = np.cos(theta)
-    if c < 1e-15:
-        u = 0.0
-    else:
-        u = cfg.wavelength * x1 / (cfg.m * cfg.d1 * c)
-    if abs(u) > 1 + 1e-12 and not clamp:
-        raise OutOfPhysicalRange(f"x1={x1} exceeds the physical range")
-    u = min(1.0, max(-1.0, u))
-    return Aoa(theta, float(np.arccos(u)))
+    theta, phi = aoa_coords(cfg, x1, x2)
+    if not clamp:
+        if abs(cfg.wavelength * x2 / (cfg.n * cfg.d2)) > 1 + 1e-12:
+            raise OutOfPhysicalRange(f"x2={x2} exceeds the physical range")
+        c = np.cos(theta)
+        if c >= 1e-15 and abs(cfg.wavelength * x1
+                               / (cfg.m * cfg.d1 * c)) > 1 + 1e-12:
+            raise OutOfPhysicalRange(f"x1={x1} exceeds the physical range")
+    return Aoa(float(theta), float(phi))
 
 
 def steering_vector(cfg: ArrayConfig, x) -> np.ndarray:

@@ -19,10 +19,10 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .arrays import (Aoa, ArrayConfig, PatternConfig, dpv_coords,
+from .arrays import (Aoa, ArrayConfig, PatternConfig, aoa_coords, dpv_coords,
                      dpv_from_aoa, element_gain, element_gain_angles,
                      probe_kernels)
-from .signal import ChannelParams, OffsetSet, observe_fast
+from .signal import ChannelParams, OffsetSet, fit_gains, observe_fast
 
 AOA_REGIONS = {
     "central": ((-np.pi / 6, np.pi / 6), (np.pi / 3, 2 * np.pi / 3)),
@@ -169,8 +169,9 @@ def bootstrap_gains(cfg: ArrayConfig, offsets: OffsetSet, x, beta_eff, x0,
     """Bootstrap gain fits from one probing cycle centred at ``x0``.
 
     Observes channels (``x`` (..., 2), ``beta_eff`` (...)) with probes at
-    ``x0 + offsets`` and noise from ``normals`` (..., 6), then fits
-    beta = (e^H e)^-1 e^H y / s with e the probe kernels at the offsets.
+    ``x0 + offsets`` and noise from ``normals`` (..., 6), then fits the
+    gains with :func:`~.signal.fit_gains`, e being the probe kernels at the
+    offsets.
     The kernel path of building an EBM at ``x0``, :func:`~.signal.observe`
     and :func:`~.trackers.bootstrap_gain`.
     """
@@ -178,10 +179,7 @@ def bootstrap_gains(cfg: ArrayConfig, offsets: OffsetSet, x, beta_eff, x0,
     y0 = observe_fast(cfg, x, beta_eff, x0[..., None, :] + offsets.deltas,
                       normals)
     e, _, _ = probe_kernels(offsets.deltas, cfg.m, cfg.n)
-    denom = cfg.pilot_amp * float(np.vdot(e, e).real)
-    if denom < 1e-30:
-        return np.zeros(y0.shape[:-1], complex)
-    return (e.conj() * y0).sum(-1) / denom
+    return fit_gains(e, y0, cfg.pilot_amp)
 
 
 def initial_estimate(state: ChannelState, cfg: ArrayConfig,
@@ -209,13 +207,7 @@ def estimated_gain_variance(sc: ScenarioConfig, cfg: ArrayConfig, x_hat,
     estimates ``x_hat`` (..., 2), clamped to the physical cone (the branch
     of :func:`~.arrays.aoa_from_dpv` with ``clamp``)."""
     x = np.asarray(x_hat, float)
-    s = np.clip(cfg.wavelength * x[..., 1] / (cfg.n * cfg.d2), -1.0, 1.0)
-    theta = np.arcsin(s)
-    c = np.cos(theta)
-    tiny = c < 1e-15
-    u = np.where(tiny, 0.0, cfg.wavelength * x[..., 0]
-                 / (cfg.m * cfg.d1 * np.where(tiny, 1.0, c)))
-    phi = np.arccos(np.clip(u, -1.0, 1.0))
+    theta, phi = aoa_coords(cfg, x[..., 0], x[..., 1])
     eta = element_gain_angles(sc.pattern, theta, phi)
     return eta**2 * sigma_beta_c_sq
 

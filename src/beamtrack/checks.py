@@ -2,8 +2,12 @@
 
 Each check returns (name, passed, detail).  The Fisher checks compare the
 analytic matrices against Monte-Carlo score covariances sampled from the
-physical observation model, so they are independent of the formulas they
-validate.
+physical observation model.  The static score is built from the explicit
+Jacobian.  The fading-gain score shares its derivative matrices G_p with the
+Fisher it checks, so there the independence rests on two tests of those
+formulas against explicit-matrix oracles: the score against central
+differences of ``di_log_pdf``, and the Fisher against the Slepian-Bangs form
+Tr{Sigma^-1 dSigma_p Sigma^-1 dSigma_q}.
 """
 
 from __future__ import annotations
@@ -11,7 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from .arrays import ArrayConfig
-from .estimation import (DiModel, fisher_di, fisher_static, jacobian)
+from .estimation import (DiModel, _di_score_terms, fisher_di, fisher_static,
+                         jacobian)
 from .offsets import FADING_OFFSETS, STATIC_OFFSETS
 from .signal import (ChannelParams, build_ebm, noiseless_mean,
                      real_observation_jacobian, recover_from_noiseless)
@@ -117,30 +122,21 @@ def mc_fisher_static(cfg: ArrayConfig, psi: ChannelParams, ebm, draws: int,
 def mc_fisher_di(cfg: ArrayConfig, x, model: DiModel, ebm, draws: int,
                  rng: np.random.Generator) -> np.ndarray:
     """Monte-Carlo score covariance under the fading-gain model, sampling the
-    physical observation y = s*beta*g + z and scoring by finite differences
-    of the log-density in the direction coordinates."""
+    physical observation y = s*beta*g + z and scoring each draw with the
+    analytic score of :func:`~.estimation.di_score`."""
     from .signal import observation_kernels
-    g, _, _ = observation_kernels(cfg, x, ebm)
+    g, d1, d2 = observation_kernels(cfg, x, ebm)
     beta = np.sqrt(model.sigma_beta_sq / 2.0) * (
         rng.standard_normal(draws) + 1j * rng.standard_normal(draws))
     z = np.sqrt(cfg.noise_var / 2.0) * (
         rng.standard_normal((draws, 3)) + 1j * rng.standard_normal((draws, 3)))
     ys = cfg.pilot_amp * beta[:, None] * g[None, :] + z
-    # vectorized analytic score (validated elsewhere against FD of the pdf)
-    c = cfg.pilot_amp**2 * model.sigma_beta_sq
-    sz2 = cfg.noise_var
-    g0 = float(np.vdot(g, g).real)
-    det = sz2**2 * (c * g0 + sz2)
-    gg = np.outer(g, g.conj())
-    _, d1, d2 = observation_kernels(cfg, x, ebm)
-    scores = np.empty((draws, 2))
-    for p, d in enumerate((d1, d2)):
-        gt = 2 * np.real(np.vdot(g, d))
-        ddet = sz2**2 * c * gt
-        big = np.outer(d, g.conj()) + np.outer(g, d.conj())
-        dinv = -sz2 * c * (big * det - gg * ddet) / det**2
-        scores[:, p] = -ddet / det - np.real(
-            np.einsum("ni,ij,nj->n", ys.conj(), dinv, ys))
+    # the score shares G_p with the Fisher; see the module docstring for
+    # the tests that check both against explicit-matrix oracles
+    q_mats, c0 = _di_score_terms(g, d1, d2,
+                                 cfg.pilot_amp**2 * model.sigma_beta_sq,
+                                 cfg.noise_var)
+    scores = c0 - np.einsum("ni,pij,nj->np", ys.conj(), q_mats, ys).real
     return scores.T @ scores / draws
 
 
@@ -166,10 +162,3 @@ def check_fisher_oracles(seed: int = 0, draws: int = 200_000):
               f"fading-gain rel err {err_d:.4f} (<0.03); {draws} draws each")
     return "fisher-oracles", ok, detail
 
-
-ALL_CHECKS = (check_identifiability, check_mean_field, check_op_counts,
-              check_fisher_oracles)
-
-
-def run_all(seed: int = 0):
-    return [fn(seed) for fn in ALL_CHECKS]

@@ -115,6 +115,16 @@ def crlb_static(cfg: ArrayConfig, psi: ChannelParams, ebm: Ebm) -> float:
     return float(np.trace(_guarded_solve(info, gram)).real) / cfg.size
 
 
+def _finite_positive(out, scalar: bool, lead_shape):
+    """The result tail of the batched CRLB traces: +inf where a value is
+    non-finite or non-positive, then a float for one set or the leading
+    shape for a batch."""
+    out = np.where(np.isfinite(out) & (out > 0), out, np.inf)
+    if scalar:
+        return float(out[0])
+    return out.reshape(lead_shape)
+
+
 def _batch_trace_solve(info, gram, scale: float, lead_shape):
     """Tr{info^-1 gram} * scale per batch item; +inf where singular."""
     scalar = info.ndim == 2
@@ -136,10 +146,14 @@ def _batch_trace_solve(info, gram, scale: float, lead_shape):
                     out[i] = np.trace(np.linalg.solve(info[i], gram)).real * scale
                 except np.linalg.LinAlgError:
                     pass
-    out = np.where(np.isfinite(out) & (out > 0), out, np.inf)
-    if scalar:
-        return float(out[0])
-    return out.reshape(lead_shape)
+    return _finite_positive(out, scalar, lead_shape)
+
+
+def _static_info(g, k1, k2, pilot_amp: float, noise_var: float, beta):
+    """Static-model Fisher matrices (..., 4, 4) from the probe kernels."""
+    kmat = np.stack([g, 1j * g, beta * k1, beta * k2], axis=-1)  # (..., 3, 4)
+    return (2 * pilot_amp**2 / noise_var) * np.real(
+        np.einsum("...iq,...ip->...qp", kmat.conj(), kmat))
 
 
 def static_offsets_crlb(deltas, m: int, n: int, pilot_amp: float = 1.0,
@@ -147,11 +161,8 @@ def static_offsets_crlb(deltas, m: int, n: int, pilot_amp: float = 1.0,
     """Vectorized normalized static CRLB as a function of the offsets alone
     (shift property).  ``deltas`` has shape (..., 3, 2)."""
     g, k1, k2 = probe_kernels(deltas, m, n)
-    kmat = np.stack([g, 1j * g, beta * k1, beta * k2], axis=-1)  # (..., 3, 4)
-    info = (2 * pilot_amp**2 / noise_var) * np.real(
-        np.einsum("...iq,...ip->...qp", kmat.conj(), kmat))
-    gram = steering_gram(m, n, beta)
-    return _batch_trace_solve(info, gram, 1.0 / (m * n),
+    info = _static_info(g, k1, k2, pilot_amp, noise_var, beta)
+    return _batch_trace_solve(info, steering_gram(m, n, beta), 1.0 / (m * n),
                               np.asarray(deltas).shape[:-2])
 
 
@@ -162,11 +173,9 @@ def crlb_static_asymptotic(offsets, pilot_amp: float = 1.0,
     batch of offset sets with shape (..., 3, 2)."""
     deltas = offsets.deltas if isinstance(offsets, OffsetSet) else np.asarray(offsets)
     g, k1, k2 = probe_kernels_limit(deltas)
-    kmat = np.stack([g, 1j * g, beta * k1, beta * k2], axis=-1)
-    info = (2 * pilot_amp**2 / noise_var) * np.real(
-        np.einsum("...iq,...ip->...qp", kmat.conj(), kmat))
-    gram = steering_gram_limit(beta)
-    return _batch_trace_solve(info, gram, 1.0, deltas.shape[:-2])
+    info = _static_info(g, k1, k2, pilot_amp, noise_var, beta)
+    return _batch_trace_solve(info, steering_gram_limit(beta), 1.0,
+                              deltas.shape[:-2])
 
 
 # ---------------------------------------------------------------------------
@@ -185,35 +194,46 @@ def sigma_di(cfg: ArrayConfig, x, model: DiModel, ebm: Ebm):
     return float(det), inv
 
 
-def _di_fisher_from_kernels(g, d1, d2, c: float, sz2: float) -> FisherDI:
-    ds = (d1, d2)
-    g0 = float(np.vdot(g, g).real)
-    det = sz2**2 * (c * g0 + sz2)
-    gt = np.array([2 * np.real(np.vdot(g, d)) for d in ds])
-    big = np.stack([np.outer(d, g.conj()) + np.outer(g, d.conj()) for d in ds])
-    pref = sz2**3 * c**3 / det**2
-    m = np.empty((2, 2))
-    for p in range(2):
-        for j in range(p, 2):
-            t1 = -2.0 * g0 * gt[p] * gt[j]
-            t2 = (sz2 / c) * float(np.trace(big[p] @ big[j]).real)
-            t3 = float(np.real(g.conj() @ (big[p] @ big[j] + big[j] @ big[p]) @ g))
-            m[p, j] = m[j, p] = pref * (t1 + t2 + t3)
-    return FisherDI(m, g, gt, big)
+def _gain_blocks(g, k1, k2):
+    """The fading-gain blocks of probe responses ``g`` (..., 3) with
+    direction derivatives ``k1``, ``k2``: ||g||^2 (...), its gradient
+    g~ (..., 2), and the derivative matrices G_p = d_p g^H + g d_p^H of
+    g g^H (..., 2, 3, 3)."""
+    g0 = np.einsum("...i,...i->...", g.conj(), g).real
+    ds = np.stack([k1, k2], axis=-2)                      # (..., 2, 3)
+    gt = 2 * np.einsum("...i,...pi->...p", g.conj(), ds).real
+    big = (np.einsum("...pi,...j->...pij", ds, g.conj())
+           + np.einsum("...i,...pj->...pij", g, ds.conj()))
+    return g0, gt, big
+
+
+def _di_score_terms(g, k1, k2, c, sz2: float):
+    """Score terms of the fading-gain model at gain powers
+    c = |s|^2 sigma_beta^2 (broadcast against the leading shape of ``g``):
+    the derivatives Q_p of the inverse covariance (..., 2, 3, 3) and the
+    log-determinant slopes c0 = -d log|Sigma| / dx_p (..., 2).  The score
+    of an observation y is c0 - Re y^H Q_p y."""
+    g0, gt, big = _gain_blocks(g, k1, k2)
+    cv = np.asarray(c, float)[..., None]
+    det = sz2**2 * (cv * g0[..., None] + sz2)              # (..., 1)
+    ddet = sz2**2 * cv * gt                                # (..., 2)
+    gg = (g[..., :, None] * g.conj()[..., None, :])[..., None, :, :]
+    det4 = det[..., None, None]
+    q_mats = -sz2 * cv[..., None, None] * (
+        big * det4 - gg * ddet[..., None, None]) / det4**2
+    return q_mats, -ddet / det
 
 
 def fisher_di(cfg: ArrayConfig, x, model: DiModel, ebm: Ebm) -> FisherDI:
     """2x2 direction Fisher information of the fading-gain model, via the
     closed-form element expression in g, its norm gradient, and the
     derivative matrices of g g^H."""
-    if model.sigma_beta_sq == 0:
-        g, d1, d2 = observation_kernels(cfg, x, ebm)
-        return FisherDI(np.zeros((2, 2)), g, np.zeros(2),
-                        np.stack([np.outer(d, g.conj()) + np.outer(g, d.conj())
-                                  for d in (d1, d2)]))
     g, d1, d2 = observation_kernels(cfg, x, ebm)
+    _, gt, big = _gain_blocks(g, d1, d2)
     c = cfg.pilot_amp**2 * model.sigma_beta_sq
-    return _di_fisher_from_kernels(g, d1, d2, c, cfg.noise_var)
+    m = np.zeros((2, 2)) if c == 0 else \
+        _di_fisher_batch(g, d1, d2, c / cfg.noise_var)
+    return FisherDI(m, g, gt, big)
 
 
 def crlb_di(cfg: ArrayConfig, x, model: DiModel, ebm: Ebm) -> float:
@@ -233,12 +253,8 @@ def di_offsets_fisher(deltas, m: int, n: int, snr_beta):
 def _di_fisher_batch(g, k1, k2, snr_beta):
     # noise_var normalized to 1; snr_beta plays the role of c
     c = snr_beta
-    g0 = np.einsum("...i,...i->...", g.conj(), g).real
+    g0, gt, big = _gain_blocks(g, k1, k2)
     det = c * g0 + 1.0
-    ds = np.stack([k1, k2], axis=-2)                      # (..., 2, 3)
-    gt = 2 * np.einsum("...i,...pi->...p", g.conj(), ds).real
-    big = (np.einsum("...pi,...j->...pij", ds, g.conj())
-           + np.einsum("...i,...pj->...pij", g, ds.conj()))  # (..., 2, 3, 3)
     tr = np.einsum("...pij,...qji->...pq", big, big).real
     quad = np.einsum("...i,...pij,...qjk,...k->...pq", g.conj(), big, big, g).real
     quad = quad + np.swapaxes(quad, -1, -2)
@@ -267,11 +283,8 @@ def _trace_inv_2x2(info, lead_shape):
     d = info[:, 1, 1]
     det = a * d - b * b
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where((det > 1e-30) & np.isfinite(det), (a + d) / det, np.inf)
-    out = np.where(out > 0, out, np.inf)
-    if scalar:
-        return float(out[0])
-    return out.reshape(lead_shape)
+        out = np.where(det > 1e-30, (a + d) / det, np.inf)
+    return _finite_positive(out, scalar, lead_shape)
 
 
 def crlb_di_asymptotic(offsets, snr_beta: float):
@@ -279,12 +292,7 @@ def crlb_di_asymptotic(offsets, snr_beta: float):
     array gain swamps the noise, so the SNR enters only as an overall scale.
     Supports batches with shape (..., 3, 2)."""
     deltas = offsets.deltas if isinstance(offsets, OffsetSet) else np.asarray(offsets)
-    g, k1, k2 = probe_kernels_limit(deltas)
-    s0 = np.einsum("...i,...i->...", g.conj(), g).real
-    ds = np.stack([k1, k2], axis=-2)
-    big = (np.einsum("...pi,...j->...pij", ds, g.conj())
-           + np.einsum("...i,...pj->...pij", g, ds.conj()))
-    tau = 2 * np.einsum("...i,...pi->...p", g.conj(), ds).real
+    s0, tau, big = _gain_blocks(*probe_kernels_limit(deltas))
     tr = np.einsum("...pij,...qji->...pq", big, big).real
     info = snr_beta * (tr - np.einsum("...p,...q->...pq", tau, tau)) \
         / s0[..., None, None]
@@ -301,18 +309,8 @@ def di_log_pdf(cfg: ArrayConfig, x, model: DiModel, ebm: Ebm, y) -> float:
 
 def di_score(cfg: ArrayConfig, x, model: DiModel, ebm: Ebm, y) -> np.ndarray:
     """Gradient of :func:`di_log_pdf` in the direction coordinates."""
-    g, d1, d2 = observation_kernels(cfg, x, ebm)
-    c = cfg.pilot_amp**2 * model.sigma_beta_sq
-    sz2 = cfg.noise_var
-    g0 = float(np.vdot(g, g).real)
-    det = sz2**2 * (c * g0 + sz2)
-    gg = np.outer(g, g.conj())
+    q_mats, c0 = _di_score_terms(*observation_kernels(cfg, x, ebm),
+                                 cfg.pilot_amp**2 * model.sigma_beta_sq,
+                                 cfg.noise_var)
     y = np.asarray(y, complex)
-    out = np.empty(2)
-    for p, d in enumerate((d1, d2)):
-        gt = 2 * np.real(np.vdot(g, d))
-        ddet = sz2**2 * c * gt
-        big = np.outer(d, g.conj()) + np.outer(g, d.conj())
-        dinv = -sz2 * c * (big * det - gg * ddet) / det**2
-        out[p] = -ddet / det - np.real(y.conj() @ dinv @ y)
-    return out
+    return c0 - np.einsum("i,pij,j->p", y.conj(), q_mats, y).real

@@ -128,6 +128,16 @@ def observe_fast(cfg: ArrayConfig, x, beta, dirs, normals) -> np.ndarray:
     return cfg.pilot_amp * np.asarray(beta)[..., None] * g + noise
 
 
+def fit_gains(e, y, pilot_amp: float) -> np.ndarray:
+    """Least-squares gains beta = e^H y / (s ||e||^2) of observations
+    ``y`` (..., 3) whose responses per unit gain are s * ``e`` (3,); zero
+    where the responses vanish."""
+    denom = pilot_amp * float(np.vdot(e, e).real)
+    if denom < 1e-30:
+        return np.zeros(np.shape(y)[:-1], complex)
+    return (e.conj() * y).sum(-1) / denom
+
+
 def observation_kernels(cfg: ArrayConfig, x, ebm: Ebm):
     """Probe kernels (w^H a, w^H da/dx1, w^H da/dx2) of an EBM evaluated at an
     arbitrary direction ``x`` (not necessarily the EBM's own center)."""

@@ -32,8 +32,8 @@ import numpy as np
 
 from .arrays import ArrayConfig, _xy, probe_kernels
 from .estimation import (COND_LIMIT, DiModel, SingularFisher,
-                         _di_fisher_batch, jacobian)
-from .signal import ChannelParams, Ebm, OffsetSet, noiseless_mean
+                         _di_fisher_batch, _di_score_terms, jacobian)
+from .signal import ChannelParams, Ebm, OffsetSet, fit_gains, noiseless_mean
 
 
 @dataclass(frozen=True)
@@ -203,7 +203,10 @@ def _jbct_direction_fast(cache: FastUpdateCache, beta_hat: complex,
     return np.array([xa[0], xa[1], w[0], w[1]])
 
 
-def _jbct_step(state: JbctState, cfg: ArrayConfig, y) -> JbctState:
+def jbct_step(state: JbctState, cfg: ArrayConfig, y) -> JbctState:
+    """One cycle of the joint tracker; the step schedule in ``state`` sets
+    the configuration (diminishing for quasi-static channels, constant for
+    dynamic ones)."""
     beta_hat = complex(state.psi[0], state.psi[1])
     b2 = abs(beta_hat) ** 2
     k_next = state.k + 1
@@ -224,17 +227,6 @@ def _jbct_step(state: JbctState, cfg: ArrayConfig, y) -> JbctState:
     state.k = k_next
     state.op_count_last_ecc = ops.n
     return state
-
-
-def jbct_static_step(state: JbctState, cfg: ArrayConfig, y) -> JbctState:
-    """One cycle of the joint tracker (diminishing-step configuration)."""
-    return _jbct_step(state, cfg, y)
-
-
-def jbct_dii_step(state: JbctState, cfg: ArrayConfig, y) -> JbctState:
-    """One cycle of the joint tracker with its constant-step configuration;
-    identical update algebra to :func:`jbct_static_step`."""
-    return _jbct_step(state, cfg, y)
 
 
 def jbct_direction(cfg: ArrayConfig, psi_hat: ChannelParams, ebm: Ebm,
@@ -272,8 +264,8 @@ def mean_field(psi_hat: ChannelParams, psi_true: ChannelParams,
 
 def bootstrap_gain(cfg: ArrayConfig, ebm: Ebm, center, y) -> complex:
     """Least-squares gain fit from one cycle observed with an EBM built at
-    ``center``: beta = (e^H e)^-1 e^H y / s with e = W^H a(center).
-    Initializes the joint tracker's gain estimate."""
+    ``center``: beta = (e^H e)^-1 e^H y / s with e = W^H a(center).  The
+    explicit-EBM reference for :func:`~.channels.bootstrap_gains`."""
     from .signal import observation_kernels
     e, _, _ = observation_kernels(cfg, center, ebm)
     denom = cfg.pilot_amp * float(np.vdot(e, e).real)
@@ -299,29 +291,16 @@ class RbtCache:
 
 def _rbt_terms(e, d1, d2, c, sz2: float):
     """Offset-only terms of the direction tracker at gain powers
-    c = |s|^2 sigma_beta^2 (a scalar or an array of any shape): the
-    derivatives of the inverse covariance (..., 2, 3, 3), the
-    log-determinant slopes (..., 2) and the inverse direction Fisher
-    (..., 2, 2)."""
+    c = |s|^2 sigma_beta^2 (a scalar or an array of any shape): the score
+    terms of :func:`~.estimation._di_score_terms` (Q_p (..., 2, 3, 3) and
+    c0 (..., 2)) and the inverse direction Fisher (..., 2, 2)."""
     c = np.asarray(c, float)
     if np.any(c <= 0):
         raise SingularFisher("zero gain variance carries no direction information")
-    cv = c[..., None]
-    g0 = float(np.vdot(e, e).real)
-    ds = np.stack([d1, d2])
-    gt = 2 * np.real(ds @ e.conj())
-    det = sz2**2 * (cv * g0 + sz2)                         # (..., 1)
-    ddet = sz2**2 * cv * gt                                # (..., 2)
-    big = (ds[:, :, None] * e.conj()[None, None, :]
-           + e[None, :, None] * ds.conj()[:, None, :])     # (2, 3, 3)
-    gg = np.outer(e, e.conj())
-    det4 = det[..., None, None]
-    q_mats = -sz2 * cv[..., None, None] * (
-        big * det4 - gg * ddet[..., None, None]) / det4**2
     info = _di_fisher_batch(e, d1, d2, c / sz2)
     if not np.all(np.isfinite(info)) or np.any(np.linalg.cond(info) > COND_LIMIT):
         raise SingularFisher("direction Fisher is singular at these offsets")
-    return q_mats, -ddet / det, np.linalg.inv(info)
+    return (*_di_score_terms(e, d1, d2, c, sz2), np.linalg.inv(info))
 
 
 def build_rbt_cache(cfg: ArrayConfig, offsets: OffsetSet,
@@ -406,7 +385,7 @@ def count_ops(step_kind: str, cfg: Optional[ArrayConfig] = None) -> int:
             else ConstantStep(0.7)
         state = jbct_tracker(cfg, ChannelParams(1.0, 0.2, 0.0, 0.0),
                              STATIC_OFFSETS, schedule)
-        _jbct_step(state, cfg, y)
+        jbct_step(state, cfg, y)
         return state.op_count_last_ecc
     if step_kind == "rbt":
         model = DiModel(1.0)
@@ -715,7 +694,6 @@ class EkfBatch:
         g, k1, k2 = probe_kernels(EKF_PROBE_OFFSETS, cfg.m, cfg.n)
         self.g = g
         self.k12 = np.stack([k1, k2], axis=1)
-        self.denom = cfg.pilot_amp * float(np.vdot(g, g).real)
         self.r_mat = (cfg.noise_var / 2.0) * np.eye(6)
 
     def probes(self) -> np.ndarray:
@@ -724,10 +702,7 @@ class EkfBatch:
     def update(self, y: np.ndarray) -> None:
         s = self.cfg.pilot_amp
         p_pred = self.p + EKF_PROCESS_NOISE * np.eye(2)
-        if self.denom > 1e-30:
-            beta = (self.g.conj() * y).sum(1) / self.denom
-        else:
-            beta = np.zeros(len(y), complex)
+        beta = fit_gains(self.g, y, s)
         self.beta_hat = beta
         sb = s * beta
         resid_c = y - sb[:, None] * self.g

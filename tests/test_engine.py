@@ -27,9 +27,8 @@ from beamtrack.trackers import (STEP_CAP, DiminishingStep, EkfBatch,
                                 _jbct_direction_fast,
                                 baseline_beam_switch_step, baseline_ekf_step,
                                 beam_switch_probes, beam_switch_tracker,
-                                ekf_probes, ekf_tracker, jbct_dii_step,
-                                jbct_static_step, jbct_tracker, rbt_di_step,
-                                rbt_tracker)
+                                ekf_probes, ekf_tracker, jbct_step,
+                                jbct_tracker, rbt_di_step, rbt_tracker)
 
 # ---------------------------------------------------------------------------
 # reference: one trial at a time
@@ -81,7 +80,7 @@ def reference_trial(ec, trial, hits=None):
                                              cfg.pilot_amp, cfg.noise_var))
     if tracker in ("JBCT_S", "JBCT_DII"):
         ts = jbct_tracker(cfg, psi0, offsets, schedule)
-        step = jbct_static_step if tracker == "JBCT_S" else jbct_dii_step
+        step = jbct_step
         probes_of = lambda: ts.probe_directions()
         estimate_of = lambda: (ts.psi[2:], complex(ts.psi[0], ts.psi[1]))
     elif tracker == "RBT_DI":
@@ -273,7 +272,7 @@ class TestSafeguardMasks:
         for row, beta in enumerate(betas):
             ts = jbct_tracker(self.CFG, ChannelParams.from_parts(beta, x0[row]),
                               STATIC_OFFSETS, DiminishingStep(1.0))
-            jbct_static_step(ts, self.CFG, y[row])
+            jbct_step(ts, self.CFG, y[row])
             np.testing.assert_allclose(batch.psi[row], ts.psi, rtol=1e-12,
                                        atol=1e-15)
         assert np.array_equal(batch.psi[1], [0.0, 0.0, 0.1, -0.2])

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from beamtrack.arrays import ArrayConfig
+from beamtrack.arrays import ArrayConfig, probe_kernels
 from beamtrack.checks import mc_fisher_di, mc_fisher_static
-from beamtrack.estimation import (DiModel, SingularFisher, crlb_di,
+from beamtrack.estimation import (DiModel, SingularFisher, _di_fisher_batch,
+                                  _di_score_terms, crlb_di,
                                   crlb_di_asymptotic, crlb_static,
                                   crlb_static_asymptotic, di_log_pdf,
                                   di_offsets_crlb, di_score, fisher_di,
@@ -267,6 +270,50 @@ class TestDiScore:
         y = np.array([0.3 - 1j, 0.2, 1.1j])
         got = di_score(CFG, x, DiModel(0.0), ebm, y)
         assert np.abs(got).max() < 1e-12
+
+
+class TestBatchedScoreTerms:
+    """The shared score terms and the batched Fisher on the shape the
+    direction tracker uses: one offset set, a gain power and an observation
+    per row."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(deltas=st.lists(st.floats(-0.99, 0.99), min_size=6, max_size=6),
+           x=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+           c=st.lists(st.floats(0.05, 20.0), min_size=1, max_size=4),
+           noise_var=st.floats(0.1, 5.0), seed=st.integers(0, 2**32 - 1))
+    def test_rows_match_explicit_oracles(self, deltas, x, c, noise_var, seed):
+        try:
+            offsets = OffsetSet(np.reshape(deltas, (3, 2)))
+        except ValueError:
+            assume(False)
+        cfg = ArrayConfig(8, 8, noise_var=noise_var)
+        c = np.array(c)
+        rng = np.random.default_rng(seed)
+        y = rng.standard_normal((len(c), 3)) + 1j * rng.standard_normal((len(c), 3))
+        g, k1, k2 = probe_kernels(offsets.deltas, cfg.m, cfg.n)
+        q_mats, c0 = _di_score_terms(g, k1, k2, c, noise_var)
+        scores = c0 - np.einsum("bi,bpij,bj->bp", y.conj(), q_mats, y).real
+        info = _di_fisher_batch(g, k1, k2, c / noise_var)
+        ebm = _ebm_at(x, offsets, cfg)
+        h = 1e-6
+        for row in range(len(c)):
+            model = DiModel(c[row])
+            for p in range(2):
+                dx = np.zeros(2)
+                dx[p] = h
+                fd = (di_log_pdf(cfg, np.add(x, dx), model, ebm, y[row])
+                      - di_log_pdf(cfg, np.subtract(x, dx), model, ebm, y[row])
+                      ) / (2 * h)
+                assert abs(fd - scores[row, p]) < 1e-6 * max(abs(fd), 1.0)
+            sigma = c[row] * np.outer(g, g.conj()) + noise_var * np.eye(3)
+            si = np.linalg.inv(sigma)
+            parts = [c[row] * (np.outer(d, g.conj()) + np.outer(g, d.conj()))
+                     for d in (k1, k2)]
+            oracle = np.array([[np.trace(si @ parts[p] @ si @ parts[q]).real
+                                for q in range(2)] for p in range(2)])
+            assert np.abs(info[row] - oracle).max() \
+                < 1e-9 * np.abs(oracle).max()
 
 
 class TestCrlbDi:

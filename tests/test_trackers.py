@@ -12,9 +12,9 @@ from beamtrack.trackers import (ConstantStep, DiminishingStep, OpCounter,
                                 baseline_beam_switch_step, baseline_ekf_step,
                                 beam_switch_probes, beam_switch_tracker,
                                 bootstrap_gain, build_fast_cache, count_ops,
-                                ekf_probes, ekf_tracker, jbct_dii_step,
-                                jbct_direction, jbct_static_step, jbct_tracker,
-                                mean_field, rbt_di_step, rbt_tracker)
+                                ekf_probes, ekf_tracker, jbct_direction,
+                                jbct_step, jbct_tracker, mean_field,
+                                rbt_di_step, rbt_tracker)
 
 CFG = ArrayConfig(8, 8)
 PSI = ChannelParams.from_parts(0.8 - 0.3j, (0.0, 0.0))
@@ -51,14 +51,14 @@ class TestJbctFixedPoint:
         state = jbct_tracker(CFG, PSI, STATIC_OFFSETS, DiminishingStep(1.0))
         y = _observe_noiseless(PSI, PSI.x.as_array())
         before = state.psi.copy()
-        jbct_static_step(state, CFG, y)
+        jbct_step(state, CFG, y)
         assert np.abs(state.psi - before).max() < 1e-12
         assert state.k == 1
 
     def test_singular_gain_skips_but_counts_cycle(self):
         psi0 = ChannelParams.from_parts(0.0, (0.1, 0.1))
         state = jbct_tracker(CFG, psi0, STATIC_OFFSETS, DiminishingStep(1.0))
-        jbct_static_step(state, CFG, np.ones(3, complex))
+        jbct_step(state, CFG, np.ones(3, complex))
         assert state.k == 1
         assert np.array_equal(state.psi, psi0.as_vector())
 
@@ -71,7 +71,7 @@ class TestJbctNoiselessConvergence:
         errs = {}
         for k in range(1, kmax + 1):
             y = _observe_noiseless(PSI, state.psi[2:])
-            jbct_static_step(state, CFG, y)
+            jbct_step(state, CFG, y)
             errs[k] = float(np.linalg.norm(state.psi - PSI.as_vector()))
         return errs
 
@@ -91,18 +91,6 @@ class TestJbctNoiselessConvergence:
         errs = self._run(ConstantStep(0.7), 60)
         assert errs[60] < 1e-6
         assert errs[40] < 1e-6
-
-    def test_dii_step_equals_static_step_at_same_schedule(self):
-        """The two joint-tracker entry points share the update algebra."""
-        s1 = jbct_tracker(CFG, self.PSI0, STATIC_OFFSETS, ConstantStep(0.7))
-        s2 = jbct_tracker(CFG, self.PSI0, STATIC_OFFSETS, ConstantStep(0.7))
-        rng = np.random.default_rng(0)
-        for _ in range(10):
-            y = _observe_noiseless(PSI, s1.psi[2:]) + 0.1 * (
-                rng.standard_normal(3) + 1j * rng.standard_normal(3))
-            jbct_static_step(s1, CFG, y)
-            jbct_dii_step(s2, CFG, y)
-            assert np.array_equal(s1.psi, s2.psi)
 
 
 class TestFastEqualsNaive:
@@ -236,7 +224,7 @@ class TestOpCounts:
         counts = set()
         for _ in range(5):
             y = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-            jbct_static_step(state, CFG, y)
+            jbct_step(state, CFG, y)
             counts.add(state.op_count_last_ecc)
         assert counts == {39}
         rstate = rbt_tracker(CFG, (0.0, 0.0), FADING_OFFSETS,
