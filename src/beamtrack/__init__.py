@@ -33,10 +33,9 @@ from .offsets import (FADING_OFFSETS, STATIC_OFFSETS, DiAsymptotic, DiFinite,
 from .signal import (AmbiguousSolution, ChannelParams, Ebm, NoSolution,
                      OffsetSet, build_ebm, noiseless_mean, observe,
                      recover_from_noiseless)
-from .trackers import (ConstantStep, DiminishingStep, EkfState, JbctState,
-                       RbtState, baseline_beam_switch_step, baseline_ekf_step,
+from .trackers import (ConstantStep, DiminishingStep, EkfState,
+                       baseline_beam_switch_step, baseline_ekf_step,
                        beam_switch_tracker, count_ops, ekf_tracker,
-                       jbct_step, jbct_tracker, mean_field, rbt_di_step,
-                       rbt_tracker)
+                       mean_field)
 
 __version__ = "0.1.0"

@@ -20,8 +20,8 @@ from .estimation import (DiModel, _di_score_terms, fisher_di, fisher_static,
 from .offsets import FADING_OFFSETS, STATIC_OFFSETS
 from .signal import (ChannelParams, build_ebm, noiseless_mean,
                      real_observation_jacobian, recover_from_noiseless)
-from .trackers import (OpCounter, _jbct_direction_fast, build_fast_cache,
-                       count_ops, jbct_direction, mean_field)
+from .trackers import (_jbct_direction_batch, build_fast_cache, count_ops,
+                       jbct_direction, mean_field)
 
 
 def _random_params(rng, spread=2.0) -> ChannelParams:
@@ -88,7 +88,8 @@ def check_mean_field(seed: int = 0, count: int = 50):
 
 
 def check_op_counts(seed: int = 0, pairs: int = 100):
-    """Audited per-cycle multiply/divide counts and fast/naive agreement."""
+    """Audited per-cycle multiply/divide counts, and the batched joint
+    kernel against the explicit Fisher build."""
     cfg = ArrayConfig(8, 8)
     rng = np.random.default_rng(seed)
     counts = {k: count_ops(k, cfg) for k in ("jbct_static", "jbct_dii", "rbt")}
@@ -98,9 +99,9 @@ def check_op_counts(seed: int = 0, pairs: int = 100):
         psi_hat = _random_params(rng)
         ebm = build_ebm(cfg, psi_hat.x, STATIC_OFFSETS)
         y = (rng.standard_normal(3) + 1j * rng.standard_normal(3)) * 2
-        fast = _jbct_direction_fast(cache, psi_hat.beta, y, OpCounter())
+        fast = _jbct_direction_batch(cache, np.array([psi_hat.beta]), y[None])
         naive = jbct_direction(cfg, psi_hat, ebm, y)
-        worst = max(worst, float(np.abs(fast - naive).max()))
+        worst = max(worst, float(np.abs(fast[0] - naive).max()))
     ok = counts["jbct_static"] == counts["jbct_dii"] == 39 \
         and counts["rbt"] == 28 and worst < 1e-10
     detail = (f"joint tracker {counts['jbct_static']} ops, direction tracker "

@@ -44,8 +44,8 @@ def _build_parser() -> _Parser:
     crlb.add_argument("--objective", required=True,
                       choices=["static-asymptotic", "static-finite",
                                "di-asymptotic", "di-finite"])
-    crlb.add_argument("--m", type=int, default=8)
-    crlb.add_argument("--n", type=int, default=8)
+    crlb.add_argument("--m", default=8)
+    crlb.add_argument("--n", default=8)
     crlb.add_argument("--snr-beta-db", type=float, default=0.0)
     crlb.add_argument("--offsets", default="tableII")
     crlb.add_argument("--sweep-sizes", help="comma list of square sizes, e.g. 8,16,32")
@@ -54,8 +54,8 @@ def _build_parser() -> _Parser:
     off.add_argument("--objective", required=True,
                      choices=["static-asymptotic", "static-finite",
                               "di-asymptotic", "di-finite"])
-    off.add_argument("--m", type=int, default=8)
-    off.add_argument("--n", type=int, default=8)
+    off.add_argument("--m", default=8)
+    off.add_argument("--n", default=8)
     off.add_argument("--snr-beta-db", type=float, default=0.0)
     off.add_argument("--seed", type=int, default=0)
     off.add_argument("--grid", type=int, default=21)
@@ -70,6 +70,23 @@ def _build_parser() -> _Parser:
     ver.add_argument("--quick", action="store_true",
                      help="fewer Monte-Carlo draws")
     return parser
+
+
+def _positive_int(token, key: str) -> int:
+    """An array size: a positive integer, else a ConfigError naming ``key``."""
+    from .harness import ConfigError
+    try:
+        value = int(token)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ConfigError(f"{key}: expected a positive integer, got {token!r}")
+    return value
+
+
+def _sizes(text: str, key: str) -> list:
+    """A comma list of array sizes, e.g. ``8,16,32``."""
+    return [_positive_int(token, key) for token in text.split(",")]
 
 
 def _objective_from_args(args):
@@ -102,8 +119,8 @@ def _resolve_cli_offsets(token: str):
 
 
 def _cmd_track(args) -> int:
-    from .harness import (config_from_mapping, emit_csv, parse_config_text,
-                          run_experiment)
+    from .harness import (config_from_mapping, emit_csv, format_csv,
+                          parse_config_text, run_experiment)
     try:
         with open(args.config) as fh:
             mapping = parse_config_text(fh.read())
@@ -129,11 +146,7 @@ def _cmd_track(args) -> int:
             return 1
         print(f"wrote {len(records)} records to {out_path}")
     else:
-        from .harness import CSV_HEADER
-        print(CSV_HEADER)
-        for r in records:
-            print(f"{r.ecc},{r.explorations_total},{r.mse_h:.12g},"
-                  f"{r.mse_x:.12g},{r.crlb_ref:.12g},{r.trials}")
+        sys.stdout.write(format_csv(records))
     return 0
 
 
@@ -142,7 +155,7 @@ def _cmd_crlb(args) -> int:
     if args.sweep_sizes:
         from .estimation import (crlb_di_asymptotic, crlb_static_asymptotic,
                                  di_offsets_crlb, static_offsets_crlb)
-        sizes = [int(s) for s in args.sweep_sizes.split(",")]
+        sizes = _sizes(args.sweep_sizes, "--sweep-sizes")
         static = "static" in args.objective
         snr = 10.0 ** (args.snr_beta_db / 10.0)
         limit = crlb_static_asymptotic(off.deltas) if static \
@@ -165,7 +178,7 @@ def _cmd_offsets(args) -> int:
                           robustness_sweep)
     from .signal import OffsetSet
     if args.robustness:
-        sizes = [(int(s), int(s)) for s in args.robustness.split(",")]
+        sizes = [(s, s) for s in _sizes(args.robustness, "--robustness")]
         kind = "static" if "static" in args.objective else "di"
         preset = _resolve_cli_offsets("tableII" if kind == "static" else "tableIII")
         print("m,n,crlb_at_offsets,crlb_min,rel_gap")
@@ -214,6 +227,9 @@ def main(argv=None) -> int:
     from .harness import ConfigError
     args = _build_parser().parse_args(argv)
     try:
+        if args.command in ("crlb", "offsets"):
+            args.m = _positive_int(args.m, "--m")
+            args.n = _positive_int(args.n, "--n")
         if args.command == "track":
             return _cmd_track(args)
         if args.command == "crlb":

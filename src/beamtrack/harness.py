@@ -283,14 +283,19 @@ def run_experiment(ec: ExperimentConfig) -> List[MetricsRecord]:
 CSV_HEADER = "ecc,explorations_total,mse_h,mse_x,crlb_ref,trials"
 
 
+def format_csv(records) -> str:
+    """The CSV text of ``records``: the header, then one line per record
+    with 12-significant-digit decimals, each line ending in LF."""
+    return "".join([CSV_HEADER + "\n"] + [
+        f"{r.ecc},{r.explorations_total},{r.mse_h:.12g},"
+        f"{r.mse_x:.12g},{r.crlb_ref:.12g},{r.trials}\n" for r in records])
+
+
 def emit_csv(records, path):
-    """Write records with 12-significant-digit decimals and LF endings."""
+    """Write :func:`format_csv` of ``records`` to ``path``."""
     try:
         with open(path, "w", newline="\n") as fh:
-            fh.write(CSV_HEADER + "\n")
-            for r in records:
-                fh.write(f"{r.ecc},{r.explorations_total},{r.mse_h:.12g},"
-                         f"{r.mse_x:.12g},{r.crlb_ref:.12g},{r.trials}\n")
+            fh.write(format_csv(records))
     except OSError as exc:
         raise OSError(f"cannot write CSV to {path}: {exc}") from exc
 

@@ -2,25 +2,26 @@
 or constant step), the direction-only tracker for fast-fading gains, their
 mean-field map, and two reference baselines (grid beam switching, EKF).
 
-Fast-update path and operation audit
-------------------------------------
+Batched trackers
+----------------
+The Monte-Carlo harness runs the ``*Batch`` classes at the end of this
+module: each update over a batch of trials, one row per trial, behind one
+interface (``BatchTracker``).  The joint and direction-only updates exist
+only there, checked against the explicit-matrix routes; the baselines keep
+a per-trial step as the reference of their batched class.
+
+Update kernels and operation audit
+----------------------------------
 All probe-dependent quantities entering one update are functions of the
 fixed exploration offsets only (shift property), so they are precomputed
 once per (offsets, array, pilot) into a cache.  The per-cycle online work is
 audited by counting every multiplication and division executed while
 computing the update direction -- real or complex alike, additions and
 Re/Im/conjugate extractions free.  Cache construction is offline and
-excluded; so is the final step-size scale-and-add.  Under this convention
-one cycle costs 39 operations for the joint tracker and 28 for the
-direction-only tracker (see ``count_ops``).
-
-Batched trackers
-----------------
-The Monte-Carlo harness runs the ``*Batch`` classes at the end of this
-module: the same updates over a batch of trials, one row per trial, behind
-one interface (``BatchTracker``).  The per-trial steps above stay as the
-instrumented audit and as the reference the batched updates are tested
-against.
+excluded; so is the final step-size scale-and-add.  ``count_ops`` counts by
+running the batched kernels on one row of ``_OpTally`` arrays: one cycle
+costs 39 operations for the joint tracker and 28 for the direction-only
+tracker.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from typing import Callable, Optional, Protocol
 import numpy as np
 
 from .arrays import ArrayConfig, _xy, probe_kernels
-from .estimation import (COND_LIMIT, DiModel, SingularFisher,
-                         _di_fisher_batch, _di_score_terms, jacobian)
+from .estimation import (COND_LIMIT, SingularFisher, _di_fisher_batch,
+                         _di_score_terms, jacobian)
 from .signal import ChannelParams, Ebm, OffsetSet, fit_gains, noiseless_mean
 
 
@@ -63,25 +64,13 @@ class ConstantStep:
         return self.b
 
 
-class OpCounter:
-    """Multiplication/division tally for the online-update audit."""
-
-    __slots__ = ("n",)
-
-    def __init__(self):
-        self.n = 0
-
-    def add(self, k: int):
-        self.n += k
-
-
 # ---------------------------------------------------------------------------
 # joint gain + direction tracker
 # ---------------------------------------------------------------------------
 
 # per-cycle estimate moves are truncated at half the main-lobe halfwidth,
 # and the direction preconditioner never trusts a gain estimate below twice
-# its own one-cycle measurement noise (see _jbct_direction_fast): standard
+# its own one-cycle measurement noise (see _jbct_direction_batch): standard
 # stochastic-approximation safeguards for deep-fade cycles, inactive in the
 # regular tracking regime.
 STEP_CAP = 0.5
@@ -94,13 +83,10 @@ class FastUpdateCache:
     the running estimate: probe kernels, the Fisher blocks they induce, and
     pilot-folded copies used by the gradient inner products."""
 
-    e: np.ndarray        # (3,) probe gains w^H a at the offsets
-    d1: np.ndarray       # (3,) w^H da/dx1
-    d2: np.ndarray       # (3,) w^H da/dx2
-    se: np.ndarray       # pilot_amp * e  (matched response per unit gain)
+    se: np.ndarray       # pilot_amp * e, e (3,) the probe gains w^H a
     e_s: np.ndarray      # e / pilot_amp  (gradient weights, scale folded)
-    d1_s: np.ndarray
-    d2_s: np.ndarray
+    d1_s: np.ndarray     # w^H da/dx1 / pilot_amp
+    d2_s: np.ndarray     # w^H da/dx2 / pilot_amp
     r12: np.ndarray      # (2,) e^H [d1, d2]; the gain-direction coupling row
     a_inv: float         # 1 / ||e||^2  (inverse of the gain block / I2)
     is_inv: np.ndarray   # (2, 2) inverse of the direction Schur block
@@ -122,45 +108,14 @@ def build_fast_cache(cfg: ArrayConfig, offsets: OffsetSet) -> FastUpdateCache:
         raise SingularFisher("direction block is singular; offsets are degenerate")
     s = cfg.pilot_amp
     floor = GAIN_FLOOR_MULT * cfg.noise_var / (s**2 * a)
-    return FastUpdateCache(e, d1, d2, s * e, e / s, d1 / s, d2 / s,
-                           r12, 1.0 / a, np.linalg.inv(i_s), floor)
+    return FastUpdateCache(s * e, e / s, d1 / s, d2 / s, r12, 1.0 / a,
+                           np.linalg.inv(i_s), floor)
 
 
-@dataclass
-class JbctState:
-    """Joint-tracker state: current [beta_re, beta_im, x1, x2], cycle count,
-    step schedule, offsets, and the offset-only cache."""
-
-    psi: np.ndarray
-    k: int
-    schedule: object
-    offsets: OffsetSet
-    cache: FastUpdateCache
-    op_count_last_ecc: int = 0
-
-    @property
-    def params(self) -> ChannelParams:
-        return ChannelParams.from_vector(self.psi)
-
-    def probe_directions(self) -> np.ndarray:
-        return self.psi[2:] + self.offsets.deltas
-
-
-def jbct_tracker(cfg: ArrayConfig, psi0: ChannelParams, offsets: OffsetSet,
-                 schedule) -> JbctState:
-    return JbctState(psi0.as_vector().astype(float), 0, schedule, offsets,
-                     build_fast_cache(cfg, offsets))
-
-
-def _cdot3(a, b, ops: OpCounter) -> complex:
-    """Inner product a^H b of 3-vectors; 3 counted multiplications."""
-    ops.add(3)
-    return complex(np.vdot(a, b))
-
-
-def _jbct_direction_fast(cache: FastUpdateCache, beta_hat: complex,
-                         y: np.ndarray, ops: OpCounter) -> np.ndarray:
-    """Update direction I^-1 grad-log-likelihood via a block solve.
+def _jbct_direction_batch(cache: FastUpdateCache, beta: np.ndarray,
+                          y: np.ndarray) -> np.ndarray:
+    """Update direction I^-1 grad-log-likelihood via a block solve, for a
+    batch: beta (T,), y (T, 3) -> (T, 4).
 
     The 4x4 Fisher has blocks [[||e||^2 I2, B(beta)], [B^T, |beta|^2 D]];
     only scalar functions of beta enter online, everything else is cached.
@@ -170,71 +125,32 @@ def _jbct_direction_fast(cache: FastUpdateCache, beta_hat: complex,
     preconditioner amplify pure noise; inactive at healthy gains.
     """
     # gradient of the log-likelihood (pilot scale folded into the caches)
-    ops.add(3)
-    y_hat = beta_hat * cache.se
-    resid = y - y_hat
-    ops.add(6)
-    f1 = beta_hat * cache.d1_s
-    f2 = beta_hat * cache.d2_s
-    ip0 = _cdot3(cache.e_s, resid, ops)
-    ua = np.array([ip0.real, ip0.imag])
-    ub = np.array([_cdot3(f1, resid, ops).real,
-                   _cdot3(f2, resid, ops).real])
-
+    resid = y - beta[:, None] * cache.se
+    ip0 = (cache.e_s.conj() * resid).sum(1)
+    ub0 = ((beta[:, None] * cache.d1_s).conj() * resid).sum(1).real
+    ub1 = ((beta[:, None] * cache.d2_s).conj() * resid).sum(1).real
     # block solve: gain block is ||e||^2 I2, coupling rows are Re/Im of
-    # beta_hat * r12, direction Schur block is |beta_hat|^2 * Is.
-    ops.add(2)
-    br = beta_hat * cache.r12
-    b_r = np.array([[br[0].real, br[1].real], [br[0].imag, br[1].imag]])
-    ops.add(2)
-    t = cache.a_inv * ua
-    ops.add(4)
-    v = ub - b_r.T @ t
-    ops.add(1)
-    b2 = max((beta_hat * beta_hat.conjugate()).real, cache.gain_floor_sq)
-    ops.add(4)
-    w0 = cache.is_inv @ v
-    ops.add(2)
-    w = w0 / b2
-    ops.add(4)
-    q = b_r @ w
-    ops.add(2)
-    xa = cache.a_inv * (ua - q)
-    return np.array([xa[0], xa[1], w[0], w[1]])
-
-
-def jbct_step(state: JbctState, cfg: ArrayConfig, y) -> JbctState:
-    """One cycle of the joint tracker; the step schedule in ``state`` sets
-    the configuration (diminishing for quasi-static channels, constant for
-    dynamic ones)."""
-    beta_hat = complex(state.psi[0], state.psi[1])
-    b2 = abs(beta_hat) ** 2
-    k_next = state.k + 1
-    if not np.isfinite(b2) or b2 < 1e-24:
-        # Fisher is singular at a vanishing gain estimate: skip the update
-        state.k = k_next
-        state.op_count_last_ecc = 0
-        return state
-    ops = OpCounter()
-    direction = _jbct_direction_fast(state.cache, beta_hat,
-                                     np.asarray(y, complex), ops)
-    if np.all(np.isfinite(direction)):
-        step = state.schedule.at(k_next) * direction
-        largest = np.abs(step).max()
-        if largest > STEP_CAP:
-            step *= STEP_CAP / largest
-        state.psi = state.psi + step
-    state.k = k_next
-    state.op_count_last_ecc = ops.n
-    return state
+    # beta * r12, direction Schur block is |beta|^2 * Is
+    br0 = beta * cache.r12[0]
+    br1 = beta * cache.r12[1]
+    t0 = cache.a_inv * ip0.real
+    t1 = cache.a_inv * ip0.imag
+    v0 = ub0 - (br0.real * t0 + br0.imag * t1)
+    v1 = ub1 - (br1.real * t0 + br1.imag * t1)
+    b2 = np.maximum((beta * beta.conjugate()).real, cache.gain_floor_sq)
+    w0 = (cache.is_inv[0, 0] * v0 + cache.is_inv[0, 1] * v1) / b2
+    w1 = (cache.is_inv[1, 0] * v0 + cache.is_inv[1, 1] * v1) / b2
+    xa0 = cache.a_inv * (ip0.real - (br0.real * w0 + br1.real * w1))
+    xa1 = cache.a_inv * (ip0.imag - (br0.imag * w0 + br1.imag * w1))
+    return np.stack([xa0, xa1, w0, w1], axis=1)
 
 
 def jbct_direction(cfg: ArrayConfig, psi_hat: ChannelParams, ebm: Ebm,
                    y) -> np.ndarray:
     """Reference (naive) update direction: explicit Fisher build and solve.
 
-    Equals the fast path to numerical precision (gain floor included); kept
-    as the slow oracle.
+    Equals :func:`_jbct_direction_batch` to numerical precision (gain floor
+    included); kept as the slow oracle.
     """
     kmat = ebm.columns.conj().T @ jacobian(cfg, psi_hat)
     rem = np.real(kmat.conj().T @ kmat)
@@ -278,17 +194,6 @@ def bootstrap_gain(cfg: ArrayConfig, ebm: Ebm, center, y) -> complex:
 # direction-only tracker (fading gain)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RbtCache:
-    """Offset-only terms of the direction tracker: the covariance-derivative
-    quadratic forms, the log-determinant slopes, and the Fisher inverse."""
-
-    sigma_beta_sq: float
-    q_mats: np.ndarray   # (2, 3, 3) derivative of the inverse covariance
-    c0: np.ndarray       # (2,) -d log|Sigma| / dx_p
-    i_inv: np.ndarray    # (2, 2) inverse direction Fisher
-
-
 def _rbt_terms(e, d1, d2, c, sz2: float):
     """Offset-only terms of the direction tracker at gain powers
     c = |s|^2 sigma_beta^2 (a scalar or an array of any shape): the score
@@ -303,102 +208,23 @@ def _rbt_terms(e, d1, d2, c, sz2: float):
     return (*_di_score_terms(e, d1, d2, c, sz2), np.linalg.inv(info))
 
 
-def build_rbt_cache(cfg: ArrayConfig, offsets: OffsetSet,
-                    sigma_beta_sq: float) -> RbtCache:
-    e, d1, d2 = probe_kernels(offsets.deltas, cfg.m, cfg.n)
-    return RbtCache(sigma_beta_sq,
-                    *_rbt_terms(e, d1, d2, cfg.pilot_amp**2 * sigma_beta_sq,
-                                cfg.noise_var))
-
-
-@dataclass
-class RbtState:
-    x: np.ndarray
-    k: int
-    schedule: object
-    offsets: OffsetSet
-    cache: RbtCache
-    op_count_last_ecc: int = 0
-
-    def probe_directions(self) -> np.ndarray:
-        return self.x + self.offsets.deltas
-
-
-def rbt_tracker(cfg: ArrayConfig, x0, offsets: OffsetSet, schedule,
-                model: DiModel) -> RbtState:
-    return RbtState(np.asarray(_xy(x0), float), 0, schedule, offsets,
-                    build_rbt_cache(cfg, offsets, model.sigma_beta_sq))
-
-
-def rbt_di_step(state: RbtState, cfg: ArrayConfig, model: DiModel,
-                y) -> RbtState:
-    """One cycle of the direction tracker: Fisher-preconditioned score step.
-
-    If the model's gain variance changed since the cache was built (the
-    estimated-variance mode), the cache is rebuilt first; that rebuild is
-    offline work and excluded from the operation audit.
-    """
-    if model.sigma_beta_sq != state.cache.sigma_beta_sq:
-        state.cache = build_rbt_cache(cfg, state.offsets, model.sigma_beta_sq)
-    ops = OpCounter()
-    y = np.asarray(y, complex)
-    grad = np.empty(2)
-    for p in range(2):
-        ops.add(9)
-        qy = state.cache.q_mats[p] @ y
-        qf = _cdot3(y, qy, ops).real
-        grad[p] = state.cache.c0[p] - qf
-    ops.add(4)
-    direction = state.cache.i_inv @ grad
-    k_next = state.k + 1
-    if np.all(np.isfinite(direction)):
-        step = state.schedule.at(k_next) * direction
-        largest = np.abs(step).max()
-        if largest > STEP_CAP:
-            step *= STEP_CAP / largest
-        state.x = state.x + step
-    state.k = k_next
-    state.op_count_last_ecc = ops.n
-    return state
-
-
-# ---------------------------------------------------------------------------
-# operation audit
-# ---------------------------------------------------------------------------
-
-def count_ops(step_kind: str, cfg: Optional[ArrayConfig] = None) -> int:
-    """Audited online multiply/divide count of one tracking cycle.
-
-    Runs one instrumented step on a generic configuration and returns the
-    tally.  Under the documented convention the joint tracker costs 39 and
-    the direction tracker 28.  (A nominal hand count of 45 for the joint
-    tracker treats the gain block of the inverse Fisher as precomputable;
-    that block rotates with the gain-estimate phase, and the correct block
-    solve implemented here is cheaper.)
-    """
-    from .offsets import FADING_OFFSETS, STATIC_OFFSETS
-    cfg = cfg or ArrayConfig(8, 8)
-    rng = np.random.default_rng(0)
-    y = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    if step_kind in ("jbct_static", "jbct_dii"):
-        schedule = DiminishingStep(1.0) if step_kind == "jbct_static" \
-            else ConstantStep(0.7)
-        state = jbct_tracker(cfg, ChannelParams(1.0, 0.2, 0.0, 0.0),
-                             STATIC_OFFSETS, schedule)
-        jbct_step(state, cfg, y)
-        return state.op_count_last_ecc
-    if step_kind == "rbt":
-        model = DiModel(1.0)
-        state = rbt_tracker(cfg, (0.0, 0.0), FADING_OFFSETS,
-                            DiminishingStep(1.0), model)
-        rbt_di_step(state, cfg, model, y)
-        return state.op_count_last_ecc
-    raise ValueError(f"unknown step kind: {step_kind}")
+def _rbt_direction_batch(q_mats, c0, i_inv, y: np.ndarray) -> np.ndarray:
+    """Fisher-preconditioned score step direction of the direction tracker
+    for a batch, y (T, 3) -> (T, 2), from the per-row terms of
+    :func:`_rbt_terms`: score c0 - Re y^H Q_p y, then I^-1 times it."""
+    qy = (q_mats @ y[:, None, :, None])[..., 0]      # (T, 2, 3)
+    qf = (y.conj()[:, None, :] * qy).sum(-1).real
+    return (i_inv @ (c0 - qf)[..., None])[..., 0]
 
 
 # ---------------------------------------------------------------------------
 # baselines
 # ---------------------------------------------------------------------------
+
+# lattice spacing of the grid-of-beams baseline: oversampling 2, i.e. half
+# the main-lobe halfwidth in direction coordinates
+BEAM_SPACING = 0.5
+
 
 @dataclass
 class BeamSwitchState:
@@ -409,24 +235,21 @@ class BeamSwitchState:
     x: np.ndarray
     beta_hat: complex
     k: int
-    spacing: float
     limits: tuple
 
 
-def beam_switch_tracker(cfg: ArrayConfig, x0, oversample: int = 2
-                        ) -> BeamSwitchState:
-    spacing = 1.0 / oversample
+def beam_switch_tracker(cfg: ArrayConfig, x0) -> BeamSwitchState:
     limits = (cfg.m / 2.0, cfg.n / 2.0)
     x = np.asarray(_xy(x0), float)
-    snapped = np.round(x / spacing) * spacing
+    snapped = np.round(x / BEAM_SPACING) * BEAM_SPACING
     snapped = np.clip(snapped, [-limits[0], -limits[1]], list(limits))
-    return BeamSwitchState(snapped, 0.0 + 0.0j, 0, spacing, limits)
+    return BeamSwitchState(snapped, 0.0 + 0.0j, 0, limits)
 
 
 def beam_switch_probes(state: BeamSwitchState) -> np.ndarray:
     axis = state.k % 2
     step = np.zeros(2)
-    step[axis] = state.spacing
+    step[axis] = BEAM_SPACING
     probes = np.stack([state.x, state.x + step, state.x - step])
     lim = np.array(state.limits)
     return np.clip(probes, -lim, lim)
@@ -511,9 +334,9 @@ def baseline_ekf_step(state: EkfState, cfg: ArrayConfig, y) -> EkfState:
 # batched trackers: one row per trial, one numpy pass per cycle
 # ---------------------------------------------------------------------------
 #
-# Each class runs the update of its scalar counterpart above on a batch of
-# independent trials.  The safeguards become per-trial masks: a trial whose
-# update is skipped or dropped keeps its estimate while the others move.
+# Each class runs its tracker's update on a batch of independent trials.
+# The safeguards are per-trial masks: a trial whose update is skipped or
+# dropped keeps its estimate while the others move.
 
 
 @dataclass(frozen=True)
@@ -558,27 +381,6 @@ def _capped_step(schedule, k: int, direction: np.ndarray) -> np.ndarray:
     largest = np.abs(step).max(axis=1)
     scale = np.where(largest > STEP_CAP, STEP_CAP / largest, 1.0)
     return step * scale[:, None]
-
-
-def _jbct_direction_batch(cache: FastUpdateCache, beta: np.ndarray,
-                          y: np.ndarray) -> np.ndarray:
-    """:func:`_jbct_direction_fast` for a batch: beta (T,), y (T, 3)."""
-    resid = y - beta[:, None] * cache.se
-    ip0 = (cache.e_s.conj() * resid).sum(1)
-    ub0 = ((beta[:, None] * cache.d1_s).conj() * resid).sum(1).real
-    ub1 = ((beta[:, None] * cache.d2_s).conj() * resid).sum(1).real
-    br0 = beta * cache.r12[0]
-    br1 = beta * cache.r12[1]
-    t0 = cache.a_inv * ip0.real
-    t1 = cache.a_inv * ip0.imag
-    v0 = ub0 - (br0.real * t0 + br0.imag * t1)
-    v1 = ub1 - (br1.real * t0 + br1.imag * t1)
-    b2 = np.maximum((beta * beta.conjugate()).real, cache.gain_floor_sq)
-    w0 = (cache.is_inv[0, 0] * v0 + cache.is_inv[0, 1] * v1) / b2
-    w1 = (cache.is_inv[1, 0] * v0 + cache.is_inv[1, 1] * v1) / b2
-    xa0 = cache.a_inv * (ip0.real - (br0.real * w0 + br1.real * w1))
-    xa1 = cache.a_inv * (ip0.imag - (br0.imag * w0 + br1.imag * w1))
-    return np.stack([xa0, xa1, w0, w1], axis=1)
 
 
 class JbctBatch:
@@ -638,10 +440,7 @@ class RbtBatch:
                 self.c0[changed] = c0
                 self.i_inv[changed] = i_inv
                 self.var = var
-        qy = (self.q_mats @ y[:, None, :, None])[..., 0]      # (T, 2, 3)
-        qf = (y.conj()[:, None, :] * qy).sum(-1).real
-        grad = self.c0 - qf
-        direction = (self.i_inv @ grad[..., None])[..., 0]
+        direction = _rbt_direction_batch(self.q_mats, self.c0, self.i_inv, y)
         self.k += 1
         with np.errstate(all="ignore"):
             step = _capped_step(self.run.schedule, self.k, direction)
@@ -653,13 +452,12 @@ class RbtBatch:
 
 
 class BeamSwitchBatch:
-    """Grid-of-beams baseline (oversampling 2)."""
+    """Grid-of-beams baseline."""
 
     def __init__(self, run: TrackerRun, x0, beta0):
         cfg = run.cfg
-        self.spacing = 0.5
         self.limits = np.array([cfg.m / 2.0, cfg.n / 2.0])
-        snapped = np.round(np.asarray(x0, float) / self.spacing) * self.spacing
+        snapped = np.round(np.asarray(x0, float) / BEAM_SPACING) * BEAM_SPACING
         self.x = np.clip(snapped, -self.limits, self.limits)
         self.beta_hat = np.zeros(len(self.x), complex)
         self.k = 0
@@ -667,7 +465,7 @@ class BeamSwitchBatch:
 
     def probes(self) -> np.ndarray:
         step = np.zeros(2)
-        step[self.k % 2] = self.spacing
+        step[self.k % 2] = BEAM_SPACING
         probes = np.stack([self.x, self.x + step, self.x - step], axis=1)
         return np.clip(probes, -self.limits, self.limits)
 
@@ -725,3 +523,64 @@ class EkfBatch:
 
     def estimate(self):
         return self.x, self.beta_hat
+
+
+# ---------------------------------------------------------------------------
+# operation audit
+# ---------------------------------------------------------------------------
+
+class _OpTally(np.ndarray):
+    """Array type of the operation audit: ``_OpTally(a, ops)`` views ``a``.
+    Every ufunc on it returns an ``_OpTally`` on the same one-item list
+    ``ops`` and adds to ``ops[0]`` one operation per output element of a
+    multiply or divide, and one per inner-dimension term of a matmul; other
+    ufuncs and all reductions are free.  Views share ``ops`` too."""
+
+    def __new__(cls, a, ops: list):
+        out = np.asarray(a).view(cls)
+        out.ops = ops
+        return out
+
+    def __array_finalize__(self, obj):
+        self.ops = getattr(obj, "ops", None)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        plain = [x.view(np.ndarray) if isinstance(x, _OpTally) else x
+                 for x in inputs]
+        out = np.asarray(getattr(ufunc, method)(*plain, **kwargs))
+        if method == "__call__":
+            if ufunc is np.multiply or ufunc is np.divide:
+                self.ops[0] += out.size
+            elif ufunc is np.matmul:
+                self.ops[0] += out.size * np.shape(plain[0])[-1]
+        return _OpTally(out, self.ops)
+
+
+def count_ops(step_kind: str, cfg: Optional[ArrayConfig] = None) -> int:
+    """Audited online multiply/divide count of one tracking cycle: the
+    update-direction kernel of a one-row batched tracker on a generic
+    configuration, run on ``_OpTally`` arrays (both joint configurations
+    share one kernel).  The joint tracker costs 39 and the direction
+    tracker 28.  (A nominal hand count of 45 for the joint tracker treats
+    the gain block of the inverse Fisher as precomputable; that block
+    rotates with the gain-estimate phase, and the correct block solve
+    implemented here is cheaper.)
+    """
+    from .offsets import FADING_OFFSETS, STATIC_OFFSETS
+    joint = step_kind in ("jbct_static", "jbct_dii")
+    if not joint and step_kind != "rbt":
+        raise ValueError(f"unknown step kind: {step_kind}")
+    run = TrackerRun(cfg or ArrayConfig(8, 8),
+                     STATIC_OFFSETS if joint else FADING_OFFSETS,
+                     DiminishingStep(1.0), np.ones(1))
+    tracker = (JbctBatch if joint else RbtBatch)(run, np.zeros((1, 2)),
+                                                 np.array([1.0 + 0.2j]))
+    ops = [0]
+    # the kernels do not branch on values, so any observation counts the same
+    y = _OpTally(np.full((1, 3), 0.5 - 1.0j), ops)
+    if joint:
+        beta = _OpTally(tracker.estimate()[1], ops)
+        _jbct_direction_batch(tracker.cache, beta, y)
+    else:
+        _rbt_direction_batch(tracker.q_mats, tracker.c0, tracker.i_inv, y)
+    return ops[0]

@@ -26,9 +26,8 @@ from beamtrack.offsets import (FADING_OFFSETS, STATIC_OFFSETS, DiAsymptotic,
                                DiFinite, SearchConfig, StaticAsymptotic,
                                StaticFinite, optimize_offsets)
 from beamtrack.signal import ChannelParams, build_ebm
-from beamtrack.trackers import (DiminishingStep, OpCounter,
-                                _jbct_direction_fast, build_fast_cache,
-                                count_ops, jbct_direction)
+from beamtrack.trackers import (DiminishingStep, _jbct_direction_batch,
+                                build_fast_cache, count_ops, jbct_direction)
 
 CFG = ArrayConfig(8, 8)
 
@@ -264,7 +263,7 @@ class TestCriterion9ConvergenceToCrlb:
 class TestCriterion10OperationCounts:
     def test_direction_tracker_count_and_fast_naive_agreement(self):
         """The direction tracker costs exactly 28 online multiplies and the
-        fast path equals the naive path to 1e-10; < 10 s."""
+        batched joint kernel equals the naive path to 1e-10; < 10 s."""
         t0 = time.monotonic()
         rbt = count_ops("rbt", CFG)
         rng = np.random.default_rng(0)
@@ -276,7 +275,8 @@ class TestCriterion10OperationCounts:
                 rng.uniform(-2, 2, 2))
             ebm = build_ebm(CFG, psi_hat.x, STATIC_OFFSETS)
             y = 2 * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
-            fast = _jbct_direction_fast(cache, psi_hat.beta, y, OpCounter())
+            fast = _jbct_direction_batch(cache, np.array([psi_hat.beta]),
+                                         y[None])[0]
             naive = jbct_direction(CFG, psi_hat, ebm, y)
             worst = max(worst, float(np.abs(fast - naive).max()))
         elapsed = time.monotonic() - t0

@@ -1,9 +1,11 @@
 """Oracle tests for the trial-batched Monte-Carlo engine.
 
 The reference is the per-trial loop the engine replaced: scalar channel
-functions, scalar tracker steps, and each trial's RNG stream drawn call by
-call.  The engine must reproduce it per trial and cycle, and its CSV bytes
-must not depend on how the trials are split into batches or workers.
+functions, each trial's RNG stream drawn call by call, and per trial the
+baselines' scalar steps or, for the joint and direction trackers, their
+registered batched class run on one row.  The engine must reproduce it per
+trial and cycle, and its CSV bytes must not depend on how the trials are
+split into batches or workers.
 """
 
 import numpy as np
@@ -15,20 +17,19 @@ from beamtrack.arrays import ArrayConfig, aoa_from_dpv, element_gain, probe_kern
 from beamtrack.channels import (DynamicI, DynamicII, QuasiStatic,
                                 ScenarioConfig, evolve, init_channel,
                                 initial_estimate)
-from beamtrack.estimation import DiModel, di_offsets_crlb, static_offsets_crlb
+from beamtrack.estimation import di_offsets_crlb, static_offsets_crlb
 from beamtrack.harness import (TRACKERS, ExperimentConfig, _records,
                                _resolve_offsets, _run_batch,
                                _stationary_gain_var, _trial_rng,
                                effective_array, emit_csv, run_experiment)
 from beamtrack.offsets import STATIC_OFFSETS
-from beamtrack.signal import ChannelParams
+from beamtrack.signal import ChannelParams, build_ebm
 from beamtrack.trackers import (STEP_CAP, DiminishingStep, EkfBatch,
-                                JbctBatch, OpCounter, TrackerRun,
-                                _jbct_direction_fast,
+                                JbctBatch, TrackerRun,
+                                _jbct_direction_batch,
                                 baseline_beam_switch_step, baseline_ekf_step,
                                 beam_switch_probes, beam_switch_tracker,
-                                ekf_probes, ekf_tracker, jbct_step,
-                                jbct_tracker, rbt_di_step, rbt_tracker)
+                                ekf_probes, ekf_tracker, jbct_direction)
 
 # ---------------------------------------------------------------------------
 # reference: one trial at a time
@@ -78,17 +79,20 @@ def reference_trial(ec, trial, hits=None):
     if isinstance(sc.kind, QuasiStatic):
         crlb_ref = float(static_offsets_crlb(offsets.deltas, cfg.m, cfg.n,
                                              cfg.pilot_amp, cfg.noise_var))
-    if tracker in ("JBCT_S", "JBCT_DII"):
-        ts = jbct_tracker(cfg, psi0, offsets, schedule)
-        step = jbct_step
-        probes_of = lambda: ts.probe_directions()
-        estimate_of = lambda: (ts.psi[2:], complex(ts.psi[0], ts.psi[1]))
-    elif tracker == "RBT_DI":
+    if tracker in ("JBCT_S", "JBCT_DII", "RBT_DI"):
         eta = element_gain(sc.pattern, state.aoa)
-        model = DiModel(eta**2 * sigma_c_sq)
-        ts = rbt_tracker(cfg, psi0.x, offsets, schedule, model)
-        probes_of = lambda: ts.probe_directions()
-        estimate_of = lambda: (ts.x, None)
+        gain_var_at = None
+        if ec.rbt_sigma_mode == "estimated":
+            def gain_var_at(x):
+                return np.array([_estimated_gain_variance(sc, cfg, x[0],
+                                                          sigma_c_sq)])
+        run = TrackerRun(cfg, offsets, schedule,
+                         np.array([eta**2 * sigma_c_sq]), gain_var_at)
+        ts = TRACKERS[tracker][0](run, psi0.x.as_array()[None],
+                                  np.array([psi0.beta]))
+        probes_of = lambda: ts.probes()[0]
+        estimate_of = lambda: tuple(None if v is None else v[0]
+                                    for v in ts.estimate())
     elif tracker == "BeamSwitch":
         ts = beam_switch_tracker(cfg, psi0.x)
         probes_of = lambda: beam_switch_probes(ts)
@@ -110,30 +114,25 @@ def reference_trial(ec, trial, hits=None):
         dirs = probes_of()
         state = evolve(state, sc, cfg, rng)
         y = _observe(cfg, state, dirs, rng)
-        if tracker == "RBT_DI":
-            if ec.rbt_sigma_mode == "estimated":
-                model = DiModel(_estimated_gain_variance(sc, cfg, ts.x,
-                                                         sigma_c_sq))
-            rbt_di_step(ts, cfg, model, y)
-        elif tracker == "BeamSwitch":
+        if tracker == "BeamSwitch":
             baseline_beam_switch_step(ts, cfg, y)
         elif tracker == "EKF":
             baseline_ekf_step(ts, cfg, y)
         else:
             if hits is not None:
                 _count_safeguards(ts, y, hits)
-            step(ts, cfg, y)
+            ts.update(y[None])
         x_hat, beta_hat = estimate_of()
         err_h[k], err_x[k] = _errors(cfg, state, x_hat, beta_hat)
     return err_h, err_x, crlb_ref
 
 
 def _count_safeguards(ts, y, hits):
-    beta = complex(ts.psi[0], ts.psi[1])
-    if not abs(beta) ** 2 >= 1e-24:
+    beta = ts.estimate()[1]
+    if not abs(beta[0]) ** 2 >= 1e-24:
         return
-    hits["floor"] += (beta * beta.conjugate()).real < ts.cache.gain_floor_sq
-    direction = _jbct_direction_fast(ts.cache, beta, y, OpCounter())
+    hits["floor"] += (beta[0] * beta[0].conjugate()).real < ts.cache.gain_floor_sq
+    direction = _jbct_direction_batch(ts.cache, beta, y[None])[0]
     if np.all(np.isfinite(direction)):
         hits["cap"] += np.abs(ts.schedule.at(ts.k + 1) * direction).max() > STEP_CAP
 
@@ -251,7 +250,9 @@ class TestCsvBytes:
 
 
 class TestSafeguardMasks:
-    """Rows that trip a safeguard against the scalar step, one row each."""
+    """Rows that trip a safeguard, one row each: the joint tracker against
+    the explicit Fisher direction with the skip and the cap applied here,
+    the EKF against its scalar step."""
 
     CFG = ArrayConfig(8, 8)
 
@@ -270,10 +271,15 @@ class TestSafeguardMasks:
         batch = self._run(JbctBatch, x0, betas)
         batch.update(y)
         for row, beta in enumerate(betas):
-            ts = jbct_tracker(self.CFG, ChannelParams.from_parts(beta, x0[row]),
-                              STATIC_OFFSETS, DiminishingStep(1.0))
-            jbct_step(ts, self.CFG, y[row])
-            np.testing.assert_allclose(batch.psi[row], ts.psi, rtol=1e-12,
+            psi = ChannelParams.from_parts(beta, x0[row])
+            want = psi.as_vector()
+            if abs(beta) ** 2 >= 1e-24:         # NaN and 0 are skipped
+                ebm = build_ebm(self.CFG, psi.x, STATIC_OFFSETS)
+                step = DiminishingStep(1.0).at(1) * jbct_direction(
+                    self.CFG, psi, ebm, y[row])
+                step *= min(1.0, STEP_CAP / np.abs(step).max())
+                want = want + step
+            np.testing.assert_allclose(batch.psi[row], want, rtol=1e-12,
                                        atol=1e-15)
         assert np.array_equal(batch.psi[1], [0.0, 0.0, 0.1, -0.2])
         assert np.abs(batch.psi[4] - [0.0, 0.05, 0.1, -0.2]).max() \

@@ -242,6 +242,16 @@ class TestCli:
         assert code == 0
         assert capsys.readouterr().out.startswith(CSV_HEADER)
 
+    def test_track_stdout_equals_out_file(self, tmp_path, capsys):
+        """Without ``--out`` the same CSV bytes go to stdout."""
+        cfg = tmp_path / "run.toml"
+        cfg.write_text(TestConfigFile.GOOD)
+        out = tmp_path / "out.csv"
+        assert main(["track", "--config", str(cfg), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["track", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out.encode() == out.read_bytes()
+
     def test_crlb_subcommand(self):
         proc = _run_cli("crlb", "--objective", "static-asymptotic")
         assert proc.returncode == 0
@@ -321,6 +331,28 @@ def test_bad_track_input_exits_1_with_one_error_line(name, tmp_path,
         code = main(["track", "--config", str(cfg), *extra])
     except SystemExit as exc:
         code = exc.code
+    err = capsys.readouterr().err
+    assert code == 1
+    assert [line.startswith("error:") for line in err.splitlines()].count(True) == 1
+
+
+# argv of the crlb/offsets subcommands; each has one bad array size
+BAD_SIZES = {
+    "non-integer sweep size": ["crlb", "--objective", "static-finite",
+                               "--sweep-sizes", "8,abc"],
+    "non-integer robustness size": ["offsets", "--objective", "static-finite",
+                                    "--robustness", "x"],
+    "zero sweep size": ["crlb", "--objective", "static-finite",
+                        "--sweep-sizes", "0"],
+    "zero robustness size": ["offsets", "--objective", "static-finite",
+                             "--robustness", "0"],
+    "zero --m": ["crlb", "--objective", "di-finite", "--m", "0"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_SIZES))
+def test_bad_size_exits_1_with_one_error_line(name, capsys):
+    code = main(BAD_SIZES[name])
     err = capsys.readouterr().err
     assert code == 1
     assert [line.startswith("error:") for line in err.splitlines()].count(True) == 1

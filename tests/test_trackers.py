@@ -2,19 +2,21 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from beamtrack.arrays import ArrayConfig, probe_kernels
-from beamtrack.estimation import DiModel, SingularFisher
+from beamtrack.estimation import DiModel, SingularFisher, di_score, fisher_di
 from beamtrack.offsets import FADING_OFFSETS, STATIC_OFFSETS
 from beamtrack.signal import ChannelParams, build_ebm, noiseless_mean
-from beamtrack.trackers import (ConstantStep, DiminishingStep, OpCounter,
-                                _jbct_direction_fast,
+from beamtrack.trackers import (BEAM_SPACING, ConstantStep, DiminishingStep,
+                                JbctBatch, RbtBatch, TrackerRun, _OpTally,
+                                _jbct_direction_batch, _rbt_direction_batch,
                                 baseline_beam_switch_step, baseline_ekf_step,
                                 beam_switch_probes, beam_switch_tracker,
                                 bootstrap_gain, build_fast_cache, count_ops,
                                 ekf_probes, ekf_tracker, jbct_direction,
-                                jbct_step, jbct_tracker, mean_field,
-                                rbt_di_step, rbt_tracker)
+                                mean_field)
 
 CFG = ArrayConfig(8, 8)
 PSI = ChannelParams.from_parts(0.8 - 0.3j, (0.0, 0.0))
@@ -24,6 +26,30 @@ def _observe_noiseless(psi_true, x_hat, offsets=STATIC_OFFSETS):
     dirs = np.asarray(x_hat, float) + offsets.deltas
     g, _, _ = probe_kernels(dirs - psi_true.x.as_array(), CFG.m, CFG.n)
     return CFG.pilot_amp * psi_true.beta * g
+
+
+def _joint(psi0, schedule, cfg=CFG):
+    """One-row joint tracker started at ``psi0``."""
+    return JbctBatch(TrackerRun(cfg, STATIC_OFFSETS, schedule, np.ones(1)),
+                     psi0.x.as_array()[None], np.array([psi0.beta]))
+
+
+def _direction(x0, schedule, gain_var=1.0, gain_var_at=None, cfg=CFG):
+    """Direction tracker started at the rows of ``x0`` (T, 2)."""
+    x0 = np.array(x0, float).reshape(-1, 2)
+    run = TrackerRun(cfg, FADING_OFFSETS, schedule,
+                     np.broadcast_to(np.asarray(gain_var, float), len(x0)),
+                     gain_var_at)
+    return RbtBatch(run, x0, np.zeros(len(x0), complex))
+
+
+def _tally(kernel, *args, counted=()):
+    """Multiplies/divides the kernel executes with the arguments at the
+    positions ``counted`` as ``_OpTally`` arrays, and its (plain) output."""
+    ops = [0]
+    args = [_OpTally(a, ops) if i in counted else a for i, a in enumerate(args)]
+    out = kernel(*args)
+    return ops[0], np.asarray(out).view(np.ndarray)
 
 
 class TestSchedules:
@@ -48,31 +74,31 @@ class TestJbctFixedPoint:
     def test_direction_zero_at_truth(self):
         """A noiseless observation at the true channel leaves the estimate
         unchanged."""
-        state = jbct_tracker(CFG, PSI, STATIC_OFFSETS, DiminishingStep(1.0))
+        tracker = _joint(PSI, DiminishingStep(1.0))
         y = _observe_noiseless(PSI, PSI.x.as_array())
-        before = state.psi.copy()
-        jbct_step(state, CFG, y)
-        assert np.abs(state.psi - before).max() < 1e-12
-        assert state.k == 1
+        before = tracker.psi.copy()
+        tracker.update(y[None])
+        assert np.abs(tracker.psi - before).max() < 1e-12
+        assert tracker.k == 1
 
     def test_singular_gain_skips_but_counts_cycle(self):
         psi0 = ChannelParams.from_parts(0.0, (0.1, 0.1))
-        state = jbct_tracker(CFG, psi0, STATIC_OFFSETS, DiminishingStep(1.0))
-        jbct_step(state, CFG, np.ones(3, complex))
-        assert state.k == 1
-        assert np.array_equal(state.psi, psi0.as_vector())
+        tracker = _joint(psi0, DiminishingStep(1.0))
+        tracker.update(np.ones((1, 3), complex))
+        assert tracker.k == 1
+        assert np.array_equal(tracker.psi[0], psi0.as_vector())
 
 
 class TestJbctNoiselessConvergence:
     PSI0 = ChannelParams.from_parts(0.7 + 0.1j, (0.3, -0.25))
 
     def _run(self, schedule, kmax):
-        state = jbct_tracker(CFG, self.PSI0, STATIC_OFFSETS, schedule)
+        tracker = _joint(self.PSI0, schedule)
         errs = {}
         for k in range(1, kmax + 1):
-            y = _observe_noiseless(PSI, state.psi[2:])
-            jbct_step(state, CFG, y)
-            errs[k] = float(np.linalg.norm(state.psi - PSI.as_vector()))
+            y = _observe_noiseless(PSI, tracker.psi[0, 2:])
+            tracker.update(y[None])
+            errs[k] = float(np.linalg.norm(tracker.psi[0] - PSI.as_vector()))
         return errs
 
     def test_diminishing_step_converges_like_one_over_k(self):
@@ -93,7 +119,38 @@ class TestJbctNoiselessConvergence:
         assert errs[40] < 1e-6
 
 
+def _close(fast, naive):
+    """Agreement to 1e-10, relative to the direction's size once above 1."""
+    return np.abs(fast - naive).max() <= 1e-10 * max(1.0, np.abs(naive).max())
+
+
+PILOT = st.floats(0.3, 3.0)
+NOISE = st.floats(0.02, 4.0)
+OBSERVATION = st.lists(st.floats(-3.0, 3.0), min_size=6, max_size=6)
+# joint row: gain magnitude (down through the gain floor), gain phase,
+# direction estimate, observation
+JOINT_ROW = st.tuples(st.floats(0.005, 2.0), st.floats(0.0, 2 * np.pi),
+                      st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), OBSERVATION)
+# direction row: gain variance, direction estimate, observation
+DIRECTION_ROW = st.tuples(st.floats(0.05, 5.0), st.floats(-2.0, 2.0),
+                          st.floats(-2.0, 2.0), OBSERVATION)
+FLOOR_ROWS = [(mag, 0.8, 0.4, -0.2, [0.3, -1.1, 0.7, 0.2, -0.5, 1.4])
+              for mag in (0.15, 0.05, 0.01)]
+
+
+def _complex_rows(parts):
+    parts = np.array(parts, float)
+    return parts[:, :3] + 1j * parts[:, 3:]
+
+
 class TestFastEqualsNaive:
+    """The batched update kernels against the explicit-matrix routes."""
+
+    @staticmethod
+    def _fast(cache, beta, y):
+        """The joint kernel on one row."""
+        return _jbct_direction_batch(cache, np.array([beta]), y[None])[0]
+
     def test_hundred_random_steps(self):
         """Cached block-solve equals the explicit Fisher build to 1e-10."""
         rng = np.random.default_rng(1)
@@ -105,7 +162,7 @@ class TestFastEqualsNaive:
                 rng.uniform(-2, 2, 2))
             ebm = build_ebm(CFG, psi_hat.x, STATIC_OFFSETS)
             y = 2 * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
-            fast = _jbct_direction_fast(cache, psi_hat.beta, y, OpCounter())
+            fast = self._fast(cache, psi_hat.beta, y)
             naive = jbct_direction(CFG, psi_hat, ebm, y)
             worst = max(worst, float(np.abs(fast - naive).max()))
         assert worst < 1e-10
@@ -119,7 +176,7 @@ class TestFastEqualsNaive:
             psi_hat = ChannelParams.from_parts(0.5 + 0.8j, rng.uniform(-1, 1, 2))
             ebm = build_ebm(cfg, psi_hat.x, STATIC_OFFSETS)
             y = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-            fast = _jbct_direction_fast(cache, psi_hat.beta, y, OpCounter())
+            fast = self._fast(cache, psi_hat.beta, y)
             naive = jbct_direction(cfg, psi_hat, ebm, y)
             assert np.abs(fast - naive).max() < 1e-10
 
@@ -131,10 +188,49 @@ class TestFastEqualsNaive:
             psi_hat = ChannelParams.from_parts(mag * np.exp(0.8j), (0.4, -0.2))
             ebm = build_ebm(CFG, psi_hat.x, STATIC_OFFSETS)
             y = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-            fast = _jbct_direction_fast(cache, psi_hat.beta, y, OpCounter())
+            fast = self._fast(cache, psi_hat.beta, y)
             naive = jbct_direction(CFG, psi_hat, ebm, y)
             scale = max(1.0, np.abs(naive).max())
             assert np.abs(fast - naive).max() < 1e-10 * scale
+
+    @settings(max_examples=100, deadline=None)
+    @given(pilot=PILOT, noise=NOISE, rows=st.lists(JOINT_ROW, min_size=1,
+                                                   max_size=6))
+    @example(pilot=1.0, noise=1.0, rows=FLOOR_ROWS)
+    @example(pilot=1.7, noise=0.4, rows=FLOOR_ROWS)
+    def test_joint_kernel_matches_explicit_fisher(self, pilot, noise, rows):
+        """Per row, the cached block solve equals the explicit Fisher build
+        and solve of :func:`jbct_direction`, gain floor included."""
+        cfg = ArrayConfig(8, 8, pilot_amp=pilot, noise_var=noise)
+        psis = [ChannelParams.from_parts(mag * np.exp(1j * phase), (x1, x2))
+                for mag, phase, x1, x2, _ in rows]
+        ys = _complex_rows([r[4] for r in rows])
+        fast = _jbct_direction_batch(build_fast_cache(cfg, STATIC_OFFSETS),
+                                     np.array([p.beta for p in psis]), ys)
+        for psi, y, got in zip(psis, ys, fast):
+            ebm = build_ebm(cfg, psi.x, STATIC_OFFSETS)
+            assert _close(got, jbct_direction(cfg, psi, ebm, y))
+
+    @settings(max_examples=100, deadline=None)
+    @given(pilot=PILOT, noise=NOISE, rows=st.lists(DIRECTION_ROW, min_size=1,
+                                                   max_size=6))
+    def test_direction_kernel_matches_fisher_solve(self, pilot, noise, rows):
+        """Per row, the direction tracker's kernel equals the direction
+        Fisher solved against the fading-gain score, both built from the
+        explicit probing matrix at the estimate."""
+        cfg = ArrayConfig(8, 8, pilot_amp=pilot, noise_var=noise)
+        variances = np.array([r[0] for r in rows])
+        xs = np.array([(r[1], r[2]) for r in rows])
+        ys = _complex_rows([r[3] for r in rows])
+        tracker = _direction(xs, DiminishingStep(1.0), variances, cfg=cfg)
+        fast = _rbt_direction_batch(tracker.q_mats, tracker.c0,
+                                    tracker.i_inv, ys)
+        for var, x, y, got in zip(variances, xs, ys, fast):
+            model = DiModel(var)
+            ebm = build_ebm(cfg, x, FADING_OFFSETS)
+            naive = np.linalg.solve(fisher_di(cfg, x, model, ebm).m,
+                                    di_score(cfg, x, model, ebm, y))
+            assert _close(got, naive)
 
 
 class TestMeanField:
@@ -177,35 +273,36 @@ class TestMeanField:
 
 
 class TestRbt:
-    MODEL = DiModel(1.0)
-
     def test_noiseless_gain_free_pull(self):
         """From a direction offset, repeated steps pull toward the truth."""
         rng = np.random.default_rng(4)
         x_true = np.array([0.4, -0.6])
-        state = rbt_tracker(CFG, x_true + [0.2, -0.2], FADING_OFFSETS,
-                            DiminishingStep(1.0, 5.0), self.MODEL)
-        g_err0 = np.linalg.norm(state.x - x_true)
+        tracker = _direction(x_true + [0.2, -0.2], DiminishingStep(1.0, 5.0))
+        g_err0 = np.linalg.norm(tracker.x[0] - x_true)
         for k in range(400):
-            dirs = state.probe_directions()
+            dirs = tracker.probes()[0]
             g, _, _ = probe_kernels(dirs - x_true, 8, 8)
             beta = np.sqrt(0.5) * complex(*rng.standard_normal(2))
             z = np.sqrt(0.5) * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
-            rbt_di_step(state, CFG, self.MODEL, beta * g + z)
-        assert np.linalg.norm(state.x - x_true) < 0.2 * g_err0
+            tracker.update((beta * g + z)[None])
+        assert np.linalg.norm(tracker.x[0] - x_true) < 0.2 * g_err0
 
     def test_zero_variance_is_singular(self):
         with pytest.raises(SingularFisher):
-            rbt_tracker(CFG, (0.0, 0.0), FADING_OFFSETS, DiminishingStep(1.0),
-                        DiModel(0.0))
+            _direction((0.0, 0.0), DiminishingStep(1.0), gain_var=0.0)
 
     def test_cache_rebuilds_on_new_variance(self):
-        state = rbt_tracker(CFG, (0.0, 0.0), FADING_OFFSETS,
-                            DiminishingStep(1.0), self.MODEL)
-        first = state.cache
-        rbt_di_step(state, CFG, DiModel(0.5), np.ones(3, complex))
-        assert state.cache is not first
-        assert state.cache.sigma_beta_sq == 0.5
+        """An estimated gain variance that moves rebuilds the row's terms
+        before the step; they equal terms built at that variance."""
+        tracker = _direction((0.0, 0.0), DiminishingStep(1.0),
+                             gain_var_at=lambda x: np.full(len(x), 0.5))
+        first = tracker.i_inv.copy()
+        tracker.update(np.ones((1, 3), complex))
+        assert np.array_equal(tracker.var, [0.5])
+        assert not np.array_equal(tracker.i_inv, first)
+        fresh = _direction((0.0, 0.0), DiminishingStep(1.0), gain_var=0.5)
+        for name in ("q_mats", "c0", "i_inv"):
+            assert np.array_equal(getattr(tracker, name), getattr(fresh, name))
 
 
 class TestOpCounts:
@@ -217,31 +314,51 @@ class TestOpCounts:
         assert count_ops("jbct_dii") == 39
         assert count_ops("rbt") == 28
 
+    def test_tally_convention(self):
+        """Each multiply or divide output element counts once, a matmul once
+        per inner-dimension term; additions, conjugates, Re/Im and sums are
+        free."""
+        a = np.arange(1.0, 7.0).reshape(2, 3)
+        v = np.ones(3) + 1j
+        for expr, want in ((lambda a, v: a * 2.0, 6), (lambda a, v: v / 3.0, 3),
+                           (lambda a, v: a @ v, 6),
+                           (lambda a, v: 2.0 * v.conj(), 3),
+                           (lambda a, v: (a + 1.0).sum(1), 0),
+                           (lambda a, v: v[None].real - v.imag, 0)):
+            count, _ = _tally(expr, a, v, counted=(0, 1))
+            assert count == want
+
     def test_counts_stable_across_cycles(self):
-        """Every cycle after the first costs the same."""
+        """Every cycle costs the same, and the tallied kernel returns the
+        plain kernel's output bit for bit."""
         rng = np.random.default_rng(5)
-        state = jbct_tracker(CFG, PSI, STATIC_OFFSETS, DiminishingStep(1.0))
+        joint = _joint(PSI, DiminishingStep(1.0))
+        direction = _direction((0.0, 0.0), DiminishingStep(1.0))
         counts = set()
         for _ in range(5):
-            y = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-            jbct_step(state, CFG, y)
-            counts.add(state.op_count_last_ecc)
-        assert counts == {39}
-        rstate = rbt_tracker(CFG, (0.0, 0.0), FADING_OFFSETS,
-                             DiminishingStep(1.0), DiModel(1.0))
-        counts = set()
-        for _ in range(5):
-            y = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-            rbt_di_step(rstate, CFG, DiModel(1.0), y)
-            counts.add(rstate.op_count_last_ecc)
-        assert counts == {28}
+            y = rng.standard_normal((1, 3)) + 1j * rng.standard_normal((1, 3))
+            beta = joint.estimate()[1]
+            count, out = _tally(_jbct_direction_batch, joint.cache, beta, y,
+                                counted=(1, 2))
+            assert np.array_equal(out, _jbct_direction_batch(joint.cache,
+                                                             beta, y))
+            counts.add(("joint", count))
+            terms = (direction.q_mats, direction.c0, direction.i_inv)
+            count, out = _tally(_rbt_direction_batch, *terms, y, counted=(3,))
+            assert np.array_equal(out, _rbt_direction_batch(*terms, y))
+            counts.add(("direction", count))
+            joint.update(y)
+            direction.update(y)
+        assert counts == {("joint", 39), ("direction", 28)}
 
     def test_cache_construction_not_counted(self):
-        """Offline cache building leaves the per-cycle audit unchanged."""
-        state = rbt_tracker(CFG, (0.0, 0.0), FADING_OFFSETS,
-                            DiminishingStep(1.0), DiModel(1.0))
-        rbt_di_step(state, CFG, DiModel(0.25), np.ones(3, complex))  # rebuild
-        assert state.op_count_last_ecc == 28
+        """Offline term rebuilding leaves the per-cycle audit unchanged."""
+        tracker = _direction((0.0, 0.0), DiminishingStep(1.0),
+                             gain_var_at=lambda x: np.full(len(x), 0.25))
+        tracker.update(np.ones((1, 3), complex))            # rebuild
+        count, _ = _tally(_rbt_direction_batch, tracker.q_mats, tracker.c0,
+                          tracker.i_inv, np.ones((1, 3), complex), counted=(3,))
+        assert count == 28
 
 
 class TestBootstrapGain:
@@ -276,7 +393,7 @@ class TestBeamSwitch:
         """Vanishing noise leaves at least the lattice quantization error:
         for uniform truth the per-axis MSE approaches spacing^2/12."""
         rng = np.random.default_rng(6)
-        spacing = 0.5
+        spacing = BEAM_SPACING
         errs = []
         for _ in range(400):
             x_true = rng.uniform(-2, 2, 2)
