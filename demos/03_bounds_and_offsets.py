@@ -33,7 +33,7 @@ print("\nsearching the asymptotic objectives (multi-start Nelder-Mead):")
 for name, objective, preset in (
         ("joint gain+direction", StaticAsymptotic(), STATIC_OFFSETS),
         ("direction-only, 0 dB", DiAsymptotic(0.0), FADING_OFFSETS)):
-    res = optimize_offsets(SearchConfig(objective, seed=0))
+    res = optimize_offsets(SearchConfig(objective))
     at_preset = objective.evaluate(preset.deltas)
     print(f"  {name}: searched {res.crlb_value:.6f} vs preset "
           f"{at_preset:.6f} ({res.restarts_used} restarts)")

@@ -18,8 +18,7 @@ from .arrays import (Aoa, ArrayConfig, Dpv, OutOfPhysicalRange, PatternConfig,
                      aoa_from_dpv, beam_gain_kernel, dpv_from_aoa,
                      element_gain, element_gain_db, in_main_lobe,
                      steering_derivative, steering_vector)
-from .channels import (ChannelState, DynamicI, DynamicII, QuasiStatic,
-                       ScenarioConfig, evolve, init_channel, initial_estimate)
+from .channels import DynamicI, DynamicII, QuasiStatic, ScenarioConfig
 from .estimation import (DiModel, FisherDI, SingularFisher, crlb_di,
                          crlb_di_asymptotic, crlb_static,
                          crlb_static_asymptotic, fisher_di, fisher_static,
@@ -33,9 +32,6 @@ from .offsets import (FADING_OFFSETS, STATIC_OFFSETS, DiAsymptotic, DiFinite,
 from .signal import (AmbiguousSolution, ChannelParams, Ebm, NoSolution,
                      OffsetSet, build_ebm, noiseless_mean, observe,
                      recover_from_noiseless)
-from .trackers import (ConstantStep, DiminishingStep, EkfState,
-                       baseline_beam_switch_step, baseline_ekf_step,
-                       beam_switch_tracker, count_ops, ekf_tracker,
-                       mean_field)
+from .trackers import ConstantStep, DiminishingStep, count_ops, mean_field
 
 __version__ = "0.1.0"

@@ -115,24 +115,21 @@ def aoa_coords(cfg: ArrayConfig, x1, x2):
     return theta, np.arccos(np.clip(u, -1.0, 1.0))
 
 
-def aoa_from_dpv(cfg: ArrayConfig, x, clamp: bool = False) -> Aoa:
+def aoa_from_dpv(cfg: ArrayConfig, x) -> Aoa:
     """Invert :func:`dpv_from_aoa` on the branch theta in [-pi/2, pi/2),
     phi in [0, pi].
 
     Raises :class:`OutOfPhysicalRange` when the coordinates exceed the
-    physical direction cone, unless ``clamp`` is set (then the nearest
-    physical angle is returned; used when evaluating the element pattern at
-    a running estimate).
+    physical direction cone (:func:`aoa_coords` clamps instead).
     """
     x1, x2 = _xy(x)
     theta, phi = aoa_coords(cfg, x1, x2)
-    if not clamp:
-        if abs(cfg.wavelength * x2 / (cfg.n * cfg.d2)) > 1 + 1e-12:
-            raise OutOfPhysicalRange(f"x2={x2} exceeds the physical range")
-        c = np.cos(theta)
-        if c >= 1e-15 and abs(cfg.wavelength * x1
-                               / (cfg.m * cfg.d1 * c)) > 1 + 1e-12:
-            raise OutOfPhysicalRange(f"x1={x1} exceeds the physical range")
+    if abs(cfg.wavelength * x2 / (cfg.n * cfg.d2)) > 1 + 1e-12:
+        raise OutOfPhysicalRange(f"x2={x2} exceeds the physical range")
+    c = np.cos(theta)
+    if c >= 1e-15 and abs(cfg.wavelength * x1
+                           / (cfg.m * cfg.d1 * c)) > 1 + 1e-12:
+        raise OutOfPhysicalRange(f"x1={x1} exceeds the physical range")
     return Aoa(float(theta), float(phi))
 
 

@@ -6,10 +6,13 @@ gain redrawn each cycle with a fixed arrival; Gauss-Markov gain with a
 reflected random walk over the arrival angles.  The per-element pattern
 attenuates the path gain into the equivalent gain actually observed.
 
-The per-trial functions (``init_channel``, ``evolve``, ``initial_estimate``)
-draw from a generator; their ``*_batch`` counterparts apply the same
-transforms to many trials at once, from random numbers drawn beforehand in
-the same order (``initial_draws``, ``evolve_normals``).
+Channels are simulated for a batch of trials at once, one row per trial,
+from random numbers drawn beforehand: each trial's ``INITIAL_DRAWS``
+numbers of :func:`initial_draws` set up its channel
+(:func:`init_channel_batch`) and its initial estimate
+(:func:`initial_estimate_batch`), and each cycle's transition
+(:func:`evolve_batch`) takes ``evolve_normals(kind)`` standard normals per
+trial.
 """
 
 from __future__ import annotations
@@ -19,10 +22,9 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .arrays import (Aoa, ArrayConfig, PatternConfig, aoa_coords, dpv_coords,
-                     dpv_from_aoa, element_gain, element_gain_angles,
-                     probe_kernels)
-from .signal import ChannelParams, OffsetSet, fit_gains, observe_fast
+from .arrays import (ArrayConfig, PatternConfig, aoa_coords, dpv_coords,
+                     element_gain_angles, probe_kernels)
+from .signal import OffsetSet, fit_gains, observe_fast
 
 AOA_REGIONS = {
     "central": ((-np.pi / 6, np.pi / 6), (np.pi / 3, 2 * np.pi / 3)),
@@ -87,83 +89,6 @@ class ScenarioConfig:
         return (float(t_lo), float(t_hi)), (float(p_lo), float(p_hi))
 
 
-@dataclass
-class ChannelState:
-    """Ground truth for one trial at one cycle: arrival angle, its direction
-    coordinates, the path gain, and the pattern-weighted equivalent gain."""
-
-    aoa: Aoa
-    x: np.ndarray
-    beta_c: complex
-    beta_eff: complex
-    ecc_index: int = 0
-
-    @property
-    def params(self) -> ChannelParams:
-        return ChannelParams.from_parts(self.beta_eff, self.x)
-
-
-def _cn(rng: np.random.Generator, var: float = 1.0) -> complex:
-    z = rng.standard_normal(2)
-    return complex(z[0], z[1]) * np.sqrt(var / 2.0)
-
-
-def _draw_gain(kind: ScenarioKind, rng: np.random.Generator) -> complex:
-    if isinstance(kind, QuasiStatic):
-        kappa = 10.0 ** (kind.rician_k_db / 10.0)
-        los = np.sqrt(kappa / (kappa + 1.0)) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-        return complex(los + _cn(rng, 1.0 / (kappa + 1.0)))
-    if isinstance(kind, DynamicI):
-        return _cn(rng, kind.sigma_beta_c_sq)
-    return _cn(rng, 1.0)  # Gauss-Markov stationary start
-
-
-def init_channel(sc: ScenarioConfig, cfg: ArrayConfig,
-                 rng: np.random.Generator) -> ChannelState:
-    """Uniform arrival over the scenario's angle region plus a gain draw."""
-    (t_lo, t_hi), (p_lo, p_hi) = sc.ranges()
-    aoa = Aoa(float(rng.uniform(t_lo, t_hi)), float(rng.uniform(p_lo, p_hi)))
-    beta_c = _draw_gain(sc.kind, rng)
-    x = dpv_from_aoa(cfg, aoa).as_array()
-    eta = element_gain(sc.pattern, aoa)
-    return ChannelState(aoa, x, beta_c, eta * beta_c)
-
-
-def _reflect(value: float, lo: float, hi: float) -> float:
-    # fold back into [lo, hi]; per-cycle steps are far smaller than the range
-    for _ in range(8):
-        if value > hi:
-            value = 2 * hi - value
-        elif value < lo:
-            value = 2 * lo - value
-        else:
-            break
-    return float(np.clip(value, lo, hi))
-
-
-def evolve(state: ChannelState, sc: ScenarioConfig, cfg: ArrayConfig,
-           rng: np.random.Generator) -> ChannelState:
-    """Per-cycle channel transition; identity for the quasi-static kind."""
-    kind = sc.kind
-    if isinstance(kind, QuasiStatic):
-        return state
-    if isinstance(kind, DynamicI):
-        beta_c = _cn(rng, kind.sigma_beta_c_sq)
-        eta = element_gain(sc.pattern, state.aoa)
-        return ChannelState(state.aoa, state.x, beta_c, eta * beta_c,
-                            state.ecc_index + 1)
-    (t_lo, t_hi), (p_lo, p_hi) = sc.ranges()
-    t_rng = kind.theta_range or (t_lo, t_hi)
-    p_rng = kind.phi_range or (p_lo, p_hi)
-    theta = _reflect(state.aoa.theta + rng.normal(0.0, kind.delta_a), *t_rng)
-    phi = _reflect(state.aoa.phi + rng.normal(0.0, kind.delta_a), *p_rng)
-    aoa = Aoa(theta, phi)
-    beta_c = complex(kind.rho * state.beta_c + _cn(rng, 1.0 - kind.rho**2))
-    x = dpv_from_aoa(cfg, aoa).as_array()
-    eta = element_gain(sc.pattern, aoa)
-    return ChannelState(aoa, x, beta_c, eta * beta_c, state.ecc_index + 1)
-
-
 def bootstrap_gains(cfg: ArrayConfig, offsets: OffsetSet, x, beta_eff, x0,
                     normals):
     """Bootstrap gain fits from one probing cycle centred at ``x0``.
@@ -171,9 +96,8 @@ def bootstrap_gains(cfg: ArrayConfig, offsets: OffsetSet, x, beta_eff, x0,
     Observes channels (``x`` (..., 2), ``beta_eff`` (...)) with probes at
     ``x0 + offsets`` and noise from ``normals`` (..., 6), then fits the
     gains with :func:`~.signal.fit_gains`, e being the probe kernels at the
-    offsets.
-    The kernel path of building an EBM at ``x0``, :func:`~.signal.observe`
-    and :func:`~.trackers.bootstrap_gain`.
+    offsets: by the shift property, the least-squares fit through an EBM
+    built at ``x0``, at O(M+N) per probe.
     """
     x0 = np.asarray(x0, float)
     y0 = observe_fast(cfg, x, beta_eff, x0[..., None, :] + offsets.deltas,
@@ -182,30 +106,11 @@ def bootstrap_gains(cfg: ArrayConfig, offsets: OffsetSet, x, beta_eff, x0,
     return fit_gains(e, y0, cfg.pilot_amp)
 
 
-def initial_estimate(state: ChannelState, cfg: ArrayConfig,
-                     rng: np.random.Generator, halfwidth: float = 0.5,
-                     offsets: Optional[OffsetSet] = None) -> ChannelParams:
-    """In-main-lobe initial estimate: the direction is uniform within
-    +-halfwidth of the truth per coordinate; the gain comes from a bootstrap
-    least-squares fit over one extra probing cycle when ``offsets`` are
-    given (otherwise zero).
-    """
-    if not 0 <= halfwidth < 1:
-        raise ValueError("halfwidth must lie in [0, 1)")
-    x0 = state.x + rng.uniform(-halfwidth, halfwidth, 2)
-    beta0 = 0.0 + 0.0j
-    if offsets is not None:
-        beta0 = complex(bootstrap_gains(cfg, offsets, state.x,
-                                        state.beta_eff, x0,
-                                        rng.standard_normal(6)))
-    return ChannelParams.from_parts(beta0, x0)
-
-
 def estimated_gain_variance(sc: ScenarioConfig, cfg: ArrayConfig, x_hat,
                             sigma_beta_c_sq: float):
     """Equivalent-gain variance inferred from the pattern at direction
-    estimates ``x_hat`` (..., 2), clamped to the physical cone (the branch
-    of :func:`~.arrays.aoa_from_dpv` with ``clamp``)."""
+    estimates ``x_hat`` (..., 2), clamped to the physical cone (the angles of
+    :func:`~.arrays.aoa_coords`)."""
     x = np.asarray(x_hat, float)
     theta, phi = aoa_coords(cfg, x[..., 0], x[..., 1])
     eta = element_gain_angles(sc.pattern, theta, phi)
@@ -221,11 +126,14 @@ INITIAL_DRAWS = 13
 
 def initial_draws(sc: ScenarioConfig, rng: np.random.Generator,
                   halfwidth: float) -> np.ndarray:
-    """One trial's initial random numbers, drawn as :func:`init_channel`
-    and then :func:`initial_estimate` (with offsets) draw them: arrival
-    angles theta and phi, the Rician phase (0 and not drawn for the other
-    kinds), two gain normals, two estimate offsets, six bootstrap noise
-    normals."""
+    """One trial's ``INITIAL_DRAWS`` initial random numbers, in the order
+    they are drawn from ``rng``: [0] theta and [1] phi, uniform over the
+    arrival region; [2] the Rician line-of-sight phase, uniform over
+    [0, 2 pi) (quasi-static only; 0 and not drawn for the other kinds);
+    [3:5] two standard normals for the gain; [5:7] the initial-estimate
+    offsets, uniform over [-halfwidth, halfwidth) per coordinate; [7:13]
+    six standard normals of the bootstrap cycle's noise (the real parts of
+    the three noise values, then the imaginary parts)."""
     (t_lo, t_hi), (p_lo, p_hi) = sc.ranges()
     out = np.zeros(INITIAL_DRAWS)
     out[0] = rng.uniform(t_lo, t_hi)
@@ -267,7 +175,12 @@ def _channel_batch(sc: ScenarioConfig, cfg: ArrayConfig, theta, phi,
 
 def init_channel_batch(sc: ScenarioConfig, cfg: ArrayConfig,
                        draws: np.ndarray) -> ChannelBatch:
-    """Batched :func:`init_channel` from rows of :func:`initial_draws`."""
+    """Channels of a batch from rows of :func:`initial_draws`: the arrival
+    from columns 0-1 and the path gain from z = d3 + j d4, Rician
+    sqrt(K/(K+1)) exp(j d2) + z sqrt(1/(2(K+1))) (unit mean power),
+    Rayleigh z sqrt(sigma^2/2), Gauss-Markov (stationary start)
+    z sqrt(1/2); then the direction coordinates and the element gain at
+    the arrival."""
     kind = sc.kind
     z = draws[:, 3] + 1j * draws[:, 4]
     if isinstance(kind, QuasiStatic):
@@ -284,8 +197,10 @@ def init_channel_batch(sc: ScenarioConfig, cfg: ArrayConfig,
 
 def initial_estimate_batch(ch: ChannelBatch, cfg: ArrayConfig,
                            offsets: OffsetSet, draws: np.ndarray):
-    """Batched :func:`initial_estimate` with offsets: (x0 (T, 2), beta0
-    (T,)) from rows of :func:`initial_draws`."""
+    """In-main-lobe initial estimates (x0 (T, 2), beta0 (T,)) from rows of
+    :func:`initial_draws`: x0 is the true direction plus columns 5-6, and
+    beta0 the :func:`bootstrap_gains` fit of one probing cycle centred at
+    x0, with the noise of columns 7-12."""
     x0 = ch.x + draws[:, 5:7]
     return x0, bootstrap_gains(cfg, offsets, ch.x, ch.beta_eff, x0,
                                draws[:, 7:])
@@ -303,8 +218,12 @@ def _reflect_batch(value: np.ndarray, lo: float, hi: float) -> np.ndarray:
 
 def evolve_batch(ch: ChannelBatch, sc: ScenarioConfig, cfg: ArrayConfig,
                  normals: np.ndarray) -> ChannelBatch:
-    """Batched :func:`evolve`; ``normals`` (T, evolve_normals(kind)) are
-    the standard normals :func:`evolve` draws, in its order."""
+    """One cycle's channel transition from standard ``normals`` (T,
+    evolve_normals(kind)): the identity for the quasi-static kind; a fresh
+    Rayleigh gain z sqrt(sigma^2/2), z = n0 + j n1, for the fading kind;
+    for Gauss-Markov, theta and phi step by delta_a times n0 and n1,
+    reflected into the walk's ranges, and the gain moves to
+    rho beta + (n2 + j n3) sqrt((1 - rho^2)/2)."""
     kind = sc.kind
     if isinstance(kind, QuasiStatic):
         return ch

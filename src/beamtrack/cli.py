@@ -57,9 +57,10 @@ def _build_parser() -> _Parser:
     off.add_argument("--m", default=8)
     off.add_argument("--n", default=8)
     off.add_argument("--snr-beta-db", type=float, default=0.0)
-    off.add_argument("--seed", type=int, default=0)
-    off.add_argument("--grid", type=int, default=21)
-    off.add_argument("--iters", type=int, default=400)
+    off.add_argument("--seed", type=int, default=0,
+                     help="no effect: the search is deterministic")
+    off.add_argument("--grid", default=21)
+    off.add_argument("--iters", default=400)
     off.add_argument("--out", help="append the result as a CSV row")
     off.add_argument("--robustness",
                      help="skip the search; sweep the preset offsets over "
@@ -73,7 +74,8 @@ def _build_parser() -> _Parser:
 
 
 def _positive_int(token, key: str) -> int:
-    """An array size: a positive integer, else a ConfigError naming ``key``."""
+    """A positive integer (an array size, grid or iteration count), else a
+    ConfigError naming ``key``."""
     from .harness import ConfigError
     try:
         value = int(token)
@@ -187,7 +189,7 @@ def _cmd_offsets(args) -> int:
             print(f"{size[0]},{size[1]},{at:.12g},{best:.12g},{gap:.3e}")
         return 0
     sc = SearchConfig(_objective_from_args(args), grid_points_per_axis=args.grid,
-                      refine_iters=args.iters, seed=args.seed)
+                      refine_iters=args.iters)
     result = optimize_offsets(sc)
     canon = canonicalize(result.offsets) if args.m == args.n else result.offsets
     print(f"objective: {args.objective}")
@@ -225,11 +227,18 @@ def _cmd_verify(args) -> int:
 
 def main(argv=None) -> int:
     from .harness import ConfigError
+    from .offsets import NoImprovement
     args = _build_parser().parse_args(argv)
     try:
         if args.command in ("crlb", "offsets"):
             args.m = _positive_int(args.m, "--m")
             args.n = _positive_int(args.n, "--n")
+            if not np.isfinite(args.snr_beta_db):
+                raise ConfigError(f"--snr-beta-db: expected a finite number, "
+                                  f"got {args.snr_beta_db!r}")
+        if args.command == "offsets":
+            args.grid = _positive_int(args.grid, "--grid")
+            args.iters = _positive_int(args.iters, "--iters")
         if args.command == "track":
             return _cmd_track(args)
         if args.command == "crlb":
@@ -237,7 +246,7 @@ def main(argv=None) -> int:
         if args.command == "offsets":
             return _cmd_offsets(args)
         return _cmd_verify(args)
-    except ConfigError as exc:
+    except (ConfigError, NoImprovement) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

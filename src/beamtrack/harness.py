@@ -11,19 +11,18 @@ looked up in ``TRACKERS``.
 
 Random numbers (the contract).  Trial ``t`` owns the stream
 ``default_rng(SeedSequence(seed, spawn_key=(t,)))``.  It first makes the
-initial draws of :func:`~.channels.initial_draws`, then fills one block of
-standard normals per cycle, ``standard_normal((K, c))`` drawn in chunks of
-at most ``CYCLE_CHUNK`` cycles: the channel transition's normals
+13 draws of :func:`~.channels.initial_draws`: theta, phi, the Rician phase
+(quasi-static only), two gain normals, two initial-estimate offsets and the
+bootstrap cycle's six noise normals.  Then it fills blocks
+``standard_normal((K, c))``, K at most ``CYCLE_CHUNK`` cycles each, one row
+per cycle: the channel transition's ``evolve_normals(kind)`` columns
 (quasi-static none; fading gain the two gain normals; Gauss-Markov the
 theta and phi steps, scaled by ``delta_a``, then the two gain normals),
-then the real and the imaginary parts of the three noise values.  These
-are the numbers, in the order, that the per-trial functions
-:func:`~.channels.init_channel`, :func:`~.channels.initial_estimate`,
-:func:`~.channels.evolve` and :func:`~.signal.observe` draw.  A trial's
-numbers therefore depend on neither the batch nor the worker, and the
-per-trial errors are reduced in trial order, so for a fixed seed the CSV is
-byte-identical at any batch split and any ``BEAMTRACK_THREADS`` (0 = auto,
-unset = serial; one contiguous batch of trials per worker).
+then the real and the imaginary parts of the three noise values.  A
+trial's numbers therefore depend on neither the batch nor the worker, and
+the per-trial errors are reduced in trial order, so for a fixed seed the
+CSV is byte-identical at any batch split and any ``BEAMTRACK_THREADS``
+(0 = auto, unset = serial; one contiguous batch of trials per worker).
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 from scipy.optimize import minimize
@@ -93,7 +93,6 @@ class SearchConfig:
     objective: Objective
     grid_points_per_axis: int = 21
     refine_iters: int = 400
-    seed: int = 0
     box_halfwidth: float = 0.95
 
     def __post_init__(self):
@@ -232,8 +231,7 @@ def canonicalize(offsets: OffsetSet) -> OffsetSet:
 
 
 def robustness_sweep(offsets: OffsetSet, sizes, objective_kind: str,
-                     snr_beta_db: float = 0.0,
-                     search: Optional[SearchConfig] = None):
+                     snr_beta_db: float = 0.0):
     """How close a fixed offset set comes to the finite-size optimum.
 
     For each (m, n) in ``sizes`` runs a finite-size search and reports
@@ -253,9 +251,7 @@ def robustness_sweep(offsets: OffsetSet, sizes, objective_kind: str,
             obj = DiFinite(m, n, snr)
         else:
             raise ValueError("objective_kind must be 'static' or 'di'")
-        sc = search or SearchConfig(obj, grid_points_per_axis=13)
-        sc = SearchConfig(obj, sc.grid_points_per_axis, sc.refine_iters,
-                          sc.seed, sc.box_halfwidth)
+        sc = SearchConfig(obj, grid_points_per_axis=13)
         at = float(obj.evaluate(offsets.deltas))
         # the fixed set is a legitimate incumbent: include it as a restart
         seeds = _slice_seeds(sc)

@@ -6,9 +6,9 @@ Batched trackers
 ----------------
 The Monte-Carlo harness runs the ``*Batch`` classes at the end of this
 module: each update over a batch of trials, one row per trial, behind one
-interface (``BatchTracker``).  The joint and direction-only updates exist
-only there, checked against the explicit-matrix routes; the baselines keep
-a per-trial step as the reference of their batched class.
+interface (``BatchTracker``).  Each update exists only there; the tests
+check the joint and direction-only updates against the explicit-matrix
+routes, and the baselines against per-trial reference steps.
 
 Update kernels and operation audit
 ----------------------------------
@@ -31,7 +31,7 @@ from typing import Callable, Optional, Protocol
 
 import numpy as np
 
-from .arrays import ArrayConfig, _xy, probe_kernels
+from .arrays import ArrayConfig, probe_kernels
 from .estimation import (COND_LIMIT, SingularFisher, _di_fisher_batch,
                          _di_score_terms, jacobian)
 from .signal import ChannelParams, Ebm, OffsetSet, fit_gains, noiseless_mean
@@ -178,18 +178,6 @@ def mean_field(psi_hat: ChannelParams, psi_true: ChannelParams,
                           noiseless_mean(cfg, psi_true, ebm))
 
 
-def bootstrap_gain(cfg: ArrayConfig, ebm: Ebm, center, y) -> complex:
-    """Least-squares gain fit from one cycle observed with an EBM built at
-    ``center``: beta = (e^H e)^-1 e^H y / s with e = W^H a(center).  The
-    explicit-EBM reference for :func:`~.channels.bootstrap_gains`."""
-    from .signal import observation_kernels
-    e, _, _ = observation_kernels(cfg, center, ebm)
-    denom = cfg.pilot_amp * float(np.vdot(e, e).real)
-    if denom < 1e-30:
-        return 0.0 + 0.0j
-    return complex(np.vdot(e, np.asarray(y, complex)) / denom)
-
-
 # ---------------------------------------------------------------------------
 # direction-only tracker (fading gain)
 # ---------------------------------------------------------------------------
@@ -225,48 +213,6 @@ def _rbt_direction_batch(q_mats, c0, i_inv, y: np.ndarray) -> np.ndarray:
 # the main-lobe halfwidth in direction coordinates
 BEAM_SPACING = 0.5
 
-
-@dataclass
-class BeamSwitchState:
-    """Grid-of-beams baseline: the estimate lives on a uniform direction
-    lattice; each cycle probes the current beam plus its two neighbors along
-    one axis (axes alternate between cycles)."""
-
-    x: np.ndarray
-    beta_hat: complex
-    k: int
-    limits: tuple
-
-
-def beam_switch_tracker(cfg: ArrayConfig, x0) -> BeamSwitchState:
-    limits = (cfg.m / 2.0, cfg.n / 2.0)
-    x = np.asarray(_xy(x0), float)
-    snapped = np.round(x / BEAM_SPACING) * BEAM_SPACING
-    snapped = np.clip(snapped, [-limits[0], -limits[1]], list(limits))
-    return BeamSwitchState(snapped, 0.0 + 0.0j, 0, limits)
-
-
-def beam_switch_probes(state: BeamSwitchState) -> np.ndarray:
-    axis = state.k % 2
-    step = np.zeros(2)
-    step[axis] = BEAM_SPACING
-    probes = np.stack([state.x, state.x + step, state.x - step])
-    lim = np.array(state.limits)
-    return np.clip(probes, -lim, lim)
-
-
-def baseline_beam_switch_step(state: BeamSwitchState, cfg: ArrayConfig,
-                              y) -> BeamSwitchState:
-    """Switch to the strongest of the probed beams; matched-filter gain."""
-    probes = beam_switch_probes(state)
-    y = np.asarray(y, complex)
-    i = int(np.argmax(np.abs(y)))
-    state.x = probes[i].copy()
-    state.beta_hat = complex(y[i] / (cfg.pilot_amp * np.sqrt(cfg.size)))
-    state.k += 1
-    return state
-
-
 # equilateral probe triangle of circumradius 0.5 around the estimate
 EKF_PROBE_OFFSETS = 0.5 * np.array([
     [np.cos(np.pi / 2), np.sin(np.pi / 2)],
@@ -274,60 +220,8 @@ EKF_PROBE_OFFSETS = 0.5 * np.array([
     [np.cos(np.pi / 2 + 4 * np.pi / 3), np.sin(np.pi / 2 + 4 * np.pi / 3)],
 ])
 
-
-@dataclass
-class EkfState:
-    x: np.ndarray
-    p: np.ndarray
-    beta_hat: complex
-    k: int
-    process_noise: float
-    prior_var: float
-
-
 EKF_PROCESS_NOISE = 1e-4
 EKF_PRIOR_VAR = 0.1
-
-
-def ekf_tracker(cfg: ArrayConfig, x0, process_noise: float = EKF_PROCESS_NOISE,
-                prior_var: float = EKF_PRIOR_VAR) -> EkfState:
-    return EkfState(np.asarray(_xy(x0), float), prior_var * np.eye(2),
-                    0.0 + 0.0j, 0, process_noise, prior_var)
-
-
-def ekf_probes(state: EkfState) -> np.ndarray:
-    return state.x + EKF_PROBE_OFFSETS
-
-
-def baseline_ekf_step(state: EkfState, cfg: ArrayConfig, y) -> EkfState:
-    """Identity-dynamics EKF on the 2D direction with a per-cycle
-    least-squares gain refit and a Joseph-form covariance update."""
-    y = np.asarray(y, complex)
-    p_pred = state.p + state.process_noise * np.eye(2)
-    deltas = EKF_PROBE_OFFSETS  # probes minus predicted state
-    g, k1, k2 = probe_kernels(deltas, cfg.m, cfg.n)
-    s = cfg.pilot_amp
-    denom = s * float(np.vdot(g, g).real)
-    beta = complex(np.vdot(g, y) / denom) if denom > 1e-30 else 0.0 + 0.0j
-    state.beta_hat = beta
-    mean = s * beta * g
-    h_cplx = s * beta * np.stack([k1, k2], axis=1)
-    h_r = np.vstack([h_cplx.real, h_cplx.imag])
-    resid = np.concatenate([(y - mean).real, (y - mean).imag])
-    r_mat = (cfg.noise_var / 2.0) * np.eye(6)
-    s_mat = h_r @ p_pred @ h_r.T + r_mat
-    # pseudo-inverse: identical to the inverse when the measurement noise
-    # makes S full rank, and the correct rank-2 limit when it vanishes
-    gain = p_pred @ h_r.T @ np.linalg.pinv(s_mat, rcond=1e-12)
-    state.x = state.x + gain @ resid
-    ikh = np.eye(2) - gain @ h_r
-    p_new = ikh @ p_pred @ ikh.T + gain @ r_mat @ gain.T
-    p_new = 0.5 * (p_new + p_new.T)
-    if not np.all(np.isfinite(p_new)) or np.min(np.linalg.eigvalsh(p_new)) < -1e-12:
-        p_new = state.prior_var * np.eye(2)
-    state.p = p_new
-    state.k += 1
-    return state
 
 
 # ---------------------------------------------------------------------------
@@ -499,9 +393,14 @@ class EkfBatch:
 
     def update(self, y: np.ndarray) -> None:
         s = self.cfg.pilot_amp
+        # a row with a non-finite observation solves on y = 0, which moves
+        # nothing; it keeps its gain estimate and its covariance is reset
+        # (pinv raises on a non-finite matrix, which would abort the batch)
+        finite = np.isfinite(y).all(axis=1)
+        y = np.where(finite[:, None], y, 0.0)
         p_pred = self.p + EKF_PROCESS_NOISE * np.eye(2)
         beta = fit_gains(self.g, y, s)
-        self.beta_hat = beta
+        self.beta_hat = np.where(finite, beta, self.beta_hat)
         sb = s * beta
         resid_c = y - sb[:, None] * self.g
         h_cplx = sb[:, None, None] * self.k12                  # (T, 3, 2)
@@ -515,8 +414,9 @@ class EkfBatch:
         p_new = (ikh @ p_pred @ np.swapaxes(ikh, 1, 2)
                  + gain @ self.r_mat @ np.swapaxes(gain, 1, 2))
         p_new = 0.5 * (p_new + np.swapaxes(p_new, 1, 2))
-        # covariance reset where the update lost definiteness
-        bad = ~np.isfinite(p_new).all(axis=(1, 2))
+        # covariance reset where the observation was not finite or the
+        # update lost definiteness
+        bad = ~finite | ~np.isfinite(p_new).all(axis=(1, 2))
         safe = np.where(bad[:, None, None], np.eye(2), p_new)
         bad |= np.linalg.eigvalsh(safe)[:, 0] < -1e-12
         self.p = np.where(bad[:, None, None], EKF_PRIOR_VAR * np.eye(2), p_new)

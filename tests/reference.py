@@ -1,0 +1,219 @@
+"""Per-trial references: the oracle the batched code is compared against.
+
+One trial at a time, each function drawing from the trial's generator call
+by call: the channel model (``init_channel``, ``evolve``), the in-main-lobe
+initial estimate with its bootstrap gain fit, the explicit-EBM gain fit, and
+the scalar steps of the two baselines.  The library runs only the batched
+counterparts (``channels.init_channel_batch``, ``initial_estimate_batch``,
+``evolve_batch``, ``trackers.BeamSwitchBatch``, ``EkfBatch``); only the
+comparison tests import this module.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from beamtrack.arrays import (Aoa, ArrayConfig, _xy, dpv_from_aoa,
+                              element_gain, probe_kernels)
+from beamtrack.channels import (DynamicI, QuasiStatic, ScenarioConfig,
+                                ScenarioKind, bootstrap_gains)
+from beamtrack.signal import ChannelParams, Ebm, OffsetSet, observation_kernels
+from beamtrack.trackers import (BEAM_SPACING, EKF_PRIOR_VAR,
+                                EKF_PROBE_OFFSETS, EKF_PROCESS_NOISE)
+
+# ---------------------------------------------------------------------------
+# channel model
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class ChannelState:
+    """Ground truth for one trial at one cycle: arrival angle, its direction
+    coordinates, the path gain, and the pattern-weighted equivalent gain."""
+
+    aoa: Aoa
+    x: np.ndarray
+    beta_c: complex
+    beta_eff: complex
+
+    @property
+    def params(self) -> ChannelParams:
+        return ChannelParams.from_parts(self.beta_eff, self.x)
+
+
+def _cn(rng: np.random.Generator, var: float) -> complex:
+    z = rng.standard_normal(2)
+    return complex(z[0], z[1]) * np.sqrt(var / 2.0)
+
+
+def _draw_gain(kind: ScenarioKind, rng: np.random.Generator) -> complex:
+    if isinstance(kind, QuasiStatic):
+        kappa = 10.0 ** (kind.rician_k_db / 10.0)
+        los = np.sqrt(kappa / (kappa + 1.0)) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+        return complex(los + _cn(rng, 1.0 / (kappa + 1.0)))
+    if isinstance(kind, DynamicI):
+        return _cn(rng, kind.sigma_beta_c_sq)
+    return _cn(rng, 1.0)  # Gauss-Markov stationary start
+
+
+def init_channel(sc: ScenarioConfig, cfg: ArrayConfig,
+                 rng: np.random.Generator) -> ChannelState:
+    """Uniform arrival over the scenario's angle region plus a gain draw."""
+    (t_lo, t_hi), (p_lo, p_hi) = sc.ranges()
+    aoa = Aoa(float(rng.uniform(t_lo, t_hi)), float(rng.uniform(p_lo, p_hi)))
+    beta_c = _draw_gain(sc.kind, rng)
+    x = dpv_from_aoa(cfg, aoa).as_array()
+    eta = element_gain(sc.pattern, aoa)
+    return ChannelState(aoa, x, beta_c, eta * beta_c)
+
+
+def _reflect(value: float, lo: float, hi: float) -> float:
+    # fold back into [lo, hi]; per-cycle steps are far smaller than the range
+    for _ in range(8):
+        if value > hi:
+            value = 2 * hi - value
+        elif value < lo:
+            value = 2 * lo - value
+        else:
+            break
+    return float(np.clip(value, lo, hi))
+
+
+def evolve(state: ChannelState, sc: ScenarioConfig, cfg: ArrayConfig,
+           rng: np.random.Generator) -> ChannelState:
+    """Per-cycle channel transition; identity for the quasi-static kind."""
+    kind = sc.kind
+    if isinstance(kind, QuasiStatic):
+        return state
+    if isinstance(kind, DynamicI):
+        beta_c = _cn(rng, kind.sigma_beta_c_sq)
+        eta = element_gain(sc.pattern, state.aoa)
+        return ChannelState(state.aoa, state.x, beta_c, eta * beta_c)
+    (t_lo, t_hi), (p_lo, p_hi) = sc.ranges()
+    t_rng = kind.theta_range or (t_lo, t_hi)
+    p_rng = kind.phi_range or (p_lo, p_hi)
+    theta = _reflect(state.aoa.theta + rng.normal(0.0, kind.delta_a), *t_rng)
+    phi = _reflect(state.aoa.phi + rng.normal(0.0, kind.delta_a), *p_rng)
+    aoa = Aoa(theta, phi)
+    beta_c = complex(kind.rho * state.beta_c + _cn(rng, 1.0 - kind.rho**2))
+    x = dpv_from_aoa(cfg, aoa).as_array()
+    eta = element_gain(sc.pattern, aoa)
+    return ChannelState(aoa, x, beta_c, eta * beta_c)
+
+
+def initial_estimate(state: ChannelState, cfg: ArrayConfig,
+                     rng: np.random.Generator, halfwidth: float,
+                     offsets: OffsetSet) -> ChannelParams:
+    """In-main-lobe initial estimate: the direction is uniform within
+    +-halfwidth of the truth per coordinate; the gain comes from a bootstrap
+    least-squares fit over one extra probing cycle."""
+    x0 = state.x + rng.uniform(-halfwidth, halfwidth, 2)
+    beta0 = complex(bootstrap_gains(cfg, offsets, state.x, state.beta_eff,
+                                    x0, rng.standard_normal(6)))
+    return ChannelParams.from_parts(beta0, x0)
+
+
+def bootstrap_gain(cfg: ArrayConfig, ebm: Ebm, center, y) -> complex:
+    """Least-squares gain fit from one cycle observed with an EBM built at
+    ``center``: beta = (e^H e)^-1 e^H y / s with e = W^H a(center)."""
+    e, _, _ = observation_kernels(cfg, center, ebm)
+    denom = cfg.pilot_amp * float(np.vdot(e, e).real)
+    if denom < 1e-30:
+        return 0.0 + 0.0j
+    return complex(np.vdot(e, np.asarray(y, complex)) / denom)
+
+
+# ---------------------------------------------------------------------------
+# baselines
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class BeamSwitchState:
+    """Grid-of-beams baseline: the estimate lives on a uniform direction
+    lattice; each cycle probes the current beam plus its two neighbors along
+    one axis (axes alternate between cycles)."""
+
+    x: np.ndarray
+    beta_hat: complex
+    k: int
+    limits: tuple
+
+
+def beam_switch_tracker(cfg: ArrayConfig, x0) -> BeamSwitchState:
+    limits = (cfg.m / 2.0, cfg.n / 2.0)
+    x = np.asarray(_xy(x0), float)
+    snapped = np.round(x / BEAM_SPACING) * BEAM_SPACING
+    snapped = np.clip(snapped, [-limits[0], -limits[1]], list(limits))
+    return BeamSwitchState(snapped, 0.0 + 0.0j, 0, limits)
+
+
+def beam_switch_probes(state: BeamSwitchState) -> np.ndarray:
+    axis = state.k % 2
+    step = np.zeros(2)
+    step[axis] = BEAM_SPACING
+    probes = np.stack([state.x, state.x + step, state.x - step])
+    lim = np.array(state.limits)
+    return np.clip(probes, -lim, lim)
+
+
+def baseline_beam_switch_step(state: BeamSwitchState, cfg: ArrayConfig,
+                              y) -> BeamSwitchState:
+    """Switch to the strongest of the probed beams; matched-filter gain."""
+    probes = beam_switch_probes(state)
+    y = np.asarray(y, complex)
+    i = int(np.argmax(np.abs(y)))
+    state.x = probes[i].copy()
+    state.beta_hat = complex(y[i] / (cfg.pilot_amp * np.sqrt(cfg.size)))
+    state.k += 1
+    return state
+
+
+@dataclass
+class EkfState:
+    x: np.ndarray
+    p: np.ndarray
+    beta_hat: complex
+    k: int
+
+
+def ekf_tracker(cfg: ArrayConfig, x0) -> EkfState:
+    return EkfState(np.asarray(_xy(x0), float), EKF_PRIOR_VAR * np.eye(2),
+                    0.0 + 0.0j, 0)
+
+
+def ekf_probes(state: EkfState) -> np.ndarray:
+    return state.x + EKF_PROBE_OFFSETS
+
+
+def baseline_ekf_step(state: EkfState, cfg: ArrayConfig, y) -> EkfState:
+    """Identity-dynamics EKF on the 2D direction with a per-cycle
+    least-squares gain refit and a Joseph-form covariance update."""
+    y = np.asarray(y, complex)
+    p_pred = state.p + EKF_PROCESS_NOISE * np.eye(2)
+    deltas = EKF_PROBE_OFFSETS  # probes minus predicted state
+    g, k1, k2 = probe_kernels(deltas, cfg.m, cfg.n)
+    s = cfg.pilot_amp
+    denom = s * float(np.vdot(g, g).real)
+    beta = complex(np.vdot(g, y) / denom) if denom > 1e-30 else 0.0 + 0.0j
+    state.beta_hat = beta
+    mean = s * beta * g
+    h_cplx = s * beta * np.stack([k1, k2], axis=1)
+    h_r = np.vstack([h_cplx.real, h_cplx.imag])
+    resid = np.concatenate([(y - mean).real, (y - mean).imag])
+    r_mat = (cfg.noise_var / 2.0) * np.eye(6)
+    s_mat = h_r @ p_pred @ h_r.T + r_mat
+    # pseudo-inverse: identical to the inverse when the measurement noise
+    # makes S full rank, and the correct rank-2 limit when it vanishes
+    gain = p_pred @ h_r.T @ np.linalg.pinv(s_mat, rcond=1e-12)
+    state.x = state.x + gain @ resid
+    ikh = np.eye(2) - gain @ h_r
+    p_new = ikh @ p_pred @ ikh.T + gain @ r_mat @ gain.T
+    p_new = 0.5 * (p_new + p_new.T)
+    if not np.all(np.isfinite(p_new)) or np.min(np.linalg.eigvalsh(p_new)) < -1e-12:
+        p_new = EKF_PRIOR_VAR * np.eye(2)
+    state.p = p_new
+    state.k += 1
+    return state

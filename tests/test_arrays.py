@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from beamtrack.arrays import (Aoa, ArrayConfig, Dpv, OutOfPhysicalRange,
-                              PatternConfig, aoa_from_dpv, beam_gain_kernel,
+                              PatternConfig, aoa_coords, aoa_from_dpv,
+                              beam_gain_kernel,
                               dpv_from_aoa, element_gain_db,
                               element_gain_db_angles, in_main_lobe,
                               probe_kernels, probe_kernels_limit,
@@ -50,9 +51,9 @@ class TestDpvMapping:
             aoa_from_dpv(CFG, (0.0, 4.5))
         with pytest.raises(OutOfPhysicalRange):
             aoa_from_dpv(CFG, (4.5, 0.0))
-        # clamping maps to the nearest physical angle instead
-        a = aoa_from_dpv(CFG, (0.0, 4.5), clamp=True)
-        assert abs(a.theta - np.pi / 2) < 1e-9
+        # the clamping inverse maps to the nearest physical angle instead
+        theta, _ = aoa_coords(CFG, 0.0, 4.5)
+        assert abs(theta - np.pi / 2) < 1e-9
 
 
 class TestSteering:

@@ -1,11 +1,11 @@
 """Oracle tests for the trial-batched Monte-Carlo engine.
 
-The reference is the per-trial loop the engine replaced: scalar channel
-functions, each trial's RNG stream drawn call by call, and per trial the
-baselines' scalar steps or, for the joint and direction trackers, their
-registered batched class run on one row.  The engine must reproduce it per
-trial and cycle, and its CSV bytes must not depend on how the trials are
-split into batches or workers.
+The reference is the per-trial loop the engine replaced: the scalar
+channel functions of ``reference.py``, each trial's RNG stream drawn call
+by call, and per trial the baselines' scalar steps or, for the joint and
+direction trackers, their registered batched class run on one row.  The
+engine must reproduce it per trial and cycle, and its CSV bytes must not
+depend on how the trials are split into batches or workers.
 """
 
 import numpy as np
@@ -13,10 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beamtrack.arrays import ArrayConfig, aoa_from_dpv, element_gain, probe_kernels
-from beamtrack.channels import (DynamicI, DynamicII, QuasiStatic,
-                                ScenarioConfig, evolve, init_channel,
-                                initial_estimate)
+from beamtrack.arrays import (Aoa, ArrayConfig, aoa_coords, element_gain,
+                              probe_kernels)
+from beamtrack.channels import DynamicI, DynamicII, QuasiStatic, ScenarioConfig
 from beamtrack.estimation import di_offsets_crlb, static_offsets_crlb
 from beamtrack.harness import (TRACKERS, ExperimentConfig, _records,
                                _resolve_offsets, _run_batch,
@@ -26,10 +25,10 @@ from beamtrack.offsets import STATIC_OFFSETS
 from beamtrack.signal import ChannelParams, build_ebm
 from beamtrack.trackers import (STEP_CAP, DiminishingStep, EkfBatch,
                                 JbctBatch, TrackerRun,
-                                _jbct_direction_batch,
-                                baseline_beam_switch_step, baseline_ekf_step,
-                                beam_switch_probes, beam_switch_tracker,
-                                ekf_probes, ekf_tracker, jbct_direction)
+                                _jbct_direction_batch, jbct_direction)
+from reference import (baseline_beam_switch_step, baseline_ekf_step,
+                       beam_switch_probes, beam_switch_tracker, ekf_probes,
+                       ekf_tracker, evolve, init_channel, initial_estimate)
 
 # ---------------------------------------------------------------------------
 # reference: one trial at a time
@@ -57,8 +56,8 @@ def _errors(cfg, state, x_hat, beta_hat):
 
 
 def _estimated_gain_variance(sc, cfg, x_hat, sigma_c_sq):
-    aoa = aoa_from_dpv(cfg, x_hat, clamp=True)
-    return float(element_gain(sc.pattern, aoa) ** 2 * sigma_c_sq)
+    theta, phi = aoa_coords(cfg, *x_hat)
+    return float(element_gain(sc.pattern, Aoa(theta, phi)) ** 2 * sigma_c_sq)
 
 
 def reference_trial(ec, trial, hits=None):
@@ -252,7 +251,7 @@ class TestCsvBytes:
 class TestSafeguardMasks:
     """Rows that trip a safeguard, one row each: the joint tracker against
     the explicit Fisher direction with the skip and the cap applied here,
-    the EKF against its scalar step."""
+    the EKF against the reference step."""
 
     CFG = ArrayConfig(8, 8)
 
@@ -305,3 +304,29 @@ class TestSafeguardMasks:
             np.testing.assert_allclose(batch.x[row], ts.x, rtol=1e-12)
         assert np.array_equal(batch.p[1], 0.1 * np.eye(2))
         assert not np.array_equal(batch.p[0], 0.1 * np.eye(2))
+
+    def test_ekf_non_finite_observation_rows(self):
+        """A row with a non-finite observation keeps its estimate and
+        resets its covariance to the prior.  The other rows follow the
+        reference step, and bit for bit the batch without that row."""
+        x0 = [(0.1, 0.2), (-0.3, 0.4), (0.2, -0.1)]
+        y = np.array([[0.3, 0.2j, 0.1], [np.nan, 0.5, 0.1j],
+                      [-0.2, 0.4, 0.1 - 0.3j]])
+        batch = self._run(EkfBatch, x0, [0.5, 0.4j, 0.3])
+        healthy = self._run(EkfBatch, [x0[0], x0[2]], [0.5, 0.3])
+        for tracker in (batch, healthy):
+            tracker.p[:] = np.diag([0.05, 0.02])
+        batch.update(y)
+        healthy.update(y[[0, 2]])
+        for row, pair_row in ((0, 0), (2, 1)):
+            ts = ekf_tracker(self.CFG, x0[row])
+            ts.p = np.diag([0.05, 0.02])
+            baseline_ekf_step(ts, self.CFG, y[row])
+            np.testing.assert_allclose(batch.x[row], ts.x, rtol=1e-12)
+            np.testing.assert_allclose(batch.p[row], ts.p, rtol=1e-12)
+            assert batch.beta_hat[row] == pytest.approx(ts.beta_hat, rel=1e-12)
+            assert np.array_equal(batch.x[row], healthy.x[pair_row])
+            assert np.array_equal(batch.p[row], healthy.p[pair_row])
+        assert np.array_equal(batch.x[1], x0[1])
+        assert batch.beta_hat[1] == 0.4j
+        assert np.array_equal(batch.p[1], 0.1 * np.eye(2))

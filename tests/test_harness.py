@@ -336,8 +336,9 @@ def test_bad_track_input_exits_1_with_one_error_line(name, tmp_path,
     assert [line.startswith("error:") for line in err.splitlines()].count(True) == 1
 
 
-# argv of the crlb/offsets subcommands; each has one bad array size
-BAD_SIZES = {
+# argv of the crlb/offsets subcommands; each has one input the command
+# cannot use: an array size, a grid or iteration count, or a gain SNR
+BAD_NUMBERS = {
     "non-integer sweep size": ["crlb", "--objective", "static-finite",
                                "--sweep-sizes", "8,abc"],
     "non-integer robustness size": ["offsets", "--objective", "static-finite",
@@ -347,12 +348,32 @@ BAD_SIZES = {
     "zero robustness size": ["offsets", "--objective", "static-finite",
                              "--robustness", "0"],
     "zero --m": ["crlb", "--objective", "di-finite", "--m", "0"],
+    "zero --grid": ["offsets", "--objective", "static-asymptotic",
+                    "--grid", "0"],
+    # one grid point per axis makes every seed set degenerate
+    "one-point --grid": ["offsets", "--objective", "static-asymptotic",
+                         "--grid", "1"],
+    "one-point --grid, zero --iters": ["offsets", "--objective",
+                                       "static-asymptotic", "--grid", "1",
+                                       "--iters", "0"],
+    "nan crlb snr": ["crlb", "--objective", "di-finite",
+                     "--snr-beta-db", "nan"],
+    "inf crlb snr": ["crlb", "--objective", "di-finite",
+                     "--snr-beta-db", "inf"],
+    "-inf crlb snr": ["crlb", "--objective", "di-finite",
+                      "--snr-beta-db=-inf"],
+    "nan offsets snr": ["offsets", "--objective", "di-finite",
+                        "--snr-beta-db", "nan"],
+    "inf offsets snr": ["offsets", "--objective", "di-asymptotic",
+                        "--snr-beta-db", "inf"],
+    "-inf offsets snr": ["offsets", "--objective", "di-finite",
+                         "--robustness", "8", "--snr-beta-db=-inf"],
 }
 
 
-@pytest.mark.parametrize("name", sorted(BAD_SIZES))
+@pytest.mark.parametrize("name", sorted(BAD_NUMBERS))
 def test_bad_size_exits_1_with_one_error_line(name, capsys):
-    code = main(BAD_SIZES[name])
+    code = main(BAD_NUMBERS[name])
     err = capsys.readouterr().err
     assert code == 1
     assert [line.startswith("error:") for line in err.splitlines()].count(True) == 1

@@ -6,17 +6,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from beamtrack.arrays import ArrayConfig, probe_kernels
+from beamtrack.channels import bootstrap_gains
 from beamtrack.estimation import DiModel, SingularFisher, di_score, fisher_di
 from beamtrack.offsets import FADING_OFFSETS, STATIC_OFFSETS
 from beamtrack.signal import ChannelParams, build_ebm, noiseless_mean
-from beamtrack.trackers import (BEAM_SPACING, ConstantStep, DiminishingStep,
-                                JbctBatch, RbtBatch, TrackerRun, _OpTally,
-                                _jbct_direction_batch, _rbt_direction_batch,
-                                baseline_beam_switch_step, baseline_ekf_step,
-                                beam_switch_probes, beam_switch_tracker,
-                                bootstrap_gain, build_fast_cache, count_ops,
-                                ekf_probes, ekf_tracker, jbct_direction,
-                                mean_field)
+from beamtrack import trackers
+from beamtrack.trackers import (BEAM_SPACING, BeamSwitchBatch, ConstantStep,
+                                DiminishingStep, EkfBatch, JbctBatch, RbtBatch,
+                                TrackerRun, _OpTally, _jbct_direction_batch,
+                                _rbt_direction_batch, build_fast_cache,
+                                count_ops, jbct_direction, mean_field)
 
 CFG = ArrayConfig(8, 8)
 PSI = ChannelParams.from_parts(0.8 - 0.3j, (0.0, 0.0))
@@ -41,6 +40,22 @@ def _direction(x0, schedule, gain_var=1.0, gain_var_at=None, cfg=CFG):
                      np.broadcast_to(np.asarray(gain_var, float), len(x0)),
                      gain_var_at)
     return RbtBatch(run, x0, np.zeros(len(x0), complex))
+
+
+def _baseline(cls, x0, cfg=CFG):
+    """Baseline tracker ``cls`` started at the rows of ``x0`` (T, 2)."""
+    x0 = np.array(x0, float).reshape(-1, 2)
+    run = TrackerRun(cfg, STATIC_OFFSETS, DiminishingStep(1.0),
+                     np.ones(len(x0)))
+    return cls(run, x0, np.zeros(len(x0), complex))
+
+
+def _noiseless_cycle(tracker, beta, x_true, cfg=CFG):
+    """One cycle observing, without noise, channels of gain ``beta`` at
+    ``x_true`` (T, 2) through the tracker's probes."""
+    probes = tracker.probes() - np.reshape(x_true, (-1, 1, 2))
+    g, _, _ = probe_kernels(probes, cfg.m, cfg.n)
+    tracker.update(cfg.pilot_amp * beta * g)
 
 
 def _tally(kernel, *args, counted=()):
@@ -363,9 +378,8 @@ class TestOpCounts:
 
 class TestBootstrapGain:
     def test_noiseless_fit_at_truth_is_exact(self):
-        ebm = build_ebm(CFG, PSI.x, STATIC_OFFSETS)
-        y = noiseless_mean(CFG, PSI, ebm)
-        got = bootstrap_gain(CFG, ebm, PSI.x.as_array(), y)
+        x = PSI.x.as_array()
+        got = bootstrap_gains(CFG, STATIC_OFFSETS, x, PSI.beta, x, np.zeros(6))
         assert abs(got - PSI.beta) < 1e-12
 
 
@@ -373,38 +387,32 @@ class TestBeamSwitch:
     def test_snaps_and_holds_on_codebook_truth(self):
         """Noiseless, truth on a lattice point: reach it and stay."""
         truth = ChannelParams.from_parts(1.0, (1.5, -1.0))
-        state = beam_switch_tracker(CFG, (2.0, -0.5))
+        x_true = truth.x.as_array()
+        tracker = _baseline(BeamSwitchBatch, (2.0, -0.5))
         for _ in range(30):
-            probes = beam_switch_probes(state)
-            g, _, _ = probe_kernels(probes - truth.x.as_array(), 8, 8)
-            baseline_beam_switch_step(state, CFG, truth.beta * g)
-        assert np.allclose(state.x, truth.x.as_array())
+            _noiseless_cycle(tracker, truth.beta, x_true)
+        assert np.allclose(tracker.x[0], x_true)
         for _ in range(4):
-            probes = beam_switch_probes(state)
-            g, _, _ = probe_kernels(probes - truth.x.as_array(), 8, 8)
-            baseline_beam_switch_step(state, CFG, truth.beta * g)
-            assert np.allclose(state.x, truth.x.as_array())
+            _noiseless_cycle(tracker, truth.beta, x_true)
+            assert np.allclose(tracker.x[0], x_true)
 
     def test_probe_budget_is_three(self):
-        state = beam_switch_tracker(CFG, (0.0, 0.0))
-        assert beam_switch_probes(state).shape == (3, 2)
+        assert _baseline(BeamSwitchBatch, (0.0, 0.0)).probes().shape == (1, 3, 2)
 
     def test_quantization_floor(self):
         """Vanishing noise leaves at least the lattice quantization error:
         for uniform truth the per-axis MSE approaches spacing^2/12."""
         rng = np.random.default_rng(6)
         spacing = BEAM_SPACING
-        errs = []
+        x_true, x0 = [], []
         for _ in range(400):
-            x_true = rng.uniform(-2, 2, 2)
-            truth = ChannelParams.from_parts(1.0, x_true)
-            state = beam_switch_tracker(CFG, x_true + rng.uniform(-0.4, 0.4, 2))
-            for _ in range(25):
-                probes = beam_switch_probes(state)
-                g, _, _ = probe_kernels(probes - x_true, 8, 8)
-                baseline_beam_switch_step(state, CFG, truth.beta * g)
-            errs.append((state.x - x_true) ** 2)
-        per_axis = np.mean(errs, axis=0)
+            x_true.append(rng.uniform(-2, 2, 2))
+            x0.append(x_true[-1] + rng.uniform(-0.4, 0.4, 2))
+        x_true = np.array(x_true)
+        tracker = _baseline(BeamSwitchBatch, x0)
+        for _ in range(25):
+            _noiseless_cycle(tracker, 1.0, x_true)
+        per_axis = np.mean((tracker.x - x_true) ** 2, axis=0)
         floor = spacing**2 / 12
         assert np.all(per_axis > 0.7 * floor)
         assert np.all(per_axis < 1.5 * floor)
@@ -413,16 +421,15 @@ class TestBeamSwitch:
 class TestEkf:
     def test_probe_triangle_circumradius(self):
         """Probes form an equilateral triangle of circumradius 0.5."""
-        state = ekf_tracker(CFG, (0.3, -0.4))
-        probes = ekf_probes(state)
-        rel = probes - state.x
+        tracker = _baseline(EkfBatch, (0.3, -0.4))
+        rel = tracker.probes()[0] - tracker.x[0]
         assert np.allclose(np.linalg.norm(rel, axis=1), 0.5)
         d01 = np.linalg.norm(rel[0] - rel[1])
         d12 = np.linalg.norm(rel[1] - rel[2])
         d20 = np.linalg.norm(rel[2] - rel[0])
         assert abs(d01 - d12) < 1e-12 and abs(d12 - d20) < 1e-12
 
-    def test_noiseless_static_convergence(self):
+    def test_noiseless_static_convergence(self, monkeypatch):
         """Zero process noise, static truth, no observation noise (the
         filter's R reflects it): within 1e-3 of the truth by 100 cycles.
 
@@ -431,36 +438,34 @@ class TestEkf:
         filter overconfident and it plateaus -- the known static-parameter
         weakness of the EKF, recovered by its default process noise (below).
         """
+        monkeypatch.setattr(trackers, "EKF_PROCESS_NOISE", 0.0)
         cfg = ArrayConfig(8, 8, noise_var=1e-30)
         truth = ChannelParams.from_parts(0.9 + 0.2j, (0.6, -0.8))
-        state = ekf_tracker(cfg, truth.x.as_array() + [0.1, -0.1],
-                            process_noise=0.0)
+        x_true = truth.x.as_array()
+        tracker = _baseline(EkfBatch, x_true + [0.1, -0.1], cfg)
         for _ in range(100):
-            probes = ekf_probes(state)
-            g, _, _ = probe_kernels(probes - truth.x.as_array(), 8, 8)
-            baseline_ekf_step(state, cfg, cfg.pilot_amp * truth.beta * g)
-        assert np.linalg.norm(state.x - truth.x.as_array()) < 1e-3
+            _noiseless_cycle(tracker, truth.beta, x_true, cfg)
+        assert np.linalg.norm(tracker.x[0] - x_true) < 1e-3
 
     def test_default_process_noise_recovers_far_start(self):
         cfg = ArrayConfig(8, 8, noise_var=1e-30)
         truth = ChannelParams.from_parts(0.9 + 0.2j, (0.6, -0.8))
-        state = ekf_tracker(cfg, truth.x.as_array() + [0.3, -0.2])
+        x_true = truth.x.as_array()
+        tracker = _baseline(EkfBatch, x_true + [0.3, -0.2], cfg)
         for _ in range(100):
-            probes = ekf_probes(state)
-            g, _, _ = probe_kernels(probes - truth.x.as_array(), 8, 8)
-            baseline_ekf_step(state, cfg, cfg.pilot_amp * truth.beta * g)
-        assert np.linalg.norm(state.x - truth.x.as_array()) < 1e-3
+            _noiseless_cycle(tracker, truth.beta, x_true, cfg)
+        assert np.linalg.norm(tracker.x[0] - x_true) < 1e-3
 
     def test_covariance_stays_symmetric_psd(self):
         """Joseph-form update keeps P symmetric PSD over random cycles."""
         rng = np.random.default_rng(7)
         truth = ChannelParams.from_parts(0.8, (0.0, 0.0))
-        state = ekf_tracker(CFG, (0.2, 0.2))
+        tracker = _baseline(EkfBatch, (0.2, 0.2))
         for _ in range(2000):
-            probes = ekf_probes(state)
-            g, _, _ = probe_kernels(probes - truth.x.as_array(), 8, 8)
+            g, _, _ = probe_kernels(tracker.probes() - truth.x.as_array(), 8, 8)
             y = truth.beta * g + np.sqrt(0.5) * (
                 rng.standard_normal(3) + 1j * rng.standard_normal(3))
-            baseline_ekf_step(state, CFG, y)
-            assert np.array_equal(state.p, state.p.T)
-            assert np.linalg.eigvalsh(state.p).min() >= -1e-12
+            tracker.update(y)
+            p = tracker.p[0]
+            assert np.array_equal(p, p.T)
+            assert np.linalg.eigvalsh(p).min() >= -1e-12
