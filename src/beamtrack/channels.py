@@ -18,7 +18,7 @@ trial.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -55,13 +55,11 @@ class DynamicII:
     """Gauss-Markov path gain plus a reflected random walk over the angles.
 
     ``delta_a`` is the per-cycle angular step deviation in radians; the walk
-    reflects at the configured angle ranges (defaults: the arrival region).
+    reflects at the edges of the scenario's arrival region.
     """
 
     rho: float = 0.995
     delta_a: float = np.deg2rad(0.3)
-    theta_range: Optional[tuple] = None
-    phi_range: Optional[tuple] = None
 
     def __post_init__(self):
         if not 0 < self.rho <= 1:
@@ -222,7 +220,7 @@ def evolve_batch(ch: ChannelBatch, sc: ScenarioConfig, cfg: ArrayConfig,
     evolve_normals(kind)): the identity for the quasi-static kind; a fresh
     Rayleigh gain z sqrt(sigma^2/2), z = n0 + j n1, for the fading kind;
     for Gauss-Markov, theta and phi step by delta_a times n0 and n1,
-    reflected into the walk's ranges, and the gain moves to
+    reflected into the arrival region, and the gain moves to
     rho beta + (n2 + j n3) sqrt((1 - rho^2)/2)."""
     kind = sc.kind
     if isinstance(kind, QuasiStatic):
@@ -231,9 +229,7 @@ def evolve_batch(ch: ChannelBatch, sc: ScenarioConfig, cfg: ArrayConfig,
         beta_c = (normals[:, 0] + 1j * normals[:, 1]) \
             * np.sqrt(kind.sigma_beta_c_sq / 2.0)
         return replace(ch, beta_c=beta_c, beta_eff=ch.eta * beta_c)
-    (t_lo, t_hi), (p_lo, p_hi) = sc.ranges()
-    t_rng = kind.theta_range or (t_lo, t_hi)
-    p_rng = kind.phi_range or (p_lo, p_hi)
+    t_rng, p_rng = sc.ranges()
     theta = _reflect_batch(ch.theta + kind.delta_a * normals[:, 0], *t_rng)
     phi = _reflect_batch(ch.phi + kind.delta_a * normals[:, 1], *p_rng)
     beta_c = kind.rho * ch.beta_c + (normals[:, 2] + 1j * normals[:, 3]) \

@@ -29,7 +29,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     track = sub.add_parser("track", help="run a Monte-Carlo tracking experiment")
-    track.add_argument("--config", required=True, help="flat key=value config file")
+    track.add_argument("--config", required=True, help="TOML config file")
     track.add_argument("--seed", type=int)
     track.add_argument("--out", help="CSV output path")
     track.add_argument("--trials", type=int)

@@ -28,6 +28,7 @@ CSV is byte-identical at any batch split and any ``BEAMTRACK_THREADS``
 from __future__ import annotations
 
 import os
+import tomllib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import List, Optional, Union
@@ -313,7 +314,7 @@ def read_csv(path) -> List[MetricsRecord]:
 
 
 # ---------------------------------------------------------------------------
-# flat key-value configuration files (TOML-compatible subset)
+# TOML configuration files
 # ---------------------------------------------------------------------------
 
 _SCENARIO_KEYS = {"scenario", "aoa_region", "rician_k_db", "sigma_beta_c_sq",
@@ -325,34 +326,15 @@ _KNOWN_KEYS = _SCENARIO_KEYS | {
 }
 
 
-def _parse_value(raw: str, key: str):
-    raw = raw.strip()
-    if raw.startswith('"') and raw.endswith('"') and len(raw) >= 2:
-        return raw[1:-1]
-    if raw in ("true", "false"):
-        return raw == "true"
-    try:
-        if any(c in raw for c in ".eE") and not raw.lstrip("+-").isdigit():
-            return float(raw)
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{key}: cannot parse value {raw!r}")
-
-
 def parse_config_text(text: str) -> dict:
-    """Parse a flat ``key = value`` file (strings quoted, `#` comments)."""
-    out = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"line {lineno}: expected 'key = value'")
-        key, raw = stripped.split("=", 1)
-        key = key.strip()
+    """Parse a TOML configuration: top-level keys from the known set."""
+    try:
+        out = tomllib.loads(text)
+    except tomllib.TOMLDecodeError as exc:
+        raise ConfigError(f"config: {exc}") from None
+    for key in out:
         if key not in _KNOWN_KEYS:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        out[key] = _parse_value(raw, key)
+            raise ConfigError(f"unknown key {key!r}")
     return out
 
 

@@ -374,52 +374,54 @@ class BeamSwitchBatch:
         return self.x, self.beta_hat
 
 
+def _sym_inv2(a, b, d):
+    """Inverses [[a', b'], [b', d']] of symmetric 2x2 matrices [[a, b], [b, d]]
+    given elementwise; one off-diagonal value keeps them exactly symmetric."""
+    det = a * d - b * b
+    return d / det, -b / det, a / det
+
+
 class EkfBatch:
-    """Identity-dynamics EKF baseline with the Joseph-form update."""
+    """Identity-dynamics EKF baseline in information form: with R = r I,
+    r = noise_var/2, and H = [Re h; Im h] for h = s beta [k1, k2] (3, 2),
+    P+ = (P_pred^-1 + Re(h^H h)/r)^-1 and x += P+ Re(h^H resid)/r."""
 
     def __init__(self, run: TrackerRun, x0, beta0):
-        cfg = run.cfg
-        self.cfg = cfg
+        self.cfg = cfg = run.cfg
         self.x = np.array(x0, float)
         self.p = np.tile(EKF_PRIOR_VAR * np.eye(2), (len(self.x), 1, 1))
         self.beta_hat = np.array(beta0, complex)
-        g, k1, k2 = probe_kernels(EKF_PROBE_OFFSETS, cfg.m, cfg.n)
-        self.g = g
+        self.g, k1, k2 = probe_kernels(EKF_PROBE_OFFSETS, cfg.m, cfg.n)
         self.k12 = np.stack([k1, k2], axis=1)
-        self.r_mat = (cfg.noise_var / 2.0) * np.eye(6)
 
     def probes(self) -> np.ndarray:
         return self.x[:, None, :] + EKF_PROBE_OFFSETS
 
     def update(self, y: np.ndarray) -> None:
-        s = self.cfg.pilot_amp
-        # a row with a non-finite observation solves on y = 0, which moves
+        s, r = self.cfg.pilot_amp, self.cfg.noise_var / 2.0
+        # a row with a non-finite observation updates on y = 0, which moves
         # nothing; it keeps its gain estimate and its covariance is reset
-        # (pinv raises on a non-finite matrix, which would abort the batch)
         finite = np.isfinite(y).all(axis=1)
         y = np.where(finite[:, None], y, 0.0)
-        p_pred = self.p + EKF_PROCESS_NOISE * np.eye(2)
         beta = fit_gains(self.g, y, s)
         self.beta_hat = np.where(finite, beta, self.beta_hat)
         sb = s * beta
-        resid_c = y - sb[:, None] * self.g
-        h_cplx = sb[:, None, None] * self.k12                  # (T, 3, 2)
-        h_r = np.concatenate([h_cplx.real, h_cplx.imag], axis=1)
-        h_t = np.swapaxes(h_r, 1, 2)
-        resid = np.concatenate([resid_c.real, resid_c.imag], axis=1)
-        s_mat = h_r @ p_pred @ h_t + self.r_mat
-        gain = p_pred @ h_t @ np.linalg.pinv(s_mat, rcond=1e-12)
-        self.x = self.x + (gain @ resid[..., None])[..., 0]
-        ikh = np.eye(2) - gain @ h_r
-        p_new = (ikh @ p_pred @ np.swapaxes(ikh, 1, 2)
-                 + gain @ self.r_mat @ np.swapaxes(gain, 1, 2))
-        p_new = 0.5 * (p_new + np.swapaxes(p_new, 1, 2))
-        # covariance reset where the observation was not finite or the
-        # update lost definiteness
-        bad = ~finite | ~np.isfinite(p_new).all(axis=(1, 2))
-        safe = np.where(bad[:, None, None], np.eye(2), p_new)
-        bad |= np.linalg.eigvalsh(safe)[:, 0] < -1e-12
-        self.p = np.where(bad[:, None, None], EKF_PRIOR_VAR * np.eye(2), p_new)
+        resid = y - sb[:, None] * self.g
+        h = sb[:, None, None] * self.k12                          # (T, 3, 2)
+        hth = (h.conj()[..., None] * h[..., None, :]).sum(1).real / r
+        u = (h.conj() * resid[..., None]).sum(1).real / r
+        p_pred = self.p + EKF_PROCESS_NOISE * np.eye(2)
+        ia, ib, id_ = _sym_inv2(p_pred[:, 0, 0], p_pred[:, 0, 1], p_pred[:, 1, 1])
+        a, b, d = _sym_inv2(ia + hth[:, 0, 0], ib + hth[:, 0, 1],
+                            id_ + hth[:, 1, 1])
+        self.x = self.x + np.stack([a * u[:, 0] + b * u[:, 1],
+                                    b * u[:, 0] + d * u[:, 1]], axis=1)
+        # covariance reset where the observation was not finite or P+ is not
+        # positive definite (a non-finite P+ fails the same test)
+        det = a * d - b * b
+        ok = finite & (a > 0) & (det > 0) & np.isfinite(det)
+        p_new = np.stack([np.stack([a, b], -1), np.stack([b, d], -1)], -2)
+        self.p = np.where(ok[:, None, None], p_new, EKF_PRIOR_VAR * np.eye(2))
 
     def estimate(self):
         return self.x, self.beta_hat

@@ -91,9 +91,7 @@ def evolve(state: ChannelState, sc: ScenarioConfig, cfg: ArrayConfig,
         beta_c = _cn(rng, kind.sigma_beta_c_sq)
         eta = element_gain(sc.pattern, state.aoa)
         return ChannelState(state.aoa, state.x, beta_c, eta * beta_c)
-    (t_lo, t_hi), (p_lo, p_hi) = sc.ranges()
-    t_rng = kind.theta_range or (t_lo, t_hi)
-    p_rng = kind.phi_range or (p_lo, p_hi)
+    t_rng, p_rng = sc.ranges()
     theta = _reflect(state.aoa.theta + rng.normal(0.0, kind.delta_a), *t_rng)
     phi = _reflect(state.aoa.phi + rng.normal(0.0, kind.delta_a), *p_rng)
     aoa = Aoa(theta, phi)

@@ -8,11 +8,11 @@ from scipy import stats
 
 from beamtrack.arrays import (Aoa, ArrayConfig, dpv_from_aoa, element_gain,
                               in_main_lobe)
-from beamtrack.channels import (AOA_REGIONS, DynamicI, DynamicII, QuasiStatic,
-                                ScenarioConfig, estimated_gain_variance,
-                                evolve_batch, evolve_normals,
-                                init_channel_batch, initial_draws,
-                                initial_estimate_batch)
+from beamtrack.channels import (AOA_REGIONS, INITIAL_DRAWS, DynamicI,
+                                DynamicII, QuasiStatic, ScenarioConfig,
+                                estimated_gain_variance, evolve_batch,
+                                evolve_normals, init_channel_batch,
+                                initial_draws, initial_estimate_batch)
 from beamtrack.harness import ConfigError, ExperimentConfig, run_experiment
 from beamtrack.offsets import STATIC_OFFSETS
 
@@ -144,6 +144,41 @@ class TestEvolve:
         for ch in _walk(sc, 100, 1000, np.random.default_rng(8)):
             assert np.all((t_lo <= ch.theta) & (ch.theta <= t_hi))
             assert np.all((p_lo <= ch.phi) & (ch.phi <= p_hi))
+
+    def test_dynamic_ii_fixed_normals(self):
+        """The docstring transforms on fixed normals: angles step by
+        delta_a n0, delta_a n1; the gain moves to
+        rho beta + (n2 + j n3) sqrt((1 - rho^2)/2).  Row 1 steps past the
+        upper theta edge and the lower phi edge and comes back reflected,
+        2 hi - value and 2 lo - value, not clipped."""
+        kind = DynamicII(rho=0.9, delta_a=0.1)
+        sc = ScenarioConfig(kind)
+        (t_lo, t_hi), (p_lo, p_hi) = sc.ranges()
+        draws = np.zeros((2, INITIAL_DRAWS))
+        draws[:, 0] = [0.1, t_hi - 0.05]
+        draws[:, 1] = [np.pi / 2, p_lo + 0.02]
+        draws[:, 3:5] = [[0.4, -1.2], [1.5, 0.3]]
+        ch = init_channel_batch(sc, CFG, draws)
+        normals = np.array([[0.3, -0.2, 0.5, -1.0], [0.8, -0.6, 0.0, 2.0]])
+        nxt = evolve_batch(ch, sc, CFG, normals)
+        stepped_t = ch.theta + 0.1 * normals[:, 0]
+        stepped_p = ch.phi + 0.1 * normals[:, 1]
+        assert stepped_t[1] > t_hi and stepped_p[1] < p_lo
+        theta = np.array([stepped_t[0], 2 * t_hi - stepped_t[1]])
+        phi = np.array([stepped_p[0], 2 * p_lo - stepped_p[1]])
+        np.testing.assert_allclose(nxt.theta, theta, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(nxt.phi, phi, rtol=0, atol=1e-15)
+        beta_c = 0.9 * ch.beta_c + (normals[:, 2] + 1j * normals[:, 3]) \
+            * np.sqrt((1 - 0.9**2) / 2)
+        np.testing.assert_allclose(nxt.beta_c, beta_c, rtol=1e-15)
+        for row in range(2):
+            aoa = Aoa(theta[row], phi[row])
+            np.testing.assert_allclose(nxt.x[row],
+                                       dpv_from_aoa(CFG, aoa).as_array(),
+                                       rtol=1e-12, atol=1e-15)
+            eta = element_gain(sc.pattern, aoa)
+            assert nxt.beta_eff[row] == pytest.approx(eta * beta_c[row],
+                                                      rel=1e-12)
 
     def test_walk_moves(self):
         sc = ScenarioConfig(DynamicII())

@@ -159,6 +159,8 @@ CASES = {
     "BeamSwitch-dii": dict(tracker="BeamSwitch", scenario=DII),
     "EKF-qs": dict(tracker="EKF", scenario=QS),
     "EKF-dii": dict(tracker="EKF", scenario=DII),
+    # 20 dB: the information-form update against the reference pinv solve
+    "EKF-dii-20dB": dict(tracker="EKF", scenario=DII, snr_db=20.0),
     # a fast walk that keeps reflecting off the arrival region's edges
     "JBCT_DII-walls": dict(tracker="JBCT_DII", scenario=ScenarioConfig(
         DynamicII(rho=0.9, delta_a=0.25))),

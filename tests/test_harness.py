@@ -195,6 +195,16 @@ k0 = 0.0
         with pytest.raises(ConfigError):
             parse_config_text("seed = zebra")
 
+    def test_hash_inside_quoted_value(self, tmp_path, monkeypatch):
+        """A '#' inside a quoted value belongs to the value; after it, one
+        starts a comment."""
+        text = self.GOOD + 'out = "r#1.csv"  # output path\n'
+        assert parse_config_text(text)["out"] == "r#1.csv"
+        (tmp_path / "run.toml").write_text(text)
+        monkeypatch.chdir(tmp_path)
+        assert main(["track", "--config", "run.toml"]) == 0
+        assert (tmp_path / "r#1.csv").read_text().startswith(CSV_HEADER)
+
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ConfigError, match="scenario"):
             config_from_mapping({"scenario": "warp-drive"})
@@ -303,6 +313,7 @@ BAD_INPUTS = {
     "unknown tracker": ('tracker = "nope"\n', [], None),
     "zero cycles": (GOOD_RUN.replace("eccs = 10", "eccs = 0"), [], None),
     "unknown key": ("bogus = 3\n", [], None),
+    "duplicate key": (GOOD_RUN + "seed = 8\n", [], None),
     "unparsable value": ("seed = zebra\n", [], None),
     "bad offsets flag": (GOOD_RUN, ["--offsets", "0.1,0.2,0.3"], None),
     "offsets outside the square": (

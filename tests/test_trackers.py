@@ -432,6 +432,10 @@ class TestEkf:
     def test_noiseless_static_convergence(self, monkeypatch):
         """Zero process noise, static truth, no observation noise (the
         filter's R reflects it): within 1e-3 of the truth by 100 cycles.
+        Without process noise the covariance never grows (Loewner order,
+        every cycle) and the information adds up: P after 100 cycles is
+        below P after one divided by 50 (about 1/100 of it; with the
+        default process noise P levels off instead).
 
         The plain (non-iterated) update converges from starts within ~0.1
         per axis; farther out the first badly-linearized update makes the
@@ -443,9 +447,14 @@ class TestEkf:
         truth = ChannelParams.from_parts(0.9 + 0.2j, (0.6, -0.8))
         x_true = truth.x.as_array()
         tracker = _baseline(EkfBatch, x_true + [0.1, -0.1], cfg)
+        covs = [tracker.p[0]]
         for _ in range(100):
             _noiseless_cycle(tracker, truth.beta, x_true, cfg)
+            covs.append(tracker.p[0])
+            shrink = np.linalg.eigvalsh(covs[-2] - covs[-1]).min()
+            assert shrink >= -1e-12 * np.linalg.eigvalsh(covs[-2]).max()
         assert np.linalg.norm(tracker.x[0] - x_true) < 1e-3
+        assert np.linalg.eigvalsh(covs[1] / 50 - covs[-1]).min() > 0
 
     def test_default_process_noise_recovers_far_start(self):
         cfg = ArrayConfig(8, 8, noise_var=1e-30)
@@ -457,7 +466,8 @@ class TestEkf:
         assert np.linalg.norm(tracker.x[0] - x_true) < 1e-3
 
     def test_covariance_stays_symmetric_psd(self):
-        """Joseph-form update keeps P symmetric PSD over random cycles."""
+        """The information-form update keeps P exactly symmetric and PSD
+        over random cycles."""
         rng = np.random.default_rng(7)
         truth = ChannelParams.from_parts(0.8, (0.0, 0.0))
         tracker = _baseline(EkfBatch, (0.2, 0.2))
