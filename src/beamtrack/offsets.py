@@ -3,7 +3,10 @@
 The objective is a CRLB as a function of the three 2D offsets only (both
 bounds are invariant to the gain and the direction).  The search runs a
 coarse grid over two symmetry-reduced 4D slices to seed multi-start
-Nelder-Mead refinement in the full 6D space.
+Nelder-Mead refinement in the full 6D space.  The restarts run in lockstep:
+each simplex step evaluates the candidate points of every restart in one
+batched objective call, and the iterates are those of scipy's bounded
+Nelder-Mead run on each restart alone.
 
 ``STATIC_OFFSETS`` and ``FADING_OFFSETS`` hold the asymptotically optimal
 sets for the two objectives that the optimizer reproduces; they double as
@@ -17,7 +20,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .estimation import (crlb_di_asymptotic, crlb_static_asymptotic,
                          di_offsets_crlb, static_offsets_crlb)
@@ -107,13 +109,115 @@ class SearchResult:
     restarts_used: int
 
 
+# Cap on the (k, 3, max(m, n)) complex probe-kernel temporaries of a
+# finite-size objective, and on the sets of any one objective call.
+_CHUNK_BYTES = 16 << 20
+_CHUNK_SETS = 65536
+
+
 def _batched(objective, flat_sets):
-    """Evaluate the objective on (k, 3, 2) offset sets, chunked."""
+    """Evaluate the objective on (k, 3, 2) offset sets, chunked so that no
+    probe-kernel temporary exceeds about ``_CHUNK_BYTES``."""
+    size = max(getattr(objective, "m", 0), getattr(objective, "n", 0))
+    step = _CHUNK_SETS if not size else \
+        max(1, min(_CHUNK_SETS, _CHUNK_BYTES // (3 * size * 16)))
     out = np.empty(len(flat_sets))
-    for lo in range(0, len(flat_sets), 65536):
-        hi = min(lo + 65536, len(flat_sets))
-        out[lo:hi] = objective.evaluate(flat_sets[lo:hi])
+    for lo in range(0, len(flat_sets), step):
+        out[lo:lo + step] = objective.evaluate(flat_sets[lo:lo + step])
     return out
+
+
+def _nelder_mead(f, x0, lo, hi, maxiter, maxfev, xatol, fatol):
+    """Bounded Nelder-Mead from each row of ``x0`` (R, n), all in lockstep.
+
+    Each restart follows scipy's ``minimize(method="Nelder-Mead",
+    bounds=...)`` step for step: the coefficients 1, 2, 1/2, 1/2, the
+    initial simplex (5% steps, 0.00025 for zero coordinates, reflected into
+    the box), clipping of every new vertex, the ``xatol``/``fatol`` test, the
+    per-restart ``maxiter``/``maxfev`` counters, and an iteration that
+    ``maxfev`` cuts short (a partly shrunk simplex included).  ``f`` maps
+    (k, n) points to (k,) values, each independent of the batch.  One call
+    per step evaluates the reflection, expansion and both contraction
+    points of every running restart; a second call evaluates shrink points.
+    ``nfev`` counts only the points scipy would have evaluated.
+
+    Returns scipy's final simplex ``(sim, fsim)``, (R, n + 1, n) and
+    (R, n + 1), and ``nit``, ``nfev`` per restart; scipy's ``x`` is
+    ``sim[:, 0]`` and its ``fun`` is ``fsim.min(axis=1)``.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    x0 = np.clip(np.atleast_2d(np.asarray(x0, float)), lo, hi)
+    r, n = x0.shape
+    sim = np.repeat(x0[:, None, :], n + 1, axis=1)
+    k = np.arange(n)
+    sim[:, k + 1, k] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)
+    sim = np.clip(np.where(sim > hi, 2 * hi - sim, sim), lo, hi)
+    first = min(n + 1, maxfev)
+    fsim = np.full((r, n + 1), np.inf)
+    fsim[:, :first] = f(sim[:, :first].reshape(-1, n)).reshape(r, first)
+    for _ in range(2):  # scipy sorts the initial simplex twice
+        sim, fsim = _sort_simplex(sim, fsim)
+    nfev = np.full(r, first)
+    nit = np.ones(r, int)
+    done = np.zeros(r, bool)
+    while True:
+        done |= (nfev >= maxfev) | (nit >= maxiter)
+        with np.errstate(invalid="ignore"):  # inf - inf before any step
+            xspan = np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2))
+            fspan = np.abs(fsim[:, :1] - fsim[:, 1:]).max(axis=1)
+        done |= (xspan <= xatol) & (fspan <= fatol)
+        run = np.flatnonzero(~done)
+        if not run.size:
+            break
+        s, fs, used = sim[run], fsim[run], nfev[run] + 1
+        xbar = np.add.reduce(s[:, :-1], 1) / n
+        worst = s[:, -1]
+        cand = np.clip(np.stack([
+            (1 + rho) * xbar - rho * worst,
+            (1 + rho * chi) * xbar - rho * chi * worst,
+            (1 + psi * rho) * xbar - psi * rho * worst,
+            (1 - psi) * xbar + psi * worst], axis=1), lo, hi)
+        fxr, fxe, fxc, fxcc = f(cand.reshape(-1, n)).reshape(-1, 4).T
+        # scipy's branches: which candidate replaces the worst vertex
+        expand = fxr < fs[:, 0]
+        reflect = ~expand & (fxr < fs[:, -2])
+        outside = ~expand & ~reflect & (fxr < fs[:, -1])
+        inside = ~expand & ~reflect & ~outside
+        pick = np.select([expand & (fxe < fxr), outside, inside], [1, 2, 3], 0)
+        accept = (expand | reflect | (outside & (fxc <= fxr))
+                  | (inside & (fxcc < fs[:, -1])))
+        # a second evaluation past maxfev stops scipy before any change
+        cut = ~reflect & (used >= maxfev)
+        used = used + (~reflect & ~cut)
+        whole = accept & ~cut
+        rows = np.flatnonzero(whole)
+        s[rows, -1] = cand[rows, pick[rows]]
+        fs[rows, -1] = np.stack([fxr, fxe, fxc, fxcc], 1)[rows, pick[rows]]
+        shrink = np.flatnonzero(~accept & ~cut)
+        if shrink.size:
+            best = s[shrink, :1]
+            pts = np.clip(best + sigma * (s[shrink, 1:] - best), lo, hi)
+            vals = f(pts.reshape(-1, n)).reshape(-1, n)
+            # with budget b < n left, scipy evaluates vertices 1..b and
+            # moves vertex b+1 before it stops
+            left = maxfev - used[shrink]
+            j = np.arange(1, n + 1)
+            s[shrink, 1:] = np.where((j <= left[:, None] + 1)[..., None],
+                                     pts, s[shrink, 1:])
+            fs[shrink, 1:] = np.where(j <= left[:, None], vals, fs[shrink, 1:])
+            used[shrink] += np.minimum(left, n)
+            whole[shrink] = left >= n
+        sim[run], fsim[run] = _sort_simplex(s, fs)
+        nfev[run] = used
+        nit[run] += whole
+    return sim, fsim, nit, nfev
+
+
+def _sort_simplex(sim, fsim):
+    """Order each simplex by value, as scipy's ``np.argsort`` step does."""
+    ind = np.argsort(fsim, axis=1)
+    return (np.take_along_axis(sim, ind[..., None], 1),
+            np.take_along_axis(fsim, ind, 1))
 
 
 def _grid_axis(halfwidth, points):
@@ -148,6 +252,15 @@ def _distinct_rows(sets, count):
     return picked
 
 
+def _grid_starts(sc: SearchConfig, count: int):
+    """The ``count`` best pairwise-distinct grid seeds and the best grid
+    value."""
+    seeds = _slice_seeds(sc)
+    vals = _batched(sc.objective, seeds)
+    order = np.argsort(vals)
+    return _distinct_rows(seeds[order[:4096]], count), float(vals[order[0]])
+
+
 def optimize_offsets(sc: SearchConfig, starts=None) -> SearchResult:
     """Best offset set from grid-seeded multi-start Nelder-Mead.
 
@@ -155,44 +268,28 @@ def optimize_offsets(sc: SearchConfig, starts=None) -> SearchResult:
     tests and by callers that already hold a good incumbent).
     """
     bh = sc.box_halfwidth
-    bounds = [(-bh, bh)] * 6
 
-    def fun(v):
-        d = v.reshape(3, 2)
-        val = sc.objective.evaluate(d)
-        return val if np.isfinite(val) else 1e30
+    def values(points):
+        vals = _batched(sc.objective, points.reshape(-1, 3, 2))
+        return np.where(np.isfinite(vals), vals, 1e30)
 
     if starts is None:
-        seeds = _slice_seeds(sc)
-        vals = _batched(sc.objective, seeds)
-        order = np.argsort(vals)
-        starts = _distinct_rows(seeds[order[:4096]], 16)
-        incumbent_val = float(vals[order[0]])
+        starts, incumbent_val = _grid_starts(sc, 16)
     else:
-        starts = [np.asarray(s, float) for s in starts]
-        svals = [fun(s.ravel()) for s in starts]
-        incumbent_val = float(min(svals))
-
-    best_v = None
-    best_val = np.inf
-    for i, s0 in enumerate(starts):
-        res = minimize(fun, np.clip(s0.ravel(), -bh, bh), method="Nelder-Mead",
-                       bounds=bounds,
-                       options=dict(maxiter=sc.refine_iters,
-                                    maxfev=4 * sc.refine_iters,
-                                    xatol=1e-10, fatol=1e-12))
-        if res.fun < best_val:  # ties keep the lowest restart index
-            best_val = float(res.fun)
-            best_v = res.x
-    if best_v is not None and np.isfinite(best_val):
-        res = minimize(fun, best_v, method="Nelder-Mead", bounds=bounds,
-                       options=dict(maxiter=4 * sc.refine_iters,
-                                    maxfev=16 * sc.refine_iters,
-                                    xatol=1e-12, fatol=1e-14))
-        if res.fun < best_val:
-            best_val = float(res.fun)
-            best_v = res.x
-    if best_v is None or not np.isfinite(best_val) or best_val >= 1e30:
+        incumbent_val = float(values(np.asarray(starts, float)).min())
+    sim, fsim, _, _ = _nelder_mead(values, np.reshape(starts, (-1, 6)),
+                                   -bh, bh, sc.refine_iters,
+                                   4 * sc.refine_iters, 1e-10, 1e-12)
+    fun = fsim.min(axis=1)
+    i = int(np.argmin(fun))  # ties keep the lowest restart index
+    best_v, best_val = sim[i, 0], float(fun[i])
+    if np.isfinite(best_val):
+        sim, fsim, _, _ = _nelder_mead(values, best_v, -bh, bh,
+                                       4 * sc.refine_iters,
+                                       16 * sc.refine_iters, 1e-12, 1e-14)
+        if fsim.min() < best_val:
+            best_v, best_val = sim[0, 0], float(fsim.min())
+    if not np.isfinite(best_val) or best_val >= 1e30:
         raise NoImprovement("no refinement start produced a finite objective")
     if np.isfinite(incumbent_val) and incumbent_val < 1e30 \
             and best_val > incumbent_val * (1 + 1e-9):
@@ -254,11 +351,8 @@ def robustness_sweep(offsets: OffsetSet, sizes, objective_kind: str,
         sc = SearchConfig(obj, grid_points_per_axis=13)
         at = float(obj.evaluate(offsets.deltas))
         # the fixed set is a legitimate incumbent: include it as a restart
-        seeds = _slice_seeds(sc)
-        vals = _batched(obj, seeds)
-        order = np.argsort(vals)
-        starts = [offsets.deltas] + _distinct_rows(seeds[order[:4096]], 8)
-        best = optimize_offsets(sc, starts=starts)
+        starts, _ = _grid_starts(sc, 8)
+        best = optimize_offsets(sc, starts=[offsets.deltas] + starts)
         gap = (at - best.crlb_value) / best.crlb_value
         rows.append((size, at, best.crlb_value, gap))
     return rows

@@ -1,11 +1,18 @@
 """Unit tests for the exploration-offset optimizer and canonicalization."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
+import beamtrack
 from beamtrack.offsets import (FADING_OFFSETS, STATIC_OFFSETS, DiAsymptotic,
                                DiFinite, NoImprovement, SearchConfig,
-                               StaticAsymptotic, StaticFinite, canonicalize,
+                               StaticAsymptotic, StaticFinite, _batched,
+                               _grid_starts, _nelder_mead, canonicalize,
                                optimize_offsets, robustness_sweep)
 from beamtrack.signal import OffsetSet
 
@@ -36,6 +43,114 @@ class TestObjectiveInvariances:
             vals = obj.evaluate(batch)
             for i in range(5):
                 assert vals[i] == pytest.approx(obj.evaluate(batch[i]), rel=1e-12)
+
+
+class TestBatchedChunks:
+    @pytest.mark.parametrize("obj", [StaticFinite(64, 64),
+                                     DiFinite(64, 64, 0.0)])
+    def test_chunks_match_one_call(self, obj):
+        """At 64x64 a chunk holds 5,461 sets: 6,000 sets take two chunks,
+        and the values equal one call over all sets bit for bit."""
+        sizes = []
+
+        class Spy:
+            m, n = obj.m, obj.n
+
+            def evaluate(self, d):
+                sizes.append(len(d))
+                return obj.evaluate(d)
+
+        sets = np.random.default_rng(2).uniform(-0.9, 0.9, (6000, 3, 2))
+        vals = _batched(Spy(), sets)
+        assert sizes == [5461, 539]
+        assert np.array_equal(vals, obj.evaluate(sets))
+
+
+def _quadratic(x):
+    w = np.array([1.0, 2.0, 3.0, 0.5, 1.5, 4.0])
+    c = np.array([0.3, -0.2, 0.1, 0.45, -0.6, 0.05])
+    return (w * (np.asarray(x) - c) ** 2).sum(-1)
+
+
+def _rosenbrock(x):
+    x = np.asarray(x)
+    return (100.0 * (x[..., 1:] - x[..., :-1] ** 2) ** 2
+            + (1 - x[..., :-1]) ** 2).sum(-1)
+
+
+# a start near the minimum, a far one, one on the box edge with zero
+# coordinates (the reflect-into-interior and zdelt paths), and the origin
+_STARTS = np.array([[0.25, -0.15, 0.05, 0.4, -0.55, 0.1],
+                    [-0.9, 0.9, -0.9, 0.9, -0.9, 0.9],
+                    [0.95, 0.0, 0.3, -0.2, 0.95, 0.0],
+                    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0]])
+
+
+def _assert_matches_scipy(f, starts, bound, maxiter, maxfev, xatol, fatol):
+    """Lockstep final simplex, x, fun, nit and nfev equal scipy's for every
+    restart; returns scipy's status per restart."""
+    sim, fsim, nit, nfev = _nelder_mead(f, starts, -bound, bound, maxiter,
+                                        maxfev, xatol, fatol)
+    status = []
+    for i, s0 in enumerate(starts):
+        res = minimize(f, s0, method="Nelder-Mead",
+                       bounds=[(-bound, bound)] * len(s0),
+                       options=dict(maxiter=maxiter, maxfev=maxfev,
+                                    xatol=xatol, fatol=fatol))
+        assert np.array_equal(sim[i], res.final_simplex[0]), i
+        assert np.array_equal(fsim[i], res.final_simplex[1]), i
+        assert np.array_equal(sim[i, 0], res.x), i
+        assert (fsim[i].min(), nit[i], nfev[i]) == (res.fun, res.nit,
+                                                     res.nfev), i
+        status.append(res.status)
+    return status
+
+
+class TestLockstepNelderMead:
+    """scipy's bounded Nelder-Mead is the oracle, restart by restart."""
+
+    def test_quadratic(self):
+        status = _assert_matches_scipy(_quadratic, _STARTS, 0.95, 400,
+                                       100000, 1e-4, 1e-8)
+        assert status == [0, 2, 2, 0]  # tolerance and maxiter in one batch
+
+    def test_rosenbrock(self):
+        status = _assert_matches_scipy(_rosenbrock, 1.5 * _STARTS, 1.5, 400,
+                                       100000, 1e-6, 1e-10)
+        assert status == [2, 0, 2, 2]
+
+    def test_maxfev_cuts_an_iteration(self):
+        """A budget that runs out before the second evaluation or inside a
+        shrink (vertices 1..b evaluated, vertex b+1 moved) stops every
+        restart where scipy stops."""
+        def steps(x):  # plateaus make contractions fail and shrink
+            return np.floor(5 * _quadratic(x))
+
+        for maxfev in range(3, 40):
+            status = _assert_matches_scipy(steps, _STARTS, 0.95, 1000, maxfev,
+                                           1e-8, 1e-12)
+            assert 1 in status
+
+    def test_real_objective(self):
+        """On grid starts of the static limit the lockstep search equals
+        scipy's bit for bit."""
+        sc = SearchConfig(StaticAsymptotic(), grid_points_per_axis=9)
+        starts, _ = _grid_starts(sc, 4)
+
+        def values(points):
+            vals = StaticAsymptotic().evaluate(points.reshape(-1, 3, 2))
+            return np.where(np.isfinite(vals), vals, 1e30)
+
+        _assert_matches_scipy(values, np.reshape(starts, (-1, 6)), 0.95, 120,
+                              480, 1e-10, 1e-12)
+
+
+def test_scipy_stays_off_the_import_path():
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(beamtrack.__file__)))
+    code = ("import sys, beamtrack, beamtrack.cli; "
+            "assert 'scipy' not in sys.modules, 'scipy imported'")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 class TestCanonicalize:
