@@ -9,6 +9,8 @@ for element row ``i``, column ``j``), matching the Kronecker product
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,27 +155,125 @@ def steering_derivative(cfg: ArrayConfig, x, axis: int) -> np.ndarray:
     return np.kron(a1, 2j * np.pi * np.arange(cfg.n) / cfg.n * a2)
 
 
+# Axes with at most this many elements keep the exponential sums of
+# ``probe_kernels``; longer axes use the closed form.  The closed form is
+# faster at 8 elements too, but it moves the last bits of the kernels and
+# so the bytes of the 8x8 Monte-Carlo CSVs, which the sums keep.
+_SUM_MAX = 8
+
+# The closed form's series branch covers |pi r| below this; its terms
+# through u^10 leave a truncation error below 1e-20 relative there.
+_SERIES_X = 0.1
+
+# Phase-derivative kernel: series for |t| below this, direct form above.
+# The series in t^2, ten terms each: Re Phi = sum_p (-1)^p (2p+1)/(2p+2)!
+# t^2p and Im Phi = -t sum_p (-1)^p (2p+2)/(2p+3)! t^2p.
+_PHASE_SERIES_T = 0.5
+_PHI_RE = tuple((-1) ** p * (2 * p + 1) / math.factorial(2 * p + 2)
+                for p in range(10))
+_PHI_IM = tuple((-1) ** p * (2 * p + 2) / math.factorial(2 * p + 3)
+                for p in range(10))
+
+
+def _horner(coeffs, x):
+    out = np.full_like(x, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        out = out * x + c
+    return out
+
+
+@functools.lru_cache(maxsize=64)
+def _ratio_series(size: int):
+    """Coefficients a_0..a_5 of sin(size u)/sin(u) in powers of u^2.
+
+    The ratio is sum_i cos(b_i u) over b_i = 2i - (size - 1), so
+    a_k = (-1)^k sum_i b_i^(2k) / (2k)!, from exact integer power sums.
+    """
+    b = range(1 - size, size, 2)
+    return tuple((-1) ** k * sum(v ** (2 * k) for v in b)
+                 / math.factorial(2 * k) for k in range(6))
+
+
+def _dirichlet(d, size: int, slope: bool = False):
+    """Reduced Dirichlet ratio of one axis, for 1-D offsets ``d``.
+
+    Writes d = k*size + r with k = round(d/size), so |r| <= size/2, and
+    x = pi r, u = x/size.  Returns k, the sines and cosines (sin x, cos x,
+    sin u, cos u), the ratio R = sin(x)/sin(u), and with ``slope`` also
+    f = dR/du = (size cos(x) sin(u) - sin(x) cos(u))/sin(u)^2 (else None).
+    Both come from the u^2 series where |x| < _SERIES_X, since the direct
+    forms cancel near x = 0.  The Dirichlet ratio sin(pi d)/sin(pi d/size)
+    is sigma*R with sigma = (-1)^(k(size-1)).
+    """
+    k = np.round(d / size)
+    x = np.pi * (d - k * size)
+    u = x / size
+    trig = sx, cx, su, cu = np.sin(x), np.cos(x), np.sin(u), np.cos(u)
+    small = np.abs(x) < _SERIES_X
+    den = np.where(small, 1.0, su)
+    ratio = sx / den
+    f = (size * cx * su - sx * cu) / (den * den) if slope else None
+    if small.any():
+        a = _ratio_series(size)
+        us = u[small]
+        u2 = us * us
+        ratio[small] = _horner(a, u2)
+        if slope:
+            f[small] = us * _horner([2 * j * c for j, c in enumerate(a)][1:],
+                                    u2)
+    return k, trig, ratio, f
+
+
 def beam_gain_kernel(delta, m: int, n: int):
     """Separable Dirichlet gain between a probing beam offset by ``delta``
     and the arrival direction: sin(pi d)/sin(pi d/M) per axis.
 
-    The removable singularities at integer multiples of M (or N) take the
-    limit value M (or N).  Accepts a (..., 2) array of offsets.
+    At an integer multiple kM of M the axis factor takes its limit value
+    (-1)^(k(M-1)) M, and likewise for N.  Accepts a (..., 2) array of
+    offsets.
     """
     d = np.asarray(delta, float)
     scalar = d.ndim == 1
     d = np.atleast_2d(d)
 
     def ratio(dd, size):
-        den = np.sin(np.pi * dd / size)
-        num = np.sin(np.pi * dd)
-        # limit branch at den -> 0: both vanish together, ratio -> size
-        safe = np.abs(den) >= 1e-12
-        out = np.where(safe, num / np.where(safe, den, 1.0), float(size))
-        return out
+        k, _, r, _ = _dirichlet(dd.reshape(-1), size)
+        h = 0.5 * k * (size - 1)
+        return np.where(np.floor(h) == h, r, -r).reshape(dd.shape)
 
     val = ratio(d[..., 0], m) * ratio(d[..., 1], n)
     return float(val[0]) if scalar else val
+
+
+def _axis_sums(d, size: int, deriv: bool):
+    """s = sum_i z^i and (with ``deriv``) t = sum_i i z^i over the axis'
+    elements, z = e^{-2j pi d/size}, for offsets ``d`` of any shape.
+
+    Short axes sum the exponentials.  Longer ones use the closed form
+    s = P R and t = P ((size-1)/2 R + (j/2) f) of :func:`_dirichlet`, where
+    the phase P = e^{-j pi d (size-1)/size} = sigma e^{-j(x-u)}: the sign
+    sigma cancels against the one of the Dirichlet ratio, and P comes from
+    the reduced angles without further sines.
+    """
+    if size <= _SUM_MAX:
+        i = np.arange(size)
+        e = np.exp(-2j * np.pi * d[..., None] * i / size)
+        return e.sum(-1), ((i * e).sum(-1) if deriv else None)
+    _, (sx, cx, su, cu), ratio, f = _dirichlet(d.reshape(-1), size, deriv)
+    pc = cx * cu + sx * su          # cos(x - u)
+    ps = sx * cu - cx * su          # sin(x - u)
+    s = np.empty(ratio.shape, complex)
+    s.real = pc * ratio
+    s.imag = -ps * ratio
+    t = None
+    if deriv:
+        a = 0.5 * (size - 1) * ratio
+        b = 0.5 * f
+        t = np.empty(ratio.shape, complex)
+        t.real = pc * a + ps * b
+        t.imag = pc * b - ps * a
+        t = t.reshape(d.shape)
+    return s.reshape(d.shape), t
 
 
 def probe_kernels(deltas, m: int, n: int):
@@ -184,55 +284,93 @@ def probe_kernels(deltas, m: int, n: int):
     ``(w^H a(x), w^H da/dx1, w^H da/dx2)``; by the array's shift property
     these depend on ``delta`` only.  ``deltas`` has shape (..., 2); each
     output has the leading shape.
+
+    Each kernel is a product of per-axis geometric sums.  An axis of at
+    most 8 elements (``_SUM_MAX``) sums its exponentials, O(M) per probe; a
+    longer one takes the sums' O(1) closed form (a Dirichlet ratio times a
+    phase, plus its derivative).  The 8x8 arrays of the Monte-Carlo runs
+    thus keep the sums' arithmetic and their CSV bytes.  The closed form
+    agrees with the sums to within 1e-12 of the kernel's peak up to 256
+    elements per axis, at and next to multiples of M and N too.
     """
     d = np.asarray(deltas, float)
-    d1 = d[..., 0][..., None]
-    d2 = d[..., 1][..., None]
-    im = np.arange(m)
-    inn = np.arange(n)
-    e1 = np.exp(-2j * np.pi * d1 * im / m)
-    e2 = np.exp(-2j * np.pi * d2 * inn / n)
-    s1 = e1.sum(-1)
-    s2 = e2.sum(-1)
-    t1 = (im * e1).sum(-1)
-    t2 = (inn * e2).sum(-1)
+    s1, t1 = _axis_sums(d[..., 0], m, True)
+    s2, t2 = _axis_sums(d[..., 1], n, True)
     root = np.sqrt(m * n)
     return (s1 * s2 / root,
             (2j * np.pi / m) * t1 * s2 / root,
             (2j * np.pi / n) * s1 * t2 / root)
 
 
-def _sa(t):
-    """sin(t)/t with the limit 1 at t = 0."""
-    return np.sinc(np.asarray(t, float) / np.pi)
+def _gain_kernel(deltas, m: int, n: int):
+    """The first of :func:`probe_kernels`, w^H a, without the derivative
+    sums; equal to it bit for bit."""
+    d = np.asarray(deltas, float)
+    s1, _ = _axis_sums(d[..., 0], m, False)
+    s2, _ = _axis_sums(d[..., 1], n, False)
+    return s1 * s2 / np.sqrt(m * n)
 
 
-def _phase_deriv_kernel(t):
-    """(e^{-jt}(1+jt) - 1)/t^2 with a series branch near t = 0 (limit 1/2)."""
-    t = np.asarray(t, float)
-    small = np.abs(t) < 1e-3
-    ts = np.where(small, 1.0, t)
-    direct = (np.exp(-1j * ts) * (1 + 1j * ts) - 1) / ts**2
-    series = 0.5 - 1j * t / 3 - t**2 / 8 + 1j * t**3 / 30 + t**4 / 144
-    return np.where(small, series, direct)
+def _phase_deriv_kernel(x, s, c):
+    """Phi(t) = (e^{-jt}(1+jt) - 1)/t^2 at t = 2x, given s = sin(x) and
+    c = cos(x), for 1-D ``x``; Phi(0) = 1/2.
+
+    Direct form from the half angle: Re Phi = s(2xc - s)/(2x^2) and
+    Im Phi = (x(1 - 2s^2) - sc)/(2x^2).  The imaginary part cancels as
+    t -> 0, so |t| < _PHASE_SERIES_T takes the series
+    Phi = sum_m (m+1)/(m+2)! (-jt)^m instead.  Each branch is evaluated
+    only on its own elements.
+    """
+    out = np.empty(x.shape, complex)
+    small = np.abs(x) < 0.5 * _PHASE_SERIES_T
+    any_small = small.any()
+    big = ~small if any_small else ...
+    xb, sb, cb = x[big], s[big], c[big]
+    den = 2.0 * xb * xb
+    out.real[big] = sb * (2.0 * xb * cb - sb) / den
+    out.imag[big] = (xb * (1.0 - 2.0 * sb * sb) - sb * cb) / den
+    if any_small:
+        t = 2.0 * x[small]
+        t2 = t * t
+        out.real[small] = _horner(_PHI_RE, t2)
+        out.imag[small] = -t * _horner(_PHI_IM, t2)
+    return out
+
+
+def _limit_axis(d):
+    """Sa(pi d) e^{-j pi d} and Phi(2 pi d) of one axis, for 1-D ``d``,
+    from one sine and one cosine of pi d."""
+    x = np.pi * d
+    s, c = np.sin(x), np.cos(x)
+    phi = _phase_deriv_kernel(x, s, c)
+    zero = x == 0
+    sa = s / np.where(zero, 1.0, x)
+    sa[zero] = 1.0
+    h = np.empty(x.shape, complex)
+    h.real = sa * c
+    h.imag = -sa * s
+    return h, phi
 
 
 def probe_kernels_limit(deltas):
     """Large-array limits of :func:`probe_kernels` scaled by 1/sqrt(MN).
 
-    Entries become products of Sa(pi d) = sin(pi d)/(pi d) factors and a
-    linear-phase term; the derivative kernels have removable singularities
-    at zero offset handled by a series branch.
+    Entries become products of Sa(pi d) e^{-j pi d} factors per axis and,
+    for the derivative kernels, the phase-derivative kernel Phi(2 pi d) of
+    the other axis.
     """
     d = np.asarray(deltas, float)
-    d1 = d[..., 0]
-    d2 = d[..., 1]
-    g = _sa(np.pi * d1) * _sa(np.pi * d2) * np.exp(-1j * np.pi * (d1 + d2))
-    k1 = 2j * np.pi * _sa(np.pi * d2) * np.exp(-1j * np.pi * d2) \
-        * _phase_deriv_kernel(2 * np.pi * d1)
-    k2 = 2j * np.pi * _sa(np.pi * d1) * np.exp(-1j * np.pi * d1) \
-        * _phase_deriv_kernel(2 * np.pi * d2)
-    return g, k1, k2
+    lead = d.shape[:-1]
+    g, k1 = _limit_axis(d[..., 0].reshape(-1))
+    h2, k2 = _limit_axis(d[..., 1].reshape(-1))
+    # products in place: fewer live (sets, 3) temporaries, and a fixed
+    # operand order, so that chunked calls match one whole call
+    k1 *= h2
+    k1 *= 2j * np.pi
+    k2 *= g
+    k2 *= 2j * np.pi
+    g *= h2
+    return g.reshape(lead), k1.reshape(lead), k2.reshape(lead)
 
 
 def element_gain_db_angles(pc: PatternConfig, theta, phi):

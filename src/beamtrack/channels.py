@@ -22,8 +22,8 @@ from typing import Union
 
 import numpy as np
 
-from .arrays import (ArrayConfig, PatternConfig, aoa_coords, dpv_coords,
-                     element_gain_angles, probe_kernels)
+from .arrays import (ArrayConfig, PatternConfig, _gain_kernel, aoa_coords,
+                     dpv_coords, element_gain_angles)
 from .signal import OffsetSet, fit_gains, observe_fast
 
 AOA_REGIONS = {
@@ -95,12 +95,13 @@ def bootstrap_gains(cfg: ArrayConfig, offsets: OffsetSet, x, beta_eff, x0,
     ``x0 + offsets`` and noise from ``normals`` (..., 6), then fits the
     gains with :func:`~.signal.fit_gains`, e being the probe kernels at the
     offsets: by the shift property, the least-squares fit through an EBM
-    built at ``x0``, at O(M+N) per probe.
+    built at ``x0``, from the gain kernel alone: O(M+N) per probe up to 8
+    elements per axis, O(1) above.
     """
     x0 = np.asarray(x0, float)
     y0 = observe_fast(cfg, x, beta_eff, x0[..., None, :] + offsets.deltas,
                       normals)
-    e, _, _ = probe_kernels(offsets.deltas, cfg.m, cfg.n)
+    e = _gain_kernel(offsets.deltas, cfg.m, cfg.n)
     return fit_gains(e, y0, cfg.pilot_amp)
 
 

@@ -35,7 +35,7 @@ from typing import List, Optional, Union
 
 import numpy as np
 
-from .arrays import ArrayConfig, probe_kernels
+from .arrays import ArrayConfig, _gain_kernel
 from .channels import (ChannelBatch, DynamicI, DynamicII, QuasiStatic,
                        ScenarioConfig, estimated_gain_variance, evolve_batch,
                        evolve_normals, init_channel_batch, initial_draws,
@@ -142,7 +142,7 @@ def _channel_errors(cfg: ArrayConfig, ch: ChannelBatch, x_hat: np.ndarray,
     err_x = dx[:, 0] * dx[:, 0] + dx[:, 1] * dx[:, 1]
     if beta_hat is None:
         return np.full(len(dx), np.nan), err_x
-    g, _, _ = probe_kernels(dx, cfg.m, cfg.n)
+    g = _gain_kernel(dx, cfg.m, cfg.n)
     cross = np.sqrt(cfg.size) * g
     beta = ch.beta_eff
     err_h = (cfg.size * (np.abs(beta_hat) ** 2 + np.abs(beta) ** 2)

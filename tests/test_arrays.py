@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beamtrack.arrays import (Aoa, ArrayConfig, Dpv, OutOfPhysicalRange,
-                              PatternConfig, aoa_coords, aoa_from_dpv,
+                              PatternConfig, _gain_kernel,
+                              _phase_deriv_kernel, aoa_coords, aoa_from_dpv,
                               beam_gain_kernel,
                               dpv_from_aoa, element_gain_db,
                               element_gain_db_angles, in_main_lobe,
@@ -12,6 +15,26 @@ from beamtrack.arrays import (Aoa, ArrayConfig, Dpv, OutOfPhysicalRange,
                               steering_derivative, steering_vector)
 
 CFG = ArrayConfig(8, 8)
+
+
+def sum_kernels(deltas, m, n):
+    """The probe kernels by summing the M + N exponentials: the oracle of the
+    closed form, and the arithmetic axes of up to 8 elements keep."""
+    d = np.asarray(deltas, float)
+    d1 = d[..., 0][..., None]
+    d2 = d[..., 1][..., None]
+    im = np.arange(m)
+    inn = np.arange(n)
+    e1 = np.exp(-2j * np.pi * d1 * im / m)
+    e2 = np.exp(-2j * np.pi * d2 * inn / n)
+    s1 = e1.sum(-1)
+    s2 = e2.sum(-1)
+    t1 = (im * e1).sum(-1)
+    t2 = (inn * e2).sum(-1)
+    root = np.sqrt(m * n)
+    return (s1 * s2 / root,
+            (2j * np.pi / m) * t1 * s2 / root,
+            (2j * np.pi / n) * s1 * t2 / root)
 
 
 class TestDpvMapping:
@@ -131,8 +154,78 @@ class TestBeamGainKernel:
             assert abs(v - beam_gain_kernel((d1, -d2), 8, 8)) < 1e-10
 
     def test_limit_branch_at_multiples(self):
-        """At integer multiples of M the axis factor takes its limit value."""
-        assert abs(beam_gain_kernel((8.0, 0.0), 8, 8) - 64.0) < 1e-6
+        """At d = kM the axis factor takes its limit (-1)^(k(M-1)) M."""
+        assert abs(beam_gain_kernel((8.0, 0.0), 8, 8) + 64.0) < 1e-6
+
+    @pytest.mark.parametrize("m", [3, 8])
+    @pytest.mark.parametrize("k", [-2, -1, 0, 1, 2])
+    def test_continuous_at_multiples(self, m, k):
+        """The value at d = kM equals its neighbours at kM +- 1e-9."""
+        at = beam_gain_kernel((k * m, 0.3), m, 5)
+        for eps in (1e-9, -1e-9):
+            assert abs(beam_gain_kernel((k * m + eps, 0.3), m, 5) - at) < 1e-6
+
+
+def _axis_offsets(size):
+    """Offsets along one axis: uniform in +-2 size, or at and within
+    +-1e-12, +-1e-9, +-1e-6 of an integer multiple of size."""
+    near = st.builds(lambda k, eps: k * size + eps, st.integers(-2, 2),
+                     st.sampled_from([0.0, 1e-12, -1e-12, 1e-9, -1e-9,
+                                      1e-6, -1e-6]))
+    return st.lists(st.floats(-2.0 * size, 2.0 * size) | near,
+                    min_size=1, max_size=8)
+
+
+@st.composite
+def _array_and_offsets(draw):
+    sizes = st.sampled_from([1, 2]) | st.integers(1, 256)
+    m, n = draw(sizes), draw(sizes)
+    d1 = draw(_axis_offsets(m))
+    d2 = draw(_axis_offsets(n))
+    rows = max(len(d1), len(d2))
+    d = np.stack([np.resize(d1, rows), np.resize(d2, rows)], axis=-1)
+    return m, n, d
+
+
+class TestClosedForm:
+    @settings(max_examples=150, deadline=None)
+    @given(case=_array_and_offsets())
+    def test_matches_sums(self, case):
+        """Within 1e-12 sqrt(MN) for w^H a and 1e-12 pi sqrt(MN) for the
+        derivative kernels, including at and next to multiples of M, N."""
+        m, n, d = case
+        got = probe_kernels(d, m, n)
+        want = sum_kernels(d, m, n)
+        tol = 1e-12 * np.sqrt(m * n)
+        assert np.abs(got[0] - want[0]).max() <= tol
+        assert np.abs(got[1] - want[1]).max() <= np.pi * tol
+        assert np.abs(got[2] - want[2]).max() <= np.pi * tol
+        assert np.array_equal(_gain_kernel(d, m, n), got[0])
+
+    @pytest.mark.parametrize("shape", [(3, 2), (500, 3, 2), (500, 2),
+                                       (200, 3, 2)])
+    def test_small_arrays_keep_the_sums(self, shape):
+        """8x8 kernels at the engine's shapes are the sums, bit for bit, and
+        the gain-only route returns the first of them."""
+        d = np.random.default_rng(7).uniform(-4, 4, shape)
+        got = probe_kernels(d, 8, 8)
+        for g, w in zip(got, sum_kernels(d, 8, 8)):
+            assert np.array_equal(g, w)
+        assert np.array_equal(_gain_kernel(d, 8, 8), got[0])
+
+    def test_phase_derivative_kernel(self):
+        """(e^{-jt}(1+jt) - 1)/t^2 within 1e-14 relative of a 50-digit
+        evaluation over t in [1e-8, 1], across the series/direct switch."""
+        mpmath = pytest.importorskip("mpmath")
+        t = np.concatenate([np.geomspace(1e-8, 1.0, 400), [1.001e-3, 1e-2],
+                            -np.geomspace(1e-8, 1.0, 40)])
+        with mpmath.workdps(50):
+            want = np.array([complex((mpmath.exp(-1j * mpmath.mpf(v))
+                                      * (1 + 1j * mpmath.mpf(v)) - 1)
+                                     / mpmath.mpf(v) ** 2) for v in t])
+        x = t / 2
+        got = _phase_deriv_kernel(x, np.sin(x), np.cos(x))
+        assert (np.abs(got - want) / np.abs(want)).max() <= 1e-14
 
 
 class TestShiftProperty:

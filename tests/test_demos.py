@@ -1,7 +1,7 @@
 """Smoke test: the narrative demos run to completion.
 
-Demo 03 (the offset searches, about 11 s) is left out to keep the suite
-short; the others take a few seconds together.
+They take a few seconds together; demo 03, the offset searches, is the
+longest.
 """
 
 import os
@@ -13,7 +13,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = ("01_array_geometry.py", "02_identifiability.py",
-         "04_quasi_static_tracking.py", "05_fading_and_fast_channels.py",
+         "03_bounds_and_offsets.py", "04_quasi_static_tracking.py", "05_fading_and_fast_channels.py",
          "06_complexity_audit.py")
 
 
