@@ -23,7 +23,7 @@ for beta, x in ((1.0, (0.0, 0.0)), (0.3 * np.exp(1.1j), (0.0, 0.0)),
     print(f"  beta = {beta!s:24s} x = {x!s:12s}: C = {c:.10f}")
 
 print("\nMN-scaled bound converges to its large-array limit:")
-lim = crlb_static_asymptotic(STATIC_OFFSETS)
+lim = crlb_static_asymptotic(STATIC_OFFSETS.deltas)
 for m in (8, 16, 32, 64):
     val = static_offsets_crlb(STATIC_OFFSETS.deltas, m, m) * m * m
     print(f"  M = N = {m:3d}: {val:.6f}   (limit {lim:.6f}, "

@@ -19,7 +19,7 @@ from .arrays import (Aoa, ArrayConfig, Dpv, OutOfPhysicalRange, PatternConfig,
                      element_gain, element_gain_db, in_main_lobe,
                      steering_derivative, steering_vector)
 from .channels import DynamicI, DynamicII, QuasiStatic, ScenarioConfig
-from .estimation import (DiModel, FisherDI, SingularFisher, crlb_di,
+from .estimation import (DiModel, SingularFisher, crlb_di,
                          crlb_di_asymptotic, crlb_static,
                          crlb_static_asymptotic, fisher_di, fisher_static,
                          jacobian, sigma_di)

@@ -154,7 +154,7 @@ def check_fisher_oracles(seed: int = 0, draws: int = 200_000):
     model = DiModel(1.0)
     x = np.array([0.4, -1.2])
     ebm_d = build_ebm(cfg, x, FADING_OFFSETS)
-    ana_d = fisher_di(cfg, x, model, ebm_d).m
+    ana_d = fisher_di(cfg, x, model, ebm_d)
     mc_d = mc_fisher_di(cfg, x, model, ebm_d, draws, rng)
     err_d = np.linalg.norm(mc_d - ana_d) / np.linalg.norm(ana_d)
 

@@ -91,16 +91,18 @@ def _sizes(text: str, key: str) -> list:
     return [_positive_int(token, key) for token in text.split(",")]
 
 
-def _objective_from_args(args):
+def _objectives(args) -> dict:
+    """The bound of each ``--objective`` name, the finite ones at ``--m`` x
+    ``--n``; a name is its model ("static", "di") and its form."""
     from .offsets import DiAsymptotic, DiFinite, StaticAsymptotic, StaticFinite
-    kind = args.objective
-    if kind == "static-asymptotic":
-        return StaticAsymptotic()
-    if kind == "static-finite":
-        return StaticFinite(args.m, args.n)
-    if kind == "di-asymptotic":
-        return DiAsymptotic(args.snr_beta_db)
-    return DiFinite(args.m, args.n, args.snr_beta_db)
+    return {"static-asymptotic": StaticAsymptotic(),
+            "static-finite": StaticFinite(args.m, args.n),
+            "di-asymptotic": DiAsymptotic(args.snr_beta_db),
+            "di-finite": DiFinite(args.m, args.n, args.snr_beta_db)}
+
+
+# the shipped offsets of each model, swept by ``offsets --robustness``
+_MODEL_PRESETS = {"static": "tableII", "di": "tableIII"}
 
 
 def _resolve_cli_offsets(token: str):
@@ -153,45 +155,45 @@ def _cmd_track(args) -> int:
 
 
 def _cmd_crlb(args) -> int:
-    off = _resolve_cli_offsets(args.offsets)
+    from dataclasses import replace
+    deltas = _resolve_cli_offsets(args.offsets).deltas
+    objectives = _objectives(args)
     if args.sweep_sizes:
-        from .estimation import (crlb_di_asymptotic, crlb_static_asymptotic,
-                                 di_offsets_crlb, static_offsets_crlb)
         sizes = _sizes(args.sweep_sizes, "--sweep-sizes")
-        static = "static" in args.objective
-        snr = 10.0 ** (args.snr_beta_db / 10.0)
-        limit = crlb_static_asymptotic(off.deltas) if static \
-            else crlb_di_asymptotic(off.deltas, snr)
+        model = args.objective.split("-")[0]
+        finite = objectives[f"{model}-finite"]
+        # Python floats: inf - inf below is a quiet nan, not a warning
+        limit = float(objectives[f"{model}-asymptotic"].evaluate(deltas))
         print("size,mn_times_crlb,asymptotic,rel_gap")
         for s in sizes:
-            val = static_offsets_crlb(off.deltas, s, s) if static \
-                else di_offsets_crlb(off.deltas, s, s, snr)
-            scaled = val * s * s
+            scaled = float(replace(finite, m=s, n=s).evaluate(deltas)) * s * s
             print(f"{s},{scaled:.12g},{limit:.12g},{(scaled - limit) / limit:.3e}")
         return 0
-    obj = _objective_from_args(args)
     print(f"{args.objective} CRLB at the given offsets: "
-          f"{float(obj.evaluate(off.deltas)):.12g}")
+          f"{float(objectives[args.objective].evaluate(deltas)):.12g}")
     return 0
 
 
 def _cmd_offsets(args) -> int:
     from .offsets import (SearchConfig, canonicalize, optimize_offsets,
                           robustness_sweep)
-    from .signal import OffsetSet
+    objectives = _objectives(args)
     if args.robustness:
         sizes = [(s, s) for s in _sizes(args.robustness, "--robustness")]
-        kind = "static" if "static" in args.objective else "di"
-        preset = _resolve_cli_offsets("tableII" if kind == "static" else "tableIII")
+        model = args.objective.split("-")[0]
+        preset = _resolve_cli_offsets(_MODEL_PRESETS[model])
         print("m,n,crlb_at_offsets,crlb_min,rel_gap")
-        for (size, at, best, gap) in robustness_sweep(preset, sizes, kind,
-                                                      args.snr_beta_db):
-            print(f"{size[0]},{size[1]},{at:.12g},{best:.12g},{gap:.3e}")
+        for ((m, n), at, best, gap) in robustness_sweep(
+                preset, objectives[f"{model}-finite"], sizes):
+            print(f"{m},{n},{at:.12g},{best:.12g},{gap:.3e}")
         return 0
-    sc = SearchConfig(_objective_from_args(args), grid_points_per_axis=args.grid,
+    objective = objectives[args.objective]
+    sc = SearchConfig(objective, grid_points_per_axis=args.grid,
                       refine_iters=args.iters)
     result = optimize_offsets(sc)
-    canon = canonicalize(result.offsets) if args.m == args.n else result.offsets
+    # the coordinate swap is a symmetry without a size or on a square array
+    square = getattr(objective, "m", 0) == getattr(objective, "n", 0)
+    canon = canonicalize(result.offsets) if square else result.offsets
     print(f"objective: {args.objective}")
     print(f"crlb_value: {result.crlb_value:.12g}")
     print(f"restarts_used: {result.restarts_used}")

@@ -9,6 +9,9 @@ Normalized CRLBs follow the conventions used throughout the package:
 ``crlb_static`` is (1/MN) Tr{I^-1 V^H V} (channel-vector MSE per element),
 ``crlb_di`` is Tr{I^-1} (direction MSE).  The ``*_asymptotic`` variants
 return the large-array limits of MN times these quantities.
+
+The offset-only bounds take ``deltas`` (..., 3, 2) and return the leading
+shape (an ``np.float64`` for one set); a degenerate set gets +inf.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 
 from .arrays import (ArrayConfig, probe_kernels, probe_kernels_limit,
                      steering_derivative, steering_vector)
-from .signal import ChannelParams, Ebm, OffsetSet, observation_kernels
+from .signal import ChannelParams, Ebm, observation_kernels
 
 COND_LIMIT = 1e12
 
@@ -37,18 +40,6 @@ class DiModel:
     def __post_init__(self):
         if self.sigma_beta_sq < 0:
             raise ValueError("gain variance must be nonnegative")
-
-
-@dataclass(frozen=True)
-class FisherDI:
-    """Direction Fisher matrix with its working quantities: the probe
-    response g = W^H a(x), the gradients of ||g||^2, and the derivative
-    matrices of g g^H."""
-
-    m: np.ndarray        # (2, 2) real
-    g: np.ndarray        # (3,) complex
-    g_tilde: np.ndarray  # (2,) real
-    big_g: np.ndarray    # (2, 3, 3) complex
 
 
 def jacobian(cfg: ArrayConfig, psi: ChannelParams) -> np.ndarray:
@@ -115,38 +106,33 @@ def crlb_static(cfg: ArrayConfig, psi: ChannelParams, ebm: Ebm) -> float:
     return float(np.trace(_guarded_solve(info, gram)).real) / cfg.size
 
 
-def _finite_positive(out, scalar: bool, lead_shape):
+def _finite_positive(out):
     """The result tail of the batched CRLB traces: +inf where a value is
-    non-finite or non-positive, then a float for one set or the leading
-    shape for a batch."""
-    out = np.where(np.isfinite(out) & (out > 0), out, np.inf)
-    if scalar:
-        return float(out[0])
-    return out.reshape(lead_shape)
+    non-finite or non-positive; an ``np.float64`` for one set."""
+    return np.where(np.isfinite(out) & (out > 0), out, np.inf)[()]
 
 
-def _batch_trace_solve(info, gram, scale: float, lead_shape):
-    """Tr{info^-1 gram} * scale per batch item; +inf where singular."""
-    scalar = info.ndim == 2
-    info = info.reshape((-1, 4, 4))
-    out = np.full(info.shape[0], np.inf)
-    finite = np.all(np.isfinite(info), axis=(1, 2))
+def _batch_trace_solve(info, gram, scale: float):
+    """Tr{info^-1 gram} * scale per (..., 4, 4) item; +inf where singular."""
+    flat = info.reshape((-1, 4, 4))
+    out = np.full(flat.shape[0], np.inf)
+    finite = np.all(np.isfinite(flat), axis=(1, 2))
     with np.errstate(all="ignore"):
-        dets = np.zeros(info.shape[0])
-        dets[finite] = np.abs(np.linalg.det(info[finite]))
-    good = np.where(finite & (dets > 1e-12 * np.abs(info).max(axis=(1, 2)).clip(1e-300) ** 4))[0]
+        dets = np.zeros(flat.shape[0])
+        dets[finite] = np.abs(np.linalg.det(flat[finite]))
+    good = np.where(finite & (dets > 1e-12 * np.abs(flat).max(axis=(1, 2)).clip(1e-300) ** 4))[0]
     if good.size:
         rhs = np.broadcast_to(gram, (good.size, 4, 4))
         try:
-            sol = np.linalg.solve(info[good], rhs)
+            sol = np.linalg.solve(flat[good], rhs)
             out[good] = np.einsum("...ii->...", sol).real * scale
         except np.linalg.LinAlgError:
             for i in good:
                 try:
-                    out[i] = np.trace(np.linalg.solve(info[i], gram)).real * scale
+                    out[i] = np.trace(np.linalg.solve(flat[i], gram)).real * scale
                 except np.linalg.LinAlgError:
                     pass
-    return _finite_positive(out, scalar, lead_shape)
+    return _finite_positive(out.reshape(info.shape[:-2]))
 
 
 def _static_info(g, k1, k2, pilot_amp: float, noise_var: float, beta):
@@ -158,24 +144,20 @@ def _static_info(g, k1, k2, pilot_amp: float, noise_var: float, beta):
 
 def static_offsets_crlb(deltas, m: int, n: int, pilot_amp: float = 1.0,
                         noise_var: float = 1.0, beta: complex = 1.0 + 0j):
-    """Vectorized normalized static CRLB as a function of the offsets alone
-    (shift property).  ``deltas`` has shape (..., 3, 2)."""
-    g, k1, k2 = probe_kernels(deltas, m, n)
-    info = _static_info(g, k1, k2, pilot_amp, noise_var, beta)
-    return _batch_trace_solve(info, steering_gram(m, n, beta), 1.0 / (m * n),
-                              np.asarray(deltas).shape[:-2])
+    """Normalized static CRLB as a function of the offsets alone (shift
+    property), per offset set of ``deltas`` (..., 3, 2)."""
+    info = _static_info(*probe_kernels(deltas, m, n), pilot_amp, noise_var,
+                        beta)
+    return _batch_trace_solve(info, steering_gram(m, n, beta), 1.0 / (m * n))
 
 
-def crlb_static_asymptotic(offsets, pilot_amp: float = 1.0,
+def crlb_static_asymptotic(deltas, pilot_amp: float = 1.0,
                            noise_var: float = 1.0,
                            beta: complex = 1.0 + 0j):
-    """Large-array limit of MN times the normalized static CRLB.  Supports a
-    batch of offset sets with shape (..., 3, 2)."""
-    deltas = offsets.deltas if isinstance(offsets, OffsetSet) else np.asarray(offsets)
-    g, k1, k2 = probe_kernels_limit(deltas)
-    info = _static_info(g, k1, k2, pilot_amp, noise_var, beta)
-    return _batch_trace_solve(info, steering_gram_limit(beta), 1.0,
-                              deltas.shape[:-2])
+    """Large-array limit of MN times the normalized static CRLB, per offset
+    set of ``deltas`` (..., 3, 2)."""
+    info = _static_info(*probe_kernels_limit(deltas), pilot_amp, noise_var, beta)
+    return _batch_trace_solve(info, steering_gram_limit(beta), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -224,79 +206,65 @@ def _di_score_terms(g, k1, k2, c, sz2: float):
     return q_mats, -ddet / det
 
 
-def fisher_di(cfg: ArrayConfig, x, model: DiModel, ebm: Ebm) -> FisherDI:
+def fisher_di(cfg: ArrayConfig, x, model: DiModel, ebm: Ebm) -> np.ndarray:
     """2x2 direction Fisher information of the fading-gain model, via the
     closed-form element expression in g, its norm gradient, and the
     derivative matrices of g g^H."""
-    g, d1, d2 = observation_kernels(cfg, x, ebm)
-    _, gt, big = _gain_blocks(g, d1, d2)
-    c = cfg.pilot_amp**2 * model.sigma_beta_sq
-    m = np.zeros((2, 2)) if c == 0 else \
-        _di_fisher_batch(g, d1, d2, c / cfg.noise_var)
-    return FisherDI(m, g, gt, big)
+    snr = cfg.pilot_amp**2 * model.sigma_beta_sq / cfg.noise_var
+    if snr == 0:
+        return np.zeros((2, 2))
+    return _di_fisher_batch(*observation_kernels(cfg, x, ebm), snr)
 
 
 def crlb_di(cfg: ArrayConfig, x, model: DiModel, ebm: Ebm) -> float:
     """Direction CRLB Tr{I_DI^-1} for one cycle's probe pattern."""
-    info = fisher_di(cfg, x, model, ebm).m
+    info = fisher_di(cfg, x, model, ebm)
     return float(np.trace(_guarded_solve(info, np.eye(2))))
 
 
-def di_offsets_fisher(deltas, m: int, n: int, snr_beta):
-    """Vectorized direction Fisher matrices from the offsets alone.
-    ``snr_beta`` is |s|^2 sigma_beta^2 / noise_var, a scalar or an array
-    that broadcasts against the leading shape of ``deltas`` (..., 3, 2)."""
-    g, k1, k2 = probe_kernels(deltas, m, n)
-    return _di_fisher_batch(g, k1, k2, snr_beta)
-
-
 def _di_fisher_batch(g, k1, k2, snr_beta):
-    # noise_var normalized to 1; snr_beta plays the role of c
-    c = snr_beta
+    """Direction Fisher matrices (..., 2, 2) from probe responses ``g``
+    (..., 3) and their direction derivatives at gain SNRs ``snr_beta`` =
+    |s|^2 sigma_beta^2 / noise_var (broadcast against the leading shape).
+    numpy's scalar and array powers round differently: a scalar SNR stays a
+    scalar, and det is squared as det * det."""
+    c = np.asarray(snr_beta, float)[()]
     g0, gt, big = _gain_blocks(g, k1, k2)
     det = c * g0 + 1.0
     tr = np.einsum("...pij,...qji->...pq", big, big).real
     quad = np.einsum("...i,...pij,...qjk,...k->...pq", g.conj(), big, big, g).real
     quad = quad + np.swapaxes(quad, -1, -2)
-    pref = c**3 / det**2
-    inv_c = 1.0 / c
-    if getattr(inv_c, "ndim", 0):   # one SNR per offset set
-        inv_c = inv_c[..., None, None]
-    info = pref[..., None, None] * (
+    pref = c**3 / (det * det)
+    return pref[..., None, None] * (
         -2.0 * g0[..., None, None] * np.einsum("...p,...q->...pq", gt, gt)
-        + inv_c * tr + quad)
-    return info
+        + (1.0 / c)[..., None, None] * tr + quad)
 
 
 def di_offsets_crlb(deltas, m: int, n: int, snr_beta):
-    """Vectorized Tr{I_DI^-1} from the offsets alone (``snr_beta`` as in
-    :func:`di_offsets_fisher`)."""
-    info = di_offsets_fisher(deltas, m, n, snr_beta)
-    return _trace_inv_2x2(info, info.shape[:-2])
+    """Direction CRLB Tr{I_DI^-1} from the offsets alone, per offset set of
+    ``deltas`` (..., 3, 2).  ``snr_beta`` is |s|^2 sigma_beta^2 / noise_var,
+    a scalar or an array that broadcasts against the leading shape."""
+    return _trace_inv_2x2(_di_fisher_batch(*probe_kernels(deltas, m, n),
+                                           snr_beta))
 
 
-def _trace_inv_2x2(info, lead_shape):
-    scalar = info.ndim == 2
-    info = info.reshape((-1, 2, 2))
-    a = info[:, 0, 0]
-    b = info[:, 0, 1]
-    d = info[:, 1, 1]
+def _trace_inv_2x2(info):
+    """Tr{info^-1} per (..., 2, 2) item; +inf where singular."""
+    a, b, d = info[..., 0, 0], info[..., 0, 1], info[..., 1, 1]
     det = a * d - b * b
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(det > 1e-30, (a + d) / det, np.inf)
-    return _finite_positive(out, scalar, lead_shape)
+        return _finite_positive(np.where(det > 1e-30, (a + d) / det, np.inf))
 
 
-def crlb_di_asymptotic(offsets, snr_beta: float):
-    """Large-array limit of MN times the direction CRLB.  In the limit the
-    array gain swamps the noise, so the SNR enters only as an overall scale.
-    Supports batches with shape (..., 3, 2)."""
-    deltas = offsets.deltas if isinstance(offsets, OffsetSet) else np.asarray(offsets)
+def crlb_di_asymptotic(deltas, snr_beta: float):
+    """Large-array limit of MN times the direction CRLB, per offset set of
+    ``deltas`` (..., 3, 2).  In the limit the array gain swamps the noise,
+    so the SNR enters only as an overall scale."""
     s0, tau, big = _gain_blocks(*probe_kernels_limit(deltas))
     tr = np.einsum("...pij,...qji->...pq", big, big).real
     info = snr_beta * (tr - np.einsum("...p,...q->...pq", tau, tau)) \
         / s0[..., None, None]
-    return _trace_inv_2x2(info, deltas.shape[:-2])
+    return _trace_inv_2x2(info)
 
 
 def di_log_pdf(cfg: ArrayConfig, x, model: DiModel, ebm: Ebm, y) -> float:

@@ -16,7 +16,7 @@ the ``tableII`` / ``tableIII`` configuration presets.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Union
 
 import numpy as np
@@ -327,32 +327,22 @@ def canonicalize(offsets: OffsetSet) -> OffsetSet:
     return OffsetSet(best.copy())
 
 
-def robustness_sweep(offsets: OffsetSet, sizes, objective_kind: str,
-                     snr_beta_db: float = 0.0):
+def robustness_sweep(offsets: OffsetSet, objective, sizes):
     """How close a fixed offset set comes to the finite-size optimum.
 
-    For each (m, n) in ``sizes`` runs a finite-size search and reports
-    ``(size, crlb_at_offsets, crlb_min, rel_gap)``.  ``objective_kind`` is
-    "static" or "di"; for "di" the sweep can also iterate over SNR values by
-    passing sizes as (m, n, snr_db) triples.
+    ``objective`` is a :class:`StaticFinite` or :class:`DiFinite`.  For each
+    (m, n) in ``sizes`` runs a search on the same objective at that size
+    (any SNR kept) and reports ``((m, n), crlb_at_offsets, crlb_min,
+    rel_gap)``.
     """
     rows = []
-    for size in sizes:
-        if len(size) == 3:
-            m, n, snr = size
-        else:
-            (m, n), snr = size, snr_beta_db
-        if objective_kind == "static":
-            obj = StaticFinite(m, n)
-        elif objective_kind == "di":
-            obj = DiFinite(m, n, snr)
-        else:
-            raise ValueError("objective_kind must be 'static' or 'di'")
+    for m, n in sizes:
+        obj = replace(objective, m=m, n=n)
         sc = SearchConfig(obj, grid_points_per_axis=13)
         at = float(obj.evaluate(offsets.deltas))
         # the fixed set is a legitimate incumbent: include it as a restart
         starts, _ = _grid_starts(sc, 8)
         best = optimize_offsets(sc, starts=[offsets.deltas] + starts)
         gap = (at - best.crlb_value) / best.crlb_value
-        rows.append((size, at, best.crlb_value, gap))
+        rows.append(((m, n), at, best.crlb_value, gap))
     return rows

@@ -111,7 +111,7 @@ class TestCriterion4BoundInvariances:
         fworst = 0.0
         for _ in range(10):
             x = rng.uniform(-2, 2, 2)
-            f = fisher_di(CFG, x, model, build_ebm(CFG, x, FADING_OFFSETS)).m
+            f = fisher_di(CFG, x, model, build_ebm(CFG, x, FADING_OFFSETS))
             fref = f if fref is None else fref
             fworst = max(fworst, float(np.abs(f - fref).max() / np.abs(fref).max()))
         elapsed = time.monotonic() - t0
@@ -189,15 +189,15 @@ class TestCriterion8AsymptoticConsistency:
             static_ok &= dist_s < prev_s
             prev_s = dist_s
             info_d = fisher_di(cfg, (0.0, 0.0), DiModel(1.0),
-                               build_ebm(cfg, (0.0, 0.0), FADING_OFFSETS)).m
+                               build_ebm(cfg, (0.0, 0.0), FADING_OFFSETS))
             dist_d = np.linalg.norm(info_d / (m * m) - di_lim)
             di_ok &= dist_d < prev_d
             prev_d = dist_d
 
-        lim_s = crlb_static_asymptotic(STATIC_OFFSETS)
+        lim_s = crlb_static_asymptotic(STATIC_OFFSETS.deltas)
         gap_s = abs(static_offsets_crlb(STATIC_OFFSETS.deltas, 64, 64) * 64 * 64
                     - lim_s) / lim_s
-        lim_d = crlb_di_asymptotic(FADING_OFFSETS, 1.0)
+        lim_d = crlb_di_asymptotic(FADING_OFFSETS.deltas, 1.0)
         gap_d = abs(di_offsets_crlb(FADING_OFFSETS.deltas, 64, 64, 1.0) * 64 * 64
                     - lim_d) / lim_d
         elapsed = time.monotonic() - t0

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from beamtrack.arrays import ArrayConfig, probe_kernels
 from beamtrack.checks import mc_fisher_di, mc_fisher_static
 from beamtrack.estimation import (DiModel, SingularFisher, _di_fisher_batch,
-                                  _di_score_terms, crlb_di,
+                                  _di_score_terms, _gain_blocks, crlb_di,
                                   crlb_di_asymptotic, crlb_static,
                                   crlb_static_asymptotic, di_log_pdf,
                                   di_offsets_crlb, di_score, fisher_di,
@@ -121,13 +121,13 @@ class TestCrlbStatic:
 
 class TestCrlbStaticAsymptotic:
     def test_beta_invariant(self):
-        a = crlb_static_asymptotic(STATIC_OFFSETS, beta=1.0)
-        b = crlb_static_asymptotic(STATIC_OFFSETS, beta=2j)
+        a = crlb_static_asymptotic(STATIC_OFFSETS.deltas, beta=1.0)
+        b = crlb_static_asymptotic(STATIC_OFFSETS.deltas, beta=2j)
         assert abs(a - b) < 1e-9 * a
 
     def test_finite_size_converges_monotonically(self):
         """MN * crlb approaches the limit through 16, 32, 64; < 1% at 64."""
-        lim = crlb_static_asymptotic(STATIC_OFFSETS)
+        lim = crlb_static_asymptotic(STATIC_OFFSETS.deltas)
         prev = np.inf
         for m in (16, 32, 64):
             val = static_offsets_crlb(STATIC_OFFSETS.deltas, m, m) * m * m
@@ -165,18 +165,18 @@ class TestFisherDi:
 
     def test_direction_invariance(self):
         a = fisher_di(CFG, (0.0, 0.0), self.MODEL,
-                      _ebm_at((0.0, 0.0), FADING_OFFSETS)).m
+                      _ebm_at((0.0, 0.0), FADING_OFFSETS))
         b = fisher_di(CFG, (2.2, -1.4), self.MODEL,
-                      _ebm_at((2.2, -1.4), FADING_OFFSETS)).m
+                      _ebm_at((2.2, -1.4), FADING_OFFSETS))
         assert np.abs(a - b).max() < 1e-9 * np.abs(a).max()
 
     def test_ten_random_direction_invariance(self):
         rng = np.random.default_rng(9)
         ref = fisher_di(CFG, (0.0, 0.0), self.MODEL,
-                        _ebm_at((0.0, 0.0), FADING_OFFSETS)).m
+                        _ebm_at((0.0, 0.0), FADING_OFFSETS))
         for _ in range(10):
             x = rng.uniform(-2, 2, 2)
-            val = fisher_di(CFG, x, self.MODEL, _ebm_at(x, FADING_OFFSETS)).m
+            val = fisher_di(CFG, x, self.MODEL, _ebm_at(x, FADING_OFFSETS))
             assert np.abs(val - ref).max() < 1e-9 * np.abs(ref).max()
 
     def test_norm_gradient_matches_finite_difference(self):
@@ -192,7 +192,7 @@ class TestFisherDi:
             gp, _, _ = observation_kernels(CFG, x + dx, ebm)
             gm, _, _ = observation_kernels(CFG, x - dx, ebm)
             fd[p] = (np.vdot(gp, gp).real - np.vdot(gm, gm).real) / (2 * h)
-        got = fisher_di(CFG, x, self.MODEL, ebm).g_tilde
+        got = _gain_blocks(*observation_kernels(CFG, x, ebm))[1]
         assert np.abs(fd - got).max() / np.abs(got).max() < 1e-6
 
     def test_matches_generic_gaussian_fisher(self):
@@ -210,14 +210,14 @@ class TestFisherDi:
                  for d in (d1, d2)]
         oracle = np.array([[np.trace(si @ parts[p] @ si @ parts[j]).real
                             for j in range(2)] for p in range(2)])
-        got = fisher_di(cfg, x, model, ebm).m
+        got = fisher_di(cfg, x, model, ebm)
         assert np.abs(got - oracle).max() < 1e-9 * np.abs(oracle).max()
 
     def test_matches_mc_score_covariance(self):
         rng = np.random.default_rng(10)
         x = np.array([0.4, -1.2])
         ebm = _ebm_at(x, FADING_OFFSETS)
-        ana = fisher_di(CFG, x, self.MODEL, ebm).m
+        ana = fisher_di(CFG, x, self.MODEL, ebm)
         mc = mc_fisher_di(CFG, x, self.MODEL, ebm, 200_000, rng)
         assert np.linalg.norm(mc - ana) / np.linalg.norm(ana) < 0.03
 
@@ -252,7 +252,7 @@ class TestDiScore:
         z = np.sqrt(0.5) * (rng.standard_normal((n, 3))
                             + 1j * rng.standard_normal((n, 3)))
         ys = beta[:, None] * g[None, :] + z
-        info = fisher_di(CFG, x, self.MODEL, ebm).m
+        info = fisher_di(CFG, x, self.MODEL, ebm)
         mean = np.zeros(2)
         for i in range(0, n, 20000):
             for y in ys[i:i + 20000:200]:  # thinned loop keeps runtime low
@@ -316,6 +316,60 @@ class TestBatchedScoreTerms:
                 < 1e-9 * np.abs(oracle).max()
 
 
+_OFFSET = st.floats(-0.95, 0.95)
+
+
+class TestOffsetBoundProperties:
+    """The offset-only bounds take (..., 3, 2) and return the leading shape:
+    one set is a batch of shape (), and the explicit per-cycle CRLBs agree
+    with them at any gain and direction."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(sets=st.lists(st.lists(_OFFSET, min_size=6, max_size=6),
+                         min_size=1, max_size=5),
+           data=st.data(), m=st.integers(2, 20), n=st.integers(2, 20),
+           snr=st.floats(0.05, 50.0))
+    def test_one_set_is_its_row_of_a_batch(self, sets, data, m, n, snr):
+        batch = np.reshape(sets, (-1, 3, 2))
+        row = data.draw(st.integers(0, len(batch) - 1))
+        for bound in (lambda d: static_offsets_crlb(d, m, n),
+                      lambda d: crlb_static_asymptotic(d),
+                      lambda d: di_offsets_crlb(d, m, n, snr),
+                      lambda d: crlb_di_asymptotic(d, snr)):
+            many = bound(batch)
+            one = bound(batch[row])
+            assert many.shape == (len(batch),)
+            assert type(one) is np.float64
+            assert one == many[row]
+
+    @settings(max_examples=100, deadline=None)
+    @given(deltas=st.lists(_OFFSET, min_size=6, max_size=6),
+           m=st.integers(2, 20), n=st.integers(2, 20),
+           gain=st.floats(0.2, 5.0), phase=st.floats(-np.pi, np.pi),
+           x=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+           sigma_beta_sq=st.floats(0.05, 50.0))
+    def test_explicit_crlbs_ignore_gain_and_direction(
+            self, deltas, m, n, gain, phase, x, sigma_beta_sq):
+        try:
+            offsets = OffsetSet(np.reshape(deltas, (3, 2)))
+        except ValueError:
+            assume(False)
+        cfg = ArrayConfig(m, n)
+        ebm = _ebm_at(x, offsets, cfg)
+        model = DiModel(sigma_beta_sq)
+        psi = ChannelParams.from_parts(gain * np.exp(1j * phase), x)
+        # rtol 1e-9 holds where rounding is not amplified by the inversion
+        assume(np.linalg.cond(fisher_static(cfg, psi, ebm)) < 1e5)
+        assume(np.linalg.cond(fisher_di(cfg, x, model, ebm)) < 1e5)
+        static = crlb_static(cfg, psi, ebm)
+        di = crlb_di(cfg, x, model, ebm)
+        assert np.isclose(static, static_offsets_crlb(offsets.deltas, m, n),
+                          rtol=1e-9, atol=0)
+        assert np.isclose(di, di_offsets_crlb(offsets.deltas, m, n,
+                                              sigma_beta_sq),
+                          rtol=1e-9, atol=0)
+
+
 class TestCrlbDi:
     def test_snr_scaling_converges(self):
         """snr * crlb approaches a constant as the gain SNR grows."""
@@ -341,7 +395,7 @@ class TestCrlbDi:
     def test_asymptotic_consistency(self):
         """MN * crlb at 20 dB approaches the limit; < 2% by M = N = 64."""
         snr = 100.0
-        lim = crlb_di_asymptotic(FADING_OFFSETS, snr)
+        lim = crlb_di_asymptotic(FADING_OFFSETS.deltas, snr)
         prev = np.inf
         for m in (16, 32, 64):
             val = di_offsets_crlb(FADING_OFFSETS.deltas, m, m, snr) * m * m
@@ -353,9 +407,9 @@ class TestCrlbDi:
     def test_asymptotic_symmetries(self):
         """Coordinate swap leaves the limit unchanged; no direction enters."""
         snr = 1.0
-        a = crlb_di_asymptotic(FADING_OFFSETS, snr)
+        a = crlb_di_asymptotic(FADING_OFFSETS.deltas, snr)
         swapped = OffsetSet(FADING_OFFSETS.deltas[:, ::-1].copy())
-        b = crlb_di_asymptotic(swapped, snr)
+        b = crlb_di_asymptotic(swapped.deltas, snr)
         assert abs(a - b) < 1e-9 * a
 
 

@@ -295,6 +295,65 @@ class TestCli:
         assert proc.stdout.count("PASS") == 4
 
 
+_SWEEP_STATIC = ("size,mn_times_crlb,asymptotic,rel_gap\n"
+                 "4,2.20820363774,2.24770759032,-1.758e-02\n"
+                 "8,2.23722383063,2.24770759032,-4.664e-03\n")
+_SWEEP_DI = ("size,mn_times_crlb,asymptotic,rel_gap\n"
+             "4,0.50227445345,0.452381023549,1.103e-01\n"
+             "8,0.464319593004,0.452381023549,2.639e-02\n")
+_COLLINEAR = ("--sweep-sizes", "8", "--offsets", "0.1,0.1,0.2,0.2,0.3,0.3")
+
+# argv -> the exact stdout of the crlb/offsets bound commands; stderr is empty
+GOLDEN_CLI = {
+    ("crlb", "--objective", "static-asymptotic"):
+        "static-asymptotic CRLB at the given offsets: 2.24770759032\n",
+    ("crlb", "--objective", "static-finite"):
+        "static-finite CRLB at the given offsets: 0.0349566223535\n",
+    ("crlb", "--objective", "di-asymptotic"):
+        "di-asymptotic CRLB at the given offsets: 0.452381023549\n",
+    ("crlb", "--objective", "di-finite"):
+        "di-finite CRLB at the given offsets: 0.00725499364069\n",
+    ("crlb", "--objective", "static-asymptotic", "--sweep-sizes", "4,8"):
+        _SWEEP_STATIC,
+    ("crlb", "--objective", "static-finite", "--sweep-sizes", "4,8"):
+        _SWEEP_STATIC,
+    ("crlb", "--objective", "di-asymptotic", "--sweep-sizes", "4,8"):
+        _SWEEP_DI,
+    ("crlb", "--objective", "di-finite", "--sweep-sizes", "4,8"): _SWEEP_DI,
+    # degenerate (collinear) offsets: an infinite bound, no warning
+    ("crlb", "--objective", "static-finite", *_COLLINEAR):
+        "size,mn_times_crlb,asymptotic,rel_gap\n8,inf,inf,nan\n",
+    ("crlb", "--objective", "di-asymptotic", *_COLLINEAR):
+        "size,mn_times_crlb,asymptotic,rel_gap\n8,inf,inf,nan\n",
+    ("offsets", "--objective", "static-finite", "--robustness", "4,8"):
+        "m,n,crlb_at_offsets,crlb_min,rel_gap\n"
+        "4,4,0.138012727359,0.137510712814,3.651e-03\n"
+        "8,8,0.0349566223535,0.0349380994729,5.302e-04\n",
+    ("offsets", "--objective", "di-finite", "--robustness", "4,8"):
+        "m,n,crlb_at_offsets,crlb_min,rel_gap\n"
+        "4,4,0.0272383738916,0.0271892718154,1.806e-03\n"
+        "8,8,0.00636720724165,0.00636651240941,1.091e-04\n",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_CLI), ids=" ".join)
+def test_bound_commands_golden_output(argv):
+    proc = _run_cli(*argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == \
+        (0, GOLDEN_CLI[argv], "")
+
+
+def test_asymptotic_search_ignores_array_size_flags():
+    """The asymptotic objectives have no size, so --m/--n change neither
+    the search nor the canonical form it prints."""
+    argv = ("offsets", "--objective", "static-asymptotic", "--grid", "7",
+            "--iters", "60")
+    plain = _run_cli(*argv)
+    sized = _run_cli(*argv, "--m", "4", "--n", "8")
+    assert plain.returncode == sized.returncode == 0
+    assert plain.stdout == sized.stdout
+
+
 GOOD_RUN = TestConfigFile.GOOD
 
 

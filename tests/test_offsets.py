@@ -226,7 +226,8 @@ class TestRobustnessSweep:
     def test_small_array_has_larger_gap(self):
         """The shipped static preset is <0.1% suboptimal at 8x8 but visibly
         worse at 4x4."""
-        rows = robustness_sweep(STATIC_OFFSETS, [(4, 4), (8, 8)], "static")
+        rows = robustness_sweep(STATIC_OFFSETS, StaticFinite(8, 8),
+                                [(4, 4), (8, 8)])
         gap4 = rows[0][3]
         gap8 = rows[1][3]
         assert gap8 < 1e-3
@@ -236,10 +237,11 @@ class TestRobustnessSweep:
         """The fading preset stays within 0.1% of the finite-size minimum
         for gain SNRs of 0/10/20 dB at 8x8; well below 0 dB it visibly
         degrades (the edge of its design regime)."""
-        rows = robustness_sweep(FADING_OFFSETS,
-                                [(8, 8, 0.0), (8, 8, 10.0), (8, 8, 20.0)],
-                                "di")
+        rows = [row for snr in (0.0, 10.0, 20.0)
+                for row in robustness_sweep(FADING_OFFSETS,
+                                            DiFinite(8, 8, snr), [(8, 8)])]
         for _, _, _, gap in rows:
             assert -1e-9 <= gap < 1e-3
-        low = robustness_sweep(FADING_OFFSETS, [(8, 8, -10.0)], "di")
+        low = robustness_sweep(FADING_OFFSETS, DiFinite(8, 8, -10.0),
+                               [(8, 8)])
         assert low[0][3] > 5e-3

@@ -243,7 +243,7 @@ class TestFastEqualsNaive:
         for var, x, y, got in zip(variances, xs, ys, fast):
             model = DiModel(var)
             ebm = build_ebm(cfg, x, FADING_OFFSETS)
-            naive = np.linalg.solve(fisher_di(cfg, x, model, ebm).m,
+            naive = np.linalg.solve(fisher_di(cfg, x, model, ebm),
                                     di_score(cfg, x, model, ebm, y))
             assert _close(got, naive)
 
