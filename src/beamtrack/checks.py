@@ -3,9 +3,10 @@
 Each check returns (name, passed, detail).  The Fisher checks compare the
 analytic matrices against Monte-Carlo score covariances sampled from the
 physical observation model.  The static score is built from the explicit
-Jacobian.  The fading-gain score shares its derivative matrices G_p with the
-Fisher it checks, so there the independence rests on two tests of those
-formulas against explicit-matrix oracles: the score against central
+Jacobian.  The fading-gain score is built from the derivative matrices G_p
+of g g^H, while the Fisher it checks is the closed form on six inner
+products of the kernels, so the two routes share only the kernels.  Each is
+also tested against an explicit-matrix oracle: the score against central
 differences of ``di_log_pdf``, and the Fisher against the Slepian-Bangs form
 Tr{Sigma^-1 dSigma_p Sigma^-1 dSigma_q}.
 """
@@ -132,8 +133,8 @@ def mc_fisher_di(cfg: ArrayConfig, x, model: DiModel, ebm, draws: int,
     z = np.sqrt(cfg.noise_var / 2.0) * (
         rng.standard_normal((draws, 3)) + 1j * rng.standard_normal((draws, 3)))
     ys = cfg.pilot_amp * beta[:, None] * g[None, :] + z
-    # the score shares G_p with the Fisher; see the module docstring for
-    # the tests that check both against explicit-matrix oracles
+    # the score takes G_p, the Fisher the six products; see the module
+    # docstring for the tests that check both against explicit-matrix oracles
     q_mats, c0 = _di_score_terms(g, d1, d2,
                                  cfg.pilot_amp**2 * model.sigma_beta_sq,
                                  cfg.noise_var)

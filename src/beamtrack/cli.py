@@ -41,22 +41,17 @@ def _build_parser() -> _Parser:
     track.add_argument("--offsets")
 
     crlb = sub.add_parser("crlb", help="evaluate or sweep the tracking bounds")
-    crlb.add_argument("--objective", required=True,
-                      choices=["static-asymptotic", "static-finite",
-                               "di-asymptotic", "di-finite"])
-    crlb.add_argument("--m", default=8)
-    crlb.add_argument("--n", default=8)
-    crlb.add_argument("--snr-beta-db", type=float, default=0.0)
-    crlb.add_argument("--offsets", default="tableII")
+    off = sub.add_parser("offsets", help="search for optimal exploration offsets")
+    for bound in (crlb, off):
+        bound.add_argument("--objective", required=True,
+                           choices=["static-asymptotic", "static-finite",
+                                    "di-asymptotic", "di-finite"])
+        bound.add_argument("--m", default=8)
+        bound.add_argument("--n", default=8)
+        bound.add_argument("--snr-beta-db", type=float, default=0.0)
+    crlb.add_argument("--offsets")
     crlb.add_argument("--sweep-sizes", help="comma list of square sizes, e.g. 8,16,32")
 
-    off = sub.add_parser("offsets", help="search for optimal exploration offsets")
-    off.add_argument("--objective", required=True,
-                     choices=["static-asymptotic", "static-finite",
-                              "di-asymptotic", "di-finite"])
-    off.add_argument("--m", default=8)
-    off.add_argument("--n", default=8)
-    off.add_argument("--snr-beta-db", type=float, default=0.0)
     off.add_argument("--seed", type=int, default=0,
                      help="no effect: the search is deterministic")
     off.add_argument("--grid", default=21)
@@ -101,7 +96,7 @@ def _objectives(args) -> dict:
             "di-finite": DiFinite(args.m, args.n, args.snr_beta_db)}
 
 
-# the shipped offsets of each model, swept by ``offsets --robustness``
+# each model's shipped offsets: the ``crlb`` default, swept by --robustness
 _MODEL_PRESETS = {"static": "tableII", "di": "tableIII"}
 
 
@@ -156,11 +151,11 @@ def _cmd_track(args) -> int:
 
 def _cmd_crlb(args) -> int:
     from dataclasses import replace
-    deltas = _resolve_cli_offsets(args.offsets).deltas
+    model = args.objective.split("-")[0]
+    deltas = _resolve_cli_offsets(args.offsets or _MODEL_PRESETS[model]).deltas
     objectives = _objectives(args)
     if args.sweep_sizes:
         sizes = _sizes(args.sweep_sizes, "--sweep-sizes")
-        model = args.objective.split("-")[0]
         finite = objectives[f"{model}-finite"]
         # Python floats: inf - inf below is a quiet nan, not a warning
         limit = float(objectives[f"{model}-asymptotic"].evaluate(deltas))

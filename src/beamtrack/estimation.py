@@ -12,6 +12,16 @@ return the large-array limits of MN times these quantities.
 
 The offset-only bounds take ``deltas`` (..., 3, 2) and return the leading
 shape (an ``np.float64`` for one set); a degenerate set gets +inf.
+
+Every offset bound and tracker cache is closed-form 2x2 algebra on six inner
+products of the probe kernels g, k1, k2 (:func:`_products`): the static bound
+through the Schur complement S of the gain block a I2, the fading-gain Fisher
+through tr(G_p G_q) and g^H G_p G_q g.  One singularity rule gives +inf
+(:func:`_regular`): det I <= ref / COND_LIMIT, where ref is the product of
+the diagonal of I taken before g is projected out of k1, k2, i.e. with a K
+in place of the Schur block W.  For the static model ref is prod(diag I)
+itself.  ``fisher_static``, ``crlb_static``, ``crlb_di`` are the
+explicit-matrix oracles.
 """
 
 from __future__ import annotations
@@ -71,18 +81,8 @@ def steering_gram(m: int, n: int, beta: complex) -> np.ndarray:
     return m * n * g
 
 
-def steering_gram_limit(beta: complex) -> np.ndarray:
-    """Limit of V^H V / MN as the array grows."""
-    b = complex(beta)
-    ab2 = abs(b) ** 2
-    return np.array([
-        [1, 1j, 1j * np.pi * b, 1j * np.pi * b],
-        [-1j, 1, np.pi * b, np.pi * b],
-        [-1j * np.pi * b.conjugate(), np.pi * b.conjugate(),
-         4 * np.pi**2 * ab2 / 3, np.pi**2 * ab2],
-        [-1j * np.pi * b.conjugate(), np.pi * b.conjugate(),
-         np.pi**2 * ab2, 4 * np.pi**2 * ab2 / 3],
-    ], complex)
+# (c, P) of Re V^H V / MN at unit gain as the array grows (_static_bound)
+_GRAM_LIMIT = ((np.pi, np.pi), (4 * np.pi**2 / 3, np.pi**2, 4 * np.pi**2 / 3))
 
 
 def fisher_static(cfg: ArrayConfig, psi: ChannelParams, ebm: Ebm) -> np.ndarray:
@@ -106,58 +106,84 @@ def crlb_static(cfg: ArrayConfig, psi: ChannelParams, ebm: Ebm) -> float:
     return float(np.trace(_guarded_solve(info, gram)).real) / cfg.size
 
 
-def _finite_positive(out):
-    """The result tail of the batched CRLB traces: +inf where a value is
-    non-finite or non-positive; an ``np.float64`` for one set."""
-    return np.where(np.isfinite(out) & (out > 0), out, np.inf)[()]
+def _sum3(x):
+    """Sum over a last axis of length 3, in one fixed order."""
+    return (x[..., 0] + x[..., 1]) + x[..., 2]
 
 
-def _batch_trace_solve(info, gram, scale: float):
-    """Tr{info^-1 gram} * scale per (..., 4, 4) item; +inf where singular."""
-    flat = info.reshape((-1, 4, 4))
-    out = np.full(flat.shape[0], np.inf)
-    finite = np.all(np.isfinite(flat), axis=(1, 2))
-    with np.errstate(all="ignore"):
-        dets = np.zeros(flat.shape[0])
-        dets[finite] = np.abs(np.linalg.det(flat[finite]))
-    good = np.where(finite & (dets > 1e-12 * np.abs(flat).max(axis=(1, 2)).clip(1e-300) ** 4))[0]
-    if good.size:
-        rhs = np.broadcast_to(gram, (good.size, 4, 4))
-        try:
-            sol = np.linalg.solve(flat[good], rhs)
-            out[good] = np.einsum("...ii->...", sol).real * scale
-        except np.linalg.LinAlgError:
-            for i in good:
-                try:
-                    out[i] = np.trace(np.linalg.solve(flat[i], gram)).real * scale
-                except np.linalg.LinAlgError:
-                    pass
-    return _finite_positive(out.reshape(info.shape[:-2]))
+def _products(g, k1, k2):
+    """The six inner products of probe kernels g, k1, k2 (..., 3), each of
+    the leading shape: a = <g,g>, u = (u1, u2) with u_p = <g,k_p>, and
+    k = (K11, K12, K22) with K_pq = Re<k_p,k_q>; and w = (W11, W12, W22),
+    W = a K - Re(conj(u) u^T), summed from the minors g_i k_pj - g_j k_pi,
+    (i, j) in (0, 1), (1, 2), (2, 0) (Binet-Cauchy), to keep that
+    cancellation out.  numpy's complex product is not commutative bit for
+    bit and swaps a large temporary right operand to the left, so
+    temporaries stay left: chunked calls match one call."""
+    gc = g.conj()
+    a = _sum3((gc * g).real)
+    k = tuple(_sum3((p.conj() * q).real) for p, q in ((k1, k1), (k1, k2),
+                                                       (k2, k2)))
+    gn = g[..., [1, 2, 0]]
+    m1 = k1[..., [1, 2, 0]] * g - gn * k1
+    m2 = k2[..., [1, 2, 0]] * g - gn * k2
+    w = tuple(_sum3((p.conj() * q).real) for p, q in ((m1, m1), (m1, m2),
+                                                       (m2, m2)))
+    return a, (_sum3(gc * k1), _sum3(gc * k2)), k, w
 
 
-def _static_info(g, k1, k2, pilot_amp: float, noise_var: float, beta):
-    """Static-model Fisher matrices (..., 4, 4) from the probe kernels."""
-    kmat = np.stack([g, 1j * g, beta * k1, beta * k2], axis=-1)  # (..., 3, 4)
-    return (2 * pilot_amp**2 / noise_var) * np.real(
-        np.einsum("...iq,...ip->...qp", kmat.conj(), kmat))
+def _regular(f, ref):
+    """det F of symmetric 2x2 F = (F11, F12, F22), and where the Fisher
+    matrix I is regular: det I > ref / COND_LIMIT, with det F and ``ref``
+    equal to det I and its reference scale (module docstring) up to one
+    positive factor.  The reference lies outside the projected block: a
+    diagonal of W that is itself rounding noise cannot vouch for det W."""
+    f11, f12, f22 = f
+    det = f11 * f22 - f12 * f12
+    return det, det > ref / COND_LIMIT
+
+
+def _trace_solve(f, h, ref, scale=1.0):
+    """Tr{F^-1 H} * scale for symmetric 2x2 F, H given by their entries; +inf
+    where F is singular or the value not finite and positive."""
+    (f11, f12, f22), (h11, h12, h22) = f, h
+    det, regular = _regular(f, ref)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = (f22 * h11 + f11 * h22 - 2.0 * f12 * h12) * scale / det
+    return np.where(regular & np.isfinite(out) & (out > 0), out, np.inf)[()]
+
+
+def _static_bound(kernels, gram, pilot_amp, noise_var, beta):
+    """Tr{I^-1 Re V^H V} of the static model, scaled as the bound, with
+    ``gram`` = (c, P) from Re V^H V = [[I2, [0; c]], [[0; c]^T, P]] at unit
+    gain.  For I = (2|s|^2/noise_var) [[a I2, B], [B^T, K]], B = [Re u; Im u],
+    the Schur block W / a gives (noise_var / 2|s|^2) Tr{W^-1 (a P + K -
+    Im(u) c^T - c Im(u)^T)}; the gain cancels unless it is zero."""
+    a, (u1, u2), (k11, k12, k22), w = _products(*kernels)
+    j1, j2 = u1.imag, u2.imag
+    (c1, c2), (p11, p12, p22) = gram
+    h = (a * p11 + k11 - 2.0 * c1 * j1, a * p12 + k12 - (c2 * j1 + c1 * j2),
+         a * p22 + k22 - 2.0 * c2 * j2)
+    scale = noise_var / (2 * pilot_amp**2) if pilot_amp * beta != 0 else np.inf
+    return _trace_solve(w, h, a * a * k11 * k22, scale)
 
 
 def static_offsets_crlb(deltas, m: int, n: int, pilot_amp: float = 1.0,
                         noise_var: float = 1.0, beta: complex = 1.0 + 0j):
     """Normalized static CRLB as a function of the offsets alone (shift
     property), per offset set of ``deltas`` (..., 3, 2)."""
-    info = _static_info(*probe_kernels(deltas, m, n), pilot_amp, noise_var,
-                        beta)
-    return _batch_trace_solve(info, steering_gram(m, n, beta), 1.0 / (m * n))
+    gram = steering_gram(m, n, 1.0).real / (m * n)
+    return _static_bound(probe_kernels(deltas, m, n),
+                         (gram[1, 2:], (gram[2, 2], gram[2, 3], gram[3, 3])),
+                         pilot_amp, noise_var, beta)
 
 
 def crlb_static_asymptotic(deltas, pilot_amp: float = 1.0,
-                           noise_var: float = 1.0,
-                           beta: complex = 1.0 + 0j):
+                           noise_var: float = 1.0, beta: complex = 1.0 + 0j):
     """Large-array limit of MN times the normalized static CRLB, per offset
     set of ``deltas`` (..., 3, 2)."""
-    info = _static_info(*probe_kernels_limit(deltas), pilot_amp, noise_var, beta)
-    return _batch_trace_solve(info, steering_gram_limit(beta), 1.0)
+    return _static_bound(probe_kernels_limit(deltas), _GRAM_LIMIT, pilot_amp,
+                         noise_var, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -208,12 +234,11 @@ def _di_score_terms(g, k1, k2, c, sz2: float):
 
 def fisher_di(cfg: ArrayConfig, x, model: DiModel, ebm: Ebm) -> np.ndarray:
     """2x2 direction Fisher information of the fading-gain model, via the
-    closed-form element expression in g, its norm gradient, and the
-    derivative matrices of g g^H."""
+    closed form of :func:`_di_info` on the six inner products of g and its
+    direction derivatives; zero at zero gain variance."""
     snr = cfg.pilot_amp**2 * model.sigma_beta_sq / cfg.noise_var
-    if snr == 0:
-        return np.zeros((2, 2))
-    return _di_fisher_batch(*observation_kernels(cfg, x, ebm), snr)
+    return _sym2(_di_info(_products(*observation_kernels(cfg, x, ebm)),
+                          snr)[0])
 
 
 def crlb_di(cfg: ArrayConfig, x, model: DiModel, ebm: Ebm) -> float:
@@ -222,49 +247,43 @@ def crlb_di(cfg: ArrayConfig, x, model: DiModel, ebm: Ebm) -> float:
     return float(np.trace(_guarded_solve(info, np.eye(2))))
 
 
-def _di_fisher_batch(g, k1, k2, snr_beta):
-    """Direction Fisher matrices (..., 2, 2) from probe responses ``g``
-    (..., 3) and their direction derivatives at gain SNRs ``snr_beta`` =
-    |s|^2 sigma_beta^2 / noise_var (broadcast against the leading shape).
-    numpy's scalar and array powers round differently: a scalar SNR stays a
-    scalar, and det is squared as det * det."""
-    c = np.asarray(snr_beta, float)[()]
-    g0, gt, big = _gain_blocks(g, k1, k2)
-    det = c * g0 + 1.0
-    tr = np.einsum("...pij,...qji->...pq", big, big).real
-    quad = np.einsum("...i,...pij,...qjk,...k->...pq", g.conj(), big, big, g).real
-    quad = quad + np.swapaxes(quad, -1, -2)
-    pref = c**3 / (det * det)
-    return pref[..., None, None] * (
-        -2.0 * g0[..., None, None] * np.einsum("...p,...q->...pq", gt, gt)
-        + (1.0 / c)[..., None, None] * tr + quad)
+def _di_info(products, snr_beta):
+    """Entries (11, 12, 22) of the direction Fisher from :func:`_products`
+    at gain SNRs ``snr_beta`` = |s|^2 sigma_beta^2 / noise_var.  With
+    d = 1 + snr a, snr^2 Tr{P G_p P G_q}, P = I - (snr/d) g g^H, from
+    tr(G_p G_q) = 2 Re(u_p u_q) + 2 a K_pq and g^H G_p G_q g, collapses to
+    (2 snr^2 / d) (W + (2/d) Re(u) Re(u)^T).  Also returns the reference
+    of :func:`_regular`: the diagonal product with a K in place of W."""
+    a, (u1, u2), (k11, _, k22), (w11, w12, w22) = products
+    snr = np.asarray(snr_beta, float)[()]
+    d = snr * a + 1.0
+    s2, q = 2.0 * snr * snr / d, 2.0 / d
+    r1, r2 = u1.real, u2.real
+    qr1, qr2 = q * r1, q * r2
+    f = (s2 * (w11 + qr1 * r1), s2 * (w12 + qr1 * r2), s2 * (w22 + qr2 * r2))
+    return f, (s2 * (a * k11 + qr1 * r1)) * (s2 * (a * k22 + qr2 * r2))
+
+
+def _sym2(f):
+    """Symmetric matrices (..., 2, 2) from their entries (11, 12, 22)."""
+    f11, f12, f22 = f
+    return np.stack([np.stack([f11, f12], -1), np.stack([f12, f22], -1)], -2)
 
 
 def di_offsets_crlb(deltas, m: int, n: int, snr_beta):
     """Direction CRLB Tr{I_DI^-1} from the offsets alone, per offset set of
     ``deltas`` (..., 3, 2).  ``snr_beta`` is |s|^2 sigma_beta^2 / noise_var,
     a scalar or an array that broadcasts against the leading shape."""
-    return _trace_inv_2x2(_di_fisher_batch(*probe_kernels(deltas, m, n),
-                                           snr_beta))
-
-
-def _trace_inv_2x2(info):
-    """Tr{info^-1} per (..., 2, 2) item; +inf where singular."""
-    a, b, d = info[..., 0, 0], info[..., 0, 1], info[..., 1, 1]
-    det = a * d - b * b
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return _finite_positive(np.where(det > 1e-30, (a + d) / det, np.inf))
+    f, ref = _di_info(_products(*probe_kernels(deltas, m, n)), snr_beta)
+    return _trace_solve(f, (1.0, 0.0, 1.0), ref)
 
 
 def crlb_di_asymptotic(deltas, snr_beta: float):
     """Large-array limit of MN times the direction CRLB, per offset set of
-    ``deltas`` (..., 3, 2).  In the limit the array gain swamps the noise,
-    so the SNR enters only as an overall scale."""
-    s0, tau, big = _gain_blocks(*probe_kernels_limit(deltas))
-    tr = np.einsum("...pij,...qji->...pq", big, big).real
-    info = snr_beta * (tr - np.einsum("...p,...q->...pq", tau, tau)) \
-        / s0[..., None, None]
-    return _trace_inv_2x2(info)
+    ``deltas`` (..., 3, 2).  The array gain swamps the noise (snr a -> inf
+    in :func:`_di_info`), so I = 2 snr W / a: the SNR is a scale."""
+    a, _, (k11, _, k22), w = _products(*probe_kernels_limit(deltas))
+    return _trace_solve(w, (a, 0.0, a), a * a * k11 * k22, 0.5 / snr_beta)
 
 
 def di_log_pdf(cfg: ArrayConfig, x, model: DiModel, ebm: Ebm, y) -> float:

@@ -304,26 +304,19 @@ def _symmetry_images(deltas):
     """All images under offset permutations, joint per-axis sign flips, and
     the coordinate swap (the invariance group of the square-array limit)."""
     d = np.asarray(deltas, float)
-    for perm in itertools.permutations(range(3)):
-        base = d[list(perm)]
-        for s1 in (1.0, -1.0):
-            for s2 in (1.0, -1.0):
-                flipped = base * np.array([s1, s2])
-                yield flipped
-                yield flipped[:, ::-1]
+    for perm, s1, s2 in itertools.product(itertools.permutations(range(3)),
+                                          (1.0, -1.0), (1.0, -1.0)):
+        flipped = d[list(perm)] * np.array([s1, s2])
+        yield flipped
+        yield flipped[:, ::-1]
 
 
 def canonicalize(offsets: OffsetSet) -> OffsetSet:
     """Symmetry-canonical form: the lexicographically smallest row-sorted
     image under the square-array invariance group.  Idempotent."""
-    best = None
-    best_key = None
-    for img in _symmetry_images(offsets.deltas):
-        rows = img[np.lexsort((img[:, 1], img[:, 0]))]
-        key = tuple(np.round(rows.ravel(), 12))
-        if best_key is None or key < best_key:
-            best_key = key
-            best = rows
+    images = (img[np.lexsort((img[:, 1], img[:, 0]))]
+              for img in _symmetry_images(offsets.deltas))
+    best = min(images, key=lambda rows: tuple(np.round(rows.ravel(), 12)))
     return OffsetSet(best.copy())
 
 

@@ -32,8 +32,9 @@ from typing import Callable, Optional, Protocol
 import numpy as np
 
 from .arrays import ArrayConfig, probe_kernels
-from .estimation import (COND_LIMIT, SingularFisher, _di_fisher_batch,
-                         _di_score_terms, jacobian)
+from .estimation import (COND_LIMIT, SingularFisher, _di_info,
+                         _di_score_terms, _products, _regular, _sym2,
+                         jacobian)
 from .signal import ChannelParams, Ebm, OffsetSet, fit_gains, noiseless_mean
 
 
@@ -77,6 +78,13 @@ STEP_CAP = 0.5
 GAIN_FLOOR_MULT = 4.0
 
 
+def _sym_inv2(a, b, d):
+    """Inverses [[a', b'], [b', d']] of symmetric 2x2 matrices [[a, b], [b, d]]
+    given elementwise; one off-diagonal value keeps them exactly symmetric."""
+    det = a * d - b * b
+    return d / det, -b / det, a / det
+
+
 @dataclass(frozen=True)
 class FastUpdateCache:
     """Offset-only terms for the joint tracker's update, all independent of
@@ -95,21 +103,14 @@ class FastUpdateCache:
 
 def build_fast_cache(cfg: ArrayConfig, offsets: OffsetSet) -> FastUpdateCache:
     e, d1, d2 = probe_kernels(offsets.deltas, cfg.m, cfg.n)
-    a = float(np.vdot(e, e).real)
-    if a < 1e-12:
-        raise SingularFisher("probe gains vanish; offsets are degenerate")
-    r12 = np.array([np.vdot(e, d1), np.vdot(e, d2)])
-    u2 = np.stack([d1, d2], axis=1)
-    d_tilde = np.real(u2.conj().T @ u2)
-    # Schur complement of the gain block: D - Re{B^H A^-1 B}/... collapses to
-    # D - Re{r^H r}/||e||^2 because the gain columns are e and j e.
-    i_s = d_tilde - np.real(np.outer(r12.conj(), r12)) / a
-    if not np.all(np.isfinite(i_s)) or np.linalg.cond(i_s) > COND_LIMIT:
-        raise SingularFisher("direction block is singular; offsets are degenerate")
-    s = cfg.pilot_amp
-    floor = GAIN_FLOOR_MULT * cfg.noise_var / (s**2 * a)
-    return FastUpdateCache(s * e, e / s, d1 / s, d2 / s, r12, 1.0 / a,
-                           np.linalg.inv(i_s), floor)
+    # gain block ||e||^2 I2 (columns e and j e), direction Schur block W / a
+    a, u, k, w = _products(e, d1, d2)
+    if not _regular(w, a * a * k[0] * k[2])[1]:
+        raise SingularFisher("static Fisher is singular; offsets are degenerate")
+    a, s = float(a), cfg.pilot_amp
+    return FastUpdateCache(s * e, e / s, d1 / s, d2 / s, np.array(u), 1.0 / a,
+                           _sym2(_sym_inv2(*(x / a for x in w))),
+                           GAIN_FLOOR_MULT * cfg.noise_var / (s**2 * a))
 
 
 def _jbct_direction_batch(cache: FastUpdateCache, beta: np.ndarray,
@@ -184,16 +185,13 @@ def mean_field(psi_hat: ChannelParams, psi_true: ChannelParams,
 
 def _rbt_terms(e, d1, d2, c, sz2: float):
     """Offset-only terms of the direction tracker at gain powers
-    c = |s|^2 sigma_beta^2 (a scalar or an array of any shape): the score
-    terms of :func:`~.estimation._di_score_terms` (Q_p (..., 2, 3, 3) and
-    c0 (..., 2)) and the inverse direction Fisher (..., 2, 2)."""
-    c = np.asarray(c, float)
-    if np.any(c <= 0):
-        raise SingularFisher("zero gain variance carries no direction information")
-    info = _di_fisher_batch(e, d1, d2, c / sz2)
-    if not np.all(np.isfinite(info)) or np.any(np.linalg.cond(info) > COND_LIMIT):
-        raise SingularFisher("direction Fisher is singular at these offsets")
-    return (*_di_score_terms(e, d1, d2, c, sz2), np.linalg.inv(info))
+    c = |s|^2 sigma_beta^2 (any shape): Q_p (..., 2, 3, 3) and c0 (..., 2)
+    of :func:`~.estimation._di_score_terms`, and the inverse Fisher."""
+    info, ref = _di_info(_products(e, d1, d2), c / sz2)
+    if np.any(c <= 0) or not np.all(_regular(info, ref)[1]):
+        raise SingularFisher("no direction information: zero gain variance "
+                             "or degenerate offsets")
+    return (*_di_score_terms(e, d1, d2, c, sz2), _sym2(_sym_inv2(*info)))
 
 
 def _rbt_direction_batch(q_mats, c0, i_inv, y: np.ndarray) -> np.ndarray:
@@ -374,13 +372,6 @@ class BeamSwitchBatch:
         return self.x, self.beta_hat
 
 
-def _sym_inv2(a, b, d):
-    """Inverses [[a', b'], [b', d']] of symmetric 2x2 matrices [[a, b], [b, d]]
-    given elementwise; one off-diagonal value keeps them exactly symmetric."""
-    det = a * d - b * b
-    return d / det, -b / det, a / det
-
-
 class EkfBatch:
     """Identity-dynamics EKF baseline in information form: with R = r I,
     r = noise_var/2, and H = [Re h; Im h] for h = s beta [k1, k2] (3, 2),
@@ -420,8 +411,8 @@ class EkfBatch:
         # positive definite (a non-finite P+ fails the same test)
         det = a * d - b * b
         ok = finite & (a > 0) & (det > 0) & np.isfinite(det)
-        p_new = np.stack([np.stack([a, b], -1), np.stack([b, d], -1)], -2)
-        self.p = np.where(ok[:, None, None], p_new, EKF_PRIOR_VAR * np.eye(2))
+        self.p = np.where(ok[:, None, None], _sym2((a, b, d)),
+                          EKF_PRIOR_VAR * np.eye(2))
 
     def estimate(self):
         return self.x, self.beta_hat

@@ -9,7 +9,7 @@ from beamtrack.arrays import (Aoa, ArrayConfig, Dpv, OutOfPhysicalRange,
                               PatternConfig, _gain_kernel,
                               _phase_deriv_kernel, aoa_coords, aoa_from_dpv,
                               beam_gain_kernel,
-                              dpv_from_aoa, element_gain_db,
+                              dpv_coords, dpv_from_aoa, element_gain_db,
                               element_gain_db_angles, in_main_lobe,
                               probe_kernels, probe_kernels_limit,
                               steering_derivative, steering_vector)
@@ -77,6 +77,37 @@ class TestDpvMapping:
         # the clamping inverse maps to the nearest physical angle instead
         theta, _ = aoa_coords(CFG, 0.0, 4.5)
         assert abs(theta - np.pi / 2) < 1e-9
+
+
+_CONFIGS = st.builds(ArrayConfig, m=st.integers(1, 64), n=st.integers(1, 64),
+                     d1=st.floats(0.1, 2.0), d2=st.floats(0.1, 2.0),
+                     wavelength=st.floats(0.5, 2.0))
+
+
+class TestDpvInverseProperties:
+    """The inverses on the documented branch, theta in [-pi/2, pi/2) and
+    phi in [0, pi], away from the edges where phi or theta is not
+    determined (cos theta = 0, sin phi = 0)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(cfg=_CONFIGS, theta=st.floats(-np.pi / 2 + 0.01, np.pi / 2 - 0.01),
+           phi=st.floats(0.01, np.pi - 0.01))
+    def test_aoa_from_dpv_inverts_dpv_from_aoa(self, cfg, theta, phi):
+        back = aoa_from_dpv(cfg, dpv_from_aoa(cfg, Aoa(theta, phi)))
+        assert abs(back.theta - theta) < 1e-9
+        assert abs(back.phi - phi) < 1e-9
+
+    @settings(max_examples=100, deadline=None)
+    @given(cfg=_CONFIGS,
+           angles=st.lists(st.tuples(st.floats(-np.pi / 2 + 0.01,
+                                               np.pi / 2 - 0.01),
+                                     st.floats(0.01, np.pi - 0.01)),
+                           min_size=1, max_size=8))
+    def test_aoa_coords_inverts_dpv_coords(self, cfg, angles):
+        theta, phi = np.array(angles).T
+        back_theta, back_phi = aoa_coords(cfg, *dpv_coords(cfg, theta, phi))
+        assert np.abs(back_theta - theta).max() < 1e-9
+        assert np.abs(back_phi - phi).max() < 1e-9
 
 
 class TestSteering:

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from beamtrack.arrays import ArrayConfig, probe_kernels
+from beamtrack.arrays import ArrayConfig, probe_kernels, probe_kernels_limit
 from beamtrack.checks import mc_fisher_di, mc_fisher_static
-from beamtrack.estimation import (DiModel, SingularFisher, _di_fisher_batch,
-                                  _di_score_terms, _gain_blocks, crlb_di,
+from beamtrack.estimation import (DiModel, SingularFisher, _di_info,
+                                  _di_score_terms, _gain_blocks, _products,
+                                  _sym2, crlb_di,
                                   crlb_di_asymptotic, crlb_static,
                                   crlb_static_asymptotic, di_log_pdf,
                                   di_offsets_crlb, di_score, fisher_di,
@@ -294,7 +295,7 @@ class TestBatchedScoreTerms:
         g, k1, k2 = probe_kernels(offsets.deltas, cfg.m, cfg.n)
         q_mats, c0 = _di_score_terms(g, k1, k2, c, noise_var)
         scores = c0 - np.einsum("bi,bpij,bj->bp", y.conj(), q_mats, y).real
-        info = _di_fisher_batch(g, k1, k2, c / noise_var)
+        info = _sym2(_di_info(_products(g, k1, k2), c / noise_var)[0])
         ebm = _ebm_at(x, offsets, cfg)
         h = 1e-6
         for row in range(len(c)):
@@ -368,6 +369,131 @@ class TestOffsetBoundProperties:
         assert np.isclose(di, di_offsets_crlb(offsets.deltas, m, n,
                                               sigma_beta_sq),
                           rtol=1e-9, atol=0)
+
+
+def _mp_col(v, mpmath):
+    return mpmath.matrix([mpmath.mpc(float(z.real), float(z.imag)) for z in v])
+
+
+def _mp_tr_inv(f):
+    return (f[0, 0] + f[1, 1]) / (f[0, 0] * f[1, 1] - f[0, 1] * f[1, 0])
+
+
+def _static_oracle(mpmath, kernels, gram):
+    """Tr{I^-1 gram} / 2 of the explicit 4x4 static Fisher (unit pilot,
+    noise and gain) and the Fisher itself."""
+    g, k1, k2 = (_mp_col(v, mpmath) for v in kernels)
+    cols = [g, 1j * g, k1, k2]
+    info = mpmath.matrix(4, 4)
+    for i in range(4):
+        for j in range(4):
+            info[i, j] = mpmath.re((cols[i].H * cols[j])[0])
+    sol = info**-1 * mpmath.matrix(gram.tolist())
+    return sum(sol[i, i] for i in range(4)) / 2, info
+
+
+def _di_oracle(mpmath, kernels, snr):
+    """Slepian-Bangs Tr{S^-1 dS_p S^-1 dS_q}, S = snr g g^H + I."""
+    g, k1, k2 = (_mp_col(v, mpmath) for v in kernels)
+    si = (snr * g * g.H + mpmath.eye(3))**-1
+    parts = [snr * (k * g.H + g * k.H) for k in (k1, k2)]
+    info = mpmath.matrix(2, 2)
+    for p in range(2):
+        for q in range(2):
+            prod = si * parts[p] * si * parts[q]
+            info[p, q] = mpmath.re(sum(prod[i, i] for i in range(3)))
+    return _mp_tr_inv(info), info
+
+
+def _di_limit_oracle(mpmath, kernels, snr):
+    """snr (Tr{G_p G_q} - tau_p tau_q) / ||g||^2 with the explicit
+    G_p = k_p g^H + g k_p^H and tau_p = 2 Re g^H k_p."""
+    g, k1, k2 = (_mp_col(v, mpmath) for v in kernels)
+    a = mpmath.re((g.H * g)[0])
+    mats = [k * g.H + g * k.H for k in (k1, k2)]
+    tau = [2 * mpmath.re((g.H * k)[0]) for k in (k1, k2)]
+    info = mpmath.matrix(2, 2)
+    for p in range(2):
+        for q in range(2):
+            prod = mats[p] * mats[q]
+            info[p, q] = snr * (mpmath.re(sum(prod[i, i] for i in range(3)))
+                                - tau[p] * tau[q]) / a
+    return _mp_tr_inv(info), info
+
+
+def _near_collinear(rng, jitter):
+    """Three offsets on a random line, moved off it by ``jitter``."""
+    angle = rng.uniform(0, np.pi)
+    along = np.array([np.cos(angle), np.sin(angle)])
+    perp = np.array([-along[1], along[0]])
+    return (rng.uniform(-0.4, 0.4, 2) + rng.uniform(-0.45, 0.45, 3)[:, None]
+            * along + jitter * rng.standard_normal(3)[:, None] * perp)
+
+
+# Re V^H V / MN at unit gain as the array grows
+_GRAM_LIMIT = np.array([[1, 0, 0, 0], [0, 1, np.pi, np.pi],
+                        [0, np.pi, 4 * np.pi**2 / 3, np.pi**2],
+                        [0, np.pi, np.pi**2, 4 * np.pi**2 / 3]])
+
+_ACCURACY_CASES = {
+    "static-asymptotic": (lambda d: crlb_static_asymptotic(d),
+                          lambda mp, d: _static_oracle(
+                              mp, probe_kernels_limit(d), _GRAM_LIMIT), 1e8),
+    "static-finite": (lambda d: static_offsets_crlb(d, 8, 8),
+                      lambda mp, d: _static_oracle(
+                          mp, probe_kernels(d, 8, 8),
+                          steering_gram(8, 8, 1.0).real / 64), 1e8),
+    "di-finite": (lambda d: di_offsets_crlb(d, 8, 8, 3.0),
+                  lambda mp, d: _di_oracle(mp, probe_kernels(d, 8, 8), 3), 1e3),
+    "di-asymptotic": (lambda d: crlb_di_asymptotic(d, 3.0),
+                      lambda mp, d: _di_limit_oracle(
+                          mp, probe_kernels_limit(d), 3), 1e6),
+}
+
+
+# offsets sharing one coordinate at zero: the other kernel derivative is
+# j times a real multiple of g, so neither model identifies that direction,
+# while rounding leaves its projected diagonal entries at noise size
+_AXIS_SETS = [np.array([[0.1, 0.0], [0.2, 0.0], [0.3, 0.0]]),
+              np.array([[0.0, -0.4], [0.0, 0.05], [0.0, 0.3]])]
+
+
+@pytest.mark.parametrize("deltas", _AXIS_SETS)
+def test_axis_collinear_sets_are_singular(deltas):
+    """All four offset bounds give +inf, at several sizes and SNRs."""
+    for m, n in ((4, 4), (8, 8), (16, 8), (64, 64)):
+        assert static_offsets_crlb(deltas, m, n) == np.inf
+        for snr in (0.1, 3.0, 1e3):
+            assert di_offsets_crlb(deltas, m, n, snr) == np.inf
+    assert crlb_static_asymptotic(deltas) == np.inf
+    assert crlb_di_asymptotic(deltas, 3.0) == np.inf
+
+
+class TestBoundAccuracy:
+    """The closed-form offset bounds against a 50-digit evaluation of the
+    explicit Fisher matrix on the same kernels (taken as exact).  The sets
+    run from spread to nearly collinear, stratified by cond(I) over six
+    decades of jitter; the relative error stays within 2 cond(I) eps (at
+    most 0.7 cond(I) eps was measured)."""
+
+    @pytest.mark.parametrize("name", sorted(_ACCURACY_CASES))
+    def test_error_within_conditioning(self, name):
+        mpmath = pytest.importorskip("mpmath")
+        bound, oracle, cond_reached = _ACCURACY_CASES[name]
+        rng = np.random.default_rng(11)
+        eps = np.finfo(float).eps
+        conds = []
+        with mpmath.workdps(50):
+            for jitter in (0.3, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5):
+                for _ in range(8):
+                    d = _near_collinear(rng, jitter)
+                    want, info = oracle(mpmath, d)
+                    cond = np.linalg.cond(np.array(info.tolist(), float))
+                    conds.append(cond)
+                    got = bound(d)
+                    rel = float(abs(mpmath.mpf(float(got)) - want) / want)
+                    assert rel <= 2 * cond * eps, (d, cond, rel)
+        assert max(conds) > cond_reached
 
 
 class TestCrlbDi:

@@ -5,14 +5,18 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
+from dataclasses import astuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beamtrack.arrays import ArrayConfig
 from beamtrack.channels import DynamicI, QuasiStatic, ScenarioConfig
 from beamtrack.harness import (CSV_HEADER, ConfigError, ExperimentConfig,
                                MetricsRecord, config_from_mapping, emit_csv,
-                               _worker_count, load_experiment,
+                               format_csv, _worker_count, load_experiment,
                                parse_config_text, read_csv, run_experiment)
 from beamtrack.cli import main
 from beamtrack.trackers import ConstantStep, DiminishingStep
@@ -154,6 +158,26 @@ class TestCsv:
                     assert math.isnan(b)
                 else:
                     assert b == pytest.approx(a, rel=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.lists(st.tuples(
+        st.integers(0, 10**6), st.integers(0, 10**6),
+        *[st.one_of(st.just(math.nan), st.floats(allow_nan=False))] * 3,
+        st.integers(1, 10**6)), max_size=6))
+    def test_read_csv_inverts_format_csv(self, rows):
+        """Any record whose values are 12-digit decimals (nan and +-inf
+        included) survives format_csv -> read_csv unchanged."""
+        recs = [MetricsRecord(e, x, *(float(f"{v:.12g}") for v in vals), t)
+                for e, x, *vals, t in rows]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "r.csv")
+            emit_csv(recs, path)
+            back = read_csv(path)
+        assert format_csv(back) == format_csv(recs)
+        for orig, got in zip(recs, back):
+            for a, b in zip(astuple(orig), astuple(got)):
+                assert a == b or (math.isnan(a) and math.isnan(b))
+        assert len(back) == len(recs)
 
     def test_unwritable_path_raises_with_context(self):
         with pytest.raises(OSError, match="no/such/dir"):
@@ -299,8 +323,12 @@ _SWEEP_STATIC = ("size,mn_times_crlb,asymptotic,rel_gap\n"
                  "4,2.20820363774,2.24770759032,-1.758e-02\n"
                  "8,2.23722383063,2.24770759032,-4.664e-03\n")
 _SWEEP_DI = ("size,mn_times_crlb,asymptotic,rel_gap\n"
-             "4,0.50227445345,0.452381023549,1.103e-01\n"
-             "8,0.464319593004,0.452381023549,2.639e-02\n")
+             "4,0.435813982265,0.397779599175,9.562e-02\n"
+             "8,0.407501263466,0.397779599175,2.444e-02\n")
+# the fading-gain bounds at the static preset
+_SWEEP_DI_TABLE_II = ("size,mn_times_crlb,asymptotic,rel_gap\n"
+                      "4,0.50227445345,0.452381023549,1.103e-01\n"
+                      "8,0.464319593004,0.452381023549,2.639e-02\n")
 _COLLINEAR = ("--sweep-sizes", "8", "--offsets", "0.1,0.1,0.2,0.2,0.3,0.3")
 
 # argv -> the exact stdout of the crlb/offsets bound commands; stderr is empty
@@ -309,9 +337,14 @@ GOLDEN_CLI = {
         "static-asymptotic CRLB at the given offsets: 2.24770759032\n",
     ("crlb", "--objective", "static-finite"):
         "static-finite CRLB at the given offsets: 0.0349566223535\n",
+    # without --offsets each objective takes its model's preset
     ("crlb", "--objective", "di-asymptotic"):
-        "di-asymptotic CRLB at the given offsets: 0.452381023549\n",
+        "di-asymptotic CRLB at the given offsets: 0.397779599175\n",
     ("crlb", "--objective", "di-finite"):
+        "di-finite CRLB at the given offsets: 0.00636720724165\n",
+    ("crlb", "--objective", "di-asymptotic", "--offsets", "tableII"):
+        "di-asymptotic CRLB at the given offsets: 0.452381023549\n",
+    ("crlb", "--objective", "di-finite", "--offsets", "tableII"):
         "di-finite CRLB at the given offsets: 0.00725499364069\n",
     ("crlb", "--objective", "static-asymptotic", "--sweep-sizes", "4,8"):
         _SWEEP_STATIC,
@@ -320,10 +353,18 @@ GOLDEN_CLI = {
     ("crlb", "--objective", "di-asymptotic", "--sweep-sizes", "4,8"):
         _SWEEP_DI,
     ("crlb", "--objective", "di-finite", "--sweep-sizes", "4,8"): _SWEEP_DI,
+    ("crlb", "--objective", "di-asymptotic", "--sweep-sizes", "4,8",
+     "--offsets", "tableII"): _SWEEP_DI_TABLE_II,
+    ("crlb", "--objective", "di-finite", "--sweep-sizes", "4,8",
+     "--offsets", "tableII"): _SWEEP_DI_TABLE_II,
     # degenerate (collinear) offsets: an infinite bound, no warning
     ("crlb", "--objective", "static-finite", *_COLLINEAR):
         "size,mn_times_crlb,asymptotic,rel_gap\n8,inf,inf,nan\n",
     ("crlb", "--objective", "di-asymptotic", *_COLLINEAR):
+        "size,mn_times_crlb,asymptotic,rel_gap\n8,inf,inf,nan\n",
+    # on an axis the projected diagonal is rounding noise, not zero
+    ("crlb", "--objective", "di-asymptotic", "--sweep-sizes", "8",
+     "--offsets", "0.1,0,0.2,0,0.3,0"):
         "size,mn_times_crlb,asymptotic,rel_gap\n8,inf,inf,nan\n",
     ("offsets", "--objective", "static-finite", "--robustness", "4,8"):
         "m,n,crlb_at_offsets,crlb_min,rel_gap\n"

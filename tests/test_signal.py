@@ -7,6 +7,7 @@ from beamtrack.arrays import ArrayConfig
 from beamtrack.offsets import STATIC_OFFSETS
 from beamtrack.signal import (AmbiguousSolution, ChannelParams, NoSolution,
                               OffsetSet, build_ebm, noiseless_mean, observe,
+                              observe_fast,
                               real_observation_jacobian,
                               recover_from_noiseless)
 
@@ -55,11 +56,17 @@ class TestObserve:
         assert np.abs(y - noiseless_mean(cfg, self.PSI, ebm)).max() < 1e-140
 
     def test_noise_mean_and_variance(self):
-        """With beta = 0 the draws are pure CN(0, noise_var) noise."""
+        """With beta = 0 the draws are pure CN(0, noise_var) noise.  The 1e5
+        draws of ``observe`` run as one ``observe_fast`` call on the same
+        normals: ``observe`` takes three real parts, then three imaginary
+        parts, per call, which is the row layout of ``observe_fast``."""
         psi0 = ChannelParams.from_parts(0.0, (0.0, 0.0))
         ebm = build_ebm(CFG, (0.0, 0.0), STATIC_OFFSETS)
+        normals = np.random.default_rng(1).standard_normal((100_000, 6))
+        draws = observe_fast(CFG, np.zeros(2), 0.0, ebm.directions, normals)
         rng = np.random.default_rng(1)
-        draws = np.stack([observe(CFG, psi0, ebm, rng) for _ in range(100_000)])
+        first = np.stack([observe(CFG, psi0, ebm, rng) for _ in range(20)])
+        assert np.array_equal(first, draws[:20])
         # componentwise mean within a 4-sigma band of zero
         band = 4 * np.sqrt(CFG.noise_var / 2 / len(draws))
         assert np.abs(draws.mean(axis=0).view(float)).max() < band

@@ -9,7 +9,7 @@ from beamtrack.arrays import ArrayConfig, probe_kernels
 from beamtrack.channels import bootstrap_gains
 from beamtrack.estimation import DiModel, SingularFisher, di_score, fisher_di
 from beamtrack.offsets import FADING_OFFSETS, STATIC_OFFSETS
-from beamtrack.signal import ChannelParams, build_ebm, noiseless_mean
+from beamtrack.signal import ChannelParams, OffsetSet, build_ebm, noiseless_mean
 from beamtrack import trackers
 from beamtrack.trackers import (BEAM_SPACING, BeamSwitchBatch, ConstantStep,
                                 DiminishingStep, EkfBatch, JbctBatch, RbtBatch,
@@ -305,6 +305,18 @@ class TestRbt:
     def test_zero_variance_is_singular(self):
         with pytest.raises(SingularFisher):
             _direction((0.0, 0.0), DiminishingStep(1.0), gain_var=0.0)
+
+    @pytest.mark.parametrize("deltas", [[[0.1, 0.0], [0.2, 0.0], [0.3, 0.0]],
+                                        [[0.0, -0.4], [0.0, 0.05], [0.0, 0.3]]])
+    def test_axis_collinear_offsets_are_singular(self, deltas):
+        """Both tracker caches reject offsets that share one coordinate at
+        zero, where neither model identifies the other direction."""
+        offsets = OffsetSet(np.array(deltas))
+        run = TrackerRun(CFG, offsets, DiminishingStep(1.0), np.ones(2))
+        with pytest.raises(SingularFisher):
+            RbtBatch(run, np.zeros((2, 2)), np.zeros(2, complex))
+        with pytest.raises(SingularFisher):
+            build_fast_cache(CFG, offsets)
 
     def test_cache_rebuilds_on_new_variance(self):
         """An estimated gain variance that moves rebuilds the row's terms
