@@ -16,13 +16,12 @@ Library layout:
 
 from .arrays import (Aoa, ArrayConfig, Dpv, OutOfPhysicalRange, PatternConfig,
                      aoa_from_dpv, beam_gain_kernel, dpv_from_aoa,
-                     element_gain, element_gain_db, in_main_lobe,
-                     steering_derivative, steering_vector)
+                     element_gain_db, steering_derivative, steering_vector)
 from .channels import DynamicI, DynamicII, QuasiStatic, ScenarioConfig
 from .estimation import (DiModel, SingularFisher, crlb_di,
                          crlb_di_asymptotic, crlb_static,
                          crlb_static_asymptotic, fisher_di, fisher_static,
-                         jacobian, sigma_di)
+                         jacobian)
 from .harness import (ConfigError, ExperimentConfig, MetricsRecord, emit_csv,
                       run_experiment)
 from .offsets import (FADING_OFFSETS, STATIC_OFFSETS, DiAsymptotic, DiFinite,
@@ -30,7 +29,7 @@ from .offsets import (FADING_OFFSETS, STATIC_OFFSETS, DiAsymptotic, DiFinite,
                       StaticAsymptotic, StaticFinite, canonicalize,
                       optimize_offsets, robustness_sweep)
 from .signal import (AmbiguousSolution, ChannelParams, Ebm, NoSolution,
-                     OffsetSet, build_ebm, noiseless_mean, observe,
+                     OffsetSet, build_ebm, noiseless_mean,
                      recover_from_noiseless)
 from .trackers import ConstantStep, DiminishingStep, count_ops, mean_field
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -20,29 +21,32 @@ class OutOfPhysicalRange(ValueError):
     """Direction coordinates that no physical arrival angle produces."""
 
 
+# Largest number of elements per axis: the element count m*n then fits a
+# 64-bit integer, which numpy needs where it takes the count as an operand.
+MAX_AXIS = 10**9
+
+
 @dataclass(frozen=True)
 class ArrayConfig:
     """Planar array geometry plus pilot amplitude and observation noise level.
 
-    Spacings and wavelength share one length unit; the defaults give
-    half-wavelength spacing.  ``pilot_amp`` is the norm of the (unmodelled)
-    pilot sequence; ``noise_var`` the post-matched-filter complex noise
-    variance.
+    Spacings are in wavelengths; the defaults give half-wavelength spacing.
+    ``pilot_amp`` is the norm of the (unmodelled) pilot sequence;
+    ``noise_var`` the post-matched-filter complex noise variance.
     """
 
     m: int
     n: int
     d1: float = 0.5
     d2: float = 0.5
-    wavelength: float = 1.0
     pilot_amp: float = 1.0
     noise_var: float = 1.0
 
     def __post_init__(self):
-        if self.m < 1 or self.n < 1:
-            raise ValueError("array needs at least one element per axis")
-        if min(self.d1, self.d2, self.wavelength) <= 0:
-            raise ValueError("spacings and wavelength must be positive")
+        if not (1 <= self.m <= MAX_AXIS and 1 <= self.n <= MAX_AXIS):
+            raise ValueError(f"array needs 1 to {MAX_AXIS} elements per axis")
+        if min(self.d1, self.d2) <= 0:
+            raise ValueError("spacings must be positive")
         if self.pilot_amp < 0:
             raise ValueError("pilot amplitude must be nonnegative")
         if self.noise_var <= 0:
@@ -93,8 +97,8 @@ def _xy(x) -> tuple[float, float]:
 
 def dpv_coords(cfg: ArrayConfig, theta, phi):
     """Direction coordinates (x1, x2) of arrival angles; vectorized."""
-    x1 = cfg.m * cfg.d1 * np.cos(theta) * np.cos(phi) / cfg.wavelength
-    x2 = cfg.n * cfg.d2 * np.sin(theta) / cfg.wavelength
+    x1 = cfg.m * cfg.d1 * np.cos(theta) * np.cos(phi)
+    x2 = cfg.n * cfg.d2 * np.sin(theta)
     return x1, x2
 
 
@@ -108,12 +112,10 @@ def aoa_coords(cfg: ArrayConfig, x1, x2):
     """Arrival angles (theta, phi) of direction coordinates, clamped to the
     physical cone: the inverse of :func:`dpv_coords` on the branch
     theta in [-pi/2, pi/2], phi in [0, pi]; vectorized."""
-    theta = np.arcsin(np.clip(cfg.wavelength * x2 / (cfg.n * cfg.d2),
-                              -1.0, 1.0))
+    theta = np.arcsin(np.clip(x2 / (cfg.n * cfg.d2), -1.0, 1.0))
     c = np.cos(theta)
     tiny = c < 1e-15
-    u = np.where(tiny, 0.0, cfg.wavelength * x1
-                 / (cfg.m * cfg.d1 * np.where(tiny, 1.0, c)))
+    u = np.where(tiny, 0.0, x1 / (cfg.m * cfg.d1 * np.where(tiny, 1.0, c)))
     return theta, np.arccos(np.clip(u, -1.0, 1.0))
 
 
@@ -126,11 +128,10 @@ def aoa_from_dpv(cfg: ArrayConfig, x) -> Aoa:
     """
     x1, x2 = _xy(x)
     theta, phi = aoa_coords(cfg, x1, x2)
-    if abs(cfg.wavelength * x2 / (cfg.n * cfg.d2)) > 1 + 1e-12:
+    if abs(x2 / (cfg.n * cfg.d2)) > 1 + 1e-12:
         raise OutOfPhysicalRange(f"x2={x2} exceeds the physical range")
     c = np.cos(theta)
-    if c >= 1e-15 and abs(cfg.wavelength * x1
-                           / (cfg.m * cfg.d1 * c)) > 1 + 1e-12:
+    if c >= 1e-15 and abs(x1 / (cfg.m * cfg.d1 * c)) > 1 + 1e-12:
         raise OutOfPhysicalRange(f"x1={x1} exceeds the physical range")
     return Aoa(float(theta), float(phi))
 
@@ -184,14 +185,20 @@ def _horner(coeffs, x):
 
 @functools.lru_cache(maxsize=64)
 def _ratio_series(size: int):
-    """Coefficients a_0..a_5 of sin(size u)/sin(u) in powers of u^2.
+    """Coefficients a_0..a_5 of sin(size u)/sin(u) in powers of u^2, each
+    the correctly rounded float of its exact rational value.
 
-    The ratio is sum_i cos(b_i u) over b_i = 2i - (size - 1), so
-    a_k = (-1)^k sum_i b_i^(2k) / (2k)!, from exact integer power sums.
+    Exact power-series division: with sin(v u) = u sum_k s_k(v) u^(2k),
+    s_k(v) = (-1)^k v^(2k+1) / (2k+1)!, a_k = s_k(size) - sum_{j<k} a_j
+    s_(k-j)(1), since s_0(1) = 1; O(1) in the size.
     """
-    b = range(1 - size, size, 2)
-    return tuple((-1) ** k * sum(v ** (2 * k) for v in b)
-                 / math.factorial(2 * k) for k in range(6))
+    def s(k, v):
+        return Fraction((-1) ** k * v ** (2 * k + 1), math.factorial(2 * k + 1))
+
+    a = []
+    for k in range(6):
+        a.append(s(k, size) - sum(a[j] * s(k - j, 1) for j in range(k)))
+    return tuple(float(c) for c in a)
 
 
 def _dirichlet(d, size: int, slope: bool = False):
@@ -393,16 +400,3 @@ def element_gain_db(pc: PatternConfig, aoa: Aoa) -> float:
 def element_gain_angles(pc: PatternConfig, theta, phi):
     """Element gain as a linear amplitude factor (vectorized)."""
     return 10.0 ** (element_gain_db_angles(pc, theta, phi) / 20.0)
-
-
-def element_gain(pc: PatternConfig, aoa: Aoa) -> float:
-    """Element gain as a linear amplitude factor (multiplies the path gain)."""
-    return float(element_gain_angles(pc, aoa.theta, aoa.phi))
-
-
-def in_main_lobe(center, candidate) -> bool:
-    """True iff the candidate lies in the open unit-halfwidth square around
-    the center, per direction coordinate."""
-    c1, c2 = _xy(center)
-    x1, x2 = _xy(candidate)
-    return abs(x1 - c1) < 1.0 and abs(x2 - c2) < 1.0

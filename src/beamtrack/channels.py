@@ -74,17 +74,15 @@ ScenarioKind = Union[QuasiStatic, DynamicI, DynamicII]
 @dataclass(frozen=True)
 class ScenarioConfig:
     kind: ScenarioKind
-    aoa_region: Union[str, tuple] = "central"
+    aoa_region: str = "central"
     pattern: PatternConfig = PatternConfig()
 
     def ranges(self):
-        if isinstance(self.aoa_region, str):
-            try:
-                return AOA_REGIONS[self.aoa_region]
-            except KeyError:
-                raise ValueError(f"unknown arrival region {self.aoa_region!r}")
-        (t_lo, t_hi), (p_lo, p_hi) = self.aoa_region
-        return (float(t_lo), float(t_hi)), (float(p_lo), float(p_hi))
+        """(theta, phi) ranges of the named arrival region."""
+        try:
+            return AOA_REGIONS[self.aoa_region]
+        except KeyError:
+            raise ValueError(f"unknown arrival region {self.aoa_region!r}")
 
 
 def bootstrap_gains(cfg: ArrayConfig, offsets: OffsetSet, x, beta_eff, x0,

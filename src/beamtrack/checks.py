@@ -3,12 +3,13 @@
 Each check returns (name, passed, detail).  The Fisher checks compare the
 analytic matrices against Monte-Carlo score covariances sampled from the
 physical observation model.  The static score is built from the explicit
-Jacobian.  The fading-gain score is built from the derivative matrices G_p
-of g g^H, while the Fisher it checks is the closed form on six inner
-products of the kernels, so the two routes share only the kernels.  Each is
-also tested against an explicit-matrix oracle: the score against central
-differences of ``di_log_pdf``, and the Fisher against the Slepian-Bangs form
-Tr{Sigma^-1 dSigma_p Sigma^-1 dSigma_q}.
+Jacobian.  The fading-gain score is the direction tracker's
+(:func:`~.estimation._di_score`, from the derivative matrices G_p of g g^H),
+while the Fisher it checks is the closed form on six inner products of the
+kernels, so the two routes share only the kernels.  Each is also tested
+against an explicit-matrix oracle in ``tests/reference.py``: the score
+against central differences of ``di_log_pdf``, and the Fisher against the
+Slepian-Bangs form Tr{Sigma^-1 dSigma_p Sigma^-1 dSigma_q}.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from __future__ import annotations
 import numpy as np
 
 from .arrays import ArrayConfig
-from .estimation import (DiModel, _di_score_terms, fisher_di, fisher_static,
-                         jacobian)
+from .estimation import (DiModel, _di_score, _di_score_terms, fisher_di,
+                         fisher_static, jacobian)
 from .offsets import FADING_OFFSETS, STATIC_OFFSETS
 from .signal import (ChannelParams, build_ebm, noiseless_mean,
                      real_observation_jacobian, recover_from_noiseless)
@@ -125,7 +126,7 @@ def mc_fisher_di(cfg: ArrayConfig, x, model: DiModel, ebm, draws: int,
                  rng: np.random.Generator) -> np.ndarray:
     """Monte-Carlo score covariance under the fading-gain model, sampling the
     physical observation y = s*beta*g + z and scoring each draw with the
-    analytic score of :func:`~.estimation.di_score`."""
+    analytic score of :func:`~.estimation._di_score`."""
     from .signal import observation_kernels
     g, d1, d2 = observation_kernels(cfg, x, ebm)
     beta = np.sqrt(model.sigma_beta_sq / 2.0) * (
@@ -138,7 +139,7 @@ def mc_fisher_di(cfg: ArrayConfig, x, model: DiModel, ebm, draws: int,
     q_mats, c0 = _di_score_terms(g, d1, d2,
                                  cfg.pilot_amp**2 * model.sigma_beta_sq,
                                  cfg.noise_var)
-    scores = c0 - np.einsum("ni,pij,nj->np", ys.conj(), q_mats, ys).real
+    scores = _di_score(q_mats, c0, ys)
     return scores.T @ scores / draws
 
 

@@ -81,9 +81,21 @@ def _positive_int(token, key: str) -> int:
     return value
 
 
+def _size(token, key: str) -> int:
+    """Elements per array axis: a positive integer of at most
+    ``arrays.MAX_AXIS``, the bound of the config keys ``m`` and ``n``."""
+    from .arrays import MAX_AXIS
+    from .harness import ConfigError
+    value = _positive_int(token, key)
+    if value > MAX_AXIS:
+        raise ConfigError(f"{key}: at most {MAX_AXIS} elements per axis, "
+                          f"got {token!r}")
+    return value
+
+
 def _sizes(text: str, key: str) -> list:
     """A comma list of array sizes, e.g. ``8,16,32``."""
-    return [_positive_int(token, key) for token in text.split(",")]
+    return [_size(token, key) for token in text.split(",")]
 
 
 def _objectives(args) -> dict:
@@ -223,16 +235,18 @@ def _cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
+    from .estimation import SingularFisher
     from .harness import ConfigError
-    from .offsets import NoImprovement
+    from .offsets import NoImprovement, db_to_power
     args = _build_parser().parse_args(argv)
     try:
         if args.command in ("crlb", "offsets"):
-            args.m = _positive_int(args.m, "--m")
-            args.n = _positive_int(args.n, "--n")
-            if not np.isfinite(args.snr_beta_db):
-                raise ConfigError(f"--snr-beta-db: expected a finite number, "
-                                  f"got {args.snr_beta_db!r}")
+            args.m = _size(args.m, "--m")
+            args.n = _size(args.n, "--n")
+            try:
+                db_to_power(args.snr_beta_db)
+            except ValueError as exc:
+                raise ConfigError(f"--snr-beta-db: {exc}") from None
         if args.command == "offsets":
             args.grid = _positive_int(args.grid, "--grid")
             args.iters = _positive_int(args.iters, "--iters")
@@ -243,7 +257,7 @@ def main(argv=None) -> int:
         if args.command == "offsets":
             return _cmd_offsets(args)
         return _cmd_verify(args)
-    except (ConfigError, NoImprovement) as exc:
+    except (ConfigError, NoImprovement, SingularFisher) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

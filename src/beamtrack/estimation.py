@@ -20,8 +20,12 @@ through tr(G_p G_q) and g^H G_p G_q g.  One singularity rule gives +inf
 (:func:`_regular`): det I <= ref / COND_LIMIT, where ref is the product of
 the diagonal of I taken before g is projected out of k1, k2, i.e. with a K
 in place of the Schur block W.  For the static model ref is prod(diag I)
-itself.  ``fisher_static``, ``crlb_static``, ``crlb_di`` are the
-explicit-matrix oracles.
+itself.  ``fisher_static`` and ``crlb_static`` are the explicit-matrix
+oracles of the static model.  ``crlb_di`` is not an oracle: it inverts the
+same six-product Fisher as ``di_offsets_crlb``, behind the singularity guard
+of :func:`_guarded_solve` (cond > COND_LIMIT) instead of :func:`_regular`.
+The explicit fading-gain oracles (the Slepian-Bangs Fisher, the covariance
+and log-density the score is differenced against) live in the tests.
 """
 
 from __future__ import annotations
@@ -153,54 +157,42 @@ def _trace_solve(f, h, ref, scale=1.0):
     return np.where(regular & np.isfinite(out) & (out > 0), out, np.inf)[()]
 
 
-def _static_bound(kernels, gram, pilot_amp, noise_var, beta):
-    """Tr{I^-1 Re V^H V} of the static model, scaled as the bound, with
+def _static_bound(kernels, gram, scale):
+    """Tr{I^-1 Re V^H V} of the static model times ``scale``, with
     ``gram`` = (c, P) from Re V^H V = [[I2, [0; c]], [[0; c]^T, P]] at unit
     gain.  For I = (2|s|^2/noise_var) [[a I2, B], [B^T, K]], B = [Re u; Im u],
     the Schur block W / a gives (noise_var / 2|s|^2) Tr{W^-1 (a P + K -
-    Im(u) c^T - c Im(u)^T)}; the gain cancels unless it is zero."""
+    Im(u) c^T - c Im(u)^T)}, so ``scale`` is noise_var / 2|s|^2; the
+    channel gain cancels."""
     a, (u1, u2), (k11, k12, k22), w = _products(*kernels)
     j1, j2 = u1.imag, u2.imag
     (c1, c2), (p11, p12, p22) = gram
     h = (a * p11 + k11 - 2.0 * c1 * j1, a * p12 + k12 - (c2 * j1 + c1 * j2),
          a * p22 + k22 - 2.0 * c2 * j2)
-    scale = noise_var / (2 * pilot_amp**2) if pilot_amp * beta != 0 else np.inf
     return _trace_solve(w, h, a * a * k11 * k22, scale)
 
 
 def static_offsets_crlb(deltas, m: int, n: int, pilot_amp: float = 1.0,
-                        noise_var: float = 1.0, beta: complex = 1.0 + 0j):
+                        noise_var: float = 1.0):
     """Normalized static CRLB as a function of the offsets alone (shift
-    property), per offset set of ``deltas`` (..., 3, 2)."""
+    property), per offset set of ``deltas`` (..., 3, 2); +inf at a zero
+    pilot."""
     gram = steering_gram(m, n, 1.0).real / (m * n)
+    scale = noise_var / (2 * pilot_amp**2) if pilot_amp != 0 else np.inf
     return _static_bound(probe_kernels(deltas, m, n),
                          (gram[1, 2:], (gram[2, 2], gram[2, 3], gram[3, 3])),
-                         pilot_amp, noise_var, beta)
+                         scale)
 
 
-def crlb_static_asymptotic(deltas, pilot_amp: float = 1.0,
-                           noise_var: float = 1.0, beta: complex = 1.0 + 0j):
-    """Large-array limit of MN times the normalized static CRLB, per offset
-    set of ``deltas`` (..., 3, 2)."""
-    return _static_bound(probe_kernels_limit(deltas), _GRAM_LIMIT, pilot_amp,
-                         noise_var, beta)
+def crlb_static_asymptotic(deltas):
+    """Large-array limit of MN times the normalized static CRLB at unit SNR
+    |s|^2 / noise_var, per offset set of ``deltas`` (..., 3, 2)."""
+    return _static_bound(probe_kernels_limit(deltas), _GRAM_LIMIT, 0.5)
 
 
 # ---------------------------------------------------------------------------
 # fading-gain (direction-only) model
 # ---------------------------------------------------------------------------
-
-def sigma_di(cfg: ArrayConfig, x, model: DiModel, ebm: Ebm):
-    """Determinant and inverse of the observation covariance
-    Sigma = |s|^2 sigma_beta^2 g g^H + noise_var I3."""
-    g, _, _ = observation_kernels(cfg, x, ebm)
-    c = cfg.pilot_amp**2 * model.sigma_beta_sq
-    sz2 = cfg.noise_var
-    g0 = float(np.vdot(g, g).real)
-    det = sz2**2 * (c * g0 + sz2)
-    inv = np.eye(3) / sz2 - (sz2 * c / det) * np.outer(g, g.conj())
-    return float(det), inv
-
 
 def _gain_blocks(g, k1, k2):
     """The fading-gain blocks of probe responses ``g`` (..., 3) with
@@ -230,6 +222,14 @@ def _di_score_terms(g, k1, k2, c, sz2: float):
     q_mats = -sz2 * cv[..., None, None] * (
         big * det4 - gg * ddet[..., None, None]) / det4**2
     return q_mats, -ddet / det
+
+
+def _di_score(q_mats, c0, y):
+    """Fading-gain score c0 - Re y^H Q_p y (..., 2) of observations
+    ``y`` (..., 3), from the terms of :func:`_di_score_terms` (broadcast
+    against the leading shape of ``y``)."""
+    qy = (q_mats @ y[..., None, :, None])[..., 0]     # (..., 2, 3)
+    return c0 - (y.conj()[..., None, :] * qy).sum(-1).real
 
 
 def fisher_di(cfg: ArrayConfig, x, model: DiModel, ebm: Ebm) -> np.ndarray:
@@ -284,20 +284,3 @@ def crlb_di_asymptotic(deltas, snr_beta: float):
     in :func:`_di_info`), so I = 2 snr W / a: the SNR is a scale."""
     a, _, (k11, _, k22), w = _products(*probe_kernels_limit(deltas))
     return _trace_solve(w, (a, 0.0, a), a * a * k11 * k22, 0.5 / snr_beta)
-
-
-def di_log_pdf(cfg: ArrayConfig, x, model: DiModel, ebm: Ebm, y) -> float:
-    """Log-density of one observation under the fading-gain model."""
-    det, inv = sigma_di(cfg, x, model, ebm)
-    y = np.asarray(y, complex)
-    return float(-3 * np.log(np.pi) - np.log(det)
-                 - np.real(y.conj() @ inv @ y))
-
-
-def di_score(cfg: ArrayConfig, x, model: DiModel, ebm: Ebm, y) -> np.ndarray:
-    """Gradient of :func:`di_log_pdf` in the direction coordinates."""
-    q_mats, c0 = _di_score_terms(*observation_kernels(cfg, x, ebm),
-                                 cfg.pilot_amp**2 * model.sigma_beta_sq,
-                                 cfg.noise_var)
-    y = np.asarray(y, complex)
-    return c0 - np.einsum("i,pij,j->p", y.conj(), q_mats, y).real

@@ -41,7 +41,7 @@ from .channels import (ChannelBatch, DynamicI, DynamicII, QuasiStatic,
                        evolve_normals, init_channel_batch, initial_draws,
                        initial_estimate_batch)
 from .estimation import di_offsets_crlb, static_offsets_crlb
-from .offsets import OFFSET_PRESETS
+from .offsets import OFFSET_PRESETS, db_to_power
 from .signal import OffsetSet, observe_fast
 from .trackers import (BeamSwitchBatch, ConstantStep, DiminishingStep,
                        EkfBatch, JbctBatch, RbtBatch, TrackerRun)
@@ -109,6 +109,7 @@ def _validate(ec: ExperimentConfig):
     if isinstance(ec.offsets, str) and ec.offsets not in OFFSET_PRESETS:
         raise ConfigError(f"offsets: unknown preset {ec.offsets!r}; "
                           f"expected one of {sorted(OFFSET_PRESETS)}")
+    _build("snr_db", db_to_power, ec.snr_db)
 
 
 def _resolve_offsets(ec: ExperimentConfig) -> OffsetSet:
@@ -120,7 +121,7 @@ def _resolve_offsets(ec: ExperimentConfig) -> OffsetSet:
 def effective_array(ec: ExperimentConfig) -> ArrayConfig:
     """Array config with the pilot amplitude implied by the transmit SNR:
     pilot_amp = sqrt(10^(snr/10) * noise_var)."""
-    pilot = float(np.sqrt(10.0 ** (ec.snr_db / 10.0) * ec.array.noise_var))
+    pilot = float(np.sqrt(db_to_power(ec.snr_db) * ec.array.noise_var))
     return replace(ec.array, pilot_amp=pilot)
 
 
@@ -300,19 +301,6 @@ def emit_csv(records, path):
         raise OSError(f"cannot write CSV to {path}: {exc}") from exc
 
 
-def read_csv(path) -> List[MetricsRecord]:
-    records = []
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != CSV_HEADER:
-            raise ValueError(f"unexpected CSV header in {path}: {header!r}")
-        for line in fh:
-            ecc, expl, mh, mx, cr, tr = line.strip().split(",")
-            records.append(MetricsRecord(int(ecc), int(expl), float(mh),
-                                         float(mx), float(cr), int(tr)))
-    return records
-
-
 # ---------------------------------------------------------------------------
 # TOML configuration files
 # ---------------------------------------------------------------------------
@@ -397,15 +385,16 @@ def config_from_mapping(kv: dict) -> ExperimentConfig:
                    d2=_pop_float(kv, "d2", 0.5),
                    noise_var=_pop_float(kv, "noise_var", 1.0))
 
+    # each schedule takes only its own keys; the others stay in ``kv``
+    # and are reported as unused
     schedule = None
     sched_name = kv.pop("schedule", None)
-    eps = _pop_float(kv, "epsilon", 1.0)
-    k0 = _pop_float(kv, "k0", 0.0)
-    step = _pop_float(kv, "step", 0.7)
     if sched_name == "diminishing":
-        schedule = _build("epsilon, k0", DiminishingStep, eps, k0)
+        schedule = _build("epsilon, k0", DiminishingStep,
+                          _pop_float(kv, "epsilon", 1.0),
+                          _pop_float(kv, "k0", 0.0))
     elif sched_name == "constant":
-        schedule = _build("step", ConstantStep, step)
+        schedule = _build("step", ConstantStep, _pop_float(kv, "step", 0.7))
     elif sched_name is not None:
         raise ConfigError(f"schedule: unknown schedule {sched_name!r}")
 

@@ -16,6 +16,7 @@ the ``tableII`` / ``tableIII`` configuration presets.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 from typing import Union
 
@@ -42,6 +43,17 @@ OFFSET_PRESETS = {"tableII": STATIC_OFFSETS, "tableIII": FADING_OFFSETS}
 
 class NoImprovement(RuntimeError):
     """Every refinement start failed to produce a finite objective value."""
+
+
+def db_to_power(db: float) -> float:
+    """The power ratio 10^(db/10) of a level in dB.  ValueError for a level
+    that is not finite or whose ratio overflows a float."""
+    if not math.isfinite(db):
+        raise ValueError(f"expected a finite number, got {db!r}")
+    try:
+        return 10.0 ** (float(db) / 10.0)
+    except OverflowError:
+        raise ValueError(f"{db!r} dB overflows a float power ratio") from None
 
 
 @dataclass(frozen=True)
@@ -71,7 +83,7 @@ class DiAsymptotic:
     snr_beta_db: float = 0.0
 
     def evaluate(self, deltas):
-        return crlb_di_asymptotic(deltas, 10.0 ** (self.snr_beta_db / 10.0))
+        return crlb_di_asymptotic(deltas, db_to_power(self.snr_beta_db))
 
 
 @dataclass(frozen=True)
@@ -84,10 +96,14 @@ class DiFinite:
 
     def evaluate(self, deltas):
         return di_offsets_crlb(deltas, self.m, self.n,
-                               10.0 ** (self.snr_beta_db / 10.0))
+                               db_to_power(self.snr_beta_db))
 
 
 Objective = Union[StaticAsymptotic, StaticFinite, DiAsymptotic, DiFinite]
+
+# Halfwidth of the search box for each offset coordinate, inside the open
+# main lobe (-1, 1).
+BOX_HALFWIDTH = 0.95
 
 
 @dataclass(frozen=True)
@@ -95,11 +111,6 @@ class SearchConfig:
     objective: Objective
     grid_points_per_axis: int = 21
     refine_iters: int = 400
-    box_halfwidth: float = 0.95
-
-    def __post_init__(self):
-        if not 0 < self.box_halfwidth < 1:
-            raise ValueError("offsets are confined to the open main lobe")
 
 
 @dataclass(frozen=True)
@@ -220,9 +231,9 @@ def _sort_simplex(sim, fsim):
             np.take_along_axis(fsim, ind, 1))
 
 
-def _grid_axis(halfwidth, points):
+def _grid_axis(points):
     # avoid exact zeros/duplicate offsets on the grid
-    g = np.linspace(-halfwidth, halfwidth, points)
+    g = np.linspace(-BOX_HALFWIDTH, BOX_HALFWIDTH, points)
     g[np.abs(g) < 1e-9] = 1e-3
     return g
 
@@ -231,7 +242,7 @@ def _slice_seeds(sc: SearchConfig):
     """Candidate sets from two symmetry-reduced 4D families:
     swap-symmetric {(a,b), (c,d), (b,a)} and axis-mirror {(a,b), (-a,b), (c,d)}.
     """
-    g = _grid_axis(sc.box_halfwidth, sc.grid_points_per_axis)
+    g = _grid_axis(sc.grid_points_per_axis)
     aa, bb, cc, dd = np.meshgrid(g, g, g, g, indexing="ij")
     a, b, c, d = (v.ravel() for v in (aa, bb, cc, dd))
     swap = np.stack([np.stack([a, b], -1), np.stack([c, d], -1),
@@ -267,7 +278,7 @@ def optimize_offsets(sc: SearchConfig, starts=None) -> SearchResult:
     ``starts`` overrides the grid seeds with explicit (3, 2) arrays (used by
     tests and by callers that already hold a good incumbent).
     """
-    bh = sc.box_halfwidth
+    bh = BOX_HALFWIDTH
 
     def values(points):
         vals = _batched(sc.objective, points.reshape(-1, 3, 2))

@@ -101,25 +101,16 @@ def noiseless_mean(cfg: ArrayConfig, psi: ChannelParams, ebm: Ebm) -> np.ndarray
     return cfg.pilot_amp * psi.beta * (ebm.columns.conj().T @ a)
 
 
-def observe(cfg: ArrayConfig, psi: ChannelParams, ebm: Ebm,
-            rng: np.random.Generator) -> np.ndarray:
-    """One noisy exploration cycle: the noiseless mean plus i.i.d.
-    circularly-symmetric complex Gaussian noise of variance ``noise_var``."""
-    mean = noiseless_mean(cfg, psi, ebm)
-    scale = np.sqrt(cfg.noise_var / 2.0)
-    z = scale * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
-    return mean + z
-
-
 def observe_fast(cfg: ArrayConfig, x, beta, dirs, normals) -> np.ndarray:
     """Noisy observations of a batch of channels on the kernel path.
 
     ``x`` (..., 2) and ``beta`` (...) are the channels' directions and
     equivalent gains, ``dirs`` (..., 3, 2) the probe directions and
     ``normals`` (..., 6) standard normals: the real parts of the three noise
-    values, then their imaginary parts.  Equal to :func:`observe` with an
-    EBM pointing at ``dirs`` (shift property), from the gain kernel alone:
-    O(M+N) per probe up to 8 elements per axis, O(1) above.
+    values, then their imaginary parts.  Equal to the noiseless mean of an
+    EBM pointing at ``dirs`` (shift property) plus CN(0, noise_var) noise,
+    from the gain kernel alone: O(M+N) per probe up to 8 elements per axis,
+    O(1) above.
     """
     x = np.asarray(x, float)
     g = _gain_kernel(np.asarray(dirs, float) - x[..., None, :], cfg.m, cfg.n)

@@ -32,7 +32,7 @@ from typing import Callable, Optional, Protocol
 import numpy as np
 
 from .arrays import ArrayConfig, probe_kernels
-from .estimation import (COND_LIMIT, SingularFisher, _di_info,
+from .estimation import (COND_LIMIT, SingularFisher, _di_info, _di_score,
                          _di_score_terms, _products, _regular, _sym2,
                          jacobian)
 from .signal import ChannelParams, Ebm, OffsetSet, fit_gains, noiseless_mean
@@ -106,7 +106,8 @@ def build_fast_cache(cfg: ArrayConfig, offsets: OffsetSet) -> FastUpdateCache:
     # gain block ||e||^2 I2 (columns e and j e), direction Schur block W / a
     a, u, k, w = _products(e, d1, d2)
     if not _regular(w, a * a * k[0] * k[2])[1]:
-        raise SingularFisher("static Fisher is singular; offsets are degenerate")
+        raise SingularFisher("static Fisher is singular: degenerate offsets "
+                             "or a one-element axis")
     a, s = float(a), cfg.pilot_amp
     return FastUpdateCache(s * e, e / s, d1 / s, d2 / s, np.array(u), 1.0 / a,
                            _sym2(_sym_inv2(*(x / a for x in w))),
@@ -197,10 +198,9 @@ def _rbt_terms(e, d1, d2, c, sz2: float):
 def _rbt_direction_batch(q_mats, c0, i_inv, y: np.ndarray) -> np.ndarray:
     """Fisher-preconditioned score step direction of the direction tracker
     for a batch, y (T, 3) -> (T, 2), from the per-row terms of
-    :func:`_rbt_terms`: score c0 - Re y^H Q_p y, then I^-1 times it."""
-    qy = (q_mats @ y[:, None, :, None])[..., 0]      # (T, 2, 3)
-    qf = (y.conj()[:, None, :] * qy).sum(-1).real
-    return (i_inv @ (c0 - qf)[..., None])[..., 0]
+    :func:`_rbt_terms`: the score of :func:`~.estimation._di_score`, then
+    I^-1 times it."""
+    return (i_inv @ _di_score(q_mats, c0, y)[..., None])[..., 0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,19 @@
-"""Per-trial references: the oracle the batched code is compared against.
+"""Test oracles: the references the library's code is compared against.
 
-One trial at a time, each function drawing from the trial's generator call
-by call: the channel model (``init_channel``, ``evolve``), the in-main-lobe
-initial estimate with its bootstrap gain fit, the explicit-EBM gain fit, and
-the scalar steps of the two baselines.  The library runs only the batched
-counterparts (``channels.init_channel_batch``, ``initial_estimate_batch``,
-``evolve_batch``, ``trackers.BeamSwitchBatch``, ``EkfBatch``); only the
-comparison tests import this module.
+Per-trial references, one trial at a time, each function drawing from the
+trial's generator call by call: the channel model (``init_channel``,
+``evolve``, the scalar element gain ``element_gain``), the observation
+``observe``, the in-main-lobe initial estimate with its bootstrap gain fit,
+the explicit-EBM gain fit, and the scalar steps of the two baselines.  The
+library runs only the batched counterparts (``channels.init_channel_batch``,
+``initial_estimate_batch``, ``evolve_batch``, ``signal.observe_fast``,
+``trackers.BeamSwitchBatch``, ``EkfBatch``).
+
+Explicit fading-gain model: the covariance ``sigma_di``, the log-density
+``di_log_pdf`` and the score ``di_score`` (the library's
+``estimation._di_score`` for one observation), which tests difference
+against the log-density.  And ``read_csv``, the inverse of
+``harness.format_csv``.  Only tests import this module.
 """
 
 from __future__ import annotations
@@ -15,11 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from beamtrack.arrays import (Aoa, ArrayConfig, _xy, dpv_from_aoa,
-                              element_gain, probe_kernels)
+from beamtrack.arrays import (Aoa, ArrayConfig, PatternConfig, _xy,
+                              dpv_from_aoa, element_gain_angles, probe_kernels)
 from beamtrack.channels import (DynamicI, QuasiStatic, ScenarioConfig,
                                 ScenarioKind, bootstrap_gains)
-from beamtrack.signal import ChannelParams, Ebm, OffsetSet, observation_kernels
+from beamtrack.estimation import DiModel, _di_score, _di_score_terms
+from beamtrack.harness import CSV_HEADER, MetricsRecord
+from beamtrack.signal import (ChannelParams, Ebm, OffsetSet, noiseless_mean,
+                              observation_kernels)
 from beamtrack.trackers import (BEAM_SPACING, EKF_PRIOR_VAR,
                                 EKF_PROBE_OFFSETS, EKF_PROCESS_NOISE)
 
@@ -41,6 +51,21 @@ class ChannelState:
     @property
     def params(self) -> ChannelParams:
         return ChannelParams.from_parts(self.beta_eff, self.x)
+
+
+def element_gain(pc: PatternConfig, aoa: Aoa) -> float:
+    """Element gain as a linear amplitude factor (multiplies the path gain)."""
+    return float(element_gain_angles(pc, aoa.theta, aoa.phi))
+
+
+def observe(cfg: ArrayConfig, psi: ChannelParams, ebm: Ebm,
+            rng: np.random.Generator) -> np.ndarray:
+    """One noisy exploration cycle: the noiseless mean plus i.i.d.
+    circularly-symmetric complex Gaussian noise of variance ``noise_var``."""
+    mean = noiseless_mean(cfg, psi, ebm)
+    scale = np.sqrt(cfg.noise_var / 2.0)
+    z = scale * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
+    return mean + z
 
 
 def _cn(rng: np.random.Generator, var: float) -> complex:
@@ -215,3 +240,56 @@ def baseline_ekf_step(state: EkfState, cfg: ArrayConfig, y) -> EkfState:
     state.p = p_new
     state.k += 1
     return state
+
+
+# ---------------------------------------------------------------------------
+# explicit fading-gain model
+# ---------------------------------------------------------------------------
+
+
+def sigma_di(cfg: ArrayConfig, x, model: DiModel, ebm: Ebm):
+    """Determinant and inverse of the observation covariance
+    Sigma = |s|^2 sigma_beta^2 g g^H + noise_var I3."""
+    g, _, _ = observation_kernels(cfg, x, ebm)
+    c = cfg.pilot_amp**2 * model.sigma_beta_sq
+    sz2 = cfg.noise_var
+    g0 = float(np.vdot(g, g).real)
+    det = sz2**2 * (c * g0 + sz2)
+    inv = np.eye(3) / sz2 - (sz2 * c / det) * np.outer(g, g.conj())
+    return float(det), inv
+
+
+def di_log_pdf(cfg: ArrayConfig, x, model: DiModel, ebm: Ebm, y) -> float:
+    """Log-density of one observation under the fading-gain model."""
+    det, inv = sigma_di(cfg, x, model, ebm)
+    y = np.asarray(y, complex)
+    return float(-3 * np.log(np.pi) - np.log(det)
+                 - np.real(y.conj() @ inv @ y))
+
+
+def di_score(cfg: ArrayConfig, x, model: DiModel, ebm: Ebm, y) -> np.ndarray:
+    """Gradient of :func:`di_log_pdf` in the direction coordinates, by the
+    library's score."""
+    q_mats, c0 = _di_score_terms(*observation_kernels(cfg, x, ebm),
+                                 cfg.pilot_amp**2 * model.sigma_beta_sq,
+                                 cfg.noise_var)
+    return _di_score(q_mats, c0, np.asarray(y, complex))
+
+
+# ---------------------------------------------------------------------------
+# CSV
+# ---------------------------------------------------------------------------
+
+
+def read_csv(path) -> list:
+    """The records of a CSV written by ``harness.emit_csv``."""
+    records = []
+    with open(path) as fh:
+        header = fh.readline().strip()
+        if header != CSV_HEADER:
+            raise ValueError(f"unexpected CSV header in {path}: {header!r}")
+        for line in fh:
+            ecc, expl, mh, mx, cr, tr = line.strip().split(",")
+            records.append(MetricsRecord(int(ecc), int(expl), float(mh),
+                                         float(mx), float(cr), int(tr)))
+    return records

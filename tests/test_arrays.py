@@ -1,17 +1,19 @@
 """Unit tests for array geometry, steering vectors, kernels, and the pattern."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beamtrack.arrays import (Aoa, ArrayConfig, Dpv, OutOfPhysicalRange,
+from beamtrack.arrays import (Aoa, ArrayConfig, OutOfPhysicalRange,
                               PatternConfig, _gain_kernel,
-                              _phase_deriv_kernel, aoa_coords, aoa_from_dpv,
+                              _phase_deriv_kernel, _ratio_series, aoa_coords,
+                              aoa_from_dpv,
                               beam_gain_kernel,
                               dpv_coords, dpv_from_aoa, element_gain_db,
-                              element_gain_db_angles, in_main_lobe,
-                              probe_kernels, probe_kernels_limit,
+                              element_gain_db_angles, probe_kernels, probe_kernels_limit,
                               steering_derivative, steering_vector)
 
 CFG = ArrayConfig(8, 8)
@@ -80,8 +82,7 @@ class TestDpvMapping:
 
 
 _CONFIGS = st.builds(ArrayConfig, m=st.integers(1, 64), n=st.integers(1, 64),
-                     d1=st.floats(0.1, 2.0), d2=st.floats(0.1, 2.0),
-                     wavelength=st.floats(0.5, 2.0))
+                     d1=st.floats(0.1, 2.0), d2=st.floats(0.1, 2.0))
 
 
 class TestDpvInverseProperties:
@@ -244,6 +245,20 @@ class TestClosedForm:
             assert np.array_equal(g, w)
         assert np.array_equal(_gain_kernel(d, 8, 8), got[0])
 
+    def test_ratio_series_matches_power_sums(self):
+        """The series of sin(size u)/sin(u) equals, bit for bit, the exact
+        integer power sums of its cosine expansion sum_i cos(b_i u),
+        b_i = 2i - (size - 1), for sizes 1-300; at size 10^12 the first two
+        coefficients are size and -size(size^2 - 1)/6."""
+        for size in range(1, 301):
+            b = range(1 - size, size, 2)
+            want = tuple((-1) ** k * sum(v ** (2 * k) for v in b)
+                         / math.factorial(2 * k) for k in range(6))
+            assert _ratio_series(size) == want
+        big = 10**12
+        a = _ratio_series(big)
+        assert a[:2] == (float(big), -float((big**3 - big) // 6))
+
     def test_phase_derivative_kernel(self):
         """(e^{-jt}(1+jt) - 1)/t^2 within 1e-14 relative of a 50-digit
         evaluation over t in [1e-8, 1], across the series/direct switch."""
@@ -314,15 +329,6 @@ class TestElementPattern:
         ph = rng.uniform(0, np.pi, 2000)
         db = element_gain_db_angles(self.PC, th, ph)
         assert np.all(db <= 0.0) and np.all(db >= -30.0)
-
-
-class TestMainLobe:
-    def test_interior(self):
-        assert in_main_lobe(Dpv(0, 0), Dpv(0.99, -0.99))
-        assert in_main_lobe((3, 2), (3.5, 2.5))
-
-    def test_boundary_excluded(self):
-        assert not in_main_lobe((0, 0), (1.0, 0.0))
 
 
 class TestConfigValidation:

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from beamtrack.arrays import (Aoa, ArrayConfig, dpv_from_aoa, element_gain,
-                              in_main_lobe)
+from reference import element_gain
+
+from beamtrack.arrays import Aoa, ArrayConfig, dpv_from_aoa
 from beamtrack.channels import (AOA_REGIONS, INITIAL_DRAWS, DynamicI,
                                 DynamicII, QuasiStatic, ScenarioConfig,
                                 estimated_gain_variance, evolve_batch,
@@ -202,8 +203,8 @@ class TestInitialEstimate:
 
     def test_always_in_main_lobe(self):
         ch, x0, _ = _estimates(ScenarioConfig(QuasiStatic()), 10_000, 11, 0.5)
-        for row in range(len(x0)):
-            assert in_main_lobe(tuple(ch.x[row]), x0[row])
+        # the open unit-halfwidth square around the truth
+        assert np.all(np.abs(x0 - ch.x) < 1.0)
 
     def test_uniform_offsets(self):
         """The drawn offsets are uniform per coordinate (KS p > 0.01)."""
@@ -225,9 +226,9 @@ class TestInitialEstimate:
         """The batched initial channel and estimate equal the reference
         channel draw, an EBM built at the estimate, an observation through
         it and the explicit gain fit, on the same stream."""
-        from reference import bootstrap_gain, init_channel
+        from reference import bootstrap_gain, init_channel, observe
 
-        from beamtrack.signal import build_ebm, observe
+        from beamtrack.signal import build_ebm
         cfg = ArrayConfig(8, 6, pilot_amp=1.7, noise_var=0.6)
         sc = ScenarioConfig(DynamicII())
         for seed in range(20):

@@ -13,8 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beamtrack.arrays import (Aoa, ArrayConfig, aoa_coords, element_gain,
-                              probe_kernels)
+from beamtrack.arrays import Aoa, ArrayConfig, aoa_coords, probe_kernels
 from beamtrack.channels import DynamicI, DynamicII, QuasiStatic, ScenarioConfig
 from beamtrack.estimation import di_offsets_crlb, static_offsets_crlb
 from beamtrack.harness import (TRACKERS, ExperimentConfig, _records,
@@ -28,7 +27,8 @@ from beamtrack.trackers import (STEP_CAP, DiminishingStep, EkfBatch,
                                 _jbct_direction_batch, jbct_direction)
 from reference import (baseline_beam_switch_step, baseline_ekf_step,
                        beam_switch_probes, beam_switch_tracker, ekf_probes,
-                       ekf_tracker, evolve, init_channel, initial_estimate)
+                       ekf_tracker, element_gain, evolve, init_channel,
+                       initial_estimate)
 
 # ---------------------------------------------------------------------------
 # reference: one trial at a time

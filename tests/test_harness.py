@@ -12,12 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import read_csv
+
 from beamtrack.arrays import ArrayConfig
 from beamtrack.channels import DynamicI, QuasiStatic, ScenarioConfig
-from beamtrack.harness import (CSV_HEADER, ConfigError, ExperimentConfig,
-                               MetricsRecord, config_from_mapping, emit_csv,
-                               format_csv, _worker_count, load_experiment,
-                               parse_config_text, read_csv, run_experiment)
+from beamtrack.harness import (CSV_HEADER, TRACKER_NAMES, ConfigError,
+                               ExperimentConfig, MetricsRecord,
+                               config_from_mapping, emit_csv, format_csv,
+                               _worker_count, load_experiment,
+                               parse_config_text, run_experiment)
 from beamtrack.cli import main
 from beamtrack.trackers import ConstantStep, DiminishingStep
 
@@ -184,6 +187,48 @@ class TestCsv:
             emit_csv([], "/no/such/dir/out.csv")
 
 
+def _toml_value(value) -> str:
+    if isinstance(value, str):
+        return f'"{value}"'
+    return repr(value)
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+# every key of a valid config file; each scenario and schedule with its own
+# keys, optional keys left out at random
+_VALID_MAPPINGS = st.builds(
+    lambda *parts: {k: v for part in parts for k, v in part.items()},
+    st.one_of(
+        st.fixed_dictionaries({"scenario": st.just("quasi-static")},
+                              optional={"rician_k_db": _floats(-20, 40)}),
+        st.fixed_dictionaries({"scenario": st.just("dynamic-i")}, optional={
+            "sigma_beta_c_sq": _floats(1e-3, 10)}),
+        st.fixed_dictionaries({"scenario": st.just("dynamic-ii")}, optional={
+            "rho": _floats(0.5, 1.0), "delta_a_deg": _floats(0.01, 5.0)})),
+    st.one_of(
+        st.just({}),
+        st.fixed_dictionaries({"schedule": st.just("diminishing")}, optional={
+            "epsilon": _floats(0.01, 10), "k0": _floats(0, 10)}),
+        st.fixed_dictionaries({"schedule": st.just("constant")}, optional={
+            "step": _floats(0.01, 2)})),
+    st.fixed_dictionaries({}, optional={
+        "aoa_region": st.sampled_from(["central", "edge"]),
+        "tracker": st.sampled_from(TRACKER_NAMES),
+        "offsets": st.sampled_from(["tableII", "tableIII"]),
+        "m": st.integers(1, 64), "n": st.integers(1, 64),
+        "d1": _floats(0.1, 2), "d2": _floats(0.1, 2),
+        "noise_var": _floats(1e-3, 10), "snr_db": _floats(-30, 30),
+        "trials": st.integers(1, 1000), "eccs": st.integers(1, 5000),
+        "seed": st.integers(0, 2**63 - 1),
+        "record_every": st.integers(1, 100),
+        "init_halfwidth": _floats(0, 0.99),
+        "rbt_sigma_mode": st.sampled_from(["perfect", "estimated"]),
+        "out": st.sampled_from(["run.csv", "out/r#1.csv"])}))
+
+
 class TestConfigFile:
     GOOD = """
 # quasi-static smoke run
@@ -236,6 +281,16 @@ k0 = 0.0
     def test_load_missing_file(self):
         with pytest.raises(ConfigError, match="cannot read"):
             load_experiment("/no/such/config.toml")
+
+    @settings(max_examples=60, deadline=None)
+    @given(mapping=_VALID_MAPPINGS)
+    def test_toml_round_trip(self, mapping):
+        """A valid key mapping written as TOML, parsed and built, gives the
+        config the mapping builds directly."""
+        text = "".join(f"{key} = {_toml_value(value)}\n"
+                       for key, value in mapping.items())
+        assert config_from_mapping(parse_config_text(text)) == \
+            config_from_mapping(mapping)
 
 
 def _run_cli(*args):
@@ -396,6 +451,8 @@ def test_asymptotic_search_ignores_array_size_flags():
 
 
 GOOD_RUN = TestConfigFile.GOOD
+_NO_SCHEDULE = GOOD_RUN.replace('schedule = "diminishing"\nepsilon = 1.0\n'
+                                "k0 = 0.0\n", "")
 
 
 # (config text, extra argv, BEAMTRACK_THREADS); each is one bad input
@@ -425,6 +482,20 @@ BAD_INPUTS = {
     "unwritable output": (GOOD_RUN, ["--out", "/no/such/dir/out.csv"], None),
     "malformed thread count": (GOOD_RUN, [], "abc"),
     "negative thread count": (GOOD_RUN, [], "-3"),
+    # a one-element array cannot resolve a direction: singular Fisher
+    "one-element array": (GOOD_RUN.replace("m = 8\nn = 8", "m = 1\nn = 1"),
+                          [], None),
+    "vanishing gain variance": (
+        'scenario = "dynamic-i"\ntracker = "RBT_DI"\noffsets = "tableIII"\n'
+        "sigma_beta_c_sq = 1e-320\n", [], None),
+    "overflowing snr": (GOOD_RUN.replace("snr_db = 0.0", "snr_db = 1e5"),
+                        [], None),
+    "oversized array": (GOOD_RUN.replace("m = 8", "m = 99999999999999999999"),
+                        [], None),
+    "schedule keys without a schedule": (
+        _NO_SCHEDULE + "epsilon = 50.0\nk0 = 3.0\n", [], None),
+    "epsilon with the constant schedule": (
+        _NO_SCHEDULE + 'schedule = "constant"\nepsilon = -5.0\n', [], None),
 }
 
 
@@ -479,6 +550,14 @@ BAD_NUMBERS = {
                         "--snr-beta-db", "inf"],
     "-inf offsets snr": ["offsets", "--objective", "di-finite",
                          "--robustness", "8", "--snr-beta-db=-inf"],
+    "overflowing crlb snr": ["crlb", "--objective", "di-finite",
+                             "--snr-beta-db", "1e308"],
+    "overflowing offsets snr": ["offsets", "--objective", "di-asymptotic",
+                                "--snr-beta-db", "5000"],
+    "oversized --m": ["crlb", "--objective", "static-finite",
+                      "--m", "99999999999999999999"],
+    "oversized sweep size": ["crlb", "--objective", "static-finite",
+                             "--sweep-sizes", "99999999999999999999"],
 }
 
 

@@ -9,8 +9,9 @@ import pytest
 from scipy.optimize import minimize
 
 import beamtrack
-from beamtrack.offsets import (FADING_OFFSETS, STATIC_OFFSETS, DiAsymptotic,
-                               DiFinite, NoImprovement, SearchConfig,
+from beamtrack.offsets import (BOX_HALFWIDTH, FADING_OFFSETS, STATIC_OFFSETS,
+                               DiAsymptotic, DiFinite, NoImprovement,
+                               SearchConfig,
                                StaticAsymptotic, StaticFinite, _batched,
                                _grid_starts, _nelder_mead, canonicalize,
                                optimize_offsets, robustness_sweep)
@@ -202,10 +203,9 @@ class TestOptimizer:
                 calls.append(float(np.abs(arr).max()))
                 return StaticAsymptotic().evaluate(d)
 
-        sc = SearchConfig(Spy(), grid_points_per_axis=5, refine_iters=60,
-                          box_halfwidth=0.9)
+        sc = SearchConfig(Spy(), grid_points_per_axis=5, refine_iters=60)
         optimize_offsets(sc)
-        assert max(calls) <= 0.9 + 1e-12
+        assert max(calls) <= BOX_HALFWIDTH + 1e-12
 
     def test_degenerate_starts(self):
         """All-equal offsets either escape to a finite optimum or raise."""
@@ -216,10 +216,6 @@ class TestOptimizer:
             assert np.isfinite(res.crlb_value)
         except NoImprovement:
             pass
-
-    def test_rejects_bad_box(self):
-        with pytest.raises(ValueError):
-            SearchConfig(StaticAsymptotic(), box_halfwidth=1.0)
 
 
 class TestRobustnessSweep:

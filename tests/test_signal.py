@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from reference import observe
+
 from beamtrack.arrays import ArrayConfig
 from beamtrack.offsets import STATIC_OFFSETS
 from beamtrack.signal import (AmbiguousSolution, ChannelParams, NoSolution,
-                              OffsetSet, build_ebm, noiseless_mean, observe,
+                              OffsetSet, build_ebm, noiseless_mean,
                               observe_fast,
                               real_observation_jacobian,
                               recover_from_noiseless)

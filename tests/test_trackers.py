@@ -5,9 +5,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from reference import di_score
+
 from beamtrack.arrays import ArrayConfig, probe_kernels
 from beamtrack.channels import bootstrap_gains
-from beamtrack.estimation import DiModel, SingularFisher, di_score, fisher_di
+from beamtrack.estimation import DiModel, SingularFisher, fisher_di
 from beamtrack.offsets import FADING_OFFSETS, STATIC_OFFSETS
 from beamtrack.signal import ChannelParams, OffsetSet, build_ebm, noiseless_mean
 from beamtrack import trackers
