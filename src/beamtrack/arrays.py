@@ -47,8 +47,9 @@ class ArrayConfig:
             raise ValueError(f"array needs 1 to {MAX_AXIS} elements per axis")
         if min(self.d1, self.d2) <= 0:
             raise ValueError("spacings must be positive")
-        if self.pilot_amp < 0:
-            raise ValueError("pilot amplitude must be nonnegative")
+        if not 0 <= self.pilot_amp < math.inf:
+            raise ValueError(f"pilot amplitude must be finite and "
+                             f"nonnegative, got {self.pilot_amp!r}")
         if self.noise_var <= 0:
             raise ValueError("noise variance must be positive")
 
@@ -156,10 +157,12 @@ def steering_derivative(cfg: ArrayConfig, x, axis: int) -> np.ndarray:
     return np.kron(a1, 2j * np.pi * np.arange(cfg.n) / cfg.n * a2)
 
 
-# Axes with at most this many elements keep the exponential sums of
+# Axes with at most this many elements sum their exponentials in
 # ``probe_kernels``; longer axes use the closed form.  The closed form is
 # faster at 8 elements too, but it moves the last bits of the kernels and
-# so the bytes of the 8x8 Monte-Carlo CSVs, which the sums keep.
+# so the bytes of the 8x8 Monte-Carlo CSVs.  The sums build each
+# exponential from np.cos and np.sin of a real angle: bit for bit what
+# np.exp of the complex exponent gives, and cheaper.
 _SUM_MAX = 8
 
 # The closed form's series branch covers |pi r| below this; its terms
@@ -256,7 +259,11 @@ def _axis_sums(d, size: int, deriv: bool):
     """s = sum_i z^i and (with ``deriv``) t = sum_i i z^i over the axis'
     elements, z = e^{-2j pi d/size}, for offsets ``d`` of any shape.
 
-    Short axes sum the exponentials.  Longer ones use the closed form
+    Short axes sum the exponentials, built as cos and sin of the real
+    angle -2 pi d i/size and summed with numpy's complex pairwise sum; the
+    angle multiplies by fl(1/size) as numpy's complex division by a real
+    does, so the sums equal those of np.exp(-2j pi d i/size) bit for bit.
+    Longer ones use the closed form
     s = P R and t = P ((size-1)/2 R + (j/2) f) of :func:`_dirichlet`, where
     the phase P = e^{-j pi d (size-1)/size} = sigma e^{-j(x-u)}: the sign
     sigma cancels against the one of the Dirichlet ratio, and P comes from
@@ -264,7 +271,10 @@ def _axis_sums(d, size: int, deriv: bool):
     """
     if size <= _SUM_MAX:
         i = np.arange(size)
-        e = np.exp(-2j * np.pi * d[..., None] * i / size)
+        angle = ((-2.0 * np.pi) * d)[..., None] * i * (1.0 / size)
+        e = np.empty(angle.shape, complex)
+        np.cos(angle, out=e.real)
+        np.sin(angle, out=e.imag)
         return e.sum(-1), ((i * e).sum(-1) if deriv else None)
     _, (sx, cx, su, cu), ratio, f = _dirichlet(d.reshape(-1), size, deriv)
     pc = cx * cu + sx * su          # cos(x - u)
@@ -293,12 +303,14 @@ def probe_kernels(deltas, m: int, n: int):
     output has the leading shape.
 
     Each kernel is a product of per-axis geometric sums.  An axis of at
-    most 8 elements (``_SUM_MAX``) sums its exponentials, O(M) per probe; a
-    longer one takes the sums' O(1) closed form (a Dirichlet ratio times a
-    phase, plus its derivative).  The 8x8 arrays of the Monte-Carlo runs
-    thus keep the sums' arithmetic and their CSV bytes.  The closed form
-    agrees with the sums to within 1e-12 of the kernel's peak up to 256
-    elements per axis, at and next to multiples of M and N too.
+    most 8 elements (``_SUM_MAX``) sums its exponentials, O(M) per probe,
+    from real cosines and sines that equal the complex exponential bit for
+    bit; a longer one takes the sums' O(1) closed form (a Dirichlet ratio
+    times a phase, plus its derivative).  The 8x8 arrays of the
+    Monte-Carlo runs thus keep the sums' arithmetic and their CSV bytes.
+    The closed form agrees with the sums to within 1e-12 of the kernel's
+    peak up to 256 elements per axis, at and next to multiples of M and N
+    too.
     """
     d = np.asarray(deltas, float)
     s1, t1 = _axis_sums(d[..., 0], m, True)

@@ -3,11 +3,11 @@ metric aggregation, CSV emission, and flat config-file parsing.
 
 The engine holds a batch of trials as arrays with one row per trial and
 runs each cycle as one numpy pass over the batch: build the probe pattern
-at the current estimates, evolve the channels, observe, update, record the
-errors.  Each trial first draws its channel and an in-main-lobe initial
-estimate (one bootstrap probing cycle fits the initial gain).  Trackers are
-reached through one batched interface (:class:`~.trackers.BatchTracker`)
-looked up in ``TRACKERS``.
+at the current estimates, evolve the channels, observe, update and, at the
+cycles the CSV records, compute the errors.  Each trial first draws its
+channel and an in-main-lobe initial estimate (one bootstrap probing cycle
+fits the initial gain).  Trackers are reached through one batched
+interface (:class:`~.trackers.BatchTracker`) looked up in ``TRACKERS``.
 
 Random numbers (the contract).  Trial ``t`` owns the stream
 ``default_rng(SeedSequence(seed, spawn_key=(t,)))``.  It first makes the
@@ -109,7 +109,7 @@ def _validate(ec: ExperimentConfig):
     if isinstance(ec.offsets, str) and ec.offsets not in OFFSET_PRESETS:
         raise ConfigError(f"offsets: unknown preset {ec.offsets!r}; "
                           f"expected one of {sorted(OFFSET_PRESETS)}")
-    _build("snr_db", db_to_power, ec.snr_db)
+    _build("snr_db, noise_var", effective_array, ec)
 
 
 def _resolve_offsets(ec: ExperimentConfig) -> OffsetSet:
@@ -169,9 +169,17 @@ def _crlb_refs(ec: ExperimentConfig, cfg: ArrayConfig, offsets: OffsetSet,
     return np.full(len(ch.x), np.nan)
 
 
+def _recorded_cycles(ec: ExperimentConfig) -> List[int]:
+    """The cycles the CSV records, 1-based: every ``record_every``-th cycle
+    and the last one."""
+    return [*range(ec.record_every, ec.num_eccs, ec.record_every), ec.num_eccs]
+
+
 def _run_batch(ec: ExperimentConfig, trials: range):
     """Run trials ``trials`` as one batch.  Returns the per-trial errors
-    (err_h, err_x), each (B, num_eccs), and the per-trial bounds (B,)."""
+    (err_h, err_x) at the recorded cycles, each (B, R) for the R cycles of
+    :func:`_recorded_cycles`, and the per-trial bounds (B,).  Errors are
+    computed only at those cycles."""
     cfg = effective_array(ec)
     sc = ec.scenario
     offsets = _resolve_offsets(ec)
@@ -191,22 +199,26 @@ def _run_batch(ec: ExperimentConfig, trials: range):
     tracker = tracker_cls(run, x0, beta0)
     crlb = _crlb_refs(ec, cfg, offsets, ch)
 
-    batch, cycles = len(rngs), ec.num_eccs
+    cycles = ec.num_eccs
+    recorded = _recorded_cycles(ec)
     width = evolve_normals(sc.kind) + NOISE_NORMALS
-    err_h = np.empty((batch, cycles))
-    err_x = np.empty((batch, cycles))
+    err_h = np.empty((len(rngs), len(recorded)))
+    err_x = np.empty((len(rngs), len(recorded)))
+    col = 0
     for first in range(0, cycles, CYCLE_CHUNK):
         count = min(CYCLE_CHUNK, cycles - first)
         block = np.stack([rng.standard_normal((count, width)) for rng in rngs],
                          axis=1)                      # (count, B, width)
-        for k, z in enumerate(block, first):
+        for k, z in enumerate(block, first + 1):
             dirs = tracker.probes()
             ch = evolve_batch(ch, sc, cfg, z[:, :-NOISE_NORMALS])
             y = observe_fast(cfg, ch.x, ch.beta_eff, dirs,
                              z[:, -NOISE_NORMALS:])
             tracker.update(y)
-            err_h[:, k], err_x[:, k] = _channel_errors(cfg, ch,
-                                                       *tracker.estimate())
+            if k == recorded[col]:      # the last cycle is always recorded
+                err_h[:, col], err_x[:, col] = _channel_errors(
+                    cfg, ch, *tracker.estimate())
+                col += 1
     return err_h, err_x, crlb
 
 
@@ -228,35 +240,23 @@ def _worker_count() -> int:
 
 def _records(ec: ExperimentConfig, err_h: np.ndarray, err_x: np.ndarray,
              crlb: np.ndarray) -> List[MetricsRecord]:
-    """Reduce per-trial errors (T, num_eccs) and bounds (T,) in trial order
-    by sequential accumulation, so the sums do not depend on the batches."""
-    sum_h = np.zeros(ec.num_eccs)
-    sum_x = np.zeros(ec.num_eccs)
-    for row_h, row_x in zip(err_h, err_x):
-        sum_h += row_h
-        sum_x += row_x
-    sum_crlb = 0.0
-    crlb_count = 0
-    for value in crlb:
-        if np.isfinite(value):
-            sum_crlb += value
-            crlb_count += 1
+    """Reduce per-trial errors (T, R) at the recorded cycles and bounds (T,)
+    in trial order by sequential accumulation, so the sums do not depend on
+    the batches."""
+    sum_h = np.add.accumulate(err_h, axis=0)[-1]
+    sum_x = np.add.accumulate(err_x, axis=0)[-1]
+    finite = crlb[np.isfinite(crlb)]
+    mean_crlb = (np.add.accumulate(finite)[-1] / len(finite) if len(finite)
+                 else np.nan)
     trials = ec.num_trials
-    mean_crlb = sum_crlb / crlb_count if crlb_count else np.nan
-
-    records = []
-    for k in range(1, ec.num_eccs + 1):
-        if k % ec.record_every and k != ec.num_eccs:
-            continue
-        records.append(MetricsRecord(
-            ecc=k,
-            explorations_total=3 * (k + 1),
-            mse_h=float(sum_h[k - 1] / trials),
-            mse_x=float(sum_x[k - 1] / trials),
-            crlb_ref=float(mean_crlb / k) if np.isfinite(mean_crlb) else float("nan"),
-            trials=trials,
-        ))
-    return records
+    return [MetricsRecord(
+        ecc=k,
+        explorations_total=3 * (k + 1),
+        mse_h=float(sum_h[col] / trials),
+        mse_x=float(sum_x[col] / trials),
+        crlb_ref=float(mean_crlb / k if np.isfinite(mean_crlb) else np.nan),
+        trials=trials,
+    ) for col, k in enumerate(_recorded_cycles(ec))]
 
 
 def run_experiment(ec: ExperimentConfig) -> List[MetricsRecord]:

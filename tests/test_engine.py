@@ -8,6 +8,8 @@ engine must reproduce it per trial and cycle, and its CSV bytes must not
 depend on how the trials are split into batches or workers.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,8 +18,8 @@ from hypothesis import strategies as st
 from beamtrack.arrays import Aoa, ArrayConfig, aoa_coords, probe_kernels
 from beamtrack.channels import DynamicI, DynamicII, QuasiStatic, ScenarioConfig
 from beamtrack.estimation import di_offsets_crlb, static_offsets_crlb
-from beamtrack.harness import (TRACKERS, ExperimentConfig, _records,
-                               _resolve_offsets, _run_batch,
+from beamtrack.harness import (TRACKERS, ExperimentConfig, _recorded_cycles,
+                               _records, _resolve_offsets, _run_batch,
                                _stationary_gain_var, _trial_rng,
                                effective_array, emit_csv, run_experiment)
 from beamtrack.offsets import STATIC_OFFSETS
@@ -217,6 +219,38 @@ class TestAgainstReference:
     def test_property_random_runs(self, seed, trials, eccs, case):
         _assert_matches_reference(_config(case, seed=seed, num_trials=trials,
                                           num_eccs=eccs))
+
+
+class TestRecordedCycles:
+    """A run that records every fifth of 23 cycles computes the errors at
+    cycles 5, 10, 15, 20 and 23 only."""
+
+    CYCLES = [5, 10, 15, 20, 23]
+
+    @pytest.mark.parametrize("case", ["JBCT_S-qs", "RBT_DI-perfect",
+                                      "EKF-dii"])
+    def test_errors_at_recorded_cycles(self, case):
+        ec = _config(case, record_every=5, num_eccs=23)
+        assert _recorded_cycles(ec) == self.CYCLES
+        want_h, want_x, want_crlb = reference_run(ec)
+        got_h, got_x, got_crlb = _batched(ec, ec.num_trials)
+        cols = [k - 1 for k in self.CYCLES]
+        for w, g in ((want_h[:, cols], got_h), (want_x[:, cols], got_x),
+                     (want_crlb, got_crlb)):
+            np.testing.assert_allclose(g, w, rtol=1e-9, atol=1e-15)
+
+    @pytest.mark.parametrize("case", ["JBCT_S-qs", "RBT_DI-perfect",
+                                      "EKF-dii"])
+    def test_csv_is_every_cycle_run_at_recorded_rows(self, case, tmp_path,
+                                                     monkeypatch):
+        monkeypatch.delenv("BEAMTRACK_THREADS", raising=False)
+        ec = _config(case, record_every=5, num_eccs=23)
+        emit_csv(run_experiment(ec), tmp_path / "sparse.csv")
+        emit_csv(run_experiment(replace(ec, record_every=1)),
+                 tmp_path / "every.csv")
+        lines = (tmp_path / "every.csv").read_bytes().splitlines(True)
+        want = lines[0] + b"".join(lines[k] for k in self.CYCLES)
+        assert (tmp_path / "sparse.csv").read_bytes() == want
 
 
 class TestCsvBytes:

@@ -490,6 +490,10 @@ BAD_INPUTS = {
         "sigma_beta_c_sq = 1e-320\n", [], None),
     "overflowing snr": (GOOD_RUN.replace("snr_db = 0.0", "snr_db = 1e5"),
                         [], None),
+    # each factor of the pilot power is finite, their product is not
+    "overflowing pilot amplitude": (
+        GOOD_RUN.replace("snr_db = 0.0", "snr_db = 3000.0\nnoise_var = 1e10"),
+        [], None),
     "oversized array": (GOOD_RUN.replace("m = 8", "m = 99999999999999999999"),
                         [], None),
     "schedule keys without a schedule": (
