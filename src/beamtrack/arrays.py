@@ -157,14 +157,6 @@ def steering_derivative(cfg: ArrayConfig, x, axis: int) -> np.ndarray:
     return np.kron(a1, 2j * np.pi * np.arange(cfg.n) / cfg.n * a2)
 
 
-# Axes with at most this many elements sum their exponentials in
-# ``probe_kernels``; longer axes use the closed form.  The closed form is
-# faster at 8 elements too, but it moves the last bits of the kernels and
-# so the bytes of the 8x8 Monte-Carlo CSVs.  The sums build each
-# exponential from np.cos and np.sin of a real angle: bit for bit what
-# np.exp of the complex exponent gives, and cheaper.
-_SUM_MAX = 8
-
 # The closed form's series branch covers |pi r| below this; its terms
 # through u^10 leave a truncation error below 1e-20 relative there.
 _SERIES_X = 0.1
@@ -257,25 +249,15 @@ def beam_gain_kernel(delta, m: int, n: int):
 
 def _axis_sums(d, size: int, deriv: bool):
     """s = sum_i z^i and (with ``deriv``) t = sum_i i z^i over the axis'
-    elements, z = e^{-2j pi d/size}, for offsets ``d`` of any shape.
+    elements, z = e^{-2j pi d/size}, for offsets ``d`` of any shape, in
+    O(1) per offset.
 
-    Short axes sum the exponentials, built as cos and sin of the real
-    angle -2 pi d i/size and summed with numpy's complex pairwise sum; the
-    angle multiplies by fl(1/size) as numpy's complex division by a real
-    does, so the sums equal those of np.exp(-2j pi d i/size) bit for bit.
-    Longer ones use the closed form
-    s = P R and t = P ((size-1)/2 R + (j/2) f) of :func:`_dirichlet`, where
-    the phase P = e^{-j pi d (size-1)/size} = sigma e^{-j(x-u)}: the sign
-    sigma cancels against the one of the Dirichlet ratio, and P comes from
-    the reduced angles without further sines.
+    The closed form s = P R and t = P ((size-1)/2 R + (j/2) f) of
+    :func:`_dirichlet`, where the phase P = e^{-j pi d (size-1)/size} =
+    sigma e^{-j(x-u)}: the sign sigma cancels against the one of the
+    Dirichlet ratio, and P comes from the reduced angles without further
+    sines.
     """
-    if size <= _SUM_MAX:
-        i = np.arange(size)
-        angle = ((-2.0 * np.pi) * d)[..., None] * i * (1.0 / size)
-        e = np.empty(angle.shape, complex)
-        np.cos(angle, out=e.real)
-        np.sin(angle, out=e.imag)
-        return e.sum(-1), ((i * e).sum(-1) if deriv else None)
     _, (sx, cx, su, cu), ratio, f = _dirichlet(d.reshape(-1), size, deriv)
     pc = cx * cu + sx * su          # cos(x - u)
     ps = sx * cu - cx * su          # sin(x - u)
@@ -302,15 +284,11 @@ def probe_kernels(deltas, m: int, n: int):
     these depend on ``delta`` only.  ``deltas`` has shape (..., 2); each
     output has the leading shape.
 
-    Each kernel is a product of per-axis geometric sums.  An axis of at
-    most 8 elements (``_SUM_MAX``) sums its exponentials, O(M) per probe,
-    from real cosines and sines that equal the complex exponential bit for
-    bit; a longer one takes the sums' O(1) closed form (a Dirichlet ratio
-    times a phase, plus its derivative).  The 8x8 arrays of the
-    Monte-Carlo runs thus keep the sums' arithmetic and their CSV bytes.
-    The closed form agrees with the sums to within 1e-12 of the kernel's
-    peak up to 256 elements per axis, at and next to multiples of M and N
-    too.
+    Each kernel is a product of per-axis geometric sums, taken in their
+    O(1) closed form (a Dirichlet ratio times a phase, plus its
+    derivative) at every array size.  The closed form agrees with the
+    summed exponentials to within 1e-12 of the kernel's peak up to 256
+    elements per axis, at and next to multiples of M and N too.
     """
     d = np.asarray(deltas, float)
     s1, t1 = _axis_sums(d[..., 0], m, True)

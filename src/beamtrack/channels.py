@@ -93,8 +93,7 @@ def bootstrap_gains(cfg: ArrayConfig, offsets: OffsetSet, x, beta_eff, x0,
     ``x0 + offsets`` and noise from ``normals`` (..., 6), then fits the
     gains with :func:`~.signal.fit_gains`, e being the probe kernels at the
     offsets: by the shift property, the least-squares fit through an EBM
-    built at ``x0``, from the gain kernel alone: O(M+N) per probe up to 8
-    elements per axis, O(1) above.
+    built at ``x0``, from the gain kernel alone: O(1) per probe.
     """
     x0 = np.asarray(x0, float)
     y0 = observe_fast(cfg, x, beta_eff, x0[..., None, :] + offsets.deltas,

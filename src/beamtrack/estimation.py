@@ -21,11 +21,11 @@ through tr(G_p G_q) and g^H G_p G_q g.  One singularity rule gives +inf
 the diagonal of I taken before g is projected out of k1, k2, i.e. with a K
 in place of the Schur block W.  For the static model ref is prod(diag I)
 itself.  ``fisher_static`` and ``crlb_static`` are the explicit-matrix
-oracles of the static model.  ``crlb_di`` is not an oracle: it inverts the
-same six-product Fisher as ``di_offsets_crlb``, behind the singularity guard
-of :func:`_guarded_solve` (cond > COND_LIMIT) instead of :func:`_regular`.
-The explicit fading-gain oracles (the Slepian-Bangs Fisher, the covariance
-and log-density the score is differenced against) live in the tests.
+oracles of the static model; their guard :func:`_guarded_solve`
+(cond > COND_LIMIT) serves only them.  ``crlb_di`` is ``di_offsets_crlb``
+at an EBM's offsets.  The explicit fading-gain oracles (the Slepian-Bangs
+Fisher, the covariance and log-density the score is differenced against)
+live in the tests.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import (ArrayConfig, probe_kernels, probe_kernels_limit,
+from .arrays import (ArrayConfig, _xy, probe_kernels, probe_kernels_limit,
                      steering_derivative, steering_vector)
 from .signal import ChannelParams, Ebm, observation_kernels
 
@@ -242,9 +242,12 @@ def fisher_di(cfg: ArrayConfig, x, model: DiModel, ebm: Ebm) -> np.ndarray:
 
 
 def crlb_di(cfg: ArrayConfig, x, model: DiModel, ebm: Ebm) -> float:
-    """Direction CRLB Tr{I_DI^-1} for one cycle's probe pattern."""
-    info = fisher_di(cfg, x, model, ebm)
-    return float(np.trace(_guarded_solve(info, np.eye(2))))
+    """Direction CRLB Tr{I_DI^-1} for one cycle's probe pattern:
+    :func:`di_offsets_crlb` at the EBM's offsets from ``x``, so +inf at a
+    singular Fisher."""
+    snr = cfg.pilot_amp**2 * model.sigma_beta_sq / cfg.noise_var
+    deltas = ebm.directions - np.asarray(_xy(x), float)
+    return float(di_offsets_crlb(deltas, cfg.m, cfg.n, snr))
 
 
 def _di_info(products, snr_beta):

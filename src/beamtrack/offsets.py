@@ -120,21 +120,19 @@ class SearchResult:
     restarts_used: int
 
 
-# Cap on the (k, 3, max(m, n)) complex probe-kernel temporaries of a
-# finite-size objective, and on the sets of any one objective call.
-_CHUNK_BYTES = 16 << 20
+# Sets per objective call.  The kernels' temporaries are O(1) per set at
+# any array size: one chunk peaks at 31.5 MiB (tracemalloc) for a finite
+# objective at 8x8 or 64x64, and at 29.5 MiB for a limit objective.
 _CHUNK_SETS = 65536
 
 
 def _batched(objective, flat_sets):
-    """Evaluate the objective on (k, 3, 2) offset sets, chunked so that no
-    probe-kernel temporary exceeds about ``_CHUNK_BYTES``."""
-    size = max(getattr(objective, "m", 0), getattr(objective, "n", 0))
-    step = _CHUNK_SETS if not size else \
-        max(1, min(_CHUNK_SETS, _CHUNK_BYTES // (3 * size * 16)))
+    """Evaluate the objective on (k, 3, 2) offset sets in chunks of
+    ``_CHUNK_SETS``."""
     out = np.empty(len(flat_sets))
-    for lo in range(0, len(flat_sets), step):
-        out[lo:lo + step] = objective.evaluate(flat_sets[lo:lo + step])
+    for lo in range(0, len(flat_sets), _CHUNK_SETS):
+        out[lo:lo + _CHUNK_SETS] = objective.evaluate(
+            flat_sets[lo:lo + _CHUNK_SETS])
     return out
 
 

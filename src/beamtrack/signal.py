@@ -109,8 +109,7 @@ def observe_fast(cfg: ArrayConfig, x, beta, dirs, normals) -> np.ndarray:
     ``normals`` (..., 6) standard normals: the real parts of the three noise
     values, then their imaginary parts.  Equal to the noiseless mean of an
     EBM pointing at ``dirs`` (shift property) plus CN(0, noise_var) noise,
-    from the gain kernel alone: O(M+N) per probe up to 8 elements per axis,
-    O(1) above.
+    from the gain kernel alone: O(1) per probe.
     """
     x = np.asarray(x, float)
     g = _gain_kernel(np.asarray(dirs, float) - x[..., None, :], cfg.m, cfg.n)
@@ -149,12 +148,17 @@ def real_observation_jacobian(cfg: ArrayConfig, psi: ChannelParams, ebm: Ebm,
 
 
 def _amplitude_residual(cfg, ebm, x, ratios):
-    """Residuals of the relative-amplitude equations |g_i|/|g_1| - |y_i|/|y_1|."""
-    g, _, _ = observation_kernels(cfg, x, ebm)
+    """Residuals of the relative-amplitude equations |g_i|/|g_0| - |y_i|/|y_0|
+    (i = 1, 2) and their (2, 2) Jacobian in the direction, from the same
+    kernels: d|g_i|/dx_p = Re(conj(g_i) k_p,i)/|g_i|, then the quotient
+    rule.  The Jacobian is None where |g_0| vanishes."""
+    g, k1, k2 = observation_kernels(cfg, x, ebm)
     mag = np.abs(g)
     if mag[0] < 1e-12:
-        return np.array([np.inf, np.inf])
-    return mag[1:] / mag[0] - ratios
+        return np.array([np.inf, np.inf]), None
+    dmag = (g.conj()[:, None] * np.stack([k1, k2], 1)).real / mag[:, None]
+    rel = mag[1:] / mag[0]
+    return rel - ratios, (dmag[1:] - rel[:, None] * dmag[0]) / mag[0]
 
 
 def recover_from_noiseless(cfg: ArrayConfig, ebm: Ebm, y: np.ndarray,
@@ -190,19 +194,12 @@ def recover_from_noiseless(cfg: ArrayConfig, ebm: Ebm, y: np.ndarray,
 
     def newton(x0):
         x = np.asarray(x0, float).copy()
-        r = _amplitude_residual(cfg, ebm, x, ratios)
+        r, jac = _amplitude_residual(cfg, ebm, x, ratios)
         for _ in range(60):
             if not np.all(np.isfinite(r)):
                 return None
             if np.dot(r, r) < 1e-26:
                 break
-            h = 1e-7
-            jac = np.empty((2, 2))
-            for p in range(2):
-                dx = np.zeros(2)
-                dx[p] = h
-                jac[:, p] = (_amplitude_residual(cfg, ebm, x + dx, ratios)
-                             - _amplitude_residual(cfg, ebm, x - dx, ratios)) / (2 * h)
             try:
                 step = np.linalg.solve(jac, r)
             except np.linalg.LinAlgError:
@@ -210,9 +207,9 @@ def recover_from_noiseless(cfg: ArrayConfig, ebm: Ebm, y: np.ndarray,
             lam = 1.0
             for _ in range(30):
                 xn = x - lam * step
-                rn = _amplitude_residual(cfg, ebm, xn, ratios)
+                rn, jn = _amplitude_residual(cfg, ebm, xn, ratios)
                 if np.all(np.isfinite(rn)) and np.dot(rn, rn) <= np.dot(r, r):
-                    x, r = xn, rn
+                    x, r, jac = xn, rn, jn
                     break
                 lam *= 0.5
             else:

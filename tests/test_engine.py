@@ -64,8 +64,8 @@ def _estimated_gain_variance(sc, cfg, x_hat, sigma_c_sq):
 
 def reference_trial(ec, trial, hits=None):
     """Per-trial errors (err_h, err_x), each (num_eccs,), and the trial's
-    bound.  ``hits`` (a dict) counts the joint tracker's gain-floor and
-    step-cap activations."""
+    bound.  ``hits`` (a dict of lists) collects the cycle of each of the
+    joint tracker's gain-floor and step-cap activations."""
     cfg = effective_array(ec)
     sc = ec.scenario
     offsets = _resolve_offsets(ec)
@@ -132,10 +132,13 @@ def _count_safeguards(ts, y, hits):
     beta = ts.estimate()[1]
     if not abs(beta[0]) ** 2 >= 1e-24:
         return
-    hits["floor"] += (beta[0] * beta[0].conjugate()).real < ts.cache.gain_floor_sq
+    cycle = ts.k + 1
+    if (beta[0] * beta[0].conjugate()).real < ts.cache.gain_floor_sq:
+        hits["floor"].append(cycle)
     direction = _jbct_direction_batch(ts.cache, beta, y[None])[0]
-    if np.all(np.isfinite(direction)):
-        hits["cap"] += np.abs(ts.schedule.at(ts.k + 1) * direction).max() > STEP_CAP
+    if (np.all(np.isfinite(direction))
+            and np.abs(ts.schedule.at(cycle) * direction).max() > STEP_CAP):
+        hits["cap"].append(cycle)
 
 
 def reference_run(ec, hits=None):
@@ -208,10 +211,21 @@ class TestAgainstReference:
         """Rayleigh gain at -10 dB: the joint tracker's safeguards act, and
         the masked batch still follows the reference."""
         ec = _config("JBCT_S-qs", scenario=DI, snr_db=-10.0, num_trials=16)
-        hits = {"floor": 0, "cap": 0}
+        hits = {"floor": [], "cap": []}
         _assert_matches_reference(ec, hits)
-        assert hits["floor"] > 0
-        assert hits["cap"] > 0
+        assert hits["floor"]
+        assert hits["cap"]
+
+    def test_regular_regime_caps_only_the_first_step(self):
+        """The criterion-9a configuration (JBCT_S, quasi-static, step 1/k,
+        0 dB, seed 7) at desk scale: the gain floor never acts, and the
+        step cap truncates only updates of cycle 1, where the step is 1."""
+        ec = _config("JBCT_S-qs", schedule=DiminishingStep(1.0), snr_db=0.0,
+                     seed=7, num_trials=30, num_eccs=100)
+        hits = {"floor": [], "cap": []}
+        reference_run(ec, hits)
+        assert hits["floor"] == []
+        assert hits["cap"] and set(hits["cap"]) == {1}
 
     @settings(max_examples=12, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), trials=st.integers(1, 8),

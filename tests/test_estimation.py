@@ -456,11 +456,16 @@ _AXIS_SETS = [np.array([[0.1, 0.0], [0.2, 0.0], [0.3, 0.0]]),
 
 @pytest.mark.parametrize("deltas", _AXIS_SETS)
 def test_axis_collinear_sets_are_singular(deltas):
-    """All four offset bounds give +inf, at several sizes and SNRs."""
+    """All four offset bounds, and ``crlb_di`` at an EBM with these offsets,
+    give +inf, at several sizes, SNRs and EBM centres."""
     for m, n in ((4, 4), (8, 8), (16, 8), (64, 64)):
         assert static_offsets_crlb(deltas, m, n) == np.inf
+        cfg = ArrayConfig(m, n)
         for snr in (0.1, 3.0, 1e3):
             assert di_offsets_crlb(deltas, m, n, snr) == np.inf
+            for x in ((0.0, 0.0), (0.3, -1.7)):
+                ebm = build_ebm(cfg, x, OffsetSet(deltas))
+                assert crlb_di(cfg, x, DiModel(snr), ebm) == np.inf
     assert crlb_static_asymptotic(deltas) == np.inf
     assert crlb_di_asymptotic(deltas, 3.0) == np.inf
 

@@ -48,22 +48,22 @@ class TestObjectiveInvariances:
 
 class TestBatchedChunks:
     @pytest.mark.parametrize("obj", [StaticFinite(64, 64),
-                                     DiFinite(64, 64, 0.0)])
+                                     DiFinite(64, 64, 0.0),
+                                     StaticFinite(8, 8)])
     def test_chunks_match_one_call(self, obj):
-        """At 64x64 a chunk holds 5,461 sets: 6,000 sets take two chunks,
-        and the values equal one call over all sets bit for bit."""
+        """A chunk holds 65,536 sets at any array size: 65,536 + 539 sets
+        take two chunks, and the values equal one call over all sets bit
+        for bit."""
         sizes = []
 
         class Spy:
-            m, n = obj.m, obj.n
-
             def evaluate(self, d):
                 sizes.append(len(d))
                 return obj.evaluate(d)
 
-        sets = np.random.default_rng(2).uniform(-0.9, 0.9, (6000, 3, 2))
+        sets = np.random.default_rng(2).uniform(-0.9, 0.9, (65536 + 539, 3, 2))
         vals = _batched(Spy(), sets)
-        assert sizes == [5461, 539]
+        assert sizes == [65536, 539]
         assert np.array_equal(vals, obj.evaluate(sets))
 
 

@@ -8,7 +8,8 @@ from reference import observe
 from beamtrack.arrays import ArrayConfig
 from beamtrack.offsets import STATIC_OFFSETS
 from beamtrack.signal import (AmbiguousSolution, ChannelParams, NoSolution,
-                              OffsetSet, build_ebm, noiseless_mean,
+                              OffsetSet, _amplitude_residual, build_ebm,
+                              noiseless_mean,
                               observe_fast,
                               real_observation_jacobian,
                               recover_from_noiseless)
@@ -160,6 +161,28 @@ class TestIdentifiability:
 
 
 class TestRecovery:
+    @pytest.mark.parametrize("cfg", [CFG, ArrayConfig(16, 5)])
+    def test_amplitude_jacobian_matches_central_differences(self, cfg):
+        """The Newton Jacobian that comes with the amplitude residual equals
+        central differences of the residual (rtol 1e-6), at random
+        directions and EBM centres."""
+        rng = np.random.default_rng(8)
+        h = 1e-6
+        for _ in range(40):
+            centre = rng.uniform(-2, 2, 2)
+            ebm = build_ebm(cfg, centre, STATIC_OFFSETS)
+            x = centre + rng.uniform(-0.6, 0.6, 2)
+            ratios = rng.uniform(0, 2, 2)
+            _, jac = _amplitude_residual(cfg, ebm, x, ratios)
+            num = np.empty((2, 2))
+            for p in range(2):
+                dx = np.zeros(2)
+                dx[p] = h
+                num[:, p] = (_amplitude_residual(cfg, ebm, x + dx, ratios)[0]
+                             - _amplitude_residual(cfg, ebm, x - dx, ratios)[0]
+                             ) / (2 * h)
+            np.testing.assert_allclose(jac, num, rtol=1e-6)
+
     def test_round_trip(self):
         """Generate-then-invert reproduces the channel to 1e-9."""
         psi = ChannelParams.from_parts(0.7 + 0.2j, (0.1, -0.2))
