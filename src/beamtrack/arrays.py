@@ -196,7 +196,15 @@ def _ratio_series(size: int):
     return tuple(float(c) for c in a)
 
 
-def _dirichlet(d, size: int, slope: bool = False):
+def _series_rows(sizes):
+    """The coefficients of :func:`_ratio_series` for each of the 1-D
+    integer ``sizes``, as six rows of their length."""
+    distinct, inverse = np.unique(sizes, return_inverse=True)
+    table = np.array([_ratio_series(int(s)) for s in distinct])
+    return table[inverse.reshape(-1)].T
+
+
+def _dirichlet(d, size, slope: bool = False):
     """Reduced Dirichlet ratio of one axis, for 1-D offsets ``d``.
 
     Writes d = k*size + r with k = round(d/size), so |r| <= size/2, and
@@ -205,7 +213,9 @@ def _dirichlet(d, size: int, slope: bool = False):
     f = dR/du = (size cos(x) sin(u) - sin(x) cos(u))/sin(u)^2 (else None).
     Both come from the u^2 series where |x| < _SERIES_X, since the direct
     forms cancel near x = 0.  The Dirichlet ratio sin(pi d)/sin(pi d/size)
-    is sigma*R with sigma = (-1)^(k(size-1)).
+    is sigma*R with sigma = (-1)^(k(size-1)).  ``size`` is an int or an
+    integer ndarray of d's shape; each element's value is the same bits as
+    with its size as an int.
     """
     k = np.round(d / size)
     x = np.pi * (d - k * size)
@@ -216,7 +226,8 @@ def _dirichlet(d, size: int, slope: bool = False):
     ratio = sx / den
     f = (size * cx * su - sx * cu) / (den * den) if slope else None
     if small.any():
-        a = _ratio_series(size)
+        a = _series_rows(size[small]) if isinstance(size, np.ndarray) \
+            else _ratio_series(size)
         us = u[small]
         u2 = us * us
         ratio[small] = _horner(a, u2)
@@ -247,10 +258,11 @@ def beam_gain_kernel(delta, m: int, n: int):
     return float(val[0]) if scalar else val
 
 
-def _axis_sums(d, size: int, deriv: bool):
+def _axis_sums(d, size, deriv: bool):
     """s = sum_i z^i and (with ``deriv``) t = sum_i i z^i over the axis'
     elements, z = e^{-2j pi d/size}, for offsets ``d`` of any shape, in
-    O(1) per offset.
+    O(1) per offset; ``size`` is an int or an integer ndarray that
+    broadcasts to d's shape.
 
     The closed form s = P R and t = P ((size-1)/2 R + (j/2) f) of
     :func:`_dirichlet`, where the phase P = e^{-j pi d (size-1)/size} =
@@ -258,6 +270,8 @@ def _axis_sums(d, size: int, deriv: bool):
     Dirichlet ratio, and P comes from the reduced angles without further
     sines.
     """
+    if isinstance(size, np.ndarray):  # np.ndim takes about 2 us on an int
+        size = np.broadcast_to(size, d.shape).reshape(-1)
     _, (sx, cx, su, cu), ratio, f = _dirichlet(d.reshape(-1), size, deriv)
     pc = cx * cu + sx * su          # cos(x - u)
     ps = sx * cu - cx * su          # sin(x - u)
@@ -275,14 +289,17 @@ def _axis_sums(d, size: int, deriv: bool):
     return s.reshape(d.shape), t
 
 
-def probe_kernels(deltas, m: int, n: int):
+def probe_kernels(deltas, m, n):
     """Exact inner products of a steering probe with an arrival and its
     derivatives, as functions of the probe-minus-arrival offset.
 
     For w = a(x + delta)/sqrt(MN) returns the triple
     ``(w^H a(x), w^H da/dx1, w^H da/dx2)``; by the array's shift property
     these depend on ``delta`` only.  ``deltas`` has shape (..., 2); each
-    output has the leading shape.
+    output has the leading shape.  The array sizes ``m``, ``n`` are ints or
+    integer ndarrays that broadcast to the leading shape, one size per
+    offset; each offset's kernels are then the same bits as with its sizes
+    as ints.
 
     Each kernel is a product of per-axis geometric sums, taken in their
     O(1) closed form (a Dirichlet ratio times a phase, plus its
@@ -295,8 +312,8 @@ def probe_kernels(deltas, m: int, n: int):
     s2, t2 = _axis_sums(d[..., 1], n, True)
     root = np.sqrt(m * n)
     return (s1 * s2 / root,
-            (2j * np.pi / m) * t1 * s2 / root,
-            (2j * np.pi / n) * s1 * t2 / root)
+            (2 * np.pi / m) * 1j * t1 * s2 / root,
+            (2 * np.pi / n) * 1j * s1 * t2 / root)
 
 
 def _gain_kernel(deltas, m: int, n: int):

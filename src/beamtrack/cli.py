@@ -68,16 +68,17 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _positive_int(token, key: str) -> int:
-    """A positive integer (an array size, grid or iteration count), else a
-    ConfigError naming ``key``."""
+def _positive_int(token, key: str, least: int = 1) -> int:
+    """An integer of at least ``least`` (an array size, grid or iteration
+    count), else a ConfigError naming ``key``."""
     from .harness import ConfigError
     try:
         value = int(token)
     except ValueError:
         value = 0
-    if value < 1:
-        raise ConfigError(f"{key}: expected a positive integer, got {token!r}")
+    if value < least:
+        want = "a positive integer" if least == 1 else f"an integer >= {least}"
+        raise ConfigError(f"{key}: expected {want}, got {token!r}")
     return value
 
 
@@ -189,9 +190,9 @@ def _cmd_offsets(args) -> int:
         sizes = [(s, s) for s in _sizes(args.robustness, "--robustness")]
         model = args.objective.split("-")[0]
         preset = _resolve_cli_offsets(_MODEL_PRESETS[model])
+        rows = robustness_sweep(preset, objectives[f"{model}-finite"], sizes)
         print("m,n,crlb_at_offsets,crlb_min,rel_gap")
-        for ((m, n), at, best, gap) in robustness_sweep(
-                preset, objectives[f"{model}-finite"], sizes):
+        for ((m, n), at, best, gap) in rows:
             print(f"{m},{n},{at:.12g},{best:.12g},{gap:.3e}")
         return 0
     objective = objectives[args.objective]
@@ -248,7 +249,9 @@ def main(argv=None) -> int:
             except ValueError as exc:
                 raise ConfigError(f"--snr-beta-db: {exc}") from None
         if args.command == "offsets":
-            args.grid = _positive_int(args.grid, "--grid")
+            # one point per axis would make the three offsets of every
+            # grid seed equal
+            args.grid = _positive_int(args.grid, "--grid", least=2)
             args.iters = _positive_int(args.iters, "--iters")
         if args.command == "track":
             return _cmd_track(args)

@@ -11,7 +11,10 @@ Normalized CRLBs follow the conventions used throughout the package:
 return the large-array limits of MN times these quantities.
 
 The offset-only bounds take ``deltas`` (..., 3, 2) and return the leading
-shape (an ``np.float64`` for one set); a degenerate set gets +inf.
+shape (an ``np.float64`` for one set); a degenerate set gets +inf.  The
+finite bounds take the array sizes ``m``, ``n`` as ints or as integer
+ndarrays that broadcast to the leading shape, one size per set, and give
+each set the same bits as its sizes as ints.
 
 Every offset bound and tracker cache is closed-form 2x2 algebra on six inner
 products of the probe kernels g, k1, k2 (:func:`_products`): the static bound
@@ -30,12 +33,13 @@ live in the tests.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import (ArrayConfig, _xy, probe_kernels, probe_kernels_limit,
-                     steering_derivative, steering_vector)
+from .arrays import (MAX_AXIS, ArrayConfig, _xy, probe_kernels,
+                     probe_kernels_limit, steering_derivative, steering_vector)
 from .signal import ChannelParams, Ebm, observation_kernels
 
 COND_LIMIT = 1e12
@@ -172,16 +176,35 @@ def _static_bound(kernels, gram, scale):
     return _trace_solve(w, h, a * a * k11 * k22, scale)
 
 
-def static_offsets_crlb(deltas, m: int, n: int, pilot_amp: float = 1.0,
+@functools.lru_cache(maxsize=64)
+def _unit_gram(m: int, n: int):
+    """(c1, c2, P11, P12, P22) of Re V^H V / MN at unit gain
+    (:func:`_static_bound`)."""
+    gram = steering_gram(m, n, 1.0).real / (m * n)
+    return gram[1, 2], gram[1, 3], gram[2, 2], gram[2, 3], gram[3, 3]
+
+
+def static_offsets_crlb(deltas, m, n, pilot_amp: float = 1.0,
                         noise_var: float = 1.0):
     """Normalized static CRLB as a function of the offsets alone (shift
     property), per offset set of ``deltas`` (..., 3, 2); +inf at a zero
-    pilot."""
-    gram = steering_gram(m, n, 1.0).real / (m * n)
+    pilot.  ``m``, ``n``: ints or per-set integer ndarrays (module
+    docstring)."""
+    if isinstance(m, np.ndarray) or isinstance(n, np.ndarray):
+        m, n = np.broadcast_arrays(np.asarray(m, np.int64),
+                                   np.asarray(n, np.int64))
+        # one key per (m, n) pair: sizes are at most MAX_AXIS
+        keys, inverse = np.unique(m * (MAX_AXIS + 1) + n, return_inverse=True)
+        table = np.array([_unit_gram(*map(int, divmod(k, MAX_AXIS + 1)))
+                          for k in keys])
+        c1, c2, p11, p12, p22 = np.moveaxis(table[inverse.reshape(m.shape)],
+                                            -1, 0)
+        m, n = m[..., None], n[..., None]
+    else:
+        c1, c2, p11, p12, p22 = _unit_gram(m, n)
     scale = noise_var / (2 * pilot_amp**2) if pilot_amp != 0 else np.inf
     return _static_bound(probe_kernels(deltas, m, n),
-                         (gram[1, 2:], (gram[2, 2], gram[2, 3], gram[3, 3])),
-                         scale)
+                         ((c1, c2), (p11, p12, p22)), scale)
 
 
 def crlb_static_asymptotic(deltas):
@@ -273,10 +296,13 @@ def _sym2(f):
     return np.stack([np.stack([f11, f12], -1), np.stack([f12, f22], -1)], -2)
 
 
-def di_offsets_crlb(deltas, m: int, n: int, snr_beta):
+def di_offsets_crlb(deltas, m, n, snr_beta):
     """Direction CRLB Tr{I_DI^-1} from the offsets alone, per offset set of
     ``deltas`` (..., 3, 2).  ``snr_beta`` is |s|^2 sigma_beta^2 / noise_var,
-    a scalar or an array that broadcasts against the leading shape."""
+    a scalar or an array that broadcasts against the leading shape; ``m``,
+    ``n``: ints or per-set integer ndarrays (module docstring)."""
+    if isinstance(m, np.ndarray) or isinstance(n, np.ndarray):
+        m, n = np.asarray(m)[..., None], np.asarray(n)[..., None]
     f, ref = _di_info(_products(*probe_kernels(deltas, m, n)), snr_beta)
     return _trace_solve(f, (1.0, 0.0, 1.0), ref)
 

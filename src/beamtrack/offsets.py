@@ -6,7 +6,9 @@ coarse grid over two symmetry-reduced 4D slices to seed multi-start
 Nelder-Mead refinement in the full 6D space.  The restarts run in lockstep:
 each simplex step evaluates the candidate points of every restart in one
 batched objective call, and the iterates are those of scipy's bounded
-Nelder-Mead run on each restart alone.
+Nelder-Mead run on each restart alone.  A robustness sweep is one such
+search over the restarts of every array size it sweeps: the finite bounds
+take a size per offset set, so one call per step serves all sizes.
 
 ``STATIC_OFFSETS`` and ``FADING_OFFSETS`` hold the asymptotically optimal
 sets for the two objectives that the optimizer reproduces; they double as
@@ -126,13 +128,16 @@ class SearchResult:
 _CHUNK_SETS = 65536
 
 
-def _batched(objective, flat_sets):
+def _batched(objective, flat_sets, sizes=None):
     """Evaluate the objective on (k, 3, 2) offset sets in chunks of
-    ``_CHUNK_SETS``."""
+    ``_CHUNK_SETS``.  ``sizes`` = (m, n), two integer arrays of k array
+    sizes, replace a finite objective's ``m`` and ``n`` set by set."""
     out = np.empty(len(flat_sets))
     for lo in range(0, len(flat_sets), _CHUNK_SETS):
-        out[lo:lo + _CHUNK_SETS] = objective.evaluate(
-            flat_sets[lo:lo + _CHUNK_SETS])
+        part = slice(lo, lo + _CHUNK_SETS)
+        obj = objective if sizes is None else \
+            replace(objective, m=sizes[0][part], n=sizes[1][part])
+        out[part] = obj.evaluate(flat_sets[part])
     return out
 
 
@@ -144,11 +149,13 @@ def _nelder_mead(f, x0, lo, hi, maxiter, maxfev, xatol, fatol):
     initial simplex (5% steps, 0.00025 for zero coordinates, reflected into
     the box), clipping of every new vertex, the ``xatol``/``fatol`` test, the
     per-restart ``maxiter``/``maxfev`` counters, and an iteration that
-    ``maxfev`` cuts short (a partly shrunk simplex included).  ``f`` maps
-    (k, n) points to (k,) values, each independent of the batch.  One call
-    per step evaluates the reflection, expansion and both contraction
-    points of every running restart; a second call evaluates shrink points.
-    ``nfev`` counts only the points scipy would have evaluated.
+    ``maxfev`` cuts short (a partly shrunk simplex included).
+    ``f(points, restarts)`` maps (k, n) points and the (k,) index of the
+    restart each belongs to to (k,) values, each independent of the batch.
+    One call per step evaluates the reflection, expansion and both
+    contraction points of every running restart; a second call evaluates
+    shrink points.  ``nfev`` counts only the points scipy would have
+    evaluated.
 
     Returns scipy's final simplex ``(sim, fsim)``, (R, n + 1, n) and
     (R, n + 1), and ``nit``, ``nfev`` per restart; scipy's ``x`` is
@@ -163,7 +170,8 @@ def _nelder_mead(f, x0, lo, hi, maxiter, maxfev, xatol, fatol):
     sim = np.clip(np.where(sim > hi, 2 * hi - sim, sim), lo, hi)
     first = min(n + 1, maxfev)
     fsim = np.full((r, n + 1), np.inf)
-    fsim[:, :first] = f(sim[:, :first].reshape(-1, n)).reshape(r, first)
+    fsim[:, :first] = f(sim[:, :first].reshape(-1, n),
+                        np.repeat(np.arange(r), first)).reshape(r, first)
     for _ in range(2):  # scipy sorts the initial simplex twice
         sim, fsim = _sort_simplex(sim, fsim)
     nfev = np.full(r, first)
@@ -186,7 +194,8 @@ def _nelder_mead(f, x0, lo, hi, maxiter, maxfev, xatol, fatol):
             (1 + rho * chi) * xbar - rho * chi * worst,
             (1 + psi * rho) * xbar - psi * rho * worst,
             (1 - psi) * xbar + psi * worst], axis=1), lo, hi)
-        fxr, fxe, fxc, fxcc = f(cand.reshape(-1, n)).reshape(-1, 4).T
+        fxr, fxe, fxc, fxcc = f(cand.reshape(-1, n),
+                                np.repeat(run, 4)).reshape(-1, 4).T
         # scipy's branches: which candidate replaces the worst vertex
         expand = fxr < fs[:, 0]
         reflect = ~expand & (fxr < fs[:, -2])
@@ -206,7 +215,8 @@ def _nelder_mead(f, x0, lo, hi, maxiter, maxfev, xatol, fatol):
         if shrink.size:
             best = s[shrink, :1]
             pts = np.clip(best + sigma * (s[shrink, 1:] - best), lo, hi)
-            vals = f(pts.reshape(-1, n)).reshape(-1, n)
+            vals = f(pts.reshape(-1, n),
+                     np.repeat(run[shrink], n)).reshape(-1, n)
             # with budget b < n left, scipy evaluates vertices 1..b and
             # moves vertex b+1 before it stops
             left = maxfev - used[shrink]
@@ -270,43 +280,84 @@ def _grid_starts(sc: SearchConfig, count: int):
     return _distinct_rows(seeds[order[:4096]], count), float(vals[order[0]])
 
 
+def _search(objective, starts, refine_iters, sizes=None, incumbents=None):
+    """Multi-start Nelder-Mead from each search's ``starts``, then a polish
+    from each search's best point: every search in one lockstep run per
+    stage, with one objective call per simplex step.
+
+    ``starts`` lists the (3, 2) start sets of each search.  With ``sizes``
+    = (m, n), integer arrays of one size per search, search s runs the
+    finite ``objective`` at m[s] x n[s]; without, there is one search, on
+    ``objective`` itself.  ``incumbents``, the best value each search
+    already holds, defaults to the best value among its starts.  Returns a
+    :class:`SearchResult` per search; :class:`NoImprovement` names the size
+    of a failing search.
+    """
+    bh = BOX_HALFWIDTH
+    x0 = np.concatenate([np.reshape(st, (-1, 6)) for st in starts])
+    owner = np.repeat(np.arange(len(starts)), [len(st) for st in starts])
+
+    def values(search):
+        """f of a lockstep run whose restart r belongs to search[r]."""
+        def f(points, restarts):
+            per_set = None
+            if sizes is not None:
+                s = search[restarts]
+                per_set = (sizes[0][s], sizes[1][s])
+            vals = _batched(objective, points.reshape(-1, 3, 2), per_set)
+            return np.where(np.isfinite(vals), vals, 1e30)
+        return f
+
+    if incumbents is None:
+        start_vals = values(owner)(x0, np.arange(len(x0)))
+        incumbents = [float(start_vals[owner == s].min())
+                      for s in range(len(starts))]
+    sim, fsim, _, _ = _nelder_mead(values(owner), x0, -bh, bh, refine_iters,
+                                   4 * refine_iters, 1e-10, 1e-12)
+    fun = fsim.min(axis=1)
+    # ties keep the lowest restart index
+    firsts = [int(np.argmin(np.where(owner == s, fun, np.inf)))
+              for s in range(len(starts))]
+    best_v, best_val = sim[firsts, 0], fun[firsts]
+    sim, fsim, _, _ = _nelder_mead(values(np.arange(len(starts))), best_v,
+                                   -bh, bh, 4 * refine_iters,
+                                   16 * refine_iters, 1e-12, 1e-14)
+    polished = fsim.min(axis=1) < best_val
+    best_v[polished] = sim[polished, 0]
+    best_val[polished] = fsim[polished].min(axis=1)
+    results = []
+    for s, incumbent in enumerate(incumbents):
+        obj, where = objective, ""
+        if sizes is not None:
+            m, n = int(sizes[0][s]), int(sizes[1][s])
+            obj, where = replace(objective, m=m, n=n), f" at {m}x{n}"
+        val = float(best_val[s])
+        if val >= 1e30:
+            raise NoImprovement("no refinement start produced a finite "
+                                "objective" + where)
+        if np.isfinite(incumbent) and incumbent < 1e30 \
+                and val > incumbent * (1 + 1e-9):
+            raise NoImprovement("refinement lost to its own seed; objective "
+                                "is likely inconsistent" + where)
+        deltas = best_v[s].reshape(3, 2)
+        results.append(SearchResult(OffsetSet(deltas),
+                                    float(obj.evaluate(deltas)),
+                                    len(starts[s])))
+    return results
+
+
 def optimize_offsets(sc: SearchConfig, starts=None) -> SearchResult:
     """Best offset set from grid-seeded multi-start Nelder-Mead.
 
     ``starts`` overrides the grid seeds with explicit (3, 2) arrays (used by
     tests and by callers that already hold a good incumbent).
     """
-    bh = BOX_HALFWIDTH
-
-    def values(points):
-        vals = _batched(sc.objective, points.reshape(-1, 3, 2))
-        return np.where(np.isfinite(vals), vals, 1e30)
-
+    incumbents = None
     if starts is None:
-        starts, incumbent_val = _grid_starts(sc, 16)
-    else:
-        incumbent_val = float(values(np.asarray(starts, float)).min())
-    sim, fsim, _, _ = _nelder_mead(values, np.reshape(starts, (-1, 6)),
-                                   -bh, bh, sc.refine_iters,
-                                   4 * sc.refine_iters, 1e-10, 1e-12)
-    fun = fsim.min(axis=1)
-    i = int(np.argmin(fun))  # ties keep the lowest restart index
-    best_v, best_val = sim[i, 0], float(fun[i])
-    if np.isfinite(best_val):
-        sim, fsim, _, _ = _nelder_mead(values, best_v, -bh, bh,
-                                       4 * sc.refine_iters,
-                                       16 * sc.refine_iters, 1e-12, 1e-14)
-        if fsim.min() < best_val:
-            best_v, best_val = sim[0, 0], float(fsim.min())
-    if not np.isfinite(best_val) or best_val >= 1e30:
-        raise NoImprovement("no refinement start produced a finite objective")
-    if np.isfinite(incumbent_val) and incumbent_val < 1e30 \
-            and best_val > incumbent_val * (1 + 1e-9):
-        raise NoImprovement("refinement lost to its own seed; objective "
-                            "is likely inconsistent")
-    deltas = best_v.reshape(3, 2)
-    return SearchResult(OffsetSet(deltas), float(sc.objective.evaluate(deltas)),
-                        len(starts))
+        starts, best = _grid_starts(sc, 16)
+        incumbents = [best]
+    return _search(sc.objective, [starts], sc.refine_iters,
+                   incumbents=incumbents)[0]
 
 
 def _symmetry_images(deltas):
@@ -333,18 +384,19 @@ def robustness_sweep(offsets: OffsetSet, objective, sizes):
     """How close a fixed offset set comes to the finite-size optimum.
 
     ``objective`` is a :class:`StaticFinite` or :class:`DiFinite`.  For each
-    (m, n) in ``sizes`` runs a search on the same objective at that size
-    (any SNR kept) and reports ``((m, n), crlb_at_offsets, crlb_min,
-    rel_gap)``.
+    (m, n) in ``sizes`` searches the same objective at that size (any SNR
+    kept), seeded per size and with every size's restarts in one lockstep
+    search, and reports ``((m, n), crlb_at_offsets, crlb_min, rel_gap)``.
     """
-    rows = []
+    if not sizes:
+        return []
+    at, starts = [], []
     for m, n in sizes:
-        obj = replace(objective, m=m, n=n)
-        sc = SearchConfig(obj, grid_points_per_axis=13)
-        at = float(obj.evaluate(offsets.deltas))
+        sc = SearchConfig(replace(objective, m=m, n=n),
+                          grid_points_per_axis=13)
+        at.append(float(sc.objective.evaluate(offsets.deltas)))
         # the fixed set is a legitimate incumbent: include it as a restart
-        starts, _ = _grid_starts(sc, 8)
-        best = optimize_offsets(sc, starts=[offsets.deltas] + starts)
-        gap = (at - best.crlb_value) / best.crlb_value
-        rows.append(((m, n), at, best.crlb_value, gap))
-    return rows
+        starts.append([offsets.deltas] + _grid_starts(sc, 8)[0])
+    best = _search(objective, starts, sc.refine_iters, np.array(sizes).T)
+    return [((m, n), a, b.crlb_value, (a - b.crlb_value) / b.crlb_value)
+            for (m, n), a, b in zip(sizes, at, best)]

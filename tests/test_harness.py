@@ -542,6 +542,13 @@ BAD_NUMBERS = {
     "one-point --grid, zero --iters": ["offsets", "--objective",
                                        "static-asymptotic", "--grid", "1",
                                        "--iters", "0"],
+    "one-point finite --grid": ["offsets", "--objective", "di-finite",
+                                "--grid", "1"],
+    # a one-element array has no finite bound at any offsets
+    "one-element robustness size": ["offsets", "--objective",
+                                    "static-finite", "--robustness", "1,8"],
+    "one-element last robustness size": ["offsets", "--objective",
+                                         "di-finite", "--robustness", "8,1"],
     "nan crlb snr": ["crlb", "--objective", "di-finite",
                      "--snr-beta-db", "nan"],
     "inf crlb snr": ["crlb", "--objective", "di-finite",
@@ -568,6 +575,18 @@ BAD_NUMBERS = {
 @pytest.mark.parametrize("name", sorted(BAD_NUMBERS))
 def test_bad_size_exits_1_with_one_error_line(name, capsys):
     code = main(BAD_NUMBERS[name])
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert code == 1
     assert [line.startswith("error:") for line in err.splitlines()].count(True) == 1
+    assert out == ""
+
+
+@pytest.mark.parametrize("name, message", [
+    ("one-point --grid", "error: --grid: "),
+    ("one-element robustness size", "at 1x1"),
+    ("one-element last robustness size", "at 1x1")])
+def test_bad_size_error_names_the_input(name, message, capsys):
+    """A one-point grid is rejected as a --grid error, and a failed sweep
+    names the size that failed."""
+    main(BAD_NUMBERS[name])
+    assert message in capsys.readouterr().err

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -66,6 +67,31 @@ class TestBatchedChunks:
         assert sizes == [65536, 539]
         assert np.array_equal(vals, obj.evaluate(sets))
 
+    @pytest.mark.parametrize("cls", [StaticFinite, DiFinite])
+    def test_size_arrays_are_sliced_with_their_sets(self, cls):
+        """Per-set array sizes travel with their sets into each chunk: a
+        mixed-size objective over 65,536 + 539 sets equals one call with
+        the whole size arrays, and each size's sets equal a call at that
+        size, bit for bit."""
+        chunks = []
+
+        @dataclass(frozen=True)
+        class Spy(cls):
+            def evaluate(self, d):
+                chunks.append((len(d), len(self.m), len(self.n)))
+                return super().evaluate(d)
+
+        rng = np.random.default_rng(3)
+        sets = rng.uniform(-0.9, 0.9, (65536 + 539, 3, 2))
+        m = rng.choice([4, 8, 64], len(sets))
+        n = rng.choice([8, 12], len(sets))
+        vals = _batched(Spy(8, 8), sets, (m, n))
+        assert chunks == [(65536,) * 3, (539,) * 3]
+        assert np.array_equal(vals, cls(m, n).evaluate(sets))
+        for mi, ni in ((4, 8), (64, 12)):
+            own = (m == mi) & (n == ni)
+            assert np.array_equal(vals[own], cls(mi, ni).evaluate(sets[own]))
+
 
 def _quadratic(x):
     w = np.array([1.0, 2.0, 3.0, 0.5, 1.5, 4.0])
@@ -90,8 +116,8 @@ _STARTS = np.array([[0.25, -0.15, 0.05, 0.4, -0.55, 0.1],
 def _assert_matches_scipy(f, starts, bound, maxiter, maxfev, xatol, fatol):
     """Lockstep final simplex, x, fun, nit and nfev equal scipy's for every
     restart; returns scipy's status per restart."""
-    sim, fsim, nit, nfev = _nelder_mead(f, starts, -bound, bound, maxiter,
-                                        maxfev, xatol, fatol)
+    sim, fsim, nit, nfev = _nelder_mead(lambda x, _: f(x), starts, -bound,
+                                        bound, maxiter, maxfev, xatol, fatol)
     status = []
     for i, s0 in enumerate(starts):
         res = minimize(f, s0, method="Nelder-Mead",
@@ -131,6 +157,26 @@ class TestLockstepNelderMead:
             status = _assert_matches_scipy(steps, _STARTS, 0.95, 1000, maxfev,
                                            1e-8, 1e-12)
             assert 1 in status
+
+    def test_restart_index_of_each_point(self):
+        """f learns the restart of each point it evaluates: restarts that
+        minimize different functions, one per index, run in lockstep and
+        each equals scipy on its own function."""
+        centres = np.linspace(-0.4, 0.4, len(_STARTS))[:, None]
+
+        def shifted(x, restarts):
+            return _quadratic(np.asarray(x) - centres[restarts])
+
+        sim, fsim, nit, nfev = _nelder_mead(shifted, _STARTS, -0.95, 0.95,
+                                            300, 100000, 1e-6, 1e-10)
+        for i, s0 in enumerate(_STARTS):
+            res = minimize(lambda x: shifted(x, i), s0, method="Nelder-Mead",
+                           bounds=[(-0.95, 0.95)] * len(s0),
+                           options=dict(maxiter=300, maxfev=100000,
+                                        xatol=1e-6, fatol=1e-10))
+            assert np.array_equal(sim[i], res.final_simplex[0]), i
+            assert (fsim[i].min(), nit[i], nfev[i]) == (res.fun, res.nit,
+                                                         res.nfev), i
 
     def test_real_objective(self):
         """On grid starts of the static limit the lockstep search equals
@@ -219,6 +265,39 @@ class TestOptimizer:
 
 
 class TestRobustnessSweep:
+    @pytest.mark.parametrize("base, preset", [
+        (StaticFinite(8, 8), STATIC_OFFSETS),
+        (DiFinite(8, 8, 3.0), FADING_OFFSETS)])
+    def test_lockstep_sweep_equals_per_size_searches(self, base, preset):
+        """One lockstep search over every size's restarts, a duplicate size
+        included, gives each size the row of a search at that size alone,
+        bit for bit, and makes one objective call per simplex step for
+        all sizes together."""
+        sizes = [(4, 4), (8, 8), (8, 8), (12, 12)]
+        calls = []
+
+        @dataclass(frozen=True)
+        class Spy(type(base)):
+            def evaluate(self, d):
+                calls.append(np.ndim(self.m))
+                return super().evaluate(d)
+
+        spy = Spy(**vars(base))
+        rows = robustness_sweep(preset, spy, sizes)
+        lockstep = calls.count(1)
+        expected, alone = [], []
+        for m, n in sizes:
+            sc = SearchConfig(replace(spy, m=m, n=n), grid_points_per_axis=13)
+            at = float(sc.objective.evaluate(preset.deltas))
+            starts, _ = _grid_starts(sc, 8)
+            calls.clear()
+            best = optimize_offsets(sc, starts=[preset.deltas] + starts)
+            alone.append(len(calls) - 1)  # less the final re-evaluation
+            gap = (at - best.crlb_value) / best.crlb_value
+            expected.append(((m, n), at, best.crlb_value, gap))
+        assert rows == expected
+        assert max(alone) <= lockstep < 0.5 * sum(alone)
+
     def test_small_array_has_larger_gap(self):
         """The shipped static preset is <0.1% suboptimal at 8x8 but visibly
         worse at 4x4."""
