@@ -29,7 +29,7 @@ for m in (8, 16, 32, 64):
     print(f"  M = N = {m:3d}: {val:.6f}   (limit {lim:.6f}, "
           f"gap {abs(val - lim) / lim:.2e})")
 
-print("\nsearching the asymptotic objectives (multi-start Nelder-Mead):")
+print("\nsearching the asymptotic objectives (multi-start Newton):")
 for name, objective, preset in (
         ("joint gain+direction", StaticAsymptotic(), STATIC_OFFSETS),
         ("direction-only, 0 dB", DiAsymptotic(0.0), FADING_OFFSETS)):

@@ -55,7 +55,8 @@ def _build_parser() -> _Parser:
     off.add_argument("--seed", type=int, default=0,
                      help="no effect: the search is deterministic")
     off.add_argument("--grid", default=21)
-    off.add_argument("--iters", default=400)
+    off.add_argument("--iters", default=400,
+                     help="at most this many Newton iterations per restart")
     off.add_argument("--out", help="append the result as a CSV row")
     off.add_argument("--robustness",
                      help="skip the search; sweep the preset offsets over "

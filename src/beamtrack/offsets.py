@@ -1,14 +1,15 @@
-"""Derivative-free search for optimal exploration-offset sets.
+"""Search for optimal exploration-offset sets.
 
 The objective is a CRLB as a function of the three 2D offsets only (both
 bounds are invariant to the gain and the direction).  The search runs a
-coarse grid over two symmetry-reduced 4D slices to seed multi-start
-Nelder-Mead refinement in the full 6D space.  The restarts run in lockstep:
-each simplex step evaluates the candidate points of every restart in one
-batched objective call, and the iterates are those of scipy's bounded
-Nelder-Mead run on each restart alone.  A robustness sweep is one such
-search over the restarts of every array size it sweeps: the finite bounds
-take a size per offset set, so one call per step serves all sizes.
+coarse grid over two symmetry-reduced 4D slices to seed multi-start damped
+Newton refinement in the full 6D space, on central-difference derivatives.
+The restarts run in lockstep: each Newton iteration evaluates the
+derivative stencils of every restart in one batched objective call and
+their trial steps in a second, and each restart's iterates are those of a
+run on its own.  A robustness sweep is one such search over the restarts
+of every array size it sweeps: the finite bounds take a size per offset
+set, so one call serves all sizes.
 
 ``STATIC_OFFSETS`` and ``FADING_OFFSETS`` hold the asymptotically optimal
 sets for the two objectives that the optimizer reproduces; they double as
@@ -112,7 +113,7 @@ BOX_HALFWIDTH = 0.95
 class SearchConfig:
     objective: Objective
     grid_points_per_axis: int = 21
-    refine_iters: int = 400
+    refine_iters: int = 400  # Newton iterations per restart, at most
 
 
 @dataclass(frozen=True)
@@ -141,102 +142,107 @@ def _batched(objective, flat_sets, sizes=None):
     return out
 
 
-def _nelder_mead(f, x0, lo, hi, maxiter, maxfev, xatol, fatol):
-    """Bounded Nelder-Mead from each row of ``x0`` (R, n), all in lockstep.
+# The Newton iteration: central differences with step _H, trial step
+# lengths _LADDER, moves of these lengths along the most negative curvature
+# direction (they leave saddles whose gradient is exactly zero), and a
+# restart stops after _STALL iterations without a relative gain above _GAIN.
+# An iterate at 1e30 steps to the best point of a stencil of step _ESCAPE,
+# wide enough that its derivatives are not taken next to the singular set.
+_H, _ESCAPE = 1e-4, 0.05
+_LADDER = 0.5 ** np.arange(6)
+_CURVE = 0.25 ** np.arange(1, 5)
+_STALL, _GAIN = 3, 1e-13
 
-    Each restart follows scipy's ``minimize(method="Nelder-Mead",
-    bounds=...)`` step for step: the coefficients 1, 2, 1/2, 1/2, the
-    initial simplex (5% steps, 0.00025 for zero coordinates, reflected into
-    the box), clipping of every new vertex, the ``xatol``/``fatol`` test, the
-    per-restart ``maxiter``/``maxfev`` counters, and an iteration that
-    ``maxfev`` cuts short (a partly shrunk simplex included).
+
+def _stencil(n):
+    """The 1 + 2n + 2n(n - 1) central-difference offsets in n dimensions
+    (the centre, +-e_i, then the (+-e_i +-e_j) corners of each pair i < j,
+    sign pattern by sign pattern) and the pair indices."""
+    eye = np.eye(n)
+    i, j = np.triu_indices(n, 1)
+    corners = [a * eye[i] + b * eye[j]
+               for a, b in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
+    return np.concatenate([np.zeros((1, n)), eye, -eye, *corners]), i, j
+
+
+def _newton(f, x0, lo, hi, maxiter):
+    """Projected, saddle-free damped Newton from each row of ``x0`` (R, n)
+    in the box [lo, hi], all restarts in lockstep.
+
     ``f(points, restarts)`` maps (k, n) points and the (k,) index of the
-    restart each belongs to to (k,) values, each independent of the batch.
-    One call per step evaluates the reflection, expansion and both
-    contraction points of every running restart; a second call evaluates
-    shrink points.  ``nfev`` counts only the points scipy would have
-    evaluated.
+    restart each belongs to to (k,) values, each independent of the batch,
+    so every restart's iterates are those of a run on its own.  Each
+    iteration makes two calls for all running restarts: the
+    central-difference stencil, centred inside [lo + h, hi - h], gives the
+    gradient and Hessian; then a ladder of step lengths along
+    -V diag(1/max(|w|, lam max|w|)) V^T g, with (w, V) the Hessian's
+    eigenpairs, and moves along the most negative eigenvector.  The best
+    trial point replaces the iterate only if it is lower.  A coordinate on
+    the bound whose gradient points outward is held fixed; lam falls
+    tenfold after a full step and grows tenfold after a failed one.  An
+    iterate whose value is 1e30 or more has no derivatives: it moves to the
+    best point of a stencil of the wider step ``_ESCAPE``.
 
-    Returns scipy's final simplex ``(sim, fsim)``, (R, n + 1, n) and
-    (R, n + 1), and ``nit``, ``nfev`` per restart; scipy's ``x`` is
-    ``sim[:, 0]`` and its ``fun`` is ``fsim.min(axis=1)``.
+    Returns the final points (R, n) and their values (R,).
     """
-    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
-    x0 = np.clip(np.atleast_2d(np.asarray(x0, float)), lo, hi)
-    r, n = x0.shape
-    sim = np.repeat(x0[:, None, :], n + 1, axis=1)
-    k = np.arange(n)
-    sim[:, k + 1, k] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)
-    sim = np.clip(np.where(sim > hi, 2 * hi - sim, sim), lo, hi)
-    first = min(n + 1, maxfev)
-    fsim = np.full((r, n + 1), np.inf)
-    fsim[:, :first] = f(sim[:, :first].reshape(-1, n),
-                        np.repeat(np.arange(r), first)).reshape(r, first)
-    for _ in range(2):  # scipy sorts the initial simplex twice
-        sim, fsim = _sort_simplex(sim, fsim)
-    nfev = np.full(r, first)
-    nit = np.ones(r, int)
-    done = np.zeros(r, bool)
-    while True:
-        done |= (nfev >= maxfev) | (nit >= maxiter)
-        with np.errstate(invalid="ignore"):  # inf - inf before any step
-            xspan = np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2))
-            fspan = np.abs(fsim[:, :1] - fsim[:, 1:]).max(axis=1)
-        done |= (xspan <= xatol) & (fspan <= fatol)
-        run = np.flatnonzero(~done)
+    x = np.clip(np.atleast_2d(np.asarray(x0, float)), lo, hi)
+    r, n = x.shape
+    fx = f(x, np.arange(r))
+    lam = np.full(r, 1e-3)
+    stall = np.zeros(r, int)
+    offs, pi, pj = _stencil(n)
+    diag = np.arange(n)
+    for _ in range(maxiter):
+        run = np.flatnonzero(stall < _STALL)
         if not run.size:
             break
-        s, fs, used = sim[run], fsim[run], nfev[run] + 1
-        xbar = np.add.reduce(s[:, :-1], 1) / n
-        worst = s[:, -1]
-        cand = np.clip(np.stack([
-            (1 + rho) * xbar - rho * worst,
-            (1 + rho * chi) * xbar - rho * chi * worst,
-            (1 + psi * rho) * xbar - psi * rho * worst,
-            (1 - psi) * xbar + psi * worst], axis=1), lo, hi)
-        fxr, fxe, fxc, fxcc = f(cand.reshape(-1, n),
-                                np.repeat(run, 4)).reshape(-1, 4).T
-        # scipy's branches: which candidate replaces the worst vertex
-        expand = fxr < fs[:, 0]
-        reflect = ~expand & (fxr < fs[:, -2])
-        outside = ~expand & ~reflect & (fxr < fs[:, -1])
-        inside = ~expand & ~reflect & ~outside
-        pick = np.select([expand & (fxe < fxr), outside, inside], [1, 2, 3], 0)
-        accept = (expand | reflect | (outside & (fxc <= fxr))
-                  | (inside & (fxcc < fs[:, -1])))
-        # a second evaluation past maxfev stops scipy before any change
-        cut = ~reflect & (used >= maxfev)
-        used = used + (~reflect & ~cut)
-        whole = accept & ~cut
-        rows = np.flatnonzero(whole)
-        s[rows, -1] = cand[rows, pick[rows]]
-        fs[rows, -1] = np.stack([fxr, fxe, fxc, fxcc], 1)[rows, pick[rows]]
-        shrink = np.flatnonzero(~accept & ~cut)
-        if shrink.size:
-            best = s[shrink, :1]
-            pts = np.clip(best + sigma * (s[shrink, 1:] - best), lo, hi)
-            vals = f(pts.reshape(-1, n),
-                     np.repeat(run[shrink], n)).reshape(-1, n)
-            # with budget b < n left, scipy evaluates vertices 1..b and
-            # moves vertex b+1 before it stops
-            left = maxfev - used[shrink]
-            j = np.arange(1, n + 1)
-            s[shrink, 1:] = np.where((j <= left[:, None] + 1)[..., None],
-                                     pts, s[shrink, 1:])
-            fs[shrink, 1:] = np.where(j <= left[:, None], vals, fs[shrink, 1:])
-            used[shrink] += np.minimum(left, n)
-            whole[shrink] = left >= n
-        sim[run], fsim[run] = _sort_simplex(s, fs)
-        nfev[run] = used
-        nit[run] += whole
-    return sim, fsim, nit, nfev
-
-
-def _sort_simplex(sim, fsim):
-    """Order each simplex by value, as scipy's ``np.argsort`` step does."""
-    ind = np.argsort(fsim, axis=1)
-    return (np.take_along_axis(sim, ind[..., None], 1),
-            np.take_along_axis(fsim, ind, 1))
+        xr, fr, k = x[run], fx[run], len(run)
+        finite = fr < 1e30
+        h = np.where(finite, _H, _ESCAPE)[:, None]
+        centre = np.clip(xr, lo + h, hi - h)
+        pts = centre[:, None, :] + h[:, None] * offs
+        vals = f(pts.reshape(-1, n), np.repeat(run, len(offs))).reshape(k, -1)
+        plus, minus = vals[:, 1:n + 1], vals[:, n + 1:2 * n + 1]
+        q = vals[:, 2 * n + 1:].reshape(k, 4, -1)
+        hess = np.empty((k, n, n))
+        hess[:, diag, diag] = (plus - 2 * vals[:, :1] + minus) / _H ** 2
+        hess[:, pi, pj] = hess[:, pj, pi] = \
+            (q[:, 0] - q[:, 1] - q[:, 2] + q[:, 3]) / (4 * _H ** 2)
+        # the gradient at the iterate, not at the centre
+        grad = (plus - minus) / (2 * _H) + (hess * (xr - centre)[:, None]).sum(-1)
+        fixed = ((xr <= lo) & (grad > 0)) | ((xr >= hi) & (grad < 0))
+        grad[fixed | ~finite[:, None]] = 0
+        hess *= ~(fixed[:, :, None] | fixed[:, None, :])
+        w, v = np.linalg.eigh(hess)
+        scale = np.abs(w).max(-1, keepdims=True)
+        # the floor keeps 0/0 out where every coordinate is held fixed
+        damp = np.maximum(np.maximum(np.abs(w), lam[run, None] * scale), 1e-300)
+        step = -(v * ((v * grad[:, :, None]).sum(1) / damp)[:, None]).sum(-1)
+        curve = v[:, :, 0]
+        step[fixed] = curve[fixed] = 0
+        trial = np.clip(xr[:, None] + np.concatenate([
+            _LADDER[:, None] * step[:, None],
+            _CURVE[:, None] * curve[:, None],
+            -_CURVE[:, None] * curve[:, None]], 1), lo, hi)
+        # the curvature moves exist only where the curvature is negative
+        use = finite[:, None] & np.concatenate([
+            np.ones((k, len(_LADDER)), bool),
+            np.repeat(w[:, :1] < 0, 2 * len(_CURVE), 1)], 1)
+        tval = np.full(use.shape, np.inf)
+        if use.any():
+            tval[use] = f(trial[use], np.repeat(run, use.sum(1)))
+        rows, pick, jump = np.arange(k), np.argmin(tval, 1), np.argmin(vals, 1)
+        best = np.where(finite, tval[rows, pick], vals[rows, jump])
+        better = best < fr
+        x[run] = np.where(better[:, None], np.where(
+            finite[:, None], trial[rows, pick], pts[rows, jump]), xr)
+        fx[run] = np.where(better, best, fr)
+        lam[run] = np.clip(lam[run] * np.select(
+            [better & finite & (pick == 0), ~better], [0.1, 10.0], 1.0),
+            1e-15, 1e15)
+        stall[run] = np.where(fr - fx[run] > _GAIN * np.abs(fr), 0,
+                              stall[run] + 1)
+    return x, fx
 
 
 def _grid_axis(points):
@@ -281,9 +287,9 @@ def _grid_starts(sc: SearchConfig, count: int):
 
 
 def _search(objective, starts, refine_iters, sizes=None, incumbents=None):
-    """Multi-start Nelder-Mead from each search's ``starts``, then a polish
-    from each search's best point: every search in one lockstep run per
-    stage, with one objective call per simplex step.
+    """Damped Newton from each of each search's ``starts``, every search in
+    one lockstep run of at most ``refine_iters`` iterations per restart,
+    with two objective calls per Newton iteration.
 
     ``starts`` lists the (3, 2) start sets of each search.  With ``sizes``
     = (m, n), integer arrays of one size per search, search s runs the
@@ -297,34 +303,23 @@ def _search(objective, starts, refine_iters, sizes=None, incumbents=None):
     x0 = np.concatenate([np.reshape(st, (-1, 6)) for st in starts])
     owner = np.repeat(np.arange(len(starts)), [len(st) for st in starts])
 
-    def values(search):
-        """f of a lockstep run whose restart r belongs to search[r]."""
-        def f(points, restarts):
-            per_set = None
-            if sizes is not None:
-                s = search[restarts]
-                per_set = (sizes[0][s], sizes[1][s])
-            vals = _batched(objective, points.reshape(-1, 3, 2), per_set)
-            return np.where(np.isfinite(vals), vals, 1e30)
-        return f
+    def f(points, restarts):
+        per_set = None
+        if sizes is not None:
+            s = owner[restarts]
+            per_set = (sizes[0][s], sizes[1][s])
+        vals = _batched(objective, points.reshape(-1, 3, 2), per_set)
+        return np.where(np.isfinite(vals), vals, 1e30)
 
     if incumbents is None:
-        start_vals = values(owner)(x0, np.arange(len(x0)))
+        start_vals = f(x0, np.arange(len(x0)))
         incumbents = [float(start_vals[owner == s].min())
                       for s in range(len(starts))]
-    sim, fsim, _, _ = _nelder_mead(values(owner), x0, -bh, bh, refine_iters,
-                                   4 * refine_iters, 1e-10, 1e-12)
-    fun = fsim.min(axis=1)
+    x, fun = _newton(f, x0, -bh, bh, refine_iters)
     # ties keep the lowest restart index
     firsts = [int(np.argmin(np.where(owner == s, fun, np.inf)))
               for s in range(len(starts))]
-    best_v, best_val = sim[firsts, 0], fun[firsts]
-    sim, fsim, _, _ = _nelder_mead(values(np.arange(len(starts))), best_v,
-                                   -bh, bh, 4 * refine_iters,
-                                   16 * refine_iters, 1e-12, 1e-14)
-    polished = fsim.min(axis=1) < best_val
-    best_v[polished] = sim[polished, 0]
-    best_val[polished] = fsim[polished].min(axis=1)
+    best_v, best_val = x[firsts], fun[firsts]
     results = []
     for s, incumbent in enumerate(incumbents):
         obj, where = objective, ""
@@ -347,7 +342,7 @@ def _search(objective, starts, refine_iters, sizes=None, incumbents=None):
 
 
 def optimize_offsets(sc: SearchConfig, starts=None) -> SearchResult:
-    """Best offset set from grid-seeded multi-start Nelder-Mead.
+    """Best offset set from grid-seeded multi-start Newton.
 
     ``starts`` overrides the grid seeds with explicit (3, 2) arrays (used by
     tests and by callers that already hold a good incumbent).

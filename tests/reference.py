@@ -13,7 +13,11 @@ Explicit fading-gain model: the covariance ``sigma_di``, the log-density
 ``di_log_pdf`` and the score ``di_score`` (the library's
 ``estimation._di_score`` for one observation), which tests difference
 against the log-density.  And ``read_csv``, the inverse of
-``harness.format_csv``.  Only tests import this module.
+``harness.format_csv``.
+
+Offset search: the lockstep bounded Nelder-Mead ``_nelder_mead`` (scipy's
+iterates, restart by restart), the oracle whose minima the library's
+Newton search is compared against.  Only tests import this module.
 """
 
 from __future__ import annotations
@@ -293,3 +297,106 @@ def read_csv(path) -> list:
             records.append(MetricsRecord(int(ecc), int(expl), float(mh),
                                          float(mx), float(cr), int(tr)))
     return records
+
+
+# ---------------------------------------------------------------------------
+# offset search
+# ---------------------------------------------------------------------------
+
+
+def _nelder_mead(f, x0, lo, hi, maxiter, maxfev, xatol, fatol):
+    """Bounded Nelder-Mead from each row of ``x0`` (R, n), all in lockstep.
+
+    Each restart follows scipy's ``minimize(method="Nelder-Mead",
+    bounds=...)`` step for step: the coefficients 1, 2, 1/2, 1/2, the
+    initial simplex (5% steps, 0.00025 for zero coordinates, reflected into
+    the box), clipping of every new vertex, the ``xatol``/``fatol`` test, the
+    per-restart ``maxiter``/``maxfev`` counters, and an iteration that
+    ``maxfev`` cuts short (a partly shrunk simplex included).
+    ``f(points, restarts)`` maps (k, n) points and the (k,) index of the
+    restart each belongs to to (k,) values, each independent of the batch.
+    One call per step evaluates the reflection, expansion and both
+    contraction points of every running restart; a second call evaluates
+    shrink points.  ``nfev`` counts only the points scipy would have
+    evaluated.
+
+    Returns scipy's final simplex ``(sim, fsim)``, (R, n + 1, n) and
+    (R, n + 1), and ``nit``, ``nfev`` per restart; scipy's ``x`` is
+    ``sim[:, 0]`` and its ``fun`` is ``fsim.min(axis=1)``.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    x0 = np.clip(np.atleast_2d(np.asarray(x0, float)), lo, hi)
+    r, n = x0.shape
+    sim = np.repeat(x0[:, None, :], n + 1, axis=1)
+    k = np.arange(n)
+    sim[:, k + 1, k] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)
+    sim = np.clip(np.where(sim > hi, 2 * hi - sim, sim), lo, hi)
+    first = min(n + 1, maxfev)
+    fsim = np.full((r, n + 1), np.inf)
+    fsim[:, :first] = f(sim[:, :first].reshape(-1, n),
+                        np.repeat(np.arange(r), first)).reshape(r, first)
+    for _ in range(2):  # scipy sorts the initial simplex twice
+        sim, fsim = _sort_simplex(sim, fsim)
+    nfev = np.full(r, first)
+    nit = np.ones(r, int)
+    done = np.zeros(r, bool)
+    while True:
+        done |= (nfev >= maxfev) | (nit >= maxiter)
+        with np.errstate(invalid="ignore"):  # inf - inf before any step
+            xspan = np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2))
+            fspan = np.abs(fsim[:, :1] - fsim[:, 1:]).max(axis=1)
+        done |= (xspan <= xatol) & (fspan <= fatol)
+        run = np.flatnonzero(~done)
+        if not run.size:
+            break
+        s, fs, used = sim[run], fsim[run], nfev[run] + 1
+        xbar = np.add.reduce(s[:, :-1], 1) / n
+        worst = s[:, -1]
+        cand = np.clip(np.stack([
+            (1 + rho) * xbar - rho * worst,
+            (1 + rho * chi) * xbar - rho * chi * worst,
+            (1 + psi * rho) * xbar - psi * rho * worst,
+            (1 - psi) * xbar + psi * worst], axis=1), lo, hi)
+        fxr, fxe, fxc, fxcc = f(cand.reshape(-1, n),
+                                np.repeat(run, 4)).reshape(-1, 4).T
+        # scipy's branches: which candidate replaces the worst vertex
+        expand = fxr < fs[:, 0]
+        reflect = ~expand & (fxr < fs[:, -2])
+        outside = ~expand & ~reflect & (fxr < fs[:, -1])
+        inside = ~expand & ~reflect & ~outside
+        pick = np.select([expand & (fxe < fxr), outside, inside], [1, 2, 3], 0)
+        accept = (expand | reflect | (outside & (fxc <= fxr))
+                  | (inside & (fxcc < fs[:, -1])))
+        # a second evaluation past maxfev stops scipy before any change
+        cut = ~reflect & (used >= maxfev)
+        used = used + (~reflect & ~cut)
+        whole = accept & ~cut
+        rows = np.flatnonzero(whole)
+        s[rows, -1] = cand[rows, pick[rows]]
+        fs[rows, -1] = np.stack([fxr, fxe, fxc, fxcc], 1)[rows, pick[rows]]
+        shrink = np.flatnonzero(~accept & ~cut)
+        if shrink.size:
+            best = s[shrink, :1]
+            pts = np.clip(best + sigma * (s[shrink, 1:] - best), lo, hi)
+            vals = f(pts.reshape(-1, n),
+                     np.repeat(run[shrink], n)).reshape(-1, n)
+            # with budget b < n left, scipy evaluates vertices 1..b and
+            # moves vertex b+1 before it stops
+            left = maxfev - used[shrink]
+            j = np.arange(1, n + 1)
+            s[shrink, 1:] = np.where((j <= left[:, None] + 1)[..., None],
+                                     pts, s[shrink, 1:])
+            fs[shrink, 1:] = np.where(j <= left[:, None], vals, fs[shrink, 1:])
+            used[shrink] += np.minimum(left, n)
+            whole[shrink] = left >= n
+        sim[run], fsim[run] = _sort_simplex(s, fs)
+        nfev[run] = used
+        nit[run] += whole
+    return sim, fsim, nit, nfev
+
+
+def _sort_simplex(sim, fsim):
+    """Order each simplex by value, as scipy's ``np.argsort`` step does."""
+    ind = np.argsort(fsim, axis=1)
+    return (np.take_along_axis(sim, ind[..., None], 1),
+            np.take_along_axis(fsim, ind, 1))

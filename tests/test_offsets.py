@@ -14,9 +14,10 @@ from beamtrack.offsets import (BOX_HALFWIDTH, FADING_OFFSETS, STATIC_OFFSETS,
                                DiAsymptotic, DiFinite, NoImprovement,
                                SearchConfig,
                                StaticAsymptotic, StaticFinite, _batched,
-                               _grid_starts, _nelder_mead, canonicalize,
+                               _grid_starts, _newton, canonicalize,
                                optimize_offsets, robustness_sweep)
 from beamtrack.signal import OffsetSet
+from reference import _nelder_mead
 
 
 class TestObjectiveInvariances:
@@ -251,6 +252,10 @@ class TestOptimizer:
 
         sc = SearchConfig(Spy(), grid_points_per_axis=5, refine_iters=60)
         optimize_offsets(sc)
+        # starts on the box edge, and a singular one with its wide stencil
+        edge = np.clip(3 * STATIC_OFFSETS.deltas, -BOX_HALFWIDTH,
+                       BOX_HALFWIDTH)
+        optimize_offsets(sc, starts=[edge, -edge, np.full((3, 2), 0.2)])
         assert max(calls) <= BOX_HALFWIDTH + 1e-12
 
     def test_degenerate_starts(self):
@@ -264,6 +269,104 @@ class TestOptimizer:
             pass
 
 
+def _search_values(objective):
+    """The objective as the search sees it, non-finite values at 1e30, in
+    the ``f(points, restarts)`` form of the lockstep searches."""
+    def f(points, restarts):
+        vals = objective.evaluate(points.reshape(-1, 3, 2))
+        return np.where(np.isfinite(vals), vals, 1e30)
+    return f
+
+
+def _oracle_minimum(objective, starts, iters=400):
+    """The best value of the two bounded Nelder-Mead stages from ``starts``:
+    multi-start, then a polish from the best restart."""
+    f, bh = _search_values(objective), BOX_HALFWIDTH
+    sim, fsim, _, _ = _nelder_mead(f, np.reshape(starts, (-1, 6)), -bh, bh,
+                                   iters, 4 * iters, 1e-10, 1e-12)
+    best = int(np.argmin(fsim.min(axis=1)))
+    _, polished, _, _ = _nelder_mead(f, sim[best, :1], -bh, bh, 4 * iters,
+                                     16 * iters, 1e-12, 1e-14)
+    return min(fsim[best].min(), polished.min())
+
+
+_PRESET = {StaticAsymptotic: STATIC_OFFSETS, StaticFinite: STATIC_OFFSETS,
+           DiAsymptotic: FADING_OFFSETS, DiFinite: FADING_OFFSETS}
+
+
+class TestNewton:
+    """The lockstep Newton search against the Nelder-Mead oracle."""
+
+    @pytest.mark.parametrize("objective, rel", [
+        (StaticAsymptotic(), 1e-12), (DiAsymptotic(0.0), 1e-12),
+        *[(cls(m, n), 1e-12) for cls in (StaticFinite, DiFinite)
+          for m, n in ((4, 4), (8, 8), (16, 16), (64, 64), (6, 12))],
+        *[(cls(m, m), 1e-8) for cls in (StaticFinite, DiFinite)
+          for m in (2, 3)]], ids=repr)
+    def test_minimum_matches_oracle(self, objective, rel):
+        """From the same grid starts the searched minimum is at most the
+        oracle's; at 2x2 and 3x3, where the optimum can sit on the box
+        edge, within 1e-8."""
+        starts, _ = _grid_starts(SearchConfig(objective,
+                                              grid_points_per_axis=13), 8)
+        res = optimize_offsets(SearchConfig(objective), starts=starts)
+        assert res.crlb_value <= _oracle_minimum(objective, starts) * (1 + rel)
+
+    @pytest.mark.parametrize("objective", [StaticAsymptotic(),
+                                           DiAsymptotic(0.0)], ids=repr)
+    def test_box_edge_and_corner_starts(self, objective):
+        """Starts on the box edge, and the corner starts of a two-point
+        grid (from which the oracle stalls at 3.727 in the static limit),
+        reach the preset's value within 0.1%."""
+        preset = _PRESET[type(objective)].deltas
+        edges = [np.clip(3 * preset, -BOX_HALFWIDTH, BOX_HALFWIDTH),
+                 np.where(preset > 0, BOX_HALFWIDTH, -BOX_HALFWIDTH)
+                 * np.array([1.0, 0.5])]
+        target = objective.evaluate(preset)
+        for res in (optimize_offsets(SearchConfig(objective), starts=edges),
+                    optimize_offsets(SearchConfig(objective,
+                                                  grid_points_per_axis=2))):
+            assert res.crlb_value == pytest.approx(target, rel=1e-3)
+
+    @pytest.mark.parametrize("objective", [
+        StaticAsymptotic(), DiAsymptotic(0.0), StaticFinite(8, 8),
+        DiFinite(8, 8, 0.0)], ids=repr)
+    @pytest.mark.parametrize("start", [
+        np.full((3, 2), 0.2), np.array([[0.1, 0.1], [0.2, 0.2], [0.3, 0.3]]),
+        np.array([[0.1, 0.0], [0.2, 0.0], [0.3, 0.0]])],
+        ids=["equal", "diagonal", "axis"])
+    def test_singular_start(self, objective, start):
+        """A start whose bound is infinite (f = 1e30) either reaches a
+        finite minimum, here the preset's value within 0.1%, or raises."""
+        assert np.isinf(objective.evaluate(start))
+        try:
+            res = optimize_offsets(SearchConfig(objective), starts=[start])
+        except NoImprovement:
+            return
+        target = objective.evaluate(_PRESET[type(objective)].deltas)
+        assert res.crlb_value == pytest.approx(target, rel=1e-3)
+
+    def test_restart_alone_equals_restart_in_batch(self):
+        """Each restart's final point and value are the same bits run
+        alone, in a split batch and in the whole batch: grid starts, starts
+        on the box edge and a singular start."""
+        grid, _ = _grid_starts(SearchConfig(DiFinite(8, 8, 0.0),
+                                            grid_points_per_axis=9), 6)
+        edge = np.clip(3 * FADING_OFFSETS.deltas, -BOX_HALFWIDTH,
+                       BOX_HALFWIDTH)
+        starts = np.reshape(grid + [edge, -edge, np.full((3, 2), 0.2)],
+                            (-1, 6))
+        f, bh = _search_values(DiFinite(8, 8, 0.0)), BOX_HALFWIDTH
+        x, fx = _newton(f, starts, -bh, bh, 400)
+        half = len(starts) // 2
+        for part in (slice(0, half), slice(half, None)):
+            xp, fp = _newton(f, starts[part], -bh, bh, 400)
+            assert np.array_equal(xp, x[part]) and np.array_equal(fp, fx[part])
+        for i, s0 in enumerate(starts):
+            xi, fi = _newton(f, s0[None], -bh, bh, 400)
+            assert np.array_equal(xi[0], x[i]) and fi[0] == fx[i], i
+
+
 class TestRobustnessSweep:
     @pytest.mark.parametrize("base, preset", [
         (StaticFinite(8, 8), STATIC_OFFSETS),
@@ -271,8 +374,8 @@ class TestRobustnessSweep:
     def test_lockstep_sweep_equals_per_size_searches(self, base, preset):
         """One lockstep search over every size's restarts, a duplicate size
         included, gives each size the row of a search at that size alone,
-        bit for bit, and makes one objective call per simplex step for
-        all sizes together."""
+        bit for bit, and makes two objective calls per Newton iteration
+        for all sizes together."""
         sizes = [(4, 4), (8, 8), (8, 8), (12, 12)]
         calls = []
 
