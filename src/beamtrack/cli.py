@@ -95,6 +95,19 @@ def _size(token, key: str) -> int:
     return value
 
 
+def _grid(token) -> int:
+    """Seed grid points per offset axis: at least 2 (one point makes the
+    three offsets of every grid seed equal) and at most
+    ``offsets.MAX_GRID_POINTS``."""
+    from .harness import ConfigError
+    from .offsets import MAX_GRID_POINTS
+    value = _positive_int(token, "--grid", least=2)
+    if value > MAX_GRID_POINTS:
+        raise ConfigError(f"--grid: at most {MAX_GRID_POINTS} points per "
+                          f"axis, got {token!r}")
+    return value
+
+
 def _sizes(text: str, key: str) -> list:
     """A comma list of array sizes, e.g. ``8,16,32``."""
     return [_size(token, key) for token in text.split(",")]
@@ -185,7 +198,7 @@ def _cmd_crlb(args) -> int:
 
 def _cmd_offsets(args) -> int:
     from .offsets import (SearchConfig, canonicalize, optimize_offsets,
-                          robustness_sweep)
+                          robustness_sweep, swap_applies)
     objectives = _objectives(args)
     if args.robustness:
         sizes = [(s, s) for s in _sizes(args.robustness, "--robustness")]
@@ -200,9 +213,8 @@ def _cmd_offsets(args) -> int:
     sc = SearchConfig(objective, grid_points_per_axis=args.grid,
                       refine_iters=args.iters)
     result = optimize_offsets(sc)
-    # the coordinate swap is a symmetry without a size or on a square array
-    square = getattr(objective, "m", 0) == getattr(objective, "n", 0)
-    canon = canonicalize(result.offsets) if square else result.offsets
+    canon = canonicalize(result.offsets) if swap_applies(objective) \
+        else result.offsets
     print(f"objective: {args.objective}")
     print(f"crlb_value: {result.crlb_value:.12g}")
     print(f"restarts_used: {result.restarts_used}")
@@ -250,9 +262,7 @@ def main(argv=None) -> int:
             except ValueError as exc:
                 raise ConfigError(f"--snr-beta-db: {exc}") from None
         if args.command == "offsets":
-            # one point per axis would make the three offsets of every
-            # grid seed equal
-            args.grid = _positive_int(args.grid, "--grid", least=2)
+            args.grid = _grid(args.grid)
             args.iters = _positive_int(args.iters, "--iters")
         if args.command == "track":
             return _cmd_track(args)

@@ -1,15 +1,19 @@
 """Search for optimal exploration-offset sets.
 
 The objective is a CRLB as a function of the three 2D offsets only (both
-bounds are invariant to the gain and the direction).  The search runs a
-coarse grid over two symmetry-reduced 4D slices to seed multi-start damped
-Newton refinement in the full 6D space, on central-difference derivatives.
-The restarts run in lockstep: each Newton iteration evaluates the
-derivative stencils of every restart in one batched objective call and
-their trial steps in a second, and each restart's iterates are those of a
-run on its own.  A robustness sweep is one such search over the restarts
-of every array size it sweeps: the finite bounds take a size per offset
-set, so one call serves all sizes.
+bounds are invariant to the gain and the direction).  The bounds are also
+invariant under a group of maps of the offsets: their permutations, the
+sign flip of one coordinate of all three and, on a square array or in the
+large-array limit, the coordinate swap.  The search runs a coarse grid
+over two 4D families of sets, one image of each class of that group, to
+seed multi-start damped Newton refinement in the full 6D space, on
+central-difference derivatives; its restarts are the best grid sets that
+are pairwise distinct up to the group.  The restarts run in lockstep:
+each Newton iteration evaluates the derivative stencils of every restart
+in one batched objective call and their trial steps in a second, and each
+restart's iterates are those of a run on its own.  A robustness sweep is
+one such search over the restarts of every array size it sweeps: the
+finite bounds take a size per offset set, so one call serves all sizes.
 
 ``STATIC_OFFSETS`` and ``FADING_OFFSETS`` hold the asymptotically optimal
 sets for the two objectives that the optimizer reproduces; they double as
@@ -107,6 +111,9 @@ Objective = Union[StaticAsymptotic, StaticFinite, DiAsymptotic, DiFinite]
 # Halfwidth of the search box for each offset coordinate, inside the open
 # main lobe (-1, 1).
 BOX_HALFWIDTH = 0.95
+# Most grid points per axis of the seed grid: 41 points give 741,762 seed
+# sets (1,094,562 off a square array), 53 MB of offsets.
+MAX_GRID_POINTS = 41
 
 
 @dataclass(frozen=True)
@@ -252,38 +259,116 @@ def _grid_axis(points):
     return g
 
 
+def swap_applies(objective) -> bool:
+    """Whether the coordinate swap is a symmetry of ``objective``: in the
+    large-array limit (an objective without an array size) or on a square
+    array."""
+    return getattr(objective, "m", None) == getattr(objective, "n", None)
+
+
+_PERMUTATIONS = np.array(list(itertools.permutations(range(3))))
+_FLIPS = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
+
+
+def _symmetry_images(deltas, swap=True):
+    """The images of (..., 3, 2) offset sets under offset permutations,
+    joint per-axis sign flips and, with ``swap``, the coordinate swap (the
+    invariance group of a square array or the limit; ``swap_applies``):
+    (..., 48, 3, 2), or (..., 24, 3, 2) without the swap."""
+    d = np.asarray(deltas, float)
+    images = d[..., _PERMUTATIONS, :][..., None, :, :] * _FLIPS[:, None]
+    if swap:
+        images = np.stack([images, images[..., ::-1]], -3)
+    return images.reshape(*d.shape[:-2], -1, 3, 2)
+
+
+def canonicalize(offsets: OffsetSet) -> OffsetSet:
+    """Symmetry-canonical form: the lexicographically smallest row-sorted
+    image under the square-array invariance group.  Idempotent."""
+    images = _symmetry_images(offsets.deltas)
+    order = np.lexsort((images[..., 1], images[..., 0]))
+    rows = np.take_along_axis(images, order[..., None], -2)
+    key = np.round(rows.reshape(len(rows), -1), 12)
+    return OffsetSet(rows[np.lexsort(key.T[::-1])[0]].copy())
+
+
+def _lex_key(p, *indices):
+    """One integer per index tuple on a ``p``-point grid, ordered as the
+    tuples are lexicographically."""
+    key = np.zeros_like(indices[0])
+    for i in indices:
+        key = key * p + i
+    return key
+
+
 def _slice_seeds(sc: SearchConfig):
-    """Candidate sets from two symmetry-reduced 4D families:
-    swap-symmetric {(a,b), (c,d), (b,a)} and axis-mirror {(a,b), (-a,b), (c,d)}.
+    """Candidate sets from two 4D families on the grid of ``_grid_axis``,
+    swap-symmetric {(a,b), (c,d), (b,a)} and axis-mirror
+    {(a,b), (-a,b), (c,d)}: one image of each class of each family under
+    the invariance group (``_symmetry_images``, with the swap where
+    ``swap_applies``).
+
+    Inequalities on the grid indices cut out the classes; index i maps to
+    p - 1 - i under negation.  Each map named in the code takes its family
+    to itself, and of a set and its image the lexicographically smaller
+    index tuple is kept.  A set that is its own image is kept, so the sets
+    with two equal offsets (a = b, or a at the grid's stand-in for zero)
+    are there as in the whole families.  Every set of the whole families
+    has an image here, exact but for the stand-in, 1e-3, which is its own
+    image.  Grid 21 gives 53,482 sets where the whole families hold
+    388,962; grid 13 gives 8,330 of 57,122, or 11,858 where the swap does
+    not apply.
     """
-    g = _grid_axis(sc.grid_points_per_axis)
-    aa, bb, cc, dd = np.meshgrid(g, g, g, g, indexing="ij")
-    a, b, c, d = (v.ravel() for v in (aa, bb, cc, dd))
-    swap = np.stack([np.stack([a, b], -1), np.stack([c, d], -1),
-                     np.stack([b, a], -1)], axis=1)
-    mirror = np.stack([np.stack([a, b], -1), np.stack([-a, b], -1),
-                       np.stack([c, d], -1)], axis=1)
-    return np.concatenate([swap, mirror], axis=0)
+    p = sc.grid_points_per_axis
+    q = p - 1
+    g = _grid_axis(p)
+    swap = swap_applies(sc.objective)
+    # swap family: a <-> b is the identity, and the swap, where it
+    # applies, maps (c, d) to (d, c)
+    ab = np.triu_indices(p)
+    cd = np.triu_indices(p) if swap else np.indices((p, p)).reshape(2, -1)
+    i, j = np.indices((len(ab[0]), len(cd[0]))).reshape(2, -1)
+    a, b, c, d = ab[0][i], ab[1][i], cd[0][j], cd[1][j]
+    # the joint flip maps (a, b, c, d) to (-b, -a, -c, -d), whose (c, d)
+    # the swap puts back in order
+    fc, fd = (q - d, q - c) if swap else (q - c, q - d)
+    keep = _lex_key(p, a, b, c, d) <= _lex_key(p, q - b, q - a, fc, fd)
+    a, b, c, d = (g[v[keep]] for v in (a, b, c, d))
+    swap_sets = np.stack([a, b, c, d, b, a], -1)
+    # mirror family: a -> -a is the identity, the first-axis flip maps c to
+    # -c, and the second-axis flip maps (b, d) to (-b, -d)
+    half = np.arange(q // 2 + 1)
+    bd = np.indices((p, p)).reshape(2, -1)
+    bd = bd[:, _lex_key(p, *bd) <= _lex_key(p, *(q - bd))]
+    i, j, k = np.indices((len(half), len(half), len(bd[0]))).reshape(3, -1)
+    a, b, c, d = g[half[i]], g[bd[0][k]], g[half[j]], g[bd[1][k]]
+    mirror_sets = np.stack([a, b, -a, b, c, d], -1)
+    return np.concatenate([swap_sets, mirror_sets]).reshape(-1, 3, 2)
 
 
-def _distinct_rows(sets, count):
-    """First ``count`` sets pairwise separated in offset space."""
-    picked = []
+def _distinct_rows(sets, count, swap):
+    """First ``count`` sets pairwise distinct up to symmetry: each differs
+    by more than 0.05 in some coordinate from every image of every set
+    picked before it (``_symmetry_images``, with the swap or without)."""
+    picked, images = [], np.empty((0, 3, 2))
     for s in sets:
-        if all(np.abs(s - p).max() > 0.05 for p in picked):
+        if np.all(np.abs(images - s).max(axis=(1, 2)) > 0.05):
             picked.append(s)
-        if len(picked) == count:
-            break
+            if len(picked) == count:
+                break
+            images = np.concatenate([images, _symmetry_images(s, swap)])
     return picked
 
 
 def _grid_starts(sc: SearchConfig, count: int):
-    """The ``count`` best pairwise-distinct grid seeds and the best grid
-    value."""
+    """The ``count`` best grid seeds that are pairwise distinct up to
+    symmetry, and the best grid value."""
     seeds = _slice_seeds(sc)
     vals = _batched(sc.objective, seeds)
     order = np.argsort(vals)
-    return _distinct_rows(seeds[order[:4096]], count), float(vals[order[0]])
+    return (_distinct_rows(seeds[order[:4096]], count,
+                           swap_applies(sc.objective)),
+            float(vals[order[0]]))
 
 
 def _search(objective, starts, refine_iters, sizes=None, incumbents=None):
@@ -353,26 +438,6 @@ def optimize_offsets(sc: SearchConfig, starts=None) -> SearchResult:
         incumbents = [best]
     return _search(sc.objective, [starts], sc.refine_iters,
                    incumbents=incumbents)[0]
-
-
-def _symmetry_images(deltas):
-    """All images under offset permutations, joint per-axis sign flips, and
-    the coordinate swap (the invariance group of the square-array limit)."""
-    d = np.asarray(deltas, float)
-    for perm, s1, s2 in itertools.product(itertools.permutations(range(3)),
-                                          (1.0, -1.0), (1.0, -1.0)):
-        flipped = d[list(perm)] * np.array([s1, s2])
-        yield flipped
-        yield flipped[:, ::-1]
-
-
-def canonicalize(offsets: OffsetSet) -> OffsetSet:
-    """Symmetry-canonical form: the lexicographically smallest row-sorted
-    image under the square-array invariance group.  Idempotent."""
-    images = (img[np.lexsort((img[:, 1], img[:, 0]))]
-              for img in _symmetry_images(offsets.deltas))
-    best = min(images, key=lambda rows: tuple(np.round(rows.ravel(), 12)))
-    return OffsetSet(best.copy())
 
 
 def robustness_sweep(offsets: OffsetSet, objective, sizes):

@@ -17,7 +17,9 @@ against the log-density.  And ``read_csv``, the inverse of
 
 Offset search: the lockstep bounded Nelder-Mead ``_nelder_mead`` (scipy's
 iterates, restart by restart), the oracle whose minima the library's
-Newton search is compared against.  Only tests import this module.
+Newton search is compared against, and ``_slice_seeds``, the whole 4D seed
+families whose symmetry classes the library's seeds must cover.  Only
+tests import this module.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from beamtrack.channels import (DynamicI, QuasiStatic, ScenarioConfig,
                                 ScenarioKind, bootstrap_gains)
 from beamtrack.estimation import DiModel, _di_score, _di_score_terms
 from beamtrack.harness import CSV_HEADER, MetricsRecord
+from beamtrack.offsets import SearchConfig, _grid_axis
 from beamtrack.signal import (ChannelParams, Ebm, OffsetSet, noiseless_mean,
                               observation_kernels)
 from beamtrack.trackers import (BEAM_SPACING, EKF_PRIOR_VAR,
@@ -400,3 +403,17 @@ def _sort_simplex(sim, fsim):
     ind = np.argsort(fsim, axis=1)
     return (np.take_along_axis(sim, ind[..., None], 1),
             np.take_along_axis(fsim, ind, 1))
+
+
+def _slice_seeds(sc: SearchConfig):
+    """Candidate sets from two symmetry-reduced 4D families:
+    swap-symmetric {(a,b), (c,d), (b,a)} and axis-mirror {(a,b), (-a,b), (c,d)}.
+    """
+    g = _grid_axis(sc.grid_points_per_axis)
+    aa, bb, cc, dd = np.meshgrid(g, g, g, g, indexing="ij")
+    a, b, c, d = (v.ravel() for v in (aa, bb, cc, dd))
+    swap = np.stack([np.stack([a, b], -1), np.stack([c, d], -1),
+                     np.stack([b, a], -1)], axis=1)
+    mirror = np.stack([np.stack([a, b], -1), np.stack([-a, b], -1),
+                       np.stack([c, d], -1)], axis=1)
+    return np.concatenate([swap, mirror], axis=0)

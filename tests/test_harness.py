@@ -22,6 +22,7 @@ from beamtrack.harness import (CSV_HEADER, TRACKER_NAMES, ConfigError,
                                _worker_count, load_experiment,
                                parse_config_text, run_experiment)
 from beamtrack.cli import main
+from beamtrack.offsets import MAX_GRID_POINTS
 from beamtrack.trackers import ConstantStep, DiminishingStep
 
 
@@ -544,6 +545,12 @@ BAD_NUMBERS = {
                                        "--iters", "0"],
     "one-point finite --grid": ["offsets", "--objective", "di-finite",
                                 "--grid", "1"],
+    # the seed grid grows as the fourth power of its points per axis
+    "oversized --grid": ["offsets", "--objective", "static-asymptotic",
+                         "--grid", "300"],
+    "one point over the --grid bound": [
+        "offsets", "--objective", "static-finite", "--m", "6", "--n", "12",
+        "--grid", str(MAX_GRID_POINTS + 1)],
     # a one-element array has no finite bound at any offsets
     "one-element robustness size": ["offsets", "--objective",
                                     "static-finite", "--robustness", "1,8"],
@@ -583,10 +590,11 @@ def test_bad_size_exits_1_with_one_error_line(name, capsys):
 
 @pytest.mark.parametrize("name, message", [
     ("one-point --grid", "error: --grid: "),
+    ("oversized --grid", "error: --grid: at most"),
     ("one-element robustness size", "at 1x1"),
     ("one-element last robustness size", "at 1x1")])
 def test_bad_size_error_names_the_input(name, message, capsys):
-    """A one-point grid is rejected as a --grid error, and a failed sweep
-    names the size that failed."""
+    """A one-point or oversized grid is rejected as a --grid error, and a
+    failed sweep names the size that failed."""
     main(BAD_NUMBERS[name])
     assert message in capsys.readouterr().err

@@ -14,9 +14,12 @@ from beamtrack.offsets import (BOX_HALFWIDTH, FADING_OFFSETS, STATIC_OFFSETS,
                                DiAsymptotic, DiFinite, NoImprovement,
                                SearchConfig,
                                StaticAsymptotic, StaticFinite, _batched,
-                               _grid_starts, _newton, canonicalize,
-                               optimize_offsets, robustness_sweep)
+                               _distinct_rows, _grid_starts, _newton,
+                               _slice_seeds, _symmetry_images, canonicalize,
+                               optimize_offsets, robustness_sweep,
+                               swap_applies)
 from beamtrack.signal import OffsetSet
+import reference
 from reference import _nelder_mead
 
 
@@ -217,6 +220,111 @@ class TestCanonicalize:
         once = canonicalize(FADING_OFFSETS)
         twice = canonicalize(once)
         assert np.array_equal(once.deltas, twice.deltas)
+
+
+class TestSymmetryImages:
+    @pytest.mark.parametrize("objective", [
+        StaticAsymptotic(), DiAsymptotic(3.0), StaticFinite(8, 8),
+        DiFinite(8, 8, 0.0), StaticFinite(6, 12), DiFinite(6, 12, 0.0)],
+        ids=repr)
+    def test_every_image_has_the_same_bound(self, objective):
+        """The bound is the same at all 48 images of a set, or at all 24
+        without the swap off a square array, where the swap changes it."""
+        rng = np.random.default_rng(2)
+        sets = rng.uniform(-0.8, 0.8, (4, 3, 2))
+        swap = swap_applies(objective)
+        images = _symmetry_images(sets, swap)
+        assert images.shape == (4, 48 if swap else 24, 3, 2)
+        ref = objective.evaluate(sets)[:, None]
+        assert np.allclose(objective.evaluate(images), ref, rtol=1e-12,
+                           atol=0)
+        if not swap:
+            swapped = objective.evaluate(sets[..., ::-1])
+            assert np.all(np.abs(swapped / ref[:, 0] - 1) > 1e-6)
+
+    def test_images_are_distinct(self):
+        """A set with no symmetry of its own has 48 distinct images: the 6
+        orders of each of 8 distinct sets."""
+        images = _symmetry_images(FADING_OFFSETS.deltas)
+        assert len(np.unique(images.reshape(48, 6), axis=0)) == 48
+        points = np.sort(images.view(complex)[..., 0], -1)
+        assert len(np.unique(points, axis=0)) == 8
+
+
+def _grid_codes(sets, points):
+    """One integer per (..., 3, 2) set of grid coordinates, equal for two
+    sets exactly when they hold the same grid points in any order.  A
+    coordinate is coded by its nearest grid index, so the grid's stand-in
+    for zero and its negation share a code."""
+    step = 2 * BOX_HALFWIDTH / (points - 1)
+    index = np.rint((np.asarray(sets) + BOX_HALFWIDTH) / step).astype(int)
+    rows = np.sort(index[..., 0] * points + index[..., 1], -1)
+    return (rows[..., 0] * points ** 2 + rows[..., 1]) * points ** 2 \
+        + rows[..., 2]
+
+
+class TestSliceSeeds:
+    """The seeds, one image per symmetry class, against the whole 4D
+    families of ``reference._slice_seeds``."""
+
+    @pytest.mark.parametrize("objective", [
+        StaticAsymptotic(), StaticFinite(8, 8), DiAsymptotic(0.0),
+        DiFinite(8, 8, 0.0), StaticFinite(6, 12)], ids=repr)
+    def test_seeds_cover_the_oracles_best_classes(self, objective):
+        """At every grid of 2-21 points: each symmetry class among the
+        oracle's 4,096 best finite seeds has an image among the seeds, and
+        the best seed value equals the oracle's within 1e-12 relative.  At
+        21 points the seeds are at most a third of the oracle's sets."""
+        swap = swap_applies(objective)
+        for points in range(2, 22):
+            sc = SearchConfig(objective, grid_points_per_axis=points)
+            whole, seeds = reference._slice_seeds(sc), _slice_seeds(sc)
+            whole_vals = _batched(objective, whole)
+            best = np.argsort(whole_vals)[:4096]
+            best = best[np.isfinite(whole_vals[best])]
+            codes = _grid_codes(_symmetry_images(whole[best], swap), points)
+            found = np.isin(codes, _grid_codes(seeds, points)).any(-1)
+            assert found.all(), (points, whole[best[~found][0]])
+            assert _batched(objective, seeds).min() == pytest.approx(
+                whole_vals.min(), rel=1e-12), points
+        assert 3 * len(seeds) <= len(whole)
+
+
+def _distinct_up_to_symmetry(sets, swap):
+    """Whether every two of ``sets`` differ by more than 0.05 in some
+    coordinate at every image of one of them."""
+    images = _symmetry_images(np.array(sets), swap)
+    return all(np.abs(images[i] - sets[j]).max(axis=(1, 2)).min() > 0.05
+               for i in range(len(sets)) for j in range(i))
+
+
+class TestDistinctStarts:
+    @pytest.mark.parametrize("objective, points, count", [
+        (StaticAsymptotic(), 21, 16), (DiAsymptotic(0.0), 21, 16),
+        (StaticFinite(8, 8), 21, 16), (StaticFinite(6, 12), 21, 16),
+        # the grid starts of each size of a --robustness 8,16,32,64 sweep
+        *[(cls(m, m), 13, 8) for cls in (StaticFinite, DiFinite)
+          for m in (8, 16, 32, 64)]], ids=str)
+    def test_restarts_are_distinct_up_to_symmetry(self, objective, points,
+                                                  count):
+        """No grid start is within 0.05 of an image of another one."""
+        starts, _ = _grid_starts(SearchConfig(
+            objective, grid_points_per_axis=points), count)
+        assert len(starts) == count
+        assert _distinct_up_to_symmetry(starts, swap_applies(objective))
+
+    def test_images_of_a_picked_set_are_skipped(self):
+        """Every image of a picked set is skipped, and so is a set within
+        0.05 of one; the swap images only where the swap applies."""
+        first, other = FADING_OFFSETS.deltas, STATIC_OFFSETS.deltas
+        images = list(_symmetry_images(first)[1:]) + [
+            _symmetry_images(first)[17] + 0.04]
+        assert not _distinct_up_to_symmetry([first, *images], swap=True)
+        picked = _distinct_rows([first, *images, other], 3, swap=True)
+        assert np.array_equal(picked, [first, other])
+        swapped = first[:, ::-1]
+        picked = _distinct_rows([first, swapped, other], 3, swap=False)
+        assert np.array_equal(picked, [first, swapped, other])
 
 
 class TestOptimizer:
