@@ -19,17 +19,14 @@ per cycle: the channel transition's ``evolve_normals(kind)`` columns
 (quasi-static none; fading gain the two gain normals; Gauss-Markov the
 theta and phi steps, scaled by ``delta_a``, then the two gain normals),
 then the real and the imaginary parts of the three noise values.  A
-trial's numbers therefore depend on neither the batch nor the worker, and
-the per-trial errors are reduced in trial order, so for a fixed seed the
-CSV is byte-identical at any batch split and any ``BEAMTRACK_THREADS``
-(0 = auto, unset = serial; one contiguous batch of trials per worker).
+trial's numbers therefore do not depend on the batch, and the per-trial
+errors are reduced in trial order, so for a fixed seed the CSV is
+byte-identical at any batch split.
 """
 
 from __future__ import annotations
 
-import os
 import tomllib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import List, Optional, Union
 
@@ -222,22 +219,6 @@ def _run_batch(ec: ExperimentConfig, trials: range):
     return err_h, err_x, crlb
 
 
-def _worker_count() -> int:
-    env = os.environ.get("BEAMTRACK_THREADS", "")
-    if env == "":
-        return 1
-    try:
-        count = int(env)
-    except ValueError:
-        count = -1
-    if count < 0:
-        raise ConfigError(f"BEAMTRACK_THREADS: expected a worker count "
-                          f"(0 = auto), got {env!r}")
-    if count == 0:
-        return os.cpu_count() or 1
-    return count
-
-
 def _records(ec: ExperimentConfig, err_h: np.ndarray, err_x: np.ndarray,
              crlb: np.ndarray) -> List[MetricsRecord]:
     """Reduce per-trial errors (T, R) at the recorded cycles and bounds (T,)
@@ -270,15 +251,7 @@ def run_experiment(ec: ExperimentConfig) -> List[MetricsRecord]:
     NaN otherwise.
     """
     _validate(ec)
-    workers = min(_worker_count(), ec.num_trials)
-    if workers == 1:
-        parts = [_run_batch(ec, range(ec.num_trials))]
-    else:
-        batches = [range(c[0], c[-1] + 1) for c in
-                   np.array_split(np.arange(ec.num_trials), workers)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_run_batch, [ec] * workers, batches))
-    return _records(ec, *(np.concatenate(arrays) for arrays in zip(*parts)))
+    return _records(ec, *_run_batch(ec, range(ec.num_trials)))
 
 
 CSV_HEADER = "ecc,explorations_total,mse_h,mse_x,crlb_ref,trials"
@@ -305,25 +278,13 @@ def emit_csv(records, path):
 # TOML configuration files
 # ---------------------------------------------------------------------------
 
-_SCENARIO_KEYS = {"scenario", "aoa_region", "rician_k_db", "sigma_beta_c_sq",
-                  "rho", "delta_a_deg"}
-_KNOWN_KEYS = _SCENARIO_KEYS | {
-    "tracker", "offsets", "m", "n", "d1", "d2", "noise_var", "snr_db",
-    "trials", "eccs", "seed", "record_every", "init_halfwidth",
-    "schedule", "epsilon", "k0", "step", "rbt_sigma_mode", "out",
-}
-
-
 def parse_config_text(text: str) -> dict:
-    """Parse a TOML configuration: top-level keys from the known set."""
+    """Parse a TOML configuration into its top-level key-value pairs;
+    :func:`config_from_mapping` rejects the keys it does not use."""
     try:
-        out = tomllib.loads(text)
+        return tomllib.loads(text)
     except tomllib.TOMLDecodeError as exc:
         raise ConfigError(f"config: {exc}") from None
-    for key in out:
-        if key not in _KNOWN_KEYS:
-            raise ConfigError(f"unknown key {key!r}")
-    return out
 
 
 def _pop_int(kv: dict, key: str, default: int) -> int:
@@ -416,7 +377,7 @@ def config_from_mapping(kv: dict) -> ExperimentConfig:
         rbt_sigma_mode=_pop_str(kv, "rbt_sigma_mode", "perfect"),
     )
     if kv:
-        raise ConfigError(f"unused keys: {sorted(kv)}")
+        raise ConfigError(f"unknown or unused keys: {sorted(kv)}")
     _validate(ec)
     return ec
 

@@ -426,18 +426,11 @@ def _search(objective, starts, refine_iters, sizes=None, incumbents=None):
     return results
 
 
-def optimize_offsets(sc: SearchConfig, starts=None) -> SearchResult:
-    """Best offset set from grid-seeded multi-start Newton.
-
-    ``starts`` overrides the grid seeds with explicit (3, 2) arrays (used by
-    tests and by callers that already hold a good incumbent).
-    """
-    incumbents = None
-    if starts is None:
-        starts, best = _grid_starts(sc, 16)
-        incumbents = [best]
+def optimize_offsets(sc: SearchConfig) -> SearchResult:
+    """Best offset set from grid-seeded multi-start Newton."""
+    starts, best = _grid_starts(sc, 16)
     return _search(sc.objective, [starts], sc.refine_iters,
-                   incumbents=incumbents)[0]
+                   incumbents=[best])[0]
 
 
 def robustness_sweep(offsets: OffsetSet, objective, sizes):

@@ -1,10 +1,14 @@
 """The package's public names are the library's surface: each name that
 ``beamtrack/__init__.py`` exports is used by library code outside its own
 definition, by a demo or by the benchmark.  A name only tests use belongs
-in ``tests/reference.py``."""
+in ``tests/reference.py``.  The engine runs serially, so importing the
+package loads no process pool."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "beamtrack"
@@ -54,3 +58,17 @@ def _unused_exports():
 
 def test_every_export_has_a_non_test_caller():
     assert _unused_exports() == []
+
+
+def test_import_loads_no_process_pool():
+    """A fresh ``import beamtrack, beamtrack.cli`` loads neither
+    ``multiprocessing`` nor ``concurrent.futures``."""
+    code = ("import sys, beamtrack, beamtrack.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

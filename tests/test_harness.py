@@ -19,8 +19,8 @@ from beamtrack.channels import DynamicI, QuasiStatic, ScenarioConfig
 from beamtrack.harness import (CSV_HEADER, TRACKER_NAMES, ConfigError,
                                ExperimentConfig, MetricsRecord,
                                config_from_mapping, emit_csv, format_csv,
-                               _worker_count, load_experiment,
-                               parse_config_text, run_experiment)
+                               load_experiment, parse_config_text,
+                               run_experiment)
 from beamtrack.cli import main
 from beamtrack.offsets import MAX_GRID_POINTS
 from beamtrack.trackers import ConstantStep, DiminishingStep
@@ -67,34 +67,6 @@ class TestRunExperiment:
         emit_csv(run_experiment(ec), a)
         emit_csv(run_experiment(ec), b)
         assert filecmp.cmp(a, b, shallow=False)
-
-    def test_parallel_matches_serial(self, tmp_path):
-        """BEAMTRACK_THREADS does not change the bytes."""
-        ec = _quasi_static_config(num_trials=6, num_eccs=25)
-        a, b = tmp_path / "ser.csv", tmp_path / "par.csv"
-        emit_csv(run_experiment(ec), a)
-        old = os.environ.get("BEAMTRACK_THREADS")
-        os.environ["BEAMTRACK_THREADS"] = "2"
-        try:
-            emit_csv(run_experiment(ec), b)
-        finally:
-            if old is None:
-                os.environ.pop("BEAMTRACK_THREADS", None)
-            else:
-                os.environ["BEAMTRACK_THREADS"] = old
-        assert filecmp.cmp(a, b, shallow=False)
-
-    @pytest.mark.parametrize("env,want", [("", 1), ("3", 3),
-                                          ("0", os.cpu_count() or 1)])
-    def test_worker_count(self, env, want, monkeypatch):
-        monkeypatch.setenv("BEAMTRACK_THREADS", env)
-        assert _worker_count() == want
-
-    @pytest.mark.parametrize("env", ["abc", "-3", "1.5"])
-    def test_malformed_worker_count_names_the_variable(self, env, monkeypatch):
-        monkeypatch.setenv("BEAMTRACK_THREADS", env)
-        with pytest.raises(ConfigError, match="BEAMTRACK_THREADS"):
-            _worker_count()
 
     def test_crlb_ref_quasi_static_scales_as_one_over_k(self):
         ec = _quasi_static_config(num_eccs=40, record_every=20)
@@ -258,8 +230,9 @@ k0 = 0.0
         assert ec.init_halfwidth == 0.25
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError, match="unknown key"):
-            parse_config_text("bogus = 3")
+        with pytest.raises(ConfigError,
+                           match=r"unknown or unused keys: \['bogus'\]"):
+            config_from_mapping(parse_config_text("bogus = 3"))
 
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigError):
@@ -456,64 +429,55 @@ _NO_SCHEDULE = GOOD_RUN.replace('schedule = "diminishing"\nepsilon = 1.0\n'
                                 "k0 = 0.0\n", "")
 
 
-# (config text, extra argv, BEAMTRACK_THREADS); each is one bad input
+# (config text, extra argv); each is one bad input
 BAD_INPUTS = {
-    "fractional trials": (GOOD_RUN + "trials = 1.7\n", [], None),
-    "string for an integer": (GOOD_RUN.replace("seed = 7", 'seed = "7"'),
-                              [], None),
+    "fractional trials": (GOOD_RUN + "trials = 1.7\n", []),
+    "string for an integer": (GOOD_RUN.replace("seed = 7", 'seed = "7"'), []),
     "non-numeric snr": (GOOD_RUN.replace("snr_db = 0.0", 'snr_db = "loud"'),
-                        [], None),
-    "rho out of range": ('scenario = "dynamic-ii"\nrho = 1.5\n', [], None),
+                        []),
+    "rho out of range": ('scenario = "dynamic-ii"\nrho = 1.5\n', []),
     "negative epsilon": (GOOD_RUN.replace("epsilon = 1.0", "epsilon = -1.0"),
-                         [], None),
-    "empty array": (GOOD_RUN.replace("m = 8", "m = 0"), [], None),
-    "unknown region": ('aoa_region = "nowhere"\n', [], None),
-    "unknown tracker": ('tracker = "nope"\n', [], None),
-    "zero cycles": (GOOD_RUN.replace("eccs = 10", "eccs = 0"), [], None),
-    "unknown key": ("bogus = 3\n", [], None),
-    "duplicate key": (GOOD_RUN + "seed = 8\n", [], None),
-    "unparsable value": ("seed = zebra\n", [], None),
-    "bad offsets flag": (GOOD_RUN, ["--offsets", "0.1,0.2,0.3"], None),
+                         []),
+    "empty array": (GOOD_RUN.replace("m = 8", "m = 0"), []),
+    "unknown region": ('aoa_region = "nowhere"\n', []),
+    "unknown tracker": ('tracker = "nope"\n', []),
+    "zero cycles": (GOOD_RUN.replace("eccs = 10", "eccs = 0"), []),
+    "unknown key": ("bogus = 3\n", []),
+    "duplicate key": (GOOD_RUN + "seed = 8\n", []),
+    "unparsable value": ("seed = zebra\n", []),
+    "bad offsets flag": (GOOD_RUN, ["--offsets", "0.1,0.2,0.3"]),
     "offsets outside the square": (
-        GOOD_RUN, ["--offsets", "0.1,0.2,0.3,-0.4,-1.5,0.1"], None),
+        GOOD_RUN, ["--offsets", "0.1,0.2,0.3,-0.4,-1.5,0.1"]),
     "non-finite offsets": (
-        GOOD_RUN, ["--offsets", "0.1,0.2,0.3,nan,0.5,0.1"], None),
-    "negative seed": (GOOD_RUN, ["--seed", "-1"], None),
-    "non-integer flag": (GOOD_RUN, ["--trials", "abc"], None),
-    "unwritable output": (GOOD_RUN, ["--out", "/no/such/dir/out.csv"], None),
-    "malformed thread count": (GOOD_RUN, [], "abc"),
-    "negative thread count": (GOOD_RUN, [], "-3"),
+        GOOD_RUN, ["--offsets", "0.1,0.2,0.3,nan,0.5,0.1"]),
+    "negative seed": (GOOD_RUN, ["--seed", "-1"]),
+    "non-integer flag": (GOOD_RUN, ["--trials", "abc"]),
+    "unwritable output": (GOOD_RUN, ["--out", "/no/such/dir/out.csv"]),
     # a one-element array cannot resolve a direction: singular Fisher
     "one-element array": (GOOD_RUN.replace("m = 8\nn = 8", "m = 1\nn = 1"),
-                          [], None),
+                          []),
     "vanishing gain variance": (
         'scenario = "dynamic-i"\ntracker = "RBT_DI"\noffsets = "tableIII"\n'
-        "sigma_beta_c_sq = 1e-320\n", [], None),
-    "overflowing snr": (GOOD_RUN.replace("snr_db = 0.0", "snr_db = 1e5"),
-                        [], None),
+        "sigma_beta_c_sq = 1e-320\n", []),
+    "overflowing snr": (GOOD_RUN.replace("snr_db = 0.0", "snr_db = 1e5"), []),
     # each factor of the pilot power is finite, their product is not
     "overflowing pilot amplitude": (
         GOOD_RUN.replace("snr_db = 0.0", "snr_db = 3000.0\nnoise_var = 1e10"),
-        [], None),
+        []),
     "oversized array": (GOOD_RUN.replace("m = 8", "m = 99999999999999999999"),
-                        [], None),
+                        []),
     "schedule keys without a schedule": (
-        _NO_SCHEDULE + "epsilon = 50.0\nk0 = 3.0\n", [], None),
+        _NO_SCHEDULE + "epsilon = 50.0\nk0 = 3.0\n", []),
     "epsilon with the constant schedule": (
-        _NO_SCHEDULE + 'schedule = "constant"\nepsilon = -5.0\n', [], None),
+        _NO_SCHEDULE + 'schedule = "constant"\nepsilon = -5.0\n', []),
 }
 
 
 @pytest.mark.parametrize("name", sorted(BAD_INPUTS))
-def test_bad_track_input_exits_1_with_one_error_line(name, tmp_path,
-                                                     monkeypatch, capsys):
-    text, extra, threads = BAD_INPUTS[name]
+def test_bad_track_input_exits_1_with_one_error_line(name, tmp_path, capsys):
+    text, extra = BAD_INPUTS[name]
     cfg = tmp_path / "run.toml"
     cfg.write_text(text)
-    if threads is None:
-        monkeypatch.delenv("BEAMTRACK_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("BEAMTRACK_THREADS", threads)
     try:
         code = main(["track", "--config", str(cfg), *extra])
     except SystemExit as exc:

@@ -14,13 +14,19 @@ from beamtrack.offsets import (BOX_HALFWIDTH, FADING_OFFSETS, STATIC_OFFSETS,
                                DiAsymptotic, DiFinite, NoImprovement,
                                SearchConfig,
                                StaticAsymptotic, StaticFinite, _batched,
-                               _distinct_rows, _grid_starts, _newton,
+                               _distinct_rows, _grid_starts, _newton, _search,
                                _slice_seeds, _symmetry_images, canonicalize,
                                optimize_offsets, robustness_sweep,
                                swap_applies)
 from beamtrack.signal import OffsetSet
 import reference
 from reference import _nelder_mead
+
+
+def _search_from(sc, starts):
+    """The search of ``optimize_offsets(sc)`` from explicit (3, 2) starts
+    instead of the grid seeds."""
+    return _search(sc.objective, [starts], sc.refine_iters)[0]
 
 
 class TestObjectiveInvariances:
@@ -363,7 +369,7 @@ class TestOptimizer:
         # starts on the box edge, and a singular one with its wide stencil
         edge = np.clip(3 * STATIC_OFFSETS.deltas, -BOX_HALFWIDTH,
                        BOX_HALFWIDTH)
-        optimize_offsets(sc, starts=[edge, -edge, np.full((3, 2), 0.2)])
+        _search_from(sc, [edge, -edge, np.full((3, 2), 0.2)])
         assert max(calls) <= BOX_HALFWIDTH + 1e-12
 
     def test_degenerate_starts(self):
@@ -371,7 +377,7 @@ class TestOptimizer:
         start = np.full((3, 2), 0.2)
         sc = SearchConfig(StaticAsymptotic(), refine_iters=200)
         try:
-            res = optimize_offsets(sc, starts=[start])
+            res = _search_from(sc, [start])
             assert np.isfinite(res.crlb_value)
         except NoImprovement:
             pass
@@ -417,7 +423,7 @@ class TestNewton:
         edge, within 1e-8."""
         starts, _ = _grid_starts(SearchConfig(objective,
                                               grid_points_per_axis=13), 8)
-        res = optimize_offsets(SearchConfig(objective), starts=starts)
+        res = _search_from(SearchConfig(objective), starts)
         assert res.crlb_value <= _oracle_minimum(objective, starts) * (1 + rel)
 
     @pytest.mark.parametrize("objective", [StaticAsymptotic(),
@@ -431,7 +437,7 @@ class TestNewton:
                  np.where(preset > 0, BOX_HALFWIDTH, -BOX_HALFWIDTH)
                  * np.array([1.0, 0.5])]
         target = objective.evaluate(preset)
-        for res in (optimize_offsets(SearchConfig(objective), starts=edges),
+        for res in (_search_from(SearchConfig(objective), edges),
                     optimize_offsets(SearchConfig(objective,
                                                   grid_points_per_axis=2))):
             assert res.crlb_value == pytest.approx(target, rel=1e-3)
@@ -448,7 +454,7 @@ class TestNewton:
         finite minimum, here the preset's value within 0.1%, or raises."""
         assert np.isinf(objective.evaluate(start))
         try:
-            res = optimize_offsets(SearchConfig(objective), starts=[start])
+            res = _search_from(SearchConfig(objective), [start])
         except NoImprovement:
             return
         target = objective.evaluate(_PRESET[type(objective)].deltas)
@@ -502,7 +508,7 @@ class TestRobustnessSweep:
             at = float(sc.objective.evaluate(preset.deltas))
             starts, _ = _grid_starts(sc, 8)
             calls.clear()
-            best = optimize_offsets(sc, starts=[preset.deltas] + starts)
+            best = _search_from(sc, [preset.deltas] + starts)
             alone.append(len(calls) - 1)  # less the final re-evaluation
             gap = (at - best.crlb_value) / best.crlb_value
             expected.append(((m, n), at, best.crlb_value, gap))
