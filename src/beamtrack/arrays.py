@@ -5,6 +5,14 @@ The array has ``m`` elements along the x-axis and ``n`` along the z-axis.
 Steering vectors are indexed m-major / n-minor (flat index ``(i-1)*n + (j-1)``
 for element row ``i``, column ``j``), matching the Kronecker product
 ``a1(x1) (x) a2(x2)``.  This ordering is fixed package-wide.
+
+The probe kernels are separable: per-axis factors of each offset
+coordinate (:func:`_axis_sums`, or :func:`_limit_axis` in the large-array
+limit), then one combine step that forms the three kernels from them
+(:func:`_combine`, :func:`_limit_combine`).  Given coordinate values and
+an integer index of offsets into them, the factors are taken once per
+value and array size and gathered, a kernel table: the same combine then
+gives the same bits as the offsets themselves.
 """
 
 from __future__ import annotations
@@ -289,7 +297,30 @@ def _axis_sums(d, size, deriv: bool):
     return s.reshape(d.shape), t
 
 
-def probe_kernels(deltas, m, n):
+def _axis_table(values, index, size):
+    """:func:`_axis_sums` (s, t) at values[index] for 1-D ``values``:
+    evaluated once per value and distinct size, then gathered.  ``size`` is
+    an int or an integer ndarray that broadcasts to index's shape."""
+    if not isinstance(size, np.ndarray):
+        s, t = _axis_sums(values, size, True)
+        return s[index], t[index]
+    sizes, inverse = np.unique(size, return_inverse=True)
+    s, t = _axis_sums(np.broadcast_to(values, (len(sizes), len(values))),
+                      sizes[:, None], True)
+    row = inverse.reshape(size.shape)
+    return s[row, index], t[row, index]
+
+
+def _combine(s1, t1, s2, t2, m, n):
+    """The three kernels of :func:`probe_kernels` from the per-axis sums
+    (s, t) of :func:`_axis_sums`, in one fixed operand order."""
+    root = np.sqrt(m * n)
+    return (s1 * s2 / root,
+            (2 * np.pi / m) * 1j * t1 * s2 / root,
+            (2 * np.pi / n) * 1j * s1 * t2 / root)
+
+
+def probe_kernels(deltas, m, n, index=None):
     """Exact inner products of a steering probe with an arrival and its
     derivatives, as functions of the probe-minus-arrival offset.
 
@@ -306,14 +337,18 @@ def probe_kernels(deltas, m, n):
     derivative) at every array size.  The closed form agrees with the
     summed exponentials to within 1e-12 of the kernel's peak up to 256
     elements per axis, at and next to multiples of M and N too.
+
+    With an integer ``index`` (..., 2), ``deltas`` is 1-D: coordinate
+    values, and the offsets are deltas[index].  The per-axis sums are then
+    taken once per value (and size) and gathered, for the same bits as
+    ``probe_kernels(deltas[index], m, n)``.
     """
     d = np.asarray(deltas, float)
-    s1, t1 = _axis_sums(d[..., 0], m, True)
-    s2, t2 = _axis_sums(d[..., 1], n, True)
-    root = np.sqrt(m * n)
-    return (s1 * s2 / root,
-            (2 * np.pi / m) * 1j * t1 * s2 / root,
-            (2 * np.pi / n) * 1j * s1 * t2 / root)
+    if index is None:
+        return _combine(*_axis_sums(d[..., 0], m, True),
+                        *_axis_sums(d[..., 1], n, True), m, n)
+    return _combine(*_axis_table(d, index[..., 0], m),
+                    *_axis_table(d, index[..., 1], n), m, n)
 
 
 def _gain_kernel(deltas, m: int, n: int):
@@ -366,25 +401,38 @@ def _limit_axis(d):
     return h, phi
 
 
-def probe_kernels_limit(deltas):
+def _limit_combine(h1, phi1, h2, phi2):
+    """The three kernels of :func:`probe_kernels_limit` from the per-axis
+    factors (h, Phi) of :func:`_limit_axis`, formed in place in their
+    arrays."""
+    # products in place: fewer live (sets, 3) temporaries, and a fixed
+    # operand order, so that chunked calls match one whole call
+    phi1 *= h2
+    phi1 *= 2j * np.pi
+    phi2 *= h1
+    phi2 *= 2j * np.pi
+    h1 *= h2
+    return h1, phi1, phi2
+
+
+def probe_kernels_limit(deltas, index=None):
     """Large-array limits of :func:`probe_kernels` scaled by 1/sqrt(MN).
 
     Entries become products of Sa(pi d) e^{-j pi d} factors per axis and,
     for the derivative kernels, the phase-derivative kernel Phi(2 pi d) of
-    the other axis.
+    the other axis.  With an integer ``index``, 1-D ``deltas`` holds
+    coordinate values as in :func:`probe_kernels`: the factors are taken
+    once per value, for both axes, and gathered.
     """
     d = np.asarray(deltas, float)
-    lead = d.shape[:-1]
-    g, k1 = _limit_axis(d[..., 0].reshape(-1))
-    h2, k2 = _limit_axis(d[..., 1].reshape(-1))
-    # products in place: fewer live (sets, 3) temporaries, and a fixed
-    # operand order, so that chunked calls match one whole call
-    k1 *= h2
-    k1 *= 2j * np.pi
-    k2 *= g
-    k2 *= 2j * np.pi
-    g *= h2
-    return g.reshape(lead), k1.reshape(lead), k2.reshape(lead)
+    if index is None:
+        lead = d.shape[:-1]
+        return tuple(k.reshape(lead) for k in _limit_combine(
+            *_limit_axis(d[..., 0].reshape(-1)),
+            *_limit_axis(d[..., 1].reshape(-1))))
+    h, phi = _limit_axis(d)
+    i1, i2 = index[..., 0], index[..., 1]
+    return _limit_combine(h[i1], phi[i1], h[i2], phi[i2])
 
 
 def element_gain_db_angles(pc: PatternConfig, theta, phi):

@@ -54,13 +54,15 @@ def _build_parser() -> _Parser:
 
     off.add_argument("--seed", type=int, default=0,
                      help="no effect: the search is deterministic")
-    off.add_argument("--grid", default=21)
-    off.add_argument("--iters", default=400,
-                     help="at most this many Newton iterations per restart")
+    off.add_argument("--grid", help="seed grid points per axis (default 21)")
+    off.add_argument("--iters",
+                     help="at most this many Newton iterations per restart "
+                          "(default 400)")
     off.add_argument("--out", help="append the result as a CSV row")
     off.add_argument("--robustness",
                      help="skip the search; sweep the preset offsets over "
-                          "these square sizes, e.g. 8,16,32")
+                          "these square sizes, e.g. 8,16,32 (takes none of "
+                          "--grid, --iters, --out)")
 
     ver = sub.add_parser("verify", help="run the built-in correctness suites")
     ver.add_argument("--seed", type=int, default=0)
@@ -106,6 +108,22 @@ def _grid(token) -> int:
         raise ConfigError(f"--grid: at most {MAX_GRID_POINTS} points per "
                           f"axis, got {token!r}")
     return value
+
+
+def _search_flags(args) -> None:
+    """Check the search flags of ``offsets``: ``--grid`` and ``--iters``
+    (defaults 21 and 400), and that a ``--robustness`` sweep, which has its
+    own grid and iteration count and prints a table, is given none of
+    ``--grid``, ``--iters`` and ``--out``."""
+    from .harness import ConfigError
+    if args.robustness:
+        for flag in ("grid", "iters", "out"):
+            if getattr(args, flag) is not None:
+                raise ConfigError(f"--{flag}: not used with --robustness")
+        return
+    args.grid = _grid(21 if args.grid is None else args.grid)
+    args.iters = _positive_int(400 if args.iters is None else args.iters,
+                               "--iters")
 
 
 def _sizes(text: str, key: str) -> list:
@@ -262,8 +280,7 @@ def main(argv=None) -> int:
             except ValueError as exc:
                 raise ConfigError(f"--snr-beta-db: {exc}") from None
         if args.command == "offsets":
-            args.grid = _grid(args.grid)
-            args.iters = _positive_int(args.iters, "--iters")
+            _search_flags(args)
         if args.command == "track":
             return _cmd_track(args)
         if args.command == "crlb":

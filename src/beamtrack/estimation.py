@@ -14,7 +14,11 @@ The offset-only bounds take ``deltas`` (..., 3, 2) and return the leading
 shape (an ``np.float64`` for one set); a degenerate set gets +inf.  The
 finite bounds take the array sizes ``m``, ``n`` as ints or as integer
 ndarrays that broadcast to the leading shape, one size per set, and give
-each set the same bits as its sizes as ints.
+each set the same bits as its sizes as ints.  With an integer ``index``
+(..., 3, 2), ``deltas`` is 1-D coordinate values and the sets are
+deltas[index], with the same bits: the kernels' per-axis factors are then
+taken once per value and gathered (``arrays.probe_kernels``), which pays
+where many sets share few values, as on the offset search's grid.
 
 Every offset bound and tracker cache is closed-form 2x2 algebra on six inner
 products of the probe kernels g, k1, k2 (:func:`_products`): the static bound
@@ -185,11 +189,11 @@ def _unit_gram(m: int, n: int):
 
 
 def static_offsets_crlb(deltas, m, n, pilot_amp: float = 1.0,
-                        noise_var: float = 1.0):
+                        noise_var: float = 1.0, index=None):
     """Normalized static CRLB as a function of the offsets alone (shift
-    property), per offset set of ``deltas`` (..., 3, 2); +inf at a zero
-    pilot.  ``m``, ``n``: ints or per-set integer ndarrays (module
-    docstring)."""
+    property), per offset set of ``deltas`` (..., 3, 2), or of
+    deltas[index]; +inf at a zero pilot.  ``m``, ``n``: ints or per-set
+    integer ndarrays (module docstring)."""
     if isinstance(m, np.ndarray) or isinstance(n, np.ndarray):
         m, n = np.broadcast_arrays(np.asarray(m, np.int64),
                                    np.asarray(n, np.int64))
@@ -203,14 +207,16 @@ def static_offsets_crlb(deltas, m, n, pilot_amp: float = 1.0,
     else:
         c1, c2, p11, p12, p22 = _unit_gram(m, n)
     scale = noise_var / (2 * pilot_amp**2) if pilot_amp != 0 else np.inf
-    return _static_bound(probe_kernels(deltas, m, n),
+    return _static_bound(probe_kernels(deltas, m, n, index),
                          ((c1, c2), (p11, p12, p22)), scale)
 
 
-def crlb_static_asymptotic(deltas):
+def crlb_static_asymptotic(deltas, index=None):
     """Large-array limit of MN times the normalized static CRLB at unit SNR
-    |s|^2 / noise_var, per offset set of ``deltas`` (..., 3, 2)."""
-    return _static_bound(probe_kernels_limit(deltas), _GRAM_LIMIT, 0.5)
+    |s|^2 / noise_var, per offset set of ``deltas`` (..., 3, 2), or of
+    deltas[index]."""
+    return _static_bound(probe_kernels_limit(deltas, index), _GRAM_LIMIT,
+                         0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -296,20 +302,23 @@ def _sym2(f):
     return np.stack([np.stack([f11, f12], -1), np.stack([f12, f22], -1)], -2)
 
 
-def di_offsets_crlb(deltas, m, n, snr_beta):
+def di_offsets_crlb(deltas, m, n, snr_beta, index=None):
     """Direction CRLB Tr{I_DI^-1} from the offsets alone, per offset set of
-    ``deltas`` (..., 3, 2).  ``snr_beta`` is |s|^2 sigma_beta^2 / noise_var,
-    a scalar or an array that broadcasts against the leading shape; ``m``,
-    ``n``: ints or per-set integer ndarrays (module docstring)."""
+    ``deltas`` (..., 3, 2), or of deltas[index].  ``snr_beta`` is
+    |s|^2 sigma_beta^2 / noise_var, a scalar or an array that broadcasts
+    against the leading shape; ``m``, ``n``: ints or per-set integer
+    ndarrays (module docstring)."""
     if isinstance(m, np.ndarray) or isinstance(n, np.ndarray):
         m, n = np.asarray(m)[..., None], np.asarray(n)[..., None]
-    f, ref = _di_info(_products(*probe_kernels(deltas, m, n)), snr_beta)
+    f, ref = _di_info(_products(*probe_kernels(deltas, m, n, index)),
+                      snr_beta)
     return _trace_solve(f, (1.0, 0.0, 1.0), ref)
 
 
-def crlb_di_asymptotic(deltas, snr_beta: float):
+def crlb_di_asymptotic(deltas, snr_beta: float, index=None):
     """Large-array limit of MN times the direction CRLB, per offset set of
-    ``deltas`` (..., 3, 2).  The array gain swamps the noise (snr a -> inf
-    in :func:`_di_info`), so I = 2 snr W / a: the SNR is a scale."""
-    a, _, (k11, _, k22), w = _products(*probe_kernels_limit(deltas))
+    ``deltas`` (..., 3, 2), or of deltas[index].  The array gain swamps the
+    noise (snr a -> inf in :func:`_di_info`), so I = 2 snr W / a: the SNR
+    is a scale."""
+    a, _, (k11, _, k22), w = _products(*probe_kernels_limit(deltas, index))
     return _trace_solve(w, (a, 0.0, a), a * a * k11 * k22, 0.5 / snr_beta)

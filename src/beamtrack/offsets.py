@@ -13,7 +13,16 @@ each Newton iteration evaluates the derivative stencils of every restart
 in one batched objective call and their trial steps in a second, and each
 restart's iterates are those of a run on its own.  A robustness sweep is
 one such search over the restarts of every array size it sweeps: the
-finite bounds take a size per offset set, so one call serves all sizes.
+finite bounds take a size per offset set, so one call serves all sizes,
+and one call evaluates the grid seeds of all sizes that share a seed
+index.
+
+The grid seeds and the Newton stencils reuse a few coordinate values in
+many sets, so they reach the objectives as those values and an integer
+index of the sets into them (``evaluate(values, index)``): the kernels'
+per-axis factors are then computed once per value and array size and
+gathered, with the bits of ``evaluate(values[index])``.  The trial steps
+and single sets take the direct route.
 
 ``STATIC_OFFSETS`` and ``FADING_OFFSETS`` hold the asymptotically optimal
 sets for the two objectives that the optimizer reproduces; they double as
@@ -67,8 +76,8 @@ def db_to_power(db: float) -> float:
 class StaticAsymptotic:
     """Large-array limit of the normalized joint gain+direction CRLB."""
 
-    def evaluate(self, deltas):
-        return crlb_static_asymptotic(deltas)
+    def evaluate(self, deltas, index=None):
+        return crlb_static_asymptotic(deltas, index)
 
 
 @dataclass(frozen=True)
@@ -79,8 +88,8 @@ class StaticFinite:
     m: int
     n: int
 
-    def evaluate(self, deltas):
-        return static_offsets_crlb(deltas, self.m, self.n)
+    def evaluate(self, deltas, index=None):
+        return static_offsets_crlb(deltas, self.m, self.n, index=index)
 
 
 @dataclass(frozen=True)
@@ -89,8 +98,9 @@ class DiAsymptotic:
 
     snr_beta_db: float = 0.0
 
-    def evaluate(self, deltas):
-        return crlb_di_asymptotic(deltas, db_to_power(self.snr_beta_db))
+    def evaluate(self, deltas, index=None):
+        return crlb_di_asymptotic(deltas, db_to_power(self.snr_beta_db),
+                                  index)
 
 
 @dataclass(frozen=True)
@@ -101,9 +111,9 @@ class DiFinite:
     n: int
     snr_beta_db: float = 0.0
 
-    def evaluate(self, deltas):
+    def evaluate(self, deltas, index=None):
         return di_offsets_crlb(deltas, self.m, self.n,
-                               db_to_power(self.snr_beta_db))
+                               db_to_power(self.snr_beta_db), index)
 
 
 Objective = Union[StaticAsymptotic, StaticFinite, DiAsymptotic, DiFinite]
@@ -130,22 +140,28 @@ class SearchResult:
     restarts_used: int
 
 
-# Sets per objective call.  The kernels' temporaries are O(1) per set at
-# any array size: one chunk peaks at 31.5 MiB (tracemalloc) for a finite
-# objective at 8x8 or 64x64, and at 29.5 MiB for a limit objective.
+# Sets per objective call.  The temporaries are O(1) per set at any array
+# size, and the bound algebra's set the peak (tracemalloc): one chunk of
+# float sets peaks at 31.5 MiB for a finite objective at 8x8 or 64x64 and
+# at 29.5 MiB for a limit objective; given as values and an index (the
+# kernel tables), at 29.5 MiB for both.  With a size per set, 33.0-36.0
+# MiB for float sets and 29.5-32.5 MiB with the index.
 _CHUNK_SETS = 65536
 
 
-def _batched(objective, flat_sets, sizes=None):
-    """Evaluate the objective on (k, 3, 2) offset sets in chunks of
-    ``_CHUNK_SETS``.  ``sizes`` = (m, n), two integer arrays of k array
-    sizes, replace a finite objective's ``m`` and ``n`` set by set."""
-    out = np.empty(len(flat_sets))
-    for lo in range(0, len(flat_sets), _CHUNK_SETS):
+def _batched(objective, flat_sets, sizes=None, index=None):
+    """Evaluate the objective on (k, 3, 2) offset sets, or with an integer
+    ``index`` (k, 3, 2) on the sets flat_sets[index] of coordinate values,
+    in chunks of ``_CHUNK_SETS`` sets.  ``sizes`` = (m, n), two integer
+    arrays of k array sizes, replace a finite objective's ``m`` and ``n``
+    set by set."""
+    out = np.empty(len(flat_sets if index is None else index))
+    for lo in range(0, len(out), _CHUNK_SETS):
         part = slice(lo, lo + _CHUNK_SETS)
         obj = objective if sizes is None else \
             replace(objective, m=sizes[0][part], n=sizes[1][part])
-        out[part] = obj.evaluate(flat_sets[part])
+        out[part] = obj.evaluate(flat_sets[part]) if index is None else \
+            obj.evaluate(flat_sets, index[part])
     return out
 
 
@@ -158,6 +174,7 @@ def _batched(objective, flat_sets, sizes=None):
 _H, _ESCAPE = 1e-4, 0.05
 _LADDER = 0.5 ** np.arange(6)
 _CURVE = 0.25 ** np.arange(1, 5)
+_STEPS = np.array([-1.0, 0.0, 1.0])
 _STALL, _GAIN = 3, 1e-13
 
 
@@ -176,11 +193,14 @@ def _newton(f, x0, lo, hi, maxiter):
     """Projected, saddle-free damped Newton from each row of ``x0`` (R, n)
     in the box [lo, hi], all restarts in lockstep.
 
-    ``f(points, restarts)`` maps (k, n) points and the (k,) index of the
-    restart each belongs to to (k,) values, each independent of the batch,
-    so every restart's iterates are those of a run on its own.  Each
-    iteration makes two calls for all running restarts: the
-    central-difference stencil, centred inside [lo + h, hi - h], gives the
+    ``f(points, restarts, index=None)`` maps (k, n) points, or with an
+    integer ``index`` (k, n) the points points[index] of 1-D coordinate
+    values, and the (k,) index of the restart each belongs to to (k,)
+    values, each independent of the batch, so every restart's iterates are
+    those of a run on its own.  Each iteration makes two calls for all
+    running restarts: the central-difference stencil, centred inside
+    [lo + h, hi - h] and passed as the three values c - h, c, c + h of each
+    coordinate c with the fixed pattern of the stencil's index, gives the
     gradient and Hessian; then a ladder of step lengths along
     -V diag(1/max(|w|, lam max|w|)) V^T g, with (w, V) the Hessian's
     eigenpairs, and moves along the most negative eigenvector.  The best
@@ -198,6 +218,8 @@ def _newton(f, x0, lo, hi, maxiter):
     lam = np.full(r, 1e-3)
     stall = np.zeros(r, int)
     offs, pi, pj = _stencil(n)
+    # a stencil point's column in its restart's row of 3n values
+    column = offs.astype(int) + 1 + 3 * np.arange(n)
     diag = np.arange(n)
     for _ in range(maxiter):
         run = np.flatnonzero(stall < _STALL)
@@ -207,8 +229,10 @@ def _newton(f, x0, lo, hi, maxiter):
         finite = fr < 1e30
         h = np.where(finite, _H, _ESCAPE)[:, None]
         centre = np.clip(xr, lo + h, hi - h)
-        pts = centre[:, None, :] + h[:, None] * offs
-        vals = f(pts.reshape(-1, n), np.repeat(run, len(offs))).reshape(k, -1)
+        values = centre[:, :, None] + h[:, :, None] * _STEPS
+        index = 3 * n * np.arange(k)[:, None, None] + column
+        vals = f(values.reshape(-1), np.repeat(run, len(offs)),
+                 index.reshape(-1, n)).reshape(k, -1)
         plus, minus = vals[:, 1:n + 1], vals[:, n + 1:2 * n + 1]
         q = vals[:, 2 * n + 1:].reshape(k, 4, -1)
         hess = np.empty((k, n, n))
@@ -242,7 +266,7 @@ def _newton(f, x0, lo, hi, maxiter):
         best = np.where(finite, tval[rows, pick], vals[rows, jump])
         better = best < fr
         x[run] = np.where(better[:, None], np.where(
-            finite[:, None], trial[rows, pick], pts[rows, jump]), xr)
+            finite[:, None], trial[rows, pick], centre + h * offs[jump]), xr)
         fx[run] = np.where(better, best, fr)
         lam[run] = np.clip(lam[run] * np.select(
             [better & finite & (pick == 0), ~better], [0.1, 10.0], 1.0),
@@ -318,6 +342,11 @@ def _slice_seeds(sc: SearchConfig):
     image.  Grid 21 gives 53,482 sets where the whole families hold
     388,962; grid 13 gives 8,330 of 57,122, or 11,858 where the swap does
     not apply.
+
+    Returns the sets as coordinate values, the grid then its negation, and
+    an integer index (k, 3, 2) into them: the sets are values[index], and
+    the few values let the objective take the kernels' factors once per
+    value (``_batched``).  The negation makes the mirror family's -a exact.
     """
     p = sc.grid_points_per_axis
     q = p - 1
@@ -333,7 +362,7 @@ def _slice_seeds(sc: SearchConfig):
     # the swap puts back in order
     fc, fd = (q - d, q - c) if swap else (q - c, q - d)
     keep = _lex_key(p, a, b, c, d) <= _lex_key(p, q - b, q - a, fc, fd)
-    a, b, c, d = (g[v[keep]] for v in (a, b, c, d))
+    a, b, c, d = (v[keep] for v in (a, b, c, d))
     swap_sets = np.stack([a, b, c, d, b, a], -1)
     # mirror family: a -> -a is the identity, the first-axis flip maps c to
     # -c, and the second-axis flip maps (b, d) to (-b, -d)
@@ -341,9 +370,10 @@ def _slice_seeds(sc: SearchConfig):
     bd = np.indices((p, p)).reshape(2, -1)
     bd = bd[:, _lex_key(p, *bd) <= _lex_key(p, *(q - bd))]
     i, j, k = np.indices((len(half), len(half), len(bd[0]))).reshape(3, -1)
-    a, b, c, d = g[half[i]], g[bd[0][k]], g[half[j]], g[bd[1][k]]
-    mirror_sets = np.stack([a, b, -a, b, c, d], -1)
-    return np.concatenate([swap_sets, mirror_sets]).reshape(-1, 3, 2)
+    a, b, c, d = half[i], bd[0][k], half[j], bd[1][k]
+    mirror_sets = np.stack([a, b, p + a, b, c, d], -1)
+    return (np.concatenate([g, -g]),
+            np.concatenate([swap_sets, mirror_sets]).reshape(-1, 3, 2))
 
 
 def _distinct_rows(sets, count, swap):
@@ -360,15 +390,21 @@ def _distinct_rows(sets, count, swap):
     return picked
 
 
+def _ranked_starts(values, index, vals, count, swap):
+    """The ``count`` best of the seeds values[index] with values ``vals``
+    that are pairwise distinct up to symmetry, and the best value."""
+    order = np.argsort(vals)
+    return (_distinct_rows(values[index[order[:4096]]], count, swap),
+            float(vals[order[0]]))
+
+
 def _grid_starts(sc: SearchConfig, count: int):
     """The ``count`` best grid seeds that are pairwise distinct up to
     symmetry, and the best grid value."""
-    seeds = _slice_seeds(sc)
-    vals = _batched(sc.objective, seeds)
-    order = np.argsort(vals)
-    return (_distinct_rows(seeds[order[:4096]], count,
-                           swap_applies(sc.objective)),
-            float(vals[order[0]]))
+    values, index = _slice_seeds(sc)
+    vals = _batched(sc.objective, values, index=index)
+    return _ranked_starts(values, index, vals, count,
+                          swap_applies(sc.objective))
 
 
 def _search(objective, starts, refine_iters, sizes=None, incumbents=None):
@@ -388,12 +424,16 @@ def _search(objective, starts, refine_iters, sizes=None, incumbents=None):
     x0 = np.concatenate([np.reshape(st, (-1, 6)) for st in starts])
     owner = np.repeat(np.arange(len(starts)), [len(st) for st in starts])
 
-    def f(points, restarts):
+    def f(points, restarts, index=None):
         per_set = None
         if sizes is not None:
             s = owner[restarts]
             per_set = (sizes[0][s], sizes[1][s])
-        vals = _batched(objective, points.reshape(-1, 3, 2), per_set)
+        if index is None:
+            vals = _batched(objective, points.reshape(-1, 3, 2), per_set)
+        else:
+            vals = _batched(objective, points, per_set,
+                            index.reshape(-1, 3, 2))
         return np.where(np.isfinite(vals), vals, 1e30)
 
     if incumbents is None:
@@ -440,16 +480,29 @@ def robustness_sweep(offsets: OffsetSet, objective, sizes):
     (m, n) in ``sizes`` searches the same objective at that size (any SNR
     kept), seeded per size and with every size's restarts in one lockstep
     search, and reports ``((m, n), crlb_at_offsets, crlb_min, rel_gap)``.
+    The sizes where the swap applies share one seed index, as do the
+    others, and each share's seeds at all its sizes take one objective
+    call.
     """
     if not sizes:
         return []
-    at, starts = [], []
-    for m, n in sizes:
-        sc = SearchConfig(replace(objective, m=m, n=n),
-                          grid_points_per_axis=13)
-        at.append(float(sc.objective.evaluate(offsets.deltas)))
-        # the fixed set is a legitimate incumbent: include it as a restart
-        starts.append([offsets.deltas] + _grid_starts(sc, 8)[0])
-    best = _search(objective, starts, sc.refine_iters, np.array(sizes).T)
+    configs = [SearchConfig(replace(objective, m=m, n=n),
+                            grid_points_per_axis=13) for m, n in sizes]
+    at = [float(sc.objective.evaluate(offsets.deltas)) for sc in configs]
+    # the fixed set is a legitimate incumbent: include it as a restart
+    starts = [[offsets.deltas] for _ in sizes]
+    for swap in (True, False):
+        share = [s for s, sc in enumerate(configs)
+                 if swap_applies(sc.objective) == swap]
+        if not share:
+            continue
+        values, index = _slice_seeds(configs[share[0]])
+        m, n = np.repeat(np.array(sizes)[share].T, len(index), 1)
+        vals = _batched(objective, values, (m, n),
+                        np.tile(index, (len(share), 1, 1)))
+        for s, v in zip(share, vals.reshape(len(share), -1)):
+            starts[s] += _ranked_starts(values, index, v, 8, swap)[0]
+    best = _search(objective, starts, configs[0].refine_iters,
+                   np.array(sizes).T)
     return [((m, n), a, b.crlb_value, (a - b.crlb_value) / b.crlb_value)
             for (m, n), a, b in zip(sizes, at, best)]

@@ -34,7 +34,8 @@ from beamtrack.channels import (DynamicI, QuasiStatic, ScenarioConfig,
                                 ScenarioKind, bootstrap_gains)
 from beamtrack.estimation import DiModel, _di_score, _di_score_terms
 from beamtrack.harness import CSV_HEADER, MetricsRecord
-from beamtrack.offsets import SearchConfig, _grid_axis
+from beamtrack.offsets import (SearchConfig, _grid_axis, _lex_key,
+                               swap_applies)
 from beamtrack.signal import (ChannelParams, Ebm, OffsetSet, noiseless_mean,
                               observation_kernels)
 from beamtrack.trackers import (BEAM_SPACING, EKF_PRIOR_VAR,
@@ -417,3 +418,29 @@ def _slice_seeds(sc: SearchConfig):
     mirror = np.stack([np.stack([a, b], -1), np.stack([-a, b], -1),
                        np.stack([c, d], -1)], axis=1)
     return np.concatenate([swap, mirror], axis=0)
+
+
+def _class_seeds(sc: SearchConfig):
+    """The sets of ``offsets._slice_seeds``, one image per symmetry class of
+    each family, built from grid coordinates instead of grid indices: the
+    index inequalities pick the sets, then their floats are taken from the
+    grid, with -a negated in place for the mirror family."""
+    p = sc.grid_points_per_axis
+    q = p - 1
+    g = _grid_axis(p)
+    swap = swap_applies(sc.objective)
+    ab = np.triu_indices(p)
+    cd = np.triu_indices(p) if swap else np.indices((p, p)).reshape(2, -1)
+    i, j = np.indices((len(ab[0]), len(cd[0]))).reshape(2, -1)
+    a, b, c, d = ab[0][i], ab[1][i], cd[0][j], cd[1][j]
+    fc, fd = (q - d, q - c) if swap else (q - c, q - d)
+    keep = _lex_key(p, a, b, c, d) <= _lex_key(p, q - b, q - a, fc, fd)
+    a, b, c, d = (g[v[keep]] for v in (a, b, c, d))
+    swap_sets = np.stack([a, b, c, d, b, a], -1)
+    half = np.arange(q // 2 + 1)
+    bd = np.indices((p, p)).reshape(2, -1)
+    bd = bd[:, _lex_key(p, *bd) <= _lex_key(p, *(q - bd))]
+    i, j, k = np.indices((len(half), len(half), len(bd[0]))).reshape(3, -1)
+    a, b, c, d = g[half[i]], g[bd[0][k]], g[half[j]], g[bd[1][k]]
+    mirror_sets = np.stack([a, b, -a, b, c, d], -1)
+    return np.concatenate([swap_sets, mirror_sets]).reshape(-1, 3, 2)

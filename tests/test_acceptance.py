@@ -364,10 +364,14 @@ class TestCriterion12ChannelMoments:
             return out
 
         sc = ScenarioConfig(QuasiStatic(rician_k_db=15.0))
-        gains = channels(sc, n).beta_c
+        draws = np.array([initial_draws(sc, rng, 0.5) for _ in range(n)])
+        gains = init_channel_batch(sc, CFG, draws).beta_c
         kappa = 10 ** 1.5
         los = kappa / (kappa + 1)
-        diffuse = np.mean(np.abs(gains) ** 2) - los
+        # diffuse power about each draw's line-of-sight part (phase in
+        # column 2), free of the LOS x diffuse cross term
+        diffuse = np.mean(np.abs(gains - np.sqrt(los)
+                                 * np.exp(1j * draws[:, 2])) ** 2)
         k_err = abs(los / diffuse - kappa) / kappa
 
         # 1e5 cycles as 100 chains of 1000

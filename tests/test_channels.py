@@ -30,10 +30,19 @@ def _many_inits(sc, count, seed=0):
                                               np.random.default_rng(seed)))
 
 
+RICIAN = ScenarioConfig(QuasiStatic(rician_k_db=15.0))
+
+
 @pytest.fixture(scope="module")
-def rician():
+def rician_draws():
+    """The initial draws of 1e5 trials at the default K factor of 15 dB."""
+    return _draws(RICIAN, 100_000, np.random.default_rng(0))
+
+
+@pytest.fixture(scope="module")
+def rician(rician_draws):
     """1e5 initial channels at the default K factor of 15 dB."""
-    return _many_inits(ScenarioConfig(QuasiStatic(rician_k_db=15.0)), 100_000)
+    return init_channel_batch(RICIAN, CFG, rician_draws)
 
 
 def _walk(sc, rows, cycles, rng):
@@ -68,11 +77,16 @@ class TestInitChannel:
         power = np.mean(np.abs(rician.beta_c) ** 2)
         assert abs(power - 1.0) < 0.03
 
-    def test_rician_k_ratio(self, rician):
-        """LOS to diffuse power ratio matches the configured K within 3%."""
+    def test_rician_k_ratio(self, rician, rician_draws):
+        """LOS to diffuse power ratio matches the configured K within 3%.
+        The diffuse power is measured about each draw's line-of-sight part
+        (its phase is column 2 of the draws): mean |beta - LOS|^2 has no
+        LOS x diffuse cross term, which dominates the spread of
+        mean |beta|^2 - LOS power."""
         kappa = 10 ** 1.5
         los_power = kappa / (kappa + 1)
-        diffuse = np.mean(np.abs(rician.beta_c) ** 2 - los_power)
+        los = np.sqrt(los_power) * np.exp(1j * rician_draws[:, 2])
+        diffuse = np.mean(np.abs(rician.beta_c - los) ** 2)
         ratio = los_power / diffuse
         assert abs(ratio - kappa) < 0.03 * kappa
 

@@ -488,7 +488,8 @@ def test_bad_track_input_exits_1_with_one_error_line(name, tmp_path, capsys):
 
 
 # argv of the crlb/offsets subcommands; each has one input the command
-# cannot use: an array size, a grid or iteration count, or a gain SNR
+# cannot use: an array size, a grid or iteration count, a gain SNR, or a
+# search flag given to a robustness sweep
 BAD_NUMBERS = {
     "non-integer sweep size": ["crlb", "--objective", "static-finite",
                                "--sweep-sizes", "8,abc"],
@@ -540,6 +541,13 @@ BAD_NUMBERS = {
                       "--m", "99999999999999999999"],
     "oversized sweep size": ["crlb", "--objective", "static-finite",
                              "--sweep-sizes", "99999999999999999999"],
+    # a sweep has its own grid and iteration count and prints a table
+    "--out with --robustness": ["offsets", "--objective", "static-finite",
+                                "--robustness", "8", "--out", "sweep.csv"],
+    "--grid with --robustness": ["offsets", "--objective", "di-finite",
+                                 "--robustness", "8", "--grid", "3"],
+    "--iters with --robustness": ["offsets", "--objective", "static-finite",
+                                  "--robustness", "8,16", "--iters", "1"],
 }
 
 
@@ -556,9 +564,14 @@ def test_bad_size_exits_1_with_one_error_line(name, capsys):
     ("one-point --grid", "error: --grid: "),
     ("oversized --grid", "error: --grid: at most"),
     ("one-element robustness size", "at 1x1"),
-    ("one-element last robustness size", "at 1x1")])
+    ("one-element last robustness size", "at 1x1"),
+    ("--out with --robustness", "error: --out: not used with --robustness"),
+    ("--grid with --robustness", "error: --grid: not used with --robustness"),
+    ("--iters with --robustness",
+     "error: --iters: not used with --robustness")])
 def test_bad_size_error_names_the_input(name, message, capsys):
-    """A one-point or oversized grid is rejected as a --grid error, and a
-    failed sweep names the size that failed."""
+    """A one-point or oversized grid is rejected as a --grid error, a
+    failed sweep names the size that failed, and a search flag given to a
+    sweep is named instead of ignored."""
     main(BAD_NUMBERS[name])
     assert message in capsys.readouterr().err

@@ -7,6 +7,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 import beamtrack
@@ -14,7 +16,8 @@ from beamtrack.offsets import (BOX_HALFWIDTH, FADING_OFFSETS, STATIC_OFFSETS,
                                DiAsymptotic, DiFinite, NoImprovement,
                                SearchConfig,
                                StaticAsymptotic, StaticFinite, _batched,
-                               _distinct_rows, _grid_starts, _newton, _search,
+                               _distinct_rows, _grid_axis, _grid_starts,
+                               _newton, _search,
                                _slice_seeds, _symmetry_images, canonicalize,
                                optimize_offsets, robustness_sweep,
                                swap_applies)
@@ -101,6 +104,62 @@ class TestBatchedChunks:
         for mi, ni in ((4, 8), (64, 12)):
             own = (m == mi) & (n == ni)
             assert np.array_equal(vals[own], cls(mi, ni).evaluate(sets[own]))
+
+
+@st.composite
+def _tables(draw, sized=False):
+    """Coordinate values and an integer index (k, 3, 2) into them, and with
+    ``sized`` one array size pair per set.  The values hold the grid's
+    stand-in for zero and its negation, the box edges, the three values
+    c - h, c, c + h of Newton stencils at one of the two steps, and free
+    values."""
+    h = draw(st.sampled_from([1e-4, 0.05]))
+    centres = np.array(draw(st.lists(st.floats(-0.9, 0.9), min_size=1,
+                                     max_size=4)))
+    stencil = centres[:, None] + h * np.array([-1.0, 0.0, 1.0])
+    free = draw(st.lists(st.floats(-BOX_HALFWIDTH, BOX_HALFWIDTH),
+                         max_size=4))
+    values = np.concatenate([[1e-3, -1e-3, BOX_HALFWIDTH, -BOX_HALFWIDTH],
+                             stencil.ravel(), free])
+    k = draw(st.integers(1, 12))
+    index = np.array(draw(st.lists(st.integers(0, len(values) - 1),
+                                   min_size=6 * k, max_size=6 * k)))
+    if not sized:
+        return values, index.reshape(k, 3, 2)
+    pairs = draw(st.lists(st.sampled_from([(8, 8), (6, 12), (4, 4), (64, 64),
+                                           (2, 3)]), min_size=k, max_size=k))
+    return values, index.reshape(k, 3, 2), np.array(pairs).T
+
+
+def _same_bits(a, b):
+    return np.array_equal(np.asarray(a, float).view(np.int64),
+                          np.asarray(b, float).view(np.int64))
+
+
+class TestKernelTables:
+    """The table route, sets given as coordinate values and an index, is
+    the direct route at the sets values[index], bit for bit."""
+
+    @pytest.mark.parametrize("objective", [
+        StaticAsymptotic(), DiAsymptotic(3.0), StaticFinite(8, 8),
+        DiFinite(8, 8, -2.0), StaticFinite(6, 12), DiFinite(6, 12, 0.0)],
+        ids=repr)
+    @settings(max_examples=60, deadline=None)
+    @given(table=_tables())
+    def test_table_equals_direct(self, objective, table):
+        values, index = table
+        assert _same_bits(objective.evaluate(values, index),
+                          objective.evaluate(values[index]))
+
+    @pytest.mark.parametrize("cls", [StaticFinite, DiFinite])
+    @settings(max_examples=60, deadline=None)
+    @given(table=_tables(sized=True))
+    def test_per_set_sizes(self, cls, table):
+        """With a size pair per set, as in a robustness sweep."""
+        values, index, (m, n) = table
+        objective = cls(m, n)
+        assert _same_bits(objective.evaluate(values, index),
+                          objective.evaluate(values[index]))
 
 
 def _quadratic(x):
@@ -273,6 +332,21 @@ class TestSliceSeeds:
     """The seeds, one image per symmetry class, against the whole 4D
     families of ``reference._slice_seeds``."""
 
+    @pytest.mark.parametrize("objective", [StaticAsymptotic(),
+                                           StaticFinite(6, 12)], ids=repr)
+    def test_index_form_equals_float_seeds(self, objective):
+        """At every grid of 2-21 points the sets values[index] are the
+        float seeds of ``reference._class_seeds`` bit for bit, in order:
+        values holds the grid, then its negation."""
+        for points in range(2, 22):
+            sc = SearchConfig(objective, grid_points_per_axis=points)
+            values, index = _slice_seeds(sc)
+            assert np.array_equal(values, np.concatenate(
+                [_grid_axis(points), -_grid_axis(points)]))
+            want = reference._class_seeds(sc)
+            assert np.array_equal(values[index].view(np.int64),
+                                  want.view(np.int64)), points
+
     @pytest.mark.parametrize("objective", [
         StaticAsymptotic(), StaticFinite(8, 8), DiAsymptotic(0.0),
         DiFinite(8, 8, 0.0), StaticFinite(6, 12)], ids=repr)
@@ -284,7 +358,8 @@ class TestSliceSeeds:
         swap = swap_applies(objective)
         for points in range(2, 22):
             sc = SearchConfig(objective, grid_points_per_axis=points)
-            whole, seeds = reference._slice_seeds(sc), _slice_seeds(sc)
+            values, index = _slice_seeds(sc)
+            whole, seeds = reference._slice_seeds(sc), values[index]
             whole_vals = _batched(objective, whole)
             best = np.argsort(whole_vals)[:4096]
             best = best[np.isfinite(whole_vals[best])]
@@ -359,10 +434,10 @@ class TestOptimizer:
         calls = []
 
         class Spy:
-            def evaluate(self, d):
-                arr = np.asarray(d)
+            def evaluate(self, d, index=None):
+                arr = np.asarray(d) if index is None else np.asarray(d)[index]
                 calls.append(float(np.abs(arr).max()))
-                return StaticAsymptotic().evaluate(d)
+                return StaticAsymptotic().evaluate(d, index)
 
         sc = SearchConfig(Spy(), grid_points_per_axis=5, refine_iters=60)
         optimize_offsets(sc)
@@ -385,8 +460,11 @@ class TestOptimizer:
 
 def _search_values(objective):
     """The objective as the search sees it, non-finite values at 1e30, in
-    the ``f(points, restarts)`` form of the lockstep searches."""
-    def f(points, restarts):
+    the ``f(points, restarts, index=None)`` form of the lockstep searches
+    (with ``index`` the points are points[index])."""
+    def f(points, restarts, index=None):
+        if index is not None:
+            points = points[index]
         vals = objective.evaluate(points.reshape(-1, 3, 2))
         return np.where(np.isfinite(vals), vals, 1e30)
     return f
@@ -495,9 +573,9 @@ class TestRobustnessSweep:
 
         @dataclass(frozen=True)
         class Spy(type(base)):
-            def evaluate(self, d):
+            def evaluate(self, d, index=None):
                 calls.append(np.ndim(self.m))
-                return super().evaluate(d)
+                return super().evaluate(d, index)
 
         spy = Spy(**vars(base))
         rows = robustness_sweep(preset, spy, sizes)
@@ -514,6 +592,32 @@ class TestRobustnessSweep:
             expected.append(((m, n), at, best.crlb_value, gap))
         assert rows == expected
         assert max(alone) <= lockstep < 0.5 * sum(alone)
+
+    def test_one_grid_call_per_swap_share(self):
+        """The square sizes share one seed index and the 6x12 size has its
+        own: one objective call takes the 8,330 seeds of each square size,
+        one the 11,858 of 6x12, and each size's row is that of a search at
+        that size alone, bit for bit."""
+        sizes = [(4, 4), (6, 12), (8, 8)]
+        grid_calls = []
+
+        @dataclass(frozen=True)
+        class Spy(StaticFinite):
+            def evaluate(self, d, index=None):
+                if index is not None and len(index) > 4096:
+                    grid_calls.append((sorted(set(zip(np.ravel(self.m),
+                                                      np.ravel(self.n)))),
+                                       len(index)))
+                return super().evaluate(d, index)
+
+        rows = robustness_sweep(STATIC_OFFSETS, Spy(8, 8), sizes)
+        assert grid_calls == [([(4, 4), (8, 8)], 2 * 8330), ([(6, 12)], 11858)]
+        for (m, n), row in zip(sizes, rows):
+            sc = SearchConfig(StaticFinite(m, n), grid_points_per_axis=13)
+            best = _search_from(sc, [STATIC_OFFSETS.deltas]
+                                + _grid_starts(sc, 8)[0])
+            assert row[:3] == ((m, n), float(sc.objective.evaluate(
+                STATIC_OFFSETS.deltas)), best.crlb_value)
 
     def test_small_array_has_larger_gap(self):
         """The shipped static preset is <0.1% suboptimal at 8x8 but visibly
