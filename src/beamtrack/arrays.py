@@ -11,8 +11,8 @@ coordinate (:func:`_axis_sums`, or :func:`_limit_axis` in the large-array
 limit), then one combine step that forms the three kernels from them
 (:func:`_combine`, :func:`_limit_combine`).  Given coordinate values and
 an integer index of offsets into them, the factors are taken once per
-value and array size and gathered, a kernel table: the same combine then
-gives the same bits as the offsets themselves.
+value and gathered, a kernel table: the same combine then gives the same
+bits as the offsets themselves.
 """
 
 from __future__ import annotations
@@ -204,15 +204,7 @@ def _ratio_series(size: int):
     return tuple(float(c) for c in a)
 
 
-def _series_rows(sizes):
-    """The coefficients of :func:`_ratio_series` for each of the 1-D
-    integer ``sizes``, as six rows of their length."""
-    distinct, inverse = np.unique(sizes, return_inverse=True)
-    table = np.array([_ratio_series(int(s)) for s in distinct])
-    return table[inverse.reshape(-1)].T
-
-
-def _dirichlet(d, size, slope: bool = False):
+def _dirichlet(d, size: int, slope: bool = False):
     """Reduced Dirichlet ratio of one axis, for 1-D offsets ``d``.
 
     Writes d = k*size + r with k = round(d/size), so |r| <= size/2, and
@@ -221,9 +213,7 @@ def _dirichlet(d, size, slope: bool = False):
     f = dR/du = (size cos(x) sin(u) - sin(x) cos(u))/sin(u)^2 (else None).
     Both come from the u^2 series where |x| < _SERIES_X, since the direct
     forms cancel near x = 0.  The Dirichlet ratio sin(pi d)/sin(pi d/size)
-    is sigma*R with sigma = (-1)^(k(size-1)).  ``size`` is an int or an
-    integer ndarray of d's shape; each element's value is the same bits as
-    with its size as an int.
+    is sigma*R with sigma = (-1)^(k(size-1)).
     """
     k = np.round(d / size)
     x = np.pi * (d - k * size)
@@ -234,8 +224,7 @@ def _dirichlet(d, size, slope: bool = False):
     ratio = sx / den
     f = (size * cx * su - sx * cu) / (den * den) if slope else None
     if small.any():
-        a = _series_rows(size[small]) if isinstance(size, np.ndarray) \
-            else _ratio_series(size)
+        a = _ratio_series(size)
         us = u[small]
         u2 = us * us
         ratio[small] = _horner(a, u2)
@@ -266,11 +255,10 @@ def beam_gain_kernel(delta, m: int, n: int):
     return float(val[0]) if scalar else val
 
 
-def _axis_sums(d, size, deriv: bool):
+def _axis_sums(d, size: int, deriv: bool):
     """s = sum_i z^i and (with ``deriv``) t = sum_i i z^i over the axis'
     elements, z = e^{-2j pi d/size}, for offsets ``d`` of any shape, in
-    O(1) per offset; ``size`` is an int or an integer ndarray that
-    broadcasts to d's shape.
+    O(1) per offset.
 
     The closed form s = P R and t = P ((size-1)/2 R + (j/2) f) of
     :func:`_dirichlet`, where the phase P = e^{-j pi d (size-1)/size} =
@@ -278,8 +266,6 @@ def _axis_sums(d, size, deriv: bool):
     Dirichlet ratio, and P comes from the reduced angles without further
     sines.
     """
-    if isinstance(size, np.ndarray):  # np.ndim takes about 2 us on an int
-        size = np.broadcast_to(size, d.shape).reshape(-1)
     _, (sx, cx, su, cu), ratio, f = _dirichlet(d.reshape(-1), size, deriv)
     pc = cx * cu + sx * su          # cos(x - u)
     ps = sx * cu - cx * su          # sin(x - u)
@@ -297,18 +283,11 @@ def _axis_sums(d, size, deriv: bool):
     return s.reshape(d.shape), t
 
 
-def _axis_table(values, index, size):
+def _axis_table(values, index, size: int):
     """:func:`_axis_sums` (s, t) at values[index] for 1-D ``values``:
-    evaluated once per value and distinct size, then gathered.  ``size`` is
-    an int or an integer ndarray that broadcasts to index's shape."""
-    if not isinstance(size, np.ndarray):
-        s, t = _axis_sums(values, size, True)
-        return s[index], t[index]
-    sizes, inverse = np.unique(size, return_inverse=True)
-    s, t = _axis_sums(np.broadcast_to(values, (len(sizes), len(values))),
-                      sizes[:, None], True)
-    row = inverse.reshape(size.shape)
-    return s[row, index], t[row, index]
+    evaluated once per value, then gathered."""
+    s, t = _axis_sums(values, size, True)
+    return s[index], t[index]
 
 
 def _combine(s1, t1, s2, t2, m, n):
@@ -320,17 +299,14 @@ def _combine(s1, t1, s2, t2, m, n):
             (2 * np.pi / n) * 1j * s1 * t2 / root)
 
 
-def probe_kernels(deltas, m, n, index=None):
+def probe_kernels(deltas, m: int, n: int, index=None):
     """Exact inner products of a steering probe with an arrival and its
     derivatives, as functions of the probe-minus-arrival offset.
 
     For w = a(x + delta)/sqrt(MN) returns the triple
     ``(w^H a(x), w^H da/dx1, w^H da/dx2)``; by the array's shift property
     these depend on ``delta`` only.  ``deltas`` has shape (..., 2); each
-    output has the leading shape.  The array sizes ``m``, ``n`` are ints or
-    integer ndarrays that broadcast to the leading shape, one size per
-    offset; each offset's kernels are then the same bits as with its sizes
-    as ints.
+    output has the leading shape.
 
     Each kernel is a product of per-axis geometric sums, taken in their
     O(1) closed form (a Dirichlet ratio times a phase, plus its
@@ -340,7 +316,7 @@ def probe_kernels(deltas, m, n, index=None):
 
     With an integer ``index`` (..., 2), ``deltas`` is 1-D: coordinate
     values, and the offsets are deltas[index].  The per-axis sums are then
-    taken once per value (and size) and gathered, for the same bits as
+    taken once per value and gathered, for the same bits as
     ``probe_kernels(deltas[index], m, n)``.
     """
     d = np.asarray(deltas, float)

@@ -46,11 +46,13 @@ def _build_parser() -> _Parser:
         bound.add_argument("--objective", required=True,
                            choices=["static-asymptotic", "static-finite",
                                     "di-asymptotic", "di-finite"])
-        bound.add_argument("--m", default=8)
-        bound.add_argument("--n", default=8)
+        bound.add_argument("--m", help="elements along x (default 8)")
+        bound.add_argument("--n", help="elements along z (default 8)")
         bound.add_argument("--snr-beta-db", type=float, default=0.0)
     crlb.add_argument("--offsets")
-    crlb.add_argument("--sweep-sizes", help="comma list of square sizes, e.g. 8,16,32")
+    crlb.add_argument("--sweep-sizes",
+                      help="comma list of square sizes, e.g. 8,16,32 (takes "
+                           "neither --m nor --n)")
 
     off.add_argument("--seed", type=int, default=0,
                      help="no effect: the search is deterministic")
@@ -62,7 +64,7 @@ def _build_parser() -> _Parser:
     off.add_argument("--robustness",
                      help="skip the search; sweep the preset offsets over "
                           "these square sizes, e.g. 8,16,32 (takes none of "
-                          "--grid, --iters, --out)")
+                          "--m, --n, --grid, --iters, --out)")
 
     ver = sub.add_parser("verify", help="run the built-in correctness suites")
     ver.add_argument("--seed", type=int, default=0)
@@ -110,16 +112,35 @@ def _grid(token) -> int:
     return value
 
 
+def _unused(args, sweep: str, flags) -> None:
+    """A ConfigError naming the first of ``flags`` that was given to the
+    ``sweep`` flag's sweep, which does not use it."""
+    from .harness import ConfigError
+    for flag in flags:
+        if getattr(args, flag) is not None:
+            raise ConfigError(f"--{flag}: not used with {sweep}")
+
+
+def _size_flags(args) -> None:
+    """Check ``--m`` and ``--n`` of ``crlb`` and ``offsets`` (default 8),
+    and that a sweep (``--sweep-sizes``, ``--robustness``), which sizes its
+    arrays itself, is given neither."""
+    sweep, sizes = (("--sweep-sizes", args.sweep_sizes)
+                    if args.command == "crlb"
+                    else ("--robustness", args.robustness))
+    if sizes:
+        _unused(args, sweep, ("m", "n"))
+    args.m = _size(8 if args.m is None else args.m, "--m")
+    args.n = _size(8 if args.n is None else args.n, "--n")
+
+
 def _search_flags(args) -> None:
     """Check the search flags of ``offsets``: ``--grid`` and ``--iters``
     (defaults 21 and 400), and that a ``--robustness`` sweep, which has its
     own grid and iteration count and prints a table, is given none of
     ``--grid``, ``--iters`` and ``--out``."""
-    from .harness import ConfigError
     if args.robustness:
-        for flag in ("grid", "iters", "out"):
-            if getattr(args, flag) is not None:
-                raise ConfigError(f"--{flag}: not used with --robustness")
+        _unused(args, "--robustness", ("grid", "iters", "out"))
         return
     args.grid = _grid(21 if args.grid is None else args.grid)
     args.iters = _positive_int(400 if args.iters is None else args.iters,
@@ -233,25 +254,34 @@ def _cmd_offsets(args) -> int:
     result = optimize_offsets(sc)
     canon = canonicalize(result.offsets) if swap_applies(objective) \
         else result.offsets
-    print(f"objective: {args.objective}")
-    print(f"crlb_value: {result.crlb_value:.12g}")
-    print(f"restarts_used: {result.restarts_used}")
-    print("canonical offsets:")
-    for row in canon.deltas:
-        print(f"  ({row[0]: .4f}, {row[1]: .4f})")
+    lines = [f"objective: {args.objective}",
+             f"crlb_value: {result.crlb_value:.12g}",
+             f"restarts_used: {result.restarts_used}",
+             "canonical offsets:",
+             *(f"  ({row[0]: .4f}, {row[1]: .4f})" for row in canon.deltas)]
     if args.out:
         d = result.offsets.deltas.ravel()
         row = (f"{args.objective},{result.crlb_value:.12g},"
                f"{result.restarts_used}," + ",".join(f"{v:.12g}" for v in d))
-        with open(args.out, "a", newline="\n") as fh:
-            fh.write(row + "\n")
-        print(f"appended result to {args.out}")
+        # written before anything is printed: a failed write prints nothing
+        try:
+            with open(args.out, "a", newline="\n") as fh:
+                fh.write(row + "\n")
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return 1
+        lines.append(f"appended result to {args.out}")
+    print("\n".join(lines))
     return 0
 
 
 def _cmd_verify(args) -> int:
     from .checks import (check_fisher_oracles, check_identifiability,
                          check_mean_field, check_op_counts)
+    from .harness import ConfigError
+    if args.seed < 0:
+        raise ConfigError(f"--seed: must be nonnegative, got {args.seed}")
     draws = 40_000 if args.quick else 200_000
     results = [
         check_identifiability(args.seed),
@@ -273,8 +303,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command in ("crlb", "offsets"):
-            args.m = _size(args.m, "--m")
-            args.n = _size(args.n, "--n")
+            _size_flags(args)
             try:
                 db_to_power(args.snr_beta_db)
             except ValueError as exc:

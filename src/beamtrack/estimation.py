@@ -11,14 +11,12 @@ Normalized CRLBs follow the conventions used throughout the package:
 return the large-array limits of MN times these quantities.
 
 The offset-only bounds take ``deltas`` (..., 3, 2) and return the leading
-shape (an ``np.float64`` for one set); a degenerate set gets +inf.  The
-finite bounds take the array sizes ``m``, ``n`` as ints or as integer
-ndarrays that broadcast to the leading shape, one size per set, and give
-each set the same bits as its sizes as ints.  With an integer ``index``
-(..., 3, 2), ``deltas`` is 1-D coordinate values and the sets are
-deltas[index], with the same bits: the kernels' per-axis factors are then
-taken once per value and gathered (``arrays.probe_kernels``), which pays
-where many sets share few values, as on the offset search's grid.
+shape (an ``np.float64`` for one set); a degenerate set gets +inf.  With
+an integer ``index`` (..., 3, 2), ``deltas`` is 1-D coordinate values and
+the sets are deltas[index], with the same bits: the kernels' per-axis
+factors are then taken once per value and gathered
+(``arrays.probe_kernels``), which pays where many sets share few values,
+as on the offset search's grid.
 
 Every offset bound and tracker cache is closed-form 2x2 algebra on six inner
 products of the probe kernels g, k1, k2 (:func:`_products`): the static bound
@@ -42,8 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import (MAX_AXIS, ArrayConfig, _xy, probe_kernels,
-                     probe_kernels_limit, steering_derivative, steering_vector)
+from .arrays import (ArrayConfig, _xy, probe_kernels, probe_kernels_limit,
+                     steering_derivative, steering_vector)
 from .signal import ChannelParams, Ebm, observation_kernels
 
 COND_LIMIT = 1e12
@@ -188,24 +186,12 @@ def _unit_gram(m: int, n: int):
     return gram[1, 2], gram[1, 3], gram[2, 2], gram[2, 3], gram[3, 3]
 
 
-def static_offsets_crlb(deltas, m, n, pilot_amp: float = 1.0,
+def static_offsets_crlb(deltas, m: int, n: int, pilot_amp: float = 1.0,
                         noise_var: float = 1.0, index=None):
     """Normalized static CRLB as a function of the offsets alone (shift
     property), per offset set of ``deltas`` (..., 3, 2), or of
-    deltas[index]; +inf at a zero pilot.  ``m``, ``n``: ints or per-set
-    integer ndarrays (module docstring)."""
-    if isinstance(m, np.ndarray) or isinstance(n, np.ndarray):
-        m, n = np.broadcast_arrays(np.asarray(m, np.int64),
-                                   np.asarray(n, np.int64))
-        # one key per (m, n) pair: sizes are at most MAX_AXIS
-        keys, inverse = np.unique(m * (MAX_AXIS + 1) + n, return_inverse=True)
-        table = np.array([_unit_gram(*map(int, divmod(k, MAX_AXIS + 1)))
-                          for k in keys])
-        c1, c2, p11, p12, p22 = np.moveaxis(table[inverse.reshape(m.shape)],
-                                            -1, 0)
-        m, n = m[..., None], n[..., None]
-    else:
-        c1, c2, p11, p12, p22 = _unit_gram(m, n)
+    deltas[index]; +inf at a zero pilot."""
+    c1, c2, p11, p12, p22 = _unit_gram(m, n)
     scale = noise_var / (2 * pilot_amp**2) if pilot_amp != 0 else np.inf
     return _static_bound(probe_kernels(deltas, m, n, index),
                          ((c1, c2), (p11, p12, p22)), scale)
@@ -302,14 +288,11 @@ def _sym2(f):
     return np.stack([np.stack([f11, f12], -1), np.stack([f12, f22], -1)], -2)
 
 
-def di_offsets_crlb(deltas, m, n, snr_beta, index=None):
+def di_offsets_crlb(deltas, m: int, n: int, snr_beta, index=None):
     """Direction CRLB Tr{I_DI^-1} from the offsets alone, per offset set of
     ``deltas`` (..., 3, 2), or of deltas[index].  ``snr_beta`` is
     |s|^2 sigma_beta^2 / noise_var, a scalar or an array that broadcasts
-    against the leading shape; ``m``, ``n``: ints or per-set integer
-    ndarrays (module docstring)."""
-    if isinstance(m, np.ndarray) or isinstance(n, np.ndarray):
-        m, n = np.asarray(m)[..., None], np.asarray(n)[..., None]
+    against the leading shape."""
     f, ref = _di_info(_products(*probe_kernels(deltas, m, n, index)),
                       snr_beta)
     return _trace_solve(f, (1.0, 0.0, 1.0), ref)

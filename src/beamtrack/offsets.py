@@ -11,18 +11,18 @@ central-difference derivatives; its restarts are the best grid sets that
 are pairwise distinct up to the group.  The restarts run in lockstep:
 each Newton iteration evaluates the derivative stencils of every restart
 in one batched objective call and their trial steps in a second, and each
-restart's iterates are those of a run on its own.  A robustness sweep is
-one such search over the restarts of every array size it sweeps: the
-finite bounds take a size per offset set, so one call serves all sizes,
-and one call evaluates the grid seeds of all sizes that share a seed
-index.
+restart's iterates are those of a run on its own.  A robustness sweep
+runs the searches of all the array sizes it sweeps in one such lockstep
+run, each size on its own objective: an objective call takes the sets of
+one size, as that size's search alone would, so a stage of an iteration
+makes one call per size.
 
 The grid seeds and the Newton stencils reuse a few coordinate values in
 many sets, so they reach the objectives as those values and an integer
 index of the sets into them (``evaluate(values, index)``): the kernels'
-per-axis factors are then computed once per value and array size and
-gathered, with the bits of ``evaluate(values[index])``.  The trial steps
-and single sets take the direct route.
+per-axis factors are then computed once per value and gathered, with the
+bits of ``evaluate(values[index])``.  The trial steps and single sets take
+the direct route.
 
 ``STATIC_OFFSETS`` and ``FADING_OFFSETS`` hold the asymptotically optimal
 sets for the two objectives that the optimizer reproduces; they double as
@@ -144,24 +144,19 @@ class SearchResult:
 # size, and the bound algebra's set the peak (tracemalloc): one chunk of
 # float sets peaks at 31.5 MiB for a finite objective at 8x8 or 64x64 and
 # at 29.5 MiB for a limit objective; given as values and an index (the
-# kernel tables), at 29.5 MiB for both.  With a size per set, 33.0-36.0
-# MiB for float sets and 29.5-32.5 MiB with the index.
+# kernel tables), at 29.5 MiB for both.
 _CHUNK_SETS = 65536
 
 
-def _batched(objective, flat_sets, sizes=None, index=None):
+def _batched(objective, flat_sets, index=None):
     """Evaluate the objective on (k, 3, 2) offset sets, or with an integer
     ``index`` (k, 3, 2) on the sets flat_sets[index] of coordinate values,
-    in chunks of ``_CHUNK_SETS`` sets.  ``sizes`` = (m, n), two integer
-    arrays of k array sizes, replace a finite objective's ``m`` and ``n``
-    set by set."""
+    in chunks of ``_CHUNK_SETS`` sets."""
     out = np.empty(len(flat_sets if index is None else index))
     for lo in range(0, len(out), _CHUNK_SETS):
         part = slice(lo, lo + _CHUNK_SETS)
-        obj = objective if sizes is None else \
-            replace(objective, m=sizes[0][part], n=sizes[1][part])
-        out[part] = obj.evaluate(flat_sets[part]) if index is None else \
-            obj.evaluate(flat_sets, index[part])
+        out[part] = objective.evaluate(flat_sets[part]) if index is None \
+            else objective.evaluate(flat_sets, index[part])
     return out
 
 
@@ -390,50 +385,48 @@ def _distinct_rows(sets, count, swap):
     return picked
 
 
-def _ranked_starts(values, index, vals, count, swap):
-    """The ``count`` best of the seeds values[index] with values ``vals``
-    that are pairwise distinct up to symmetry, and the best value."""
-    order = np.argsort(vals)
-    return (_distinct_rows(values[index[order[:4096]]], count, swap),
-            float(vals[order[0]]))
-
-
 def _grid_starts(sc: SearchConfig, count: int):
     """The ``count`` best grid seeds that are pairwise distinct up to
     symmetry, and the best grid value."""
     values, index = _slice_seeds(sc)
-    vals = _batched(sc.objective, values, index=index)
-    return _ranked_starts(values, index, vals, count,
-                          swap_applies(sc.objective))
+    vals = _batched(sc.objective, values, index)
+    order = np.argsort(vals)
+    return (_distinct_rows(values[index[order[:4096]]], count,
+                           swap_applies(sc.objective)),
+            float(vals[order[0]]))
 
 
-def _search(objective, starts, refine_iters, sizes=None, incumbents=None):
+def _search(objectives, starts, refine_iters, incumbents=None):
     """Damped Newton from each of each search's ``starts``, every search in
-    one lockstep run of at most ``refine_iters`` iterations per restart,
-    with two objective calls per Newton iteration.
+    one lockstep run of at most ``refine_iters`` iterations per restart.
 
-    ``starts`` lists the (3, 2) start sets of each search.  With ``sizes``
-    = (m, n), integer arrays of one size per search, search s runs the
-    finite ``objective`` at m[s] x n[s]; without, there is one search, on
-    ``objective`` itself.  ``incumbents``, the best value each search
-    already holds, defaults to the best value among its starts.  Returns a
+    Search s runs ``objectives[s]`` from the (3, 2) start sets
+    ``starts[s]``.  Each Newton iteration makes two objective calls per
+    search with running restarts, on that search's rows in the order of a
+    run of it alone.  ``incumbents``, the best value each search already
+    holds, defaults to the best value among its starts.  Returns a
     :class:`SearchResult` per search; :class:`NoImprovement` names the size
-    of a failing search.
+    of a failing finite search.
     """
     bh = BOX_HALFWIDTH
     x0 = np.concatenate([np.reshape(st, (-1, 6)) for st in starts])
     owner = np.repeat(np.arange(len(starts)), [len(st) for st in starts])
 
     def f(points, restarts, index=None):
-        per_set = None
-        if sizes is not None:
-            s = owner[restarts]
-            per_set = (sizes[0][s], sizes[1][s])
-        if index is None:
-            vals = _batched(objective, points.reshape(-1, 3, 2), per_set)
-        else:
-            vals = _batched(objective, points, per_set,
-                            index.reshape(-1, 3, 2))
+        vals, own = np.empty(len(restarts)), owner[restarts]
+        for s, objective in enumerate(objectives):
+            rows = own == s
+            if not rows.any():
+                continue
+            if index is None:
+                vals[rows] = _batched(objective,
+                                      points[rows].reshape(-1, 3, 2))
+            else:
+                # only the values of this search's sets
+                part = index[rows]
+                lo = part.min()
+                vals[rows] = _batched(objective, points[lo:part.max() + 1],
+                                      (part - lo).reshape(-1, 3, 2))
         return np.where(np.isfinite(vals), vals, 1e30)
 
     if incumbents is None:
@@ -441,17 +434,13 @@ def _search(objective, starts, refine_iters, sizes=None, incumbents=None):
         incumbents = [float(start_vals[owner == s].min())
                       for s in range(len(starts))]
     x, fun = _newton(f, x0, -bh, bh, refine_iters)
-    # ties keep the lowest restart index
-    firsts = [int(np.argmin(np.where(owner == s, fun, np.inf)))
-              for s in range(len(starts))]
-    best_v, best_val = x[firsts], fun[firsts]
     results = []
-    for s, incumbent in enumerate(incumbents):
-        obj, where = objective, ""
-        if sizes is not None:
-            m, n = int(sizes[0][s]), int(sizes[1][s])
-            obj, where = replace(objective, m=m, n=n), f" at {m}x{n}"
-        val = float(best_val[s])
+    for s, (objective, incumbent) in enumerate(zip(objectives, incumbents)):
+        # ties keep the lowest restart index
+        first = int(np.argmin(np.where(owner == s, fun, np.inf)))
+        val = float(fun[first])
+        where = f" at {objective.m}x{objective.n}" \
+            if hasattr(objective, "m") else ""
         if val >= 1e30:
             raise NoImprovement("no refinement start produced a finite "
                                 "objective" + where)
@@ -459,9 +448,9 @@ def _search(objective, starts, refine_iters, sizes=None, incumbents=None):
                 and val > incumbent * (1 + 1e-9):
             raise NoImprovement("refinement lost to its own seed; objective "
                                 "is likely inconsistent" + where)
-        deltas = best_v[s].reshape(3, 2)
+        deltas = x[first].reshape(3, 2)
         results.append(SearchResult(OffsetSet(deltas),
-                                    float(obj.evaluate(deltas)),
+                                    float(objective.evaluate(deltas)),
                                     len(starts[s])))
     return results
 
@@ -469,7 +458,7 @@ def _search(objective, starts, refine_iters, sizes=None, incumbents=None):
 def optimize_offsets(sc: SearchConfig) -> SearchResult:
     """Best offset set from grid-seeded multi-start Newton."""
     starts, best = _grid_starts(sc, 16)
-    return _search(sc.objective, [starts], sc.refine_iters,
+    return _search([sc.objective], [starts], sc.refine_iters,
                    incumbents=[best])[0]
 
 
@@ -478,11 +467,9 @@ def robustness_sweep(offsets: OffsetSet, objective, sizes):
 
     ``objective`` is a :class:`StaticFinite` or :class:`DiFinite`.  For each
     (m, n) in ``sizes`` searches the same objective at that size (any SNR
-    kept), seeded per size and with every size's restarts in one lockstep
-    search, and reports ``((m, n), crlb_at_offsets, crlb_min, rel_gap)``.
-    The sizes where the swap applies share one seed index, as do the
-    others, and each share's seeds at all its sizes take one objective
-    call.
+    kept), seeded from that size's grid and from the fixed set, with every
+    size's search in one lockstep run, and reports
+    ``((m, n), crlb_at_offsets, crlb_min, rel_gap)``.
     """
     if not sizes:
         return []
@@ -490,19 +477,8 @@ def robustness_sweep(offsets: OffsetSet, objective, sizes):
                             grid_points_per_axis=13) for m, n in sizes]
     at = [float(sc.objective.evaluate(offsets.deltas)) for sc in configs]
     # the fixed set is a legitimate incumbent: include it as a restart
-    starts = [[offsets.deltas] for _ in sizes]
-    for swap in (True, False):
-        share = [s for s, sc in enumerate(configs)
-                 if swap_applies(sc.objective) == swap]
-        if not share:
-            continue
-        values, index = _slice_seeds(configs[share[0]])
-        m, n = np.repeat(np.array(sizes)[share].T, len(index), 1)
-        vals = _batched(objective, values, (m, n),
-                        np.tile(index, (len(share), 1, 1)))
-        for s, v in zip(share, vals.reshape(len(share), -1)):
-            starts[s] += _ranked_starts(values, index, v, 8, swap)[0]
-    best = _search(objective, starts, configs[0].refine_iters,
-                   np.array(sizes).T)
+    starts = [[offsets.deltas] + _grid_starts(sc, 8)[0] for sc in configs]
+    best = _search([sc.objective for sc in configs], starts,
+                   configs[0].refine_iters)
     return [((m, n), a, b.crlb_value, (a - b.crlb_value) / b.crlb_value)
             for (m, n), a, b in zip(sizes, at, best)]

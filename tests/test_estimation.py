@@ -367,57 +367,6 @@ class TestOffsetBoundProperties:
                           rtol=1e-9, atol=0)
 
 
-# an array size: the edge cases 1, 2 and the 8x8 default, or any up to 256
-_SIZE = st.sampled_from([1, 2, 8]) | st.integers(1, 256)
-
-
-@st.composite
-def _sized_batch(draw):
-    """Per-set sizes (k,), (k,) and offset sets (k, 3, 2) whose coordinates
-    lie anywhere in the box or at and within 1e-9 of a multiple of their
-    axis' size; the axis-collinear set of ``_AXIS_SETS`` is the last."""
-    k = draw(st.integers(1, 6))
-    m = draw(st.lists(_SIZE, min_size=k + 1, max_size=k + 1))
-    n = draw(st.lists(_SIZE, min_size=k + 1, max_size=k + 1))
-
-    def coord(size):
-        near = st.builds(lambda j, e: j * size + e, st.integers(-2, 2),
-                         st.sampled_from([0.0, 1e-9, -1e-9, 3e-10]))
-        return draw(st.floats(-0.95, 0.95) | near)
-
-    sets = [[(coord(m[i]), coord(n[i])) for _ in range(3)] for i in range(k)]
-    deltas = np.concatenate([np.array(sets, float), _AXIS_SETS[0][None]])
-    return np.array(m), np.array(n), deltas
-
-
-def _bits(x):
-    return np.asarray(x, float).view(np.int64)
-
-
-class TestPerSetSizes:
-    @settings(max_examples=100, deadline=None)
-    @given(batch=_sized_batch(), snr=st.floats(0.05, 50.0))
-    def test_size_arrays_equal_per_size_calls(self, batch, snr):
-        """Kernels and finite bounds with a size per set equal the calls
-        with that set's sizes as ints bit for bit; the axis-collinear set
-        stays +inf at any sizes."""
-        m, n, deltas = batch
-        kernels = probe_kernels(deltas, m[:, None], n[:, None])
-        static = static_offsets_crlb(deltas, m, n)
-        di = di_offsets_crlb(deltas, m, n, snr)
-        assert static.shape == di.shape == (len(deltas),)
-        for i, (mi, ni) in enumerate(zip(m.tolist(), n.tolist())):
-            one = probe_kernels(deltas[i], mi, ni)
-            for many, ref in zip(kernels, one):
-                assert np.array_equal(_bits(many[i].view(float)),
-                                      _bits(ref.view(float)))
-            assert _bits(static[i]) == _bits(
-                static_offsets_crlb(deltas[i], mi, ni))
-            assert _bits(di[i]) == _bits(di_offsets_crlb(deltas[i], mi, ni,
-                                                         snr))
-        assert static[-1] == di[-1] == np.inf
-
-
 def _mp_col(v, mpmath):
     return mpmath.matrix([mpmath.mpc(float(z.real), float(z.imag)) for z in v])
 

@@ -487,9 +487,9 @@ def test_bad_track_input_exits_1_with_one_error_line(name, tmp_path, capsys):
     assert [line.startswith("error:") for line in err.splitlines()].count(True) == 1
 
 
-# argv of the crlb/offsets subcommands; each has one input the command
-# cannot use: an array size, a grid or iteration count, a gain SNR, or a
-# search flag given to a robustness sweep
+# argv of the crlb/offsets/verify subcommands; each has one input the
+# command cannot use: an array size, a grid or iteration count, a gain SNR,
+# a seed, an output path, or a flag given to a sweep that does not use it
 BAD_NUMBERS = {
     "non-integer sweep size": ["crlb", "--objective", "static-finite",
                                "--sweep-sizes", "8,abc"],
@@ -548,6 +548,24 @@ BAD_NUMBERS = {
                                  "--robustness", "8", "--grid", "3"],
     "--iters with --robustness": ["offsets", "--objective", "static-finite",
                                   "--robustness", "8,16", "--iters", "1"],
+    # a sweep sizes its arrays itself
+    "--m with --sweep-sizes": ["crlb", "--objective", "static-finite",
+                               "--sweep-sizes", "8,16", "--m", "4",
+                               "--n", "3"],
+    "--n with an asymptotic --sweep-sizes": [
+        "crlb", "--objective", "di-asymptotic", "--sweep-sizes", "4,8",
+        "--n", "4"],
+    "--m with --robustness": ["offsets", "--objective", "di-finite",
+                              "--robustness", "8", "--m", "5"],
+    "--n with --robustness": ["offsets", "--objective", "static-finite",
+                              "--robustness", "8", "--n", "8"],
+    # the search runs, then its row cannot be appended: nothing is printed
+    "unwritable --out": ["offsets", "--objective", "static-asymptotic",
+                         "--grid", "3", "--iters", "5",
+                         "--out", "/no/such/dir/search.csv"],
+    "directory --out": ["offsets", "--objective", "di-asymptotic",
+                        "--grid", "3", "--iters", "5", "--out", "."],
+    "negative verify seed": ["verify", "--quick", "--seed", "-1"],
 }
 
 
@@ -568,10 +586,19 @@ def test_bad_size_exits_1_with_one_error_line(name, capsys):
     ("--out with --robustness", "error: --out: not used with --robustness"),
     ("--grid with --robustness", "error: --grid: not used with --robustness"),
     ("--iters with --robustness",
-     "error: --iters: not used with --robustness")])
+     "error: --iters: not used with --robustness"),
+    ("--m with --sweep-sizes", "error: --m: not used with --sweep-sizes"),
+    ("--n with an asymptotic --sweep-sizes",
+     "error: --n: not used with --sweep-sizes"),
+    ("--m with --robustness", "error: --m: not used with --robustness"),
+    ("--n with --robustness", "error: --n: not used with --robustness"),
+    ("unwritable --out", "error: cannot write /no/such/dir/search.csv: "),
+    ("directory --out", "error: cannot write .: "),
+    ("negative verify seed", "error: --seed: must be nonnegative")])
 def test_bad_size_error_names_the_input(name, message, capsys):
     """A one-point or oversized grid is rejected as a --grid error, a
-    failed sweep names the size that failed, and a search flag given to a
-    sweep is named instead of ignored."""
+    failed sweep names the size that failed, a flag given to a sweep that
+    does not use it is named instead of ignored, and an output path that
+    cannot be written and a negative seed are named."""
     main(BAD_NUMBERS[name])
     assert message in capsys.readouterr().err

@@ -29,7 +29,7 @@ from reference import _nelder_mead
 def _search_from(sc, starts):
     """The search of ``optimize_offsets(sc)`` from explicit (3, 2) starts
     instead of the grid seeds."""
-    return _search(sc.objective, [starts], sc.refine_iters)[0]
+    return _search([sc.objective], [starts], sc.refine_iters)[0]
 
 
 class TestObjectiveInvariances:
@@ -80,39 +80,13 @@ class TestBatchedChunks:
         assert sizes == [65536, 539]
         assert np.array_equal(vals, obj.evaluate(sets))
 
-    @pytest.mark.parametrize("cls", [StaticFinite, DiFinite])
-    def test_size_arrays_are_sliced_with_their_sets(self, cls):
-        """Per-set array sizes travel with their sets into each chunk: a
-        mixed-size objective over 65,536 + 539 sets equals one call with
-        the whole size arrays, and each size's sets equal a call at that
-        size, bit for bit."""
-        chunks = []
-
-        @dataclass(frozen=True)
-        class Spy(cls):
-            def evaluate(self, d):
-                chunks.append((len(d), len(self.m), len(self.n)))
-                return super().evaluate(d)
-
-        rng = np.random.default_rng(3)
-        sets = rng.uniform(-0.9, 0.9, (65536 + 539, 3, 2))
-        m = rng.choice([4, 8, 64], len(sets))
-        n = rng.choice([8, 12], len(sets))
-        vals = _batched(Spy(8, 8), sets, (m, n))
-        assert chunks == [(65536,) * 3, (539,) * 3]
-        assert np.array_equal(vals, cls(m, n).evaluate(sets))
-        for mi, ni in ((4, 8), (64, 12)):
-            own = (m == mi) & (n == ni)
-            assert np.array_equal(vals[own], cls(mi, ni).evaluate(sets[own]))
-
 
 @st.composite
-def _tables(draw, sized=False):
-    """Coordinate values and an integer index (k, 3, 2) into them, and with
-    ``sized`` one array size pair per set.  The values hold the grid's
-    stand-in for zero and its negation, the box edges, the three values
-    c - h, c, c + h of Newton stencils at one of the two steps, and free
-    values."""
+def _tables(draw):
+    """Coordinate values and an integer index (k, 3, 2) into them.  The
+    values hold the grid's stand-in for zero and its negation, the box
+    edges, the three values c - h, c, c + h of Newton stencils at one of
+    the two steps, and free values."""
     h = draw(st.sampled_from([1e-4, 0.05]))
     centres = np.array(draw(st.lists(st.floats(-0.9, 0.9), min_size=1,
                                      max_size=4)))
@@ -124,11 +98,7 @@ def _tables(draw, sized=False):
     k = draw(st.integers(1, 12))
     index = np.array(draw(st.lists(st.integers(0, len(values) - 1),
                                    min_size=6 * k, max_size=6 * k)))
-    if not sized:
-        return values, index.reshape(k, 3, 2)
-    pairs = draw(st.lists(st.sampled_from([(8, 8), (6, 12), (4, 4), (64, 64),
-                                           (2, 3)]), min_size=k, max_size=k))
-    return values, index.reshape(k, 3, 2), np.array(pairs).T
+    return values, index.reshape(k, 3, 2)
 
 
 def _same_bits(a, b):
@@ -148,16 +118,6 @@ class TestKernelTables:
     @given(table=_tables())
     def test_table_equals_direct(self, objective, table):
         values, index = table
-        assert _same_bits(objective.evaluate(values, index),
-                          objective.evaluate(values[index]))
-
-    @pytest.mark.parametrize("cls", [StaticFinite, DiFinite])
-    @settings(max_examples=60, deadline=None)
-    @given(table=_tables(sized=True))
-    def test_per_set_sizes(self, cls, table):
-        """With a size pair per set, as in a robustness sweep."""
-        values, index, (m, n) = table
-        objective = cls(m, n)
         assert _same_bits(objective.evaluate(values, index),
                           objective.evaluate(values[index]))
 
@@ -564,60 +524,36 @@ class TestRobustnessSweep:
         (StaticFinite(8, 8), STATIC_OFFSETS),
         (DiFinite(8, 8, 3.0), FADING_OFFSETS)])
     def test_lockstep_sweep_equals_per_size_searches(self, base, preset):
-        """One lockstep search over every size's restarts, a duplicate size
-        included, gives each size the row of a search at that size alone,
-        bit for bit, and makes two objective calls per Newton iteration
-        for all sizes together."""
-        sizes = [(4, 4), (8, 8), (8, 8), (12, 12)]
+        """One lockstep run of every size's search, a non-square and a
+        duplicate size included, gives each size the row of a search at
+        that size alone, bit for bit, and each size the objective calls of
+        its search alone: the same set counts at that size, twice for the
+        duplicate size."""
+        sizes = [(4, 4), (6, 12), (8, 8), (8, 8), (12, 12)]
         calls = []
 
         @dataclass(frozen=True)
         class Spy(type(base)):
             def evaluate(self, d, index=None):
-                calls.append(np.ndim(self.m))
+                sets = np.shape(d if index is None else index)[:-2]
+                calls.append(((self.m, self.n), sets))
                 return super().evaluate(d, index)
 
         spy = Spy(**vars(base))
         rows = robustness_sweep(preset, spy, sizes)
-        lockstep = calls.count(1)
+        swept = sorted(calls)
         expected, alone = [], []
         for m, n in sizes:
             sc = SearchConfig(replace(spy, m=m, n=n), grid_points_per_axis=13)
+            calls.clear()
             at = float(sc.objective.evaluate(preset.deltas))
             starts, _ = _grid_starts(sc, 8)
-            calls.clear()
             best = _search_from(sc, [preset.deltas] + starts)
-            alone.append(len(calls) - 1)  # less the final re-evaluation
+            alone += calls
             gap = (at - best.crlb_value) / best.crlb_value
             expected.append(((m, n), at, best.crlb_value, gap))
         assert rows == expected
-        assert max(alone) <= lockstep < 0.5 * sum(alone)
-
-    def test_one_grid_call_per_swap_share(self):
-        """The square sizes share one seed index and the 6x12 size has its
-        own: one objective call takes the 8,330 seeds of each square size,
-        one the 11,858 of 6x12, and each size's row is that of a search at
-        that size alone, bit for bit."""
-        sizes = [(4, 4), (6, 12), (8, 8)]
-        grid_calls = []
-
-        @dataclass(frozen=True)
-        class Spy(StaticFinite):
-            def evaluate(self, d, index=None):
-                if index is not None and len(index) > 4096:
-                    grid_calls.append((sorted(set(zip(np.ravel(self.m),
-                                                      np.ravel(self.n)))),
-                                       len(index)))
-                return super().evaluate(d, index)
-
-        rows = robustness_sweep(STATIC_OFFSETS, Spy(8, 8), sizes)
-        assert grid_calls == [([(4, 4), (8, 8)], 2 * 8330), ([(6, 12)], 11858)]
-        for (m, n), row in zip(sizes, rows):
-            sc = SearchConfig(StaticFinite(m, n), grid_points_per_axis=13)
-            best = _search_from(sc, [STATIC_OFFSETS.deltas]
-                                + _grid_starts(sc, 8)[0])
-            assert row[:3] == ((m, n), float(sc.objective.evaluate(
-                STATIC_OFFSETS.deltas)), best.crlb_value)
+        assert swept == sorted(alone)
 
     def test_small_array_has_larger_gap(self):
         """The shipped static preset is <0.1% suboptimal at 8x8 but visibly
