@@ -18,7 +18,7 @@ trial.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -120,25 +120,34 @@ def estimated_gain_variance(sc: ScenarioConfig, cfg: ArrayConfig, x_hat,
 INITIAL_DRAWS = 13
 
 
-def initial_draws(sc: ScenarioConfig, rng: np.random.Generator,
+def initial_draws(sc: ScenarioConfig, rngs: Sequence[np.random.Generator],
                   halfwidth: float) -> np.ndarray:
-    """One trial's ``INITIAL_DRAWS`` initial random numbers, in the order
-    they are drawn from ``rng``: [0] theta and [1] phi, uniform over the
-    arrival region; [2] the Rician line-of-sight phase, uniform over
-    [0, 2 pi) (quasi-static only; 0 and not drawn for the other kinds);
-    [3:5] two standard normals for the gain; [5:7] the initial-estimate
-    offsets, uniform over [-halfwidth, halfwidth) per coordinate; [7:13]
-    six standard normals of the bootstrap cycle's noise (the real parts of
-    the three noise values, then the imaginary parts)."""
+    """The ``INITIAL_DRAWS`` initial random numbers of a batch, one row per
+    generator of ``rngs``, drawn generator by generator in four calls:
+    ``random(3)`` on the quasi-static kind, else ``random(2)``, then
+    ``standard_normal(2)``, ``random(2)`` and ``standard_normal(6)``.  Row
+    columns, in that order: [0] theta and [1] phi, uniform over the arrival
+    region; [2] the Rician line-of-sight phase, uniform over [0, 2 pi)
+    (quasi-static only; 0 and not drawn for the other kinds); [3:5] two
+    standard normals for the gain; [5:7] the initial-estimate offsets,
+    uniform over [-halfwidth, halfwidth) per coordinate; [7:13] six
+    standard normals of the bootstrap cycle's noise (the real parts of the
+    three noise values, then the imaginary parts).  A uniform over
+    [lo, hi) is lo + (hi - lo) u for u of ``random``, which is how
+    ``Generator.uniform`` computes it, so the rows equal per-value
+    ``uniform`` draws bit for bit."""
     (t_lo, t_hi), (p_lo, p_hi) = sc.ranges()
-    out = np.zeros(INITIAL_DRAWS)
-    out[0] = rng.uniform(t_lo, t_hi)
-    out[1] = rng.uniform(p_lo, p_hi)
-    if isinstance(sc.kind, QuasiStatic):
-        out[2] = rng.uniform(0, 2 * np.pi)
-    out[3:5] = rng.standard_normal(2)
-    out[5:7] = rng.uniform(-halfwidth, halfwidth, 2)
-    out[7:] = rng.standard_normal(6)
+    angles = 3 if isinstance(sc.kind, QuasiStatic) else 2
+    out = np.zeros((len(rngs), INITIAL_DRAWS))
+    for rng, row in zip(rngs, out):
+        rng.random(out=row[:angles])
+        rng.standard_normal(out=row[3:5])
+        rng.random(out=row[5:7])
+        rng.standard_normal(out=row[7:])
+    lo = np.array([t_lo, p_lo, 0.0, -halfwidth, -halfwidth])
+    hi = np.array([t_hi, p_hi, 2 * np.pi, halfwidth, halfwidth])
+    uniform = [0, 1, 2, 5, 6]
+    out[:, uniform] = lo + (hi - lo) * out[:, uniform]
     return out
 
 

@@ -10,10 +10,16 @@ fits the initial gain).  Trackers are reached through one batched
 interface (:class:`~.trackers.BatchTracker`) looked up in ``TRACKERS``.
 
 Random numbers (the contract).  Trial ``t`` owns the stream
-``default_rng(SeedSequence(seed, spawn_key=(t,)))``.  It first makes the
-13 draws of :func:`~.channels.initial_draws`: theta, phi, the Rician phase
-(quasi-static only), two gain normals, two initial-estimate offsets and the
-bootstrap cycle's six noise normals.  Then it fills blocks
+``default_rng(SeedSequence(seed, spawn_key=(t,)))``.  A batch's streams are
+seeded in one vectorised pass (:func:`_trial_rngs`) that reproduces
+numpy's seeding word for word, so the streams are exactly those.  Each
+first makes the 13 draws of :func:`~.channels.initial_draws`: theta, phi,
+the Rician phase (quasi-static only), two gain normals, two
+initial-estimate offsets and the bootstrap cycle's six noise normals, the
+uniforms scaled from ``random()`` as ``Generator.uniform`` scales them.
+Tests pin the numpy behaviour this rests on: the generators equal
+``default_rng``'s for seeds up to beyond 2^64, and the scaled uniforms
+equal ``Generator.uniform``'s bit for bit.  Then it fills blocks
 ``standard_normal((K, c))``, K at most ``CYCLE_CHUNK`` cycles each, one row
 per cycle: the channel transition's ``evolve_normals(kind)`` columns
 (quasi-static none; fading gain the two gain normals; Gauss-Markov the
@@ -128,8 +134,62 @@ def _stationary_gain_var(kind) -> float:
     return 1.0  # Rician (unit mean power) and Gauss-Markov stationary
 
 
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(trial,)))
+# numpy's SeedSequence hash: multiplier and mixing constants, 32-bit words
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash_constants(init: int, mult: int, first: int,
+                    count: int) -> np.ndarray:
+    """The hash constants init * mult^k (mod 2^32), k = first, ...,
+    first + count - 1."""
+    return np.array([init * pow(mult, k, 1 << 32) & _MASK32
+                     for k in range(first, first + count)], np.uint32)
+
+
+_STATE_CONSTANTS = _hash_constants(_INIT_B, _MULT_B, 0, 9)
+
+
+def _trial_rngs(seed: int, trials: range) -> List[np.random.Generator]:
+    """The generators of trials ``trials`` (each below 2^32): trial t's is
+    ``default_rng(SeedSequence(seed, spawn_key=(t,)))``, seeded in one
+    vectorised pass over the batch.
+
+    A child's entropy is the seed's words, zero-padded to the 4-word pool,
+    then its spawn word t; so its pool is ``SeedSequence(seed).pool`` with
+    t mixed into each of the 4 words, by hash constants advanced past the
+    16 hashes of the first 4 entropy words and 4 per further seed word.
+    PCG64 takes the 4 uint64 words of ``generate_state(4, uint64)``: the
+    pool cycled to 8 uint32 words, hashed, and paired little-endian."""
+    t = np.asarray(trials, np.uint32)[:, None]
+    extra_words = max(0, -(-int(seed).bit_length() // 32) - 4)
+    # mix t into each pool word: mix(pool, hashmix(t))
+    a = _hash_constants(_INIT_A, _MULT_A, 16 + 4 * extra_words, 5)
+    v = (t ^ a[:4]) * a[1:]
+    v ^= v >> 16
+    pool = (np.uint32(_MIX_L) * np.random.SeedSequence(seed).pool
+            - np.uint32(_MIX_R) * v)
+    pool ^= pool >> 16
+    # generate_state: 8 words hashed from the cycled pool
+    b = _STATE_CONSTANTS
+    w = (np.concatenate([pool, pool], axis=1) ^ b[:8]) * b[1:]
+    w ^= w >> 16
+    words = w.astype("<u4").view("<u8").astype(np.uint64)
+
+    # defined here, not at import, because its base loads numpy.random
+    class SeedWords(np.random.bit_generator.ISeedSequence):
+        """Seed words computed beforehand, handed to a bit generator."""
+
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return [np.random.Generator(np.random.PCG64(SeedWords(row)))
+            for row in words]
 
 
 def _channel_errors(cfg: ArrayConfig, ch: ChannelBatch, x_hat: np.ndarray,
@@ -181,9 +241,8 @@ def _run_batch(ec: ExperimentConfig, trials: range):
     sc = ec.scenario
     offsets = _resolve_offsets(ec)
     tracker_cls, default_schedule = TRACKERS[ec.tracker]
-    rngs = [_trial_rng(ec.seed, t) for t in trials]
-    draws = np.array([initial_draws(sc, rng, ec.init_halfwidth)
-                      for rng in rngs])
+    rngs = _trial_rngs(ec.seed, trials)
+    draws = initial_draws(sc, rngs, ec.init_halfwidth)
     ch = init_channel_batch(sc, cfg, draws)
     x0, beta0 = initial_estimate_batch(ch, cfg, offsets, draws)
     sigma_c_sq = _stationary_gain_var(sc.kind)

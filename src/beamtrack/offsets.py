@@ -140,12 +140,22 @@ class SearchResult:
     restarts_used: int
 
 
-# Sets per objective call.  The temporaries are O(1) per set at any array
-# size, and the bound algebra's set the peak (tracemalloc): one chunk of
-# float sets peaks at 31.5 MiB for a finite objective at 8x8 or 64x64 and
-# at 29.5 MiB for a limit objective; given as values and an index (the
-# kernel tables), at 29.5 MiB for both.
-_CHUNK_SETS = 65536
+# Sets per objective call, the cheapest per set in a sweep over the 53,482
+# seeds of each objective at grid 21 (best of 5, 2-vCPU x86-64, numpy 2.4),
+# in us per set at 1,024 / 2,048 / 4,096 / 8,192 / 16,384 / 65,536 sets per
+# call, with the kernel tables (values and an index),
+#   StaticAsymptotic      0.46 0.35 0.27 0.38 0.42 0.53
+#   DiAsymptotic          0.24 0.20 0.18 0.19 0.21 0.46
+#   StaticFinite(8, 8)    0.34 0.27 0.26 0.26 0.27 0.47
+#   DiFinite(8, 8)        0.37 0.27 0.26 0.25 0.27 0.46
+#   StaticFinite(64, 64)  0.38 0.27 0.24 0.25 0.28 0.47
+#   DiFinite(64, 64)      0.36 0.28 0.26 0.25 0.27 0.48
+# and on float sets 0.39-0.54 us at 4,096 against 0.85-1.03 at 65,536.
+# Small calls pay the fixed cost of a call; large ones outgrow the cache,
+# and their temporaries page-fault afresh on every call.  The temporaries
+# are O(1) per set at any array size: one chunk peaks at 2.1 MiB
+# (tracemalloc), 31.5 MiB at 65,536 sets.
+_CHUNK_SETS = 4096
 
 
 def _batched(objective, flat_sets, index=None):

@@ -1,11 +1,14 @@
 """Test oracles: the references the library's code is compared against.
 
 Per-trial references, one trial at a time, each function drawing from the
-trial's generator call by call: the channel model (``init_channel``,
-``evolve``, the scalar element gain ``element_gain``), the observation
-``observe``, the in-main-lobe initial estimate with its bootstrap gain fit,
-the explicit-EBM gain fit, and the scalar steps of the two baselines.  The
-library runs only the batched counterparts (``channels.init_channel_batch``,
+trial's generator call by call: the trial's generator ``_trial_rng``, a
+trial's row of initial draws ``initial_draws_row`` (one ``uniform`` call
+per value), the channel model (``init_channel``, ``evolve``, the scalar
+element gain ``element_gain``), the observation ``observe``, the
+in-main-lobe initial estimate with its bootstrap gain fit, the explicit-EBM
+gain fit, and the scalar steps of the two baselines.  The library runs only
+the batched counterparts (``harness._trial_rngs``,
+``channels.initial_draws``, ``init_channel_batch``,
 ``initial_estimate_batch``, ``evolve_batch``, ``signal.observe_fast``,
 ``trackers.BeamSwitchBatch``, ``EkfBatch``).
 
@@ -30,8 +33,8 @@ import numpy as np
 
 from beamtrack.arrays import (Aoa, ArrayConfig, PatternConfig, _xy,
                               dpv_from_aoa, element_gain_angles, probe_kernels)
-from beamtrack.channels import (DynamicI, QuasiStatic, ScenarioConfig,
-                                ScenarioKind, bootstrap_gains)
+from beamtrack.channels import (INITIAL_DRAWS, DynamicI, QuasiStatic,
+                                ScenarioConfig, ScenarioKind, bootstrap_gains)
 from beamtrack.estimation import DiModel, _di_score, _di_score_terms
 from beamtrack.harness import CSV_HEADER, MetricsRecord
 from beamtrack.offsets import (SearchConfig, _grid_axis, _lex_key,
@@ -40,6 +43,33 @@ from beamtrack.signal import (ChannelParams, Ebm, OffsetSet, noiseless_mean,
                               observation_kernels)
 from beamtrack.trackers import (BEAM_SPACING, EKF_PRIOR_VAR,
                                 EKF_PROBE_OFFSETS, EKF_PROCESS_NOISE)
+
+# ---------------------------------------------------------------------------
+# random streams
+# ---------------------------------------------------------------------------
+
+
+def _trial_rng(seed: int, trial: int) -> np.random.Generator:
+    """Trial ``trial``'s generator, the random-number contract's words."""
+    return np.random.default_rng(np.random.SeedSequence(seed,
+                                                        spawn_key=(trial,)))
+
+
+def initial_draws_row(sc: ScenarioConfig, rng: np.random.Generator,
+                      halfwidth: float) -> np.ndarray:
+    """One trial's row of ``channels.initial_draws``, each uniform drawn by
+    its own ``Generator.uniform`` call."""
+    (t_lo, t_hi), (p_lo, p_hi) = sc.ranges()
+    out = np.zeros(INITIAL_DRAWS)
+    out[0] = rng.uniform(t_lo, t_hi)
+    out[1] = rng.uniform(p_lo, p_hi)
+    if isinstance(sc.kind, QuasiStatic):
+        out[2] = rng.uniform(0, 2 * np.pi)
+    out[3:5] = rng.standard_normal(2)
+    out[5:7] = rng.uniform(-halfwidth, halfwidth, 2)
+    out[7:] = rng.standard_normal(6)
+    return out
+
 
 # ---------------------------------------------------------------------------
 # channel model

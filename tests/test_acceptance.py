@@ -349,7 +349,7 @@ class TestCriterion12ChannelMoments:
         n = 100_000
 
         def channels(sc, rows):
-            draws = np.array([initial_draws(sc, rng, 0.5) for _ in range(rows)])
+            draws = initial_draws(sc, [rng] * rows, 0.5)
             return init_channel_batch(sc, CFG, draws)
 
         def chains(sc, rows, cycles):
@@ -364,7 +364,7 @@ class TestCriterion12ChannelMoments:
             return out
 
         sc = ScenarioConfig(QuasiStatic(rician_k_db=15.0))
-        draws = np.array([initial_draws(sc, rng, 0.5) for _ in range(n)])
+        draws = initial_draws(sc, [rng] * n, 0.5)
         gains = init_channel_batch(sc, CFG, draws).beta_c
         kappa = 10 ** 1.5
         los = kappa / (kappa + 1)

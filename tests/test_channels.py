@@ -4,9 +4,11 @@ the batched channel the engine runs: rows of ``initial_draws`` through
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
-from reference import element_gain
+from reference import _trial_rng, element_gain, initial_draws_row
 
 from beamtrack.arrays import Aoa, ArrayConfig, dpv_from_aoa
 from beamtrack.channels import (AOA_REGIONS, INITIAL_DRAWS, DynamicI,
@@ -14,7 +16,8 @@ from beamtrack.channels import (AOA_REGIONS, INITIAL_DRAWS, DynamicI,
                                 estimated_gain_variance, evolve_batch,
                                 evolve_normals, init_channel_batch,
                                 initial_draws, initial_estimate_batch)
-from beamtrack.harness import ConfigError, ExperimentConfig, run_experiment
+from beamtrack.harness import (ConfigError, ExperimentConfig, _trial_rngs,
+                               run_experiment)
 from beamtrack.offsets import STATIC_OFFSETS
 
 CFG = ArrayConfig(8, 8)
@@ -22,7 +25,7 @@ CFG = ArrayConfig(8, 8)
 
 def _draws(sc, count, rng, halfwidth=0.5):
     """``count`` trials' initial draws from one generator, trial by trial."""
-    return np.array([initial_draws(sc, rng, halfwidth) for _ in range(count)])
+    return initial_draws(sc, [rng] * count, halfwidth)
 
 
 def _many_inits(sc, count, seed=0):
@@ -64,6 +67,44 @@ def _lag1(gains):
     """Lag-1 sample autocorrelation pooled over the rows of chains."""
     return (np.mean(gains[:, 1:] * gains[:, :-1].conj())
             / np.mean(np.abs(gains) ** 2))
+
+
+class TestInitialDraws:
+    """The batched draws equal per-value ``Generator.uniform`` and
+    ``standard_normal`` calls on each trial's own stream."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**64), lo=st.floats(-10, 10),
+           width=st.floats(1e-6, 20))
+    def test_scaled_random_is_generator_uniform(self, seed, lo, width):
+        """lo + (hi - lo) u, u from ``random``, is ``Generator.uniform(lo,
+        hi)`` bit for bit, whether ``uniform`` draws one value per call or
+        many."""
+        hi = lo + width
+        u = np.random.default_rng(seed).random(16)
+        rng = np.random.default_rng(seed)
+        one_by_one = np.array([rng.uniform(lo, hi) for _ in range(8)])
+        assert np.array_equal(lo + (hi - lo) * u[:8], one_by_one)
+        assert np.array_equal(lo + (hi - lo) * u[8:], rng.uniform(lo, hi, 8))
+
+    @settings(max_examples=30, deadline=None)
+    @given(kind=st.sampled_from([QuasiStatic(), DynamicI(), DynamicII()]),
+           region=st.sampled_from(sorted(AOA_REGIONS)),
+           seed=st.integers(0, 2**40), first=st.integers(0, 1000),
+           count=st.integers(1, 12), split=st.integers(1, 12),
+           halfwidth=st.floats(0, 0.99))
+    def test_batches_match_per_trial_rows(self, kind, region, seed, first,
+                                          count, split, halfwidth):
+        """At any batch split, the rows of the batch's generators are the
+        per-trial rows of the contract's streams."""
+        sc = ScenarioConfig(kind, region)
+        trials = range(first, first + count)
+        want = np.array([initial_draws_row(sc, _trial_rng(seed, t), halfwidth)
+                         for t in trials])
+        got = np.concatenate([
+            initial_draws(sc, _trial_rngs(seed, trials[a:a + split]),
+                          halfwidth) for a in range(0, count, split)])
+        assert np.array_equal(got, want)
 
 
 class TestInitChannel:

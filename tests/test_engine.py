@@ -20,17 +20,17 @@ from beamtrack.channels import DynamicI, DynamicII, QuasiStatic, ScenarioConfig
 from beamtrack.estimation import di_offsets_crlb, static_offsets_crlb
 from beamtrack.harness import (TRACKERS, ExperimentConfig, _recorded_cycles,
                                _records, _resolve_offsets, _run_batch,
-                               _stationary_gain_var, _trial_rng,
+                               _stationary_gain_var, _trial_rngs,
                                effective_array, emit_csv, run_experiment)
 from beamtrack.offsets import STATIC_OFFSETS
 from beamtrack.signal import ChannelParams, build_ebm
 from beamtrack.trackers import (STEP_CAP, DiminishingStep, EkfBatch,
                                 JbctBatch, TrackerRun,
                                 _jbct_direction_batch, jbct_direction)
-from reference import (baseline_beam_switch_step, baseline_ekf_step,
-                       beam_switch_probes, beam_switch_tracker, ekf_probes,
-                       ekf_tracker, element_gain, evolve, init_channel,
-                       initial_estimate)
+from reference import (_trial_rng, baseline_beam_switch_step,
+                       baseline_ekf_step, beam_switch_probes,
+                       beam_switch_tracker, ekf_probes, ekf_tracker,
+                       element_gain, evolve, init_channel, initial_estimate)
 
 # ---------------------------------------------------------------------------
 # reference: one trial at a time
@@ -233,6 +233,39 @@ class TestAgainstReference:
     def test_property_random_runs(self, seed, trials, eccs, case):
         _assert_matches_reference(_config(case, seed=seed, num_trials=trials,
                                           num_eccs=eccs))
+
+
+class TestTrialStreams:
+    """The batch's generators, seeded in one vectorised pass, are the
+    contract's ``default_rng(SeedSequence(seed, spawn_key=(t,)))``: the
+    same seed words, bit-generator state and normals, for seeds of one to
+    eleven 32-bit words (more than four words mix in after the pool) and
+    batches that start past trial 0, up to trial 2^32 - 1."""
+
+    @staticmethod
+    def _assert_streams_match(seed, trials):
+        for t, rng in zip(trials, _trial_rngs(seed, trials)):
+            want = _trial_rng(seed, t)
+            assert np.array_equal(
+                rng.bit_generator.seed_seq.generate_state(4, np.uint64),
+                want.bit_generator.seed_seq.generate_state(4, np.uint64))
+            assert rng.bit_generator.state == want.bit_generator.state
+            assert np.array_equal(rng.standard_normal(64),
+                                  want.standard_normal(64))
+
+    @pytest.mark.parametrize("seed", [0, 1, 5, 2**31 - 1, 2**32 - 1, 2**32,
+                                      2**40 + 7, 2**63 - 1, 2**64, 2**128,
+                                      2**130 + 3, 3**200])
+    def test_fixed_seeds(self, seed):
+        self._assert_streams_match(seed, range(0, 40))
+        self._assert_streams_match(seed, range(2**32 - 3, 2**32))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.one_of(st.integers(0, 2**32), st.integers(0, 2**70),
+                          st.integers(2**128, 2**320)),
+           first=st.integers(1, 2**32 - 16), count=st.integers(1, 15))
+    def test_property_random_batches(self, seed, first, count):
+        self._assert_streams_match(seed, range(first, first + count))
 
 
 class TestRecordedCycles:

@@ -12,12 +12,11 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 import beamtrack
-from beamtrack.offsets import (BOX_HALFWIDTH, FADING_OFFSETS, STATIC_OFFSETS,
-                               DiAsymptotic, DiFinite, NoImprovement,
-                               SearchConfig,
-                               StaticAsymptotic, StaticFinite, _batched,
-                               _distinct_rows, _grid_axis, _grid_starts,
-                               _newton, _search,
+from beamtrack.offsets import (_CHUNK_SETS, BOX_HALFWIDTH, FADING_OFFSETS,
+                               STATIC_OFFSETS, DiAsymptotic, DiFinite,
+                               NoImprovement, SearchConfig, StaticAsymptotic,
+                               StaticFinite, _batched, _distinct_rows,
+                               _grid_axis, _grid_starts, _newton, _search,
                                _slice_seeds, _symmetry_images, canonicalize,
                                optimize_offsets, robustness_sweep,
                                swap_applies)
@@ -65,9 +64,9 @@ class TestBatchedChunks:
                                      DiFinite(64, 64, 0.0),
                                      StaticFinite(8, 8)])
     def test_chunks_match_one_call(self, obj):
-        """A chunk holds 65,536 sets at any array size: 65,536 + 539 sets
-        take two chunks, and the values equal one call over all sets bit
-        for bit."""
+        """A chunk holds ``_CHUNK_SETS`` sets at any array size: three
+        chunks and 539 sets take four calls, and the values equal one call
+        over all sets bit for bit."""
         sizes = []
 
         class Spy:
@@ -75,9 +74,10 @@ class TestBatchedChunks:
                 sizes.append(len(d))
                 return obj.evaluate(d)
 
-        sets = np.random.default_rng(2).uniform(-0.9, 0.9, (65536 + 539, 3, 2))
+        sets = np.random.default_rng(2).uniform(
+            -0.9, 0.9, (3 * _CHUNK_SETS + 539, 3, 2))
         vals = _batched(Spy(), sets)
-        assert sizes == [65536, 539]
+        assert sizes == [_CHUNK_SETS] * 3 + [539]
         assert np.array_equal(vals, obj.evaluate(sets))
 
 
