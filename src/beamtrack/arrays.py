@@ -9,10 +9,13 @@ for element row ``i``, column ``j``), matching the Kronecker product
 The probe kernels are separable: per-axis factors of each offset
 coordinate (:func:`_axis_sums`, or :func:`_limit_axis` in the large-array
 limit), then one combine step that forms the three kernels from them
-(:func:`_combine`, :func:`_limit_combine`).  Given coordinate values and
-an integer index of offsets into them, the factors are taken once per
-value and gathered, a kernel table: the same combine then gives the same
-bits as the offsets themselves.
+(:func:`_combine`, :func:`_limit_combine`).  The factors of both axes are
+taken in one pass: the offsets are laid out axis-first, (2, k), so that
+every numpy loop runs along the k offsets, and an m x n array carries its
+sizes as a (2, 1) column (a square array as one scalar).  Given
+coordinate values and an integer index of offsets into them, the factors
+are taken once per value and gathered, a kernel table: the same combine
+then gives the same bits as the offsets themselves.
 """
 
 from __future__ import annotations
@@ -204,33 +207,69 @@ def _ratio_series(size: int):
     return tuple(float(c) for c in a)
 
 
-def _dirichlet(d, size: int, slope: bool = False):
-    """Reduced Dirichlet ratio of one axis, for 1-D offsets ``d``.
+@functools.lru_cache(maxsize=64)
+def _slope_series(size: int):
+    """Coefficients of f = dR/du = u sum_j 2 j a_j u^(2(j-1)), j = 1..5,
+    from :func:`_ratio_series`."""
+    return tuple(2 * j * c for j, c in enumerate(_ratio_series(size)))[1:]
 
-    Writes d = k*size + r with k = round(d/size), so |r| <= size/2, and
-    x = pi r, u = x/size.  Returns k, the sines and cosines (sin x, cos x,
-    sin u, cos u), the ratio R = sin(x)/sin(u), and with ``slope`` also
+
+@functools.lru_cache(maxsize=64)
+def _series_table(m: int, n: int):
+    """The ratio and slope series of both axes, one column per axis: (6, 2)
+    and (5, 2) arrays, gathered per element of the series branch."""
+    return (np.array([_ratio_series(m), _ratio_series(n)]).T,
+            np.array([_slope_series(m), _slope_series(n)]).T)
+
+
+def _sizes(m: int, n: int):
+    """Per-axis sizes for axis-first offsets (2, k): the one size of a
+    square array as a scalar, else the column [[m], [n]]."""
+    return m if m == n else np.array([[m], [n]], float)
+
+
+def _by_axis(deltas):
+    """Offsets (..., 2) laid out axis-first, a contiguous (2, k) array."""
+    return np.ascontiguousarray(np.reshape(deltas, (-1, 2)).T, float)
+
+
+def _dirichlet(d, m: int, n: int, slope: bool = False):
+    """Reduced Dirichlet ratios of both axes in one pass, for axis-first
+    offsets ``d`` (2, k): row 0 along the m-element axis, row 1 along the
+    n-element axis.  On a square array the two share one size, and ``d``
+    may have any shape.
+
+    With size the axis' element count, writes d = k*size + r with
+    k = round(d/size), so |r| <= size/2, and x = pi r, u = x/size.  Returns
+    k, the sines and cosines (sin x, cos x, sin u, cos u), the ratio
+    R = sin(x)/sin(u), and with ``slope`` also
     f = dR/du = (size cos(x) sin(u) - sin(x) cos(u))/sin(u)^2 (else None).
     Both come from the u^2 series where |x| < _SERIES_X, since the direct
-    forms cancel near x = 0.  The Dirichlet ratio sin(pi d)/sin(pi d/size)
-    is sigma*R with sigma = (-1)^(k(size-1)).
+    forms cancel near x = 0; off a square array each such element gathers
+    its own axis' coefficients.  The Dirichlet ratio
+    sin(pi d)/sin(pi d/size) is sigma*R with sigma = (-1)^(k(size-1)).
     """
-    k = np.round(d / size)
+    size = _sizes(m, n)
+    k = np.rint(d / size)
     x = np.pi * (d - k * size)
     u = x / size
     trig = sx, cx, su, cu = np.sin(x), np.cos(x), np.sin(u), np.cos(u)
     small = np.abs(x) < _SERIES_X
-    den = np.where(small, 1.0, su)
+    any_small = small.any()
+    den = np.where(small, 1.0, su) if any_small else su
     ratio = sx / den
     f = (size * cx * su - sx * cu) / (den * den) if slope else None
-    if small.any():
-        a = _ratio_series(size)
+    if any_small:
+        if m == n:
+            a, b = _ratio_series(m), _slope_series(m)
+        else:
+            axis = np.nonzero(small)[0]
+            a, b = (c[:, axis] for c in _series_table(m, n))
         us = u[small]
         u2 = us * us
         ratio[small] = _horner(a, u2)
         if slope:
-            f[small] = us * _horner([2 * j * c for j, c in enumerate(a)][1:],
-                                    u2)
+            f[small] = us * _horner(b, u2)
     return k, trig, ratio, f
 
 
@@ -245,20 +284,17 @@ def beam_gain_kernel(delta, m: int, n: int):
     d = np.asarray(delta, float)
     scalar = d.ndim == 1
     d = np.atleast_2d(d)
-
-    def ratio(dd, size):
-        k, _, r, _ = _dirichlet(dd.reshape(-1), size)
-        h = 0.5 * k * (size - 1)
-        return np.where(np.floor(h) == h, r, -r).reshape(dd.shape)
-
-    val = ratio(d[..., 0], m) * ratio(d[..., 1], n)
+    k, _, r, _ = _dirichlet(_by_axis(d), m, n)
+    h = 0.5 * k * (_sizes(m, n) - 1)
+    r = np.where(np.floor(h) == h, r, -r)
+    val = (r[0] * r[1]).reshape(d.shape[:-1])
     return float(val[0]) if scalar else val
 
 
-def _axis_sums(d, size: int, deriv: bool):
-    """s = sum_i z^i and (with ``deriv``) t = sum_i i z^i over the axis'
-    elements, z = e^{-2j pi d/size}, for offsets ``d`` of any shape, in
-    O(1) per offset.
+def _axis_sums(d, m: int, n: int, deriv: bool):
+    """s = sum_i z^i and (with ``deriv``) t = sum_i i z^i over each axis'
+    elements, z = e^{-2j pi d/size}, for the axis-first offsets ``d`` of
+    :func:`_dirichlet`, both axes in one pass and O(1) per offset.
 
     The closed form s = P R and t = P ((size-1)/2 R + (j/2) f) of
     :func:`_dirichlet`, where the phase P = e^{-j pi d (size-1)/size} =
@@ -266,28 +302,21 @@ def _axis_sums(d, size: int, deriv: bool):
     Dirichlet ratio, and P comes from the reduced angles without further
     sines.
     """
-    _, (sx, cx, su, cu), ratio, f = _dirichlet(d.reshape(-1), size, deriv)
+    _, (sx, cx, su, cu), ratio, f = _dirichlet(d, m, n, deriv)
     pc = cx * cu + sx * su          # cos(x - u)
     ps = sx * cu - cx * su          # sin(x - u)
     s = np.empty(ratio.shape, complex)
-    s.real = pc * ratio
-    s.imag = -ps * ratio
+    np.multiply(pc, ratio, out=s.real)
+    np.multiply(ps, ratio, out=s.imag)
+    np.negative(s.imag, out=s.imag)
     t = None
     if deriv:
-        a = 0.5 * (size - 1) * ratio
+        a = 0.5 * (_sizes(m, n) - 1) * ratio
         b = 0.5 * f
         t = np.empty(ratio.shape, complex)
         t.real = pc * a + ps * b
         t.imag = pc * b - ps * a
-        t = t.reshape(d.shape)
-    return s.reshape(d.shape), t
-
-
-def _axis_table(values, index, size: int):
-    """:func:`_axis_sums` (s, t) at values[index] for 1-D ``values``:
-    evaluated once per value, then gathered."""
-    s, t = _axis_sums(values, size, True)
-    return s[index], t[index]
+    return s, t
 
 
 def _combine(s1, t1, s2, t2, m, n):
@@ -310,35 +339,40 @@ def probe_kernels(deltas, m: int, n: int, index=None):
 
     Each kernel is a product of per-axis geometric sums, taken in their
     O(1) closed form (a Dirichlet ratio times a phase, plus its
-    derivative) at every array size.  The closed form agrees with the
-    summed exponentials to within 1e-12 of the kernel's peak up to 256
-    elements per axis, at and next to multiples of M and N too.
+    derivative) at every array size, both axes in one pass.  The closed
+    form agrees with the summed exponentials to within 1e-12 of the
+    kernel's peak up to 256 elements per axis, at and next to multiples
+    of M and N too.
 
     With an integer ``index`` (..., 2), ``deltas`` is 1-D: coordinate
-    values, and the offsets are deltas[index].  The per-axis sums are then
-    taken once per value and gathered, for the same bits as
-    ``probe_kernels(deltas[index], m, n)``.
+    values, and the offsets are deltas[index].  The sums are then taken
+    once per value (per value and axis off a square array) and gathered,
+    for the same bits as ``probe_kernels(deltas[index], m, n)``.
     """
     d = np.asarray(deltas, float)
     if index is None:
-        return _combine(*_axis_sums(d[..., 0], m, True),
-                        *_axis_sums(d[..., 1], n, True), m, n)
-    return _combine(*_axis_table(d, index[..., 0], m),
-                    *_axis_table(d, index[..., 1], n), m, n)
+        s, t = _axis_sums(_by_axis(d), m, n, True)
+        return tuple(k.reshape(d.shape[:-1])
+                     for k in _combine(s[0], t[0], s[1], t[1], m, n))
+    i1, i2 = index[..., 0], index[..., 1]
+    if m == n:
+        s, t = _axis_sums(d, m, n, True)
+        return _combine(s[i1], t[i1], s[i2], t[i2], m, n)
+    s, t = _axis_sums(np.stack([d, d]), m, n, True)
+    return _combine(s[0, i1], t[0, i1], s[1, i2], t[1, i2], m, n)
 
 
 def _gain_kernel(deltas, m: int, n: int):
     """The first of :func:`probe_kernels`, w^H a, without the derivative
     sums; equal to it bit for bit."""
     d = np.asarray(deltas, float)
-    s1, _ = _axis_sums(d[..., 0], m, False)
-    s2, _ = _axis_sums(d[..., 1], n, False)
-    return s1 * s2 / np.sqrt(m * n)
+    s, _ = _axis_sums(_by_axis(d), m, n, False)
+    return (s[0] * s[1] / np.sqrt(m * n)).reshape(d.shape[:-1])
 
 
 def _phase_deriv_kernel(x, s, c):
     """Phi(t) = (e^{-jt}(1+jt) - 1)/t^2 at t = 2x, given s = sin(x) and
-    c = cos(x), for 1-D ``x``; Phi(0) = 1/2.
+    c = cos(x), for ``x`` of any shape; Phi(0) = 1/2.
 
     Direct form from the half angle: Re Phi = s(2xc - s)/(2x^2) and
     Im Phi = (x(1 - 2s^2) - sc)/(2x^2).  The imaginary part cancels as
@@ -363,8 +397,9 @@ def _phase_deriv_kernel(x, s, c):
 
 
 def _limit_axis(d):
-    """Sa(pi d) e^{-j pi d} and Phi(2 pi d) of one axis, for 1-D ``d``,
-    from one sine and one cosine of pi d."""
+    """Sa(pi d) e^{-j pi d} and Phi(2 pi d) of offsets ``d`` of any shape
+    (both axes of axis-first offsets in one pass), from one sine and one
+    cosine of pi d."""
     x = np.pi * d
     s, c = np.sin(x), np.cos(x)
     phi = _phase_deriv_kernel(x, s, c)
@@ -402,10 +437,9 @@ def probe_kernels_limit(deltas, index=None):
     """
     d = np.asarray(deltas, float)
     if index is None:
-        lead = d.shape[:-1]
-        return tuple(k.reshape(lead) for k in _limit_combine(
-            *_limit_axis(d[..., 0].reshape(-1)),
-            *_limit_axis(d[..., 1].reshape(-1))))
+        h, phi = _limit_axis(_by_axis(d))
+        return tuple(k.reshape(d.shape[:-1])
+                     for k in _limit_combine(h[0], phi[0], h[1], phi[1]))
     h, phi = _limit_axis(d)
     i1, i2 = index[..., 0], index[..., 1]
     return _limit_combine(h[i1], phi[i1], h[i2], phi[i2])

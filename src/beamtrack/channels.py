@@ -211,13 +211,15 @@ def initial_estimate_batch(ch: ChannelBatch, cfg: ArrayConfig,
                                draws[:, 7:])
 
 
-def _reflect_batch(value: np.ndarray, lo: float, hi: float) -> np.ndarray:
+def _reflect_batch(value: np.ndarray, lo, hi) -> np.ndarray:
+    """Reflect ``value`` into [lo, hi] (bounds broadcast against it), at
+    most 8 reflections per entry; an entry still outside is clipped."""
     for _ in range(8):
-        out = (value > hi) | (value < lo)
-        if not out.any():
-            break
-        value = np.where(value > hi, 2 * hi - value,
-                         np.where(value < lo, 2 * lo - value, value))
+        above, below = value > hi, value < lo
+        if not (above.any() or below.any()):
+            return value
+        value = np.where(above, 2 * hi - value,
+                         np.where(below, 2 * lo - value, value))
     return np.clip(value, lo, hi)
 
 
@@ -227,7 +229,8 @@ def evolve_batch(ch: ChannelBatch, sc: ScenarioConfig, cfg: ArrayConfig,
     evolve_normals(kind)): the identity for the quasi-static kind; a fresh
     Rayleigh gain z sqrt(sigma^2/2), z = n0 + j n1, for the fading kind;
     for Gauss-Markov, theta and phi step by delta_a times n0 and n1,
-    reflected into the arrival region, and the gain moves to
+    reflected into the arrival region (both angles in one (2, T) pass with
+    per-row bounds), and the gain moves to
     rho beta + (n2 + j n3) sqrt((1 - rho^2)/2)."""
     kind = sc.kind
     if isinstance(kind, QuasiStatic):
@@ -236,9 +239,9 @@ def evolve_batch(ch: ChannelBatch, sc: ScenarioConfig, cfg: ArrayConfig,
         beta_c = (normals[:, 0] + 1j * normals[:, 1]) \
             * np.sqrt(kind.sigma_beta_c_sq / 2.0)
         return replace(ch, beta_c=beta_c, beta_eff=ch.eta * beta_c)
-    t_rng, p_rng = sc.ranges()
-    theta = _reflect_batch(ch.theta + kind.delta_a * normals[:, 0], *t_rng)
-    phi = _reflect_batch(ch.phi + kind.delta_a * normals[:, 1], *p_rng)
+    lo, hi = np.array(sc.ranges()).T[..., None]     # (2, 1) each
+    angles = np.stack([ch.theta, ch.phi]) + kind.delta_a * normals[:, :2].T
+    theta, phi = _reflect_batch(angles, lo, hi)
     beta_c = kind.rho * ch.beta_c + (normals[:, 2] + 1j * normals[:, 3]) \
         * np.sqrt((1.0 - kind.rho**2) / 2.0)
     return _channel_batch(sc, cfg, theta, phi, beta_c)

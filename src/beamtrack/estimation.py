@@ -42,7 +42,7 @@ import numpy as np
 
 from .arrays import (ArrayConfig, _xy, probe_kernels, probe_kernels_limit,
                      steering_derivative, steering_vector)
-from .signal import ChannelParams, Ebm, observation_kernels
+from .signal import ChannelParams, Ebm, _sum3, observation_kernels
 
 COND_LIMIT = 1e12
 
@@ -114,11 +114,6 @@ def crlb_static(cfg: ArrayConfig, psi: ChannelParams, ebm: Ebm) -> float:
     info = fisher_static(cfg, psi, ebm)
     gram = steering_gram(cfg.m, cfg.n, psi.beta)
     return float(np.trace(_guarded_solve(info, gram)).real) / cfg.size
-
-
-def _sum3(x):
-    """Sum over a last axis of length 3, in one fixed order."""
-    return (x[..., 0] + x[..., 1]) + x[..., 2]
 
 
 def _products(g, k1, k2):
@@ -244,7 +239,7 @@ def _di_score(q_mats, c0, y):
     ``y`` (..., 3), from the terms of :func:`_di_score_terms` (broadcast
     against the leading shape of ``y``)."""
     qy = (q_mats @ y[..., None, :, None])[..., 0]     # (..., 2, 3)
-    return c0 - (y.conj()[..., None, :] * qy).sum(-1).real
+    return c0 - _sum3((y.conj()[..., None, :] * qy).real)
 
 
 def fisher_di(cfg: ArrayConfig, x, model: DiModel, ebm: Ebm) -> np.ndarray:

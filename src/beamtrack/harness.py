@@ -19,12 +19,15 @@ initial-estimate offsets and the bootstrap cycle's six noise normals, the
 uniforms scaled from ``random()`` as ``Generator.uniform`` scales them.
 Tests pin the numpy behaviour this rests on: the generators equal
 ``default_rng``'s for seeds up to beyond 2^64, and the scaled uniforms
-equal ``Generator.uniform``'s bit for bit.  Then it fills blocks
-``standard_normal((K, c))``, K at most ``CYCLE_CHUNK`` cycles each, one row
-per cycle: the channel transition's ``evolve_normals(kind)`` columns
-(quasi-static none; fading gain the two gain normals; Gauss-Markov the
-theta and phi steps, scaled by ``delta_a``, then the two gain normals),
-then the real and the imaginary parts of the three noise values.  A
+equal ``Generator.uniform``'s bit for bit.  Then, K at most
+``CYCLE_CHUNK`` cycles at a time, it writes ``standard_normal`` straight
+into its (K, c) slice of one preallocated (B, K, c) block of the batch,
+the numbers of ``standard_normal((K, c))``, and cycle k reads the (B, c)
+column ``block[:, k]``.  A cycle's row holds the channel transition's
+``evolve_normals(kind)`` columns (quasi-static none; fading gain the two
+gain normals; Gauss-Markov the theta and phi steps, scaled by
+``delta_a``, then the two gain normals), then the real and the imaginary
+parts of the three noise values.  A
 trial's numbers therefore do not depend on the batch, and the per-trial
 errors are reduced in trial order, so for a fixed seed the CSV is
 byte-identical at any batch split.
@@ -261,11 +264,13 @@ def _run_batch(ec: ExperimentConfig, trials: range):
     err_h = np.empty((len(rngs), len(recorded)))
     err_x = np.empty((len(rngs), len(recorded)))
     col = 0
+    block = np.empty((len(rngs), min(CYCLE_CHUNK, cycles), width))
     for first in range(0, cycles, CYCLE_CHUNK):
         count = min(CYCLE_CHUNK, cycles - first)
-        block = np.stack([rng.standard_normal((count, width)) for rng in rngs],
-                         axis=1)                      # (count, B, width)
-        for k, z in enumerate(block, first + 1):
+        for rng, rows in zip(rngs, block):
+            rng.standard_normal(out=rows[:count])
+        for j, k in enumerate(range(first + 1, first + count + 1)):
+            z = block[:, j]
             dirs = tracker.probes()
             ch = evolve_batch(ch, sc, cfg, z[:, :-NOISE_NORMALS])
             y = observe_fast(cfg, ch.x, ch.beta_eff, dirs,

@@ -119,6 +119,13 @@ def observe_fast(cfg: ArrayConfig, x, beta, dirs, normals) -> np.ndarray:
     return cfg.pilot_amp * np.asarray(beta)[..., None] * g + noise
 
 
+def _sum3(x):
+    """Sum over a last axis of length 3, in one fixed order: numpy's sum
+    over that axis without a reduction pass, bit for bit but for the sign
+    of a zero sum of three negative zeros (numpy's reads +0)."""
+    return (x[..., 0] + x[..., 1]) + x[..., 2]
+
+
 def fit_gains(e, y, pilot_amp: float) -> np.ndarray:
     """Least-squares gains beta = e^H y / (s ||e||^2) of observations
     ``y`` (..., 3) whose responses per unit gain are s * ``e`` (3,); zero
@@ -126,7 +133,7 @@ def fit_gains(e, y, pilot_amp: float) -> np.ndarray:
     denom = pilot_amp * float(np.vdot(e, e).real)
     if denom < 1e-30:
         return np.zeros(np.shape(y)[:-1], complex)
-    return (e.conj() * y).sum(-1) / denom
+    return _sum3(e.conj() * y) / denom
 
 
 def observation_kernels(cfg: ArrayConfig, x, ebm: Ebm):

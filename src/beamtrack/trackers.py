@@ -26,6 +26,7 @@ tracker.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional, Protocol
 
@@ -35,7 +36,8 @@ from .arrays import ArrayConfig, probe_kernels
 from .estimation import (COND_LIMIT, SingularFisher, _di_info, _di_score,
                          _di_score_terms, _products, _regular, _sym2,
                          jacobian)
-from .signal import ChannelParams, Ebm, OffsetSet, fit_gains, noiseless_mean
+from .signal import (ChannelParams, Ebm, OffsetSet, _sum3, fit_gains,
+                     noiseless_mean)
 
 
 @dataclass(frozen=True)
@@ -130,9 +132,9 @@ def _jbct_direction_batch(cache: FastUpdateCache, beta: np.ndarray,
     """
     # gradient of the log-likelihood (pilot scale folded into the caches)
     resid = y - beta[:, None] * cache.se
-    ip0 = (cache.e_s.conj() * resid).sum(1)
-    ub0 = ((beta[:, None] * cache.d1_s).conj() * resid).sum(1).real
-    ub1 = ((beta[:, None] * cache.d2_s).conj() * resid).sum(1).real
+    ip0 = _sum3(cache.e_s.conj() * resid)
+    ub0 = _sum3(((beta[:, None] * cache.d1_s).conj() * resid).real)
+    ub1 = _sum3(((beta[:, None] * cache.d2_s).conj() * resid).real)
     # block solve: gain block is ||e||^2 I2, coupling rows are Re/Im of
     # beta * r12, direction Schur block is |beta|^2 * Is
     br0 = beta * cache.r12[0]
@@ -269,10 +271,22 @@ def _as_complex(re, im) -> np.ndarray:
     return out
 
 
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """Row maxima of a (T, c) array: np.maximum over its columns in order,
+    the short-axis ``max(axis=1)`` without a reduction pass."""
+    return functools.reduce(np.maximum, a.T)
+
+
+def _rows_finite(a: np.ndarray) -> np.ndarray:
+    """Rows of a (T, c) array whose entries are all finite: the short-axis
+    ``isfinite(a).all(axis=1)`` as a chain of column ands."""
+    return functools.reduce(np.logical_and, np.isfinite(a).T)
+
+
 def _capped_step(schedule, k: int, direction: np.ndarray) -> np.ndarray:
     """Scheduled steps with each row truncated to STEP_CAP in max-norm."""
     step = schedule.at(k) * direction
-    largest = np.abs(step).max(axis=1)
+    largest = _row_max(np.abs(step))
     scale = np.where(largest > STEP_CAP, STEP_CAP / largest, 1.0)
     return step * scale[:, None]
 
@@ -298,8 +312,7 @@ class JbctBatch:
             direction = _jbct_direction_batch(self.cache, beta, y)
             step = _capped_step(self.schedule, self.k, direction)
         # the Fisher is singular at a vanishing gain estimate: skip those
-        apply = (np.isfinite(b2) & (b2 >= 1e-24)
-                 & np.isfinite(direction).all(axis=1))
+        apply = np.isfinite(b2) & (b2 >= 1e-24) & _rows_finite(direction)
         self.psi = np.where(apply[:, None], self.psi + step, self.psi)
 
     def estimate(self):
@@ -338,7 +351,7 @@ class RbtBatch:
         self.k += 1
         with np.errstate(all="ignore"):
             step = _capped_step(self.run.schedule, self.k, direction)
-        apply = np.isfinite(direction).all(axis=1)
+        apply = _rows_finite(direction)
         self.x = np.where(apply[:, None], self.x + step, self.x)
 
     def estimate(self):
@@ -361,12 +374,14 @@ class BeamSwitchBatch:
         step = np.zeros(2)
         step[self.k % 2] = BEAM_SPACING
         probes = np.stack([self.x, self.x + step, self.x - step], axis=1)
-        return np.clip(probes, -self.limits, self.limits)
+        self.pattern = np.clip(probes, -self.limits, self.limits)
+        return self.pattern
 
     def update(self, y: np.ndarray) -> None:
+        """Switch to the strongest beam of this cycle's :meth:`probes`."""
         rows = np.arange(len(y))
         best = np.argmax(np.abs(y), axis=1)
-        self.x = self.probes()[rows, best]
+        self.x = self.pattern[rows, best]
         self.beta_hat = y[rows, best] / self.gain_scale
         self.k += 1
 
@@ -384,8 +399,8 @@ class EkfBatch:
         self.x = np.array(x0, float)
         self.p = np.tile(EKF_PRIOR_VAR * np.eye(2), (len(self.x), 1, 1))
         self.beta_hat = np.array(beta0, complex)
-        self.g, k1, k2 = probe_kernels(EKF_PROBE_OFFSETS, cfg.m, cfg.n)
-        self.k12 = np.stack([k1, k2], axis=1)
+        self.g, self.k1, self.k2 = probe_kernels(EKF_PROBE_OFFSETS, cfg.m,
+                                                 cfg.n)
 
     def probes(self) -> np.ndarray:
         return self.x[:, None, :] + EKF_PROBE_OFFSETS
@@ -394,21 +409,23 @@ class EkfBatch:
         s, r = self.cfg.pilot_amp, self.cfg.noise_var / 2.0
         # a row with a non-finite observation updates on y = 0, which moves
         # nothing; it keeps its gain estimate and its covariance is reset
-        finite = np.isfinite(y).all(axis=1)
+        finite = _rows_finite(y)
         y = np.where(finite[:, None], y, 0.0)
         beta = fit_gains(self.g, y, s)
         self.beta_hat = np.where(finite, beta, self.beta_hat)
         sb = s * beta
         resid = y - sb[:, None] * self.g
-        h = sb[:, None, None] * self.k12                          # (T, 3, 2)
-        hth = (h.conj()[..., None] * h[..., None, :]).sum(1).real / r
-        u = (h.conj() * resid[..., None]).sum(1).real / r
+        h1 = sb[:, None] * self.k1                                # (T, 3)
+        h2 = sb[:, None] * self.k2
+        c1, c2 = h1.conj(), h2.conj()
+        # entries (11, 12, 22) of Re(h^H h) and Re(h^H resid), per probe
+        # products summed in probe order
+        f11, f12, f22, u1, u2 = (_sum3((p * q).real) / r for p, q in (
+            (c1, h1), (c1, h2), (c2, h2), (c1, resid), (c2, resid)))
         p_pred = self.p + EKF_PROCESS_NOISE * np.eye(2)
         ia, ib, id_ = _sym_inv2(p_pred[:, 0, 0], p_pred[:, 0, 1], p_pred[:, 1, 1])
-        a, b, d = _sym_inv2(ia + hth[:, 0, 0], ib + hth[:, 0, 1],
-                            id_ + hth[:, 1, 1])
-        self.x = self.x + np.stack([a * u[:, 0] + b * u[:, 1],
-                                    b * u[:, 0] + d * u[:, 1]], axis=1)
+        a, b, d = _sym_inv2(ia + f11, ib + f12, id_ + f22)
+        self.x = self.x + np.stack([a * u1 + b * u2, b * u1 + d * u2], axis=1)
         # covariance reset where the observation was not finite or P+ is not
         # positive definite (a non-finite P+ fails the same test)
         det = a * d - b * b

@@ -1,5 +1,11 @@
 """Test oracles: the references the library's code is compared against.
 
+Per-axis kernels: ``axis_sums``, the closed-form geometric sums of one
+axis at a time (the library takes both axes in one pass), and the kernels
+built from it (``probe_kernels_per_axis``, ``gain_kernel_per_axis``,
+``beam_gain_kernel_per_axis``, ``probe_kernels_limit_per_axis``), which
+the one-pass kernels must equal bit for bit.
+
 Per-trial references, one trial at a time, each function drawing from the
 trial's generator call by call: the trial's generator ``_trial_rng``, a
 trial's row of initial draws ``initial_draws_row`` (one ``uniform`` call
@@ -31,8 +37,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from beamtrack.arrays import (Aoa, ArrayConfig, PatternConfig, _xy,
-                              dpv_from_aoa, element_gain_angles, probe_kernels)
+from beamtrack.arrays import (_SERIES_X, Aoa, ArrayConfig, PatternConfig,
+                              _combine, _horner, _limit_axis, _limit_combine,
+                              _ratio_series, _xy, dpv_from_aoa,
+                              element_gain_angles, probe_kernels)
 from beamtrack.channels import (INITIAL_DRAWS, DynamicI, QuasiStatic,
                                 ScenarioConfig, ScenarioKind, bootstrap_gains)
 from beamtrack.estimation import DiModel, _di_score, _di_score_terms
@@ -69,6 +77,95 @@ def initial_draws_row(sc: ScenarioConfig, rng: np.random.Generator,
     out[5:7] = rng.uniform(-halfwidth, halfwidth, 2)
     out[7:] = rng.standard_normal(6)
     return out
+
+
+# ---------------------------------------------------------------------------
+# per-axis kernels
+# ---------------------------------------------------------------------------
+
+
+def axis_dirichlet(d, size: int, slope: bool = False):
+    """``arrays._dirichlet`` of one axis: 1-D offsets ``d``, scalar size."""
+    k = np.round(d / size)
+    x = np.pi * (d - k * size)
+    u = x / size
+    trig = sx, cx, su, cu = np.sin(x), np.cos(x), np.sin(u), np.cos(u)
+    small = np.abs(x) < _SERIES_X
+    den = np.where(small, 1.0, su)
+    ratio = sx / den
+    f = (size * cx * su - sx * cu) / (den * den) if slope else None
+    if small.any():
+        a = _ratio_series(size)
+        us = u[small]
+        u2 = us * us
+        ratio[small] = _horner(a, u2)
+        if slope:
+            f[small] = us * _horner([2 * j * c for j, c in enumerate(a)][1:],
+                                    u2)
+    return k, trig, ratio, f
+
+
+def axis_sums(d, size: int, deriv: bool):
+    """``arrays._axis_sums`` of one axis, for offsets ``d`` of any shape:
+    the per-axis oracle of the library's one-pass form."""
+    _, (sx, cx, su, cu), ratio, f = axis_dirichlet(d.reshape(-1), size, deriv)
+    pc = cx * cu + sx * su
+    ps = sx * cu - cx * su
+    s = np.empty(ratio.shape, complex)
+    s.real = pc * ratio
+    s.imag = -ps * ratio
+    t = None
+    if deriv:
+        a = 0.5 * (size - 1) * ratio
+        b = 0.5 * f
+        t = np.empty(ratio.shape, complex)
+        t.real = pc * a + ps * b
+        t.imag = pc * b - ps * a
+        t = t.reshape(d.shape)
+    return s.reshape(d.shape), t
+
+
+def probe_kernels_per_axis(deltas, m: int, n: int, index=None):
+    """``arrays.probe_kernels`` with one :func:`axis_sums` pass per axis."""
+    d = np.asarray(deltas, float)
+    if index is None:
+        return _combine(*axis_sums(d[..., 0], m, True),
+                        *axis_sums(d[..., 1], n, True), m, n)
+    s1, t1 = axis_sums(d, m, True)
+    s2, t2 = axis_sums(d, n, True)
+    i1, i2 = index[..., 0], index[..., 1]
+    return _combine(s1[i1], t1[i1], s2[i2], t2[i2], m, n)
+
+
+def gain_kernel_per_axis(deltas, m: int, n: int):
+    """``arrays._gain_kernel`` with one :func:`axis_sums` pass per axis."""
+    d = np.asarray(deltas, float)
+    s1, _ = axis_sums(d[..., 0], m, False)
+    s2, _ = axis_sums(d[..., 1], n, False)
+    return s1 * s2 / np.sqrt(m * n)
+
+
+def beam_gain_kernel_per_axis(delta, m: int, n: int):
+    """``arrays.beam_gain_kernel`` of (..., 2) offsets, one
+    :func:`axis_dirichlet` pass per axis."""
+    d = np.asarray(delta, float)
+
+    def ratio(dd, size):
+        k, _, r, _ = axis_dirichlet(dd.reshape(-1), size)
+        h = 0.5 * k * (size - 1)
+        return np.where(np.floor(h) == h, r, -r).reshape(dd.shape)
+
+    return ratio(d[..., 0], m) * ratio(d[..., 1], n)
+
+
+def probe_kernels_limit_per_axis(deltas):
+    """The direct route of ``arrays.probe_kernels_limit``, one
+    ``_limit_axis`` pass per axis."""
+    d = np.asarray(deltas, float)
+    lead = d.shape[:-1]
+    return tuple(k.reshape(lead) for k in _limit_combine(
+        *_limit_axis(d[..., 0].reshape(-1)),
+        *_limit_axis(d[..., 1].reshape(-1))))
 
 
 # ---------------------------------------------------------------------------

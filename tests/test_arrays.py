@@ -16,6 +16,9 @@ from beamtrack.arrays import (Aoa, ArrayConfig, OutOfPhysicalRange,
                               element_gain_db_angles, probe_kernels, probe_kernels_limit,
                               steering_derivative, steering_vector)
 
+from reference import (beam_gain_kernel_per_axis, gain_kernel_per_axis,
+                       probe_kernels_limit_per_axis, probe_kernels_per_axis)
+
 CFG = ArrayConfig(8, 8)
 
 
@@ -261,6 +264,76 @@ class TestClosedForm:
         x = t / 2
         got = _phase_deriv_kernel(x, np.sin(x), np.cos(x))
         assert (np.abs(got - want) / np.abs(want)).max() <= 1e-14
+
+
+def _same_bits(got, want):
+    """Equal shapes, dtypes and bytes."""
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.shape == want.shape and got.dtype == want.dtype
+            and np.ascontiguousarray(got).tobytes()
+            == np.ascontiguousarray(want).tobytes())
+
+
+def _one_pass_offsets(size):
+    """Offsets along one axis: those of :func:`_axis_offsets`, plus offsets
+    in the series branch, k * size + r with |pi r| < 0.1."""
+    series = st.builds(lambda k, r: k * size + r, st.integers(-2, 2),
+                       st.floats(-0.03, 0.03))
+    return st.lists(st.floats(-2.0 * size, 2.0 * size) | series,
+                    min_size=1, max_size=8) | _axis_offsets(size)
+
+
+@st.composite
+def _one_pass_case(draw):
+    """An m x n array, square or not, sizes 1-256, and (k, 2) offsets."""
+    sizes = st.sampled_from([1, 2, 8, 256]) | st.integers(1, 256)
+    m = draw(sizes)
+    n = m if draw(st.booleans()) else draw(sizes.filter(lambda v: v != m))
+    d1 = draw(_one_pass_offsets(m))
+    d2 = draw(_one_pass_offsets(n))
+    rows = max(len(d1), len(d2))
+    return m, n, np.stack([np.resize(d1, rows), np.resize(d2, rows)], axis=-1)
+
+
+class TestOnePassKernels:
+    """Both axes in one pass give the bits of one pass per axis
+    (``reference.axis_sums``), on every kernel route, for square and
+    non-square arrays of 1-256 elements per axis, with offsets in the
+    series branch and at and next to multiples of M and N."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_one_pass_case(), lead=st.sampled_from([0, 1, 2]))
+    def test_direct_routes(self, case, lead):
+        """(k, 2), (1, k, 2) and (2, k, 2) offsets."""
+        m, n, d = case
+        d = [d, d[None], np.stack([d, -d])][lead]
+        for got, want in zip(probe_kernels(d, m, n),
+                             probe_kernels_per_axis(d, m, n)):
+            assert _same_bits(got, want)
+        assert _same_bits(_gain_kernel(d, m, n), gain_kernel_per_axis(d, m, n))
+        assert _same_bits(beam_gain_kernel(d, m, n),
+                          beam_gain_kernel_per_axis(d, m, n))
+        for got, want in zip(probe_kernels_limit(d / m),
+                             probe_kernels_limit_per_axis(d / m)):
+            assert _same_bits(got, want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_one_pass_case())
+    def test_table_routes(self, case):
+        """Coordinate values and an index into them: the same bits as the
+        per-axis table and as the offsets themselves."""
+        m, n, d = case
+        values, flat = np.unique(d, return_inverse=True)
+        index = flat.reshape(d.shape)
+        got = probe_kernels(values, m, n, index)
+        for g, want, direct in zip(got,
+                                   probe_kernels_per_axis(values, m, n, index),
+                                   probe_kernels(d, m, n)):
+            assert _same_bits(g, want)
+            assert _same_bits(g, direct)
+        for g, direct in zip(probe_kernels_limit(values / m, index),
+                             probe_kernels_limit(d / m)):
+            assert _same_bits(g, direct)
 
 
 class TestShiftProperty:

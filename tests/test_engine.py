@@ -8,6 +8,7 @@ engine must reproduce it per trial and cycle, and for a fixed seed its
 CSV must be byte-identical at any batch split.
 """
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -21,10 +22,12 @@ from beamtrack.estimation import di_offsets_crlb, static_offsets_crlb
 from beamtrack.harness import (TRACKERS, ExperimentConfig, _recorded_cycles,
                                _records, _resolve_offsets, _run_batch,
                                _stationary_gain_var, _trial_rngs,
-                               effective_array, emit_csv, run_experiment)
+                               effective_array, emit_csv, format_csv,
+                               run_experiment)
 from beamtrack.offsets import STATIC_OFFSETS
 from beamtrack.signal import ChannelParams, build_ebm
-from beamtrack.trackers import (STEP_CAP, DiminishingStep, EkfBatch,
+from beamtrack.trackers import (STEP_CAP, ConstantStep, DiminishingStep,
+                                EkfBatch,
                                 JbctBatch, TrackerRun,
                                 _jbct_direction_batch, jbct_direction)
 from reference import (_trial_rng, baseline_beam_switch_step,
@@ -267,6 +270,20 @@ class TestTrialStreams:
     def test_property_random_batches(self, seed, first, count):
         self._assert_streams_match(seed, range(first, first + count))
 
+    def test_normals_written_in_place(self):
+        """``standard_normal(out=...)`` into a trial's (K, c) slice of the
+        batch's (B, K, c) block, a full chunk and then a shorter one, draws
+        the numbers of ``standard_normal((K, c))``."""
+        block = np.empty((3, 8, 10))
+        rngs = _trial_rngs(4, range(3))
+        want = [_trial_rng(4, t) for t in range(3)]
+        for count in (8, 5):
+            for rng, rows in zip(rngs, block):
+                rng.standard_normal(out=rows[:count])
+            for rows, rng in zip(block, want):
+                assert np.array_equal(rows[:count],
+                                      rng.standard_normal((count, 10)))
+
 
 class TestRecordedCycles:
     """A run that records every fifth of 23 cycles computes the errors at
@@ -318,6 +335,74 @@ class TestCsvBytes:
         from beamtrack import harness
         ec = _config("JBCT_DII-dii", num_trials=3, num_eccs=harness.CYCLE_CHUNK + 5)
         _assert_matches_reference(ec)
+
+
+class TestCsvPins:
+    """sha256 of small ``run_experiment`` CSVs, one per tracker and scenario
+    of criteria 9 and 11: 40 trials x 60 cycles, every cycle recorded,
+    seed 7.  A change to the engine's arithmetic that is meant to keep the
+    outputs must keep these bytes.  A change meant to alter them (such as
+    a cancellation-free channel error) updates the hashes here and lists
+    the old and new values in CHANGES.md.  The bytes rest on the
+    platform's floating point (recorded with numpy 2.4 on x86-64)."""
+
+    DII = ScenarioConfig(DynamicII(0.995, np.deg2rad(0.3)))
+    CASES = {
+        "9a-JBCT_S": (ScenarioConfig(QuasiStatic()), "JBCT_S", "tableII",
+                      DiminishingStep(1.0)),
+        "9b-RBT_DI": (ScenarioConfig(DynamicI(1.0)), "RBT_DI", "tableIII",
+                      DiminishingStep(1.0, 5.0)),
+        "11-JBCT_DII": (DII, "JBCT_DII", "tableII", ConstantStep(0.7)),
+        "11-BeamSwitch": (DII, "BeamSwitch", "tableII", None),
+        "11-EKF": (DII, "EKF", "tableII", None),
+    }
+    SHA256 = {
+        "9a-JBCT_S": "789acfc44ba17b6d2db1f863f9aafd83"
+                     "a73ca54ffba16134c75745321c1a2f39",
+        "9b-RBT_DI": "249fdd381bded42e803df254e8c2935f"
+                     "eec05212b8b121abe38887ac11a4b3cb",
+        "11-JBCT_DII": "dec49f5485c20fa968218f2aa3e20b75"
+                       "459580f2e145de64c605479a99842f18",
+        "11-BeamSwitch": "832962feecdf6205ff30ada118e36e08"
+                         "158de881339cabf25cd7321e9a710780",
+        "11-EKF": "b21d27867d4488f8c74d975647b97173"
+                  "42d220b9844b5e3426607d5be2542127",
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_csv_sha256(self, name):
+        scenario, tracker, offsets, schedule = self.CASES[name]
+        ec = ExperimentConfig(scenario, ArrayConfig(8, 8), tracker, offsets,
+                              schedule, num_trials=40, num_eccs=60, seed=7,
+                              record_every=1, init_halfwidth=0.25)
+        text = format_csv(run_experiment(ec))
+        assert hashlib.sha256(text.encode()).hexdigest() == self.SHA256[name]
+
+
+class TestKernelPasses:
+    """A cycle evaluates its observation's gain kernel in one Dirichlet
+    pass over both axes, and a recorded cycle its channel error in one
+    more."""
+
+    @pytest.mark.parametrize("record_every, passes", [(10**6, 10), (1, 20)])
+    def test_ten_more_cycles(self, monkeypatch, record_every, passes):
+        from beamtrack import arrays
+        calls = []
+        dirichlet = arrays._dirichlet
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return dirichlet(*args, **kwargs)
+
+        monkeypatch.setattr(arrays, "_dirichlet", counted)
+
+        def count(cycles):
+            calls.clear()
+            run_experiment(_config("JBCT_DII-dii", num_eccs=cycles,
+                                   record_every=record_every))
+            return len(calls)
+
+        assert count(25) - count(15) == passes
 
 
 class TestSafeguardMasks:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from reference import di_score
 
@@ -11,13 +12,15 @@ from beamtrack.arrays import ArrayConfig, probe_kernels
 from beamtrack.channels import bootstrap_gains
 from beamtrack.estimation import DiModel, SingularFisher, fisher_di
 from beamtrack.offsets import FADING_OFFSETS, STATIC_OFFSETS
-from beamtrack.signal import ChannelParams, OffsetSet, build_ebm, noiseless_mean
+from beamtrack.signal import (ChannelParams, OffsetSet, _sum3, build_ebm,
+                              noiseless_mean)
 from beamtrack import trackers
 from beamtrack.trackers import (BEAM_SPACING, BeamSwitchBatch, ConstantStep,
                                 DiminishingStep, EkfBatch, JbctBatch, RbtBatch,
                                 TrackerRun, _OpTally, _jbct_direction_batch,
-                                _rbt_direction_batch, build_fast_cache,
-                                count_ops, jbct_direction, mean_field)
+                                _rbt_direction_batch, _row_max, _rows_finite,
+                                build_fast_cache, count_ops, jbct_direction,
+                                mean_field)
 
 CFG = ArrayConfig(8, 8)
 PSI = ChannelParams.from_parts(0.8 - 0.3j, (0.0, 0.0))
@@ -413,6 +416,24 @@ class TestBeamSwitch:
     def test_probe_budget_is_three(self):
         assert _baseline(BeamSwitchBatch, (0.0, 0.0)).probes().shape == (1, 3, 2)
 
+    def test_one_pattern_build_per_cycle(self, monkeypatch):
+        """The harness asks for the probe pattern once per cycle, and the
+        update switches within that pattern instead of building it again."""
+        from beamtrack.channels import DynamicII, ScenarioConfig
+        from beamtrack.harness import ExperimentConfig, run_experiment
+        builds = []
+        probes = BeamSwitchBatch.probes
+
+        def counted(self):
+            builds.append(self.k)
+            return probes(self)
+
+        monkeypatch.setattr(BeamSwitchBatch, "probes", counted)
+        run_experiment(ExperimentConfig(ScenarioConfig(DynamicII()), CFG,
+                                        "BeamSwitch", num_trials=4,
+                                        num_eccs=12, seed=3))
+        assert builds == list(range(12))
+
     def test_quantization_floor(self):
         """Vanishing noise leaves at least the lattice quantization error:
         for uniform truth the per-axis MSE approaches spacing^2/12."""
@@ -493,3 +514,71 @@ class TestEkf:
             p = tracker.p[0]
             assert np.array_equal(p, p.T)
             assert np.linalg.eigvalsh(p).min() >= -1e-12
+
+
+# ---------------------------------------------------------------------------
+# fixed-order short reductions
+# ---------------------------------------------------------------------------
+
+_MAGNITUDES = st.builds(lambda v, neg: -v if neg else v,
+                        st.floats(1e-8, 1e8), st.booleans())
+
+
+@st.composite
+def _short_rows(draw, widths, complex_values):
+    """(T, c) arrays, c from ``widths``, entries of magnitude 1e-8 to 1e8
+    (both parts, if complex), and up to four entries set to NaN or +-inf."""
+    width = draw(st.sampled_from(widths))
+    rows = draw(st.integers(1, 30))
+    parts = 2 if complex_values else 1
+    a = draw(hnp.arrays(float, (parts, rows, width), elements=_MAGNITUDES))
+    for row, col, part, value in draw(st.lists(st.tuples(
+            st.integers(0, rows - 1), st.integers(0, width - 1),
+            st.integers(0, parts - 1),
+            st.sampled_from([np.nan, np.inf, -np.inf])), max_size=4)):
+        a[part, row, col] = value
+    if not complex_values:
+        return a[0]
+    x = np.empty((rows, width), complex)
+    x.real, x.imag = a
+    return x
+
+
+def _same_values(got, want):
+    """Equal shapes, NaN at the same places (per real component) and the
+    same bits elsewhere; a NaN's payload is not compared."""
+    got = np.ascontiguousarray(got)
+    want = np.ascontiguousarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    if got.dtype.kind == "c":
+        got, want = got.view(float), want.view(float)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+class TestFixedOrderReductions:
+    """The per-cycle short-axis reductions are column chains in a fixed
+    order that reproduce numpy's ``sum``, ``max`` and ``all`` over the
+    short axis.  The sum runs over the three probes (real and complex, and
+    the strided real part of a complex array); the maximum runs over
+    absolute step entries, so over real values; ``all`` over finite
+    checks of real and complex rows."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=_short_rows([3], False) | _short_rows([3], True))
+    def test_sum3_is_numpy_sum(self, x):
+        with np.errstate(invalid="ignore"):
+            _same_values(_sum3(x), x.sum(1))
+            _same_values(_sum3(x.real), x.real.sum(1))
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=_short_rows([2, 3, 4], False))
+    def test_row_max_is_numpy_max(self, x):
+        _same_values(_row_max(x), x.max(axis=1))
+        _same_values(_row_max(np.abs(x)), np.abs(x).max(axis=1))
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=_short_rows([2, 3, 4], False) | _short_rows([3, 4], True))
+    def test_rows_finite_is_numpy_all(self, x):
+        assert np.array_equal(_rows_finite(x), np.isfinite(x).all(axis=1))
