@@ -14,8 +14,8 @@ taken in one pass: the offsets are laid out axis-first, (2, k), so that
 every numpy loop runs along the k offsets, and an m x n array carries its
 sizes as a (2, 1) column (a square array as one scalar).  Given
 coordinate values and an integer index of offsets into them, the factors
-are taken once per value and gathered, a kernel table: the same combine
-then gives the same bits as the offsets themselves.
+are taken once per value and axis, in the same pass, and gathered, a
+kernel table: the same combine gives the bits of the offsets themselves.
 """
 
 from __future__ import annotations
@@ -58,9 +58,10 @@ class ArrayConfig:
             raise ValueError(f"array needs 1 to {MAX_AXIS} elements per axis")
         if min(self.d1, self.d2) <= 0:
             raise ValueError("spacings must be positive")
-        if not 0 <= self.pilot_amp < math.inf:
+        # a zero pilot observes nothing: the trackers divide by it
+        if not 0 < self.pilot_amp < math.inf:
             raise ValueError(f"pilot amplitude must be finite and "
-                             f"nonnegative, got {self.pilot_amp!r}")
+                             f"positive, got {self.pilot_amp!r}")
         if self.noise_var <= 0:
             raise ValueError("noise variance must be positive")
 
@@ -236,8 +237,7 @@ def _by_axis(deltas):
 def _dirichlet(d, m: int, n: int, slope: bool = False):
     """Reduced Dirichlet ratios of both axes in one pass, for axis-first
     offsets ``d`` (2, k): row 0 along the m-element axis, row 1 along the
-    n-element axis.  On a square array the two share one size, and ``d``
-    may have any shape.
+    n-element axis.  On a square array the two share one size.
 
     With size the axis' element count, writes d = k*size + r with
     k = round(d/size), so |r| <= size/2, and x = pi r, u = x/size.  Returns
@@ -346,8 +346,8 @@ def probe_kernels(deltas, m: int, n: int, index=None):
 
     With an integer ``index`` (..., 2), ``deltas`` is 1-D: coordinate
     values, and the offsets are deltas[index].  The sums are then taken
-    once per value (per value and axis off a square array) and gathered,
-    for the same bits as ``probe_kernels(deltas[index], m, n)``.
+    once per value and axis, in one (2, v) pass at every array shape, and
+    gathered, for the same bits as ``probe_kernels(deltas[index], m, n)``.
     """
     d = np.asarray(deltas, float)
     if index is None:
@@ -355,9 +355,6 @@ def probe_kernels(deltas, m: int, n: int, index=None):
         return tuple(k.reshape(d.shape[:-1])
                      for k in _combine(s[0], t[0], s[1], t[1], m, n))
     i1, i2 = index[..., 0], index[..., 1]
-    if m == n:
-        s, t = _axis_sums(d, m, n, True)
-        return _combine(s[i1], t[i1], s[i2], t[i2], m, n)
     s, t = _axis_sums(np.stack([d, d]), m, n, True)
     return _combine(s[0, i1], t[0, i1], s[1, i2], t[1, i2], m, n)
 

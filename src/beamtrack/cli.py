@@ -10,6 +10,7 @@ verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -23,6 +24,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="beamtrack",
                      description="2D phased-array beam and channel tracking")
@@ -39,6 +41,7 @@ def _build_parser() -> _Parser:
                        choices=["quasi-static", "dynamic-i", "dynamic-ii"])
     track.add_argument("--tracker")
     track.add_argument("--offsets")
+    track.set_defaults(run=_cmd_track)
 
     crlb = sub.add_parser("crlb", help="evaluate or sweep the tracking bounds")
     off = sub.add_parser("offsets", help="search for optimal exploration offsets")
@@ -53,6 +56,7 @@ def _build_parser() -> _Parser:
     crlb.add_argument("--sweep-sizes",
                       help="comma list of square sizes, e.g. 8,16,32 (takes "
                            "neither --m nor --n)")
+    crlb.set_defaults(run=_cmd_crlb)
 
     off.add_argument("--seed", type=int, default=0,
                      help="no effect: the search is deterministic")
@@ -65,11 +69,13 @@ def _build_parser() -> _Parser:
                      help="skip the search; sweep the preset offsets over "
                           "these square sizes, e.g. 8,16,32 (takes none of "
                           "--m, --n, --grid, --iters, --out)")
+    off.set_defaults(run=_cmd_offsets)
 
     ver = sub.add_parser("verify", help="run the built-in correctness suites")
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--quick", action="store_true",
                      help="fewer Monte-Carlo draws")
+    ver.set_defaults(run=_cmd_verify)
     return parser
 
 
@@ -121,17 +127,20 @@ def _unused(args, sweep: str, flags) -> None:
             raise ConfigError(f"--{flag}: not used with {sweep}")
 
 
-def _size_flags(args) -> None:
-    """Check ``--m`` and ``--n`` of ``crlb`` and ``offsets`` (default 8),
-    and that a sweep (``--sweep-sizes``, ``--robustness``), which sizes its
-    arrays itself, is given neither."""
-    sweep, sizes = (("--sweep-sizes", args.sweep_sizes)
-                    if args.command == "crlb"
-                    else ("--robustness", args.robustness))
+def _bound_flags(args, sweep: str, sizes) -> None:
+    """Check the flags ``crlb`` and ``offsets`` share: ``--m`` and ``--n``
+    (default 8), which the ``sweep`` flag's sweep over ``sizes`` sizes
+    itself and takes neither of, then ``--snr-beta-db``."""
+    from .harness import ConfigError
+    from .offsets import db_to_power
     if sizes:
         _unused(args, sweep, ("m", "n"))
     args.m = _size(8 if args.m is None else args.m, "--m")
     args.n = _size(8 if args.n is None else args.n, "--n")
+    try:
+        db_to_power(args.snr_beta_db)
+    except ValueError as exc:
+        raise ConfigError(f"--snr-beta-db: {exc}") from None
 
 
 def _search_flags(args) -> None:
@@ -184,6 +193,8 @@ def _resolve_cli_offsets(token: str):
 
 
 def _cmd_track(args) -> int:
+    # imported per call: a module-level import would bind the names before
+    # bench/tracing.py wraps them on their modules
     from .harness import (config_from_mapping, emit_csv, format_csv,
                           parse_config_text, run_experiment)
     try:
@@ -217,6 +228,7 @@ def _cmd_track(args) -> int:
 
 def _cmd_crlb(args) -> int:
     from dataclasses import replace
+    _bound_flags(args, "--sweep-sizes", args.sweep_sizes)
     model = args.objective.split("-")[0]
     deltas = _resolve_cli_offsets(args.offsets or _MODEL_PRESETS[model]).deltas
     objectives = _objectives(args)
@@ -236,8 +248,11 @@ def _cmd_crlb(args) -> int:
 
 
 def _cmd_offsets(args) -> int:
+    # imported per call, as in _cmd_track
     from .offsets import (SearchConfig, canonicalize, optimize_offsets,
                           robustness_sweep, swap_applies)
+    _bound_flags(args, "--robustness", args.robustness)
+    _search_flags(args)
     objectives = _objectives(args)
     if args.robustness:
         sizes = [(s, s) for s in _sizes(args.robustness, "--robustness")]
@@ -299,24 +314,10 @@ def _cmd_verify(args) -> int:
 def main(argv=None) -> int:
     from .estimation import SingularFisher
     from .harness import ConfigError
-    from .offsets import NoImprovement, db_to_power
+    from .offsets import NoImprovement
     args = _build_parser().parse_args(argv)
     try:
-        if args.command in ("crlb", "offsets"):
-            _size_flags(args)
-            try:
-                db_to_power(args.snr_beta_db)
-            except ValueError as exc:
-                raise ConfigError(f"--snr-beta-db: {exc}") from None
-        if args.command == "offsets":
-            _search_flags(args)
-        if args.command == "track":
-            return _cmd_track(args)
-        if args.command == "crlb":
-            return _cmd_crlb(args)
-        if args.command == "offsets":
-            return _cmd_offsets(args)
-        return _cmd_verify(args)
+        return args.run(args)
     except (ConfigError, NoImprovement, SingularFisher) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

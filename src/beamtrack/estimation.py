@@ -297,6 +297,7 @@ def crlb_di_asymptotic(deltas, snr_beta: float, index=None):
     """Large-array limit of MN times the direction CRLB, per offset set of
     ``deltas`` (..., 3, 2), or of deltas[index].  The array gain swamps the
     noise (snr a -> inf in :func:`_di_info`), so I = 2 snr W / a: the SNR
-    is a scale."""
+    is a scale; +inf at a zero gain SNR, as :func:`di_offsets_crlb`."""
     a, _, (k11, _, k22), w = _products(*probe_kernels_limit(deltas, index))
-    return _trace_solve(w, (a, 0.0, a), a * a * k11 * k22, 0.5 / snr_beta)
+    scale = 0.5 / snr_beta if snr_beta != 0 else np.inf
+    return _trace_solve(w, (a, 0.0, a), a * a * k11 * k22, scale)

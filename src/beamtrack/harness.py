@@ -64,6 +64,8 @@ TRACKER_NAMES = tuple(TRACKERS)
 
 CYCLE_CHUNK = 256   # cycles of normals drawn per trial at a time
 NOISE_NORMALS = 6   # real then imaginary parts of three noise values
+# each trial's stream takes one 32-bit spawn word (_trial_rngs)
+_MAX_TRIALS = 2**32
 
 
 class ConfigError(ValueError):
@@ -102,6 +104,9 @@ def _validate(ec: ExperimentConfig):
                           f"expected one of {TRACKER_NAMES}")
     if ec.num_trials < 1:
         raise ConfigError("num_trials: must be at least 1")
+    if ec.num_trials > _MAX_TRIALS:
+        raise ConfigError(f"num_trials: at most {_MAX_TRIALS}, one 32-bit "
+                          f"stream word per trial")
     if ec.num_eccs < 1:
         raise ConfigError("num_eccs: must be at least 1")
     if ec.seed < 0:

@@ -323,8 +323,10 @@ class TestOnePassKernels:
         """Coordinate values and an index into them: the same bits as the
         per-axis table and as the offsets themselves."""
         m, n, d = case
-        values, flat = np.unique(d, return_inverse=True)
-        index = flat.reshape(d.shape)
+        # distinct bit patterns, so that values[index] is d bit for bit
+        # (np.unique on the floats merges -0.0 into 0.0)
+        bits, flat = np.unique(d.view(np.int64), return_inverse=True)
+        values, index = bits.view(float), flat.reshape(d.shape)
         got = probe_kernels(values, m, n, index)
         for g, want, direct in zip(got,
                                    probe_kernels_per_axis(values, m, n, index),
@@ -399,5 +401,7 @@ class TestConfigValidation:
             ArrayConfig(0, 8)
         with pytest.raises(ValueError):
             ArrayConfig(8, 8, noise_var=0.0)
+        with pytest.raises(ValueError, match="positive"):
+            ArrayConfig(8, 8, pilot_amp=0.0)
         with pytest.raises(ValueError):
             PatternConfig(eta_max_db=-1.0)

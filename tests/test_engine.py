@@ -340,11 +340,13 @@ class TestCsvBytes:
 class TestCsvPins:
     """sha256 of small ``run_experiment`` CSVs, one per tracker and scenario
     of criteria 9 and 11: 40 trials x 60 cycles, every cycle recorded,
-    seed 7.  A change to the engine's arithmetic that is meant to keep the
-    outputs must keep these bytes.  A change meant to alter them (such as
-    a cancellation-free channel error) updates the hashes here and lists
-    the old and new values in CHANGES.md.  The bytes rest on the
-    platform's floating point (recorded with numpy 2.4 on x86-64)."""
+    seed 7, and of the raw ``_run_batch`` arrays behind them, whose last
+    bits the CSV's 12 digits hide.  A change to the engine's arithmetic
+    that is meant to keep the outputs must keep these bytes.  A change
+    meant to alter them (such as a cancellation-free channel error)
+    updates the hashes here and lists the old and new values in
+    CHANGES.md.  The bytes rest on the platform's floating point (recorded
+    with numpy 2.4 on x86-64)."""
 
     DII = ScenarioConfig(DynamicII(0.995, np.deg2rad(0.3)))
     CASES = {
@@ -368,15 +370,37 @@ class TestCsvPins:
         "11-EKF": "b21d27867d4488f8c74d975647b97173"
                   "42d220b9844b5e3426607d5be2542127",
     }
+    # of the little-endian float64 bytes of err_h, err_x, then crlb
+    RAW_SHA256 = {
+        "9a-JBCT_S": "ab63350396bcd7ce45c6935ea1597b09"
+                     "dc45da8904352b0f0a6a1f59ba4f24fd",
+        "9b-RBT_DI": "0287b7fe8df69f0f95299b68734b4181"
+                     "c01a1713d9e2507fdb0cb602c968b5fe",
+        "11-JBCT_DII": "d1f4f560507c2eff853bf3dfc25d0d52"
+                       "1a723b1696e2d7e25f59dd01fec8874d",
+        "11-BeamSwitch": "b696a6b54d66ef9ab7d45aa1ac7108da"
+                         "7d73d28bd64b5cdbe284e9eb2b4a2a0b",
+        "11-EKF": "acb10cb5ee7c03b9a520dfae7b82d6f0"
+                  "87a78a525d9d2d6d7d7a6c58d7c18163",
+    }
+
+    def _config(self, name):
+        scenario, tracker, offsets, schedule = self.CASES[name]
+        return ExperimentConfig(scenario, ArrayConfig(8, 8), tracker, offsets,
+                                schedule, num_trials=40, num_eccs=60, seed=7,
+                                record_every=1, init_halfwidth=0.25)
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_csv_sha256(self, name):
-        scenario, tracker, offsets, schedule = self.CASES[name]
-        ec = ExperimentConfig(scenario, ArrayConfig(8, 8), tracker, offsets,
-                              schedule, num_trials=40, num_eccs=60, seed=7,
-                              record_every=1, init_halfwidth=0.25)
-        text = format_csv(run_experiment(ec))
+        text = format_csv(run_experiment(self._config(name)))
         assert hashlib.sha256(text.encode()).hexdigest() == self.SHA256[name]
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_raw_arrays_sha256(self, name):
+        digest = hashlib.sha256()
+        for arr in _run_batch(self._config(name), range(40)):
+            digest.update(np.ascontiguousarray(arr, "<f8").tobytes())
+        assert digest.hexdigest() == self.RAW_SHA256[name]
 
 
 class TestKernelPasses:

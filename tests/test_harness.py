@@ -109,6 +109,18 @@ class TestRunExperiment:
         with pytest.raises(ConfigError):
             run_experiment(_quasi_static_config(offsets="tableIV"))
 
+    def test_trials_bounded_by_the_stream_words(self):
+        """Each trial's stream takes one 32-bit spawn word, so 2^32 trials
+        is the most a run can have; the bound is checked at configuration
+        (no run of that size is started)."""
+        at_bound = parse_config_text(GOOD_RUN.replace("trials = 2",
+                                                      f"trials = {2**32}"))
+        assert config_from_mapping(at_bound).num_trials == 2**32
+        over = parse_config_text(GOOD_RUN.replace("trials = 2",
+                                                  f"trials = {2**32 + 1}"))
+        with pytest.raises(ConfigError, match=f"num_trials: at most {2**32}"):
+            config_from_mapping(over)
+
 
 class TestCsv:
     def test_header_only_for_empty(self, tmp_path):
@@ -395,6 +407,11 @@ GOLDEN_CLI = {
     ("crlb", "--objective", "di-asymptotic", "--sweep-sizes", "8",
      "--offsets", "0.1,0,0.2,0,0.3,0"):
         "size,mn_times_crlb,asymptotic,rel_gap\n8,inf,inf,nan\n",
+    # a gain SNR that underflows to 0: an infinite direction bound
+    ("crlb", "--objective", "di-asymptotic", "--snr-beta-db", "-4000"):
+        "di-asymptotic CRLB at the given offsets: inf\n",
+    ("crlb", "--objective", "di-finite", "--snr-beta-db", "-4000"):
+        "di-finite CRLB at the given offsets: inf\n",
     ("offsets", "--objective", "static-finite", "--robustness", "4,8"):
         "m,n,crlb_at_offsets,crlb_min,rel_gap\n"
         "4,4,0.138012727359,0.137510712814,3.651e-03\n"
@@ -466,6 +483,9 @@ BAD_INPUTS = {
         []),
     "oversized array": (GOOD_RUN.replace("m = 8", "m = 99999999999999999999"),
                         []),
+    # the pilot power underflows to 0, and a zero pilot observes nothing
+    "zero pilot amplitude": (
+        GOOD_RUN.replace("snr_db = 0.0", "snr_db = -4000.0"), []),
     "schedule keys without a schedule": (
         _NO_SCHEDULE + "epsilon = 50.0\nk0 = 3.0\n", []),
     "epsilon with the constant schedule": (
@@ -566,6 +586,11 @@ BAD_NUMBERS = {
     "directory --out": ["offsets", "--objective", "di-asymptotic",
                         "--grid", "3", "--iters", "5", "--out", "."],
     "negative verify seed": ["verify", "--quick", "--seed", "-1"],
+    # a gain SNR that underflows to 0: every bound is infinite
+    "zero-gain-SNR search": ["offsets", "--objective", "di-asymptotic",
+                             "--snr-beta-db", "-4000"],
+    "zero-gain-SNR sweep": ["offsets", "--objective", "di-finite",
+                            "--robustness", "4", "--snr-beta-db", "-4000"],
 }
 
 
@@ -594,7 +619,11 @@ def test_bad_size_exits_1_with_one_error_line(name, capsys):
     ("--n with --robustness", "error: --n: not used with --robustness"),
     ("unwritable --out", "error: cannot write /no/such/dir/search.csv: "),
     ("directory --out", "error: cannot write .: "),
-    ("negative verify seed", "error: --seed: must be nonnegative")])
+    ("negative verify seed", "error: --seed: must be nonnegative"),
+    ("zero-gain-SNR search",
+     "error: no refinement start produced a finite objective\n"),
+    ("zero-gain-SNR sweep",
+     "error: no refinement start produced a finite objective at 4x4")])
 def test_bad_size_error_names_the_input(name, message, capsys):
     """A one-point or oversized grid is rejected as a --grid error, a
     failed sweep names the size that failed, a flag given to a sweep that

@@ -27,8 +27,8 @@ from reference import _nelder_mead
 
 def _search_from(sc, starts):
     """The search of ``optimize_offsets(sc)`` from explicit (3, 2) starts
-    instead of the grid seeds."""
-    return _search([sc.objective], [starts], sc.refine_iters)[0]
+    instead of the grid seeds, holding nothing yet (incumbent inf)."""
+    return _search([sc.objective], [starts], sc.refine_iters, [np.inf])[0]
 
 
 class TestObjectiveInvariances:
@@ -554,6 +554,21 @@ class TestRobustnessSweep:
             expected.append(((m, n), at, best.crlb_value, gap))
         assert rows == expected
         assert swept == sorted(alone)
+
+    def test_incumbent_check_fires(self):
+        """Each size's result is held against the values the sweep took
+        outside Newton: on an objective whose single-set route reads lower
+        than its batches, the fixed set's value beats every Newton iterate
+        and the sweep fails, naming the size."""
+
+        @dataclass(frozen=True)
+        class Skewed(StaticFinite):
+            def evaluate(self, d, index=None):
+                val = super().evaluate(d, index)
+                return 0.5 * val if index is None and np.ndim(d) == 2 else val
+
+        with pytest.raises(NoImprovement, match="lost to its own seed.*6x6"):
+            robustness_sweep(STATIC_OFFSETS, Skewed(8, 8), [(6, 6)])
 
     def test_small_array_has_larger_gap(self):
         """The shipped static preset is <0.1% suboptimal at 8x8 but visibly
