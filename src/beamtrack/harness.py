@@ -35,6 +35,8 @@ byte-identical at any batch split.
 
 from __future__ import annotations
 
+import math
+import sys
 import tomllib
 from dataclasses import dataclass, replace
 from typing import List, Optional, Union
@@ -52,13 +54,14 @@ from .signal import OffsetSet, observe_fast
 from .trackers import (BeamSwitchBatch, ConstantStep, DiminishingStep,
                        EkfBatch, JbctBatch, RbtBatch, TrackerRun)
 
-# tracker name -> (batched implementation, default step schedule)
+# tracker name -> (batched implementation, default step schedule); the
+# baselines take no step schedule, and a run that sets one is rejected
 TRACKERS = {
     "JBCT_S": (JbctBatch, DiminishingStep(1.0)),
     "RBT_DI": (RbtBatch, DiminishingStep(1.0)),
     "JBCT_DII": (JbctBatch, ConstantStep(0.7)),
-    "BeamSwitch": (BeamSwitchBatch, DiminishingStep(1.0)),
-    "EKF": (EkfBatch, DiminishingStep(1.0)),
+    "BeamSwitch": (BeamSwitchBatch, None),
+    "EKF": (EkfBatch, None),
 }
 TRACKER_NAMES = tuple(TRACKERS)
 
@@ -98,10 +101,22 @@ class MetricsRecord:
     trials: int
 
 
+def snr_db_floor(sc: ScenarioConfig) -> float:
+    """The lowest transmit SNR in dB a run takes: at it, the gain SNR at
+    the element pattern's deepest attenuation, raised to the fourth power
+    (the direction Fisher's determinant is quartic in it), is the smallest
+    normal float.  About -739.1 dB with the default 30 dB pattern."""
+    return 10.0 * math.log10(sys.float_info.min) / 4.0 \
+        + sc.pattern.eta_max_db
+
+
 def _validate(ec: ExperimentConfig):
     if ec.tracker not in TRACKERS:
         raise ConfigError(f"tracker: unknown tracker {ec.tracker!r}; "
                           f"expected one of {TRACKER_NAMES}")
+    tracker_cls, default_schedule = TRACKERS[ec.tracker]
+    if ec.schedule is not None and default_schedule is None:
+        raise ConfigError(f"schedule: {ec.tracker} takes no step schedule")
     if ec.num_trials < 1:
         raise ConfigError("num_trials: must be at least 1")
     if ec.num_trials > _MAX_TRIALS:
@@ -117,9 +132,17 @@ def _validate(ec: ExperimentConfig):
         raise ConfigError("init_halfwidth: must lie in [0, 1)")
     if ec.rbt_sigma_mode not in ("perfect", "estimated"):
         raise ConfigError("rbt_sigma_mode: expected 'perfect' or 'estimated'")
+    if ec.rbt_sigma_mode == "estimated" and tracker_cls is not RbtBatch:
+        raise ConfigError(f"rbt_sigma_mode: 'estimated' applies to the "
+                          f"direction tracker only, not {ec.tracker}")
     if isinstance(ec.offsets, str) and ec.offsets not in OFFSET_PRESETS:
         raise ConfigError(f"offsets: unknown preset {ec.offsets!r}; "
                           f"expected one of {sorted(OFFSET_PRESETS)}")
+    floor = snr_db_floor(ec.scenario)
+    if ec.snr_db < floor:
+        raise ConfigError(f"snr_db: {ec.snr_db!r} is below the floor of "
+                          f"{floor:.3f} dB, under which the direction "
+                          f"Fisher underflows a float")
     _build("snr_db, noise_var", effective_array, ec)
 
 

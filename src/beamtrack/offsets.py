@@ -269,8 +269,7 @@ def _newton(f, x0, lo, hi, maxiter):
         tval = np.full(use.shape, np.inf)
         # float sets, not a table over their own coordinates: a table took
         # di_offsets_crlb at 16x16 410-450 us against 313-360 us on 224 sets
-        if use.any():
-            tval[use] = f(trial[use], np.repeat(run, use.sum(1)))
+        tval[use] = f(trial[use], np.repeat(run, use.sum(1)))
         rows, pick, jump = np.arange(k), np.argmin(tval, 1), np.argmin(vals, 1)
         best = np.where(finite, tval[rows, pick], vals[rows, jump])
         better = best < fr
@@ -432,17 +431,12 @@ def _search(objectives, starts, refine_iters, incumbents):
         vals, own = np.empty(len(restarts)), owner[restarts]
         for s, objective in enumerate(objectives):
             rows = own == s
-            if not rows.any():
-                continue
             if index is None:
                 vals[rows] = _batched(objective,
                                       points[rows].reshape(-1, 3, 2))
             else:
-                # only the values of this search's sets
-                part = index[rows]
-                lo = part.min()
-                vals[rows] = _batched(objective, points[lo:part.max() + 1],
-                                      (part - lo).reshape(-1, 3, 2))
+                vals[rows] = _batched(objective, points,
+                                      index[rows].reshape(-1, 3, 2))
         return np.where(np.isfinite(vals), vals, 1e30)
 
     x, fun = _newton(f, x0, -bh, bh, refine_iters)

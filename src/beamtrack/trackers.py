@@ -283,12 +283,18 @@ def _rows_finite(a: np.ndarray) -> np.ndarray:
     return functools.reduce(np.logical_and, np.isfinite(a).T)
 
 
-def _capped_step(schedule, k: int, direction: np.ndarray) -> np.ndarray:
-    """Scheduled steps with each row truncated to STEP_CAP in max-norm."""
-    step = schedule.at(k) * direction
-    largest = _row_max(np.abs(step))
-    scale = np.where(largest > STEP_CAP, STEP_CAP / largest, 1.0)
-    return step * scale[:, None]
+def _stepped(state: np.ndarray, schedule, k: int, direction: np.ndarray,
+             usable=True) -> np.ndarray:
+    """The stochastic-approximation step of both trackers: ``state`` (T, c)
+    moved by the schedule's step at cycle ``k`` along ``direction``, each
+    row's step truncated to STEP_CAP in max-norm.  A row keeps its state
+    where its direction is not finite or ``usable`` (T,) is False."""
+    with np.errstate(all="ignore"):
+        step = schedule.at(k) * direction
+        largest = _row_max(np.abs(step))
+        step *= np.where(largest > STEP_CAP, STEP_CAP / largest, 1.0)[:, None]
+    apply = usable & _rows_finite(direction)
+    return np.where(apply[:, None], state + step, state)
 
 
 class JbctBatch:
@@ -310,10 +316,9 @@ class JbctBatch:
         b2 = np.abs(beta) ** 2
         with np.errstate(all="ignore"):
             direction = _jbct_direction_batch(self.cache, beta, y)
-            step = _capped_step(self.schedule, self.k, direction)
         # the Fisher is singular at a vanishing gain estimate: skip those
-        apply = np.isfinite(b2) & (b2 >= 1e-24) & _rows_finite(direction)
-        self.psi = np.where(apply[:, None], self.psi + step, self.psi)
+        self.psi = _stepped(self.psi, self.schedule, self.k, direction,
+                            np.isfinite(b2) & (b2 >= 1e-24))
 
     def estimate(self):
         return self.psi[:, 2:], _as_complex(self.psi[:, 0], self.psi[:, 1])
@@ -327,8 +332,7 @@ class RbtBatch:
         self.k = 0
         self.run = run
         self.kernels = probe_kernels(run.offsets.deltas, run.cfg.m, run.cfg.n)
-        self.var = np.array(run.gain_var, float)
-        self.q_mats, self.c0, self.i_inv = self._terms(self.var)
+        self.q_mats, self.c0, self.i_inv = self._terms(run.gain_var)
 
     def _terms(self, var):
         cfg = self.run.cfg
@@ -339,20 +343,13 @@ class RbtBatch:
 
     def update(self, y: np.ndarray) -> None:
         if self.run.gain_var_at is not None:
-            var = self.run.gain_var_at(self.x)
-            changed = var != self.var
-            if changed.any():
-                q_mats, c0, i_inv = self._terms(var[changed])
-                self.q_mats[changed] = q_mats
-                self.c0[changed] = c0
-                self.i_inv[changed] = i_inv
-                self.var = var
+            # every row: rebuilding only the rows whose variance changed
+            # (52-100% per cycle) timed alike on 200-trial runs
+            self.q_mats, self.c0, self.i_inv = self._terms(
+                self.run.gain_var_at(self.x))
         direction = _rbt_direction_batch(self.q_mats, self.c0, self.i_inv, y)
         self.k += 1
-        with np.errstate(all="ignore"):
-            step = _capped_step(self.run.schedule, self.k, direction)
-        apply = _rows_finite(direction)
-        self.x = np.where(apply[:, None], self.x + step, self.x)
+        self.x = _stepped(self.x, self.run.schedule, self.k, direction)
 
     def estimate(self):
         return self.x, None

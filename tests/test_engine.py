@@ -384,11 +384,29 @@ class TestCsvPins:
                   "87a78a525d9d2d6d7d7a6c58d7c18163",
     }
 
+    # RBT_DI with the gain variance estimated at its direction estimates,
+    # which rebuilds the update terms every cycle; of the raw arrays
+    ESTIMATED_RAW_SHA256 = {
+        "9b-RBT_DI": "83149d5b071efbb88324cb3b78b37a58"
+                     "718bc8d769691c2d1d831699ea005e12",
+        "11-RBT_DI": "bef3e42e92e246d7b788169d58dd3a1d"
+                     "967d2a2c4a2a482663fad2b9e4a6f07a",
+    }
+    ESTIMATED_SCENARIOS = {"9b-RBT_DI": ScenarioConfig(DynamicI(1.0)),
+                           "11-RBT_DI": DII}
+
     def _config(self, name):
         scenario, tracker, offsets, schedule = self.CASES[name]
         return ExperimentConfig(scenario, ArrayConfig(8, 8), tracker, offsets,
                                 schedule, num_trials=40, num_eccs=60, seed=7,
                                 record_every=1, init_halfwidth=0.25)
+
+    @staticmethod
+    def _raw_sha256(ec):
+        digest = hashlib.sha256()
+        for arr in _run_batch(ec, range(ec.num_trials)):
+            digest.update(np.ascontiguousarray(arr, "<f8").tobytes())
+        return digest.hexdigest()
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_csv_sha256(self, name):
@@ -397,10 +415,14 @@ class TestCsvPins:
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_raw_arrays_sha256(self, name):
-        digest = hashlib.sha256()
-        for arr in _run_batch(self._config(name), range(40)):
-            digest.update(np.ascontiguousarray(arr, "<f8").tobytes())
-        assert digest.hexdigest() == self.RAW_SHA256[name]
+        assert self._raw_sha256(self._config(name)) == self.RAW_SHA256[name]
+
+    @pytest.mark.parametrize("name", sorted(ESTIMATED_RAW_SHA256))
+    def test_estimated_mode_raw_arrays_sha256(self, name):
+        ec = replace(self._config("9b-RBT_DI"),
+                     scenario=self.ESTIMATED_SCENARIOS[name],
+                     rbt_sigma_mode="estimated")
+        assert self._raw_sha256(ec) == self.ESTIMATED_RAW_SHA256[name]
 
 
 class TestKernelPasses:

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 from dataclasses import astuple
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,14 +17,14 @@ from reference import read_csv
 
 from beamtrack.arrays import ArrayConfig
 from beamtrack.channels import DynamicI, QuasiStatic, ScenarioConfig
-from beamtrack.harness import (CSV_HEADER, TRACKER_NAMES, ConfigError,
-                               ExperimentConfig, MetricsRecord,
+from beamtrack.harness import (CSV_HEADER, TRACKER_NAMES, TRACKERS,
+                               ConfigError, ExperimentConfig, MetricsRecord,
                                config_from_mapping, emit_csv, format_csv,
                                load_experiment, parse_config_text,
-                               run_experiment)
+                               run_experiment, snr_db_floor)
 from beamtrack.cli import main
 from beamtrack.offsets import MAX_GRID_POINTS
-from beamtrack.trackers import ConstantStep, DiminishingStep
+from beamtrack.trackers import ConstantStep, DiminishingStep, RbtBatch
 
 
 def _quasi_static_config(**kw):
@@ -182,36 +183,66 @@ def _floats(lo, hi):
     return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
 
 
-# every key of a valid config file; each scenario and schedule with its own
-# keys, optional keys left out at random
+# every key of a valid config file, by the part of a run that reads it:
+# each scenario's and each schedule's own keys, then the keys every run
+# reads; the tracker, the schedule and rbt_sigma_mode are drawn together
+SCENARIO_KEYS = {
+    "quasi-static": {"rician_k_db": _floats(-20, 40)},
+    "dynamic-i": {"sigma_beta_c_sq": _floats(1e-3, 10)},
+    "dynamic-ii": {"rho": _floats(0.5, 1.0), "delta_a_deg": _floats(0.01, 5.0)},
+}
+SCHEDULE_KEYS = {
+    "diminishing": {"epsilon": _floats(0.01, 10), "k0": _floats(0, 10)},
+    "constant": {"step": _floats(0.01, 2)},
+}
+RUN_KEYS = {
+    "aoa_region": st.sampled_from(["central", "edge"]),
+    "offsets": st.sampled_from(["tableII", "tableIII"]),
+    "m": st.integers(1, 64), "n": st.integers(1, 64),
+    "d1": _floats(0.1, 2), "d2": _floats(0.1, 2),
+    "noise_var": _floats(1e-3, 10), "snr_db": _floats(-30, 30),
+    "trials": st.integers(1, 1000), "eccs": st.integers(1, 5000),
+    "seed": st.integers(0, 2**63 - 1),
+    "record_every": st.integers(1, 100),
+    "init_halfwidth": _floats(0, 0.99),
+    "out": st.sampled_from(["run.csv", "out/r#1.csv"]),
+}
+CONFIG_KEYS = {"scenario", "tracker", "schedule", "rbt_sigma_mode",
+               *RUN_KEYS}.union(*SCENARIO_KEYS.values(),
+                                *SCHEDULE_KEYS.values())
+
+
+def _merged(*parts):
+    return {k: v for part in parts for k, v in part.items()}
+
+
+def _tracker_keys(tracker):
+    """The tracker key (left out for the default) with the schedules and
+    gain-variance modes that ``tracker`` reads."""
+    cls, default = TRACKERS[tracker]
+    schedules = [st.just({})]
+    if default is not None:
+        schedules += [st.fixed_dictionaries({"schedule": st.just(name)},
+                                            optional=keys)
+                      for name, keys in SCHEDULE_KEYS.items()]
+    modes = ["perfect", "estimated"] if cls is RbtBatch else ["perfect"]
+    return st.builds(
+        _merged,
+        # the default tracker may go unnamed
+        st.sampled_from([{"tracker": tracker}]
+                        + ([{}] if tracker == "JBCT_S" else [])),
+        st.one_of(schedules),
+        st.fixed_dictionaries({}, optional={
+            "rbt_sigma_mode": st.sampled_from(modes)}))
+
+
 _VALID_MAPPINGS = st.builds(
-    lambda *parts: {k: v for part in parts for k, v in part.items()},
-    st.one_of(
-        st.fixed_dictionaries({"scenario": st.just("quasi-static")},
-                              optional={"rician_k_db": _floats(-20, 40)}),
-        st.fixed_dictionaries({"scenario": st.just("dynamic-i")}, optional={
-            "sigma_beta_c_sq": _floats(1e-3, 10)}),
-        st.fixed_dictionaries({"scenario": st.just("dynamic-ii")}, optional={
-            "rho": _floats(0.5, 1.0), "delta_a_deg": _floats(0.01, 5.0)})),
-    st.one_of(
-        st.just({}),
-        st.fixed_dictionaries({"schedule": st.just("diminishing")}, optional={
-            "epsilon": _floats(0.01, 10), "k0": _floats(0, 10)}),
-        st.fixed_dictionaries({"schedule": st.just("constant")}, optional={
-            "step": _floats(0.01, 2)})),
-    st.fixed_dictionaries({}, optional={
-        "aoa_region": st.sampled_from(["central", "edge"]),
-        "tracker": st.sampled_from(TRACKER_NAMES),
-        "offsets": st.sampled_from(["tableII", "tableIII"]),
-        "m": st.integers(1, 64), "n": st.integers(1, 64),
-        "d1": _floats(0.1, 2), "d2": _floats(0.1, 2),
-        "noise_var": _floats(1e-3, 10), "snr_db": _floats(-30, 30),
-        "trials": st.integers(1, 1000), "eccs": st.integers(1, 5000),
-        "seed": st.integers(0, 2**63 - 1),
-        "record_every": st.integers(1, 100),
-        "init_halfwidth": _floats(0, 0.99),
-        "rbt_sigma_mode": st.sampled_from(["perfect", "estimated"]),
-        "out": st.sampled_from(["run.csv", "out/r#1.csv"])}))
+    _merged,
+    st.one_of([st.fixed_dictionaries({"scenario": st.just(name)},
+                                     optional=keys)
+               for name, keys in SCENARIO_KEYS.items()]),
+    st.sampled_from(TRACKER_NAMES).flatmap(_tracker_keys),
+    st.fixed_dictionaries({}, optional=RUN_KEYS))
 
 
 class TestConfigFile:
@@ -277,6 +308,36 @@ k0 = 0.0
                        for key, value in mapping.items())
         assert config_from_mapping(parse_config_text(text)) == \
             config_from_mapping(mapping)
+
+
+def _readme_config():
+    """The TOML block of README's "Command line" section, parsed."""
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    section = text[text.index("## Command line"):]
+    block = section[section.index("```toml\n") + len("```toml\n"):]
+    return parse_config_text(block[:block.index("```")])
+
+
+class TestReadmeConfig:
+    """README's config block lists every key a config file takes, each at
+    its default: a key renamed, dropped or left undocumented, or a default
+    changed, fails here."""
+
+    def test_keys_are_the_drawn_keys(self):
+        assert set(_readme_config()) == CONFIG_KEYS
+
+    @pytest.mark.parametrize("schedule", [None, *SCHEDULE_KEYS])
+    @pytest.mark.parametrize("scenario", sorted(SCENARIO_KEYS))
+    def test_each_variant_builds_at_the_defaults(self, scenario, schedule):
+        readme = _readme_config()
+        chosen = {"scenario": scenario}
+        keys = {"tracker", "rbt_sigma_mode", *RUN_KEYS,
+                *SCENARIO_KEYS[scenario]}
+        if schedule is not None:
+            chosen["schedule"] = schedule
+            keys.update(SCHEDULE_KEYS[schedule])
+        mapping = {key: readme[key] for key in keys} | chosen
+        assert config_from_mapping(mapping) == config_from_mapping(chosen)
 
 
 def _run_cli(*args):
@@ -485,7 +546,16 @@ BAD_INPUTS = {
                         []),
     # the pilot power underflows to 0, and a zero pilot observes nothing
     "zero pilot amplitude": (
-        GOOD_RUN.replace("snr_db = 0.0", "snr_db = -4000.0"), []),
+        GOOD_RUN.replace("snr_db = 0.0", "snr_db = -700.0\nnoise_var = 1e-300"),
+        []),
+    # inputs a run would ignore
+    "schedule for BeamSwitch": (
+        GOOD_RUN.replace('tracker = "JBCT_S"', 'tracker = "BeamSwitch"'), []),
+    "schedule for EKF": (
+        _NO_SCHEDULE.replace('tracker = "JBCT_S"', 'tracker = "EKF"')
+        + 'schedule = "constant"\nstep = 0.3\n', []),
+    "estimated gain variance for JBCT_S": (
+        GOOD_RUN + 'rbt_sigma_mode = "estimated"\n', []),
     "schedule keys without a schedule": (
         _NO_SCHEDULE + "epsilon = 50.0\nk0 = 3.0\n", []),
     "epsilon with the constant schedule": (
@@ -505,6 +575,58 @@ def test_bad_track_input_exits_1_with_one_error_line(name, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert [line.startswith("error:") for line in err.splitlines()].count(True) == 1
+
+
+class TestSnrFloor:
+    """``snr_db`` has one floor for every tracker, derived from the float
+    range: at it every run is finite and warns of nothing, below it a run
+    is a configuration error naming ``snr_db``."""
+
+    FLOOR = snr_db_floor(ScenarioConfig(QuasiStatic()))
+
+    def _track(self, tmp_path, snr_db, tracker="JBCT_S",
+               scenario="quasi-static", region="central"):
+        offsets = "tableIII" if tracker == "RBT_DI" else "tableII"
+        cfg = tmp_path / "run.toml"
+        cfg.write_text(f'scenario = "{scenario}"\ntracker = "{tracker}"\n'
+                       f'aoa_region = "{region}"\noffsets = "{offsets}"\n'
+                       f"snr_db = {snr_db!r}\ntrials = 3\neccs = 6\n"
+                       f"record_every = 2\n")
+        out = tmp_path / "out.csv"
+        try:
+            code = main(["track", "--config", str(cfg), "--out", str(out)])
+        except SystemExit as exc:
+            code = exc.code
+        return code, out
+
+    def test_floor_value(self):
+        assert self.FLOOR == pytest.approx(-739.1316389, abs=1e-6)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("region", ["central", "edge"])
+    @pytest.mark.parametrize("scenario", sorted(SCENARIO_KEYS))
+    @pytest.mark.parametrize("tracker", TRACKER_NAMES)
+    def test_runs_at_the_floor_are_finite(self, tmp_path, tracker, scenario,
+                                          region):
+        code, out = self._track(tmp_path, self.FLOOR, tracker, scenario,
+                                region)
+        assert code == 0
+        rows = read_csv(out)
+        assert all(math.isfinite(r.mse_x) for r in rows)
+        assert all(math.isfinite(r.mse_h) == (tracker != "RBT_DI")
+                   for r in rows)
+        # a bound applies to the quasi-static and the fading-gain scenario
+        assert all(math.isfinite(r.crlb_ref) == (scenario != "dynamic-ii")
+                   for r in rows)
+
+    @pytest.mark.parametrize("snr_db", [FLOOR - 1.0, -3000.0, -3080.0])
+    @pytest.mark.parametrize("tracker", ["JBCT_S", "RBT_DI"])
+    def test_below_the_floor_exits_1(self, tmp_path, capsys, snr_db,
+                                     tracker):
+        code, _ = self._track(tmp_path, snr_db, tracker, "dynamic-i")
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error: snr_db")
 
 
 # argv of the crlb/offsets/verify subcommands; each has one input the

@@ -330,7 +330,6 @@ class TestRbt:
                              gain_var_at=lambda x: np.full(len(x), 0.5))
         first = tracker.i_inv.copy()
         tracker.update(np.ones((1, 3), complex))
-        assert np.array_equal(tracker.var, [0.5])
         assert not np.array_equal(tracker.i_inv, first)
         fresh = _direction((0.0, 0.0), DiminishingStep(1.0), gain_var=0.5)
         for name in ("q_mats", "c0", "i_inv"):
