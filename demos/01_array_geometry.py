@@ -18,7 +18,7 @@ aoa = Aoa(theta=np.pi / 8, phi=np.pi / 3)
 x = dpv_from_aoa(cfg, aoa)
 back = aoa_from_dpv(cfg, x)
 print(f"(theta, phi) = ({aoa.theta:.4f}, {aoa.phi:.4f})  ->  "
-      f"x = ({x.x1:.4f}, {x.x2:.4f})  ->  back to "
+      f"x = ({x[0]:.4f}, {x[1]:.4f})  ->  back to "
       f"({back.theta:.4f}, {back.phi:.4f})")
 
 # steering vectors have unit-modulus entries: squared norm is always MN
@@ -34,9 +34,9 @@ for d in (0.0, 0.25, 0.5, 0.75, 1.0):
 
 # shift property: the inner product of a probe with the arrival depends only
 # on their offset, never on where they both sit
-w = steering_vector(cfg, (x.x1 + 0.3, x.x2 - 0.2)) / np.sqrt(cfg.size)
-far = steering_vector(cfg, (x.x1 + 2.0, x.x2 + 1.0))
-w_far = steering_vector(cfg, (x.x1 + 2.3, x.x2 + 0.8)) / np.sqrt(cfg.size)
+w = steering_vector(cfg, (x[0] + 0.3, x[1] - 0.2)) / np.sqrt(cfg.size)
+far = steering_vector(cfg, (x[0] + 2.0, x[1] + 1.0))
+w_far = steering_vector(cfg, (x[0] + 2.3, x[1] + 0.8)) / np.sqrt(cfg.size)
 print(f"\nshift property: |w(x+d)^H a(x)| = {abs(np.vdot(w, a)):.6f} "
       f"= {abs(np.vdot(w_far, far)):.6f} at a center 2 lobes away")
 

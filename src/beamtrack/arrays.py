@@ -79,17 +79,6 @@ class Aoa:
 
 
 @dataclass(frozen=True)
-class Dpv:
-    """Direction parameter vector, the normalized 2D beam coordinates."""
-
-    x1: float
-    x2: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x1, self.x2])
-
-
-@dataclass(frozen=True)
 class PatternConfig:
     """Per-element radiation pattern: 3 dB beamwidths and maximum attenuation."""
 
@@ -103,8 +92,6 @@ class PatternConfig:
 
 
 def _xy(x) -> tuple[float, float]:
-    if isinstance(x, Dpv):
-        return x.x1, x.x2
     return float(x[0]), float(x[1])
 
 
@@ -115,10 +102,9 @@ def dpv_coords(cfg: ArrayConfig, theta, phi):
     return x1, x2
 
 
-def dpv_from_aoa(cfg: ArrayConfig, aoa: Aoa) -> Dpv:
-    """Map an arrival angle to direction coordinates."""
-    x1, x2 = dpv_coords(cfg, aoa.theta, aoa.phi)
-    return Dpv(float(x1), float(x2))
+def dpv_from_aoa(cfg: ArrayConfig, aoa: Aoa) -> np.ndarray:
+    """Map an arrival angle to direction coordinates, a float (2,) array."""
+    return np.array(dpv_coords(cfg, aoa.theta, aoa.phi), float)
 
 
 def aoa_coords(cfg: ArrayConfig, x1, x2):
@@ -155,18 +141,6 @@ def steering_vector(cfg: ArrayConfig, x) -> np.ndarray:
     a1 = np.exp(2j * np.pi * np.arange(cfg.m) * x1 / cfg.m)
     a2 = np.exp(2j * np.pi * np.arange(cfg.n) * x2 / cfg.n)
     return np.kron(a1, a2)
-
-
-def steering_derivative(cfg: ArrayConfig, x, axis: int) -> np.ndarray:
-    """Elementwise derivative of the steering vector along coordinate 1 or 2."""
-    if axis not in (1, 2):
-        raise ValueError("axis must be 1 or 2")
-    x1, x2 = _xy(x)
-    a1 = np.exp(2j * np.pi * np.arange(cfg.m) * x1 / cfg.m)
-    a2 = np.exp(2j * np.pi * np.arange(cfg.n) * x2 / cfg.n)
-    if axis == 1:
-        return np.kron(2j * np.pi * np.arange(cfg.m) / cfg.m * a1, a2)
-    return np.kron(a1, 2j * np.pi * np.arange(cfg.n) / cfg.n * a2)
 
 
 # The closed form's series branch covers |pi r| below this; its terms

@@ -2,11 +2,14 @@
 
 Each check returns (name, passed, detail).  The Fisher checks compare the
 analytic matrices against Monte-Carlo score covariances sampled from the
-physical observation model.  The static score is built from the explicit
-Jacobian.  The fading-gain score is the direction tracker's
-(:func:`~.estimation._di_score`, from the derivative matrices G_p of g g^H),
-while the Fisher it checks is the closed form on six inner products of the
-kernels, so the two routes share only the kernels.  Each is also tested
+physical observation model.  The static score and Fisher share the
+kernels' observation matrix (:func:`~.signal.observation_matrix`), so that
+check covers the Gaussian score algebra; the tests compare the matrix with
+the explicit W^H J of ``tests/reference.py``.  The fading-gain score is the
+direction tracker's (:func:`~.estimation._di_score`, from the derivative
+matrices G_p of g g^H), while the Fisher it checks is the closed form on
+six inner products of the kernels, so the two routes share only the
+kernels.  Each is also tested
 against an explicit-matrix oracle in ``tests/reference.py``: the score
 against central differences of ``di_log_pdf``, and the Fisher against the
 Slepian-Bangs form Tr{Sigma^-1 dSigma_p Sigma^-1 dSigma_q}.
@@ -18,9 +21,10 @@ import numpy as np
 
 from .arrays import ArrayConfig
 from .estimation import (DiModel, _di_score, _di_score_terms, fisher_di,
-                         fisher_static, jacobian)
+                         fisher_static)
 from .offsets import FADING_OFFSETS, STATIC_OFFSETS
 from .signal import (ChannelParams, build_ebm, noiseless_mean,
+                     observation_kernels, observation_matrix,
                      real_observation_jacobian, recover_from_noiseless)
 from .trackers import (_jbct_direction_batch, build_fast_cache, count_ops,
                        jbct_direction, mean_field)
@@ -41,7 +45,7 @@ def check_identifiability(seed: int = 0, count: int = 100):
     worst_rank3 = np.inf
     for _ in range(count):
         psi = _random_params(rng)
-        center = psi.x.as_array() + rng.uniform(-0.4, 0.4, 2)
+        center = psi.x + rng.uniform(-0.4, 0.4, 2)
         ebm = build_ebm(cfg, center, STATIC_OFFSETS)
         y = noiseless_mean(cfg, psi, ebm)
         box = ((center[0] - 0.95, center[0] + 0.95),
@@ -114,7 +118,7 @@ def check_op_counts(seed: int = 0, pairs: int = 100):
 def mc_fisher_static(cfg: ArrayConfig, psi: ChannelParams, ebm, draws: int,
                      rng: np.random.Generator) -> np.ndarray:
     """Monte-Carlo score covariance under the static observation model."""
-    kmat = ebm.columns.conj().T @ jacobian(cfg, psi)  # (3, 4)
+    kmat = observation_matrix(cfg, psi, ebm)
     scale = np.sqrt(cfg.noise_var / 2.0)
     z = scale * (rng.standard_normal((draws, 3))
                  + 1j * rng.standard_normal((draws, 3)))
@@ -127,7 +131,6 @@ def mc_fisher_di(cfg: ArrayConfig, x, model: DiModel, ebm, draws: int,
     """Monte-Carlo score covariance under the fading-gain model, sampling the
     physical observation y = s*beta*g + z and scoring each draw with the
     analytic score of :func:`~.estimation._di_score`."""
-    from .signal import observation_kernels
     g, d1, d2 = observation_kernels(cfg, x, ebm)
     beta = np.sqrt(model.sigma_beta_sq / 2.0) * (
         rng.standard_normal(draws) + 1j * rng.standard_normal(draws))

@@ -25,12 +25,13 @@ through tr(G_p G_q) and g^H G_p G_q g.  One singularity rule gives +inf
 (:func:`_regular`): det I <= ref / COND_LIMIT, where ref is the product of
 the diagonal of I taken before g is projected out of k1, k2, i.e. with a K
 in place of the Schur block W.  For the static model ref is prod(diag I)
-itself.  ``fisher_static`` and ``crlb_static`` are the explicit-matrix
-oracles of the static model; their guard :func:`_guarded_solve`
-(cond > COND_LIMIT) serves only them.  ``crlb_di`` is ``di_offsets_crlb``
-at an EBM's offsets.  The explicit fading-gain oracles (the Slepian-Bangs
-Fisher, the covariance and log-density the score is differenced against)
-live in the tests.
+itself.  ``fisher_static`` and ``crlb_static`` form the 4x4 Fisher matrix
+of the static model from the kernels' (3, 4) observation matrix
+(``signal.observation_matrix``) and solve it; their guard
+:func:`_guarded_solve` (cond > COND_LIMIT) serves only them.  ``crlb_di``
+is ``di_offsets_crlb`` at an EBM's offsets.  The explicit O(MN) oracles
+(W^H J from steering columns, the Slepian-Bangs Fisher, the covariance
+and log-density the score is differenced against) live in the tests.
 """
 
 from __future__ import annotations
@@ -40,9 +41,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import (ArrayConfig, _xy, probe_kernels, probe_kernels_limit,
-                     steering_derivative, steering_vector)
-from .signal import ChannelParams, Ebm, _sum3, observation_kernels
+from .arrays import ArrayConfig, _xy, probe_kernels, probe_kernels_limit
+from .signal import (ChannelParams, Ebm, _sum3, observation_kernels,
+                     observation_matrix)
 
 COND_LIMIT = 1e12
 
@@ -62,17 +63,9 @@ class DiModel:
             raise ValueError("gain variance must be nonnegative")
 
 
-def jacobian(cfg: ArrayConfig, psi: ChannelParams) -> np.ndarray:
-    """Jacobian of the channel vector w.r.t. psi: columns
-    [a, j a, beta da/dx1, beta da/dx2], shape (MN, 4)."""
-    a = steering_vector(cfg, psi.x)
-    return np.stack([a, 1j * a,
-                     psi.beta * steering_derivative(cfg, psi.x, 1),
-                     psi.beta * steering_derivative(cfg, psi.x, 2)], axis=1)
-
-
 def steering_gram(m: int, n: int, beta: complex) -> np.ndarray:
-    """Closed form of V^H V for the Jacobian above.  Independent of the
+    """Closed form of V^H V for the channel vector's Jacobian in psi,
+    V = [a, j a, beta da/dx1, beta da/dx2] (MN, 4).  Independent of the
     direction; exact for any array size."""
     b = complex(beta)
     ab2 = abs(b) ** 2
@@ -97,8 +90,9 @@ _GRAM_LIMIT = ((np.pi, np.pi), (4 * np.pi**2 / 3, np.pi**2, 4 * np.pi**2 / 3))
 
 def fisher_static(cfg: ArrayConfig, psi: ChannelParams, ebm: Ebm) -> np.ndarray:
     """4x4 Fisher information of the static model,
-    (2|s|^2/noise_var) Re{V^H W W^H V}."""
-    wv = ebm.columns.conj().T @ jacobian(cfg, psi)
+    (2|s|^2/noise_var) Re{V^H W W^H V}, with W^H V the observation matrix
+    of the kernels."""
+    wv = observation_matrix(cfg, psi, ebm)
     return (2 * cfg.pilot_amp**2 / cfg.noise_var) * np.real(wv.conj().T @ wv)
 
 

@@ -102,10 +102,12 @@ class MetricsRecord:
 
 
 def snr_db_floor(sc: ScenarioConfig) -> float:
-    """The lowest transmit SNR in dB a run takes: at it, the gain SNR at
-    the element pattern's deepest attenuation, raised to the fourth power
-    (the direction Fisher's determinant is quartic in it), is the smallest
-    normal float.  About -739.1 dB with the default 30 dB pattern."""
+    """The lowest transmit SNR in dB a run takes, and below unit gain
+    variance the lowest gain SNR snr_db + 10 log10 sigma_beta_c_sq: at
+    it, the gain SNR at the element pattern's deepest attenuation, raised
+    to the fourth power (the direction Fisher's determinant is quartic in
+    it), is the smallest normal float.  About -739.1 dB with the default
+    30 dB pattern."""
     return 10.0 * math.log10(sys.float_info.min) / 4.0 \
         + sc.pattern.eta_max_db
 
@@ -138,11 +140,16 @@ def _validate(ec: ExperimentConfig):
     if isinstance(ec.offsets, str) and ec.offsets not in OFFSET_PRESETS:
         raise ConfigError(f"offsets: unknown preset {ec.offsets!r}; "
                           f"expected one of {sorted(OFFSET_PRESETS)}")
+    # the floor holds for the pilot and, below unit gain variance, for the
+    # gain SNR snr x sigma_beta_c_sq, on which the direction bound rests
     floor = snr_db_floor(ec.scenario)
-    if ec.snr_db < floor:
-        raise ConfigError(f"snr_db: {ec.snr_db!r} is below the floor of "
-                          f"{floor:.3f} dB, under which the direction "
-                          f"Fisher underflows a float")
+    var = _stationary_gain_var(ec.scenario.kind)
+    if ec.snr_db + min(0.0, 10.0 * math.log10(var)) < floor:
+        raise ConfigError(f"snr_db: {ec.snr_db!r} with sigma_beta_c_sq = "
+                          f"{var!r} puts snr_db + 10 log10 min(1, "
+                          f"sigma_beta_c_sq) below the floor of {floor:.3f} "
+                          f"dB, under which the direction Fisher underflows "
+                          f"a float")
     _build("snr_db, noise_var", effective_array, ec)
 
 

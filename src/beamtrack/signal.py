@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import (ArrayConfig, Dpv, _gain_kernel, _xy, probe_kernels,
-                     steering_vector)
+from .arrays import ArrayConfig, _gain_kernel, _xy, probe_kernels
 
 
 class NoSolution(ValueError):
@@ -43,8 +42,8 @@ class ChannelParams:
         return complex(self.beta_re, self.beta_im)
 
     @property
-    def x(self) -> Dpv:
-        return Dpv(self.x1, self.x2)
+    def x(self) -> np.ndarray:
+        return np.array([self.x1, self.x2])
 
     def as_vector(self) -> np.ndarray:
         return np.array([self.beta_re, self.beta_im, self.x1, self.x2])
@@ -80,25 +79,22 @@ class OffsetSet:
 
 @dataclass(frozen=True)
 class Ebm:
-    """Exploring beamforming matrix: three steering-form probe columns with
-    entry modulus 1/sqrt(MN), plus the probing directions they point at."""
+    """Exploring beamforming matrix W, given by its three probing
+    directions d_i: its columns are the steering probes a(d_i)/sqrt(MN),
+    which enter only through the probe kernels (shift property)."""
 
     directions: np.ndarray  # (3, 2) probe directions
-    columns: np.ndarray     # (MN, 3) complex
 
 
 def build_ebm(cfg: ArrayConfig, center, offsets: OffsetSet) -> Ebm:
     """Probe beams at center + delta_i for the three exploration offsets."""
-    c = np.asarray(_xy(center), float)
-    dirs = c[None, :] + offsets.deltas
-    cols = np.stack([steering_vector(cfg, d) for d in dirs], axis=1)
-    return Ebm(dirs, cols / np.sqrt(cfg.size))
+    return Ebm(np.asarray(_xy(center), float)[None, :] + offsets.deltas)
 
 
 def noiseless_mean(cfg: ArrayConfig, psi: ChannelParams, ebm: Ebm) -> np.ndarray:
-    """Deterministic part of the observation, |s| beta W^H a(x)."""
-    a = steering_vector(cfg, psi.x)
-    return cfg.pilot_amp * psi.beta * (ebm.columns.conj().T @ a)
+    """Deterministic part of the observation, |s| beta W^H a(x) = |s| beta g."""
+    g, _, _ = observation_kernels(cfg, psi.x, ebm)
+    return cfg.pilot_amp * psi.beta * g
 
 
 def observe_fast(cfg: ArrayConfig, x, beta, dirs, normals) -> np.ndarray:
@@ -143,14 +139,20 @@ def observation_kernels(cfg: ArrayConfig, x, ebm: Ebm):
     return probe_kernels(deltas, cfg.m, cfg.n)
 
 
+def observation_matrix(cfg: ArrayConfig, psi: ChannelParams,
+                       ebm: Ebm) -> np.ndarray:
+    """W^H J, the probes' view of the channel vector's Jacobian in psi,
+    from the kernels at psi's direction: columns [g, j g, beta k1, beta k2],
+    shape (3, 4).  The noiseless observation's Jacobian is |s| times it."""
+    g, k1, k2 = observation_kernels(cfg, psi.x, ebm)
+    return np.stack([g, 1j * g, psi.beta * k1, psi.beta * k2], axis=1)
+
+
 def real_observation_jacobian(cfg: ArrayConfig, psi: ChannelParams, ebm: Ebm,
                               probes: int = 3) -> np.ndarray:
     """Real Jacobian of psi -> (Re y, Im y) for the noiseless observation,
     restricted to the first ``probes`` beams.  Shape (2*probes, 4)."""
-    g, k1, k2 = observation_kernels(cfg, psi.x, ebm)
-    g, k1, k2 = g[:probes], k1[:probes], k2[:probes]
-    cols = cfg.pilot_amp * np.stack(
-        [g, 1j * g, psi.beta * k1, psi.beta * k2], axis=1)
+    cols = cfg.pilot_amp * observation_matrix(cfg, psi, ebm)[:probes]
     return np.vstack([cols.real, cols.imag])
 
 

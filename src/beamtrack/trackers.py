@@ -34,10 +34,9 @@ import numpy as np
 
 from .arrays import ArrayConfig, probe_kernels
 from .estimation import (COND_LIMIT, SingularFisher, _di_info, _di_score,
-                         _di_score_terms, _products, _regular, _sym2,
-                         jacobian)
+                         _di_score_terms, _products, _regular, _sym2)
 from .signal import (ChannelParams, Ebm, OffsetSet, _sum3, fit_gains,
-                     noiseless_mean)
+                     noiseless_mean, observation_matrix)
 
 
 @dataclass(frozen=True)
@@ -153,12 +152,13 @@ def _jbct_direction_batch(cache: FastUpdateCache, beta: np.ndarray,
 
 def jbct_direction(cfg: ArrayConfig, psi_hat: ChannelParams, ebm: Ebm,
                    y) -> np.ndarray:
-    """Reference (naive) update direction: explicit Fisher build and solve.
+    """Reference (naive) update direction: the 4x4 Fisher built from the
+    observation matrix, and a dense solve.
 
     Equals :func:`_jbct_direction_batch` to numerical precision (gain floor
     included); kept as the slow oracle.
     """
-    kmat = ebm.columns.conj().T @ jacobian(cfg, psi_hat)
+    kmat = observation_matrix(cfg, psi_hat, ebm)
     rem = np.real(kmat.conj().T @ kmat)
     if not np.all(np.isfinite(rem)) or np.linalg.cond(rem) > COND_LIMIT:
         raise SingularFisher("Fisher information is numerically singular")

@@ -6,6 +6,12 @@ built from it (``probe_kernels_per_axis``, ``gain_kernel_per_axis``,
 ``beam_gain_kernel_per_axis``, ``probe_kernels_limit_per_axis``), which
 the one-pass kernels must equal bit for bit.
 
+Explicit steering matrices, O(MN) per probe: ``steering_derivative``,
+the channel vector's Jacobian ``jacobian``, an EBM's probe columns
+``ebm_columns`` and the noiseless mean W^H a from them
+(``noiseless_mean``).  The library forms the same quantities from the
+probe kernels (``signal.observation_matrix``, ``signal.noiseless_mean``).
+
 Per-trial references, one trial at a time, each function drawing from the
 trial's generator call by call: the trial's generator ``_trial_rng``, a
 trial's row of initial draws ``initial_draws_row`` (one ``uniform`` call
@@ -40,14 +46,15 @@ import numpy as np
 from beamtrack.arrays import (_SERIES_X, Aoa, ArrayConfig, PatternConfig,
                               _combine, _horner, _limit_axis, _limit_combine,
                               _ratio_series, _xy, dpv_from_aoa,
-                              element_gain_angles, probe_kernels)
+                              element_gain_angles, probe_kernels,
+                              steering_vector)
 from beamtrack.channels import (INITIAL_DRAWS, DynamicI, QuasiStatic,
                                 ScenarioConfig, ScenarioKind, bootstrap_gains)
 from beamtrack.estimation import DiModel, _di_score, _di_score_terms
 from beamtrack.harness import CSV_HEADER, MetricsRecord
 from beamtrack.offsets import (SearchConfig, _grid_axis, _lex_key,
                                swap_applies)
-from beamtrack.signal import (ChannelParams, Ebm, OffsetSet, noiseless_mean,
+from beamtrack.signal import (ChannelParams, Ebm, OffsetSet,
                               observation_kernels)
 from beamtrack.trackers import (BEAM_SPACING, EKF_PRIOR_VAR,
                                 EKF_PROBE_OFFSETS, EKF_PROCESS_NOISE)
@@ -169,6 +176,45 @@ def probe_kernels_limit_per_axis(deltas):
 
 
 # ---------------------------------------------------------------------------
+# explicit steering matrices
+# ---------------------------------------------------------------------------
+
+
+def steering_derivative(cfg: ArrayConfig, x, axis: int) -> np.ndarray:
+    """Elementwise derivative of the steering vector along coordinate 1 or 2."""
+    if axis not in (1, 2):
+        raise ValueError("axis must be 1 or 2")
+    x1, x2 = _xy(x)
+    a1 = np.exp(2j * np.pi * np.arange(cfg.m) * x1 / cfg.m)
+    a2 = np.exp(2j * np.pi * np.arange(cfg.n) * x2 / cfg.n)
+    if axis == 1:
+        return np.kron(2j * np.pi * np.arange(cfg.m) / cfg.m * a1, a2)
+    return np.kron(a1, 2j * np.pi * np.arange(cfg.n) / cfg.n * a2)
+
+
+def jacobian(cfg: ArrayConfig, psi: ChannelParams) -> np.ndarray:
+    """Jacobian of the channel vector w.r.t. psi: columns
+    [a, j a, beta da/dx1, beta da/dx2], shape (MN, 4)."""
+    a = steering_vector(cfg, psi.x)
+    return np.stack([a, 1j * a,
+                     psi.beta * steering_derivative(cfg, psi.x, 1),
+                     psi.beta * steering_derivative(cfg, psi.x, 2)], axis=1)
+
+
+def ebm_columns(cfg: ArrayConfig, ebm: Ebm) -> np.ndarray:
+    """The EBM's probe columns a(d_i)/sqrt(MN), shape (MN, 3)."""
+    cols = np.stack([steering_vector(cfg, d) for d in ebm.directions], axis=1)
+    return cols / np.sqrt(cfg.size)
+
+
+def noiseless_mean(cfg: ArrayConfig, psi: ChannelParams, ebm: Ebm) -> np.ndarray:
+    """Deterministic part of the observation, |s| beta W^H a(x), from the
+    explicit columns."""
+    a = steering_vector(cfg, psi.x)
+    return cfg.pilot_amp * psi.beta * (ebm_columns(cfg, ebm).conj().T @ a)
+
+
+# ---------------------------------------------------------------------------
 # channel model
 # ---------------------------------------------------------------------------
 
@@ -195,7 +241,7 @@ def element_gain(pc: PatternConfig, aoa: Aoa) -> float:
 
 def observe(cfg: ArrayConfig, psi: ChannelParams, ebm: Ebm,
             rng: np.random.Generator) -> np.ndarray:
-    """One noisy exploration cycle: the noiseless mean plus i.i.d.
+    """One noisy exploration cycle: the explicit noiseless mean plus i.i.d.
     circularly-symmetric complex Gaussian noise of variance ``noise_var``."""
     mean = noiseless_mean(cfg, psi, ebm)
     scale = np.sqrt(cfg.noise_var / 2.0)
@@ -224,7 +270,7 @@ def init_channel(sc: ScenarioConfig, cfg: ArrayConfig,
     (t_lo, t_hi), (p_lo, p_hi) = sc.ranges()
     aoa = Aoa(float(rng.uniform(t_lo, t_hi)), float(rng.uniform(p_lo, p_hi)))
     beta_c = _draw_gain(sc.kind, rng)
-    x = dpv_from_aoa(cfg, aoa).as_array()
+    x = dpv_from_aoa(cfg, aoa)
     eta = element_gain(sc.pattern, aoa)
     return ChannelState(aoa, x, beta_c, eta * beta_c)
 
@@ -256,7 +302,7 @@ def evolve(state: ChannelState, sc: ScenarioConfig, cfg: ArrayConfig,
     phi = _reflect(state.aoa.phi + rng.normal(0.0, kind.delta_a), *p_rng)
     aoa = Aoa(theta, phi)
     beta_c = complex(kind.rho * state.beta_c + _cn(rng, 1.0 - kind.rho**2))
-    x = dpv_from_aoa(cfg, aoa).as_array()
+    x = dpv_from_aoa(cfg, aoa)
     eta = element_gain(sc.pattern, aoa)
     return ChannelState(aoa, x, beta_c, eta * beta_c)
 

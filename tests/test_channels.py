@@ -157,7 +157,7 @@ class TestInitChannel:
             aoa = Aoa(ch.theta[row], ch.phi[row])
             expected = element_gain(sc.pattern, aoa)
             assert abs(abs(ch.beta_eff[row] / ch.beta_c[row]) - expected) < 1e-9
-            assert np.allclose(ch.x[row], dpv_from_aoa(CFG, aoa).as_array())
+            assert np.allclose(ch.x[row], dpv_from_aoa(CFG, aoa))
 
 
 class TestEvolve:
@@ -230,7 +230,7 @@ class TestEvolve:
         for row in range(2):
             aoa = Aoa(theta[row], phi[row])
             np.testing.assert_allclose(nxt.x[row],
-                                       dpv_from_aoa(CFG, aoa).as_array(),
+                                       dpv_from_aoa(CFG, aoa),
                                        rtol=1e-12, atol=1e-15)
             eta = element_gain(sc.pattern, aoa)
             assert nxt.beta_eff[row] == pytest.approx(eta * beta_c[row],

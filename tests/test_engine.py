@@ -92,7 +92,7 @@ def reference_trial(ec, trial, hits=None):
                                                           sigma_c_sq)])
         run = TrackerRun(cfg, offsets, schedule,
                          np.array([eta**2 * sigma_c_sq]), gain_var_at)
-        ts = TRACKERS[tracker][0](run, psi0.x.as_array()[None],
+        ts = TRACKERS[tracker][0](run, psi0.x[None],
                                   np.array([psi0.beta]))
         probes_of = lambda: ts.probes()[0]
         estimate_of = lambda: tuple(None if v is None else v[0]

@@ -1,8 +1,9 @@
 """The package's public names are the library's surface: each name that
 ``beamtrack/__init__.py`` exports is used by library code outside its own
 definition, by a demo or by the benchmark.  A name only tests use belongs
-in ``tests/reference.py``.  The engine runs serially, so importing the
-package loads no process pool."""
+in ``tests/reference.py``, and so do the explicit O(MN) steering matrices:
+the library runs on the probe kernels.  The engine runs serially, so
+importing the package loads no process pool."""
 
 import ast
 import os
@@ -58,6 +59,23 @@ def _unused_exports():
 
 def test_every_export_has_a_non_test_caller():
     assert _unused_exports() == []
+
+
+def test_steering_matrices_stay_out_of_the_library():
+    """Only ``arrays`` (and the export list) refers to ``steering_vector``,
+    and no library module defines the explicit Jacobian, the steering
+    derivative or a direction wrapper class."""
+    refer, define = {}, {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        refer[path.name] = "steering_vector" in _references(tree)
+        define[path.name] = sorted(
+            node.name for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name in ("jacobian", "steering_derivative", "Dpv"))
+    assert [name for name, found in refer.items() if found
+            and name not in ("__init__.py", "arrays.py")] == []
+    assert {name: found for name, found in define.items() if found} == {}
 
 
 def test_import_loads_no_process_pool():

@@ -577,21 +577,34 @@ def test_bad_track_input_exits_1_with_one_error_line(name, tmp_path, capsys):
     assert [line.startswith("error:") for line in err.splitlines()].count(True) == 1
 
 
+def _floor_gain_var(floor):
+    """The sigma_beta_c_sq that puts 0 dB at the floor: 10^(floor/10),
+    raised by ulps until the rounded rule accepts it."""
+    var = 10.0 ** (floor / 10.0)
+    while 10.0 * math.log10(var) < floor:
+        var = math.nextafter(var, math.inf)
+    return var
+
+
 class TestSnrFloor:
     """``snr_db`` has one floor for every tracker, derived from the float
-    range: at it every run is finite and warns of nothing, below it a run
-    is a configuration error naming ``snr_db``."""
+    range, and so has the gain SNR snr_db + 10 log10 sigma_beta_c_sq below
+    unit gain variance: at it every run is finite and warns of nothing,
+    below it a run is a configuration error naming ``snr_db``."""
 
     FLOOR = snr_db_floor(ScenarioConfig(QuasiStatic()))
+    FLOOR_GAIN_VAR = _floor_gain_var(FLOOR)
 
     def _track(self, tmp_path, snr_db, tracker="JBCT_S",
-               scenario="quasi-static", region="central"):
+               scenario="quasi-static", region="central", gain_var=None):
         offsets = "tableIII" if tracker == "RBT_DI" else "tableII"
         cfg = tmp_path / "run.toml"
         cfg.write_text(f'scenario = "{scenario}"\ntracker = "{tracker}"\n'
                        f'aoa_region = "{region}"\noffsets = "{offsets}"\n'
                        f"snr_db = {snr_db!r}\ntrials = 3\neccs = 6\n"
-                       f"record_every = 2\n")
+                       f"record_every = 2\n"
+                       + (f"sigma_beta_c_sq = {gain_var!r}\n"
+                          if gain_var is not None else ""))
         out = tmp_path / "out.csv"
         try:
             code = main(["track", "--config", str(cfg), "--out", str(out)])
@@ -627,6 +640,33 @@ class TestSnrFloor:
         err = capsys.readouterr().err.splitlines()
         assert code == 1
         assert len(err) == 1 and err[0].startswith("error: snr_db")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("region", ["central", "edge"])
+    @pytest.mark.parametrize("tracker", TRACKER_NAMES)
+    def test_runs_at_the_gain_snr_floor_are_finite(self, tmp_path, tracker,
+                                                   region):
+        code, out = self._track(tmp_path, 0.0, tracker, "dynamic-i", region,
+                                self.FLOOR_GAIN_VAR)
+        assert code == 0
+        rows = read_csv(out)
+        assert all(math.isfinite(r.mse_x) for r in rows)
+        assert all(math.isfinite(r.crlb_ref) for r in rows)
+
+    @pytest.mark.parametrize("snr_db, gain_var", [
+        (0.0, 1e-100), (0.0, 1e-200), (0.0, 1e-300),
+        (-0.01, FLOOR_GAIN_VAR),
+        # a large gain variance leaves the pilot's own floor in place
+        (FLOOR - 1.0, 1e300)])
+    @pytest.mark.parametrize("tracker", TRACKER_NAMES)
+    def test_below_the_gain_snr_floor_exits_1(self, tmp_path, capsys,
+                                              snr_db, gain_var, tracker):
+        code, _ = self._track(tmp_path, snr_db, tracker, "dynamic-i",
+                              gain_var=gain_var)
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error: snr_db")
+        assert "sigma_beta_c_sq" in err[0]
 
 
 # argv of the crlb/offsets/verify subcommands; each has one input the

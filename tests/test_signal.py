@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
+import reference
 from reference import observe
 
 from beamtrack.arrays import ArrayConfig
 from beamtrack.offsets import STATIC_OFFSETS
 from beamtrack.signal import (AmbiguousSolution, ChannelParams, NoSolution,
                               OffsetSet, _amplitude_residual, build_ebm,
-                              noiseless_mean,
+                              noiseless_mean, observation_matrix,
                               observe_fast,
                               real_observation_jacobian,
                               recover_from_noiseless)
@@ -35,7 +36,8 @@ class TestBuildEbm:
     def test_zero_offset_column_is_uniform(self):
         offs = OffsetSet(np.array([[0.0, 0.0], [0.3, 0.1], [-0.2, 0.4]]))
         ebm = build_ebm(CFG, (0.0, 0.0), offs)
-        assert np.allclose(ebm.columns[:, 0], 1 / np.sqrt(64))
+        assert np.allclose(reference.ebm_columns(CFG, ebm)[:, 0],
+                           1 / np.sqrt(64))
 
     def test_directions_are_center_plus_offsets(self):
         """At the origin the probe directions are the offsets themselves."""
@@ -46,7 +48,8 @@ class TestBuildEbm:
 
     def test_column_modulus(self):
         ebm = build_ebm(CFG, (1.3, -0.7), STATIC_OFFSETS)
-        assert np.allclose(np.abs(ebm.columns), 1 / np.sqrt(64))
+        assert np.allclose(np.abs(reference.ebm_columns(CFG, ebm)),
+                           1 / np.sqrt(64))
 
 
 class TestObserve:
@@ -56,7 +59,8 @@ class TestObserve:
         cfg = ArrayConfig(8, 8, noise_var=1e-300)
         ebm = build_ebm(cfg, self.PSI.x, STATIC_OFFSETS)
         y = observe(cfg, self.PSI, ebm, np.random.default_rng(0))
-        assert np.abs(y - noiseless_mean(cfg, self.PSI, ebm)).max() < 1e-140
+        mean = reference.noiseless_mean(cfg, self.PSI, ebm)
+        assert np.abs(y - mean).max() < 1e-140
 
     def test_noise_mean_and_variance(self):
         """With beta = 0 the draws are pure CN(0, noise_var) noise.  The 1e5
@@ -105,14 +109,40 @@ class TestNoiselessMean:
             psi = ChannelParams.from_parts(
                 rng.uniform(0.2, 1.5) * np.exp(1j * rng.uniform(0, 2 * np.pi)),
                 rng.uniform(-2, 2, 2))
-            center = psi.x.as_array() + rng.uniform(-0.3, 0.3, 2)
+            center = psi.x + rng.uniform(-0.3, 0.3, 2)
             ebm = build_ebm(CFG, center, STATIC_OFFSETS)
             y = noiseless_mean(CFG, psi, ebm)
-            d = ebm.directions - psi.x.as_array()
+            d = ebm.directions - psi.x
             expected = (CFG.pilot_amp * psi.beta / np.sqrt(64)
                         * beam_gain_kernel(d, 8, 8)
                         * np.exp(-1j * np.pi * (7 / 8) * (d[:, 0] + d[:, 1])))
             assert np.abs(y - expected).max() < 1e-9
+
+
+class TestObservationMatrix:
+    """The kernel route to W^H J and to the noiseless mean agrees with the
+    explicit steering matrices of ``tests/reference.py`` to 1e-12 relative,
+    scaled by sqrt(MN), at random channels and EBM centres."""
+
+    @pytest.mark.parametrize("m, n", [(8, 8), (6, 10), (16, 4), (1, 7)])
+    def test_matches_explicit_steering_matrices(self, m, n):
+        cfg = ArrayConfig(m, n, pilot_amp=1.7)
+        rng = np.random.default_rng(11)
+        span = np.array([m, n]) / 2.0
+        tol = 1e-12 * np.sqrt(cfg.size)
+        for _ in range(50):
+            psi = ChannelParams.from_parts(
+                rng.uniform(0.2, 2.0) * np.exp(1j * rng.uniform(0, 2 * np.pi)),
+                rng.uniform(-span, span))
+            ebm = build_ebm(cfg, rng.uniform(-span, span), STATIC_OFFSETS)
+            ref = (reference.ebm_columns(cfg, ebm).conj().T
+                   @ reference.jacobian(cfg, psi))
+            got = observation_matrix(cfg, psi, ebm)
+            assert got.shape == (3, 4)
+            assert np.abs(got - ref).max() <= tol * np.abs(ref).max()
+            mean = reference.noiseless_mean(cfg, psi, ebm)
+            assert (np.abs(noiseless_mean(cfg, psi, ebm) - mean).max()
+                    <= tol * np.abs(mean).max())
 
 
 class TestPhaseOffsetConstancy:
@@ -125,7 +155,7 @@ class TestPhaseOffsetConstancy:
             psi = ChannelParams.from_parts(
                 rng.uniform(0.2, 1.5) * np.exp(1j * rng.uniform(0, 2 * np.pi)),
                 rng.uniform(-1, 1, 2))
-            ebm = build_ebm(CFG, psi.x.as_array() + rng.uniform(-0.2, 0.2, 2),
+            ebm = build_ebm(CFG, psi.x + rng.uniform(-0.2, 0.2, 2),
                             STATIC_OFFSETS)
             y = noiseless_mean(CFG, psi, ebm)
             rel = np.angle(y[1:] / y[0])
@@ -141,7 +171,7 @@ class TestIdentifiability:
         for _ in range(20):
             psi = ChannelParams.from_parts(
                 0.5 + rng.uniform(0, 1) + 0.3j, rng.uniform(-1, 1, 2))
-            ebm = build_ebm(CFG, psi.x.as_array() + rng.uniform(-0.3, 0.3, 2),
+            ebm = build_ebm(CFG, psi.x + rng.uniform(-0.3, 0.3, 2),
                             STATIC_OFFSETS)
             sv = np.linalg.svd(real_observation_jacobian(CFG, psi, ebm),
                                compute_uv=False)
@@ -153,7 +183,7 @@ class TestIdentifiability:
         for _ in range(20):
             psi = ChannelParams.from_parts(
                 0.5 + rng.uniform(0, 1) + 0.3j, rng.uniform(-1, 1, 2))
-            ebm = build_ebm(CFG, psi.x.as_array() + rng.uniform(-0.3, 0.3, 2),
+            ebm = build_ebm(CFG, psi.x + rng.uniform(-0.3, 0.3, 2),
                             STATIC_OFFSETS)
             sv = np.linalg.svd(real_observation_jacobian(CFG, psi, ebm, probes=2),
                                compute_uv=False)
@@ -198,7 +228,7 @@ class TestRecovery:
             psi = ChannelParams.from_parts(
                 (0.3 + rng.uniform(0, 1)) * np.exp(1j * rng.uniform(0, 2 * np.pi)),
                 rng.uniform(-2, 2, 2))
-            center = psi.x.as_array() + rng.uniform(-0.4, 0.4, 2)
+            center = psi.x + rng.uniform(-0.4, 0.4, 2)
             ebm = build_ebm(CFG, center, STATIC_OFFSETS)
             y = noiseless_mean(CFG, psi, ebm)
             box = ((center[0] - 0.95, center[0] + 0.95),

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from reference import di_score
+from reference import di_score, ebm_columns, jacobian
 
 from beamtrack.arrays import ArrayConfig, probe_kernels
 from beamtrack.channels import bootstrap_gains
@@ -28,14 +28,14 @@ PSI = ChannelParams.from_parts(0.8 - 0.3j, (0.0, 0.0))
 
 def _observe_noiseless(psi_true, x_hat, offsets=STATIC_OFFSETS):
     dirs = np.asarray(x_hat, float) + offsets.deltas
-    g, _, _ = probe_kernels(dirs - psi_true.x.as_array(), CFG.m, CFG.n)
+    g, _, _ = probe_kernels(dirs - psi_true.x, CFG.m, CFG.n)
     return CFG.pilot_amp * psi_true.beta * g
 
 
 def _joint(psi0, schedule, cfg=CFG):
     """One-row joint tracker started at ``psi0``."""
     return JbctBatch(TrackerRun(cfg, STATIC_OFFSETS, schedule, np.ones(1)),
-                     psi0.x.as_array()[None], np.array([psi0.beta]))
+                     psi0.x[None], np.array([psi0.beta]))
 
 
 def _direction(x0, schedule, gain_var=1.0, gain_var_at=None, cfg=CFG):
@@ -95,7 +95,7 @@ class TestJbctFixedPoint:
         """A noiseless observation at the true channel leaves the estimate
         unchanged."""
         tracker = _joint(PSI, DiminishingStep(1.0))
-        y = _observe_noiseless(PSI, PSI.x.as_array())
+        y = _observe_noiseless(PSI, PSI.x)
         before = tracker.psi.copy()
         tracker.update(y[None])
         assert np.abs(tracker.psi - before).max() < 1e-12
@@ -277,8 +277,7 @@ class TestMeanField:
         ebm = build_ebm(CFG, psi_hat.x, STATIC_OFFSETS)
         expected = mean_field(psi_hat, PSI, CFG, ebm)
         # vectorized naive direction: the solve matrix is fixed by psi_hat
-        from beamtrack.estimation import jacobian
-        kmat = ebm.columns.conj().T @ jacobian(CFG, psi_hat)
+        kmat = ebm_columns(CFG, ebm).conj().T @ jacobian(CFG, psi_hat)
         rem = np.real(kmat.conj().T @ kmat)
         mean = noiseless_mean(CFG, PSI, ebm)
         n = 100_000
@@ -394,7 +393,7 @@ class TestOpCounts:
 
 class TestBootstrapGain:
     def test_noiseless_fit_at_truth_is_exact(self):
-        x = PSI.x.as_array()
+        x = PSI.x
         got = bootstrap_gains(CFG, STATIC_OFFSETS, x, PSI.beta, x, np.zeros(6))
         assert abs(got - PSI.beta) < 1e-12
 
@@ -403,7 +402,7 @@ class TestBeamSwitch:
     def test_snaps_and_holds_on_codebook_truth(self):
         """Noiseless, truth on a lattice point: reach it and stay."""
         truth = ChannelParams.from_parts(1.0, (1.5, -1.0))
-        x_true = truth.x.as_array()
+        x_true = truth.x
         tracker = _baseline(BeamSwitchBatch, (2.0, -0.5))
         for _ in range(30):
             _noiseless_cycle(tracker, truth.beta, x_true)
@@ -479,7 +478,7 @@ class TestEkf:
         monkeypatch.setattr(trackers, "EKF_PROCESS_NOISE", 0.0)
         cfg = ArrayConfig(8, 8, noise_var=1e-30)
         truth = ChannelParams.from_parts(0.9 + 0.2j, (0.6, -0.8))
-        x_true = truth.x.as_array()
+        x_true = truth.x
         tracker = _baseline(EkfBatch, x_true + [0.1, -0.1], cfg)
         covs = [tracker.p[0]]
         for _ in range(100):
@@ -493,7 +492,7 @@ class TestEkf:
     def test_default_process_noise_recovers_far_start(self):
         cfg = ArrayConfig(8, 8, noise_var=1e-30)
         truth = ChannelParams.from_parts(0.9 + 0.2j, (0.6, -0.8))
-        x_true = truth.x.as_array()
+        x_true = truth.x
         tracker = _baseline(EkfBatch, x_true + [0.3, -0.2], cfg)
         for _ in range(100):
             _noiseless_cycle(tracker, truth.beta, x_true, cfg)
@@ -557,7 +556,7 @@ class TestEkf:
         truth = ChannelParams.from_parts(0.8, (0.0, 0.0))
         tracker = _baseline(EkfBatch, (0.2, 0.2))
         for _ in range(2000):
-            g, _, _ = probe_kernels(tracker.probes() - truth.x.as_array(), 8, 8)
+            g, _, _ = probe_kernels(tracker.probes() - truth.x, 8, 8)
             y = truth.beta * g + np.sqrt(0.5) * (
                 rng.standard_normal(3) + 1j * rng.standard_normal(3))
             tracker.update(y)
