@@ -13,8 +13,6 @@ import argparse
 import functools
 import sys
 
-import numpy as np
-
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on bad flags; the contract here is 1
@@ -31,16 +29,9 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     track = sub.add_parser("track", help="run a Monte-Carlo tracking experiment")
-    track.add_argument("--config", required=True, help="TOML config file")
-    track.add_argument("--seed", type=int)
-    track.add_argument("--out", help="CSV output path")
-    track.add_argument("--trials", type=int)
-    track.add_argument("--eccs", type=int)
-    track.add_argument("--snr-db", type=float)
-    track.add_argument("--scenario",
-                       choices=["quasi-static", "dynamic-i", "dynamic-ii"])
-    track.add_argument("--tracker")
-    track.add_argument("--offsets")
+    track.add_argument("--config", required=True,
+                       help="TOML config file, the run's only settings")
+    track.add_argument("--out", help="CSV output path (default: stdout)")
     track.set_defaults(run=_cmd_track)
 
     crlb = sub.add_parser("crlb", help="evaluate or sweep the tracking bounds")
@@ -175,52 +166,19 @@ def _objectives(args) -> dict:
 _MODEL_PRESETS = {"static": "tableII", "di": "tableIII"}
 
 
-def _resolve_cli_offsets(token: str):
-    from .harness import ConfigError
-    from .offsets import OFFSET_PRESETS
-    from .signal import OffsetSet
-    if token in OFFSET_PRESETS:
-        return OFFSET_PRESETS[token]
-    try:
-        vals = np.array([float(v) for v in token.split(",")]).reshape(3, 2)
-    except ValueError:
-        raise ConfigError(f"offsets: expected a preset name or six numbers, "
-                          f"got {token!r}") from None
-    try:
-        return OffsetSet(vals)
-    except ValueError as exc:
-        raise ConfigError(f"offsets: {exc}") from None
-
-
 def _cmd_track(args) -> int:
     # imported per call: a module-level import would bind the names before
     # bench/tracing.py wraps them on their modules
-    from .harness import (config_from_mapping, emit_csv, format_csv,
-                          parse_config_text, run_experiment)
-    try:
-        with open(args.config) as fh:
-            mapping = parse_config_text(fh.read())
-    except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: cannot read config {args.config}: {exc}", file=sys.stderr)
-        return 1
-    out_path = args.out or mapping.get("out")
-    overrides = {"seed": args.seed, "trials": args.trials, "eccs": args.eccs,
-                 "snr_db": args.snr_db, "scenario": args.scenario,
-                 "tracker": args.tracker}
-    if args.offsets is not None:
-        overrides["offsets"] = _resolve_cli_offsets(args.offsets)
-    for key, val in overrides.items():
-        if val is not None:
-            mapping[key] = val
-    ec = config_from_mapping(mapping)
-    records = run_experiment(ec)
-    if out_path:
+    from .harness import (emit_csv, format_csv, load_experiment,
+                          run_experiment)
+    records = run_experiment(load_experiment(args.config))
+    if args.out:
         try:
-            emit_csv(records, out_path)
+            emit_csv(records, args.out)
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-        print(f"wrote {len(records)} records to {out_path}")
+        print(f"wrote {len(records)} records to {args.out}")
     else:
         sys.stdout.write(format_csv(records))
     return 0
@@ -228,9 +186,11 @@ def _cmd_track(args) -> int:
 
 def _cmd_crlb(args) -> int:
     from dataclasses import replace
+    from .harness import parse_offsets, resolve_offsets
     _bound_flags(args, "--sweep-sizes", args.sweep_sizes)
     model = args.objective.split("-")[0]
-    deltas = _resolve_cli_offsets(args.offsets or _MODEL_PRESETS[model]).deltas
+    deltas = resolve_offsets(
+        parse_offsets(args.offsets or _MODEL_PRESETS[model])).deltas
     objectives = _objectives(args)
     if args.sweep_sizes:
         sizes = _sizes(args.sweep_sizes, "--sweep-sizes")
@@ -249,15 +209,15 @@ def _cmd_crlb(args) -> int:
 
 def _cmd_offsets(args) -> int:
     # imported per call, as in _cmd_track
-    from .offsets import (SearchConfig, canonicalize, optimize_offsets,
-                          robustness_sweep, swap_applies)
+    from .offsets import (OFFSET_PRESETS, SearchConfig, canonicalize,
+                          optimize_offsets, robustness_sweep, swap_applies)
     _bound_flags(args, "--robustness", args.robustness)
     _search_flags(args)
     objectives = _objectives(args)
     if args.robustness:
         sizes = [(s, s) for s in _sizes(args.robustness, "--robustness")]
         model = args.objective.split("-")[0]
-        preset = _resolve_cli_offsets(_MODEL_PRESETS[model])
+        preset = OFFSET_PRESETS[_MODEL_PRESETS[model]]
         rows = robustness_sweep(preset, objectives[f"{model}-finite"], sizes)
         print("m,n,crlb_at_offsets,crlb_min,rel_gap")
         for ((m, n), at, best, gap) in rows:

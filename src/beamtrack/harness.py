@@ -112,6 +112,17 @@ def snr_db_floor(sc: ScenarioConfig) -> float:
         + sc.pattern.eta_max_db
 
 
+def snr_db_ceiling(cfg: ArrayConfig) -> float:
+    """The highest gain SNR in dB a run takes at ``cfg``'s size, for
+    snr_db + 10 log10 max(1, sigma_beta_c_sq): the product of the
+    direction Fisher's diagonal, each entry at most 6 pi^2 MN times the
+    gain SNR (a probe kernel has |k_p|^2 < pi^2 MN), stays a float at a
+    gain power 20 dB above its mean, which a complex normal gain exceeds
+    with probability e^-100 a draw.  About 1485.5 dB at 8x8."""
+    return 10.0 * math.log10(sys.float_info.max) / 2.0 \
+        - 10.0 * math.log10(6.0 * math.pi**2 * cfg.size) - 20.0
+
+
 def _validate(ec: ExperimentConfig):
     if ec.tracker not in TRACKERS:
         raise ConfigError(f"tracker: unknown tracker {ec.tracker!r}; "
@@ -144,24 +155,49 @@ def _validate(ec: ExperimentConfig):
     # gain SNR snr x sigma_beta_c_sq, on which the direction bound rests
     floor = snr_db_floor(ec.scenario)
     var = _stationary_gain_var(ec.scenario.kind)
-    if ec.snr_db + min(0.0, 10.0 * math.log10(var)) < floor:
+    var_db = 10.0 * math.log10(var)
+    if ec.snr_db + min(0.0, var_db) < floor:
         raise ConfigError(f"snr_db: {ec.snr_db!r} with sigma_beta_c_sq = "
                           f"{var!r} puts snr_db + 10 log10 min(1, "
                           f"sigma_beta_c_sq) below the floor of {floor:.3f} "
                           f"dB, under which the direction Fisher underflows "
                           f"a float")
+    ceiling = snr_db_ceiling(ec.array)
+    if ec.snr_db + max(0.0, var_db) > ceiling:
+        raise ConfigError(f"snr_db: {ec.snr_db!r} with sigma_beta_c_sq = "
+                          f"{var!r} puts snr_db + 10 log10 max(1, "
+                          f"sigma_beta_c_sq) above the ceiling of "
+                          f"{ceiling:.3f} dB at {ec.array.m}x{ec.array.n}, "
+                          f"over which the direction Fisher overflows a "
+                          f"float")
     _build("snr_db, noise_var", effective_array, ec)
 
 
-def _resolve_offsets(ec: ExperimentConfig) -> OffsetSet:
-    if isinstance(ec.offsets, str):
-        return OFFSET_PRESETS[ec.offsets]
-    return ec.offsets
+def parse_offsets(text: str) -> Union[OffsetSet, str]:
+    """The offsets ``text`` names: a preset name as given, or six numbers
+    ``x1,x2,x1,x2,x1,x2`` as an :class:`OffsetSet`; else a ConfigError.
+    The ``offsets`` config key and ``crlb --offsets`` read this."""
+    if text in OFFSET_PRESETS:
+        return text
+    try:
+        vals = np.array([float(v) for v in text.split(",")]).reshape(3, 2)
+    except ValueError:
+        raise ConfigError(f"offsets: expected a preset name "
+                          f"{sorted(OFFSET_PRESETS)} or six numbers, got "
+                          f"{text!r}") from None
+    return _build("offsets", OffsetSet, vals)
+
+
+def resolve_offsets(offsets: Union[OffsetSet, str]) -> OffsetSet:
+    """The :class:`OffsetSet` of a preset name, or ``offsets`` itself."""
+    return OFFSET_PRESETS[offsets] if isinstance(offsets, str) else offsets
 
 
 def effective_array(ec: ExperimentConfig) -> ArrayConfig:
     """Array config with the pilot amplitude implied by the transmit SNR:
-    pilot_amp = sqrt(10^(snr/10) * noise_var)."""
+    pilot_amp = sqrt(10^(snr/10) * noise_var).  A config file leaves
+    noise_var at 1.0; results depend on the SNR only, and the scalar
+    Fisher and CRLB functions read the absolute scale."""
     pilot = float(np.sqrt(db_to_power(ec.snr_db) * ec.array.noise_var))
     return replace(ec.array, pilot_amp=pilot)
 
@@ -277,7 +313,7 @@ def _run_batch(ec: ExperimentConfig, trials: range):
     computed only at those cycles."""
     cfg = effective_array(ec)
     sc = ec.scenario
-    offsets = _resolve_offsets(ec)
+    offsets = resolve_offsets(ec.offsets)
     tracker_cls, default_schedule = TRACKERS[ec.tracker]
     rngs = _trial_rngs(ec.seed, trials)
     draws = initial_draws(sc, rngs, ec.init_halfwidth)
@@ -418,11 +454,9 @@ def _build(keys: str, factory, *args, **kwargs):
 
 
 def config_from_mapping(kv: dict) -> ExperimentConfig:
-    """Build an :class:`ExperimentConfig` from parsed key-value pairs.
-    The ``out`` key (output CSV path) is the CLI's to consume; ``offsets``
-    holds a preset name or an :class:`OffsetSet`."""
+    """Build an :class:`ExperimentConfig` from parsed key-value pairs, a
+    config file's keys; ``offsets`` is read by :func:`parse_offsets`."""
     kv = dict(kv)
-    _pop_str(kv, "out", "")
     name = _pop_str(kv, "scenario", "quasi-static")
     if name == "quasi-static":
         kind = QuasiStatic(rician_k_db=_pop_float(kv, "rician_k_db", 15.0))
@@ -439,11 +473,10 @@ def config_from_mapping(kv: dict) -> ExperimentConfig:
     scenario = ScenarioConfig(kind, _pop_str(kv, "aoa_region", "central"))
     _build("aoa_region", scenario.ranges)
 
-    array = _build("m, n, d1, d2, noise_var", ArrayConfig,
+    array = _build("m, n, d1, d2", ArrayConfig,
                    m=_pop_int(kv, "m", 8), n=_pop_int(kv, "n", 8),
                    d1=_pop_float(kv, "d1", 0.5),
-                   d2=_pop_float(kv, "d2", 0.5),
-                   noise_var=_pop_float(kv, "noise_var", 1.0))
+                   d2=_pop_float(kv, "d2", 0.5))
 
     # each schedule takes only its own keys; the others stay in ``kv``
     # and are reported as unused
@@ -458,14 +491,11 @@ def config_from_mapping(kv: dict) -> ExperimentConfig:
     elif sched_name is not None:
         raise ConfigError(f"schedule: unknown schedule {sched_name!r}")
 
-    offsets = kv.pop("offsets", "tableII")
-    if not isinstance(offsets, (str, OffsetSet)):
-        raise ConfigError(f"offsets: expected a preset name, got {offsets!r}")
     ec = ExperimentConfig(
         scenario=scenario,
         array=array,
         tracker=_pop_str(kv, "tracker", "JBCT_S"),
-        offsets=offsets,
+        offsets=parse_offsets(_pop_str(kv, "offsets", "tableII")),
         schedule=schedule,
         num_trials=_pop_int(kv, "trials", 1),
         num_eccs=_pop_int(kv, "eccs", 100),
@@ -482,9 +512,10 @@ def config_from_mapping(kv: dict) -> ExperimentConfig:
 
 
 def load_experiment(path) -> ExperimentConfig:
+    """The validated experiment of the TOML config file at ``path``."""
     try:
         with open(path) as fh:
             text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"config: cannot read {path}: {exc}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config: cannot read {path}: {exc}") from None
     return config_from_mapping(parse_config_text(text))

@@ -20,10 +20,9 @@ from beamtrack.arrays import Aoa, ArrayConfig, aoa_coords, probe_kernels
 from beamtrack.channels import DynamicI, DynamicII, QuasiStatic, ScenarioConfig
 from beamtrack.estimation import di_offsets_crlb, static_offsets_crlb
 from beamtrack.harness import (TRACKERS, ExperimentConfig, _recorded_cycles,
-                               _records, _resolve_offsets, _run_batch,
-                               _stationary_gain_var, _trial_rngs,
-                               effective_array, emit_csv, format_csv,
-                               run_experiment)
+                               _records, _run_batch, _stationary_gain_var,
+                               _trial_rngs, effective_array, emit_csv,
+                               format_csv, resolve_offsets, run_experiment)
 from beamtrack.offsets import STATIC_OFFSETS
 from beamtrack.signal import ChannelParams, build_ebm
 from beamtrack.trackers import (STEP_CAP, ConstantStep, DiminishingStep,
@@ -71,7 +70,7 @@ def reference_trial(ec, trial, hits=None):
     joint tracker's gain-floor and step-cap activations."""
     cfg = effective_array(ec)
     sc = ec.scenario
-    offsets = _resolve_offsets(ec)
+    offsets = resolve_offsets(ec.offsets)
     rng = _trial_rng(ec.seed, trial)
     state = init_channel(sc, cfg, rng)
     psi0 = initial_estimate(state, cfg, rng, ec.init_halfwidth, offsets)

@@ -3,6 +3,8 @@
 import filecmp
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -21,8 +23,8 @@ from beamtrack.harness import (CSV_HEADER, TRACKER_NAMES, TRACKERS,
                                ConfigError, ExperimentConfig, MetricsRecord,
                                config_from_mapping, emit_csv, format_csv,
                                load_experiment, parse_config_text,
-                               run_experiment, snr_db_floor)
-from beamtrack.cli import main
+                               run_experiment, snr_db_ceiling, snr_db_floor)
+from beamtrack.cli import _build_parser, main
 from beamtrack.offsets import MAX_GRID_POINTS
 from beamtrack.trackers import ConstantStep, DiminishingStep, RbtBatch
 
@@ -200,12 +202,11 @@ RUN_KEYS = {
     "offsets": st.sampled_from(["tableII", "tableIII"]),
     "m": st.integers(1, 64), "n": st.integers(1, 64),
     "d1": _floats(0.1, 2), "d2": _floats(0.1, 2),
-    "noise_var": _floats(1e-3, 10), "snr_db": _floats(-30, 30),
+    "snr_db": _floats(-30, 30),
     "trials": st.integers(1, 1000), "eccs": st.integers(1, 5000),
     "seed": st.integers(0, 2**63 - 1),
     "record_every": st.integers(1, 100),
     "init_halfwidth": _floats(0, 0.99),
-    "out": st.sampled_from(["run.csv", "out/r#1.csv"]),
 }
 CONFIG_KEYS = {"scenario", "tracker", "schedule", "rbt_sigma_mode",
                *RUN_KEYS}.union(*SCENARIO_KEYS.values(),
@@ -281,15 +282,20 @@ k0 = 0.0
         with pytest.raises(ConfigError):
             parse_config_text("seed = zebra")
 
-    def test_hash_inside_quoted_value(self, tmp_path, monkeypatch):
+    def test_hash_inside_quoted_value(self, tmp_path, capsys):
         """A '#' inside a quoted value belongs to the value; after it, one
-        starts a comment."""
+        starts a comment, which a run then ignores."""
         text = self.GOOD + 'out = "r#1.csv"  # output path\n'
         assert parse_config_text(text)["out"] == "r#1.csv"
-        (tmp_path / "run.toml").write_text(text)
-        monkeypatch.chdir(tmp_path)
-        assert main(["track", "--config", "run.toml"]) == 0
-        assert (tmp_path / "r#1.csv").read_text().startswith(CSV_HEADER)
+        plain, commented = tmp_path / "plain.toml", tmp_path / "run.toml"
+        plain.write_text(self.GOOD)
+        commented.write_text(self.GOOD.replace(
+            'tracker = "JBCT_S"', 'tracker = "JBCT_S"  # "EKF" # a baseline'))
+        assert main(["track", "--config", str(plain)]) == 0
+        want = capsys.readouterr().out
+        assert main(["track", "--config", str(commented)]) == 0
+        assert capsys.readouterr().out == want
+        assert want.startswith(CSV_HEADER)
 
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ConfigError, match="scenario"):
@@ -298,6 +304,23 @@ k0 = 0.0
     def test_load_missing_file(self):
         with pytest.raises(ConfigError, match="cannot read"):
             load_experiment("/no/such/config.toml")
+
+    def test_load_binary_file(self, tmp_path):
+        """A file that is not UTF-8 text is a ConfigError, not a raw
+        UnicodeDecodeError."""
+        path = tmp_path / "run.toml"
+        path.write_bytes(b"seed = 7\n\xff\xfe\x00\x81")
+        with pytest.raises(ConfigError, match="config: cannot read"):
+            load_experiment(path)
+
+    def test_offsets_key_takes_six_numbers(self):
+        """The offsets key takes a preset name, kept as the name, or six
+        numbers x1,x2,x1,x2,x1,x2, read as an OffsetSet."""
+        assert config_from_mapping({"offsets": "tableIII"}).offsets \
+            == "tableIII"
+        ec = config_from_mapping({"offsets": "0.1,0.2,0.3,-0.4,-0.5,0.1"})
+        assert ec.offsets.deltas.tolist() == [[0.1, 0.2], [0.3, -0.4],
+                                              [-0.5, 0.1]]
 
     @settings(max_examples=60, deadline=None)
     @given(mapping=_VALID_MAPPINGS)
@@ -310,9 +333,12 @@ k0 = 0.0
             config_from_mapping(mapping)
 
 
+README = Path(__file__).parent.parent / "README.md"
+
+
 def _readme_config():
     """The TOML block of README's "Command line" section, parsed."""
-    text = (Path(__file__).parent.parent / "README.md").read_text()
+    text = README.read_text()
     section = text[text.index("## Command line"):]
     block = section[section.index("```toml\n") + len("```toml\n"):]
     return parse_config_text(block[:block.index("```")])
@@ -338,6 +364,19 @@ class TestReadmeConfig:
             keys.update(SCHEDULE_KEYS[schedule])
         mapping = {key: readme[key] for key in keys} | chosen
         assert config_from_mapping(mapping) == config_from_mapping(chosen)
+
+
+def test_readme_commands_parse():
+    """Every ``beamtrack`` line of README's sh blocks, its comment and the
+    program name stripped, parses: a deleted flag cannot linger there."""
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
+    commands = [shlex.split(line, comments=True)[1:]
+                for block in blocks for line in block.splitlines()
+                if line.startswith("beamtrack ")]
+    for argv in commands:
+        _build_parser().parse_args(argv)
+    assert {argv[0] for argv in commands} == {"track", "crlb", "offsets",
+                                               "verify"}
 
 
 def _run_cli(*args):
@@ -372,9 +411,9 @@ class TestCli:
 
     def test_track_accepts_six_offsets(self, tmp_path, capsys):
         cfg = tmp_path / "run.toml"
-        cfg.write_text(TestConfigFile.GOOD)
-        code = main(["track", "--config", str(cfg),
-                     "--offsets", "0.1,0.2,0.3,-0.4,-0.5,0.1"])
+        cfg.write_text(TestConfigFile.GOOD.replace(
+            'offsets = "tableII"', 'offsets = "0.1,0.2,0.3,-0.4,-0.5,0.1"'))
+        code = main(["track", "--config", str(cfg)])
         assert code == 0
         assert capsys.readouterr().out.startswith(CSV_HEADER)
 
@@ -387,6 +426,13 @@ class TestCli:
         capsys.readouterr()
         assert main(["track", "--config", str(cfg)]) == 0
         assert capsys.readouterr().out.encode() == out.read_bytes()
+
+    def test_track_takes_only_config_and_out(self):
+        """The config file is a run's one source of settings: ``track``
+        has no flag that sets a config key."""
+        sub = _build_parser()._subparsers._group_actions[0].choices["track"]
+        flags = {s for a in sub._actions for s in a.option_strings}
+        assert flags == {"-h", "--help", "--config", "--out"}
 
     def test_crlb_subcommand(self):
         proc = _run_cli("crlb", "--objective", "static-asymptotic")
@@ -507,6 +553,10 @@ _NO_SCHEDULE = GOOD_RUN.replace('schedule = "diminishing"\nepsilon = 1.0\n'
                                 "k0 = 0.0\n", "")
 
 
+def _with_offsets(value):
+    return GOOD_RUN.replace('offsets = "tableII"', f'offsets = "{value}"')
+
+
 # (config text, extra argv); each is one bad input
 BAD_INPUTS = {
     "fractional trials": (GOOD_RUN + "trials = 1.7\n", []),
@@ -523,13 +573,17 @@ BAD_INPUTS = {
     "unknown key": ("bogus = 3\n", []),
     "duplicate key": (GOOD_RUN + "seed = 8\n", []),
     "unparsable value": ("seed = zebra\n", []),
-    "bad offsets flag": (GOOD_RUN, ["--offsets", "0.1,0.2,0.3"]),
+    "three offsets": (_with_offsets("0.1,0.2,0.3"), []),
     "offsets outside the square": (
-        GOOD_RUN, ["--offsets", "0.1,0.2,0.3,-0.4,-1.5,0.1"]),
-    "non-finite offsets": (
-        GOOD_RUN, ["--offsets", "0.1,0.2,0.3,nan,0.5,0.1"]),
-    "negative seed": (GOOD_RUN, ["--seed", "-1"]),
-    "non-integer flag": (GOOD_RUN, ["--trials", "abc"]),
+        _with_offsets("0.1,0.2,0.3,-0.4,-1.5,0.1"), []),
+    "non-finite offsets": (_with_offsets("0.1,0.2,0.3,nan,0.5,0.1"), []),
+    "unknown offsets preset": (_with_offsets("tableIV"), []),
+    "negative seed": (GOOD_RUN.replace("seed = 7", "seed = -1"), []),
+    # a bool is an int to Python, not a trial count
+    "boolean trials": (GOOD_RUN.replace("trials = 2", "trials = true"), []),
+    # a config file sets neither the noise scale nor the output path
+    "noise_var key": (GOOD_RUN + "noise_var = 1.0\n", []),
+    "out key": (GOOD_RUN + 'out = "x.csv"\n', []),
     "unwritable output": (GOOD_RUN, ["--out", "/no/such/dir/out.csv"]),
     # a one-element array cannot resolve a direction: singular Fisher
     "one-element array": (GOOD_RUN.replace("m = 8\nn = 8", "m = 1\nn = 1"),
@@ -538,16 +592,8 @@ BAD_INPUTS = {
         'scenario = "dynamic-i"\ntracker = "RBT_DI"\noffsets = "tableIII"\n'
         "sigma_beta_c_sq = 1e-320\n", []),
     "overflowing snr": (GOOD_RUN.replace("snr_db = 0.0", "snr_db = 1e5"), []),
-    # each factor of the pilot power is finite, their product is not
-    "overflowing pilot amplitude": (
-        GOOD_RUN.replace("snr_db = 0.0", "snr_db = 3000.0\nnoise_var = 1e10"),
-        []),
     "oversized array": (GOOD_RUN.replace("m = 8", "m = 99999999999999999999"),
                         []),
-    # the pilot power underflows to 0, and a zero pilot observes nothing
-    "zero pilot amplitude": (
-        GOOD_RUN.replace("snr_db = 0.0", "snr_db = -700.0\nnoise_var = 1e-300"),
-        []),
     # inputs a run would ignore
     "schedule for BeamSwitch": (
         GOOD_RUN.replace('tracker = "JBCT_S"', 'tracker = "BeamSwitch"'), []),
@@ -577,6 +623,20 @@ def test_bad_track_input_exits_1_with_one_error_line(name, tmp_path, capsys):
     assert [line.startswith("error:") for line in err.splitlines()].count(True) == 1
 
 
+@pytest.mark.parametrize("snr_db, noise_var", [
+    # each factor of the pilot power is finite, their product is not
+    (1000.0, 1e300),
+    # the pilot power underflows to 0, and a zero pilot observes nothing
+    (-700.0, 1e-300)], ids=["overflowing", "zero"])
+def test_pilot_amplitude_out_of_range(snr_db, noise_var):
+    """The absolute noise scale is the Python API's alone: a pilot power
+    snr x noise_var that is not a positive float is a ConfigError."""
+    ec = _quasi_static_config(array=ArrayConfig(8, 8, noise_var=noise_var),
+                              snr_db=snr_db)
+    with pytest.raises(ConfigError, match="snr_db, noise_var: pilot"):
+        run_experiment(ec)
+
+
 def _floor_gain_var(floor):
     """The sigma_beta_c_sq that puts 0 dB at the floor: 10^(floor/10),
     raised by ulps until the rounded rule accepts it."""
@@ -584,6 +644,35 @@ def _floor_gain_var(floor):
     while 10.0 * math.log10(var) < floor:
         var = math.nextafter(var, math.inf)
     return var
+
+
+def _track(tmp_path, snr_db, tracker="JBCT_S", scenario="quasi-static",
+           region="central", gain_var=None, size=8):
+    """Exit code and CSV path of a 3-trial, 6-cycle ``track`` run on a
+    size x size array."""
+    offsets = "tableIII" if tracker == "RBT_DI" else "tableII"
+    cfg = tmp_path / "run.toml"
+    cfg.write_text(f'scenario = "{scenario}"\ntracker = "{tracker}"\n'
+                   f'aoa_region = "{region}"\noffsets = "{offsets}"\n'
+                   f"snr_db = {snr_db!r}\ntrials = 3\neccs = 6\n"
+                   f"record_every = 2\nm = {size}\nn = {size}\n"
+                   + (f"sigma_beta_c_sq = {gain_var!r}\n"
+                      if gain_var is not None else ""))
+    out = tmp_path / "out.csv"
+    try:
+        code = main(["track", "--config", str(cfg), "--out", str(out)])
+    except SystemExit as exc:
+        code = exc.code
+    return code, out
+
+
+def _assert_finite_rows(out, tracker, scenario):
+    rows = read_csv(out)
+    assert all(math.isfinite(r.mse_x) for r in rows)
+    assert all(math.isfinite(r.mse_h) == (tracker != "RBT_DI") for r in rows)
+    # a bound applies to the quasi-static and the fading-gain scenario
+    assert all(math.isfinite(r.crlb_ref) == (scenario != "dynamic-ii")
+               for r in rows)
 
 
 class TestSnrFloor:
@@ -595,23 +684,6 @@ class TestSnrFloor:
     FLOOR = snr_db_floor(ScenarioConfig(QuasiStatic()))
     FLOOR_GAIN_VAR = _floor_gain_var(FLOOR)
 
-    def _track(self, tmp_path, snr_db, tracker="JBCT_S",
-               scenario="quasi-static", region="central", gain_var=None):
-        offsets = "tableIII" if tracker == "RBT_DI" else "tableII"
-        cfg = tmp_path / "run.toml"
-        cfg.write_text(f'scenario = "{scenario}"\ntracker = "{tracker}"\n'
-                       f'aoa_region = "{region}"\noffsets = "{offsets}"\n'
-                       f"snr_db = {snr_db!r}\ntrials = 3\neccs = 6\n"
-                       f"record_every = 2\n"
-                       + (f"sigma_beta_c_sq = {gain_var!r}\n"
-                          if gain_var is not None else ""))
-        out = tmp_path / "out.csv"
-        try:
-            code = main(["track", "--config", str(cfg), "--out", str(out)])
-        except SystemExit as exc:
-            code = exc.code
-        return code, out
-
     def test_floor_value(self):
         assert self.FLOOR == pytest.approx(-739.1316389, abs=1e-6)
 
@@ -621,22 +693,15 @@ class TestSnrFloor:
     @pytest.mark.parametrize("tracker", TRACKER_NAMES)
     def test_runs_at_the_floor_are_finite(self, tmp_path, tracker, scenario,
                                           region):
-        code, out = self._track(tmp_path, self.FLOOR, tracker, scenario,
-                                region)
+        code, out = _track(tmp_path, self.FLOOR, tracker, scenario, region)
         assert code == 0
-        rows = read_csv(out)
-        assert all(math.isfinite(r.mse_x) for r in rows)
-        assert all(math.isfinite(r.mse_h) == (tracker != "RBT_DI")
-                   for r in rows)
-        # a bound applies to the quasi-static and the fading-gain scenario
-        assert all(math.isfinite(r.crlb_ref) == (scenario != "dynamic-ii")
-                   for r in rows)
+        _assert_finite_rows(out, tracker, scenario)
 
     @pytest.mark.parametrize("snr_db", [FLOOR - 1.0, -3000.0, -3080.0])
     @pytest.mark.parametrize("tracker", ["JBCT_S", "RBT_DI"])
     def test_below_the_floor_exits_1(self, tmp_path, capsys, snr_db,
                                      tracker):
-        code, _ = self._track(tmp_path, snr_db, tracker, "dynamic-i")
+        code, _ = _track(tmp_path, snr_db, tracker, "dynamic-i")
         err = capsys.readouterr().err.splitlines()
         assert code == 1
         assert len(err) == 1 and err[0].startswith("error: snr_db")
@@ -646,8 +711,8 @@ class TestSnrFloor:
     @pytest.mark.parametrize("tracker", TRACKER_NAMES)
     def test_runs_at_the_gain_snr_floor_are_finite(self, tmp_path, tracker,
                                                    region):
-        code, out = self._track(tmp_path, 0.0, tracker, "dynamic-i", region,
-                                self.FLOOR_GAIN_VAR)
+        code, out = _track(tmp_path, 0.0, tracker, "dynamic-i", region,
+                           self.FLOOR_GAIN_VAR)
         assert code == 0
         rows = read_csv(out)
         assert all(math.isfinite(r.mse_x) for r in rows)
@@ -661,12 +726,65 @@ class TestSnrFloor:
     @pytest.mark.parametrize("tracker", TRACKER_NAMES)
     def test_below_the_gain_snr_floor_exits_1(self, tmp_path, capsys,
                                               snr_db, gain_var, tracker):
-        code, _ = self._track(tmp_path, snr_db, tracker, "dynamic-i",
-                              gain_var=gain_var)
+        code, _ = _track(tmp_path, snr_db, tracker, "dynamic-i",
+                         gain_var=gain_var)
         err = capsys.readouterr().err.splitlines()
         assert code == 1
         assert len(err) == 1 and err[0].startswith("error: snr_db")
         assert "sigma_beta_c_sq" in err[0]
+
+
+class TestSnrCeiling:
+    """``snr_db`` has a ceiling at each array size, derived from the float
+    range, and so has the gain SNR snr_db + 10 log10 sigma_beta_c_sq above
+    unit gain variance: at it every run is finite and warns of nothing,
+    above it a run is a configuration error naming ``snr_db``."""
+
+    @pytest.mark.parametrize("size, value", [(8, 1485.4872681),
+                                             (1024, 1443.3430687)])
+    def test_ceiling_value(self, size, value):
+        assert snr_db_ceiling(ArrayConfig(size, size)) == \
+            pytest.approx(value, abs=1e-6)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("size", [8, 1024])
+    @pytest.mark.parametrize("scenario", sorted(SCENARIO_KEYS))
+    @pytest.mark.parametrize("tracker", TRACKER_NAMES)
+    def test_runs_at_the_ceiling_are_finite(self, tmp_path, tracker,
+                                            scenario, size):
+        ceiling = snr_db_ceiling(ArrayConfig(size, size))
+        code, out = _track(tmp_path, ceiling, tracker, scenario, size=size)
+        assert code == 0
+        _assert_finite_rows(out, tracker, scenario)
+
+    @pytest.mark.parametrize("size", [8, 1024])
+    @pytest.mark.parametrize("tracker", TRACKER_NAMES)
+    def test_above_the_ceiling_exits_1(self, tmp_path, capsys, tracker,
+                                       size):
+        ceiling = snr_db_ceiling(ArrayConfig(size, size))
+        code, _ = _track(tmp_path, math.nextafter(ceiling, math.inf),
+                         tracker, size=size)
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error: snr_db")
+        assert f"at {size}x{size}" in err[0]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("tracker", TRACKER_NAMES)
+    def test_gain_variance_counts_toward_the_ceiling(self, tmp_path, capsys,
+                                                     tracker):
+        """sigma_beta_c_sq = 1e10 takes 100 dB of the ceiling."""
+        ceiling = snr_db_ceiling(ArrayConfig(8, 8))
+        code, out = _track(tmp_path, ceiling - 100.001, tracker, "dynamic-i",
+                           gain_var=1e10)
+        assert code == 0
+        _assert_finite_rows(out, tracker, "dynamic-i")
+        code, _ = _track(tmp_path, ceiling - 99.999, tracker, "dynamic-i",
+                         gain_var=1e10)
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error: snr_db")
+        assert "sigma_beta_c_sq = 10000000000.0" in err[0]
 
 
 # argv of the crlb/offsets/verify subcommands; each has one input the

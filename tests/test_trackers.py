@@ -569,18 +569,21 @@ class TestEkf:
 # fixed-order short reductions
 # ---------------------------------------------------------------------------
 
-_MAGNITUDES = st.builds(lambda v, neg: -v if neg else v,
-                        st.floats(1e-8, 1e8), st.booleans())
-
-
 @st.composite
 def _short_rows(draw, widths, complex_values):
     """(T, c) arrays, c from ``widths``, entries of magnitude 1e-8 to 1e8
-    (both parts, if complex), and up to four entries set to NaN or +-inf."""
+    (both parts, if complex), and up to four entries set to NaN or +-inf.
+    Magnitudes and signs are drawn as two arrays, which hypothesis
+    generates faster than one array of built elements.  No fill: with its
+    default fill hypothesis repeats one value over most of an array (a
+    median 12% of distinct entries, against 95% without)."""
     width = draw(st.sampled_from(widths))
     rows = draw(st.integers(1, 30))
     parts = 2 if complex_values else 1
-    a = draw(hnp.arrays(float, (parts, rows, width), elements=_MAGNITUDES))
+    shape = (parts, rows, width)
+    a = draw(hnp.arrays(float, shape, elements=st.floats(1e-8, 1e8),
+                        fill=st.nothing()))
+    a[draw(hnp.arrays(bool, shape, fill=st.nothing()))] *= -1
     for row, col, part, value in draw(st.lists(st.tuples(
             st.integers(0, rows - 1), st.integers(0, width - 1),
             st.integers(0, parts - 1),
