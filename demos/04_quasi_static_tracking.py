@@ -5,14 +5,15 @@ over a small Monte-Carlo batch and shows k * MSE flattening onto the
 minimum normalized CRLB.
 """
 
-from beamtrack import (ArrayConfig, DiminishingStep, ExperimentConfig,
-                       QuasiStatic, ScenarioConfig, emit_csv, run_experiment)
+from beamtrack import (STATIC_OFFSETS, ArrayConfig, DiminishingStep,
+                       ExperimentConfig, QuasiStatic, ScenarioConfig, emit_csv,
+                       run_experiment)
 
 ec = ExperimentConfig(
     scenario=ScenarioConfig(QuasiStatic()),
     array=ArrayConfig(8, 8),
     tracker="JBCT_S",
-    offsets="tableII",
+    offsets=STATIC_OFFSETS,
     schedule=DiminishingStep(1.0),
     num_trials=100,
     num_eccs=1000,

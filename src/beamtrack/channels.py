@@ -24,6 +24,7 @@ import numpy as np
 
 from .arrays import (ArrayConfig, PatternConfig, _gain_kernel, aoa_coords,
                      dpv_coords, element_gain_angles)
+from .offsets import db_to_power
 from .signal import OffsetSet, fit_gains, observe_fast
 
 AOA_REGIONS = {
@@ -37,6 +38,9 @@ class QuasiStatic:
     """Fixed arrival and fixed Rician path gain (unit mean power)."""
 
     rician_k_db: float = 15.0
+
+    def __post_init__(self):
+        db_to_power(self.rician_k_db)
 
 
 @dataclass(frozen=True)
@@ -189,7 +193,7 @@ def init_channel_batch(sc: ScenarioConfig, cfg: ArrayConfig,
     kind = sc.kind
     z = draws[:, 3] + 1j * draws[:, 4]
     if isinstance(kind, QuasiStatic):
-        kappa = 10.0 ** (kind.rician_k_db / 10.0)
+        kappa = db_to_power(kind.rician_k_db)
         los = np.sqrt(kappa / (kappa + 1.0)) * np.exp(1j * draws[:, 2])
         beta_c = los + z * np.sqrt(1.0 / (kappa + 1.0) / 2.0)
     elif isinstance(kind, DynamicI):

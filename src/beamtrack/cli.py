@@ -118,20 +118,35 @@ def _unused(args, sweep: str, flags) -> None:
             raise ConfigError(f"--{flag}: not used with {sweep}")
 
 
-def _bound_flags(args, sweep: str, sizes) -> None:
-    """Check the flags ``crlb`` and ``offsets`` share: ``--m`` and ``--n``
-    (default 8), which the ``sweep`` flag's sweep over ``sizes`` sizes
-    itself and takes neither of, then ``--snr-beta-db``."""
+def _bound_flags(args, sweep: str, text) -> list:
+    """Check the flags ``crlb`` and ``offsets`` share and return the
+    square sizes ``text`` of the ``sweep`` flag names (none without it):
+    ``--m`` and ``--n`` (default 8), which a sweep sizes itself and takes
+    neither of, then ``--snr-beta-db``, which must not exceed the
+    ceiling of the finite direction bound at any size the command
+    evaluates that bound at."""
+    from .estimation import snr_beta_db_ceiling
     from .harness import ConfigError
     from .offsets import db_to_power
-    if sizes:
+    if text:
         _unused(args, sweep, ("m", "n"))
     args.m = _size(8 if args.m is None else args.m, "--m")
     args.n = _size(8 if args.n is None else args.n, "--n")
+    sizes = [_size(token, sweep) for token in text.split(",")] if text else []
     try:
         db_to_power(args.snr_beta_db)
     except ValueError as exc:
         raise ConfigError(f"--snr-beta-db: {exc}") from None
+    model, form = args.objective.split("-")
+    if model == "di" and (sizes or form == "finite"):
+        m, n = (max(sizes),) * 2 if sizes else (args.m, args.n)
+        ceiling = snr_beta_db_ceiling(m * n)
+        if args.snr_beta_db > ceiling:
+            raise ConfigError(f"--snr-beta-db: {args.snr_beta_db!r} is above "
+                              f"the ceiling of {ceiling:.3f} dB at {m}x{n}, "
+                              f"over which the direction Fisher overflows "
+                              f"a float")
+    return sizes
 
 
 def _search_flags(args) -> None:
@@ -145,11 +160,6 @@ def _search_flags(args) -> None:
     args.grid = _grid(21 if args.grid is None else args.grid)
     args.iters = _positive_int(400 if args.iters is None else args.iters,
                                "--iters")
-
-
-def _sizes(text: str, key: str) -> list:
-    """A comma list of array sizes, e.g. ``8,16,32``."""
-    return [_size(token, key) for token in text.split(",")]
 
 
 def _objectives(args) -> dict:
@@ -186,14 +196,12 @@ def _cmd_track(args) -> int:
 
 def _cmd_crlb(args) -> int:
     from dataclasses import replace
-    from .harness import parse_offsets, resolve_offsets
-    _bound_flags(args, "--sweep-sizes", args.sweep_sizes)
+    from .harness import parse_offsets
+    sizes = _bound_flags(args, "--sweep-sizes", args.sweep_sizes)
     model = args.objective.split("-")[0]
-    deltas = resolve_offsets(
-        parse_offsets(args.offsets or _MODEL_PRESETS[model])).deltas
+    deltas = parse_offsets(args.offsets or _MODEL_PRESETS[model]).deltas
     objectives = _objectives(args)
-    if args.sweep_sizes:
-        sizes = _sizes(args.sweep_sizes, "--sweep-sizes")
+    if sizes:
         finite = objectives[f"{model}-finite"]
         # Python floats: inf - inf below is a quiet nan, not a warning
         limit = float(objectives[f"{model}-asymptotic"].evaluate(deltas))
@@ -211,14 +219,14 @@ def _cmd_offsets(args) -> int:
     # imported per call, as in _cmd_track
     from .offsets import (OFFSET_PRESETS, SearchConfig, canonicalize,
                           optimize_offsets, robustness_sweep, swap_applies)
-    _bound_flags(args, "--robustness", args.robustness)
+    sizes = _bound_flags(args, "--robustness", args.robustness)
     _search_flags(args)
     objectives = _objectives(args)
-    if args.robustness:
-        sizes = [(s, s) for s in _sizes(args.robustness, "--robustness")]
+    if sizes:
         model = args.objective.split("-")[0]
         preset = OFFSET_PRESETS[_MODEL_PRESETS[model]]
-        rows = robustness_sweep(preset, objectives[f"{model}-finite"], sizes)
+        rows = robustness_sweep(preset, objectives[f"{model}-finite"],
+                                [(s, s) for s in sizes])
         print("m,n,crlb_at_offsets,crlb_min,rel_gap")
         for ((m, n), at, best, gap) in rows:
             print(f"{m},{n},{at:.12g},{best:.12g},{gap:.3e}")

@@ -37,6 +37,8 @@ and log-density the score is differenced against) live in the tests.
 from __future__ import annotations
 
 import functools
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -269,6 +271,16 @@ def _di_info(products, snr_beta):
     qr1, qr2 = q * r1, q * r2
     f = (s2 * (w11 + qr1 * r1), s2 * (w12 + qr1 * r2), s2 * (w22 + qr2 * r2))
     return f, (s2 * (a * k11 + qr1 * r1)) * (s2 * (a * k22 + qr2 * r2))
+
+
+def snr_beta_db_ceiling(size: int) -> float:
+    """The highest gain SNR in dB at which the direction Fisher of an
+    array of ``size`` elements is a float at any offsets: each entry of
+    :func:`_di_info` is at most 6 pi^2 MN times the gain SNR (a probe
+    kernel has |k_p|^2 < pi^2 MN), and the product of the diagonal stays
+    below the largest float.  About 1505.5 dB at 8x8."""
+    return 10.0 * math.log10(sys.float_info.max) / 2.0 \
+        - 10.0 * math.log10(6.0 * math.pi**2 * size)
 
 
 def _sym2(f):

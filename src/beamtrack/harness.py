@@ -39,7 +39,7 @@ import math
 import sys
 import tomllib
 from dataclasses import dataclass, replace
-from typing import List, Optional, Union
+from typing import List, Optional
 
 import numpy as np
 
@@ -48,8 +48,9 @@ from .channels import (ChannelBatch, DynamicI, DynamicII, QuasiStatic,
                        ScenarioConfig, estimated_gain_variance, evolve_batch,
                        evolve_normals, init_channel_batch, initial_draws,
                        initial_estimate_batch)
-from .estimation import di_offsets_crlb, static_offsets_crlb
-from .offsets import OFFSET_PRESETS, db_to_power
+from .estimation import (di_offsets_crlb, snr_beta_db_ceiling,
+                         static_offsets_crlb)
+from .offsets import OFFSET_PRESETS, STATIC_OFFSETS, db_to_power
 from .signal import OffsetSet, observe_fast
 from .trackers import (BeamSwitchBatch, ConstantStep, DiminishingStep,
                        EkfBatch, JbctBatch, RbtBatch, TrackerRun)
@@ -80,7 +81,7 @@ class ExperimentConfig:
     scenario: ScenarioConfig
     array: ArrayConfig
     tracker: str
-    offsets: Union[OffsetSet, str] = "tableII"
+    offsets: OffsetSet = STATIC_OFFSETS
     schedule: Optional[object] = None   # default depends on the tracker
     num_trials: int = 1
     num_eccs: int = 100
@@ -114,13 +115,11 @@ def snr_db_floor(sc: ScenarioConfig) -> float:
 
 def snr_db_ceiling(cfg: ArrayConfig) -> float:
     """The highest gain SNR in dB a run takes at ``cfg``'s size, for
-    snr_db + 10 log10 max(1, sigma_beta_c_sq): the product of the
-    direction Fisher's diagonal, each entry at most 6 pi^2 MN times the
-    gain SNR (a probe kernel has |k_p|^2 < pi^2 MN), stays a float at a
-    gain power 20 dB above its mean, which a complex normal gain exceeds
-    with probability e^-100 a draw.  About 1485.5 dB at 8x8."""
-    return 10.0 * math.log10(sys.float_info.max) / 2.0 \
-        - 10.0 * math.log10(6.0 * math.pi**2 * cfg.size) - 20.0
+    snr_db + 10 log10 max(1, sigma_beta_c_sq): the direction Fisher stays
+    a float (:func:`~.estimation.snr_beta_db_ceiling`) at a gain power
+    20 dB above its mean, which a complex normal gain exceeds with
+    probability e^-100 a draw.  About 1485.5 dB at 8x8."""
+    return snr_beta_db_ceiling(cfg.size) - 20.0
 
 
 def _validate(ec: ExperimentConfig):
@@ -148,9 +147,16 @@ def _validate(ec: ExperimentConfig):
     if ec.rbt_sigma_mode == "estimated" and tracker_cls is not RbtBatch:
         raise ConfigError(f"rbt_sigma_mode: 'estimated' applies to the "
                           f"direction tracker only, not {ec.tracker}")
-    if isinstance(ec.offsets, str) and ec.offsets not in OFFSET_PRESETS:
-        raise ConfigError(f"offsets: unknown preset {ec.offsets!r}; "
-                          f"expected one of {sorted(OFFSET_PRESETS)}")
+    if not isinstance(ec.offsets, OffsetSet):
+        raise ConfigError(f"offsets: expected an OffsetSet, got "
+                          f"{ec.offsets!r}; parse_offsets reads a preset "
+                          f"name or six numbers")
+    # snr_db alone sets the pilot SNR (effective_array)
+    for field in ("pilot_amp", "noise_var"):
+        value = getattr(ec.array, field)
+        if value != 1.0:
+            raise ConfigError(f"array.{field}: expected 1.0, got {value!r}; "
+                              f"snr_db sets the pilot SNR")
     # the floor holds for the pilot and, below unit gain variance, for the
     # gain SNR snr x sigma_beta_c_sq, on which the direction bound rests
     floor = snr_db_floor(ec.scenario)
@@ -170,15 +176,15 @@ def _validate(ec: ExperimentConfig):
                           f"{ceiling:.3f} dB at {ec.array.m}x{ec.array.n}, "
                           f"over which the direction Fisher overflows a "
                           f"float")
-    _build("snr_db, noise_var", effective_array, ec)
+    _build("snr_db", effective_array, ec)
 
 
-def parse_offsets(text: str) -> Union[OffsetSet, str]:
-    """The offsets ``text`` names: a preset name as given, or six numbers
-    ``x1,x2,x1,x2,x1,x2`` as an :class:`OffsetSet`; else a ConfigError.
+def parse_offsets(text: str) -> OffsetSet:
+    """The :class:`OffsetSet` ``text`` names: a preset's set for its name,
+    or the set of six numbers ``x1,x2,x1,x2,x1,x2``; else a ConfigError.
     The ``offsets`` config key and ``crlb --offsets`` read this."""
     if text in OFFSET_PRESETS:
-        return text
+        return OFFSET_PRESETS[text]
     try:
         vals = np.array([float(v) for v in text.split(",")]).reshape(3, 2)
     except ValueError:
@@ -188,18 +194,12 @@ def parse_offsets(text: str) -> Union[OffsetSet, str]:
     return _build("offsets", OffsetSet, vals)
 
 
-def resolve_offsets(offsets: Union[OffsetSet, str]) -> OffsetSet:
-    """The :class:`OffsetSet` of a preset name, or ``offsets`` itself."""
-    return OFFSET_PRESETS[offsets] if isinstance(offsets, str) else offsets
-
-
 def effective_array(ec: ExperimentConfig) -> ArrayConfig:
-    """Array config with the pilot amplitude implied by the transmit SNR:
-    pilot_amp = sqrt(10^(snr/10) * noise_var).  A config file leaves
-    noise_var at 1.0; results depend on the SNR only, and the scalar
-    Fisher and CRLB functions read the absolute scale."""
-    pilot = float(np.sqrt(db_to_power(ec.snr_db) * ec.array.noise_var))
-    return replace(ec.array, pilot_amp=pilot)
+    """The run's array at unit noise with the pilot amplitude of its
+    transmit SNR, pilot_amp = sqrt(10^(snr_db/10)).  A run's results
+    depend on that SNR alone, so its ``array`` keeps ``pilot_amp`` and
+    ``noise_var`` at 1.0; the scalar Fisher and CRLB functions read them."""
+    return replace(ec.array, pilot_amp=math.sqrt(db_to_power(ec.snr_db)))
 
 
 def _stationary_gain_var(kind) -> float:
@@ -282,21 +282,19 @@ def _channel_errors(cfg: ArrayConfig, ch: ChannelBatch, x_hat: np.ndarray,
     return np.maximum(err_h, 0.0) / cfg.size, err_x
 
 
-def _crlb_refs(ec: ExperimentConfig, cfg: ArrayConfig, offsets: OffsetSet,
+def _crlb_refs(ec: ExperimentConfig, cfg: ArrayConfig,
                ch: ChannelBatch) -> np.ndarray:
-    """Per-trial one-cycle bound: the static channel-vector CRLB (the same
-    for every trial), the direction CRLB at each trial's equivalent-gain
-    SNR for fading gains, NaN otherwise."""
+    """Per-trial one-cycle bound at unit noise: the static channel-vector
+    CRLB (the same for every trial), the direction CRLB at each trial's
+    equivalent-gain SNR for fading gains, NaN otherwise."""
     kind = ec.scenario.kind
+    deltas = ec.offsets.deltas
     if isinstance(kind, QuasiStatic):
-        value = static_offsets_crlb(offsets.deltas, cfg.m, cfg.n,
-                                    cfg.pilot_amp, cfg.noise_var)
+        value = static_offsets_crlb(deltas, cfg.m, cfg.n, cfg.pilot_amp)
         return np.full(len(ch.x), float(value))
     if isinstance(kind, DynamicI):
-        snr_b = (cfg.pilot_amp**2 * ch.eta**2 * _stationary_gain_var(kind)
-                 / cfg.noise_var)
-        return np.asarray(di_offsets_crlb(offsets.deltas, cfg.m, cfg.n,
-                                          snr_b), float)
+        snr_b = cfg.pilot_amp**2 * ch.eta**2 * _stationary_gain_var(kind)
+        return np.asarray(di_offsets_crlb(deltas, cfg.m, cfg.n, snr_b), float)
     return np.full(len(ch.x), np.nan)
 
 
@@ -313,21 +311,20 @@ def _run_batch(ec: ExperimentConfig, trials: range):
     computed only at those cycles."""
     cfg = effective_array(ec)
     sc = ec.scenario
-    offsets = resolve_offsets(ec.offsets)
     tracker_cls, default_schedule = TRACKERS[ec.tracker]
     rngs = _trial_rngs(ec.seed, trials)
     draws = initial_draws(sc, rngs, ec.init_halfwidth)
     ch = init_channel_batch(sc, cfg, draws)
-    x0, beta0 = initial_estimate_batch(ch, cfg, offsets, draws)
+    x0, beta0 = initial_estimate_batch(ch, cfg, ec.offsets, draws)
     sigma_c_sq = _stationary_gain_var(sc.kind)
     gain_var_at = None
     if ec.rbt_sigma_mode == "estimated":
         def gain_var_at(x):
             return estimated_gain_variance(sc, cfg, x, sigma_c_sq)
-    run = TrackerRun(cfg, offsets, ec.schedule or default_schedule,
+    run = TrackerRun(cfg, ec.offsets, ec.schedule or default_schedule,
                      ch.eta**2 * sigma_c_sq, gain_var_at)
     tracker = tracker_cls(run, x0, beta0)
-    crlb = _crlb_refs(ec, cfg, offsets, ch)
+    crlb = _crlb_refs(ec, cfg, ch)
 
     cycles = ec.num_eccs
     recorded = _recorded_cycles(ec)
@@ -459,7 +456,8 @@ def config_from_mapping(kv: dict) -> ExperimentConfig:
     kv = dict(kv)
     name = _pop_str(kv, "scenario", "quasi-static")
     if name == "quasi-static":
-        kind = QuasiStatic(rician_k_db=_pop_float(kv, "rician_k_db", 15.0))
+        kind = _build("rician_k_db", QuasiStatic,
+                      rician_k_db=_pop_float(kv, "rician_k_db", 15.0))
     elif name == "dynamic-i":
         kind = _build("sigma_beta_c_sq", DynamicI,
                       sigma_beta_c_sq=_pop_float(kv, "sigma_beta_c_sq", 1.0))

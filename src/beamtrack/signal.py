@@ -58,14 +58,15 @@ class ChannelParams:
         return cls(float(v[0]), float(v[1]), float(v[2]), float(v[3]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OffsetSet:
-    """Three 2D exploration offsets defining the probing beam pattern."""
+    """Three 2D exploration offsets defining the probing beam pattern.
+    Holds a read-only copy of ``deltas``; sets compare and hash by value."""
 
     deltas: np.ndarray  # shape (3, 2)
 
     def __post_init__(self):
-        d = np.asarray(self.deltas, float)
+        d = np.array(self.deltas, float)
         if d.shape != (3, 2):
             raise ValueError("exactly three 2D offsets are required")
         if not np.all(np.abs(d) < 1.0):
@@ -74,7 +75,17 @@ class OffsetSet:
             for j in range(i + 1, 3):
                 if np.allclose(d[i], d[j]):
                     raise ValueError("offsets must be pairwise distinct")
+        d.flags.writeable = False
         object.__setattr__(self, "deltas", d)
+
+    def __eq__(self, other):
+        if not isinstance(other, OffsetSet):
+            return NotImplemented
+        return bool(np.array_equal(self.deltas, other.deltas))
+
+    def __hash__(self):
+        # float hashing maps -0.0 and 0.0 alike, as == compares them
+        return hash(tuple(self.deltas.ravel().tolist()))
 
 
 @dataclass(frozen=True)

@@ -224,7 +224,7 @@ class TestCriterion9ConvergenceToCrlb:
         t0 = time.monotonic()
         ec = ExperimentConfig(
             scenario=ScenarioConfig(QuasiStatic()), array=CFG,
-            tracker="JBCT_S", offsets="tableII",
+            tracker="JBCT_S", offsets=STATIC_OFFSETS,
             schedule=DiminishingStep(1.0),
             num_trials=500, num_eccs=2000, seed=7, snr_db=0.0,
             record_every=2000, init_halfwidth=0.25)
@@ -246,7 +246,7 @@ class TestCriterion9ConvergenceToCrlb:
         t0 = time.monotonic()
         ec = ExperimentConfig(
             scenario=ScenarioConfig(DynamicI(1.0)), array=CFG,
-            tracker="RBT_DI", offsets="tableIII",
+            tracker="RBT_DI", offsets=FADING_OFFSETS,
             schedule=DiminishingStep(1.0, 5.0),
             num_trials=500, num_eccs=2000, seed=7, snr_db=0.0,
             record_every=2000, init_halfwidth=0.25)
@@ -324,7 +324,7 @@ class TestCriterion11FastChannelOrdering:
         for tracker in ("JBCT_DII", "BeamSwitch", "EKF"):
             ec = ExperimentConfig(
                 scenario=scenario, array=CFG, tracker=tracker,
-                offsets="tableII", num_trials=200, num_eccs=500, seed=11,
+                offsets=STATIC_OFFSETS, num_trials=200, num_eccs=500, seed=11,
                 snr_db=0.0, record_every=1, init_halfwidth=0.25)
             recs = run_experiment(ec)
             means[tracker] = float(np.mean([r.mse_h for r in recs]))

@@ -22,8 +22,8 @@ from beamtrack.estimation import di_offsets_crlb, static_offsets_crlb
 from beamtrack.harness import (TRACKERS, ExperimentConfig, _recorded_cycles,
                                _records, _run_batch, _stationary_gain_var,
                                _trial_rngs, effective_array, emit_csv,
-                               format_csv, resolve_offsets, run_experiment)
-from beamtrack.offsets import STATIC_OFFSETS
+                               format_csv, run_experiment)
+from beamtrack.offsets import FADING_OFFSETS, STATIC_OFFSETS
 from beamtrack.signal import ChannelParams, build_ebm
 from beamtrack.trackers import (STEP_CAP, ConstantStep, DiminishingStep,
                                 EkfBatch,
@@ -70,7 +70,7 @@ def reference_trial(ec, trial, hits=None):
     joint tracker's gain-floor and step-cap activations."""
     cfg = effective_array(ec)
     sc = ec.scenario
-    offsets = resolve_offsets(ec.offsets)
+    offsets = ec.offsets
     rng = _trial_rng(ec.seed, trial)
     state = init_channel(sc, cfg, rng)
     psi0 = initial_estimate(state, cfg, rng, ec.init_halfwidth, offsets)
@@ -171,16 +171,18 @@ CASES = {
     # a fast walk that keeps reflecting off the arrival region's edges
     "JBCT_DII-walls": dict(tracker="JBCT_DII", scenario=ScenarioConfig(
         DynamicII(rho=0.9, delta_a=0.25))),
-    "RBT_DI-perfect": dict(tracker="RBT_DI", scenario=DI, offsets="tableIII",
+    "RBT_DI-perfect": dict(tracker="RBT_DI", scenario=DI,
+                           offsets=FADING_OFFSETS,
                            schedule=DiminishingStep(1.0, 5.0)),
     "RBT_DI-estimated": dict(tracker="RBT_DI", scenario=DI,
-                             offsets="tableIII", rbt_sigma_mode="estimated",
+                             offsets=FADING_OFFSETS,
+                             rbt_sigma_mode="estimated",
                              schedule=DiminishingStep(1.0, 5.0)),
 }
 
 
 def _config(case, **kw):
-    base = dict(array=ArrayConfig(8, 8), offsets="tableII", num_trials=12,
+    base = dict(array=ArrayConfig(8, 8), offsets=STATIC_OFFSETS, num_trials=12,
                 num_eccs=40, seed=3, record_every=1, init_halfwidth=0.25)
     base.update(CASES[case])
     base.update(kw)
@@ -349,13 +351,13 @@ class TestCsvPins:
 
     DII = ScenarioConfig(DynamicII(0.995, np.deg2rad(0.3)))
     CASES = {
-        "9a-JBCT_S": (ScenarioConfig(QuasiStatic()), "JBCT_S", "tableII",
+        "9a-JBCT_S": (ScenarioConfig(QuasiStatic()), "JBCT_S", STATIC_OFFSETS,
                       DiminishingStep(1.0)),
-        "9b-RBT_DI": (ScenarioConfig(DynamicI(1.0)), "RBT_DI", "tableIII",
+        "9b-RBT_DI": (ScenarioConfig(DynamicI(1.0)), "RBT_DI", FADING_OFFSETS,
                       DiminishingStep(1.0, 5.0)),
-        "11-JBCT_DII": (DII, "JBCT_DII", "tableII", ConstantStep(0.7)),
-        "11-BeamSwitch": (DII, "BeamSwitch", "tableII", None),
-        "11-EKF": (DII, "EKF", "tableII", None),
+        "11-JBCT_DII": (DII, "JBCT_DII", STATIC_OFFSETS, ConstantStep(0.7)),
+        "11-BeamSwitch": (DII, "BeamSwitch", STATIC_OFFSETS, None),
+        "11-EKF": (DII, "EKF", STATIC_OFFSETS, None),
     }
     SHA256 = {
         "9a-JBCT_S": "789acfc44ba17b6d2db1f863f9aafd83"

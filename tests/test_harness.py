@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from reference import read_csv
 
+import beamtrack
 from beamtrack.arrays import ArrayConfig
 from beamtrack.channels import DynamicI, QuasiStatic, ScenarioConfig
 from beamtrack.harness import (CSV_HEADER, TRACKER_NAMES, TRACKERS,
@@ -25,13 +26,15 @@ from beamtrack.harness import (CSV_HEADER, TRACKER_NAMES, TRACKERS,
                                load_experiment, parse_config_text,
                                run_experiment, snr_db_ceiling, snr_db_floor)
 from beamtrack.cli import _build_parser, main
-from beamtrack.offsets import MAX_GRID_POINTS
+from beamtrack.estimation import snr_beta_db_ceiling
+from beamtrack.offsets import FADING_OFFSETS, MAX_GRID_POINTS, STATIC_OFFSETS
 from beamtrack.trackers import ConstantStep, DiminishingStep, RbtBatch
 
 
 def _quasi_static_config(**kw):
     base = dict(scenario=ScenarioConfig(QuasiStatic()),
-                array=ArrayConfig(8, 8), tracker="JBCT_S", offsets="tableII",
+                array=ArrayConfig(8, 8), tracker="JBCT_S",
+                offsets=STATIC_OFFSETS,
                 num_trials=3, num_eccs=50, seed=0, record_every=10)
     base.update(kw)
     return ExperimentConfig(**base)
@@ -43,10 +46,8 @@ class TestRunExperiment:
         channel-vector MSE is at numerical floor by cycle 500.  (With the
         1/k schedule the noiseless error decays only as 1/k, so the floor
         needs the geometric schedule.)"""
-        # noise_var -> 0 with the pilot held at 1 (snr_db = 300 under the
-        # pilot_amp = sqrt(10^(snr/10) * noise_var) mapping)
+        # 300 dB at unit noise: a pilot amplitude of 1e15
         ec = _quasi_static_config(
-            array=ArrayConfig(8, 8, noise_var=1e-30),
             schedule=ConstantStep(0.7),
             num_trials=1, num_eccs=500, record_every=500, snr_db=300.0)
         rec = run_experiment(ec)[-1]
@@ -86,7 +87,7 @@ class TestRunExperiment:
 
     def test_rbt_reports_nan_mse_h(self):
         ec = _quasi_static_config(scenario=ScenarioConfig(DynamicI(1.0)),
-                                  tracker="RBT_DI", offsets="tableIII",
+                                  tracker="RBT_DI", offsets=FADING_OFFSETS,
                                   num_eccs=10, record_every=10)
         rec = run_experiment(ec)[-1]
         assert math.isnan(rec.mse_h)
@@ -109,8 +110,9 @@ class TestRunExperiment:
             run_experiment(_quasi_static_config(tracker="nope"))
         with pytest.raises(ConfigError):
             run_experiment(_quasi_static_config(num_trials=0))
-        with pytest.raises(ConfigError):
-            run_experiment(_quasi_static_config(offsets="tableIV"))
+        # a preset name is text for parse_offsets, not offsets
+        with pytest.raises(ConfigError, match="offsets: .*parse_offsets"):
+            run_experiment(_quasi_static_config(offsets="tableII"))
 
     def test_trials_bounded_by_the_stream_words(self):
         """Each trial's stream takes one 32-bit spawn word, so 2^32 trials
@@ -199,7 +201,8 @@ SCHEDULE_KEYS = {
 }
 RUN_KEYS = {
     "aoa_region": st.sampled_from(["central", "edge"]),
-    "offsets": st.sampled_from(["tableII", "tableIII"]),
+    "offsets": st.sampled_from(["tableII", "tableIII",
+                                "0.1,0.2,0.3,-0.4,-0.5,0.1"]),
     "m": st.integers(1, 64), "n": st.integers(1, 64),
     "d1": _floats(0.1, 2), "d2": _floats(0.1, 2),
     "snr_db": _floats(-30, 30),
@@ -314,13 +317,26 @@ k0 = 0.0
             load_experiment(path)
 
     def test_offsets_key_takes_six_numbers(self):
-        """The offsets key takes a preset name, kept as the name, or six
-        numbers x1,x2,x1,x2,x1,x2, read as an OffsetSet."""
+        """The offsets key takes a preset name, read as the preset's set,
+        or six numbers x1,x2,x1,x2,x1,x2, read as an OffsetSet."""
         assert config_from_mapping({"offsets": "tableIII"}).offsets \
-            == "tableIII"
+            is FADING_OFFSETS
         ec = config_from_mapping({"offsets": "0.1,0.2,0.3,-0.4,-0.5,0.1"})
         assert ec.offsets.deltas.tolist() == [[0.1, 0.2], [0.3, -0.4],
                                               [-0.5, 0.1]]
+
+    def test_configs_of_one_offsets_key_are_equal(self):
+        """Two configs parsed from the same six-number key compare equal
+        and hash alike, and hold read-only offsets."""
+        key = {"offsets": "0.1,0.2,0.3,-0.4,-0.5,0.1"}
+        a, b = config_from_mapping(key), config_from_mapping(key)
+        assert a.offsets is not b.offsets
+        assert a == b and hash(a) == hash(b)
+        # the default offsets are a set too, so a default config hashes
+        hash(ExperimentConfig(ScenarioConfig(QuasiStatic()),
+                              ArrayConfig(8, 8), "JBCT_S"))
+        with pytest.raises(ValueError):
+            a.offsets.deltas[0, 0] = 0.5
 
     @settings(max_examples=60, deadline=None)
     @given(mapping=_VALID_MAPPINGS)
@@ -379,9 +395,15 @@ def test_readme_commands_parse():
                                                "verify"}
 
 
-def _run_cli(*args):
-    return subprocess.run([sys.executable, "-m", "beamtrack.cli", *args],
-                          capture_output=True, text=True)
+def _run_cli(*args, python_flags=()):
+    """``python -m beamtrack.cli args`` in a subprocess that imports the
+    package this process imported."""
+    src = str(Path(beamtrack.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, *python_flags, "-m", "beamtrack.cli", *args],
+        env=env, capture_output=True, text=True)
 
 
 class TestCli:
@@ -592,6 +614,8 @@ BAD_INPUTS = {
         'scenario = "dynamic-i"\ntracker = "RBT_DI"\noffsets = "tableIII"\n'
         "sigma_beta_c_sq = 1e-320\n", []),
     "overflowing snr": (GOOD_RUN.replace("snr_db = 0.0", "snr_db = 1e5"), []),
+    "overflowing Rician K": (GOOD_RUN.replace("rician_k_db = 15.0",
+                                              "rician_k_db = 4000.0"), []),
     "oversized array": (GOOD_RUN.replace("m = 8", "m = 99999999999999999999"),
                         []),
     # inputs a run would ignore
@@ -623,17 +647,26 @@ def test_bad_track_input_exits_1_with_one_error_line(name, tmp_path, capsys):
     assert [line.startswith("error:") for line in err.splitlines()].count(True) == 1
 
 
-@pytest.mark.parametrize("snr_db, noise_var", [
-    # each factor of the pilot power is finite, their product is not
-    (1000.0, 1e300),
-    # the pilot power underflows to 0, and a zero pilot observes nothing
-    (-700.0, 1e-300)], ids=["overflowing", "zero"])
-def test_pilot_amplitude_out_of_range(snr_db, noise_var):
-    """The absolute noise scale is the Python API's alone: a pilot power
-    snr x noise_var that is not a positive float is a ConfigError."""
-    ec = _quasi_static_config(array=ArrayConfig(8, 8, noise_var=noise_var),
-                              snr_db=snr_db)
-    with pytest.raises(ConfigError, match="snr_db, noise_var: pilot"):
+@pytest.mark.parametrize("field, value", [("pilot_amp", 2.0),
+                                          ("noise_var", 0.5)],
+                         ids=["pilot_amp", "noise_var"])
+def test_run_array_scale_rejected(field, value):
+    """A run's pilot SNR is ``snr_db`` alone: an array whose pilot
+    amplitude or noise variance is not 1 is a ConfigError naming the
+    field, not a setting the run overwrites or cancels."""
+    ec = _quasi_static_config(array=ArrayConfig(8, 8, **{field: value}))
+    with pytest.raises(ConfigError, match=f"array.{field}: expected 1.0"):
+        run_experiment(ec)
+
+
+def test_huge_noise_variance_is_a_config_error():
+    """An extreme noise variance on the largest array is rejected before
+    the direction tracker squares it, not an OverflowError."""
+    ec = ExperimentConfig(ScenarioConfig(QuasiStatic()),
+                          ArrayConfig(10**9, 10**9, noise_var=1e300),
+                          "RBT_DI", offsets=FADING_OFFSETS, num_trials=2,
+                          num_eccs=2)
+    with pytest.raises(ConfigError, match="array.noise_var"):
         run_experiment(ec)
 
 
@@ -911,3 +944,35 @@ def test_bad_size_error_names_the_input(name, message, capsys):
     cannot be written and a negative seed are named."""
     main(BAD_NUMBERS[name])
     assert message in capsys.readouterr().err
+
+
+class TestSnrBetaCeiling:
+    """``--snr-beta-db`` has a ceiling wherever a command evaluates the
+    finite direction bound, derived from the float range at the largest
+    size it evaluates: at it the bound is finite and warns of nothing, 1 dB
+    above it the command gives one error line naming the flag."""
+
+    CEILING = snr_beta_db_ceiling(8 * 8)
+    COMMANDS = [("crlb", "--objective", "di-finite"),
+                ("crlb", "--objective", "di-asymptotic", "--sweep-sizes",
+                 "4,8"),
+                ("offsets", "--objective", "di-finite", "--robustness",
+                 "4,8")]
+
+    def test_ceiling_value(self):
+        assert self.CEILING == pytest.approx(1505.4872681, abs=1e-6)
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
+    def test_at_the_ceiling_is_finite(self, argv):
+        proc = _run_cli(*argv, "--snr-beta-db", repr(self.CEILING),
+                        python_flags=("-W", "error::RuntimeWarning"))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert "inf" not in proc.stdout and "nan" not in proc.stdout
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
+    def test_above_the_ceiling_is_an_error(self, argv, capsys):
+        code = main([*argv, "--snr-beta-db", repr(self.CEILING + 1.0)])
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert err.startswith("error: --snr-beta-db: ")
+        assert len(err.splitlines()) == 1 and "at 8x8" in err
