@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,13 +38,28 @@ class OutOfPhysicalRange(ValueError):
 MAX_AXIS = 10**9
 
 
+# Pilot amplitudes whose square, the pilot SNR at unit noise, is a normal
+# float: the bounds and trackers form it as a Python float and divide by it.
+PILOT_AMP_RANGE = (math.sqrt(sys.float_info.min),
+                   math.sqrt(sys.float_info.max))
+
+
+def _check_pilot_amp(pilot_amp: float) -> None:
+    """A ValueError unless ``pilot_amp`` lies in ``PILOT_AMP_RANGE``."""
+    lo, hi = PILOT_AMP_RANGE
+    if not lo <= pilot_amp <= hi:
+        raise ValueError(f"pilot amplitude must lie in [{lo:.6g}, {hi:.6g}], "
+                         f"where its square is a normal float, got "
+                         f"{pilot_amp!r}")
+
+
 @dataclass(frozen=True)
 class ArrayConfig:
-    """Planar array geometry plus pilot amplitude and observation noise level.
+    """Planar array geometry plus the pilot amplitude.
 
     Spacings are in wavelengths; the defaults give half-wavelength spacing.
-    ``pilot_amp`` is the norm of the (unmodelled) pilot sequence;
-    ``noise_var`` the post-matched-filter complex noise variance.
+    ``pilot_amp`` is the norm |s| of the (unmodelled) pilot sequence.  The
+    post-matched-filter noise is CN(0, 1), so |s|^2 is the pilot SNR.
     """
 
     m: int
@@ -51,19 +67,13 @@ class ArrayConfig:
     d1: float = 0.5
     d2: float = 0.5
     pilot_amp: float = 1.0
-    noise_var: float = 1.0
 
     def __post_init__(self):
         if not (1 <= self.m <= MAX_AXIS and 1 <= self.n <= MAX_AXIS):
             raise ValueError(f"array needs 1 to {MAX_AXIS} elements per axis")
         if min(self.d1, self.d2) <= 0:
             raise ValueError("spacings must be positive")
-        # a zero pilot observes nothing: the trackers divide by it
-        if not 0 < self.pilot_amp < math.inf:
-            raise ValueError(f"pilot amplitude must be finite and "
-                             f"positive, got {self.pilot_amp!r}")
-        if self.noise_var <= 0:
-            raise ValueError("noise variance must be positive")
+        _check_pilot_amp(self.pilot_amp)
 
     @property
     def size(self) -> int:

@@ -119,10 +119,9 @@ def mc_fisher_static(cfg: ArrayConfig, psi: ChannelParams, ebm, draws: int,
                      rng: np.random.Generator) -> np.ndarray:
     """Monte-Carlo score covariance under the static observation model."""
     kmat = observation_matrix(cfg, psi, ebm)
-    scale = np.sqrt(cfg.noise_var / 2.0)
-    z = scale * (rng.standard_normal((draws, 3))
-                 + 1j * rng.standard_normal((draws, 3)))
-    scores = (2 * cfg.pilot_amp / cfg.noise_var) * np.real(z.conj() @ kmat)
+    z = np.sqrt(0.5) * (rng.standard_normal((draws, 3))
+                        + 1j * rng.standard_normal((draws, 3)))
+    scores = (2 * cfg.pilot_amp) * np.real(z.conj() @ kmat)
     return scores.T @ scores / draws
 
 
@@ -134,14 +133,13 @@ def mc_fisher_di(cfg: ArrayConfig, x, model: DiModel, ebm, draws: int,
     g, d1, d2 = observation_kernels(cfg, x, ebm)
     beta = np.sqrt(model.sigma_beta_sq / 2.0) * (
         rng.standard_normal(draws) + 1j * rng.standard_normal(draws))
-    z = np.sqrt(cfg.noise_var / 2.0) * (
+    z = np.sqrt(0.5) * (
         rng.standard_normal((draws, 3)) + 1j * rng.standard_normal((draws, 3)))
     ys = cfg.pilot_amp * beta[:, None] * g[None, :] + z
     # the score takes G_p, the Fisher the six products; see the module
     # docstring for the tests that check both against explicit-matrix oracles
     q_mats, c0 = _di_score_terms(g, d1, d2,
-                                 cfg.pilot_amp**2 * model.sigma_beta_sq,
-                                 cfg.noise_var)
+                                 cfg.pilot_amp**2 * model.sigma_beta_sq)
     scores = _di_score(q_mats, c0, ys)
     return scores.T @ scores / draws
 

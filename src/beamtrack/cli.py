@@ -42,7 +42,9 @@ def _build_parser() -> _Parser:
                                     "di-asymptotic", "di-finite"])
         bound.add_argument("--m", help="elements along x (default 8)")
         bound.add_argument("--n", help="elements along z (default 8)")
-        bound.add_argument("--snr-beta-db", type=float, default=0.0)
+        bound.add_argument("--snr-beta-db", type=float,
+                           help="gain SNR of the di-* objectives in dB "
+                                "(default 0)")
     crlb.add_argument("--offsets")
     crlb.add_argument("--sweep-sizes",
                       help="comma list of square sizes, e.g. 8,16,32 (takes "
@@ -110,21 +112,23 @@ def _grid(token) -> int:
 
 
 def _unused(args, sweep: str, flags) -> None:
-    """A ConfigError naming the first of ``flags`` that was given to the
-    ``sweep`` flag's sweep, which does not use it."""
+    """A ConfigError naming the first of ``flags`` that was given with
+    ``sweep`` (a sweep flag or an objective), which does not use it."""
     from .harness import ConfigError
     for flag in flags:
         if getattr(args, flag) is not None:
-            raise ConfigError(f"--{flag}: not used with {sweep}")
+            raise ConfigError(f"--{flag.replace('_', '-')}: not used with "
+                              f"{sweep}")
 
 
 def _bound_flags(args, sweep: str, text) -> list:
     """Check the flags ``crlb`` and ``offsets`` share and return the
     square sizes ``text`` of the ``sweep`` flag names (none without it):
     ``--m`` and ``--n`` (default 8), which a sweep sizes itself and takes
-    neither of, then ``--snr-beta-db``, which must not exceed the
-    ceiling of the finite direction bound at any size the command
-    evaluates that bound at."""
+    neither of, then ``--snr-beta-db`` (default 0), which only the
+    ``di-*`` objectives take and which must not exceed the ceiling of the
+    finite direction bound at any size the command evaluates that bound
+    at."""
     from .estimation import snr_beta_db_ceiling
     from .harness import ConfigError
     from .offsets import db_to_power
@@ -133,11 +137,14 @@ def _bound_flags(args, sweep: str, text) -> list:
     args.m = _size(8 if args.m is None else args.m, "--m")
     args.n = _size(8 if args.n is None else args.n, "--n")
     sizes = [_size(token, sweep) for token in text.split(",")] if text else []
+    model, form = args.objective.split("-")
+    if model == "static":
+        _unused(args, args.objective, ("snr_beta_db",))
+    args.snr_beta_db = 0.0 if args.snr_beta_db is None else args.snr_beta_db
     try:
         db_to_power(args.snr_beta_db)
     except ValueError as exc:
         raise ConfigError(f"--snr-beta-db: {exc}") from None
-    model, form = args.objective.split("-")
     if model == "di" and (sizes or form == "finite"):
         m, n = (max(sizes),) * 2 if sizes else (args.m, args.n)
         ceiling = snr_beta_db_ceiling(m * n)

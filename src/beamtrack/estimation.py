@@ -1,6 +1,7 @@
 """Fisher information and CRLBs for the two tractable observation models.
 
-Static model: y ~ CN(|s| beta W^H a(x), noise_var I3), parameter vector
+The noise is CN(0, 1) throughout, so the pilot amplitude |s| alone sets
+the SNR |s|^2.  Static model: y ~ CN(|s| beta W^H a(x), I3), parameter vector
 psi = [beta_re, beta_im, x1, x2].  Fading-gain model ("direction-only"):
 beta ~ CN(0, sigma_beta_sq) fresh per cycle, so y ~ CN(0, Sigma(x)) and only
 the 2D direction is estimable.
@@ -43,7 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import ArrayConfig, _xy, probe_kernels, probe_kernels_limit
+from .arrays import (ArrayConfig, _check_pilot_amp, _xy, probe_kernels,
+                     probe_kernels_limit)
 from .signal import (ChannelParams, Ebm, _sum3, observation_kernels,
                      observation_matrix)
 
@@ -92,10 +94,10 @@ _GRAM_LIMIT = ((np.pi, np.pi), (4 * np.pi**2 / 3, np.pi**2, 4 * np.pi**2 / 3))
 
 def fisher_static(cfg: ArrayConfig, psi: ChannelParams, ebm: Ebm) -> np.ndarray:
     """4x4 Fisher information of the static model,
-    (2|s|^2/noise_var) Re{V^H W W^H V}, with W^H V the observation matrix
-    of the kernels."""
+    2|s|^2 Re{V^H W W^H V}, with W^H V the observation matrix of the
+    kernels."""
     wv = observation_matrix(cfg, psi, ebm)
-    return (2 * cfg.pilot_amp**2 / cfg.noise_var) * np.real(wv.conj().T @ wv)
+    return (2 * cfg.pilot_amp**2) * np.real(wv.conj().T @ wv)
 
 
 def _guarded_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -149,7 +151,7 @@ def _trace_solve(f, h, ref, scale=1.0):
     where F is singular or the value not finite and positive."""
     (f11, f12, f22), (h11, h12, h22) = f, h
     det, regular = _regular(f, ref)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         out = (f22 * h11 + f11 * h22 - 2.0 * f12 * h12) * scale / det
     return np.where(regular & np.isfinite(out) & (out > 0), out, np.inf)[()]
 
@@ -157,10 +159,9 @@ def _trace_solve(f, h, ref, scale=1.0):
 def _static_bound(kernels, gram, scale):
     """Tr{I^-1 Re V^H V} of the static model times ``scale``, with
     ``gram`` = (c, P) from Re V^H V = [[I2, [0; c]], [[0; c]^T, P]] at unit
-    gain.  For I = (2|s|^2/noise_var) [[a I2, B], [B^T, K]], B = [Re u; Im u],
-    the Schur block W / a gives (noise_var / 2|s|^2) Tr{W^-1 (a P + K -
-    Im(u) c^T - c Im(u)^T)}, so ``scale`` is noise_var / 2|s|^2; the
-    channel gain cancels."""
+    gain.  For I = 2|s|^2 [[a I2, B], [B^T, K]], B = [Re u; Im u], the
+    Schur block W / a gives (1 / 2|s|^2) Tr{W^-1 (a P + K - Im(u) c^T -
+    c Im(u)^T)}, so ``scale`` is 1 / 2|s|^2; the channel gain cancels."""
     a, (u1, u2), (k11, k12, k22), w = _products(*kernels)
     j1, j2 = u1.imag, u2.imag
     (c1, c2), (p11, p12, p22) = gram
@@ -178,19 +179,22 @@ def _unit_gram(m: int, n: int):
 
 
 def static_offsets_crlb(deltas, m: int, n: int, pilot_amp: float = 1.0,
-                        noise_var: float = 1.0, index=None):
+                        index=None):
     """Normalized static CRLB as a function of the offsets alone (shift
     property), per offset set of ``deltas`` (..., 3, 2), or of
-    deltas[index]; +inf at a zero pilot."""
+    deltas[index]; +inf at a zero pilot, else ``pilot_amp`` must lie in
+    ``arrays.PILOT_AMP_RANGE``."""
     c1, c2, p11, p12, p22 = _unit_gram(m, n)
-    scale = noise_var / (2 * pilot_amp**2) if pilot_amp != 0 else np.inf
+    if pilot_amp != 0:
+        _check_pilot_amp(pilot_amp)
+    scale = 1.0 / (2 * pilot_amp**2) if pilot_amp != 0 else np.inf
     return _static_bound(probe_kernels(deltas, m, n, index),
                          ((c1, c2), (p11, p12, p22)), scale)
 
 
 def crlb_static_asymptotic(deltas, index=None):
     """Large-array limit of MN times the normalized static CRLB at unit SNR
-    |s|^2 / noise_var, per offset set of ``deltas`` (..., 3, 2), or of
+    |s|^2, per offset set of ``deltas`` (..., 3, 2), or of
     deltas[index]."""
     return _static_bound(probe_kernels_limit(deltas, index), _GRAM_LIMIT,
                          0.5)
@@ -213,7 +217,7 @@ def _gain_blocks(g, k1, k2):
     return g0, gt, big
 
 
-def _di_score_terms(g, k1, k2, c, sz2: float):
+def _di_score_terms(g, k1, k2, c):
     """Score terms of the fading-gain model at gain powers
     c = |s|^2 sigma_beta^2 (broadcast against the leading shape of ``g``):
     the derivatives Q_p of the inverse covariance (..., 2, 3, 3) and the
@@ -221,11 +225,11 @@ def _di_score_terms(g, k1, k2, c, sz2: float):
     of an observation y is c0 - Re y^H Q_p y."""
     g0, gt, big = _gain_blocks(g, k1, k2)
     cv = np.asarray(c, float)[..., None]
-    det = sz2**2 * (cv * g0[..., None] + sz2)              # (..., 1)
-    ddet = sz2**2 * cv * gt                                # (..., 2)
+    det = cv * g0[..., None] + 1.0                         # (..., 1)
+    ddet = cv * gt                                         # (..., 2)
     gg = (g[..., :, None] * g.conj()[..., None, :])[..., None, :, :]
     det4 = det[..., None, None]
-    q_mats = -sz2 * cv[..., None, None] * (
+    q_mats = -cv[..., None, None] * (
         big * det4 - gg * ddet[..., None, None]) / det4**2
     return q_mats, -ddet / det
 
@@ -242,7 +246,7 @@ def fisher_di(cfg: ArrayConfig, x, model: DiModel, ebm: Ebm) -> np.ndarray:
     """2x2 direction Fisher information of the fading-gain model, via the
     closed form of :func:`_di_info` on the six inner products of g and its
     direction derivatives; zero at zero gain variance."""
-    snr = cfg.pilot_amp**2 * model.sigma_beta_sq / cfg.noise_var
+    snr = cfg.pilot_amp**2 * model.sigma_beta_sq
     return _sym2(_di_info(_products(*observation_kernels(cfg, x, ebm)),
                           snr)[0])
 
@@ -251,14 +255,14 @@ def crlb_di(cfg: ArrayConfig, x, model: DiModel, ebm: Ebm) -> float:
     """Direction CRLB Tr{I_DI^-1} for one cycle's probe pattern:
     :func:`di_offsets_crlb` at the EBM's offsets from ``x``, so +inf at a
     singular Fisher."""
-    snr = cfg.pilot_amp**2 * model.sigma_beta_sq / cfg.noise_var
+    snr = cfg.pilot_amp**2 * model.sigma_beta_sq
     deltas = ebm.directions - np.asarray(_xy(x), float)
     return float(di_offsets_crlb(deltas, cfg.m, cfg.n, snr))
 
 
 def _di_info(products, snr_beta):
     """Entries (11, 12, 22) of the direction Fisher from :func:`_products`
-    at gain SNRs ``snr_beta`` = |s|^2 sigma_beta^2 / noise_var.  With
+    at gain SNRs ``snr_beta`` = |s|^2 sigma_beta^2.  With
     d = 1 + snr a, snr^2 Tr{P G_p P G_q}, P = I - (snr/d) g g^H, from
     tr(G_p G_q) = 2 Re(u_p u_q) + 2 a K_pq and g^H G_p G_q g, collapses to
     (2 snr^2 / d) (W + (2/d) Re(u) Re(u)^T).  Also returns the reference
@@ -292,7 +296,7 @@ def _sym2(f):
 def di_offsets_crlb(deltas, m: int, n: int, snr_beta, index=None):
     """Direction CRLB Tr{I_DI^-1} from the offsets alone, per offset set of
     ``deltas`` (..., 3, 2), or of deltas[index].  ``snr_beta`` is
-    |s|^2 sigma_beta^2 / noise_var, a scalar or an array that broadcasts
+    |s|^2 sigma_beta^2, a scalar or an array that broadcasts
     against the leading shape."""
     f, ref = _di_info(_products(*probe_kernels(deltas, m, n, index)),
                       snr_beta)

@@ -152,11 +152,9 @@ def _validate(ec: ExperimentConfig):
                           f"{ec.offsets!r}; parse_offsets reads a preset "
                           f"name or six numbers")
     # snr_db alone sets the pilot SNR (effective_array)
-    for field in ("pilot_amp", "noise_var"):
-        value = getattr(ec.array, field)
-        if value != 1.0:
-            raise ConfigError(f"array.{field}: expected 1.0, got {value!r}; "
-                              f"snr_db sets the pilot SNR")
+    if ec.array.pilot_amp != 1.0:
+        raise ConfigError(f"array.pilot_amp: expected 1.0, got "
+                          f"{ec.array.pilot_amp!r}; snr_db sets the pilot SNR")
     # the floor holds for the pilot and, below unit gain variance, for the
     # gain SNR snr x sigma_beta_c_sq, on which the direction bound rests
     floor = snr_db_floor(ec.scenario)
@@ -195,10 +193,10 @@ def parse_offsets(text: str) -> OffsetSet:
 
 
 def effective_array(ec: ExperimentConfig) -> ArrayConfig:
-    """The run's array at unit noise with the pilot amplitude of its
-    transmit SNR, pilot_amp = sqrt(10^(snr_db/10)).  A run's results
-    depend on that SNR alone, so its ``array`` keeps ``pilot_amp`` and
-    ``noise_var`` at 1.0; the scalar Fisher and CRLB functions read them."""
+    """The run's array with the pilot amplitude of its transmit SNR,
+    pilot_amp = sqrt(10^(snr_db/10)), at the package's CN(0, 1) noise.  A
+    run's results depend on that SNR alone, so its ``array`` keeps
+    ``pilot_amp`` at 1.0."""
     return replace(ec.array, pilot_amp=math.sqrt(db_to_power(ec.snr_db)))
 
 

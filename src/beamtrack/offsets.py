@@ -82,7 +82,7 @@ class StaticAsymptotic:
 
 @dataclass(frozen=True)
 class StaticFinite:
-    """Finite-array normalized joint CRLB at SNR |s|^2/noise_var = 1 (the
+    """Finite-array normalized joint CRLB at unit pilot SNR |s|^2 = 1 (the
     offsets minimizing it do not depend on the SNR scale)."""
 
     m: int

@@ -2,9 +2,10 @@
 
 One exploration cycle probes the channel with three steering beams built at
 fixed offsets around the current direction estimate and collects the three
-matched-filter outputs ``y = |s| beta W^H a(x) + z``.  Complex noise follows
-the convention CN(0, s2) = independent real/imaginary parts, each N(0, s2/2);
-this convention is used everywhere in the package.
+matched-filter outputs ``y = |s| beta W^H a(x) + z``.  The noise z is
+CN(0, I3) everywhere in the package, so the pilot amplitude |s| alone sets
+the SNR.  Complex noise follows the convention CN(0, s2) = independent
+real/imaginary parts, each N(0, s2/2).
 
 Observations are plain complex (3,) ndarrays.
 """
@@ -115,14 +116,13 @@ def observe_fast(cfg: ArrayConfig, x, beta, dirs, normals) -> np.ndarray:
     equivalent gains, ``dirs`` (..., 3, 2) the probe directions and
     ``normals`` (..., 6) standard normals: the real parts of the three noise
     values, then their imaginary parts.  Equal to the noiseless mean of an
-    EBM pointing at ``dirs`` (shift property) plus CN(0, noise_var) noise,
-    from the gain kernel alone: O(1) per probe.
+    EBM pointing at ``dirs`` (shift property) plus CN(0, 1) noise, from
+    the gain kernel alone: O(1) per probe.
     """
     x = np.asarray(x, float)
     g = _gain_kernel(np.asarray(dirs, float) - x[..., None, :], cfg.m, cfg.n)
     normals = np.asarray(normals, float)
-    noise = np.sqrt(cfg.noise_var / 2.0) * (normals[..., :3]
-                                            + 1j * normals[..., 3:])
+    noise = np.sqrt(0.5) * (normals[..., :3] + 1j * normals[..., 3:])
     return cfg.pilot_amp * np.asarray(beta)[..., None] * g + noise
 
 

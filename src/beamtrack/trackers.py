@@ -114,7 +114,7 @@ def build_fast_cache(cfg: ArrayConfig, offsets: OffsetSet) -> FastUpdateCache:
     a, s = float(a), cfg.pilot_amp
     return FastUpdateCache(s * e, e / s, d1 / s, d2 / s, np.array(u), 1.0 / a,
                            _sym2(_sym_inv2(*(x / a for x in w))),
-                           GAIN_FLOOR_MULT * cfg.noise_var / (s**2 * a))
+                           GAIN_FLOOR_MULT / (s**2 * a))
 
 
 def _jbct_direction_batch(cache: FastUpdateCache, beta: np.ndarray,
@@ -163,7 +163,7 @@ def jbct_direction(cfg: ArrayConfig, psi_hat: ChannelParams, ebm: Ebm,
     if not np.all(np.isfinite(rem)) or np.linalg.cond(rem) > COND_LIMIT:
         raise SingularFisher("Fisher information is numerically singular")
     b2 = abs(psi_hat.beta) ** 2
-    floor = GAIN_FLOOR_MULT * cfg.noise_var / (cfg.pilot_amp**2 * rem[0, 0])
+    floor = GAIN_FLOOR_MULT / (cfg.pilot_amp**2 * rem[0, 0])
     if 0 < b2 < floor:
         # same regularization as the fast path: lift the direction Schur
         # block from |beta|^2 Is to floor * Is
@@ -188,15 +188,15 @@ def mean_field(psi_hat: ChannelParams, psi_true: ChannelParams,
 # direction-only tracker (fading gain)
 # ---------------------------------------------------------------------------
 
-def _rbt_terms(e, d1, d2, c, sz2: float):
+def _rbt_terms(e, d1, d2, c):
     """Offset-only terms of the direction tracker at gain powers
     c = |s|^2 sigma_beta^2 (any shape): Q_p (..., 2, 3, 3) and c0 (..., 2)
     of :func:`~.estimation._di_score_terms`, and the inverse Fisher."""
-    info, ref = _di_info(_products(e, d1, d2), c / sz2)
+    info, ref = _di_info(_products(e, d1, d2), c)
     if np.any(c <= 0) or not np.all(_regular(info, ref)[1]):
         raise SingularFisher("no direction information: zero gain variance "
                              "or degenerate offsets")
-    return (*_di_score_terms(e, d1, d2, c, sz2), _sym2(_sym_inv2(*info)))
+    return (*_di_score_terms(e, d1, d2, c), _sym2(_sym_inv2(*info)))
 
 
 def _rbt_direction_batch(q_mats, c0, i_inv, y: np.ndarray) -> np.ndarray:
@@ -335,8 +335,7 @@ class RbtBatch:
         self.q_mats, self.c0, self.i_inv = self._terms(run.gain_var)
 
     def _terms(self, var):
-        cfg = self.run.cfg
-        return _rbt_terms(*self.kernels, cfg.pilot_amp**2 * var, cfg.noise_var)
+        return _rbt_terms(*self.kernels, self.run.cfg.pilot_amp**2 * var)
 
     def probes(self) -> np.ndarray:
         return self.x[:, None, :] + self.run.offsets.deltas
@@ -388,8 +387,8 @@ class BeamSwitchBatch:
 
 class EkfBatch:
     """Identity-dynamics EKF baseline in information form: with R = r I,
-    r = noise_var/2, and H = [Re h; Im h] for h = s beta [k1, k2] (3, 2),
-    P+ = (P_pred^-1 + Re(h^H h)/r)^-1 and x += P+ Re(h^H resid)/r."""
+    r = 1/2 at CN(0, 1) noise, and H = [Re h; Im h] for h = s beta [k1, k2]
+    (3, 2), P+ = (P_pred^-1 + Re(h^H h)/r)^-1 and x += P+ Re(h^H resid)/r."""
 
     def __init__(self, run: TrackerRun, x0, beta0):
         self.cfg = cfg = run.cfg
@@ -403,7 +402,7 @@ class EkfBatch:
         return self.x[:, None, :] + EKF_PROBE_OFFSETS
 
     def update(self, y: np.ndarray) -> None:
-        s, r = self.cfg.pilot_amp, self.cfg.noise_var / 2.0
+        s, r = self.cfg.pilot_amp, 0.5
         # a row with a non-finite observation updates on y = 0, which moves
         # nothing; it keeps its gain estimate and its covariance is reset
         finite = _rows_finite(y)

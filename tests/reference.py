@@ -242,10 +242,9 @@ def element_gain(pc: PatternConfig, aoa: Aoa) -> float:
 def observe(cfg: ArrayConfig, psi: ChannelParams, ebm: Ebm,
             rng: np.random.Generator) -> np.ndarray:
     """One noisy exploration cycle: the explicit noiseless mean plus i.i.d.
-    circularly-symmetric complex Gaussian noise of variance ``noise_var``."""
+    circularly-symmetric complex Gaussian noise of unit variance."""
     mean = noiseless_mean(cfg, psi, ebm)
-    scale = np.sqrt(cfg.noise_var / 2.0)
-    z = scale * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
+    z = np.sqrt(0.5) * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
     return mean + z
 
 
@@ -407,7 +406,7 @@ def baseline_ekf_step(state: EkfState, cfg: ArrayConfig, y) -> EkfState:
     h_cplx = s * beta * np.stack([k1, k2], axis=1)
     h_r = np.vstack([h_cplx.real, h_cplx.imag])
     resid = np.concatenate([(y - mean).real, (y - mean).imag])
-    r_mat = (cfg.noise_var / 2.0) * np.eye(6)
+    r_mat = 0.5 * np.eye(6)
     s_mat = h_r @ p_pred @ h_r.T + r_mat
     # pseudo-inverse: identical to the inverse when the measurement noise
     # makes S full rank, and the correct rank-2 limit when it vanishes
@@ -430,13 +429,11 @@ def baseline_ekf_step(state: EkfState, cfg: ArrayConfig, y) -> EkfState:
 
 def sigma_di(cfg: ArrayConfig, x, model: DiModel, ebm: Ebm):
     """Determinant and inverse of the observation covariance
-    Sigma = |s|^2 sigma_beta^2 g g^H + noise_var I3."""
+    Sigma = |s|^2 sigma_beta^2 g g^H + I3."""
     g, _, _ = observation_kernels(cfg, x, ebm)
     c = cfg.pilot_amp**2 * model.sigma_beta_sq
-    sz2 = cfg.noise_var
-    g0 = float(np.vdot(g, g).real)
-    det = sz2**2 * (c * g0 + sz2)
-    inv = np.eye(3) / sz2 - (sz2 * c / det) * np.outer(g, g.conj())
+    det = c * float(np.vdot(g, g).real) + 1.0
+    inv = np.eye(3) - (c / det) * np.outer(g, g.conj())
     return float(det), inv
 
 
@@ -452,8 +449,7 @@ def di_score(cfg: ArrayConfig, x, model: DiModel, ebm: Ebm, y) -> np.ndarray:
     """Gradient of :func:`di_log_pdf` in the direction coordinates, by the
     library's score."""
     q_mats, c0 = _di_score_terms(*observation_kernels(cfg, x, ebm),
-                                 cfg.pilot_amp**2 * model.sigma_beta_sq,
-                                 cfg.noise_var)
+                                 cfg.pilot_amp**2 * model.sigma_beta_sq)
     return _di_score(q_mats, c0, np.asarray(y, complex))
 
 

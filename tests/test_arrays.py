@@ -400,9 +400,9 @@ class TestConfigValidation:
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):
             ArrayConfig(0, 8)
-        with pytest.raises(ValueError):
-            ArrayConfig(8, 8, noise_var=0.0)
-        with pytest.raises(ValueError, match="positive"):
-            ArrayConfig(8, 8, pilot_amp=0.0)
+        # the pilot's square, the pilot SNR, must be a normal float
+        for pilot in (0.0, 1e155, 1e-155, math.inf, math.nan):
+            with pytest.raises(ValueError, match="pilot amplitude"):
+                ArrayConfig(8, 8, pilot_amp=pilot)
         with pytest.raises(ValueError):
             PatternConfig(eta_max_db=-1.0)

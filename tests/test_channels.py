@@ -270,9 +270,9 @@ class TestInitialEstimate:
             assert p > 0.01
 
     def test_bootstrap_gain_near_truth_noiselessly(self):
-        """With tiny noise, the fitted gain is close to the true equivalent
-        gain when the direction draw is exact."""
-        cfg = ArrayConfig(8, 8, noise_var=1e-20)
+        """At a huge pilot SNR, the fitted gain is close to the true
+        equivalent gain when the direction draw is exact."""
+        cfg = ArrayConfig(8, 8, pilot_amp=1e10)
         ch, _, beta0 = _estimates(ScenarioConfig(QuasiStatic()), 5, 13, 0.0,
                                   cfg)
         assert np.all(np.abs(beta0 - ch.beta_eff) < 1e-8)
@@ -284,7 +284,7 @@ class TestInitialEstimate:
         from reference import bootstrap_gain, init_channel, observe
 
         from beamtrack.signal import build_ebm
-        cfg = ArrayConfig(8, 6, pilot_amp=1.7, noise_var=0.6)
+        cfg = ArrayConfig(8, 6, pilot_amp=1.7 / np.sqrt(0.6))
         sc = ScenarioConfig(DynamicII())
         for seed in range(20):
             ch, x0, beta0 = _estimates(sc, 1, seed, 0.4, cfg)

@@ -41,8 +41,8 @@ from reference import (_trial_rng, baseline_beam_switch_step,
 
 def _observe(cfg, state, dirs, rng):
     g, _, _ = probe_kernels(dirs - state.x[None, :], cfg.m, cfg.n)
-    noise = np.sqrt(cfg.noise_var / 2.0) * (rng.standard_normal(3)
-                                            + 1j * rng.standard_normal(3))
+    noise = np.sqrt(0.5) * (rng.standard_normal(3)
+                            + 1j * rng.standard_normal(3))
     return cfg.pilot_amp * state.beta_eff * g + noise
 
 
@@ -81,7 +81,7 @@ def reference_trial(ec, trial, hits=None):
     crlb_ref = np.nan
     if isinstance(sc.kind, QuasiStatic):
         crlb_ref = float(static_offsets_crlb(offsets.deltas, cfg.m, cfg.n,
-                                             cfg.pilot_amp, cfg.noise_var))
+                                             cfg.pilot_amp))
     if tracker in ("JBCT_S", "JBCT_DII", "RBT_DI"):
         eta = element_gain(sc.pattern, state.aoa)
         gain_var_at = None
@@ -108,7 +108,7 @@ def reference_trial(ec, trial, hits=None):
 
     if isinstance(sc.kind, DynamicI):
         eta_true = element_gain(sc.pattern, state.aoa)
-        snr_b = cfg.pilot_amp**2 * eta_true**2 * sigma_c_sq / cfg.noise_var
+        snr_b = cfg.pilot_amp**2 * eta_true**2 * sigma_c_sq
         crlb_ref = float(di_offsets_crlb(offsets.deltas, cfg.m, cfg.n, snr_b))
 
     err_h = np.empty(ec.num_eccs)
@@ -383,6 +383,18 @@ class TestCsvPins:
                          "7d73d28bd64b5cdbe284e9eb2b4a2a0b",
         "11-EKF": "acb10cb5ee7c03b9a520dfae7b82d6f0"
                   "87a78a525d9d2d6d7d7a6c58d7c18163",
+        # at 20 dB, where the pilot amplitude is 10 and not 1, so that a
+        # reordered pilot product shows
+        "9a-JBCT_S@20dB": "6aba841e4c1d846cc9114e397504014d"
+                          "5217089d78791f53869f5730be27808a",
+        "9b-RBT_DI@20dB": "aa3be61b5a77a341c39075cb9f48febd"
+                          "08274983a1c1d3a5efd82893f1ccaa00",
+        "11-JBCT_DII@20dB": "3806b3260a9033d63041ca3568e43e2c"
+                            "999410381cd48d6f8881f1f819b72efd",
+        "11-BeamSwitch@20dB": "1f00adee9f89f3a66fd00836117de9de"
+                              "d9977362d70c0c0c8f569cdcc9284e77",
+        "11-EKF@20dB": "eb41b2cbfd495082c15924a855cd09ec"
+                       "beed820ac9bd2da0dc06827f9390dac6",
     }
 
     # RBT_DI with the gain variance estimated at its direction estimates,
@@ -414,9 +426,11 @@ class TestCsvPins:
         text = format_csv(run_experiment(self._config(name)))
         assert hashlib.sha256(text.encode()).hexdigest() == self.SHA256[name]
 
-    @pytest.mark.parametrize("name", sorted(CASES))
+    @pytest.mark.parametrize("name", sorted(RAW_SHA256))
     def test_raw_arrays_sha256(self, name):
-        assert self._raw_sha256(self._config(name)) == self.RAW_SHA256[name]
+        case, _, at_20_db = name.partition("@")
+        ec = replace(self._config(case), snr_db=20.0 if at_20_db else 0.0)
+        assert self._raw_sha256(ec) == self.RAW_SHA256[name]
 
     @pytest.mark.parametrize("name", sorted(ESTIMATED_RAW_SHA256))
     def test_estimated_mode_raw_arrays_sha256(self, name):

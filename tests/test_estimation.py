@@ -1,5 +1,7 @@
 """Unit tests for Fisher information and CRLBs, both models."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -11,7 +13,7 @@ from beamtrack.arrays import ArrayConfig, probe_kernels, probe_kernels_limit
 from beamtrack.checks import mc_fisher_di, mc_fisher_static
 from beamtrack.estimation import (DiModel, SingularFisher, _di_info,
                                   _di_score, _di_score_terms, _gain_blocks,
-                                  _products, _sym2, crlb_di,
+                                  _products, _sym2, _trace_solve, crlb_di,
                                   crlb_di_asymptotic, crlb_static,
                                   crlb_static_asymptotic, di_offsets_crlb,
                                   fisher_di, fisher_static,
@@ -64,9 +66,9 @@ class TestFisherStatic:
         assert np.allclose(i2, 4 * i1, rtol=1e-12)
 
     def test_gain_block_identity(self):
-        """Top-left 2x2 of Fisher/(2|s|^2/nv) is ||W^H a||^2 I2."""
+        """Top-left 2x2 of Fisher/(2|s|^2) is ||W^H a||^2 I2."""
         ebm = _ebm_at(PSI.x)
-        info = fisher_static(CFG, PSI, ebm) / (2 * CFG.pilot_amp**2 / CFG.noise_var)
+        info = fisher_static(CFG, PSI, ebm) / (2 * CFG.pilot_amp**2)
         e = ebm_columns(CFG, ebm).conj().T @ jacobian(CFG, PSI)[:, 0]
         norm = float(np.vdot(e, e).real)
         assert np.allclose(info[:2, :2], norm * np.eye(2), atol=1e-9 * norm)
@@ -117,8 +119,26 @@ class TestCrlbStatic:
         """Kernel-based evaluator matches the explicit-matrix route."""
         val = crlb_static(CFG, PSI, _ebm_at(PSI.x))
         fast = static_offsets_crlb(STATIC_OFFSETS.deltas, 8, 8,
-                                   CFG.pilot_amp, CFG.noise_var)
+                                   CFG.pilot_amp)
         assert abs(val - fast) < 1e-12 * val
+
+    def test_offsets_route_pilot_domain(self):
+        """The bare pilot amplitude has the array's domain, and a zero
+        pilot observes nothing."""
+        for pilot in (1e155, 1e-155):
+            with pytest.raises(ValueError, match="pilot amplitude"):
+                static_offsets_crlb(STATIC_OFFSETS.deltas, 8, 8, pilot)
+        assert static_offsets_crlb(STATIC_OFFSETS.deltas, 8, 8, 0.0) == np.inf
+
+
+class TestTraceSolve:
+    def test_overflowing_quotient_is_inf_without_a_warning(self):
+        """A regular F whose quotient overflows gives +inf silently."""
+        f = (np.array(1e-150), np.array(0.0), np.array(1e-150))
+        h = (np.array(1e160), np.array(0.0), np.array(1e160))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert _trace_solve(f, h, 1e-290) == np.inf
 
 
 class TestCrlbStaticAsymptotic:
@@ -140,19 +160,19 @@ class TestSigmaDi:
     def test_zero_variance_reduces_to_noise(self):
         det, inv = sigma_di(CFG, (0.0, 0.0), DiModel(0.0),
                             _ebm_at((0.0, 0.0), FADING_OFFSETS))
-        assert abs(det - CFG.noise_var**3) < 1e-9
-        assert np.allclose(inv, np.eye(3) / CFG.noise_var)
+        assert abs(det - 1.0) < 1e-9
+        assert np.allclose(inv, np.eye(3))
 
     def test_matches_direct_inverse_and_det(self):
         """Generic 3x3 inversion of the assembled covariance."""
         from beamtrack.signal import observation_kernels
-        cfg = ArrayConfig(8, 8, noise_var=0.7, pilot_amp=1.3)
+        cfg = ArrayConfig(8, 8, pilot_amp=1.3 / np.sqrt(0.7))
         x = (0.4, -1.1)
         ebm = _ebm_at(x, FADING_OFFSETS, cfg)
         det, inv = sigma_di(cfg, x, self.MODEL, ebm)
         g, _, _ = observation_kernels(cfg, x, ebm)
         sigma = (cfg.pilot_amp**2 * self.MODEL.sigma_beta_sq
-                 * np.outer(g, g.conj()) + cfg.noise_var * np.eye(3))
+                 * np.outer(g, g.conj()) + np.eye(3))
         assert np.abs(inv @ sigma - np.eye(3)).max() < 1e-10
         assert abs(det - np.linalg.det(sigma).real) < 1e-10 * abs(det)
 
@@ -196,12 +216,12 @@ class TestFisherDi:
         """Slepian-Bangs form Tr{S^-1 dS S^-1 dS} as an independent oracle."""
         from beamtrack.signal import observation_kernels
         x = np.array([0.9, 0.2])
-        cfg = ArrayConfig(8, 8, noise_var=0.6, pilot_amp=1.2)
+        cfg = ArrayConfig(8, 8, pilot_amp=1.2 / np.sqrt(0.6))
         model = DiModel(0.8)
         ebm = _ebm_at(x, FADING_OFFSETS, cfg)
         g, d1, d2 = observation_kernels(cfg, x, ebm)
         c = cfg.pilot_amp**2 * model.sigma_beta_sq
-        sigma = c * np.outer(g, g.conj()) + cfg.noise_var * np.eye(3)
+        sigma = c * np.outer(g, g.conj()) + np.eye(3)
         si = np.linalg.inv(sigma)
         parts = [c * (np.outer(d, g.conj()) + np.outer(g, d.conj()))
                  for d in (d1, d2)]
@@ -284,14 +304,17 @@ class TestBatchedScoreTerms:
             offsets = OffsetSet(np.reshape(deltas, (3, 2)))
         except ValueError:
             assume(False)
-        cfg = ArrayConfig(8, 8, noise_var=noise_var)
-        c = np.array(c)
+        # gain power c at noise variance noise_var: c / noise_var at unit
+        # noise, with the observations scaled by 1 / sqrt(noise_var)
+        cfg = ArrayConfig(8, 8)
+        c = np.array(c) / noise_var
         rng = np.random.default_rng(seed)
-        y = rng.standard_normal((len(c), 3)) + 1j * rng.standard_normal((len(c), 3))
+        y = (rng.standard_normal((len(c), 3))
+             + 1j * rng.standard_normal((len(c), 3))) / np.sqrt(noise_var)
         g, k1, k2 = probe_kernels(offsets.deltas, cfg.m, cfg.n)
-        q_mats, c0 = _di_score_terms(g, k1, k2, c, noise_var)
+        q_mats, c0 = _di_score_terms(g, k1, k2, c)
         scores = _di_score(q_mats, c0, y)
-        info = _sym2(_di_info(_products(g, k1, k2), c / noise_var)[0])
+        info = _sym2(_di_info(_products(g, k1, k2), c)[0])
         ebm = _ebm_at(x, offsets, cfg)
         h = 1e-6
         for row in range(len(c)):
@@ -303,7 +326,7 @@ class TestBatchedScoreTerms:
                       - di_log_pdf(cfg, np.subtract(x, dx), model, ebm, y[row])
                       ) / (2 * h)
                 assert abs(fd - scores[row, p]) < 1e-6 * max(abs(fd), 1.0)
-            sigma = c[row] * np.outer(g, g.conj()) + noise_var * np.eye(3)
+            sigma = c[row] * np.outer(g, g.conj()) + np.eye(3)
             si = np.linalg.inv(sigma)
             parts = [c[row] * (np.outer(d, g.conj()) + np.outer(g, d.conj()))
                      for d in (k1, k2)]
@@ -511,8 +534,8 @@ class TestCrlbDi:
         assert last_change < 0.01
 
     def test_more_noise_is_worse(self):
-        cfg1 = ArrayConfig(8, 8, noise_var=1.0)
-        cfg2 = ArrayConfig(8, 8, noise_var=2.0)
+        cfg1 = ArrayConfig(8, 8)
+        cfg2 = ArrayConfig(8, 8, pilot_amp=1 / np.sqrt(2))
         model = DiModel(1.0)
         x = (0.0, 0.0)
         v1 = crlb_di(cfg1, x, model, _ebm_at(x, FADING_OFFSETS, cfg1))
@@ -549,7 +572,7 @@ class TestScoreZeroMeanStatic:
         n = 100_000
         z = np.sqrt(0.5) * (rng.standard_normal((n, 3))
                             + 1j * rng.standard_normal((n, 3)))
-        scores = (2 * CFG.pilot_amp / CFG.noise_var) * np.real(z.conj() @ kmat)
+        scores = (2 * CFG.pilot_amp) * np.real(z.conj() @ kmat)
         info = fisher_static(CFG, PSI, ebm)
         band = 4 * np.sqrt(np.diag(info) / n)
         assert np.all(np.abs(scores.mean(axis=0)) < band)

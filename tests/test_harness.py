@@ -647,27 +647,23 @@ def test_bad_track_input_exits_1_with_one_error_line(name, tmp_path, capsys):
     assert [line.startswith("error:") for line in err.splitlines()].count(True) == 1
 
 
-@pytest.mark.parametrize("field, value", [("pilot_amp", 2.0),
-                                          ("noise_var", 0.5)],
-                         ids=["pilot_amp", "noise_var"])
+@pytest.mark.parametrize("field, value", [("pilot_amp", 2.0)],
+                         ids=["pilot_amp"])
 def test_run_array_scale_rejected(field, value):
     """A run's pilot SNR is ``snr_db`` alone: an array whose pilot
-    amplitude or noise variance is not 1 is a ConfigError naming the
-    field, not a setting the run overwrites or cancels."""
+    amplitude is not 1 is a ConfigError naming the field, not a setting
+    the run overwrites."""
     ec = _quasi_static_config(array=ArrayConfig(8, 8, **{field: value}))
     with pytest.raises(ConfigError, match=f"array.{field}: expected 1.0"):
         run_experiment(ec)
 
 
-def test_huge_noise_variance_is_a_config_error():
-    """An extreme noise variance on the largest array is rejected before
-    the direction tracker squares it, not an OverflowError."""
-    ec = ExperimentConfig(ScenarioConfig(QuasiStatic()),
-                          ArrayConfig(10**9, 10**9, noise_var=1e300),
-                          "RBT_DI", offsets=FADING_OFFSETS, num_trials=2,
-                          num_eccs=2)
-    with pytest.raises(ConfigError, match="array.noise_var"):
-        run_experiment(ec)
+def test_huge_pilot_amplitude_is_a_value_error():
+    """On the largest array, a pilot amplitude whose square overflows is
+    a ValueError from the array, not an OverflowError from a bound or the
+    direction tracker that squares it."""
+    with pytest.raises(ValueError, match="pilot amplitude"):
+        ArrayConfig(10**9, 10**9, pilot_amp=1e155)
 
 
 def _floor_gain_var(floor):
@@ -892,6 +888,11 @@ BAD_NUMBERS = {
                               "--robustness", "8", "--m", "5"],
     "--n with --robustness": ["offsets", "--objective", "static-finite",
                               "--robustness", "8", "--n", "8"],
+    # the static bounds have no gain SNR
+    "--snr-beta-db with static-finite": [
+        "crlb", "--objective", "static-finite", "--snr-beta-db", "50"],
+    "--snr-beta-db with static-asymptotic": [
+        "offsets", "--objective", "static-asymptotic", "--snr-beta-db", "50"],
     # the search runs, then its row cannot be appended: nothing is printed
     "unwritable --out": ["offsets", "--objective", "static-asymptotic",
                          "--grid", "3", "--iters", "5",
@@ -930,6 +931,10 @@ def test_bad_size_exits_1_with_one_error_line(name, capsys):
      "error: --n: not used with --sweep-sizes"),
     ("--m with --robustness", "error: --m: not used with --robustness"),
     ("--n with --robustness", "error: --n: not used with --robustness"),
+    ("--snr-beta-db with static-finite",
+     "error: --snr-beta-db: not used with static-finite\n"),
+    ("--snr-beta-db with static-asymptotic",
+     "error: --snr-beta-db: not used with static-asymptotic\n"),
     ("unwritable --out", "error: cannot write /no/such/dir/search.csv: "),
     ("directory --out", "error: cannot write .: "),
     ("negative verify seed", "error: --seed: must be nonnegative"),
@@ -939,9 +944,9 @@ def test_bad_size_exits_1_with_one_error_line(name, capsys):
      "error: no refinement start produced a finite objective at 4x4")])
 def test_bad_size_error_names_the_input(name, message, capsys):
     """A one-point or oversized grid is rejected as a --grid error, a
-    failed sweep names the size that failed, a flag given to a sweep that
-    does not use it is named instead of ignored, and an output path that
-    cannot be written and a negative seed are named."""
+    failed sweep names the size that failed, a flag given to a sweep or an
+    objective that does not use it is named instead of ignored, and an
+    output path that cannot be written and a negative seed are named."""
     main(BAD_NUMBERS[name])
     assert message in capsys.readouterr().err
 

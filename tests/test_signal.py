@@ -56,14 +56,14 @@ class TestObserve:
     PSI = ChannelParams.from_parts(0.8 - 0.3j, (0.4, -1.1))
 
     def test_zero_noise_is_exact_mean(self):
-        cfg = ArrayConfig(8, 8, noise_var=1e-300)
+        cfg = ArrayConfig(8, 8, pilot_amp=1e150)
         ebm = build_ebm(cfg, self.PSI.x, STATIC_OFFSETS)
         y = observe(cfg, self.PSI, ebm, np.random.default_rng(0))
         mean = reference.noiseless_mean(cfg, self.PSI, ebm)
-        assert np.abs(y - mean).max() < 1e-140
+        assert np.abs(y - mean).max() < 1e10
 
     def test_noise_mean_and_variance(self):
-        """With beta = 0 the draws are pure CN(0, noise_var) noise.  The 1e5
+        """With beta = 0 the draws are pure CN(0, 1) noise.  The 1e5
         draws of ``observe`` run as one ``observe_fast`` call on the same
         normals: ``observe`` takes three real parts, then three imaginary
         parts, per call, which is the row layout of ``observe_fast``."""
@@ -75,10 +75,10 @@ class TestObserve:
         first = np.stack([observe(CFG, psi0, ebm, rng) for _ in range(20)])
         assert np.array_equal(first, draws[:20])
         # componentwise mean within a 4-sigma band of zero
-        band = 4 * np.sqrt(CFG.noise_var / 2 / len(draws))
+        band = 4 * np.sqrt(1 / 2 / len(draws))
         assert np.abs(draws.mean(axis=0).view(float)).max() < band
         var = np.mean(np.abs(draws) ** 2, axis=0)
-        assert np.all(np.abs(var - CFG.noise_var) < 0.03 * CFG.noise_var)
+        assert np.all(np.abs(var - 1) < 0.03)
 
     def test_deterministic_given_seed(self):
         ebm = build_ebm(CFG, self.PSI.x, STATIC_OFFSETS)

@@ -144,6 +144,9 @@ def _close(fast, naive):
     return np.abs(fast - naive).max() <= 1e-10 * max(1.0, np.abs(naive).max())
 
 
+# a pilot amplitude and a noise variance: at unit noise the amplitude
+# pilot / sqrt(noise), of the same SNR, and observations scaled by
+# 1 / sqrt(noise)
 PILOT = st.floats(0.3, 3.0)
 NOISE = st.floats(0.02, 4.0)
 OBSERVATION = st.lists(st.floats(-3.0, 3.0), min_size=6, max_size=6)
@@ -188,14 +191,17 @@ class TestFastEqualsNaive:
         assert worst < 1e-10
 
     def test_general_pilot_and_noise(self):
-        """The pilot folding survives non-unit pilot amplitude."""
-        cfg = ArrayConfig(8, 8, pilot_amp=1.7, noise_var=0.4)
+        """The pilot folding survives non-unit pilot amplitude: pilot 1.7 at
+        noise variance 0.4, that is amplitude 1.7 / sqrt(0.4) at unit noise
+        with the observations scaled by 1 / sqrt(0.4)."""
+        cfg = ArrayConfig(8, 8, pilot_amp=1.7 / np.sqrt(0.4))
         rng = np.random.default_rng(2)
         cache = build_fast_cache(cfg, STATIC_OFFSETS)
         for _ in range(20):
             psi_hat = ChannelParams.from_parts(0.5 + 0.8j, rng.uniform(-1, 1, 2))
             ebm = build_ebm(cfg, psi_hat.x, STATIC_OFFSETS)
-            y = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+            y = (rng.standard_normal(3)
+                 + 1j * rng.standard_normal(3)) / np.sqrt(0.4)
             fast = self._fast(cache, psi_hat.beta, y)
             naive = jbct_direction(cfg, psi_hat, ebm, y)
             assert np.abs(fast - naive).max() < 1e-10
@@ -221,10 +227,10 @@ class TestFastEqualsNaive:
     def test_joint_kernel_matches_explicit_fisher(self, pilot, noise, rows):
         """Per row, the cached block solve equals the explicit Fisher build
         and solve of :func:`jbct_direction`, gain floor included."""
-        cfg = ArrayConfig(8, 8, pilot_amp=pilot, noise_var=noise)
+        cfg = ArrayConfig(8, 8, pilot_amp=pilot / np.sqrt(noise))
         psis = [ChannelParams.from_parts(mag * np.exp(1j * phase), (x1, x2))
                 for mag, phase, x1, x2, _ in rows]
-        ys = _complex_rows([r[4] for r in rows])
+        ys = _complex_rows([r[4] for r in rows]) / np.sqrt(noise)
         fast = _jbct_direction_batch(build_fast_cache(cfg, STATIC_OFFSETS),
                                      np.array([p.beta for p in psis]), ys)
         for psi, y, got in zip(psis, ys, fast):
@@ -238,10 +244,10 @@ class TestFastEqualsNaive:
         """Per row, the direction tracker's kernel equals the direction
         Fisher solved against the fading-gain score, both built from the
         explicit probing matrix at the estimate."""
-        cfg = ArrayConfig(8, 8, pilot_amp=pilot, noise_var=noise)
+        cfg = ArrayConfig(8, 8, pilot_amp=pilot / np.sqrt(noise))
         variances = np.array([r[0] for r in rows])
         xs = np.array([(r[1], r[2]) for r in rows])
-        ys = _complex_rows([r[3] for r in rows])
+        ys = _complex_rows([r[3] for r in rows]) / np.sqrt(noise)
         tracker = _direction(xs, DiminishingStep(1.0), variances, cfg=cfg)
         fast = _rbt_direction_batch(tracker.q_mats, tracker.c0,
                                     tracker.i_inv, ys)
@@ -281,8 +287,8 @@ class TestMeanField:
         rem = np.real(kmat.conj().T @ kmat)
         mean = noiseless_mean(CFG, PSI, ebm)
         n = 100_000
-        z = np.sqrt(CFG.noise_var / 2) * (rng.standard_normal((n, 3))
-                                          + 1j * rng.standard_normal((n, 3)))
+        z = np.sqrt(0.5) * (rng.standard_normal((n, 3))
+                            + 1j * rng.standard_normal((n, 3)))
         resid = (mean[None, :] + z) - CFG.pilot_amp * psi_hat.beta * kmat[:, 0]
         u = np.real(resid.conj() @ kmat)
         dirs = np.linalg.solve(rem, u.T).T / CFG.pilot_amp
@@ -476,7 +482,7 @@ class TestEkf:
         weakness of the EKF, recovered by its default process noise (below).
         """
         monkeypatch.setattr(trackers, "EKF_PROCESS_NOISE", 0.0)
-        cfg = ArrayConfig(8, 8, noise_var=1e-30)
+        cfg = ArrayConfig(8, 8, pilot_amp=1e15)
         truth = ChannelParams.from_parts(0.9 + 0.2j, (0.6, -0.8))
         x_true = truth.x
         tracker = _baseline(EkfBatch, x_true + [0.1, -0.1], cfg)
@@ -490,7 +496,7 @@ class TestEkf:
         assert np.linalg.eigvalsh(covs[1] / 50 - covs[-1]).min() > 0
 
     def test_default_process_noise_recovers_far_start(self):
-        cfg = ArrayConfig(8, 8, noise_var=1e-30)
+        cfg = ArrayConfig(8, 8, pilot_amp=1e15)
         truth = ChannelParams.from_parts(0.9 + 0.2j, (0.6, -0.8))
         x_true = truth.x
         tracker = _baseline(EkfBatch, x_true + [0.3, -0.2], cfg)
@@ -524,7 +530,7 @@ class TestEkf:
                                   for row in np.atleast_2d(a)])
 
         with mpmath.workdps(50):
-            s, r = mpmath.mpf(cfg.pilot_amp), mpmath.mpf(cfg.noise_var) / 2
+            s, r = mpmath.mpf(cfg.pilot_amp), mpmath.mpf(1) / 2
             g, k1, k2 = (mp(k).T for k in (tracker.g, tracker.k1, tracker.k2))
             for row in range(8):
                 yv = mp(y[row]).T
