@@ -549,6 +549,20 @@ GOLDEN_CLI = {
         "m,n,crlb_at_offsets,crlb_min,rel_gap\n"
         "4,4,0.0272383738916,0.0271892718154,1.806e-03\n"
         "8,8,0.00636720724165,0.00636651240941,1.091e-04\n",
+    # the benchmark's sweeps
+    ("offsets", "--objective", "static-finite", "--robustness",
+     "8,16,32,64"):
+        "m,n,crlb_at_offsets,crlb_min,rel_gap\n"
+        "8,8,0.0349566223535,0.0349380994729,5.302e-04\n"
+        "16,16,0.00876972586991,0.00876687039933,3.257e-04\n"
+        "32,32,0.00219437584325,0.00219370167665,3.073e-04\n"
+        "64,64,0.000548716007339,0.000548548852493,3.047e-04\n",
+    ("offsets", "--objective", "di-finite", "--robustness", "8,16,32,64"):
+        "m,n,crlb_at_offsets,crlb_min,rel_gap\n"
+        "8,8,0.00636720724165,0.00636651240941,1.091e-04\n"
+        "16,16,0.00156338269785,0.00156337213014,6.760e-06\n"
+        "32,32,0.000389054912045,0.000389054629922,7.252e-07\n"
+        "64,64,9.71515679607e-05,9.71515148035e-05,5.472e-07\n",
 }
 
 
