@@ -14,8 +14,18 @@ taken in one pass: the offsets are laid out axis-first, (2, k), so that
 every numpy loop runs along the k offsets, and an m x n array carries its
 sizes as a (2, 1) column (a square array as one scalar).  Given
 coordinate values and an integer index of offsets into them, the factors
-are taken once per value and axis, in the same pass, and gathered, a
-kernel table: the same combine gives the bits of the offsets themselves.
+are taken once per value and distinct size of the call, in one pass over
+a (sizes, values) table, and gathered, a kernel table: the same combine
+gives the bits of the offsets themselves.
+
+The sizes may also be integer arrays, one array size per offset (the
+finite bounds give each offset set its own size): the direct route then
+carries a (2, k) array of sizes, and the combine step takes each
+offset's sizes, for the bits of a call at that offset's size.  Off a
+square array, per offset and in the table, each element of the series
+branch gathers its own size's coefficients (:func:`_series_at`); a
+square array at one scalar size keeps its scalar work on the direct
+route, the tracking loop's.
 """
 
 from __future__ import annotations
@@ -199,20 +209,40 @@ def _slope_series(size: int):
     return tuple(2 * j * c for j, c in enumerate(_ratio_series(size)))[1:]
 
 
-@functools.lru_cache(maxsize=64)
-def _series_table(m: int, n: int):
-    """The ratio and slope series of both axes, one column per axis: (6, 2)
-    and (5, 2) arrays, gathered per element of the series branch."""
-    return (np.array([_ratio_series(m), _ratio_series(n)]).T,
-            np.array([_slope_series(m), _slope_series(n)]).T)
+def _distinct(values):
+    """The sorted distinct values of an array of sizes and the position of
+    each element among them, as ``np.unique(values, return_inverse=True)``
+    at a fraction of its cost on the few sizes of a call."""
+    flat = np.sort(values, axis=None)
+    distinct = flat[np.concatenate([[True], flat[1:] != flat[:-1]])]
+    return distinct, np.searchsorted(distinct, values)
 
 
-def _sizes(m: int, n: int):
+def _sized(m, n=None) -> bool:
+    """Whether a size is an array, of one size per element."""
+    # not np.ndim: 1.6 us on an int, per call of the tracking loop's kernels
+    return isinstance(m, np.ndarray) or isinstance(n, np.ndarray)
+
+
+def _series_at(sizes):
+    """The ratio and slope series of each element of ``sizes``, one column
+    per element: (6, k) and (5, k) arrays, from one gather of the distinct
+    sizes' coefficients."""
+    distinct, at = _distinct(sizes)
+    a = np.array([_ratio_series(int(s)) for s in distinct]).T
+    b = np.array([_slope_series(int(s)) for s in distinct]).T
+    return a[:, at], b[:, at]
+
+
+def _sizes(m, n):
     """Per-axis sizes for axis-first offsets (2, k): the one size of a
-    square array as a scalar, else the column [[m], [n]]."""
+    square array as a scalar, else the column [[m], [n]], or with
+    per-offset sizes (m, n flat arrays of k) a (2, k) array."""
     # the column with gathered series coefficients took the 500-trial 8x8
     # channel-error kernel (all series branch) 131-212 us against 87-145
-    return m if m == n else np.array([[m], [n]], float)
+    if not _sized(m, n) and m == n:
+        return m
+    return np.reshape(np.array([m, n], float), (2, -1))
 
 
 def _by_axis(deltas):
@@ -220,10 +250,11 @@ def _by_axis(deltas):
     return np.ascontiguousarray(np.reshape(deltas, (-1, 2)).T, float)
 
 
-def _dirichlet(d, m: int, n: int, slope: bool = False):
-    """Reduced Dirichlet ratios of both axes in one pass, for axis-first
-    offsets ``d`` (2, k): row 0 along the m-element axis, row 1 along the
-    n-element axis.  On a square array the two share one size.
+def _dirichlet(d, size, slope: bool = False):
+    """Reduced Dirichlet ratios of offsets ``d`` of any shape at the sizes
+    ``size`` (a scalar or an array that broadcasts against ``d``), as for
+    axis-first offsets (2, k) with the sizes of :func:`_sizes`: row 0
+    along the m-element axis, row 1 along the n-element axis.
 
     With size the axis' element count, writes d = k*size + r with
     k = round(d/size), so |r| <= size/2, and x = pi r, u = x/size.  Returns
@@ -231,11 +262,11 @@ def _dirichlet(d, m: int, n: int, slope: bool = False):
     R = sin(x)/sin(u), and with ``slope`` also
     f = dR/du = (size cos(x) sin(u) - sin(x) cos(u))/sin(u)^2 (else None).
     Both come from the u^2 series where |x| < _SERIES_X, since the direct
-    forms cancel near x = 0; off a square array each such element gathers
-    its own axis' coefficients.  The Dirichlet ratio
-    sin(pi d)/sin(pi d/size) is sigma*R with sigma = (-1)^(k(size-1)).
+    forms cancel near x = 0; at one scalar size all such elements share its
+    coefficients, else each gathers those of its own size
+    (:func:`_series_at`).  The Dirichlet ratio sin(pi d)/sin(pi d/size) is
+    sigma*R with sigma = (-1)^(k(size-1)).
     """
-    size = _sizes(m, n)
     k = np.rint(d / size)
     x = np.pi * (d - k * size)
     u = x / size
@@ -245,11 +276,10 @@ def _dirichlet(d, m: int, n: int, slope: bool = False):
     ratio = sx / den
     f = (size * cx * su - sx * cu) / (den * den) if slope else None
     if small.any():
-        if m == n:
-            a, b = _ratio_series(m), _slope_series(m)
+        if not _sized(size):
+            a, b = _ratio_series(size), _slope_series(size)
         else:
-            axis = np.nonzero(small)[0]
-            a, b = (c[:, axis] for c in _series_table(m, n))
+            a, b = _series_at(np.broadcast_to(size, x.shape)[small])
         us = u[small]
         u2 = us * us
         ratio[small] = _horner(a, u2)
@@ -269,17 +299,19 @@ def beam_gain_kernel(delta, m: int, n: int):
     d = np.asarray(delta, float)
     scalar = d.ndim == 1
     d = np.atleast_2d(d)
-    k, _, r, _ = _dirichlet(_by_axis(d), m, n)
-    h = 0.5 * k * (_sizes(m, n) - 1)
+    size = _sizes(m, n)
+    k, _, r, _ = _dirichlet(_by_axis(d), size)
+    h = 0.5 * k * (size - 1)
     r = np.where(np.floor(h) == h, r, -r)
     val = (r[0] * r[1]).reshape(d.shape[:-1])
     return float(val[0]) if scalar else val
 
 
-def _axis_sums(d, m: int, n: int, deriv: bool):
-    """s = sum_i z^i and (with ``deriv``) t = sum_i i z^i over each axis'
-    elements, z = e^{-2j pi d/size}, for the axis-first offsets ``d`` of
-    :func:`_dirichlet`, both axes in one pass and O(1) per offset.
+def _axis_sums(d, size, deriv: bool):
+    """s = sum_i z^i and (with ``deriv``) t = sum_i i z^i over an axis'
+    elements, z = e^{-2j pi d/size}, for the offsets ``d`` and sizes of
+    :func:`_dirichlet` (both axes of axis-first offsets in one pass), O(1)
+    per offset.
 
     The closed form s = P R and t = P ((size-1)/2 R + (j/2) f) of
     :func:`_dirichlet`, where the phase P = e^{-j pi d (size-1)/size} =
@@ -287,7 +319,7 @@ def _axis_sums(d, m: int, n: int, deriv: bool):
     Dirichlet ratio, and P comes from the reduced angles without further
     sines.
     """
-    _, (sx, cx, su, cu), ratio, f = _dirichlet(d, m, n, deriv)
+    _, (sx, cx, su, cu), ratio, f = _dirichlet(d, size, deriv)
     pc = cx * cu + sx * su          # cos(x - u)
     ps = sx * cu - cx * su          # sin(x - u)
     s = np.empty(ratio.shape, complex)
@@ -296,7 +328,7 @@ def _axis_sums(d, m: int, n: int, deriv: bool):
     np.negative(s.imag, out=s.imag)
     t = None
     if deriv:
-        a = 0.5 * (_sizes(m, n) - 1) * ratio
+        a = 0.5 * (size - 1) * ratio
         b = 0.5 * f
         t = np.empty(ratio.shape, complex)
         t.real = pc * a + ps * b
@@ -313,14 +345,16 @@ def _combine(s1, t1, s2, t2, m, n):
             (2 * np.pi / n) * 1j * s1 * t2 / root)
 
 
-def probe_kernels(deltas, m: int, n: int, index=None):
+def probe_kernels(deltas, m, n, index=None):
     """Exact inner products of a steering probe with an arrival and its
     derivatives, as functions of the probe-minus-arrival offset.
 
     For w = a(x + delta)/sqrt(MN) returns the triple
     ``(w^H a(x), w^H da/dx1, w^H da/dx2)``; by the array's shift property
     these depend on ``delta`` only.  ``deltas`` has shape (..., 2); each
-    output has the leading shape.
+    output has the leading shape.  The sizes ``m`` and ``n`` are integers,
+    or integer arrays that broadcast against the leading shape, one array
+    size per offset, with the bits of a call at each offset's own size.
 
     Each kernel is a product of per-axis geometric sums, taken in their
     O(1) closed form (a Dirichlet ratio times a phase, plus its
@@ -331,17 +365,24 @@ def probe_kernels(deltas, m: int, n: int, index=None):
 
     With an integer ``index`` (..., 2), ``deltas`` is 1-D: coordinate
     values, and the offsets are deltas[index].  The sums are then taken
-    once per value and axis, in one (2, v) pass at every array shape, and
+    once per value and distinct size of the call, in one pass, and
     gathered, for the same bits as ``probe_kernels(deltas[index], m, n)``.
     """
     d = np.asarray(deltas, float)
     if index is None:
-        s, t = _axis_sums(_by_axis(d), m, n, True)
-        return tuple(k.reshape(d.shape[:-1])
+        lead = d.shape[:-1]
+        if _sized(m, n):
+            m, n = (np.broadcast_to(v, lead).ravel() for v in (m, n))
+        s, t = _axis_sums(_by_axis(d), _sizes(m, n), True)
+        return tuple(k.reshape(lead)
                      for k in _combine(s[0], t[0], s[1], t[1], m, n))
     i1, i2 = index[..., 0], index[..., 1]
-    s, t = _axis_sums(np.stack([d, d]), m, n, True)
-    return _combine(s[0, i1], t[0, i1], s[1, i2], t[1, i2], m, n)
+    # a (sizes, values) table, row j at the j-th distinct size of the call
+    sizes, at = _distinct(np.stack(np.broadcast_arrays(m, n)))
+    s, t = _axis_sums(d, sizes[:, None].astype(float), True)
+    s, t = s.ravel(), t.ravel()
+    j1, j2 = at[0] * len(d) + i1, at[1] * len(d) + i2
+    return _combine(s[j1], t[j1], s[j2], t[j2], m, n)
 
 
 def _gain_kernel(deltas, m: int, n: int):
@@ -350,7 +391,7 @@ def _gain_kernel(deltas, m: int, n: int):
     # probe_kernels(...)[0] instead made in-process mc-converge and
     # mc-dynamic passes 14-16% slower (12 interleaved pairs), same CSVs
     d = np.asarray(deltas, float)
-    s, _ = _axis_sums(_by_axis(d), m, n, False)
+    s, _ = _axis_sums(_by_axis(d), _sizes(m, n), False)
     return (s[0] * s[1] / np.sqrt(m * n)).reshape(d.shape[:-1])
 
 

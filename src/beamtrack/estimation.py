@@ -44,8 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import (ArrayConfig, _check_pilot_amp, _xy, probe_kernels,
-                     probe_kernels_limit)
+from .arrays import (MAX_AXIS, ArrayConfig, _check_pilot_amp, _distinct,
+                     _sized, _xy, probe_kernels, probe_kernels_limit)
 from .signal import (ChannelParams, Ebm, _sum3, observation_kernels,
                      observation_matrix)
 
@@ -178,17 +178,37 @@ def _unit_gram(m: int, n: int):
     return gram[1, 2], gram[1, 3], gram[2, 2], gram[2, 3], gram[3, 3]
 
 
-def static_offsets_crlb(deltas, m: int, n: int, pilot_amp: float = 1.0,
-                        index=None):
+def _gram_at(m, n):
+    """:func:`_unit_gram` at integer sizes, or with integer arrays m, n at
+    each element's own size: five arrays of their broadcast shape, gathered
+    from the distinct (m, n) pairs."""
+    if not _sized(m, n):
+        return _unit_gram(m, n)
+    base = MAX_AXIS + 1
+    pairs, at = _distinct(np.multiply(m, base) + n)
+    table = np.array([_unit_gram(int(p // base), int(p % base))
+                      for p in pairs]).T
+    return tuple(table[:, at])
+
+
+def _per_offset(m, n):
+    """Per-set sizes as the per-offset sizes of ``probe_kernels``: array
+    sizes gain an axis for the three offsets of a set."""
+    return tuple(np.expand_dims(v, -1) if _sized(v) else v for v in (m, n))
+
+
+def static_offsets_crlb(deltas, m, n, pilot_amp: float = 1.0, index=None):
     """Normalized static CRLB as a function of the offsets alone (shift
     property), per offset set of ``deltas`` (..., 3, 2), or of
     deltas[index]; +inf at a zero pilot, else ``pilot_amp`` must lie in
-    ``arrays.PILOT_AMP_RANGE``."""
-    c1, c2, p11, p12, p22 = _unit_gram(m, n)
+    ``arrays.PILOT_AMP_RANGE``.  ``m`` and ``n`` are integers, or integer
+    arrays that broadcast against the leading shape, one array size per
+    set, with the bits of a call at each set's own size."""
+    c1, c2, p11, p12, p22 = _gram_at(m, n)
     if pilot_amp != 0:
         _check_pilot_amp(pilot_amp)
     scale = 1.0 / (2 * pilot_amp**2) if pilot_amp != 0 else np.inf
-    return _static_bound(probe_kernels(deltas, m, n, index),
+    return _static_bound(probe_kernels(deltas, *_per_offset(m, n), index),
                          ((c1, c2), (p11, p12, p22)), scale)
 
 
@@ -245,8 +265,10 @@ def _di_score(q_mats, c0, y):
 def fisher_di(cfg: ArrayConfig, x, model: DiModel, ebm: Ebm) -> np.ndarray:
     """2x2 direction Fisher information of the fading-gain model, via the
     closed form of :func:`_di_info` on the six inner products of g and its
-    direction derivatives; zero at zero gain variance."""
+    direction derivatives; zero at zero gain variance.  ValueError where
+    the gain SNR exceeds :func:`snr_beta_db_ceiling` at the array's size."""
     snr = cfg.pilot_amp**2 * model.sigma_beta_sq
+    _check_snr_beta(snr, cfg.size)
     return _sym2(_di_info(_products(*observation_kernels(cfg, x, ebm)),
                           snr)[0])
 
@@ -254,7 +276,7 @@ def fisher_di(cfg: ArrayConfig, x, model: DiModel, ebm: Ebm) -> np.ndarray:
 def crlb_di(cfg: ArrayConfig, x, model: DiModel, ebm: Ebm) -> float:
     """Direction CRLB Tr{I_DI^-1} for one cycle's probe pattern:
     :func:`di_offsets_crlb` at the EBM's offsets from ``x``, so +inf at a
-    singular Fisher."""
+    singular Fisher and a ValueError above the gain SNR's ceiling."""
     snr = cfg.pilot_amp**2 * model.sigma_beta_sq
     deltas = ebm.directions - np.asarray(_xy(x), float)
     return float(di_offsets_crlb(deltas, cfg.m, cfg.n, snr))
@@ -293,13 +315,28 @@ def _sym2(f):
     return np.stack([np.stack([f11, f12], -1), np.stack([f12, f22], -1)], -2)
 
 
-def di_offsets_crlb(deltas, m: int, n: int, snr_beta, index=None):
+def _check_snr_beta(snr_beta, size) -> None:
+    """A ValueError where a gain SNR ``snr_beta`` (a power, a scalar or an
+    array) exceeds :func:`snr_beta_db_ceiling` at ``size`` elements.  The
+    two compare as powers, so that a zero SNR passes (its bound is +inf)."""
+    ceiling = snr_beta_db_ceiling(size)
+    peak = np.max(snr_beta)
+    if peak > 10.0 ** (ceiling / 10.0):
+        raise ValueError(f"gain SNR {float(peak):.6g} is above the ceiling "
+                         f"of {ceiling:.3f} dB at {size} elements, over which "
+                         f"the direction Fisher overflows a float")
+
+
+def di_offsets_crlb(deltas, m, n, snr_beta, index=None):
     """Direction CRLB Tr{I_DI^-1} from the offsets alone, per offset set of
     ``deltas`` (..., 3, 2), or of deltas[index].  ``snr_beta`` is
-    |s|^2 sigma_beta^2, a scalar or an array that broadcasts
-    against the leading shape."""
-    f, ref = _di_info(_products(*probe_kernels(deltas, m, n, index)),
-                      snr_beta)
+    |s|^2 sigma_beta^2, a scalar or an array that broadcasts against the
+    leading shape, and so are the sizes ``m`` and ``n`` (integers or
+    integer arrays), as in :func:`static_offsets_crlb`.  ValueError where
+    the gain SNR exceeds the ceiling at the largest size of the call."""
+    _check_snr_beta(snr_beta, np.max(np.multiply(m, n)))
+    f, ref = _di_info(_products(*probe_kernels(deltas, *_per_offset(m, n),
+                                               index)), snr_beta)
     return _trace_solve(f, (1.0, 0.0, 1.0), ref)
 
 

@@ -13,9 +13,10 @@ each Newton iteration evaluates the derivative stencils of every restart
 in one batched objective call and their trial steps in a second, and each
 restart's iterates are those of a run on its own.  A robustness sweep
 runs the searches of all the array sizes it sweeps in one such lockstep
-run, each size on its own objective: an objective call takes the sets of
-one size, as that size's search alone would, so a stage of an iteration
-makes one call per size.
+run, on one objective with per-set sizes (the finite bounds take integer
+arrays m, n, each set at its own size), so a stage of an iteration makes
+one call for every size; the sweep's grid seeds, from one seed table per
+swap rule, take one call for all sizes too.
 
 The grid seeds and the Newton stencils reuse a few coordinate values in
 many sets, so they reach the objectives as those values and an integer
@@ -161,15 +162,31 @@ _CHUNK_SETS = 4096
 def _batched(objective, flat_sets, index=None):
     """Evaluate the objective on (k, 3, 2) offset sets, or with an integer
     ``index`` (k, 3, 2) on the sets flat_sets[index] of coordinate values,
-    in chunks of ``_CHUNK_SETS`` sets."""
+    in chunks of ``_CHUNK_SETS`` sets; an objective with per-set sizes
+    (:func:`_at_sizes`) is cut into chunks with its sets."""
     # the tables pay: materialised sets instead took the four offsets-search
     # commands 286-423 ms against 258-293 ms CPU, with the same stdout
     out = np.empty(len(flat_sets if index is None else index))
+    sized = isinstance(getattr(objective, "m", None), np.ndarray)
     for lo in range(0, len(out), _CHUNK_SETS):
         part = slice(lo, lo + _CHUNK_SETS)
-        out[part] = objective.evaluate(flat_sets[part]) if index is None \
-            else objective.evaluate(flat_sets, index[part])
+        chunk = replace(objective, m=objective.m[part],
+                        n=objective.n[part]) if sized else objective
+        out[part] = chunk.evaluate(flat_sets[part]) if index is None \
+            else chunk.evaluate(flat_sets, index[part])
     return out
+
+
+def _at_sizes(objectives, owner):
+    """One objective for the sets of several searches, set i of search
+    ``owner[i]``: the searches' objectives differ in their size only, and
+    the first of them takes per-set sizes (integer arrays m, n, as the
+    finite bounds do), each set's search's.  A single search keeps its own
+    objective."""
+    if len(objectives) == 1:
+        return objectives[0]
+    m, n = np.array([(o.m, o.n) for o in objectives]).T
+    return replace(objectives[0], m=m[owner], n=n[owner])
 
 
 # The Newton iteration: central differences with step _H, trial step
@@ -355,6 +372,8 @@ def _slice_seeds(sc: SearchConfig):
     an integer index (k, 3, 2) into them: the sets are values[index], and
     the few values let the objective take the kernels' factors once per
     value (``_batched``).  The negation makes the mirror family's -a exact.
+    The index is filled by broadcast assignment from the (a, b), (c, d)
+    and (b, d) pairs, without temporaries of the families' size.
     """
     p = sc.grid_points_per_axis
     q = p - 1
@@ -364,24 +383,30 @@ def _slice_seeds(sc: SearchConfig):
     # applies, maps (c, d) to (d, c)
     ab = np.triu_indices(p)
     cd = np.triu_indices(p) if swap else np.indices((p, p)).reshape(2, -1)
-    i, j = np.indices((len(ab[0]), len(cd[0]))).reshape(2, -1)
-    a, b, c, d = ab[0][i], ab[1][i], cd[0][j], cd[1][j]
     # the joint flip maps (a, b, c, d) to (-b, -a, -c, -d), whose (c, d)
-    # the swap puts back in order
-    fc, fd = (q - d, q - c) if swap else (q - c, q - d)
-    keep = _lex_key(p, a, b, c, d) <= _lex_key(p, q - b, q - a, fc, fd)
-    a, b, c, d = (v[keep] for v in (a, b, c, d))
-    swap_sets = np.stack([a, b, c, d, b, a], -1)
+    # the swap puts back in order; the (a, b) keys order a set and its
+    # image, and where they tie the (c, d) keys do
+    fc, fd = (q - cd[1], q - cd[0]) if swap else (q - cd[0], q - cd[1])
+    key, flip = _lex_key(p, *ab), _lex_key(p, q - ab[1], q - ab[0])
+    tie = _lex_key(p, *cd) <= _lex_key(p, fc, fd)
+    i, j = np.nonzero((key < flip)[:, None] | ((key == flip)[:, None] & tie))
     # mirror family: a -> -a is the identity, the first-axis flip maps c to
     # -c, and the second-axis flip maps (b, d) to (-b, -d)
     half = np.arange(q // 2 + 1)
     bd = np.indices((p, p)).reshape(2, -1)
     bd = bd[:, _lex_key(p, *bd) <= _lex_key(p, *(q - bd))]
-    i, j, k = np.indices((len(half), len(half), len(bd[0]))).reshape(3, -1)
-    a, b, c, d = half[i], bd[0][k], half[j], bd[1][k]
-    mirror_sets = np.stack([a, b, p + a, b, c, d], -1)
-    return (np.concatenate([g, -g]),
-            np.concatenate([swap_sets, mirror_sets]).reshape(-1, 3, 2))
+    sets = np.empty((len(i) + len(half) ** 2 * len(bd[0]), 6), int)
+    swap_sets = sets[:len(i)]                     # (a, b, c, d, b, a)
+    swap_sets[:, [0, 5]] = ab[0][i, None]
+    swap_sets[:, [1, 4]] = ab[1][i, None]
+    swap_sets[:, 2], swap_sets[:, 3] = cd[0][j], cd[1][j]
+    mirror_sets = sets[len(i):].reshape(len(half), len(half), -1, 6)
+    mirror_sets[..., 0] = half[:, None, None]     # (a, b, -a, b, c, d)
+    mirror_sets[..., 2] = p + half[:, None, None]
+    mirror_sets[..., [1, 3]] = bd[0][:, None]
+    mirror_sets[..., 4] = half[:, None]
+    mirror_sets[..., 5] = bd[1]
+    return np.concatenate([g, -g]), sets.reshape(-1, 3, 2)
 
 
 def _distinct_rows(sets, count, swap):
@@ -398,28 +423,47 @@ def _distinct_rows(sets, count, swap):
     return picked
 
 
-def _grid_starts(sc: SearchConfig, count: int):
-    """The ``count`` best grid seeds that are pairwise distinct up to
-    symmetry, and the best grid value."""
-    values, index = _slice_seeds(sc)
-    vals = _batched(sc.objective, values, index)
-    order = np.argsort(vals)
-    return (_distinct_rows(values[index[order[:4096]]], count,
-                           swap_applies(sc.objective)),
-            float(vals[order[0]]))
+def _grid_starts(configs, count: int):
+    """For each of ``configs``, searches of one objective at several sizes
+    on one grid (objectives that differ in size only, as in
+    :func:`_at_sizes`): the ``count`` best grid seeds that are pairwise
+    distinct up to symmetry, and the best grid value.  Every config's seeds
+    are evaluated in one call, from one seed table per swap rule."""
+    tables = {}
+    for sc in configs:
+        swap = swap_applies(sc.objective)
+        if swap not in tables:
+            tables[swap] = _slice_seeds(sc)
+    values = next(iter(tables.values()))[0]
+    parts = [tables[swap_applies(sc.objective)][1] for sc in configs]
+    lengths = [len(part) for part in parts]
+    owner = np.repeat(np.arange(len(configs)), lengths)
+    # a single search's table as it is, not a copy (2.5 MB at grid 21)
+    index = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    vals = _batched(_at_sizes([sc.objective for sc in configs], owner),
+                    values, index)
+    out = []
+    for sc, part, v in zip(configs, parts,
+                           np.split(vals, np.cumsum(lengths)[:-1])):
+        order = np.argsort(v)
+        out.append((_distinct_rows(values[part[order[:4096]]], count,
+                                   swap_applies(sc.objective)),
+                    float(v[order[0]])))
+    return out
 
 
 def _search(objectives, starts, refine_iters, incumbents):
     """Damped Newton from each of each search's ``starts``, every search in
     one lockstep run of at most ``refine_iters`` iterations per restart.
 
-    Search s runs ``objectives[s]`` from the (3, 2) start sets
-    ``starts[s]``.  Each Newton iteration makes two objective calls per
-    search with running restarts, on that search's rows in the order of a
-    run of it alone.  ``incumbents[s]`` is the best value search s holds
-    from other calls (inf for none); a result above it, or no finite value,
-    raises :class:`NoImprovement` naming the size of a finite search.
-    Returns a :class:`SearchResult` per search.
+    Search s runs ``objectives[s]`` (objectives that differ in size only,
+    :func:`_at_sizes`) from the (3, 2) start sets ``starts[s]``.  Each
+    stage of a Newton iteration makes one objective call for the running
+    restarts of every search, each set at its search's size.
+    ``incumbents[s]`` is the best value search s holds from other calls
+    (inf for none); a result above it, or no finite value, raises
+    :class:`NoImprovement` naming the size of a finite search.  Returns a
+    :class:`SearchResult` per search.
     """
     # one lockstep run, not a search per size: per-size searches took a
     # four-size sweep 96-99 ms against 78 ms, with the same rows
@@ -428,15 +472,14 @@ def _search(objectives, starts, refine_iters, incumbents):
     owner = np.repeat(np.arange(len(starts)), [len(st) for st in starts])
 
     def f(points, restarts, index=None):
-        vals, own = np.empty(len(restarts)), owner[restarts]
-        for s, objective in enumerate(objectives):
-            rows = own == s
-            if index is None:
-                vals[rows] = _batched(objective,
-                                      points[rows].reshape(-1, 3, 2))
-            else:
-                vals[rows] = _batched(objective, points,
-                                      index[rows].reshape(-1, 3, 2))
+        # one call for every search, at per-set sizes, not one per search:
+        # a 36-restart stage at four sizes took 1.1 against 1.4 ms for the
+        # stencils and 0.54 against 0.79 ms for the trial steps
+        objective = _at_sizes(objectives, owner[restarts])
+        if index is None:
+            vals = _batched(objective, points.reshape(-1, 3, 2))
+        else:
+            vals = _batched(objective, points, index.reshape(-1, 3, 2))
         return np.where(np.isfinite(vals), vals, 1e30)
 
     x, fun = _newton(f, x0, -bh, bh, refine_iters)
@@ -463,7 +506,7 @@ def _search(objectives, starts, refine_iters, incumbents):
 
 def optimize_offsets(sc: SearchConfig) -> SearchResult:
     """Best offset set from grid-seeded multi-start Newton."""
-    starts, best = _grid_starts(sc, 16)
+    starts, best = _grid_starts([sc], 16)[0]
     return _search([sc.objective], [starts], sc.refine_iters, [best])[0]
 
 
@@ -481,7 +524,7 @@ def robustness_sweep(offsets: OffsetSet, objective, sizes):
     configs = [SearchConfig(replace(objective, m=m, n=n),
                             grid_points_per_axis=13) for m, n in sizes]
     at = [float(sc.objective.evaluate(offsets.deltas)) for sc in configs]
-    grids = [_grid_starts(sc, 8) for sc in configs]
+    grids = _grid_starts(configs, 8)
     # the fixed set is a legitimate incumbent: include it as a restart, and
     # hold the lower of its value and the grid's best against Newton's
     starts = [[offsets.deltas] + seeds for seeds, _ in grids]

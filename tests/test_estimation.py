@@ -17,7 +17,8 @@ from beamtrack.estimation import (DiModel, SingularFisher, _di_info,
                                   crlb_di_asymptotic, crlb_static,
                                   crlb_static_asymptotic, di_offsets_crlb,
                                   fisher_di, fisher_static,
-                                  static_offsets_crlb, steering_gram)
+                                  snr_beta_db_ceiling, static_offsets_crlb,
+                                  steering_gram)
 from beamtrack.offsets import FADING_OFFSETS, STATIC_OFFSETS
 from beamtrack.signal import ChannelParams, OffsetSet, build_ebm
 
@@ -561,6 +562,98 @@ class TestCrlbDi:
         swapped = OffsetSet(FADING_OFFSETS.deltas[:, ::-1].copy())
         b = crlb_di_asymptotic(swapped.deltas, snr)
         assert abs(a - b) < 1e-9 * a
+
+
+class TestGainSnrCeiling:
+    """Above the gain SNR's ceiling the direction bounds raise instead of
+    overflowing; at and below it, down to zero, they take no warning."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: fisher_di(ArrayConfig(8, 8, pilot_amp=1e150), (0.0, 0.0),
+                          DiModel(1.0), _ebm_at((0.0, 0.0), FADING_OFFSETS)),
+        lambda: crlb_di(ArrayConfig(8, 8, pilot_amp=1e150), (0.0, 0.0),
+                        DiModel(1.0), _ebm_at((0.0, 0.0), FADING_OFFSETS)),
+        lambda: di_offsets_crlb(FADING_OFFSETS.deltas, 8, 8, 1e300),
+        # a per-set call is held to the ceiling of its largest size
+        lambda: di_offsets_crlb(np.stack([FADING_OFFSETS.deltas] * 2),
+                                np.array([2, 64]), np.array([2, 64]),
+                                10 ** (snr_beta_db_ceiling(64 * 64) / 10)
+                                * 1.001)], ids=["fisher_di", "crlb_di",
+                                                "offsets", "per-set"])
+    def test_above_the_ceiling_raises(self, call):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="ceiling"):
+                call()
+
+    def test_zero_and_ceiling_snr_take_no_warning(self):
+        """A zero gain SNR gives +inf; at the ceiling the bound is a finite
+        float."""
+        ceiling = 10 ** (snr_beta_db_ceiling(64) / 10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert di_offsets_crlb(FADING_OFFSETS.deltas, 8, 8, 0.0) == np.inf
+            assert 0 < di_offsets_crlb(FADING_OFFSETS.deltas, 8, 8,
+                                       ceiling) < np.inf
+            assert np.all(fisher_di(CFG, (0.0, 0.0), DiModel(0.0),
+                                    _ebm_at((0.0, 0.0), FADING_OFFSETS)) == 0)
+
+
+def _bits(a):
+    return np.asarray(a).view(np.int64)
+
+
+@st.composite
+def _sized_sets(draw):
+    """Offset sets with an array size each, 2-64 elements per axis, square
+    or not, and a gain SNR each: coordinate values (the search box, and
+    the series branch |pi r| < 0.1) and an index (k, 3, 2) into them."""
+    k = draw(st.integers(1, 6))
+    per_set = lambda elements: st.lists(elements, min_size=k, max_size=k)
+    m = np.array(draw(per_set(st.integers(2, 64))))
+    n = np.where(draw(per_set(st.booleans())), m,
+                 draw(per_set(st.integers(2, 64))))
+    values = np.array(draw(st.lists(st.floats(-0.95, 0.95)
+                                    | st.floats(-0.03, 0.03),
+                                    min_size=1, max_size=10)))
+    index = np.array(draw(st.lists(st.integers(0, len(values) - 1),
+                                   min_size=6 * k, max_size=6 * k)))
+    snr = np.array(draw(per_set(st.floats(0.01, 100.0))))
+    return m, n, values, index.reshape(k, 3, 2), snr
+
+
+class TestPerSetSizes:
+    """Sizes given per set: each set gets the bits of a call at its own
+    size, on the direct route and on the table route."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_sized_sets())
+    def test_each_set_gets_the_bits_of_its_own_size(self, case):
+        m, n, values, index, snr = case
+        sets = values[index]
+        per_offset = (m[:, None], n[:, None])
+        kernels = (probe_kernels(sets, *per_offset),
+                   probe_kernels(values, *per_offset, index))
+        bounds = (static_offsets_crlb(sets, m, n),
+                  static_offsets_crlb(values, m, n, index=index),
+                  di_offsets_crlb(sets, m, n, 2.0),
+                  di_offsets_crlb(values, m, n, 2.0, index),
+                  di_offsets_crlb(sets, m, n, snr),
+                  di_offsets_crlb(values, m, n, snr, index))
+        for i, (mi, ni) in enumerate(zip(m.tolist(), n.tolist())):
+            alone = (probe_kernels(sets[i], mi, ni),
+                     probe_kernels(values, mi, ni, index[i]))
+            for got, want in zip(kernels, alone):
+                for g, w in zip(got, want):
+                    assert np.array_equal(_bits(g[i]), _bits(w)), (mi, ni)
+            alone = (static_offsets_crlb(sets[i], mi, ni),
+                     static_offsets_crlb(values, mi, ni, index=index[i]),
+                     di_offsets_crlb(sets[i], mi, ni, 2.0),
+                     di_offsets_crlb(values, mi, ni, 2.0, index[i]),
+                     di_offsets_crlb(sets[i], mi, ni, snr[i]),
+                     di_offsets_crlb(values, mi, ni, snr[i], index[i]))
+            for got, want in zip(bounds, alone):
+                assert _bits(got[i]) == _bits(want), (mi, ni)
 
 
 class TestScoreZeroMeanStatic:

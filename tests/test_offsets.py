@@ -211,7 +211,7 @@ class TestLockstepNelderMead:
         """On grid starts of the static limit the lockstep search equals
         scipy's bit for bit."""
         sc = SearchConfig(StaticAsymptotic(), grid_points_per_axis=9)
-        starts, _ = _grid_starts(sc, 4)
+        starts, _ = _grid_starts([sc], 4)[0]
 
         def values(points):
             vals = StaticAsymptotic().evaluate(points.reshape(-1, 3, 2))
@@ -349,8 +349,8 @@ class TestDistinctStarts:
     def test_restarts_are_distinct_up_to_symmetry(self, objective, points,
                                                   count):
         """No grid start is within 0.05 of an image of another one."""
-        starts, _ = _grid_starts(SearchConfig(
-            objective, grid_points_per_axis=points), count)
+        starts, _ = _grid_starts([SearchConfig(
+            objective, grid_points_per_axis=points)], count)[0]
         assert len(starts) == count
         assert _distinct_up_to_symmetry(starts, swap_applies(objective))
 
@@ -459,8 +459,8 @@ class TestNewton:
         """From the same grid starts the searched minimum is at most the
         oracle's; at 2x2 and 3x3, where the optimum can sit on the box
         edge, within 1e-8."""
-        starts, _ = _grid_starts(SearchConfig(objective,
-                                              grid_points_per_axis=13), 8)
+        starts, _ = _grid_starts([SearchConfig(
+            objective, grid_points_per_axis=13)], 8)[0]
         res = _search_from(SearchConfig(objective), starts)
         assert res.crlb_value <= _oracle_minimum(objective, starts) * (1 + rel)
 
@@ -502,8 +502,8 @@ class TestNewton:
         """Each restart's final point and value are the same bits run
         alone, in a split batch and in the whole batch: grid starts, starts
         on the box edge and a singular start."""
-        grid, _ = _grid_starts(SearchConfig(DiFinite(8, 8, 0.0),
-                                            grid_points_per_axis=9), 6)
+        grid, _ = _grid_starts([SearchConfig(DiFinite(8, 8, 0.0),
+                                             grid_points_per_axis=9)], 6)[0]
         edge = np.clip(3 * FADING_OFFSETS.deltas, -BOX_HALFWIDTH,
                        BOX_HALFWIDTH)
         starts = np.reshape(grid + [edge, -edge, np.full((3, 2), 0.2)],
@@ -523,37 +523,71 @@ class TestRobustnessSweep:
     @pytest.mark.parametrize("base, preset", [
         (StaticFinite(8, 8), STATIC_OFFSETS),
         (DiFinite(8, 8, 3.0), FADING_OFFSETS)])
-    def test_lockstep_sweep_equals_per_size_searches(self, base, preset):
+    def test_lockstep_sweep_equals_per_size_searches(self, base, preset,
+                                                     monkeypatch):
         """One lockstep run of every size's search, a non-square and a
         duplicate size included, gives each size the row of a search at
-        that size alone, bit for bit, and each size the objective calls of
-        its search alone: the same set counts at that size, twice for the
-        duplicate size."""
+        that size alone, bit for bit.  Each Newton stage makes exactly one
+        objective call for all sizes, and each size's sets, split out of
+        the sweep's grid call and of each stage's call by their per-set
+        size, are the sets of that size's search alone (twice over, one
+        copy per search, for the duplicate size)."""
         sizes = [(4, 4), (6, 12), (8, 8), (8, 8), (12, 12)]
-        calls = []
+        calls, phases = [], []
 
         @dataclass(frozen=True)
         class Spy(type(base)):
             def evaluate(self, d, index=None):
-                sets = np.shape(d if index is None else index)[:-2]
-                calls.append(((self.m, self.n), sets))
+                sets = np.asarray(d if index is None else d[index])
+                if sets.ndim == 3:  # not one of the single-set calls
+                    lead = sets.shape[:1]
+                    calls.append((np.broadcast_to(self.m, lead),
+                                  np.broadcast_to(self.n, lead), sets))
                 return super().evaluate(d, index)
+
+        newton = beamtrack.offsets._newton
+
+        def staged(f, *args):
+            """Newton with each stage's calls as one phase, after the grid
+            calls as the first."""
+            phases.append(calls[:])
+
+            def stage(*stage_args):
+                calls.clear()
+                vals = f(*stage_args)
+                phases.append(calls[:])
+                return vals
+            return newton(stage, *args)
+
+        monkeypatch.setattr(beamtrack.offsets, "_newton", staged)
+
+        def at_size(phase, size):
+            return np.concatenate([np.empty((0, 3, 2))] + [
+                sets[(m == size[0]) & (n == size[1])]
+                for m, n, sets in phase])
 
         spy = Spy(**vars(base))
         rows = robustness_sweep(preset, spy, sizes)
-        swept = sorted(calls)
-        expected, alone = [], []
+        swept = phases[:]
+        assert all(len(phase) == 1 for phase in swept[1:])
+        expected = []
         for m, n in sizes:
             sc = SearchConfig(replace(spy, m=m, n=n), grid_points_per_axis=13)
             calls.clear()
+            phases.clear()
             at = float(sc.objective.evaluate(preset.deltas))
-            starts, _ = _grid_starts(sc, 8)
+            starts, _ = _grid_starts([sc], 8)[0]
             best = _search_from(sc, [preset.deltas] + starts)
-            alone += calls
             gap = (at - best.crlb_value) / best.crlb_value
             expected.append(((m, n), at, best.crlb_value, gap))
+            assert len(phases) <= len(swept)
+            copies = sizes.count((m, n))
+            for p, phase in enumerate(swept):
+                alone = at_size(phases[p], (m, n)) if p < len(phases) \
+                    else np.empty((0, 3, 2))
+                assert np.array_equal(at_size(phase, (m, n)),
+                                      np.concatenate([alone] * copies)), p
         assert rows == expected
-        assert swept == sorted(alone)
 
     def test_incumbent_check_fires(self):
         """Each size's result is held against the values the sweep took
