@@ -12,20 +12,18 @@ limit), then one combine step that forms the three kernels from them
 (:func:`_combine`, :func:`_limit_combine`).  The factors of both axes are
 taken in one pass: the offsets are laid out axis-first, (2, k), so that
 every numpy loop runs along the k offsets, and an m x n array carries its
-sizes as a (2, 1) column (a square array as one scalar).  Given
-coordinate values and an integer index of offsets into them, the factors
-are taken once per value and distinct size of the call, in one pass over
-a (sizes, values) table, and gathered, a kernel table: the same combine
-gives the bits of the offsets themselves.
+sizes as a (2, 1) column (a square array as one scalar).  Every step is
+elementwise, so an offset's kernels are the same bits wherever it sits in
+a call: the offset search takes the kernels of a table of offsets once per
+row and gathers them per set (``offsets._batched``).
 
 The sizes may also be integer arrays, one array size per offset (the
-finite bounds give each offset set its own size): the direct route then
-carries a (2, k) array of sizes, and the combine step takes each
-offset's sizes, for the bits of a call at that offset's size.  Off a
-square array, per offset and in the table, each element of the series
-branch gathers its own size's coefficients (:func:`_series_at`); a
-square array at one scalar size keeps its scalar work on the direct
-route, the tracking loop's.
+finite bounds give each offset set, or each row of a table of offsets,
+its own size): the route then carries a (2, k) array of sizes, and the
+combine step takes each offset's sizes, for the bits of a call at that
+offset's size.  Off a square array each element of the series branch
+gathers its own size's coefficients (:func:`_series_at`); a square array
+at one scalar size keeps its scalar work, the tracking loop's.
 """
 
 from __future__ import annotations
@@ -345,7 +343,7 @@ def _combine(s1, t1, s2, t2, m, n):
             (2 * np.pi / n) * 1j * s1 * t2 / root)
 
 
-def probe_kernels(deltas, m, n, index=None):
+def probe_kernels(deltas, m, n):
     """Exact inner products of a steering probe with an arrival and its
     derivatives, as functions of the probe-minus-arrival offset.
 
@@ -362,27 +360,14 @@ def probe_kernels(deltas, m, n, index=None):
     form agrees with the summed exponentials to within 1e-12 of the
     kernel's peak up to 256 elements per axis, at and next to multiples
     of M and N too.
-
-    With an integer ``index`` (..., 2), ``deltas`` is 1-D: coordinate
-    values, and the offsets are deltas[index].  The sums are then taken
-    once per value and distinct size of the call, in one pass, and
-    gathered, for the same bits as ``probe_kernels(deltas[index], m, n)``.
     """
     d = np.asarray(deltas, float)
-    if index is None:
-        lead = d.shape[:-1]
-        if _sized(m, n):
-            m, n = (np.broadcast_to(v, lead).ravel() for v in (m, n))
-        s, t = _axis_sums(_by_axis(d), _sizes(m, n), True)
-        return tuple(k.reshape(lead)
-                     for k in _combine(s[0], t[0], s[1], t[1], m, n))
-    i1, i2 = index[..., 0], index[..., 1]
-    # a (sizes, values) table, row j at the j-th distinct size of the call
-    sizes, at = _distinct(np.stack(np.broadcast_arrays(m, n)))
-    s, t = _axis_sums(d, sizes[:, None].astype(float), True)
-    s, t = s.ravel(), t.ravel()
-    j1, j2 = at[0] * len(d) + i1, at[1] * len(d) + i2
-    return _combine(s[j1], t[j1], s[j2], t[j2], m, n)
+    lead = d.shape[:-1]
+    if _sized(m, n):
+        m, n = (np.broadcast_to(v, lead).ravel() for v in (m, n))
+    s, t = _axis_sums(_by_axis(d), _sizes(m, n), True)
+    return tuple(k.reshape(lead)
+                 for k in _combine(s[0], t[0], s[1], t[1], m, n))
 
 
 def _gain_kernel(deltas, m: int, n: int):
@@ -438,35 +423,30 @@ def _limit_axis(d):
 
 def _limit_combine(h1, phi1, h2, phi2):
     """The three kernels of :func:`probe_kernels_limit` from the per-axis
-    factors (h, Phi) of :func:`_limit_axis`, formed in place in their
-    arrays."""
-    # products in place: fewer live (sets, 3) temporaries, and a fixed
-    # operand order, so that chunked calls match one whole call
-    phi1 *= h2
-    phi1 *= 2j * np.pi
-    phi2 *= h1
-    phi2 *= 2j * np.pi
-    h1 *= h2
-    return h1, phi1, phi2
+    factors (h, Phi) of :func:`_limit_axis`."""
+    # a fixed operand order, so that chunked calls match one whole call;
+    # the array products not in place: numpy's in-place complex product of
+    # two one-element arrays takes other bits than on longer ones (1,342 of
+    # 3,000 random products, numpy 2.4 on AVX-512), and the kernels of a
+    # one-row table would then differ from those of its sets
+    k1 = phi1 * h2
+    k1 *= 2j * np.pi
+    k2 = phi2 * h1
+    k2 *= 2j * np.pi
+    return h1 * h2, k1, k2
 
 
-def probe_kernels_limit(deltas, index=None):
+def probe_kernels_limit(deltas):
     """Large-array limits of :func:`probe_kernels` scaled by 1/sqrt(MN).
 
     Entries become products of Sa(pi d) e^{-j pi d} factors per axis and,
     for the derivative kernels, the phase-derivative kernel Phi(2 pi d) of
-    the other axis.  With an integer ``index``, 1-D ``deltas`` holds
-    coordinate values as in :func:`probe_kernels`: the factors are taken
-    once per value, for both axes, and gathered.
+    the other axis, both axes in one pass as in :func:`probe_kernels`.
     """
     d = np.asarray(deltas, float)
-    if index is None:
-        h, phi = _limit_axis(_by_axis(d))
-        return tuple(k.reshape(d.shape[:-1])
-                     for k in _limit_combine(h[0], phi[0], h[1], phi[1]))
-    h, phi = _limit_axis(d)
-    i1, i2 = index[..., 0], index[..., 1]
-    return _limit_combine(h[i1], phi[i1], h[i2], phi[i2])
+    h, phi = _limit_axis(_by_axis(d))
+    return tuple(k.reshape(d.shape[:-1])
+                 for k in _limit_combine(h[0], phi[0], h[1], phi[1]))
 
 
 def element_gain_db_angles(pc: PatternConfig, theta, phi):

@@ -229,24 +229,42 @@ def _cmd_crlb(args) -> int:
 
 def _cmd_offsets(args) -> int:
     # imported per call, as in _cmd_track
-    from .offsets import (OFFSET_PRESETS, SearchConfig, canonicalize,
-                          optimize_offsets, robustness_sweep, swap_applies)
+    from dataclasses import replace
+    from .harness import ConfigError
+    from .offsets import (OFFSET_PRESETS, NoImprovement, SearchConfig,
+                          canonicalize, check_domain, optimize_offsets,
+                          robustness_sweep, swap_applies)
     sizes = _bound_flags(args, "--robustness", args.robustness)
     _search_flags(args)
     objectives = _objectives(args)
+    model = args.objective.split("-")[0]
+    name = _MODEL_PRESETS[model]
+    finite = objectives[f"{model}-finite"]
+    objective = objectives[args.objective]
+    try:
+        if sizes:
+            rows = robustness_sweep(OFFSET_PRESETS[name], finite,
+                                    [(s, s) for s in sizes])
+        else:
+            result = optimize_offsets(SearchConfig(
+                objective, grid_points_per_axis=args.grid,
+                refine_iters=args.iters))
+    except NoImprovement:
+        # where a gain SNR put the preset's bound at a searched size outside
+        # the search's domain, name the flag rather than the failure
+        searched = [replace(finite, m=s, n=s) for s in sizes] or [objective]
+        for at in searched if model == "di" else ():
+            try:
+                check_domain(at, OFFSET_PRESETS[name])
+            except ValueError as exc:
+                raise ConfigError(f"--snr-beta-db: at {args.snr_beta_db!r} "
+                                  f"dB and the {name} offsets {exc}") from None
+        raise
     if sizes:
-        model = args.objective.split("-")[0]
-        preset = OFFSET_PRESETS[_MODEL_PRESETS[model]]
-        rows = robustness_sweep(preset, objectives[f"{model}-finite"],
-                                [(s, s) for s in sizes])
         print("m,n,crlb_at_offsets,crlb_min,rel_gap")
         for ((m, n), at, best, gap) in rows:
             print(f"{m},{n},{at:.12g},{best:.12g},{gap:.3e}")
         return 0
-    objective = objectives[args.objective]
-    sc = SearchConfig(objective, grid_points_per_axis=args.grid,
-                      refine_iters=args.iters)
-    result = optimize_offsets(sc)
     canon = canonicalize(result.offsets) if swap_applies(objective) \
         else result.offsets
     lines = [f"objective: {args.objective}",

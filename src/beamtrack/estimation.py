@@ -13,11 +13,13 @@ return the large-array limits of MN times these quantities.
 
 The offset-only bounds take ``deltas`` (..., 3, 2) and return the leading
 shape (an ``np.float64`` for one set); a degenerate set gets +inf.  With
-an integer ``index`` (..., 3, 2), ``deltas`` is 1-D coordinate values and
-the sets are deltas[index], with the same bits: the kernels' per-axis
-factors are then taken once per value and gathered
-(``arrays.probe_kernels``), which pays where many sets share few values,
-as on the offset search's grid.
+an integer ``index`` (..., 3) the sets are rows of a table of offsets
+(P, 2), and ``deltas`` is that table's kernels (g, k1, k2), each (P,):
+``probe_kernels`` at one size per row, or ``probe_kernels_limit``.  Each
+set gathers its rows' kernels (:func:`_set_kernels`), with the bits of the
+sets table[index], since the kernels are elementwise; a table whose rows
+recur in many sets, as on the offset search's grid and stencils, then
+takes the kernels once per row (``offsets._batched``).
 
 Every offset bound and tracker cache is closed-form 2x2 algebra on six inner
 products of the probe kernels g, k1, k2 (:func:`_products`): the static bound
@@ -197,27 +199,46 @@ def _per_offset(m, n):
     return tuple(np.expand_dims(v, -1) if _sized(v) else v for v in (m, n))
 
 
+def _set_kernels(kernels, index, m=None, n=None):
+    """The kernels (..., 3) of the offset sets ``index`` (..., 3), rows of
+    a table of offsets whose kernels are ``kernels`` (P,) each, and the
+    sets' sizes: ``m`` and ``n`` give one size per row (integers, or
+    integer arrays that broadcast against the P rows), and a set's size is
+    its rows'."""
+    if _sized(m, n):
+        rows = index[..., 0]
+        m, n = (np.broadcast_to(v, kernels[0].shape)[rows] for v in (m, n))
+    return tuple(k[index] for k in kernels), m, n
+
+
 def static_offsets_crlb(deltas, m, n, pilot_amp: float = 1.0, index=None):
     """Normalized static CRLB as a function of the offsets alone (shift
-    property), per offset set of ``deltas`` (..., 3, 2), or of
-    deltas[index]; +inf at a zero pilot, else ``pilot_amp`` must lie in
-    ``arrays.PILOT_AMP_RANGE``.  ``m`` and ``n`` are integers, or integer
-    arrays that broadcast against the leading shape, one array size per
-    set, with the bits of a call at each set's own size."""
+    property), per offset set of ``deltas`` (..., 3, 2), or with ``index``
+    per set of rows of a table of offsets whose kernels ``deltas`` holds
+    (module docstring); +inf at a zero pilot, else ``pilot_amp`` must lie
+    in ``arrays.PILOT_AMP_RANGE``.  ``m`` and ``n`` are integers, or
+    integer arrays that broadcast against the leading shape, one array
+    size per set (with ``index``, per row), with the bits of a call at
+    each set's own size."""
+    if index is None:
+        kernels = probe_kernels(deltas, *_per_offset(m, n))
+    else:
+        kernels, m, n = _set_kernels(deltas, index, m, n)
     c1, c2, p11, p12, p22 = _gram_at(m, n)
     if pilot_amp != 0:
         _check_pilot_amp(pilot_amp)
     scale = 1.0 / (2 * pilot_amp**2) if pilot_amp != 0 else np.inf
-    return _static_bound(probe_kernels(deltas, *_per_offset(m, n), index),
-                         ((c1, c2), (p11, p12, p22)), scale)
+    return _static_bound(kernels, ((c1, c2), (p11, p12, p22)), scale)
 
 
 def crlb_static_asymptotic(deltas, index=None):
     """Large-array limit of MN times the normalized static CRLB at unit SNR
-    |s|^2, per offset set of ``deltas`` (..., 3, 2), or of
-    deltas[index]."""
-    return _static_bound(probe_kernels_limit(deltas, index), _GRAM_LIMIT,
-                         0.5)
+    |s|^2, per offset set of ``deltas`` (..., 3, 2), or with ``index`` per
+    set of rows of a table of offsets whose limit kernels ``deltas``
+    holds."""
+    kernels = probe_kernels_limit(deltas) if index is None \
+        else _set_kernels(deltas, index)[0]
+    return _static_bound(kernels, _GRAM_LIMIT, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -329,22 +350,29 @@ def _check_snr_beta(snr_beta, size) -> None:
 
 def di_offsets_crlb(deltas, m, n, snr_beta, index=None):
     """Direction CRLB Tr{I_DI^-1} from the offsets alone, per offset set of
-    ``deltas`` (..., 3, 2), or of deltas[index].  ``snr_beta`` is
+    ``deltas`` (..., 3, 2), or with ``index`` per set of rows of a table of
+    offsets whose kernels ``deltas`` holds.  ``snr_beta`` is
     |s|^2 sigma_beta^2, a scalar or an array that broadcasts against the
     leading shape, and so are the sizes ``m`` and ``n`` (integers or
     integer arrays), as in :func:`static_offsets_crlb`.  ValueError where
     the gain SNR exceeds the ceiling at the largest size of the call."""
+    if index is None:
+        kernels = probe_kernels(deltas, *_per_offset(m, n))
+    else:
+        kernels, m, n = _set_kernels(deltas, index, m, n)
     _check_snr_beta(snr_beta, np.max(np.multiply(m, n)))
-    f, ref = _di_info(_products(*probe_kernels(deltas, *_per_offset(m, n),
-                                               index)), snr_beta)
+    f, ref = _di_info(_products(*kernels), snr_beta)
     return _trace_solve(f, (1.0, 0.0, 1.0), ref)
 
 
 def crlb_di_asymptotic(deltas, snr_beta: float, index=None):
     """Large-array limit of MN times the direction CRLB, per offset set of
-    ``deltas`` (..., 3, 2), or of deltas[index].  The array gain swamps the
-    noise (snr a -> inf in :func:`_di_info`), so I = 2 snr W / a: the SNR
-    is a scale; +inf at a zero gain SNR, as :func:`di_offsets_crlb`."""
-    a, _, (k11, _, k22), w = _products(*probe_kernels_limit(deltas, index))
+    ``deltas`` (..., 3, 2), or with ``index`` per set of rows of a table of
+    offsets whose limit kernels ``deltas`` holds.  The array gain swamps
+    the noise (snr a -> inf in :func:`_di_info`), so I = 2 snr W / a: the
+    SNR is a scale; +inf at a zero gain SNR, as :func:`di_offsets_crlb`."""
+    kernels = probe_kernels_limit(deltas) if index is None \
+        else _set_kernels(deltas, index)[0]
+    a, _, (k11, _, k22), w = _products(*kernels)
     scale = 0.5 / snr_beta if snr_beta != 0 else np.inf
     return _trace_solve(w, (a, 0.0, a), a * a * k11 * k22, scale)

@@ -18,12 +18,16 @@ arrays m, n, each set at its own size), so a stage of an iteration makes
 one call for every size; the sweep's grid seeds, from one seed table per
 swap rule, take one call for all sizes too.
 
-The grid seeds and the Newton stencils reuse a few coordinate values in
-many sets, so they reach the objectives as those values and an integer
-index of the sets into them (``evaluate(values, index)``): the kernels'
-per-axis factors are then computed once per value and gathered, with the
-bits of ``evaluate(values[index])``.  The trial steps and single sets take
-the direct route.
+The grid seeds and the Newton stencils reuse a few offsets in many sets,
+so they reach the objectives as a table of offsets (P, 2) and an integer
+index (k, 3) of the sets into its rows: ``_batched`` takes the kernels of
+each row once (``kernels(table)``), at the row's size, and each chunk of
+sets gathers its rows' kernels (``evaluate(kernels, index)``), with the
+bits of ``evaluate(table[index])``.  The grid's table holds the (2p)^2
+pairs of its p values and their negations, one block per distinct size
+of the call; a Newton stage's holds the 27 offsets of each running
+restart's stencil, the 3 x 3 value pairs of each of its three offsets.
+The trial steps and single sets take the direct route.
 
 ``STATIC_OFFSETS`` and ``FADING_OFFSETS`` hold the asymptotically optimal
 sets for the two objectives that the optimizer reproduces; they double as
@@ -39,6 +43,7 @@ from typing import Union
 
 import numpy as np
 
+from .arrays import probe_kernels, probe_kernels_limit
 from .estimation import (crlb_di_asymptotic, crlb_static_asymptotic,
                          di_offsets_crlb, static_offsets_crlb)
 from .signal import OffsetSet
@@ -77,6 +82,9 @@ def db_to_power(db: float) -> float:
 class StaticAsymptotic:
     """Large-array limit of the normalized joint gain+direction CRLB."""
 
+    def kernels(self, table):
+        return probe_kernels_limit(table)
+
     def evaluate(self, deltas, index=None):
         return crlb_static_asymptotic(deltas, index)
 
@@ -89,6 +97,9 @@ class StaticFinite:
     m: int
     n: int
 
+    def kernels(self, table):
+        return probe_kernels(table, self.m, self.n)
+
     def evaluate(self, deltas, index=None):
         return static_offsets_crlb(deltas, self.m, self.n, index=index)
 
@@ -98,6 +109,9 @@ class DiAsymptotic:
     """Large-array limit of MN times the direction-only CRLB."""
 
     snr_beta_db: float = 0.0
+
+    def kernels(self, table):
+        return probe_kernels_limit(table)
 
     def evaluate(self, deltas, index=None):
         return crlb_di_asymptotic(deltas, db_to_power(self.snr_beta_db),
@@ -111,6 +125,9 @@ class DiFinite:
     m: int
     n: int
     snr_beta_db: float = 0.0
+
+    def kernels(self, table):
+        return probe_kernels(table, self.m, self.n)
 
     def evaluate(self, deltas, index=None):
         return di_offsets_crlb(deltas, self.m, self.n,
@@ -141,48 +158,62 @@ class SearchResult:
     restarts_used: int
 
 
-# Sets per objective call, the cheapest per set in a sweep over the 53,482
-# seeds of each objective at grid 21 (best of 5, 2-vCPU x86-64, numpy 2.4),
-# in us per set at 1,024 / 2,048 / 4,096 / 8,192 / 16,384 / 65,536 sets per
-# call, with the kernel tables (values and an index),
-#   StaticAsymptotic      0.46 0.35 0.27 0.38 0.42 0.53
-#   DiAsymptotic          0.24 0.20 0.18 0.19 0.21 0.46
-#   StaticFinite(8, 8)    0.34 0.27 0.26 0.26 0.27 0.47
-#   DiFinite(8, 8)        0.37 0.27 0.26 0.25 0.27 0.46
-#   StaticFinite(64, 64)  0.38 0.27 0.24 0.25 0.28 0.47
-#   DiFinite(64, 64)      0.36 0.28 0.26 0.25 0.27 0.48
-# and on float sets 0.39-0.54 us at 4,096 against 0.85-1.03 at 65,536.
-# Small calls pay the fixed cost of a call; large ones outgrow the cache,
-# and their temporaries page-fault afresh on every call.  The temporaries
-# are O(1) per set at any array size: one chunk peaks at 2.1 MiB
-# (tracemalloc), 31.5 MiB at 65,536 sets.
+# Sets per objective call.  A sweep over the 53,482 grid-21 seeds of each
+# objective on the table route (best of 15 after a warm-up call, so that
+# the allocator's thresholds are raised as in a command sequence; 2-vCPU
+# x86-64, numpy 2.4), in us per set at 1,024 / 2,048 / 4,096 / 8,192 /
+# 16,384 / 65,536 sets per chunk:
+#   StaticAsymptotic      0.17 0.15 0.22 0.28 0.28 0.35
+#   DiAsymptotic          0.15 0.13 0.12 0.13 0.23 0.38
+#   StaticFinite(8, 8)    0.18 0.14 0.13 0.14 0.25 0.36
+#   DiFinite(8, 8)        0.19 0.16 0.15 0.15 0.29 0.37
+#   StaticFinite(64, 64)  0.17 0.14 0.13 0.14 0.24 0.36
+#   DiFinite(64, 64)      0.19 0.15 0.15 0.16 0.30 0.39
+# and on float sets 0.36-0.48 us at 4,096 against 0.66-0.93 at 65,536.
+# 2,048 sets gained only in the static limit, and the four offsets-search
+# commands timed alike at 2,048 and 4,096 (104 against 105 ms CPU, medians
+# of 30 alternating in-process passes, 17 won by 2,048), so 4,096 stays.
+# Small calls pay the fixed cost of a call; large ones outgrow the cache.
+# The temporaries are O(1) per set at any array size: one chunk peaks at
+# 2.4 MiB (tracemalloc), 24.6 MiB at 65,536 sets.
 _CHUNK_SETS = 4096
 
 
-def _batched(objective, flat_sets, index=None):
+def _batched(objective, sets, index=None):
     """Evaluate the objective on (k, 3, 2) offset sets, or with an integer
-    ``index`` (k, 3, 2) on the sets flat_sets[index] of coordinate values,
-    in chunks of ``_CHUNK_SETS`` sets; an objective with per-set sizes
-    (:func:`_at_sizes`) is cut into chunks with its sets."""
-    # the tables pay: materialised sets instead took the four offsets-search
-    # commands 286-423 ms against 258-293 ms CPU, with the same stdout
-    out = np.empty(len(flat_sets if index is None else index))
+    ``index`` (k, 3) on the sets of rows of a table of offsets ``sets``
+    (P, 2), in chunks of ``_CHUNK_SETS`` sets.  An objective with per-set
+    sizes (:func:`_at_sizes`) is cut into chunks with its sets; on a table
+    its sizes are per row, the kernels of every row are taken once, at its
+    size, and each chunk gathers those of its sets' rows."""
+    # kernels once per row, not per-axis sums once per coordinate value and
+    # a combine per offset: the grid stage of a grid-21 search took 9.0-10.8
+    # against 11.6-16.8 ms (best of 15, each of the four objectives), a
+    # four-size sweep stage's stencils 0.70-0.73 against 0.95-0.99 ms; the
+    # same stdout
+    if index is not None:
+        kernels = objective.kernels(sets)
+        out = np.empty(len(index))
+        for lo in range(0, len(out), _CHUNK_SETS):
+            part = slice(lo, lo + _CHUNK_SETS)
+            out[part] = objective.evaluate(kernels, index[part])
+        return out
+    out = np.empty(len(sets))
     sized = isinstance(getattr(objective, "m", None), np.ndarray)
     for lo in range(0, len(out), _CHUNK_SETS):
         part = slice(lo, lo + _CHUNK_SETS)
         chunk = replace(objective, m=objective.m[part],
                         n=objective.n[part]) if sized else objective
-        out[part] = chunk.evaluate(flat_sets[part]) if index is None \
-            else chunk.evaluate(flat_sets, index[part])
+        out[part] = chunk.evaluate(sets[part])
     return out
 
 
 def _at_sizes(objectives, owner):
-    """One objective for the sets of several searches, set i of search
-    ``owner[i]``: the searches' objectives differ in their size only, and
-    the first of them takes per-set sizes (integer arrays m, n, as the
-    finite bounds do), each set's search's.  A single search keeps its own
-    objective."""
+    """One objective for the sets (or table rows) of several searches, set
+    i of search ``owner[i]``: the searches' objectives differ in their size
+    only, and the first of them takes per-set sizes (integer arrays m, n,
+    as the finite bounds do), each set's search's.  A single search keeps
+    its own objective."""
     if len(objectives) == 1:
         return objectives[0]
     m, n = np.array([(o.m, o.n) for o in objectives]).T
@@ -368,16 +399,18 @@ def _slice_seeds(sc: SearchConfig):
     388,962; grid 13 gives 8,330 of 57,122, or 11,858 where the swap does
     not apply.
 
-    Returns the sets as coordinate values, the grid then its negation, and
-    an integer index (k, 3, 2) into them: the sets are values[index], and
-    the few values let the objective take the kernels' factors once per
-    value (``_batched``).  The negation makes the mirror family's -a exact.
-    The index is filled by broadcast assignment from the (a, b), (c, d)
-    and (b, d) pairs, without temporaries of the families' size.
+    Returns a table of offsets, every pair (u, v) of the 2p values of the
+    grid then its negation at row 2p i + j for values i and j, and an
+    integer index (k, 3) of the sets into its rows: the sets are
+    table[index], and the few rows let the objective take the kernels once
+    per row (``_batched``).  The negation makes the mirror family's -a
+    exact.  The index is filled by broadcast assignment from the (a, b),
+    (c, d) and (b, d) pairs, without temporaries of the families' size.
     """
     p = sc.grid_points_per_axis
-    q = p - 1
+    q, w = p - 1, 2 * p
     g = _grid_axis(p)
+    values = np.concatenate([g, -g])
     swap = swap_applies(sc.objective)
     # swap family: a <-> b is the identity, and the swap, where it
     # applies, maps (c, d) to (d, c)
@@ -395,18 +428,20 @@ def _slice_seeds(sc: SearchConfig):
     half = np.arange(q // 2 + 1)
     bd = np.indices((p, p)).reshape(2, -1)
     bd = bd[:, _lex_key(p, *bd) <= _lex_key(p, *(q - bd))]
-    sets = np.empty((len(i) + len(half) ** 2 * len(bd[0]), 6), int)
-    swap_sets = sets[:len(i)]                     # (a, b, c, d, b, a)
-    swap_sets[:, [0, 5]] = ab[0][i, None]
-    swap_sets[:, [1, 4]] = ab[1][i, None]
-    swap_sets[:, 2], swap_sets[:, 3] = cd[0][j], cd[1][j]
-    mirror_sets = sets[len(i):].reshape(len(half), len(half), -1, 6)
-    mirror_sets[..., 0] = half[:, None, None]     # (a, b, -a, b, c, d)
-    mirror_sets[..., 2] = p + half[:, None, None]
-    mirror_sets[..., [1, 3]] = bd[0][:, None]
-    mirror_sets[..., 4] = half[:, None]
-    mirror_sets[..., 5] = bd[1]
-    return np.concatenate([g, -g]), sets.reshape(-1, 3, 2)
+    sets = np.empty((len(i) + len(half) ** 2 * len(bd[0]), 3), int)
+    swap_sets = sets[:len(i)]                     # (a, b), (c, d), (b, a)
+    a, b = ab[0][i], ab[1][i]
+    swap_sets[:, 0] = w * a + b
+    swap_sets[:, 1] = (w * cd[0] + cd[1])[j]
+    swap_sets[:, 2] = w * b + a
+    mirror_sets = sets[len(i):].reshape(len(half), len(half), -1, 3)
+    a = half[:, None, None]                       # (a, b), (-a, b), (c, d)
+    mirror_sets[..., 0] = w * a + bd[0]
+    mirror_sets[..., 1] = w * (p + a) + bd[0]
+    mirror_sets[..., 2] = w * half[:, None] + bd[1]
+    table = np.empty((w, w, 2))
+    table[..., 0], table[..., 1] = values[:, None], values
+    return table.reshape(-1, 2), sets
 
 
 def _distinct_rows(sets, count, swap):
@@ -428,28 +463,51 @@ def _grid_starts(configs, count: int):
     on one grid (objectives that differ in size only, as in
     :func:`_at_sizes`): the ``count`` best grid seeds that are pairwise
     distinct up to symmetry, and the best grid value.  Every config's seeds
-    are evaluated in one call, from one seed table per swap rule."""
-    tables = {}
+    are evaluated in one call, from one seed index per swap rule into one
+    table of offsets with a block of the grid's pairs per distinct size."""
+    seeds = {}
     for sc in configs:
         swap = swap_applies(sc.objective)
-        if swap not in tables:
-            tables[swap] = _slice_seeds(sc)
-    values = next(iter(tables.values()))[0]
-    parts = [tables[swap_applies(sc.objective)][1] for sc in configs]
+        if swap not in seeds:
+            table, seeds[swap] = _slice_seeds(sc)
+    objectives = [sc.objective for sc in configs]
+    sizes = list(dict.fromkeys(objectives))
+    # each config's seeds as rows of its size's block; a single search's
+    # index as it is, not a copy (1.3 MB at grid 21)
+    parts = []
+    for o in objectives:
+        part, block = seeds[swap_applies(o)], sizes.index(o)
+        parts.append(part + block * len(table) if block else part)
     lengths = [len(part) for part in parts]
-    owner = np.repeat(np.arange(len(configs)), lengths)
-    # a single search's table as it is, not a copy (2.5 MB at grid 21)
     index = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    vals = _batched(_at_sizes([sc.objective for sc in configs], owner),
-                    values, index)
+    blocks = np.repeat(np.arange(len(sizes)), len(table))
+    vals = _batched(_at_sizes(sizes, blocks),
+                    np.tile(table, (len(sizes), 1)), index)
     out = []
-    for sc, part, v in zip(configs, parts,
-                           np.split(vals, np.cumsum(lengths)[:-1])):
+    for sc, v in zip(configs, np.split(vals, np.cumsum(lengths)[:-1])):
         order = np.argsort(v)
-        out.append((_distinct_rows(values[part[order[:4096]]], count,
-                                   swap_applies(sc.objective)),
-                    float(v[order[0]])))
+        swap = swap_applies(sc.objective)
+        out.append((_distinct_rows(table[seeds[swap][order[:4096]]], count,
+                                   swap), float(v[order[0]])))
     return out
+
+
+def _where(objective) -> str:
+    """The " at MxN" that names a finite objective's size in an error."""
+    return f" at {objective.m}x{objective.n}" if hasattr(objective, "m") \
+        else ""
+
+
+def check_domain(objective, offsets: OffsetSet) -> None:
+    """A ValueError where ``objective`` is finite at ``offsets`` but 1e30
+    or more.  The search holds a non-finite value at 1e30 and reads every
+    value there as one (:func:`_newton`), so it cannot refine a bound at
+    that level: a gain SNR low enough puts the whole landscape there."""
+    value = float(objective.evaluate(offsets.deltas))
+    if math.isfinite(value) and value >= 1e30:
+        raise ValueError(f"the bound is {value:.6g}{_where(objective)}, "
+                         f"outside the search's domain of bounds below "
+                         f"1e+30")
 
 
 def _search(objectives, starts, refine_iters, incumbents):
@@ -470,16 +528,33 @@ def _search(objectives, starts, refine_iters, incumbents):
     bh = BOX_HALFWIDTH
     x0 = np.concatenate([np.reshape(st, (-1, 6)) for st in starts])
     owner = np.repeat(np.arange(len(starts)), [len(st) for st in starts])
+    # _newton's stencil index is one pattern for every restart (each
+    # coordinate's values c - h, c, c + h at a stencil point's steps), so a
+    # stage's sets are rows of a table of 27 offsets per running restart:
+    # row 9 s + 3 a + b pairs value a of offset s's first coordinate with
+    # value b of its second, and the 73 sets of the r-th running restart
+    # take rows 27 r + pattern, fixed here once for the search rather than
+    # read from each call's index
+    steps = _stencil(6)[0].astype(int) + 1
+    pattern = 9 * np.arange(3) + 3 * steps[:, 0::2] + steps[:, 1::2]
+    rows = 27 * np.arange(len(x0))[:, None, None] + pattern
 
     def f(points, restarts, index=None):
         # one call for every search, at per-set sizes, not one per search:
         # a 36-restart stage at four sizes took 1.1 against 1.4 ms for the
         # stencils and 0.54 against 0.79 ms for the trial steps
-        objective = _at_sizes(objectives, owner[restarts])
         if index is None:
-            vals = _batched(objective, points.reshape(-1, 3, 2))
+            vals = _batched(_at_sizes(objectives, owner[restarts]),
+                            points.reshape(-1, 3, 2))
         else:
-            vals = _batched(objective, points, index.reshape(-1, 3, 2))
+            run = restarts[::len(pattern)]
+            v = points.reshape(len(run), 3, 2, 3)
+            table = np.empty((len(run), 3, 3, 3, 2))
+            table[..., 0] = v[:, :, 0, :, None]
+            table[..., 1] = v[:, :, 1, None, :]
+            vals = _batched(_at_sizes(objectives, np.repeat(owner[run], 27)),
+                            table.reshape(-1, 2),
+                            rows[:len(run)].reshape(-1, 3))
         return np.where(np.isfinite(vals), vals, 1e30)
 
     x, fun = _newton(f, x0, -bh, bh, refine_iters)
@@ -488,8 +563,7 @@ def _search(objectives, starts, refine_iters, incumbents):
         # ties keep the lowest restart index
         first = int(np.argmin(np.where(owner == s, fun, np.inf)))
         val = float(fun[first])
-        where = f" at {objective.m}x{objective.n}" \
-            if hasattr(objective, "m") else ""
+        where = _where(objective)
         if val >= 1e30:
             raise NoImprovement("no refinement start produced a finite "
                                 "objective" + where)

@@ -132,16 +132,11 @@ def axis_sums(d, size: int, deriv: bool):
     return s.reshape(d.shape), t
 
 
-def probe_kernels_per_axis(deltas, m: int, n: int, index=None):
+def probe_kernels_per_axis(deltas, m: int, n: int):
     """``arrays.probe_kernels`` with one :func:`axis_sums` pass per axis."""
     d = np.asarray(deltas, float)
-    if index is None:
-        return _combine(*axis_sums(d[..., 0], m, True),
-                        *axis_sums(d[..., 1], n, True), m, n)
-    s1, t1 = axis_sums(d, m, True)
-    s2, t2 = axis_sums(d, n, True)
-    i1, i2 = index[..., 0], index[..., 1]
-    return _combine(s1[i1], t1[i1], s2[i2], t2[i2], m, n)
+    return _combine(*axis_sums(d[..., 0], m, True),
+                    *axis_sums(d[..., 1], n, True), m, n)
 
 
 def gain_kernel_per_axis(deltas, m: int, n: int):

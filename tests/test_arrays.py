@@ -319,24 +319,30 @@ class TestOnePassKernels:
             assert _same_bits(got, want)
 
     @settings(max_examples=200, deadline=None)
-    @given(case=_one_pass_case())
-    def test_table_routes(self, case):
-        """Coordinate values and an index into them: the same bits as the
-        per-axis table and as the offsets themselves."""
-        m, n, d = case
-        # distinct bit patterns, so that values[index] is d bit for bit
-        # (np.unique on the floats merges -0.0 into 0.0)
-        bits, flat = np.unique(d.view(np.int64), return_inverse=True)
-        values, index = bits.view(float), flat.reshape(d.shape)
-        got = probe_kernels(values, m, n, index)
-        for g, want, direct in zip(got,
-                                   probe_kernels_per_axis(values, m, n, index),
-                                   probe_kernels(d, m, n)):
-            assert _same_bits(g, want)
-            assert _same_bits(g, direct)
-        for g, direct in zip(probe_kernels_limit(values / m, index),
-                             probe_kernels_limit(d / m)):
-            assert _same_bits(g, direct)
+    @given(case=_one_pass_case(), data=st.data())
+    def test_table_routes(self, case, data):
+        """The kernels of a table of offsets, taken once per row and
+        gathered by an index (k, 3), as the offset search takes them: the
+        bits of the kernels of the gathered offsets, at one size and at
+        one size per row, and in the limit.  An offset's kernels do not
+        depend on where it sits in a call."""
+        m, n, table = case
+        rows = st.integers(0, len(table) - 1)
+        index = np.array(data.draw(st.lists(rows, min_size=3, max_size=24)))
+        index = index[:len(index) // 3 * 3].reshape(-1, 3)
+        # per row, this size or the other axis' (off a square array)
+        per_row = np.array(data.draw(st.lists(st.booleans(),
+                                              min_size=len(table),
+                                              max_size=len(table))))
+        mr, nr = np.where(per_row, m, n), np.where(per_row, n, m)
+        for sizes, at_sets in (((m, n), (m, n)),
+                               ((mr, nr), (mr[index], nr[index]))):
+            for got, want in zip(probe_kernels(table, *sizes),
+                                 probe_kernels(table[index], *at_sets)):
+                assert _same_bits(got[index], want)
+        for got, want in zip(probe_kernels_limit(table / m),
+                             probe_kernels_limit(table[index] / m)):
+            assert _same_bits(got[index], want)
 
 
 class TestShiftProperty:

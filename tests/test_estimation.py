@@ -606,8 +606,8 @@ def _bits(a):
 @st.composite
 def _sized_sets(draw):
     """Offset sets with an array size each, 2-64 elements per axis, square
-    or not, and a gain SNR each: coordinate values (the search box, and
-    the series branch |pi r| < 0.1) and an index (k, 3, 2) into them."""
+    or not, and a gain SNR each: (k, 3, 2) sets of coordinates in the
+    search box and in the series branch |pi r| < 0.1."""
     k = draw(st.integers(1, 6))
     per_set = lambda elements: st.lists(elements, min_size=k, max_size=k)
     m = np.array(draw(per_set(st.integers(2, 64))))
@@ -619,39 +619,28 @@ def _sized_sets(draw):
     index = np.array(draw(st.lists(st.integers(0, len(values) - 1),
                                    min_size=6 * k, max_size=6 * k)))
     snr = np.array(draw(per_set(st.floats(0.01, 100.0))))
-    return m, n, values, index.reshape(k, 3, 2), snr
+    return m, n, values[index].reshape(k, 3, 2), snr
 
 
 class TestPerSetSizes:
     """Sizes given per set: each set gets the bits of a call at its own
-    size, on the direct route and on the table route."""
+    size.  (The table route, sizes per row of a table of offsets, is
+    checked against this route in ``test_offsets.TestKernelTables``.)"""
 
     @settings(max_examples=200, deadline=None)
     @given(case=_sized_sets())
     def test_each_set_gets_the_bits_of_its_own_size(self, case):
-        m, n, values, index, snr = case
-        sets = values[index]
-        per_offset = (m[:, None], n[:, None])
-        kernels = (probe_kernels(sets, *per_offset),
-                   probe_kernels(values, *per_offset, index))
+        m, n, sets, snr = case
+        kernels = probe_kernels(sets, m[:, None], n[:, None])
         bounds = (static_offsets_crlb(sets, m, n),
-                  static_offsets_crlb(values, m, n, index=index),
                   di_offsets_crlb(sets, m, n, 2.0),
-                  di_offsets_crlb(values, m, n, 2.0, index),
-                  di_offsets_crlb(sets, m, n, snr),
-                  di_offsets_crlb(values, m, n, snr, index))
+                  di_offsets_crlb(sets, m, n, snr))
         for i, (mi, ni) in enumerate(zip(m.tolist(), n.tolist())):
-            alone = (probe_kernels(sets[i], mi, ni),
-                     probe_kernels(values, mi, ni, index[i]))
-            for got, want in zip(kernels, alone):
-                for g, w in zip(got, want):
-                    assert np.array_equal(_bits(g[i]), _bits(w)), (mi, ni)
+            for g, w in zip(kernels, probe_kernels(sets[i], mi, ni)):
+                assert np.array_equal(_bits(g[i]), _bits(w)), (mi, ni)
             alone = (static_offsets_crlb(sets[i], mi, ni),
-                     static_offsets_crlb(values, mi, ni, index=index[i]),
                      di_offsets_crlb(sets[i], mi, ni, 2.0),
-                     di_offsets_crlb(values, mi, ni, 2.0, index[i]),
-                     di_offsets_crlb(sets[i], mi, ni, snr[i]),
-                     di_offsets_crlb(values, mi, ni, snr[i], index[i]))
+                     di_offsets_crlb(sets[i], mi, ni, snr[i]))
             for got, want in zip(bounds, alone):
                 assert _bits(got[i]) == _bits(want), (mi, ni)
 

@@ -549,6 +549,13 @@ GOLDEN_CLI = {
         "m,n,crlb_at_offsets,crlb_min,rel_gap\n"
         "4,4,0.0272383738916,0.0271892718154,1.806e-03\n"
         "8,8,0.00636720724165,0.00636651240941,1.091e-04\n",
+    # the preset's bound at 8x8 is above 1e30, the optimum still below it:
+    # the search runs
+    ("offsets", "--objective", "di-finite", "--robustness", "8,16",
+     "--snr-beta-db=-170"):
+        "m,n,crlb_at_offsets,crlb_min,rel_gap\n"
+        "8,8,1.3735914959e+30,5.8186781418e+29,1.361e+00\n"
+        "16,16,8.70144006021e+28,3.61013939628e+28,1.410e+00\n",
     # the benchmark's sweeps
     ("offsets", "--objective", "static-finite", "--robustness",
      "8,16,32,64"):
@@ -919,6 +926,12 @@ BAD_NUMBERS = {
                              "--snr-beta-db", "-4000"],
     "zero-gain-SNR sweep": ["offsets", "--objective", "di-finite",
                             "--robustness", "4", "--snr-beta-db", "-4000"],
+    # a gain SNR so low that every bound the search meets is finite but at
+    # or above the 1e30 it holds non-finite values at
+    "below-domain search": ["offsets", "--objective", "di-finite",
+                            "--snr-beta-db=-200"],
+    "below-domain sweep": ["offsets", "--objective", "di-finite",
+                           "--robustness", "8,16", "--snr-beta-db=-200"],
 }
 
 
@@ -955,7 +968,11 @@ def test_bad_size_exits_1_with_one_error_line(name, capsys):
     ("zero-gain-SNR search",
      "error: no refinement start produced a finite objective\n"),
     ("zero-gain-SNR sweep",
-     "error: no refinement start produced a finite objective at 4x4")])
+     "error: no refinement start produced a finite objective at 4x4"),
+    *[(name, "error: --snr-beta-db: at -200.0 dB and the tableIII offsets "
+             "the bound is 1.37359e+36 at 8x8, outside the search's domain "
+             "of bounds below 1e+30\n")
+      for name in ("below-domain search", "below-domain sweep")]])
 def test_bad_size_error_names_the_input(name, message, capsys):
     """A one-point or oversized grid is rejected as a --grid error, a
     failed sweep names the size that failed, a flag given to a sweep or an

@@ -82,23 +82,50 @@ class TestBatchedChunks:
 
 
 @st.composite
-def _tables(draw):
-    """Coordinate values and an integer index (k, 3, 2) into them.  The
-    values hold the grid's stand-in for zero and its negation, the box
-    edges, the three values c - h, c, c + h of Newton stencils at one of
-    the two steps, and free values."""
+def _tables(draw, sized):
+    """A table of offsets (P, 2), an integer index (k, 3) of sets into its
+    rows, and with ``sized`` one array size per row (m, n), else None.
+
+    The coordinates hold the grid's stand-in for zero and its negation,
+    the box edges, the three values c - h, c, c + h of Newton stencils at
+    one of the two steps, values in the series branch |pi r| < 0.1 and
+    free values.  The table is in blocks, one to three with ``sized``,
+    each at its own size of 2-64 elements per axis, square or not.  Each
+    set takes its three rows from the first ``used`` + 1 rows of one block,
+    the last of which repeats the first; the block's other rows are
+    referenced by no set."""
     h = draw(st.sampled_from([1e-4, 0.05]))
     centres = np.array(draw(st.lists(st.floats(-0.9, 0.9), min_size=1,
                                      max_size=4)))
     stencil = centres[:, None] + h * np.array([-1.0, 0.0, 1.0])
-    free = draw(st.lists(st.floats(-BOX_HALFWIDTH, BOX_HALFWIDTH),
-                         max_size=4))
+    free = draw(st.lists(st.floats(-BOX_HALFWIDTH, BOX_HALFWIDTH)
+                         | st.floats(-0.03, 0.03), max_size=4))
     values = np.concatenate([[1e-3, -1e-3, BOX_HALFWIDTH, -BOX_HALFWIDTH],
                              stencil.ravel(), free])
+    coordinate = st.integers(0, len(values) - 1)
+    blocks = draw(st.integers(1, 3)) if sized else 1
+    used, unused = draw(st.integers(1, 6)), draw(st.integers(2, 4))
+    pairs = np.array(draw(st.lists(
+        st.tuples(coordinate, coordinate),
+        min_size=blocks * (used + unused), max_size=blocks * (used + unused))))
+    table = values[pairs].reshape(blocks, used + unused, 2)
+    table[:, used] = table[:, 0]
     k = draw(st.integers(1, 12))
-    index = np.array(draw(st.lists(st.integers(0, len(values) - 1),
-                                   min_size=6 * k, max_size=6 * k)))
-    return values, index.reshape(k, 3, 2)
+    block = np.array(draw(st.lists(st.integers(0, blocks - 1), min_size=k,
+                                   max_size=k)))
+    rows = np.array(draw(st.lists(st.integers(0, used), min_size=3 * k,
+                                  max_size=3 * k))).reshape(k, 3)
+    index = block[:, None] * (used + unused) + rows
+    table = table.reshape(-1, 2)
+    if not sized:
+        return table, index, None
+    size = st.integers(2, 64)
+    m = np.array(draw(st.lists(size, min_size=blocks, max_size=blocks)))
+    n = np.where(draw(st.lists(st.booleans(), min_size=blocks,
+                               max_size=blocks)),
+                 m, draw(st.lists(size, min_size=blocks, max_size=blocks)))
+    per_row = np.repeat(np.arange(blocks), used + unused)
+    return table, index, (m[per_row], n[per_row])
 
 
 def _same_bits(a, b):
@@ -107,19 +134,86 @@ def _same_bits(a, b):
 
 
 class TestKernelTables:
-    """The table route, sets given as coordinate values and an index, is
-    the direct route at the sets values[index], bit for bit."""
+    """The table route, sets given as an index (k, 3) into the rows of a
+    table of offsets whose kernels are taken once per row, is the direct
+    route at the sets table[index], bit for bit: at the objective's own
+    size, scalar or off a square array, and for the finite bounds at one
+    size per row, each set at its rows' size; through ``_batched`` too."""
 
     @pytest.mark.parametrize("objective", [
         StaticAsymptotic(), DiAsymptotic(3.0), StaticFinite(8, 8),
         DiFinite(8, 8, -2.0), StaticFinite(6, 12), DiFinite(6, 12, 0.0)],
         ids=repr)
     @settings(max_examples=60, deadline=None)
-    @given(table=_tables())
-    def test_table_equals_direct(self, objective, table):
-        values, index = table
-        assert _same_bits(objective.evaluate(values, index),
-                          objective.evaluate(values[index]))
+    @given(data=st.data())
+    def test_table_equals_direct(self, objective, data):
+        sized = hasattr(objective, "m") and data.draw(st.booleans())
+        table, index, sizes = data.draw(_tables(sized))
+        rows = sets = objective
+        if sized:
+            m, n = sizes
+            rows = replace(objective, m=m, n=n)
+            sets = replace(objective, m=m[index[:, 0]], n=n[index[:, 0]])
+        want = sets.evaluate(table[index])
+        assert _same_bits(rows.evaluate(rows.kernels(table), index), want)
+        assert _same_bits(_batched(rows, table, index), want)
+
+
+def _work_spy(base, log):
+    """``base`` that logs ("rows", P) for each table whose kernels it
+    takes and ("sets", k) for each chunk of k sets it takes from one."""
+
+    @dataclass(frozen=True)
+    class Spy(type(base)):
+        def kernels(self, table):
+            log.append(("rows", len(table)))
+            return super().kernels(table)
+
+        def evaluate(self, d, index=None):
+            if index is not None:
+                log.append(("sets", len(index)))
+            return super().evaluate(d, index)
+
+    return Spy(**vars(base))
+
+
+class TestKernelWork:
+    """How many kernels each table call takes: once per row of its table,
+    for all its chunks, so a return to kernels per offset (or per chunk)
+    fails here instead of only slowing the benchmark."""
+
+    @pytest.mark.parametrize("sizes, points", [
+        ([None], 21), ([(8, 8)], 13),
+        ([(8, 8), (16, 16), (8, 8), (6, 12)], 13)], ids=str)
+    def test_grid_call_takes_each_pair_once_per_size(self, sizes, points):
+        """A grid call takes (2p)^2 rows per distinct size, once, and
+        chunks of ``_CHUNK_SETS`` sets gather from them."""
+        log = []
+        spy = _work_spy(StaticAsymptotic() if sizes == [None]
+                        else DiFinite(8, 8, 1.0), log)
+        configs = [SearchConfig(spy if size is None else replace(
+            spy, m=size[0], n=size[1]), grid_points_per_axis=points)
+            for size in sizes]
+        _grid_starts(configs, 4)
+        seeds = sum(len(_slice_seeds(sc)[1]) for sc in configs)
+        chunks = [_CHUNK_SETS] * (seeds // _CHUNK_SETS) + [seeds % _CHUNK_SETS]
+        distinct = len(set(sizes))
+        assert log == [("rows", (2 * points) ** 2 * distinct)] + [
+            ("sets", k) for k in chunks if k]
+
+    def test_stencil_stage_takes_27_rows_per_restart(self):
+        """Each Newton stage of a four-size sweep takes the kernels of 27
+        offsets per running restart for its 73 stencil sets."""
+        log = []
+        robustness_sweep(FADING_OFFSETS, _work_spy(DiFinite(8, 8, 0.0), log),
+                         [(8, 8), (16, 16), (32, 32), (64, 64)])
+        stages = log[log.index(("rows", 26 ** 2 * 4)) + 1:]
+        while stages[0][0] == "sets":   # the grid call's chunks
+            stages = stages[1:]
+        assert len(stages) > 2 and len(stages) % 2 == 0
+        for (rows, p), (sets, k) in zip(stages[::2], stages[1::2]):
+            assert (rows, sets) == ("rows", "sets")
+            assert p % 27 == 0 and k == 73 * (p // 27)
 
 
 def _quadratic(x):
@@ -295,16 +389,18 @@ class TestSliceSeeds:
     @pytest.mark.parametrize("objective", [StaticAsymptotic(),
                                            StaticFinite(6, 12)], ids=repr)
     def test_index_form_equals_float_seeds(self, objective):
-        """At every grid of 2-21 points the sets values[index] are the
+        """At every grid of 2-21 points the sets table[index] are the
         float seeds of ``reference._class_seeds`` bit for bit, in order:
-        values holds the grid, then its negation."""
+        the table holds every pair of the grid's values and their
+        negations."""
         for points in range(2, 22):
             sc = SearchConfig(objective, grid_points_per_axis=points)
-            values, index = _slice_seeds(sc)
-            assert np.array_equal(values, np.concatenate(
-                [_grid_axis(points), -_grid_axis(points)]))
+            table, index = _slice_seeds(sc)
+            values = np.concatenate([_grid_axis(points), -_grid_axis(points)])
+            pairs = np.stack(np.meshgrid(values, values, indexing="ij"), -1)
+            assert np.array_equal(table, pairs.reshape(-1, 2))
             want = reference._class_seeds(sc)
-            assert np.array_equal(values[index].view(np.int64),
+            assert np.array_equal(table[index].view(np.int64),
                                   want.view(np.int64)), points
 
     @pytest.mark.parametrize("objective", [
@@ -318,8 +414,8 @@ class TestSliceSeeds:
         swap = swap_applies(objective)
         for points in range(2, 22):
             sc = SearchConfig(objective, grid_points_per_axis=points)
-            values, index = _slice_seeds(sc)
-            whole, seeds = reference._slice_seeds(sc), values[index]
+            table, index = _slice_seeds(sc)
+            whole, seeds = reference._slice_seeds(sc), table[index]
             whole_vals = _batched(objective, whole)
             best = np.argsort(whole_vals)[:4096]
             best = best[np.isfinite(whole_vals[best])]
@@ -393,11 +489,15 @@ class TestOptimizer:
     def test_never_leaves_the_box(self):
         calls = []
 
-        class Spy:
+        class Spy(StaticAsymptotic):
+            def kernels(self, table):
+                calls.append(float(np.abs(table).max()))
+                return super().kernels(table)
+
             def evaluate(self, d, index=None):
-                arr = np.asarray(d) if index is None else np.asarray(d)[index]
-                calls.append(float(np.abs(arr).max()))
-                return StaticAsymptotic().evaluate(d, index)
+                if index is None:
+                    calls.append(float(np.abs(d).max()))
+                return super().evaluate(d, index)
 
         sc = SearchConfig(Spy(), grid_points_per_axis=5, refine_iters=60)
         optimize_offsets(sc)
@@ -535,14 +635,25 @@ class TestRobustnessSweep:
         sizes = [(4, 4), (6, 12), (8, 8), (8, 8), (12, 12)]
         calls, phases = [], []
 
+        tables = []
+
         @dataclass(frozen=True)
         class Spy(type(base)):
+            def kernels(self, table):
+                lead = table.shape[:1]
+                tables.append((np.broadcast_to(self.m, lead),
+                               np.broadcast_to(self.n, lead), table))
+                return super().kernels(table)
+
             def evaluate(self, d, index=None):
-                sets = np.asarray(d if index is None else d[index])
-                if sets.ndim == 3:  # not one of the single-set calls
-                    lead = sets.shape[:1]
+                if index is not None:   # sets of a table's rows
+                    m, n, table = tables[-1]
+                    calls.append((m[index[:, 0]], n[index[:, 0]],
+                                  table[index]))
+                elif np.ndim(d) == 3:   # not one of the single-set calls
+                    lead = np.shape(d)[:1]
                     calls.append((np.broadcast_to(self.m, lead),
-                                  np.broadcast_to(self.n, lead), sets))
+                                  np.broadcast_to(self.n, lead), d))
                 return super().evaluate(d, index)
 
         newton = beamtrack.offsets._newton
