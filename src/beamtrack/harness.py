@@ -2,12 +2,16 @@
 metric aggregation, CSV emission, and flat config-file parsing.
 
 The engine holds a batch of trials as arrays with one row per trial and
-runs each cycle as one numpy pass over the batch: build the probe pattern
-at the current estimates, evolve the channels, observe, update and, at the
-cycles the CSV records, compute the errors.  Each trial first draws its
-channel and an in-main-lobe initial estimate (one bootstrap probing cycle
-fits the initial gain).  Trackers are reached through one batched
-interface (:class:`~.trackers.BatchTracker`) looked up in ``TRACKERS``.
+runs the cycles in chunks of at most ``CYCLE_CHUNK``.  Per chunk it draws
+the normals, then simulates the chunk's ground-truth channels in one call
+(:func:`~.channels.evolve_chunk`; the channel does not depend on the
+tracker), then runs each cycle as one numpy pass over the batch: build the
+probe pattern at the current estimates, observe the cycle's channel,
+update and, at the cycles the CSV records, compute the errors.  Each trial
+first draws its channel and an in-main-lobe initial estimate (one
+bootstrap probing cycle fits the initial gain).  Trackers are reached
+through one batched interface (:class:`~.trackers.BatchTracker`) looked up
+in ``TRACKERS``.
 
 Random numbers (the contract).  Trial ``t`` owns the stream
 ``default_rng(SeedSequence(seed, spawn_key=(t,)))``.  A batch's streams are
@@ -22,15 +26,16 @@ Tests pin the numpy behaviour this rests on: the generators equal
 equal ``Generator.uniform``'s bit for bit.  Then, K at most
 ``CYCLE_CHUNK`` cycles at a time, it writes ``standard_normal`` straight
 into its (K, c) slice of one preallocated (B, K, c) block of the batch,
-the numbers of ``standard_normal((K, c))``, and cycle k reads the (B, c)
-column ``block[:, k]``.  A cycle's row holds the channel transition's
-``evolve_normals(kind)`` columns (quasi-static none; fading gain the two
-gain normals; Gauss-Markov the theta and phi steps, scaled by
-``delta_a``, then the two gain normals), then the real and the imaginary
-parts of the three noise values.  A
-trial's numbers therefore do not depend on the batch, and the per-trial
-errors are reduced in trial order, so for a fixed seed the CSV is
-byte-identical at any batch split.
+the numbers of ``standard_normal((K, c))``.  A cycle's row holds the
+channel transition's ``evolve_normals(kind)`` columns (quasi-static none;
+fading gain the two gain normals; Gauss-Markov the theta and phi steps,
+scaled by ``delta_a``, then the two gain normals), then the real and the
+imaginary parts of the three noise values.  The chunk's channel
+trajectory reads the transition columns of all K cycles, and cycle k
+reads its noise columns from ``block[:, k]``.  A trial's numbers
+therefore do not depend on the batch, and the per-trial errors are
+reduced in trial order, so for a fixed seed the CSV is byte-identical at
+any batch split.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ import numpy as np
 
 from .arrays import ArrayConfig, _gain_kernel
 from .channels import (ChannelBatch, DynamicI, DynamicII, QuasiStatic,
-                       ScenarioConfig, estimated_gain_variance, evolve_batch,
+                       ScenarioConfig, estimated_gain_variance, evolve_chunk,
                        evolve_normals, init_channel_batch, initial_draws,
                        initial_estimate_batch)
 from .estimation import (di_offsets_crlb, snr_beta_db_ceiling,
@@ -122,6 +127,16 @@ def snr_db_ceiling(cfg: ArrayConfig) -> float:
     return snr_beta_db_ceiling(cfg.size) - 20.0
 
 
+def extent_ceiling() -> float:
+    """The largest array extent m d1 or n d2 a run takes.  The direction
+    coordinates lie within +-m d1 and +-n d2, so an estimate in the same
+    span misses by at most twice the extent per coordinate; at the ceiling
+    the squared direction error of two such misses, 8 (m d1)^2, is half
+    the largest float, which leaves room for an estimate's capped steps
+    past the span.  About 3.352e153."""
+    return math.sqrt(sys.float_info.max) / 4.0
+
+
 def _validate(ec: ExperimentConfig):
     if ec.tracker not in TRACKERS:
         raise ConfigError(f"tracker: unknown tracker {ec.tracker!r}; "
@@ -174,6 +189,13 @@ def _validate(ec: ExperimentConfig):
                           f"{ceiling:.3f} dB at {ec.array.m}x{ec.array.n}, "
                           f"over which the direction Fisher overflows a "
                           f"float")
+    extent = extent_ceiling()
+    for key, size, spacing in (("d1", "m", ec.array.m * ec.array.d1),
+                               ("d2", "n", ec.array.n * ec.array.d2)):
+        if spacing > extent:
+            raise ConfigError(f"{key}: {size} * {key} = {spacing!r} is above "
+                              f"the ceiling of {extent:.4g}, over which the "
+                              f"squared direction error overflows a float")
     _build("snr_db", effective_array, ec)
 
 
@@ -264,17 +286,17 @@ def _trial_rngs(seed: int, trials: range) -> List[np.random.Generator]:
             for row in words]
 
 
-def _channel_errors(cfg: ArrayConfig, ch: ChannelBatch, x_hat: np.ndarray,
-                    beta_hat: Optional[np.ndarray]):
-    """Per-trial (per-element channel-vector SE, direction SE) of a cycle;
-    the first is NaN for a direction-only tracker."""
-    dx = x_hat - ch.x
+def _channel_errors(cfg: ArrayConfig, x: np.ndarray, beta: np.ndarray,
+                    x_hat: np.ndarray, beta_hat: Optional[np.ndarray]):
+    """Per-trial (per-element channel-vector SE, direction SE) of a cycle
+    whose true channels are ``x`` (T, 2) and ``beta`` (T,), equivalent
+    gains; the first is NaN for a direction-only tracker."""
+    dx = x_hat - x
     err_x = dx[:, 0] * dx[:, 0] + dx[:, 1] * dx[:, 1]
     if beta_hat is None:
         return np.full(len(dx), np.nan), err_x
     g = _gain_kernel(dx, cfg.m, cfg.n)
     cross = np.sqrt(cfg.size) * g
-    beta = ch.beta_eff
     err_h = (cfg.size * (np.abs(beta_hat) ** 2 + np.abs(beta) ** 2)
              - 2.0 * np.real(np.conj(beta_hat) * beta * cross))
     return np.maximum(err_h, 0.0) / cfg.size, err_x
@@ -306,7 +328,12 @@ def _run_batch(ec: ExperimentConfig, trials: range):
     """Run trials ``trials`` as one batch.  Returns the per-trial errors
     (err_h, err_x) at the recorded cycles, each (B, R) for the R cycles of
     :func:`_recorded_cycles`, and the per-trial bounds (B,).  Errors are
-    computed only at those cycles."""
+    computed only at those cycles.
+
+    Per chunk of at most ``CYCLE_CHUNK`` cycles: the normals are drawn
+    first, then the chunk's channel trajectory is computed
+    (:func:`~.channels.evolve_chunk`), then the cycles run, each reading
+    its channel at its index into the trajectory."""
     cfg = effective_array(ec)
     sc = ec.scenario
     tracker_cls, default_schedule = TRACKERS[ec.tracker]
@@ -326,25 +353,27 @@ def _run_batch(ec: ExperimentConfig, trials: range):
 
     cycles = ec.num_eccs
     recorded = _recorded_cycles(ec)
-    width = evolve_normals(sc.kind) + NOISE_NORMALS
+    evolve = evolve_normals(sc.kind)
     err_h = np.empty((len(rngs), len(recorded)))
     err_x = np.empty((len(rngs), len(recorded)))
     col = 0
-    block = np.empty((len(rngs), min(CYCLE_CHUNK, cycles), width))
+    block = np.empty((len(rngs), min(CYCLE_CHUNK, cycles),
+                      evolve + NOISE_NORMALS))
     for first in range(0, cycles, CYCLE_CHUNK):
         count = min(CYCLE_CHUNK, cycles - first)
         for rng, rows in zip(rngs, block):
             rng.standard_normal(out=rows[:count])
+        # the ground truth does not depend on the tracker: a chunk at once
+        x, beta_eff, ch = evolve_chunk(ch, sc, cfg,
+                                       block[:, :count, :evolve])
         for j, k in enumerate(range(first + 1, first + count + 1)):
-            z = block[:, j]
             dirs = tracker.probes()
-            ch = evolve_batch(ch, sc, cfg, z[:, :-NOISE_NORMALS])
-            y = observe_fast(cfg, ch.x, ch.beta_eff, dirs,
-                             z[:, -NOISE_NORMALS:])
+            y = observe_fast(cfg, x[j], beta_eff[j], dirs,
+                             block[:, j, evolve:])
             tracker.update(y)
             if k == recorded[col]:      # the last cycle is always recorded
                 err_h[:, col], err_x[:, col] = _channel_errors(
-                    cfg, ch, *tracker.estimate())
+                    cfg, x[j], beta_eff[j], *tracker.estimate())
                 col += 1
     return err_h, err_x, crlb
 

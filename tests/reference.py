@@ -21,7 +21,7 @@ in-main-lobe initial estimate with its bootstrap gain fit, the explicit-EBM
 gain fit, and the scalar steps of the two baselines.  The library runs only
 the batched counterparts (``harness._trial_rngs``,
 ``channels.initial_draws``, ``init_channel_batch``,
-``initial_estimate_batch``, ``evolve_batch``, ``signal.observe_fast``,
+``initial_estimate_batch``, ``evolve_chunk``, ``signal.observe_fast``,
 ``trackers.BeamSwitchBatch``, ``EkfBatch``).
 
 Explicit fading-gain model: the covariance ``sigma_di``, the log-density

@@ -14,7 +14,7 @@ import numpy as np
 
 from beamtrack.arrays import ArrayConfig
 from beamtrack.channels import (DynamicI, DynamicII, QuasiStatic,
-                                ScenarioConfig, evolve_batch, evolve_normals,
+                                ScenarioConfig, evolve_chunk, evolve_normals,
                                 init_channel_batch, initial_draws)
 from beamtrack.checks import (check_fisher_oracles, check_identifiability,
                               check_mean_field)
@@ -354,12 +354,15 @@ class TestCriterion12ChannelMoments:
 
         def chains(sc, rows, cycles):
             """Path gains (rows, cycles) of parallel chains, each started
-            from its (stationary) initial draw."""
+            from its (stationary) initial draw and stepped by one-cycle
+            chunks; the normals of all cycles are drawn at once, the
+            numbers of one (rows, e) draw per cycle."""
             ch = channels(sc, rows)
             out = np.empty((rows, cycles), complex)
+            normals = rng.standard_normal((cycles, rows,
+                                           evolve_normals(sc.kind)))
             for k in range(cycles):
-                normals = rng.standard_normal((rows, evolve_normals(sc.kind)))
-                ch = evolve_batch(ch, sc, CFG, normals)
+                ch = evolve_chunk(ch, sc, CFG, normals[k][:, None])[2]
                 out[:, k] = ch.beta_c
             return out
 

@@ -1,6 +1,9 @@
 """Unit tests for channel scenario generation and the initial estimate, on
 the batched channel the engine runs: rows of ``initial_draws`` through
-``init_channel_batch``/``initial_estimate_batch``, then ``evolve_batch``."""
+``init_channel_batch``/``initial_estimate_batch``, then ``evolve_chunk``;
+a one-cycle chunk is one transition."""
+
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -13,7 +16,7 @@ from reference import _trial_rng, element_gain, initial_draws_row
 from beamtrack.arrays import Aoa, ArrayConfig, dpv_from_aoa
 from beamtrack.channels import (AOA_REGIONS, INITIAL_DRAWS, DynamicI,
                                 DynamicII, QuasiStatic, ScenarioConfig,
-                                estimated_gain_variance, evolve_batch,
+                                estimated_gain_variance, evolve_chunk,
                                 evolve_normals, init_channel_batch,
                                 initial_draws, initial_estimate_batch)
 from beamtrack.harness import (ConfigError, ExperimentConfig, _trial_rngs,
@@ -48,13 +51,20 @@ def rician(rician_draws):
     return init_channel_batch(RICIAN, CFG, rician_draws)
 
 
+def _step(ch, sc, normals):
+    """The channel after one transition from ``normals`` (T, e): a one-cycle
+    chunk."""
+    return evolve_chunk(ch, sc, CFG, normals[:, None])[2]
+
+
 def _walk(sc, rows, cycles, rng):
     """The channels of ``rows`` independent trials after each of ``cycles``
-    transitions."""
+    transitions.  The normals of all cycles are drawn at once, the numbers
+    of one (rows, e) draw per cycle."""
     ch = init_channel_batch(sc, CFG, _draws(sc, rows, rng))
-    for _ in range(cycles):
-        ch = evolve_batch(ch, sc, CFG,
-                          rng.standard_normal((rows, evolve_normals(sc.kind))))
+    for normals in rng.standard_normal((cycles, rows,
+                                        evolve_normals(sc.kind))):
+        ch = _step(ch, sc, normals)
         yield ch
 
 
@@ -162,15 +172,24 @@ class TestInitChannel:
 
 class TestEvolve:
     def test_quasi_static_identity(self):
+        """The channel after the chunk is the channel before it, and the
+        trajectory is broadcast views of it, not copies."""
         sc = ScenarioConfig(QuasiStatic())
-        ch = _many_inits(sc, 1, seed=4)
-        assert evolve_batch(ch, sc, CFG, np.empty((1, 0))) is ch
+        ch = _many_inits(sc, 2, seed=4)
+        x, beta_eff, end = evolve_chunk(ch, sc, CFG, np.empty((2, 5, 0)))
+        assert end is ch
+        assert x.shape == (5, 2, 2) and beta_eff.shape == (5, 2)
+        assert np.shares_memory(x, ch.x) and x.strides[0] == 0
+        assert np.shares_memory(beta_eff, ch.beta_eff)
+        assert beta_eff.strides[0] == 0
+        assert np.array_equal(x[3], ch.x)
+        assert np.array_equal(beta_eff[3], ch.beta_eff)
 
     def test_dynamic_i_redraws_gain_keeps_direction(self):
         sc = ScenarioConfig(DynamicI(1.0))
         rng = np.random.default_rng(5)
         ch = init_channel_batch(sc, CFG, _draws(sc, 1, rng))
-        nxt = evolve_batch(ch, sc, CFG, rng.standard_normal((1, 2)))
+        nxt = _step(ch, sc, rng.standard_normal((1, 2)))
         assert nxt.beta_c[0] != ch.beta_c[0]
         assert np.array_equal(nxt.x, ch.x)
 
@@ -216,7 +235,7 @@ class TestEvolve:
         draws[:, 3:5] = [[0.4, -1.2], [1.5, 0.3]]
         ch = init_channel_batch(sc, CFG, draws)
         normals = np.array([[0.3, -0.2, 0.5, -1.0], [0.8, -0.6, 0.0, 2.0]])
-        nxt = evolve_batch(ch, sc, CFG, normals)
+        nxt = _step(ch, sc, normals)
         stepped_t = ch.theta + 0.1 * normals[:, 0]
         stepped_p = ch.phi + 0.1 * normals[:, 1]
         assert stepped_t[1] > t_hi and stepped_p[1] < p_lo
@@ -240,8 +259,55 @@ class TestEvolve:
         sc = ScenarioConfig(DynamicII())
         rng = np.random.default_rng(9)
         ch = init_channel_batch(sc, CFG, _draws(sc, 1, rng))
-        nxt = evolve_batch(ch, sc, CFG, rng.standard_normal((1, 4)))
+        nxt = _step(ch, sc, rng.standard_normal((1, 4)))
         assert not np.array_equal(nxt.x, ch.x)
+
+
+def _assert_same_channel(a, b):
+    for field in fields(a):
+        assert np.array_equal(getattr(a, field.name), getattr(b, field.name))
+
+
+class TestChunkContract:
+    """A chunk's trajectory does not depend on how its cycles are cut into
+    chunks: K cycles in one chunk equal K one-cycle chunks and any two
+    chunks that split them, bit for bit, in x, beta_eff and the channel
+    after the last cycle.  The walk steps are large enough (2 degrees and
+    0.25 rad) that it reflects off the region's edges."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from([
+               QuasiStatic(), DynamicI(0.6),
+               DynamicII(rho=0.995, delta_a=np.deg2rad(2.0)),
+               DynamicII(rho=0.9, delta_a=0.25)]),
+           region=st.sampled_from(sorted(AOA_REGIONS)),
+           seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 6),
+           cycles=st.integers(2, 40), data=st.data())
+    def test_any_chunking_is_one_trajectory(self, kind, region, seed, rows,
+                                            cycles, data):
+        split = data.draw(st.integers(1, cycles - 1), label="split")
+        sc = ScenarioConfig(kind, region)
+        rng = np.random.default_rng(seed)
+        ch = init_channel_batch(sc, CFG, _draws(sc, rows, rng))
+        normals = rng.standard_normal((rows, cycles, evolve_normals(kind)))
+        x, beta_eff, end = evolve_chunk(ch, sc, CFG, normals)
+        assert x.shape == (cycles, rows, 2)
+        assert beta_eff.shape == (cycles, rows)
+
+        one = ch
+        for k in range(cycles):
+            x_k, beta_k, one = evolve_chunk(one, sc, CFG, normals[:, k:k + 1])
+            assert np.array_equal(x_k[0], x[k])
+            assert np.array_equal(beta_k[0], beta_eff[k])
+            assert np.array_equal(one.x, x[k])
+            assert np.array_equal(one.beta_eff, beta_eff[k])
+        _assert_same_channel(one, end)
+
+        x_a, beta_a, mid = evolve_chunk(ch, sc, CFG, normals[:, :split])
+        x_b, beta_b, two = evolve_chunk(mid, sc, CFG, normals[:, split:])
+        assert np.array_equal(np.concatenate([x_a, x_b]), x)
+        assert np.array_equal(np.concatenate([beta_a, beta_b]), beta_eff)
+        _assert_same_channel(two, end)
 
 
 def _estimates(sc, count, seed, halfwidth, cfg=CFG):

@@ -330,11 +330,14 @@ class TestCsvBytes:
         assert all((tmp_path / f"{size}.csv").read_bytes() == first
                    for size in runs)
 
-    def test_cycles_beyond_one_chunk(self):
-        """Normals are drawn in chunks of cycles; a run longer than one
-        chunk still follows the reference."""
+    @pytest.mark.parametrize("case", ["JBCT_DII-dii", "JBCT_S-qs",
+                                      "RBT_DI-perfect"])
+    def test_cycles_beyond_one_chunk(self, case):
+        """Normals and the channel trajectory are computed in chunks of
+        cycles; a run longer than one chunk still follows the reference, so
+        each scenario kind carries its channel across the boundary."""
         from beamtrack import harness
-        ec = _config("JBCT_DII-dii", num_trials=3, num_eccs=harness.CYCLE_CHUNK + 5)
+        ec = _config(case, num_trials=3, num_eccs=harness.CYCLE_CHUNK + 5)
         _assert_matches_reference(ec)
 
 
@@ -464,6 +467,32 @@ class TestKernelPasses:
             return len(calls)
 
         assert count(25) - count(15) == passes
+
+
+class TestChannelPasses:
+    """The ground truth is simulated once per chunk of cycles, outside the
+    cycle loop: ten more cycles inside one chunk of a dynamic-ii run add no
+    call of the direction coordinates or the element pattern."""
+
+    @pytest.mark.parametrize("name", ["dpv_coords", "element_gain_angles"])
+    def test_ten_more_cycles(self, monkeypatch, name):
+        from beamtrack import channels
+        calls = []
+        fn = getattr(channels, name)
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(channels, name, counted)
+
+        def count(cycles):
+            calls.clear()
+            run_experiment(_config("JBCT_DII-dii", num_eccs=cycles))
+            return len(calls)
+
+        assert count(15) > 0
+        assert count(25) == count(15)
 
 
 class TestSafeguardMasks:

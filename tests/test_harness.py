@@ -1,6 +1,8 @@
 """Unit tests for the Monte-Carlo harness, CSV contract, config, and CLI."""
 
+import contextlib
 import filecmp
+import io
 import math
 import os
 import re
@@ -8,6 +10,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import warnings
 from dataclasses import astuple
 from pathlib import Path
 
@@ -22,8 +25,8 @@ from beamtrack.arrays import ArrayConfig
 from beamtrack.channels import DynamicI, QuasiStatic, ScenarioConfig
 from beamtrack.harness import (CSV_HEADER, TRACKER_NAMES, TRACKERS,
                                ConfigError, ExperimentConfig, MetricsRecord,
-                               config_from_mapping, emit_csv, format_csv,
-                               load_experiment, parse_config_text,
+                               config_from_mapping, emit_csv, extent_ceiling,
+                               format_csv, load_experiment, parse_config_text,
                                run_experiment, snr_db_ceiling, snr_db_floor)
 from beamtrack.cli import _build_parser, main
 from beamtrack.estimation import snr_beta_db_ceiling
@@ -395,15 +398,46 @@ def test_readme_commands_parse():
                                                "verify"}
 
 
-def _run_cli(*args, python_flags=()):
-    """``python -m beamtrack.cli args`` in a subprocess that imports the
-    package this process imported."""
+def _python(*args):
+    """``python args`` in a subprocess that imports the package this
+    process imported."""
     src = str(Path(beamtrack.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run(
-        [sys.executable, *python_flags, "-m", "beamtrack.cli", *args],
-        env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True)
+
+
+def _run_cli(*args):
+    """``python -m beamtrack.cli args`` in a subprocess: for what only a
+    process shows, the entry point and an exit without a traceback."""
+    return _python("-m", "beamtrack.cli", *args)
+
+
+def _cli(*args, errors=()):
+    """``cli.main(args)`` in this process, as the ``CompletedProcess`` of
+    :func:`_run_cli`: a SystemExit's code is the exit code, and stdout and
+    stderr are captured, each warning written to stderr as the interpreter
+    writes it.  Warnings of the categories ``errors`` are raised instead,
+    as ``python -W error::<category>`` raises them."""
+    out, err = io.StringIO(), io.StringIO()
+
+    def show(message, category, filename, lineno, file=None, line=None):
+        err.write(warnings.formatwarning(message, category, filename, lineno,
+                                         line))
+
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("default")
+        for category in errors:
+            warnings.simplefilter("error", category)
+        warnings.showwarning = show
+        try:
+            code = main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+    return subprocess.CompletedProcess(args, code, out.getvalue(),
+                                       err.getvalue())
 
 
 class TestCli:
@@ -419,16 +453,29 @@ class TestCli:
         proc = _run_cli("track", "--config", "missing.toml")
         assert proc.returncode == 1
         assert "missing.toml" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_commands_run_without_scipy(self, tmp_path):
+        """scipy is a test dependency only: with its import blocked, a
+        ``track`` run and a bound command still exit 0."""
+        cfg = tmp_path / "run.toml"
+        cfg.write_text(TestConfigFile.GOOD)
+        argvs = [["track", "--config", str(cfg)],
+                 ["crlb", "--objective", "di-finite"]]
+        proc = _python("-c", "import sys; sys.modules['scipy'] = None; "
+                             "from beamtrack.cli import main; "
+                             f"raise SystemExit(max(map(main, {argvs!r})))")
+        assert proc.returncode == 0, proc.stderr
 
     def test_unknown_flag_exits_1_with_usage(self):
-        proc = _run_cli("track", "--config", "x", "--bogus")
+        proc = _cli("track", "--config", "x", "--bogus")
         assert proc.returncode == 1
         assert "usage" in proc.stderr.lower()
 
     def test_bad_config_value_exits_1(self, tmp_path):
         cfg = tmp_path / "bad.toml"
         cfg.write_text('tracker = "nope"\n')
-        proc = _run_cli("track", "--config", str(cfg))
+        proc = _cli("track", "--config", str(cfg))
         assert proc.returncode == 1
 
     def test_track_accepts_six_offsets(self, tmp_path, capsys):
@@ -457,13 +504,13 @@ class TestCli:
         assert flags == {"-h", "--help", "--config", "--out"}
 
     def test_crlb_subcommand(self):
-        proc = _run_cli("crlb", "--objective", "static-asymptotic")
+        proc = _cli("crlb", "--objective", "static-asymptotic")
         assert proc.returncode == 0
         assert "2.2477" in proc.stdout
 
     def test_offsets_robustness_subcommand(self):
-        proc = _run_cli("offsets", "--objective", "static-finite",
-                        "--robustness", "8")
+        proc = _cli("offsets", "--objective", "static-finite",
+                    "--robustness", "8")
         assert proc.returncode == 0
         last = proc.stdout.strip().splitlines()[-1]
         gap = float(last.split(",")[-1])
@@ -473,8 +520,8 @@ class TestCli:
         """The search subcommand prints the canonical set and appends one
         CSV row (objective, value, restarts, six offset coordinates)."""
         out = tmp_path / "search.csv"
-        proc = _run_cli("offsets", "--objective", "static-asymptotic",
-                        "--grid", "7", "--iters", "150", "--out", str(out))
+        proc = _cli("offsets", "--objective", "static-asymptotic",
+                    "--grid", "7", "--iters", "150", "--out", str(out))
         assert proc.returncode == 0
         assert "crlb_value:" in proc.stdout
         row = out.read_text().strip().split(",")
@@ -484,7 +531,7 @@ class TestCli:
         assert abs(value - 2.247) < 0.01
 
     def test_verify_subcommand_quick(self):
-        proc = _run_cli("verify", "--quick")
+        proc = _cli("verify", "--quick")
         assert proc.returncode == 0
         assert proc.stdout.count("PASS") == 4
 
@@ -575,7 +622,7 @@ GOLDEN_CLI = {
 
 @pytest.mark.parametrize("argv", sorted(GOLDEN_CLI), ids=" ".join)
 def test_bound_commands_golden_output(argv):
-    proc = _run_cli(*argv)
+    proc = _cli(*argv)
     assert (proc.returncode, proc.stdout, proc.stderr) == \
         (0, GOLDEN_CLI[argv], "")
 
@@ -585,8 +632,8 @@ def test_asymptotic_search_ignores_array_size_flags():
     the search nor the canonical form it prints."""
     argv = ("offsets", "--objective", "static-asymptotic", "--grid", "7",
             "--iters", "60")
-    plain = _run_cli(*argv)
-    sized = _run_cli(*argv, "--m", "4", "--n", "8")
+    plain = _cli(*argv)
+    sized = _cli(*argv, "--m", "4", "--n", "8")
     assert plain.returncode == sized.returncode == 0
     assert plain.stdout == sized.stdout
 
@@ -697,9 +744,9 @@ def _floor_gain_var(floor):
 
 
 def _track(tmp_path, snr_db, tracker="JBCT_S", scenario="quasi-static",
-           region="central", gain_var=None, size=8):
+           region="central", gain_var=None, size=8, extra=""):
     """Exit code and CSV path of a 3-trial, 6-cycle ``track`` run on a
-    size x size array."""
+    size x size array; ``extra`` holds further config lines."""
     offsets = "tableIII" if tracker == "RBT_DI" else "tableII"
     cfg = tmp_path / "run.toml"
     cfg.write_text(f'scenario = "{scenario}"\ntracker = "{tracker}"\n'
@@ -707,7 +754,7 @@ def _track(tmp_path, snr_db, tracker="JBCT_S", scenario="quasi-static",
                    f"snr_db = {snr_db!r}\ntrials = 3\neccs = 6\n"
                    f"record_every = 2\nm = {size}\nn = {size}\n"
                    + (f"sigma_beta_c_sq = {gain_var!r}\n"
-                      if gain_var is not None else ""))
+                      if gain_var is not None else "") + extra)
     out = tmp_path / "out.csv"
     try:
         code = main(["track", "--config", str(cfg), "--out", str(out)])
@@ -835,6 +882,46 @@ class TestSnrCeiling:
         assert code == 1
         assert len(err) == 1 and err[0].startswith("error: snr_db")
         assert "sigma_beta_c_sq = 10000000000.0" in err[0]
+
+
+class TestExtentCeiling:
+    """The array extents m d1 and n d2 have one ceiling, derived from the
+    float range: at it every run's squared direction error is finite and
+    warns of nothing, above it a run is a configuration error naming the
+    spacing."""
+
+    CEILING = extent_ceiling()
+
+    def test_ceiling_value(self):
+        assert self.CEILING == pytest.approx(3.3519519824856e153, rel=1e-12)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("key", ["d1", "d2"])
+    @pytest.mark.parametrize("scenario", sorted(SCENARIO_KEYS))
+    @pytest.mark.parametrize("tracker", TRACKER_NAMES)
+    def test_runs_at_the_ceiling_are_finite(self, tmp_path, tracker,
+                                            scenario, key):
+        spacing = self.CEILING / 8
+        assert 8 * spacing == self.CEILING
+        code, out = _track(tmp_path, 0.0, tracker, scenario,
+                           extra=f"{key} = {spacing!r}\n")
+        assert code == 0
+        _assert_finite_rows(out, tracker, scenario)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("key, spacing", [
+        ("d1", math.nextafter(CEILING / 8, math.inf)),
+        ("d2", math.nextafter(CEILING / 8, math.inf)),
+        # n = 8 and d2 = 1e160 printed mse_x = inf after an overflow warning
+        ("d2", 1e160), ("d1", 1e300)])
+    @pytest.mark.parametrize("tracker", ["JBCT_DII", "EKF"])
+    def test_above_the_ceiling_exits_1(self, tmp_path, capsys, tracker, key,
+                                       spacing):
+        code, _ = _track(tmp_path, 0.0, tracker, "dynamic-ii",
+                         extra=f"{key} = {spacing!r}\n")
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith(f"error: {key}: ")
 
 
 # argv of the crlb/offsets/verify subcommands; each has one input the
@@ -1000,8 +1087,8 @@ class TestSnrBetaCeiling:
 
     @pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
     def test_at_the_ceiling_is_finite(self, argv):
-        proc = _run_cli(*argv, "--snr-beta-db", repr(self.CEILING),
-                        python_flags=("-W", "error::RuntimeWarning"))
+        proc = _cli(*argv, "--snr-beta-db", repr(self.CEILING),
+                    errors=(RuntimeWarning,))
         assert (proc.returncode, proc.stderr) == (0, "")
         assert "inf" not in proc.stdout and "nan" not in proc.stdout
 
