@@ -385,8 +385,9 @@ def _records(ec: ExperimentConfig, err_h: np.ndarray, err_x: np.ndarray,
     the batches."""
     sum_h = np.add.accumulate(err_h, axis=0)[-1]
     sum_x = np.add.accumulate(err_x, axis=0)[-1]
-    finite = crlb[np.isfinite(crlb)]
-    mean_crlb = (np.add.accumulate(finite)[-1] / len(finite) if len(finite)
+    # NaN marks no bound; an infinite bound is one and stays in the mean
+    known = crlb[~np.isnan(crlb)]
+    mean_crlb = (np.add.accumulate(known)[-1] / len(known) if len(known)
                  else np.nan)
     trials = ec.num_trials
     return [MetricsRecord(
@@ -394,7 +395,7 @@ def _records(ec: ExperimentConfig, err_h: np.ndarray, err_x: np.ndarray,
         explorations_total=3 * (k + 1),
         mse_h=float(sum_h[col] / trials),
         mse_x=float(sum_x[col] / trials),
-        crlb_ref=float(mean_crlb / k if np.isfinite(mean_crlb) else np.nan),
+        crlb_ref=float(mean_crlb / k),
         trials=trials,
     ) for col, k in enumerate(_recorded_cycles(ec))]
 
@@ -407,7 +408,8 @@ def run_experiment(ec: ExperimentConfig) -> List[MetricsRecord]:
     cycle, so ``explorations_total`` = 3 * (ecc + 1) for all of them.
     ``crlb_ref`` reports the relevant achieved CRLB over the cycle count for
     the quasi-static (channel-vector) and fading-gain (direction) scenarios,
-    NaN otherwise.
+    the trials' mean, so +inf where a trial's bound is infinite (as on a
+    one-element axis), and NaN otherwise.
     """
     _validate(ec)
     return _records(ec, *_run_batch(ec, range(ec.num_trials)))

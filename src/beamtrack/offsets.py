@@ -13,21 +13,21 @@ each Newton iteration evaluates the derivative stencils of every restart
 in one batched objective call and their trial steps in a second, and each
 restart's iterates are those of a run on its own.  A robustness sweep
 runs the searches of all the array sizes it sweeps in one such lockstep
-run, on one objective with per-set sizes (the finite bounds take integer
-arrays m, n, each set at its own size), so a stage of an iteration makes
+run, on one objective with per-row sizes (the finite bounds take integer
+arrays m, n, one size per table row), so a stage of an iteration makes
 one call for every size; the sweep's grid seeds, from one seed table per
 swap rule, take one call for all sizes too.
 
-The grid seeds and the Newton stencils reuse a few offsets in many sets,
-so they reach the objectives as a table of offsets (P, 2) and an integer
-index (k, 3) of the sets into its rows: ``_batched`` takes the kernels of
-each row once (``kernels(table)``), at the row's size, and each chunk of
-sets gathers its rows' kernels (``evaluate(kernels, index)``), with the
-bits of ``evaluate(table[index])``.  The grid's table holds the (2p)^2
-pairs of its p values and their negations, one block per distinct size
-of the call; a Newton stage's holds the 27 offsets of each running
-restart's stencil, the 3 x 3 value pairs of each of its three offsets.
-The trial steps and single sets take the direct route.
+Every batched objective call takes its sets as a table of offsets (P, 2)
+and an integer index (k, 3) of the sets into its rows: ``_batched`` takes
+the kernels of each row once (``kernels(table)``), at the row's size, and
+each chunk of sets gathers its rows' kernels (``evaluate(kernels,
+index)``), with the bits of ``evaluate(table[index])``.  The grid's table
+holds the (2p)^2 pairs of its p values and their negations, one block per
+distinct size of the call; a Newton stencil stage's holds the 27 offsets
+of each running restart's stencil, the 3 x 3 value pairs of each of its
+three offsets; a trial stage's holds the trial sets' own offsets, three
+rows per set.  Single sets take the objectives' direct route.
 
 ``STATIC_OFFSETS`` and ``FADING_OFFSETS`` hold the asymptotically optimal
 sets for the two objectives that the optimizer reproduces; they double as
@@ -169,7 +169,6 @@ class SearchResult:
 #   DiFinite(8, 8)        0.19 0.16 0.15 0.15 0.29 0.37
 #   StaticFinite(64, 64)  0.17 0.14 0.13 0.14 0.24 0.36
 #   DiFinite(64, 64)      0.19 0.15 0.15 0.16 0.30 0.39
-# and on float sets 0.36-0.48 us at 4,096 against 0.66-0.93 at 65,536.
 # 2,048 sets gained only in the static limit, and the four offsets-search
 # commands timed alike at 2,048 and 4,096 (104 against 105 ms CPU, medians
 # of 30 alternating in-process passes, 17 won by 2,048), so 4,096 stays.
@@ -179,40 +178,30 @@ class SearchResult:
 _CHUNK_SETS = 4096
 
 
-def _batched(objective, sets, index=None):
-    """Evaluate the objective on (k, 3, 2) offset sets, or with an integer
-    ``index`` (k, 3) on the sets of rows of a table of offsets ``sets``
-    (P, 2), in chunks of ``_CHUNK_SETS`` sets.  An objective with per-set
-    sizes (:func:`_at_sizes`) is cut into chunks with its sets; on a table
-    its sizes are per row, the kernels of every row are taken once, at its
-    size, and each chunk gathers those of its sets' rows."""
+def _batched(objective, table, index):
+    """Evaluate the objective on the offset sets ``index`` (k, 3), rows of
+    a table of offsets ``table`` (P, 2), in chunks of ``_CHUNK_SETS`` sets:
+    the kernels of every row are taken once, at its size (per row for an
+    objective of :func:`_at_sizes`), and each chunk gathers those of its
+    sets' rows."""
     # kernels once per row, not per-axis sums once per coordinate value and
     # a combine per offset: the grid stage of a grid-21 search took 9.0-10.8
     # against 11.6-16.8 ms (best of 15, each of the four objectives), a
     # four-size sweep stage's stencils 0.70-0.73 against 0.95-0.99 ms; the
     # same stdout
-    if index is not None:
-        kernels = objective.kernels(sets)
-        out = np.empty(len(index))
-        for lo in range(0, len(out), _CHUNK_SETS):
-            part = slice(lo, lo + _CHUNK_SETS)
-            out[part] = objective.evaluate(kernels, index[part])
-        return out
-    out = np.empty(len(sets))
-    sized = isinstance(getattr(objective, "m", None), np.ndarray)
+    kernels = objective.kernels(table)
+    out = np.empty(len(index))
     for lo in range(0, len(out), _CHUNK_SETS):
         part = slice(lo, lo + _CHUNK_SETS)
-        chunk = replace(objective, m=objective.m[part],
-                        n=objective.n[part]) if sized else objective
-        out[part] = chunk.evaluate(sets[part])
+        out[part] = objective.evaluate(kernels, index[part])
     return out
 
 
 def _at_sizes(objectives, owner):
-    """One objective for the sets (or table rows) of several searches, set
-    i of search ``owner[i]``: the searches' objectives differ in their size
-    only, and the first of them takes per-set sizes (integer arrays m, n,
-    as the finite bounds do), each set's search's.  A single search keeps
+    """One objective for the table rows of several searches, row i of
+    search ``owner[i]``: the searches' objectives differ in their size
+    only, and the first of them takes per-row sizes (integer arrays m, n,
+    as the finite bounds do), each row's search's.  A single search keeps
     its own objective."""
     if len(objectives) == 1:
         return objectives[0]
@@ -315,8 +304,9 @@ def _newton(f, x0, lo, hi, maxiter):
             np.ones((k, len(_LADDER)), bool),
             np.repeat(w[:, :1] < 0, 2 * len(_CURVE), 1)], 1)
         tval = np.full(use.shape, np.inf)
-        # float sets, not a table over their own coordinates: a table took
-        # di_offsets_crlb at 16x16 410-450 us against 313-360 us on 224 sets
+        # the points themselves, not a coordinate table with a per-coordinate
+        # index: that took di_offsets_crlb at 16x16 410-450 us against
+        # 313-360 us on 224 sets
         tval[use] = f(trial[use], np.repeat(run, use.sum(1)))
         rows, pick, jump = np.arange(k), np.argmin(tval, 1), np.argmin(vals, 1)
         best = np.where(finite, tval[rows, pick], vals[rows, jump])
@@ -530,31 +520,33 @@ def _search(objectives, starts, refine_iters, incumbents):
     owner = np.repeat(np.arange(len(starts)), [len(st) for st in starts])
     # _newton's stencil index is one pattern for every restart (each
     # coordinate's values c - h, c, c + h at a stencil point's steps), so a
-    # stage's sets are rows of a table of 27 offsets per running restart:
-    # row 9 s + 3 a + b pairs value a of offset s's first coordinate with
-    # value b of its second, and the 73 sets of the r-th running restart
-    # take rows 27 r + pattern, fixed here once for the search rather than
-    # read from each call's index
+    # stencil stage's sets are rows of a table of 27 offsets per running
+    # restart: row 9 s + 3 a + b pairs value a of offset s's first
+    # coordinate with value b of its second, and the 73 sets of the r-th
+    # running restart take rows 27 r + pattern, fixed here once for the
+    # search rather than read from each call's index
     steps = _stencil(6)[0].astype(int) + 1
     pattern = 9 * np.arange(3) + 3 * steps[:, 0::2] + steps[:, 1::2]
     rows = 27 * np.arange(len(x0))[:, None, None] + pattern
 
     def f(points, restarts, index=None):
-        # one call for every search, at per-set sizes, not one per search:
+        # one call for every search, at per-row sizes, not one per search:
         # a 36-restart stage at four sizes took 1.1 against 1.4 ms for the
         # stencils and 0.54 against 0.79 ms for the trial steps
         if index is None:
-            vals = _batched(_at_sizes(objectives, owner[restarts]),
-                            points.reshape(-1, 3, 2))
+            # the trial sets share no offsets: a table of their own, three
+            # rows per set
+            table, rows_of = points.reshape(-1, 2), np.repeat(restarts, 3)
+            index = np.arange(len(table)).reshape(-1, 3)
         else:
             run = restarts[::len(pattern)]
             v = points.reshape(len(run), 3, 2, 3)
             table = np.empty((len(run), 3, 3, 3, 2))
             table[..., 0] = v[:, :, 0, :, None]
             table[..., 1] = v[:, :, 1, None, :]
-            vals = _batched(_at_sizes(objectives, np.repeat(owner[run], 27)),
-                            table.reshape(-1, 2),
-                            rows[:len(run)].reshape(-1, 3))
+            table, rows_of = table.reshape(-1, 2), np.repeat(run, 27)
+            index = rows[:len(run)].reshape(-1, 3)
+        vals = _batched(_at_sizes(objectives, owner[rows_of]), table, index)
         return np.where(np.isfinite(vals), vals, 1e30)
 
     x, fun = _newton(f, x0, -bh, bh, refine_iters)
@@ -571,9 +563,8 @@ def _search(objectives, starts, refine_iters, incumbents):
                 and val > incumbent * (1 + 1e-9):
             raise NoImprovement("refinement lost to its own seed; objective "
                                 "is likely inconsistent" + where)
-        deltas = x[first].reshape(3, 2)
-        results.append(SearchResult(OffsetSet(deltas),
-                                    float(objective.evaluate(deltas)),
+        # val is the objective at the point: every route has the same bits
+        results.append(SearchResult(OffsetSet(x[first].reshape(3, 2)), val,
                                     len(starts[s])))
     return results
 

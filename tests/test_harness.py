@@ -22,7 +22,8 @@ from reference import read_csv
 
 import beamtrack
 from beamtrack.arrays import ArrayConfig
-from beamtrack.channels import DynamicI, QuasiStatic, ScenarioConfig
+from beamtrack.channels import (DynamicI, DynamicII, QuasiStatic,
+                                ScenarioConfig)
 from beamtrack.harness import (CSV_HEADER, TRACKER_NAMES, TRACKERS,
                                ConfigError, ExperimentConfig, MetricsRecord,
                                config_from_mapping, emit_csv, extent_ceiling,
@@ -81,12 +82,26 @@ class TestRunExperiment:
         assert recs[0].crlb_ref == pytest.approx(2 * recs[1].crlb_ref, rel=1e-12)
 
     def test_crlb_ref_nan_for_dynamic_ii(self):
-        from beamtrack.channels import DynamicII
         ec = _quasi_static_config(scenario=ScenarioConfig(DynamicII()),
                                   tracker="JBCT_DII", num_eccs=10,
                                   record_every=10)
         rec = run_experiment(ec)[-1]
         assert math.isnan(rec.crlb_ref)
+
+    @pytest.mark.parametrize("m, n", [(1, 8), (8, 1)])
+    @pytest.mark.parametrize("scenario, want", [
+        (QuasiStatic(), "inf"), (DynamicI(1.0), "inf"), (DynamicII(), "nan")],
+        ids=["quasi-static", "dynamic-i", "dynamic-ii"])
+    @pytest.mark.parametrize("tracker", ["EKF", "BeamSwitch"])
+    def test_crlb_ref_at_a_one_element_axis(self, tracker, scenario, want,
+                                            m, n):
+        """At a one-element axis the bound of the quasi-static and the
+        fading-gain scenario applies and is +inf, not the NaN of no bound;
+        dynamic-ii has none."""
+        ec = _quasi_static_config(scenario=ScenarioConfig(scenario),
+                                  array=ArrayConfig(m, n), tracker=tracker,
+                                  num_eccs=10, record_every=5)
+        assert [str(r.crlb_ref) for r in run_experiment(ec)] == [want] * 2
 
     def test_rbt_reports_nan_mse_h(self):
         ec = _quasi_static_config(scenario=ScenarioConfig(DynamicI(1.0)),

@@ -1,5 +1,6 @@
 """Unit tests for the exploration-offset optimizer and canonicalization."""
 
+import math
 import os
 import subprocess
 import sys
@@ -12,12 +13,13 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 import beamtrack
-from beamtrack.offsets import (_CHUNK_SETS, BOX_HALFWIDTH, FADING_OFFSETS,
-                               STATIC_OFFSETS, DiAsymptotic, DiFinite,
-                               NoImprovement, SearchConfig, StaticAsymptotic,
-                               StaticFinite, _batched, _distinct_rows,
-                               _grid_axis, _grid_starts, _newton, _search,
-                               _slice_seeds, _symmetry_images, canonicalize,
+from beamtrack.offsets import (_CHUNK_SETS, _CURVE, _LADDER, BOX_HALFWIDTH,
+                               FADING_OFFSETS, STATIC_OFFSETS, DiAsymptotic,
+                               DiFinite, NoImprovement, SearchConfig,
+                               StaticAsymptotic, StaticFinite, _batched,
+                               _distinct_rows, _grid_axis, _grid_starts,
+                               _newton, _search, _slice_seeds,
+                               _symmetry_images, canonicalize,
                                optimize_offsets, robustness_sweep,
                                swap_applies)
 from beamtrack.signal import OffsetSet
@@ -65,20 +67,23 @@ class TestBatchedChunks:
                                      StaticFinite(8, 8)])
     def test_chunks_match_one_call(self, obj):
         """A chunk holds ``_CHUNK_SETS`` sets at any array size: three
-        chunks and 539 sets take four calls, and the values equal one call
-        over all sets bit for bit."""
+        chunks and 539 sets, an index into one table of offsets, take four
+        calls on the table's kernels, and the values equal one call over
+        all sets bit for bit."""
         sizes = []
 
-        class Spy:
-            def evaluate(self, d):
-                sizes.append(len(d))
-                return obj.evaluate(d)
+        @dataclass(frozen=True)
+        class Spy(type(obj)):
+            def evaluate(self, d, index=None):
+                sizes.append(len(index))
+                return super().evaluate(d, index)
 
-        sets = np.random.default_rng(2).uniform(
-            -0.9, 0.9, (3 * _CHUNK_SETS + 539, 3, 2))
-        vals = _batched(Spy(), sets)
+        rng = np.random.default_rng(2)
+        table = rng.uniform(-0.9, 0.9, (1000, 2))
+        index = rng.integers(0, len(table), (3 * _CHUNK_SETS + 539, 3))
+        vals = _batched(Spy(**vars(obj)), table, index)
         assert sizes == [_CHUNK_SETS] * 3 + [539]
-        assert np.array_equal(vals, obj.evaluate(sets))
+        assert _same_bits(vals, obj.evaluate(obj.kernels(table), index))
 
 
 @st.composite
@@ -202,18 +207,28 @@ class TestKernelWork:
             ("sets", k) for k in chunks if k]
 
     def test_stencil_stage_takes_27_rows_per_restart(self):
-        """Each Newton stage of a four-size sweep takes the kernels of 27
-        offsets per running restart for its 73 stencil sets."""
+        """Every kernel call of a four-size sweep is accounted for: the
+        grid call first, then Newton's first call on the 36 starts and its
+        trial stages, 3 rows per set (the sets' own offsets), alternating
+        with its stencil stages, 27 rows per running restart for its 73
+        stencil sets."""
         log = []
         robustness_sweep(FADING_OFFSETS, _work_spy(DiFinite(8, 8, 0.0), log),
                          [(8, 8), (16, 16), (32, 32), (64, 64)])
-        stages = log[log.index(("rows", 26 ** 2 * 4)) + 1:]
-        while stages[0][0] == "sets":   # the grid call's chunks
-            stages = stages[1:]
+        calls = []   # [rows, sets] per table, the sets of its chunks summed
+        for kind, count in log:
+            if kind == "rows":
+                calls.append([count, 0])
+            else:
+                calls[-1][1] += count
+        grid, first, *stages = calls
+        assert grid[0] == 26 ** 2 * 4
+        assert first == [3 * 36, 36]
         assert len(stages) > 2 and len(stages) % 2 == 0
-        for (rows, p), (sets, k) in zip(stages[::2], stages[1::2]):
-            assert (rows, sets) == ("rows", "sets")
+        trials = len(_LADDER) + 2 * len(_CURVE)   # trial sets per restart
+        for (p, k), (q, j) in zip(stages[::2], stages[1::2]):
             assert p % 27 == 0 and k == 73 * (p // 27)
+            assert q == 3 * j and j <= trials * (p // 27)
 
 
 def _quadratic(x):
@@ -382,6 +397,22 @@ def _grid_codes(sets, points):
         + rows[..., 2]
 
 
+def _rows_in(table, sets):
+    """The index (..., 3) of the offsets of ``sets`` (..., 3, 2) into the
+    rows of ``_slice_seeds``' table of offsets, every pair of the p grid
+    values and their negations: each offset at a row that holds its bits.
+    A coordinate is the grid value nearest it, or else that value's
+    negation."""
+    w = math.isqrt(len(table))
+    values, q = table[::w, 0], w // 2 - 1
+    near = np.rint((sets + BOX_HALFWIDTH) * (q / (2 * BOX_HALFWIDTH)))
+    near = near.astype(int)
+    at = np.where(values[near] == sets, near, w - 1 - near)
+    assert np.array_equal(values[at].view(np.int64),
+                          np.asarray(sets).view(np.int64))
+    return w * at[..., 0] + at[..., 1]
+
+
 class TestSliceSeeds:
     """The seeds, one image per symmetry class, against the whole 4D
     families of ``reference._slice_seeds``."""
@@ -416,13 +447,13 @@ class TestSliceSeeds:
             sc = SearchConfig(objective, grid_points_per_axis=points)
             table, index = _slice_seeds(sc)
             whole, seeds = reference._slice_seeds(sc), table[index]
-            whole_vals = _batched(objective, whole)
+            whole_vals = _batched(objective, table, _rows_in(table, whole))
             best = np.argsort(whole_vals)[:4096]
             best = best[np.isfinite(whole_vals[best])]
             codes = _grid_codes(_symmetry_images(whole[best], swap), points)
             found = np.isin(codes, _grid_codes(seeds, points)).any(-1)
             assert found.all(), (points, whole[best[~found][0]])
-            assert _batched(objective, seeds).min() == pytest.approx(
+            assert _batched(objective, table, index).min() == pytest.approx(
                 whole_vals.min(), rel=1e-12), points
         assert 3 * len(seeds) <= len(whole)
 
@@ -516,6 +547,42 @@ class TestOptimizer:
             assert np.isfinite(res.crlb_value)
         except NoImprovement:
             pass
+
+
+class TestResultValue:
+    """A result's ``crlb_value`` is the value Newton holds for its offsets,
+    and equals the objective's direct route at them bit for bit."""
+
+    @pytest.mark.parametrize("objective", [
+        StaticAsymptotic(), DiAsymptotic(0.0), StaticFinite(8, 8),
+        DiFinite(8, 8, 0.0)], ids=repr)
+    def test_search(self, objective):
+        res = optimize_offsets(SearchConfig(objective,
+                                            grid_points_per_axis=13))
+        assert _same_bits(res.crlb_value,
+                          objective.evaluate(res.offsets.deltas))
+
+    @pytest.mark.parametrize("base, preset", [
+        (StaticFinite(8, 8), STATIC_OFFSETS),
+        (DiFinite(8, 8, 0.0), FADING_OFFSETS)], ids=["static", "di"])
+    def test_every_size_of_a_sweep(self, base, preset, monkeypatch):
+        results = []
+        search = beamtrack.offsets._search
+
+        def spy(objectives, *args):
+            out = search(objectives, *args)
+            results.extend(zip(objectives, out))
+            return out
+
+        monkeypatch.setattr(beamtrack.offsets, "_search", spy)
+        sizes = [(8, 8), (16, 16), (32, 32), (64, 64)]
+        rows = robustness_sweep(preset, base, sizes)
+        assert [o for o, _ in results] == [replace(base, m=m, n=n)
+                                           for m, n in sizes]
+        for (objective, res), row in zip(results, rows):
+            assert _same_bits(res.crlb_value,
+                              objective.evaluate(res.offsets.deltas))
+            assert row[2] == res.crlb_value
 
 
 def _search_values(objective):
