@@ -24,10 +24,13 @@ the kernels of each row once (``kernels(table)``), at the row's size, and
 each chunk of sets gathers its rows' kernels (``evaluate(kernels,
 index)``), with the bits of ``evaluate(table[index])``.  The grid's table
 holds the (2p)^2 pairs of its p values and their negations, one block per
-distinct size of the call; a Newton stencil stage's holds the 27 offsets
-of each running restart's stencil, the 3 x 3 value pairs of each of its
-three offsets; a trial stage's holds the trial sets' own offsets, three
-rows per set.  Single sets take the objectives' direct route.
+distinct size of the call.  ``_newton`` builds the tables of its own
+calls and hands each to the search's objective with its index and the
+restart that owns each row: a stencil stage's holds the 27 offsets of
+each running restart's stencil, the 3 x 3 value pairs of each of its
+three offsets; its first call's and a trial stage's hold the sets' own
+offsets, three rows per set.  Single sets take the objectives' direct
+route.
 
 ``STATIC_OFFSETS`` and ``FADING_OFFSETS`` hold the asymptotically optimal
 sets for the two objectives that the optimizer reproduces; they double as
@@ -218,7 +221,9 @@ def _at_sizes(objectives, owner):
 _H, _ESCAPE = 1e-4, 0.05
 _LADDER = 0.5 ** np.arange(6)
 _CURVE = 0.25 ** np.arange(1, 5)
-_STEPS = np.array([-1.0, 0.0, 1.0])
+# the 3 x 3 step pairs of an offset's two coordinates, pair 3 a + b the
+# a-th step of -1, 0, 1 of the first with the b-th of the second
+_PAIRS = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=2)))
 _STALL, _GAIN = 3, 1e-13
 
 
@@ -233,37 +238,51 @@ def _stencil(n):
     return np.concatenate([np.zeros((1, n)), eye, -eye, *corners]), i, j
 
 
+def _own_rows(points, restarts):
+    """Sets (k, 6) as a table of their own offsets (3k, 2), three rows per
+    set, with the identity index (k, 3) and each row's restart (3k,)."""
+    table = points.reshape(-1, 2)
+    return table, np.arange(len(table)).reshape(-1, 3), np.repeat(restarts, 3)
+
+
 def _newton(f, x0, lo, hi, maxiter):
-    """Projected, saddle-free damped Newton from each row of ``x0`` (R, n)
-    in the box [lo, hi], all restarts in lockstep.
+    """Projected, saddle-free damped Newton over three 2-D offsets (n = 6)
+    from each row of ``x0`` (R, 6) in the box [lo, hi], all restarts in
+    lockstep.
 
-    ``f(points, restarts, index=None)`` maps (k, n) points, or with an
-    integer ``index`` (k, n) the points points[index] of 1-D coordinate
-    values, and the (k,) index of the restart each belongs to to (k,)
-    values, each independent of the batch, so every restart's iterates are
-    those of a run on its own.  Each iteration makes two calls for all
-    running restarts: the central-difference stencil, centred inside
-    [lo + h, hi - h] and passed as the three values c - h, c, c + h of each
-    coordinate c with the fixed pattern of the stencil's index, gives the
-    gradient and Hessian; then a ladder of step lengths along
+    ``f(table, index, restarts)`` maps the sets table[index] of a table of
+    offsets (P, 2) and an integer index (k, 3) into its rows, with
+    ``restarts`` (P,) the restart that owns each row, to (k,) values, each
+    independent of the batch, so every restart's iterates are those of a
+    run on its own.  Each iteration makes two calls for all running
+    restarts.  The central-difference stencil, centred inside
+    [lo + h, hi - h], gives the gradient and Hessian: its table holds 27
+    offsets per restart, the 3 x 3 pairs of the values c - h, c, c + h of
+    each of its three offsets, and the restart's 73 stencil sets take its
+    rows in one fixed pattern.  Then a ladder of step lengths along
     -V diag(1/max(|w|, lam max|w|)) V^T g, with (w, V) the Hessian's
-    eigenpairs, and moves along the most negative eigenvector.  The best
-    trial point replaces the iterate only if it is lower.  A coordinate on
-    the bound whose gradient points outward is held fixed; lam falls
-    tenfold after a full step and grows tenfold after a failed one.  An
-    iterate whose value is 1e30 or more has no derivatives: it moves to the
-    best point of a stencil of the wider step ``_ESCAPE``.
+    eigenpairs, and moves along the most negative eigenvector; these trial
+    sets, like the starts of the first call, share no offsets and are a
+    table of their own (:func:`_own_rows`).  The best trial point replaces
+    the iterate only if it is lower.  A coordinate on the bound whose
+    gradient points outward is held fixed; lam falls tenfold after a full
+    step and grows tenfold after a failed one.  An iterate whose value is
+    1e30 or more has no derivatives: it moves to the best point of a
+    stencil of the wider step ``_ESCAPE``.
 
-    Returns the final points (R, n) and their values (R,).
+    Returns the final points (R, 6) and their values (R,).
     """
     x = np.clip(np.atleast_2d(np.asarray(x0, float)), lo, hi)
     r, n = x.shape
-    fx = f(x, np.arange(r))
+    fx = f(*_own_rows(x, np.arange(r)))
     lam = np.full(r, 1e-3)
     stall = np.zeros(r, int)
-    offs, pi, pj = _stencil(n)
-    # a stencil point's column in its restart's row of 3n values
-    column = offs.astype(int) + 1 + 3 * np.arange(n)
+    offs, pi, pj = _stencil(6)
+    # a restart's 27 stencil offsets are row 9 s + 3 a + b for offset s and
+    # step pair 3 a + b of _PAIRS; a stencil point's offset s has the steps
+    # of its coordinates 2 s and 2 s + 1
+    steps = offs.astype(int) + 1
+    pattern = 9 * np.arange(3) + 3 * steps[:, 0::2] + steps[:, 1::2]
     diag = np.arange(n)
     for _ in range(maxiter):
         run = np.flatnonzero(stall < _STALL)
@@ -273,10 +292,10 @@ def _newton(f, x0, lo, hi, maxiter):
         finite = fr < 1e30
         h = np.where(finite, _H, _ESCAPE)[:, None]
         centre = np.clip(xr, lo + h, hi - h)
-        values = centre[:, :, None] + h[:, :, None] * _STEPS
-        index = 3 * n * np.arange(k)[:, None, None] + column
-        vals = f(values.reshape(-1), np.repeat(run, len(offs)),
-                 index.reshape(-1, n)).reshape(k, -1)
+        table = centre.reshape(k, 3, 1, 2) + h[:, None, None] * _PAIRS
+        index = 27 * np.arange(k)[:, None, None] + pattern
+        vals = f(table.reshape(-1, 2), index.reshape(-1, 3),
+                 np.repeat(run, 27)).reshape(k, -1)
         plus, minus = vals[:, 1:n + 1], vals[:, n + 1:2 * n + 1]
         q = vals[:, 2 * n + 1:].reshape(k, 4, -1)
         hess = np.empty((k, n, n))
@@ -304,10 +323,7 @@ def _newton(f, x0, lo, hi, maxiter):
             np.ones((k, len(_LADDER)), bool),
             np.repeat(w[:, :1] < 0, 2 * len(_CURVE), 1)], 1)
         tval = np.full(use.shape, np.inf)
-        # the points themselves, not a coordinate table with a per-coordinate
-        # index: that took di_offsets_crlb at 16x16 410-450 us against
-        # 313-360 us on 224 sets
-        tval[use] = f(trial[use], np.repeat(run, use.sum(1)))
+        tval[use] = f(*_own_rows(trial[use], np.repeat(run, use.sum(1))))
         rows, pick, jump = np.arange(k), np.argmin(tval, 1), np.argmin(vals, 1)
         best = np.where(finite, tval[rows, pick], vals[rows, jump])
         better = best < fr
@@ -518,35 +534,12 @@ def _search(objectives, starts, refine_iters, incumbents):
     bh = BOX_HALFWIDTH
     x0 = np.concatenate([np.reshape(st, (-1, 6)) for st in starts])
     owner = np.repeat(np.arange(len(starts)), [len(st) for st in starts])
-    # _newton's stencil index is one pattern for every restart (each
-    # coordinate's values c - h, c, c + h at a stencil point's steps), so a
-    # stencil stage's sets are rows of a table of 27 offsets per running
-    # restart: row 9 s + 3 a + b pairs value a of offset s's first
-    # coordinate with value b of its second, and the 73 sets of the r-th
-    # running restart take rows 27 r + pattern, fixed here once for the
-    # search rather than read from each call's index
-    steps = _stencil(6)[0].astype(int) + 1
-    pattern = 9 * np.arange(3) + 3 * steps[:, 0::2] + steps[:, 1::2]
-    rows = 27 * np.arange(len(x0))[:, None, None] + pattern
 
-    def f(points, restarts, index=None):
+    def f(table, index, restarts):
         # one call for every search, at per-row sizes, not one per search:
         # a 36-restart stage at four sizes took 1.1 against 1.4 ms for the
         # stencils and 0.54 against 0.79 ms for the trial steps
-        if index is None:
-            # the trial sets share no offsets: a table of their own, three
-            # rows per set
-            table, rows_of = points.reshape(-1, 2), np.repeat(restarts, 3)
-            index = np.arange(len(table)).reshape(-1, 3)
-        else:
-            run = restarts[::len(pattern)]
-            v = points.reshape(len(run), 3, 2, 3)
-            table = np.empty((len(run), 3, 3, 3, 2))
-            table[..., 0] = v[:, :, 0, :, None]
-            table[..., 1] = v[:, :, 1, None, :]
-            table, rows_of = table.reshape(-1, 2), np.repeat(run, 27)
-            index = rows[:len(run)].reshape(-1, 3)
-        vals = _batched(_at_sizes(objectives, owner[rows_of]), table, index)
+        vals = _batched(_at_sizes(objectives, owner[restarts]), table, index)
         return np.where(np.isfinite(vals), vals, 1e30)
 
     x, fun = _newton(f, x0, -bh, bh, refine_iters)

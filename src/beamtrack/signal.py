@@ -136,11 +136,11 @@ def _sum3(x):
 def fit_gains(e, y, pilot_amp: float) -> np.ndarray:
     """Least-squares gains beta = e^H y / (s ||e||^2) of observations
     ``y`` (..., 3) whose responses per unit gain are s * ``e`` (3,); zero
-    where the responses vanish."""
-    denom = pilot_amp * float(np.vdot(e, e).real)
-    if denom < 1e-30:
+    where ``e`` vanishes, at any pilot amplitude s."""
+    energy = float(np.vdot(e, e).real)
+    if energy < 1e-30:
         return np.zeros(np.shape(y)[:-1], complex)
-    return _sum3(e.conj() * y) / denom
+    return _sum3(e.conj() * y) / (pilot_amp * energy)
 
 
 def observation_kernels(cfg: ArrayConfig, x, ebm: Ebm):

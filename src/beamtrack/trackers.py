@@ -288,12 +288,13 @@ def _stepped(state: np.ndarray, schedule, k: int, direction: np.ndarray,
     """The stochastic-approximation step of both trackers: ``state`` (T, c)
     moved by the schedule's step at cycle ``k`` along ``direction``, each
     row's step truncated to STEP_CAP in max-norm.  A row keeps its state
-    where its direction is not finite or ``usable`` (T,) is False."""
+    where its step is not finite (its direction is not, or the step
+    overflows) or ``usable`` (T,) is False."""
     with np.errstate(all="ignore"):
         step = schedule.at(k) * direction
         largest = _row_max(np.abs(step))
         step *= np.where(largest > STEP_CAP, STEP_CAP / largest, 1.0)[:, None]
-    apply = usable & _rows_finite(direction)
+    apply = usable & _rows_finite(step)
     return np.where(apply[:, None], state + step, state)
 
 

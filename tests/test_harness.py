@@ -846,6 +846,21 @@ class TestSnrFloor:
         assert "sigma_beta_c_sq" in err[0]
 
 
+class TestOverflowingStep:
+    """A row whose step is not finite keeps its state: a constant step so
+    large that the step overflows leaves the estimates where they were,
+    and the errors stay finite (they read NaN when the capped step was
+    inf * 0)."""
+
+    def test_errors_stay_finite(self, tmp_path):
+        code, out = _track(tmp_path, -600.0, "JBCT_S", "dynamic-ii", "edge",
+                           size=64, extra='schedule = "constant"\n'
+                                          'step = 1e300\n')
+        assert code == 0
+        for row in read_csv(out):
+            assert math.isfinite(row.mse_h) and math.isfinite(row.mse_x)
+
+
 class TestSnrCeiling:
     """``snr_db`` has a ceiling at each array size, derived from the float
     range, and so has the gain SNR snr_db + 10 log10 sigma_beta_c_sq above

@@ -18,7 +18,7 @@ from beamtrack.offsets import (_CHUNK_SETS, _CURVE, _LADDER, BOX_HALFWIDTH,
                                DiFinite, NoImprovement, SearchConfig,
                                StaticAsymptotic, StaticFinite, _batched,
                                _distinct_rows, _grid_axis, _grid_starts,
-                               _newton, _search, _slice_seeds,
+                               _newton, _search, _slice_seeds, _stencil,
                                _symmetry_images, canonicalize,
                                optimize_offsets, robustness_sweep,
                                swap_applies)
@@ -585,22 +585,31 @@ class TestResultValue:
             assert row[2] == res.crlb_value
 
 
+def _held(vals):
+    """Values as the search holds them, non-finite ones at 1e30."""
+    return np.where(np.isfinite(vals), vals, 1e30)
+
+
 def _search_values(objective):
-    """The objective as the search sees it, non-finite values at 1e30, in
-    the ``f(points, restarts, index=None)`` form of the lockstep searches
-    (with ``index`` the points are points[index])."""
-    def f(points, restarts, index=None):
-        if index is not None:
-            points = points[index]
-        vals = objective.evaluate(points.reshape(-1, 3, 2))
-        return np.where(np.isfinite(vals), vals, 1e30)
+    """The objective in the lockstep Newton's ``f(table, index, restarts)``
+    form: the values of the sets table[index]."""
+    def f(table, index, restarts):
+        return _held(objective.evaluate(table[index]))
+    return f
+
+
+def _oracle_values(objective):
+    """The objective in the Nelder-Mead oracle's ``f(points, restarts)``
+    form: the values of the sets (k, 6)."""
+    def f(points, restarts):
+        return _held(objective.evaluate(points.reshape(-1, 3, 2)))
     return f
 
 
 def _oracle_minimum(objective, starts, iters=400):
     """The best value of the two bounded Nelder-Mead stages from ``starts``:
     multi-start, then a polish from the best restart."""
-    f, bh = _search_values(objective), BOX_HALFWIDTH
+    f, bh = _oracle_values(objective), BOX_HALFWIDTH
     sim, fsim, _, _ = _nelder_mead(f, np.reshape(starts, (-1, 6)), -bh, bh,
                                    iters, 4 * iters, 1e-10, 1e-12)
     best = int(np.argmin(fsim.min(axis=1)))
@@ -684,6 +693,63 @@ class TestNewton:
         for i, s0 in enumerate(starts):
             xi, fi = _newton(f, s0[None], -bh, bh, 400)
             assert np.array_equal(xi[0], x[i]) and fi[0] == fx[i], i
+
+
+class TestNewtonCalls:
+    """The tables and indices ``_newton`` hands its objective: the starts
+    and every trial stage as a table of the sets' own offsets with the
+    identity index, every stencil stage as 27 offsets per running restart
+    that only that restart's 73 stencil sets index."""
+
+    def test_every_call_of_a_multi_restart_run(self, monkeypatch):
+        calls = []
+        newton = beamtrack.offsets._newton
+
+        def spied(f, *args):
+            def g(table, index, restarts):
+                calls.append((table.copy(), index.copy(), restarts.copy()))
+                return f(table, index, restarts)
+            return newton(g, *args)
+
+        monkeypatch.setattr(beamtrack.offsets, "_newton", spied)
+        objective = DiFinite(8, 8, 0.0)
+        grid, _ = _grid_starts([SearchConfig(objective,
+                                             grid_points_per_axis=9)], 6)[0]
+        # a singular start takes the wide stencil of step _ESCAPE
+        starts = grid + [np.full((3, 2), 0.2)]
+        _search_from(SearchConfig(objective), starts)
+        offs = _stencil(6)[0]
+
+        def assert_own_rows(table, index, restarts):
+            assert np.array_equal(index, np.arange(len(table)).reshape(-1, 3))
+            assert np.all(restarts.reshape(-1, 3) == restarts[::3, None])
+
+        (table, index, restarts), *stages = calls
+        assert_own_rows(table, index, restarts)
+        assert np.array_equal(table.reshape(-1, 6),
+                              np.reshape(starts, (-1, 6)))
+        assert np.array_equal(restarts[::3], np.arange(len(starts)))
+        assert len(stages) > 2 and len(stages) % 2 == 0
+        steps = set()
+        for (table, index, restarts), trial in zip(stages[::2], stages[1::2]):
+            run = restarts[::27]
+            assert len(table) == 27 * len(run) and len(index) == 73 * len(run)
+            assert np.all(np.diff(run) > 0)
+            for r in range(len(run)):
+                own = slice(27 * r, 27 * r + 27)
+                sets = index[73 * r:73 * r + 73]
+                assert np.all(restarts[own] == run[r])
+                assert np.array_equal(np.unique(sets), np.arange(27)
+                                      + 27 * r)
+                # the sets are the stencil around its centre, set 0
+                points = table[sets].reshape(73, 6)
+                h = points[1, 0] - points[0, 0]
+                steps.add(round(h, 6))
+                np.testing.assert_allclose(points - points[0], h * offs,
+                                           atol=1e-12)
+            assert_own_rows(*trial)
+            assert set(trial[2]) <= set(run)
+        assert steps == {1e-4, 0.05}
 
 
 class TestRobustnessSweep:

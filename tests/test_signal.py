@@ -6,11 +6,11 @@ import pytest
 import reference
 from reference import observe
 
-from beamtrack.arrays import ArrayConfig
+from beamtrack.arrays import PILOT_AMP_RANGE, ArrayConfig, probe_kernels
 from beamtrack.offsets import STATIC_OFFSETS
 from beamtrack.signal import (AmbiguousSolution, ChannelParams, NoSolution,
                               OffsetSet, _amplitude_residual, build_ebm,
-                              noiseless_mean, observation_matrix,
+                              fit_gains, noiseless_mean, observation_matrix,
                               observe_fast,
                               real_observation_jacobian,
                               recover_from_noiseless)
@@ -30,6 +30,26 @@ class TestOffsetSet:
     def test_rejects_out_of_lobe(self):
         with pytest.raises(ValueError):
             OffsetSet(np.array([[1.0, 0.0], [0.1, 0.1], [0.2, 0.2]]))
+
+
+class TestFitGains:
+    """The least-squares gain fit of noiseless observations s beta e
+    returns beta at every valid pilot amplitude s, and zero where the
+    responses e vanish."""
+
+    @pytest.mark.parametrize("pilot_amp", [
+        PILOT_AMP_RANGE[0], 1e-100, 1e-37, 1e-16, 1.0, 1e100,
+        PILOT_AMP_RANGE[1]])
+    def test_recovers_the_gain(self, pilot_amp):
+        e = probe_kernels(STATIC_OFFSETS.deltas, 8, 8)[0]
+        beta = np.array([0.8 - 0.3j, 1e-3j, -5.0])
+        y = pilot_amp * beta[:, None] * e
+        np.testing.assert_allclose(fit_gains(e, y, pilot_amp), beta,
+                                   rtol=1e-13)
+
+    def test_zero_where_the_responses_vanish(self):
+        assert np.array_equal(fit_gains(np.zeros(3), np.ones((2, 3)), 1.0),
+                              np.zeros(2))
 
 
 class TestBuildEbm:
