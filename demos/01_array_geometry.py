@@ -6,9 +6,9 @@ beam-gain kernel with its shift property, and the per-element pattern.
 
 import numpy as np
 
-from beamtrack import (Aoa, ArrayConfig, PatternConfig, aoa_from_dpv,
-                       beam_gain_kernel, dpv_from_aoa, element_gain_db,
-                       steering_vector)
+from beamtrack import (Aoa, ArrayConfig, aoa_from_dpv, beam_gain_kernel,
+                       dpv_from_aoa, element_gain_db, steering_vector)
+from beamtrack.arrays import THETA_3DB
 
 cfg = ArrayConfig(m=8, n=8)  # half-wavelength spacing by default
 print(f"array: {cfg.m} x {cfg.n} elements, {cfg.size} total")
@@ -41,10 +41,9 @@ print(f"\nshift property: |w(x+d)^H a(x)| = {abs(np.vdot(w, a)):.6f} "
       f"= {abs(np.vdot(w_far, far)):.6f} at a center 2 lobes away")
 
 # the element pattern attenuates off-broadside arrivals
-pc = PatternConfig()
 print("\nelement pattern (dB):")
 for theta_frac, phi in ((0.0, np.pi / 2), (0.5, np.pi / 2), (1.0, np.pi / 2),
                         (1.0, np.pi / 4)):
-    aoa = Aoa(theta_frac * pc.theta_3db, phi)
+    aoa = Aoa(theta_frac * THETA_3DB, phi)
     print(f"  theta = {aoa.theta:5.2f}, phi = {aoa.phi:4.2f}: "
-          f"{element_gain_db(pc, aoa):6.2f} dB")
+          f"{element_gain_db(aoa):6.2f} dB")

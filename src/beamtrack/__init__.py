@@ -20,9 +20,9 @@ them, O(1) per probe.  The explicit O(MN) steering matrices (W^H a,
 W^H J) are test oracles in ``tests/reference.py``.
 """
 
-from .arrays import (Aoa, ArrayConfig, OutOfPhysicalRange, PatternConfig,
-                     aoa_from_dpv, beam_gain_kernel, dpv_from_aoa,
-                     element_gain_db, steering_vector)
+from .arrays import (Aoa, ArrayConfig, OutOfPhysicalRange, aoa_from_dpv,
+                     beam_gain_kernel, dpv_from_aoa, element_gain_db,
+                     steering_vector)
 from .channels import DynamicI, DynamicII, QuasiStatic, ScenarioConfig
 from .estimation import (DiModel, SingularFisher, crlb_di,
                          crlb_di_asymptotic, crlb_static,

@@ -96,17 +96,10 @@ class Aoa:
     phi: float
 
 
-@dataclass(frozen=True)
-class PatternConfig:
-    """Per-element radiation pattern: 3 dB beamwidths and maximum attenuation."""
-
-    theta_3db: float = 13 * np.pi / 36
-    phi_3db: float = 13 * np.pi / 36
-    eta_max_db: float = 30.0
-
-    def __post_init__(self):
-        if min(self.theta_3db, self.phi_3db, self.eta_max_db) <= 0:
-            raise ValueError("pattern parameters must be positive")
+# The per-element radiation pattern of 3GPP TR 38.901 (Table 7.3-1): 65
+# degree vertical and horizontal 3 dB beamwidths and a 30 dB floor.
+THETA_3DB = PHI_3DB = 13 * np.pi / 36
+ETA_MAX_DB = 30.0
 
 
 def _xy(x) -> tuple[float, float]:
@@ -449,23 +442,23 @@ def probe_kernels_limit(deltas):
                  for k in _limit_combine(h[0], phi[0], h[1], phi[1]))
 
 
-def element_gain_db_angles(pc: PatternConfig, theta, phi):
+def element_gain_db_angles(theta, phi):
     """Normalized combined element power pattern in dB (vectorized).
 
     Vertical and horizontal cuts are parabolic in angle, each floored at
-    -eta_max; their sum is floored at -eta_max again.
+    -ETA_MAX_DB; their sum is floored at -ETA_MAX_DB again.
     """
-    ev = np.minimum(12.0 * (np.asarray(theta) / pc.theta_3db) ** 2, pc.eta_max_db)
-    eh = np.minimum(12.0 * ((np.asarray(phi) - np.pi / 2) / pc.phi_3db) ** 2,
-                    pc.eta_max_db)
-    return -np.minimum(ev + eh, pc.eta_max_db)
+    ev = np.minimum(12.0 * (np.asarray(theta) / THETA_3DB) ** 2, ETA_MAX_DB)
+    eh = np.minimum(12.0 * ((np.asarray(phi) - np.pi / 2) / PHI_3DB) ** 2,
+                    ETA_MAX_DB)
+    return -np.minimum(ev + eh, ETA_MAX_DB)
 
 
-def element_gain_db(pc: PatternConfig, aoa: Aoa) -> float:
+def element_gain_db(aoa: Aoa) -> float:
     """Element power gain in dB at one arrival angle (0 dB at broadside)."""
-    return float(element_gain_db_angles(pc, aoa.theta, aoa.phi))
+    return float(element_gain_db_angles(aoa.theta, aoa.phi))
 
 
-def element_gain_angles(pc: PatternConfig, theta, phi):
+def element_gain_angles(theta, phi):
     """Element gain as a linear amplitude factor (vectorized)."""
-    return 10.0 ** (element_gain_db_angles(pc, theta, phi) / 20.0)
+    return 10.0 ** (element_gain_db_angles(theta, phi) / 20.0)

@@ -24,8 +24,8 @@ from typing import Sequence, Tuple, Union
 
 import numpy as np
 
-from .arrays import (ArrayConfig, PatternConfig, _gain_kernel, aoa_coords,
-                     dpv_coords, element_gain_angles)
+from .arrays import (ArrayConfig, _gain_kernel, aoa_coords, dpv_coords,
+                     element_gain_angles)
 from .offsets import db_to_power
 from .signal import OffsetSet, fit_gains, observe_fast
 
@@ -81,7 +81,6 @@ ScenarioKind = Union[QuasiStatic, DynamicI, DynamicII]
 class ScenarioConfig:
     kind: ScenarioKind
     aoa_region: str = "central"
-    pattern: PatternConfig = PatternConfig()
 
     def ranges(self):
         """(theta, phi) ranges of the named arrival region."""
@@ -108,14 +107,13 @@ def bootstrap_gains(cfg: ArrayConfig, offsets: OffsetSet, x, beta_eff, x0,
     return fit_gains(e, y0, cfg.pilot_amp)
 
 
-def estimated_gain_variance(sc: ScenarioConfig, cfg: ArrayConfig, x_hat,
-                            sigma_beta_c_sq: float):
+def estimated_gain_variance(cfg: ArrayConfig, x_hat, sigma_beta_c_sq: float):
     """Equivalent-gain variance inferred from the pattern at direction
     estimates ``x_hat`` (..., 2), clamped to the physical cone (the angles of
     :func:`~.arrays.aoa_coords`)."""
     x = np.asarray(x_hat, float)
     theta, phi = aoa_coords(cfg, x[..., 0], x[..., 1])
-    eta = element_gain_angles(sc.pattern, theta, phi)
+    eta = element_gain_angles(theta, phi)
     return eta**2 * sigma_beta_c_sq
 
 
@@ -196,7 +194,7 @@ def init_channel_batch(sc: ScenarioConfig, cfg: ArrayConfig,
         beta_c = z * np.sqrt(1.0 / 2.0)
     theta, phi = draws[:, 0].copy(), draws[:, 1].copy()
     x1, x2 = dpv_coords(cfg, theta, phi)
-    eta = element_gain_angles(sc.pattern, theta, phi)
+    eta = element_gain_angles(theta, phi)
     return ChannelBatch(theta, phi, np.stack([x1, x2], axis=-1), beta_c,
                         eta, eta * beta_c)
 
@@ -277,7 +275,7 @@ def evolve_chunk(ch: ChannelBatch, sc: ScenarioConfig, cfg: ArrayConfig,
     theta, phi = walk[:, 0], walk[:, 1]
     x1, x2 = dpv_coords(cfg, theta, phi)
     x = np.stack([x1, x2], axis=-1)
-    eta = element_gain_angles(sc.pattern, theta, phi)
+    eta = element_gain_angles(theta, phi)
     # only x and beta_eff outlive the call: the gains turn into beta_eff in
     # place, and the channel after the chunk copies its other rows
     last = beta_c[-1].copy()

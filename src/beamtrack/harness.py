@@ -48,7 +48,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .arrays import ArrayConfig, _gain_kernel
+from .arrays import ETA_MAX_DB, ArrayConfig, _gain_kernel
 from .channels import (ChannelBatch, DynamicI, DynamicII, QuasiStatic,
                        ScenarioConfig, estimated_gain_variance, evolve_chunk,
                        evolve_normals, init_channel_batch, initial_draws,
@@ -107,15 +107,14 @@ class MetricsRecord:
     trials: int
 
 
-def snr_db_floor(sc: ScenarioConfig) -> float:
+def snr_db_floor() -> float:
     """The lowest transmit SNR in dB a run takes, and below unit gain
     variance the lowest gain SNR snr_db + 10 log10 sigma_beta_c_sq: at
     it, the gain SNR at the element pattern's deepest attenuation, raised
     to the fourth power (the direction Fisher's determinant is quartic in
-    it), is the smallest normal float.  About -739.1 dB with the default
-    30 dB pattern."""
-    return 10.0 * math.log10(sys.float_info.min) / 4.0 \
-        + sc.pattern.eta_max_db
+    it), is the smallest normal float.  About -739.1 dB with the 30 dB
+    pattern floor."""
+    return 10.0 * math.log10(sys.float_info.min) / 4.0 + ETA_MAX_DB
 
 
 def snr_db_ceiling(cfg: ArrayConfig) -> float:
@@ -138,6 +137,7 @@ def extent_ceiling() -> float:
 
 
 def _validate(ec: ExperimentConfig):
+    _build("aoa_region", ec.scenario.ranges)
     if ec.tracker not in TRACKERS:
         raise ConfigError(f"tracker: unknown tracker {ec.tracker!r}; "
                           f"expected one of {TRACKER_NAMES}")
@@ -172,7 +172,7 @@ def _validate(ec: ExperimentConfig):
                           f"{ec.array.pilot_amp!r}; snr_db sets the pilot SNR")
     # the floor holds for the pilot and, below unit gain variance, for the
     # gain SNR snr x sigma_beta_c_sq, on which the direction bound rests
-    floor = snr_db_floor(ec.scenario)
+    floor = snr_db_floor()
     var = _stationary_gain_var(ec.scenario.kind)
     var_db = 10.0 * math.log10(var)
     if ec.snr_db + min(0.0, var_db) < floor:
@@ -345,7 +345,7 @@ def _run_batch(ec: ExperimentConfig, trials: range):
     gain_var_at = None
     if ec.rbt_sigma_mode == "estimated":
         def gain_var_at(x):
-            return estimated_gain_variance(sc, cfg, x, sigma_c_sq)
+            return estimated_gain_variance(cfg, x, sigma_c_sq)
     run = TrackerRun(cfg, ec.offsets, ec.schedule or default_schedule,
                      ch.eta**2 * sigma_c_sq, gain_var_at)
     tracker = tracker_cls(run, x0, beta0)
@@ -498,7 +498,6 @@ def config_from_mapping(kv: dict) -> ExperimentConfig:
     else:
         raise ConfigError(f"scenario: unknown scenario {name!r}")
     scenario = ScenarioConfig(kind, _pop_str(kv, "aoa_region", "central"))
-    _build("aoa_region", scenario.ranges)
 
     array = _build("m, n, d1, d2", ArrayConfig,
                    m=_pop_int(kv, "m", 8), n=_pop_int(kv, "n", 8),

@@ -43,11 +43,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from beamtrack.arrays import (_SERIES_X, Aoa, ArrayConfig, PatternConfig,
-                              _combine, _horner, _limit_axis, _limit_combine,
-                              _ratio_series, _xy, dpv_from_aoa,
-                              element_gain_angles, probe_kernels,
-                              steering_vector)
+from beamtrack.arrays import (_SERIES_X, Aoa, ArrayConfig, _combine, _horner,
+                              _limit_axis, _limit_combine, _ratio_series, _xy,
+                              dpv_from_aoa, element_gain_angles,
+                              probe_kernels, steering_vector)
 from beamtrack.channels import (INITIAL_DRAWS, DynamicI, QuasiStatic,
                                 ScenarioConfig, ScenarioKind, bootstrap_gains)
 from beamtrack.estimation import DiModel, _di_score, _di_score_terms
@@ -229,9 +228,9 @@ class ChannelState:
         return ChannelParams.from_parts(self.beta_eff, self.x)
 
 
-def element_gain(pc: PatternConfig, aoa: Aoa) -> float:
+def element_gain(aoa: Aoa) -> float:
     """Element gain as a linear amplitude factor (multiplies the path gain)."""
-    return float(element_gain_angles(pc, aoa.theta, aoa.phi))
+    return float(element_gain_angles(aoa.theta, aoa.phi))
 
 
 def observe(cfg: ArrayConfig, psi: ChannelParams, ebm: Ebm,
@@ -265,7 +264,7 @@ def init_channel(sc: ScenarioConfig, cfg: ArrayConfig,
     aoa = Aoa(float(rng.uniform(t_lo, t_hi)), float(rng.uniform(p_lo, p_hi)))
     beta_c = _draw_gain(sc.kind, rng)
     x = dpv_from_aoa(cfg, aoa)
-    eta = element_gain(sc.pattern, aoa)
+    eta = element_gain(aoa)
     return ChannelState(aoa, x, beta_c, eta * beta_c)
 
 
@@ -289,7 +288,7 @@ def evolve(state: ChannelState, sc: ScenarioConfig, cfg: ArrayConfig,
         return state
     if isinstance(kind, DynamicI):
         beta_c = _cn(rng, kind.sigma_beta_c_sq)
-        eta = element_gain(sc.pattern, state.aoa)
+        eta = element_gain(state.aoa)
         return ChannelState(state.aoa, state.x, beta_c, eta * beta_c)
     t_rng, p_rng = sc.ranges()
     theta = _reflect(state.aoa.theta + rng.normal(0.0, kind.delta_a), *t_rng)
@@ -297,7 +296,7 @@ def evolve(state: ChannelState, sc: ScenarioConfig, cfg: ArrayConfig,
     aoa = Aoa(theta, phi)
     beta_c = complex(kind.rho * state.beta_c + _cn(rng, 1.0 - kind.rho**2))
     x = dpv_from_aoa(cfg, aoa)
-    eta = element_gain(sc.pattern, aoa)
+    eta = element_gain(aoa)
     return ChannelState(aoa, x, beta_c, eta * beta_c)
 
 

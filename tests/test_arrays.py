@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beamtrack.arrays import (Aoa, ArrayConfig, OutOfPhysicalRange,
-                              PatternConfig, _gain_kernel,
-                              _phase_deriv_kernel, _ratio_series, aoa_coords,
+                              _gain_kernel, _phase_deriv_kernel,
+                              _ratio_series, aoa_coords,
                               aoa_from_dpv,
                               beam_gain_kernel,
                               dpv_coords, dpv_from_aoa, element_gain_db,
@@ -379,26 +379,29 @@ class TestShiftProperty:
 
 
 class TestElementPattern:
-    PC = PatternConfig()
+    """The 3GPP TR 38.901 element pattern, pinned by its numbers: 65 degree
+    (13 pi / 36) 3 dB beamwidths and a 30 dB floor."""
 
     def test_broadside_is_zero_db(self):
-        assert element_gain_db(self.PC, Aoa(0.0, np.pi / 2)) == 0.0
+        assert element_gain_db(Aoa(0.0, np.pi / 2)) == 0.0
 
     def test_half_beamwidth_is_minus_3db(self):
-        got = element_gain_db(self.PC, Aoa(self.PC.theta_3db / 2, np.pi / 2))
+        got = element_gain_db(Aoa(13 * np.pi / 72, np.pi / 2))
+        assert abs(got + 3.0) < 1e-12
+        got = element_gain_db(Aoa(0.0, np.pi / 2 + 13 * np.pi / 72))
         assert abs(got + 3.0) < 1e-12
 
     def test_edge_cap_minus_30db(self):
         eps = 1e-6
-        got = element_gain_db(self.PC, Aoa(np.pi / 2 - eps, np.pi - eps))
+        got = element_gain_db(Aoa(np.pi / 2 - eps, np.pi - eps))
         assert abs(got + 30.0) < 1e-9
 
     def test_bounds(self):
-        """Never above 0 dB, never below -eta_max; the peak sits at broadside."""
+        """Never above 0 dB, never below -30 dB; the peak sits at broadside."""
         rng = np.random.default_rng(6)
         th = rng.uniform(-np.pi / 2, np.pi / 2, 2000)
         ph = rng.uniform(0, np.pi, 2000)
-        db = element_gain_db_angles(self.PC, th, ph)
+        db = element_gain_db_angles(th, ph)
         assert np.all(db <= 0.0) and np.all(db >= -30.0)
 
 
@@ -410,5 +413,3 @@ class TestConfigValidation:
         for pilot in (0.0, 1e155, 1e-155, math.inf, math.nan):
             with pytest.raises(ValueError, match="pilot amplitude"):
                 ArrayConfig(8, 8, pilot_amp=pilot)
-        with pytest.raises(ValueError):
-            PatternConfig(eta_max_db=-1.0)

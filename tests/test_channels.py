@@ -165,7 +165,7 @@ class TestInitChannel:
         ch = _many_inits(sc, 200, seed=3)
         for row in range(200):
             aoa = Aoa(ch.theta[row], ch.phi[row])
-            expected = element_gain(sc.pattern, aoa)
+            expected = element_gain(aoa)
             assert abs(abs(ch.beta_eff[row] / ch.beta_c[row]) - expected) < 1e-9
             assert np.allclose(ch.x[row], dpv_from_aoa(CFG, aoa))
 
@@ -251,7 +251,7 @@ class TestEvolve:
             np.testing.assert_allclose(nxt.x[row],
                                        dpv_from_aoa(CFG, aoa),
                                        rtol=1e-12, atol=1e-15)
-            eta = element_gain(sc.pattern, aoa)
+            eta = element_gain(aoa)
             assert nxt.beta_eff[row] == pytest.approx(eta * beta_c[row],
                                                       rel=1e-12)
 
@@ -376,11 +376,10 @@ class TestEstimatedGainVariance:
     def test_matches_pattern_at_physical_estimate(self):
         sc = ScenarioConfig(QuasiStatic())
         ch = _many_inits(sc, 1, seed=15)
-        got = estimated_gain_variance(sc, CFG, ch.x[0], 1.0)
-        eta = element_gain(sc.pattern, Aoa(ch.theta[0], ch.phi[0]))
+        got = estimated_gain_variance(CFG, ch.x[0], 1.0)
+        eta = element_gain(Aoa(ch.theta[0], ch.phi[0]))
         assert abs(got - eta**2) < 1e-9
 
     def test_clamps_unphysical_estimate(self):
-        sc = ScenarioConfig(QuasiStatic())
-        got = estimated_gain_variance(sc, CFG, (0.0, 7.0), 1.0)
+        got = estimated_gain_variance(CFG, (0.0, 7.0), 1.0)
         assert np.isfinite(got) and got > 0

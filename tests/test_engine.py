@@ -9,6 +9,10 @@ CSV must be byte-identical at any batch split.
 """
 
 import hashlib
+import os
+import pathlib
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -59,9 +63,9 @@ def _errors(cfg, state, x_hat, beta_hat):
     return max(float(err_h), 0.0) / cfg.size, err_x
 
 
-def _estimated_gain_variance(sc, cfg, x_hat, sigma_c_sq):
+def _estimated_gain_variance(cfg, x_hat, sigma_c_sq):
     theta, phi = aoa_coords(cfg, *x_hat)
-    return float(element_gain(sc.pattern, Aoa(theta, phi)) ** 2 * sigma_c_sq)
+    return float(element_gain(Aoa(theta, phi)) ** 2 * sigma_c_sq)
 
 
 def reference_trial(ec, trial, hits=None):
@@ -83,11 +87,11 @@ def reference_trial(ec, trial, hits=None):
         crlb_ref = float(static_offsets_crlb(offsets.deltas, cfg.m, cfg.n,
                                              cfg.pilot_amp))
     if tracker in ("JBCT_S", "JBCT_DII", "RBT_DI"):
-        eta = element_gain(sc.pattern, state.aoa)
+        eta = element_gain(state.aoa)
         gain_var_at = None
         if ec.rbt_sigma_mode == "estimated":
             def gain_var_at(x):
-                return np.array([_estimated_gain_variance(sc, cfg, x[0],
+                return np.array([_estimated_gain_variance(cfg, x[0],
                                                           sigma_c_sq)])
         run = TrackerRun(cfg, offsets, schedule,
                          np.array([eta**2 * sigma_c_sq]), gain_var_at)
@@ -107,7 +111,7 @@ def reference_trial(ec, trial, hits=None):
         estimate_of = lambda: (ts.x, ts.beta_hat)
 
     if isinstance(sc.kind, DynamicI):
-        eta_true = element_gain(sc.pattern, state.aoa)
+        eta_true = element_gain(state.aoa)
         snr_b = cfg.pilot_amp**2 * eta_true**2 * sigma_c_sq
         crlb_ref = float(di_offsets_crlb(offsets.deltas, cfg.m, cfg.n, snr_b))
 
@@ -349,8 +353,9 @@ class TestCsvPins:
     that is meant to keep the outputs must keep these bytes.  A change
     meant to alter them (such as a cancellation-free channel error)
     updates the hashes here and lists the old and new values in
-    CHANGES.md.  The bytes rest on the platform's floating point (recorded
-    with numpy 2.4 on x86-64)."""
+    CHANGES.md.  The CSV bytes hold on each x86-64 loop family of numpy
+    2.4; the raw arrays' bytes only on the CPU and numpy build they were
+    recorded with (numpy 2.4, AVX-512 x86-64)."""
 
     DII = ScenarioConfig(DynamicII(0.995, np.deg2rad(0.3)))
     CASES = {
@@ -441,6 +446,28 @@ class TestCsvPins:
                      scenario=self.ESTIMATED_SCENARIOS[name],
                      rbt_sigma_mode="estimated")
         assert self._raw_sha256(ec) == self.ESTIMATED_RAW_SHA256[name]
+
+    def test_csv_and_cli_pins_on_baseline_loops(self):
+        """The 12-digit CSV pins and the golden bound-command stdout hold
+        on numpy's baseline x86-64 loops too: both run again in a
+        subprocess with the dispatched SIMD targets disabled (numpy 2
+        target names; numpy ignores names a build does not dispatch).
+        The raw-array pins are not run there: their bits differ across
+        loop families."""
+        from test_harness import GOLDEN_CLI
+        here = pathlib.Path(__file__)
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="AVX512_SPR "
+                   "AVX512_ICL X86_V4 X86_V3")
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             f"{here}::TestCsvPins::test_csv_sha256",
+             f"{here.with_name('test_harness.py')}"
+             "::test_bound_commands_golden_output"],
+            env=env, capture_output=True, text=True)
+        count = len(self.CASES) + len(GOLDEN_CLI)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert proc.stdout.splitlines()[-1].startswith(f"{count} passed "), \
+            proc.stdout
 
 
 class TestKernelPasses:

@@ -741,6 +741,16 @@ def test_run_array_scale_rejected(field, value):
         run_experiment(ec)
 
 
+def test_unknown_region_is_a_config_error():
+    """A Python-built run with an unknown arrival region is rejected by
+    validation with a ConfigError naming ``aoa_region``, as a config
+    file's is, before any trial starts."""
+    ec = _quasi_static_config(scenario=ScenarioConfig(QuasiStatic(),
+                                                      "nowhere"))
+    with pytest.raises(ConfigError, match="aoa_region: unknown arrival"):
+        run_experiment(ec)
+
+
 def test_huge_pilot_amplitude_is_a_value_error():
     """On the largest array, a pilot amplitude whose square overflows is
     a ValueError from the array, not an OverflowError from a bound or the
@@ -793,7 +803,7 @@ class TestSnrFloor:
     unit gain variance: at it every run is finite and warns of nothing,
     below it a run is a configuration error naming ``snr_db``."""
 
-    FLOOR = snr_db_floor(ScenarioConfig(QuasiStatic()))
+    FLOOR = snr_db_floor()
     FLOOR_GAIN_VAR = _floor_gain_var(FLOOR)
 
     def test_floor_value(self):
