@@ -52,6 +52,17 @@ PILOT_AMP_RANGE = (math.sqrt(sys.float_info.min),
                    math.sqrt(sys.float_info.max))
 
 
+def db_to_power(db: float) -> float:
+    """The power ratio 10^(db/10) of a level in dB.  ValueError for a level
+    that is not finite or whose ratio overflows a float."""
+    if not math.isfinite(db):
+        raise ValueError(f"expected a finite number, got {db!r}")
+    try:
+        return 10.0 ** (float(db) / 10.0)
+    except OverflowError:
+        raise ValueError(f"{db!r} dB overflows a float power ratio") from None
+
+
 def _check_pilot_amp(pilot_amp: float) -> None:
     """A ValueError unless ``pilot_amp`` lies in ``PILOT_AMP_RANGE``."""
     lo, hi = PILOT_AMP_RANGE

@@ -24,9 +24,8 @@ from typing import Sequence, Tuple, Union
 
 import numpy as np
 
-from .arrays import (ArrayConfig, _gain_kernel, aoa_coords, dpv_coords,
-                     element_gain_angles)
-from .offsets import db_to_power
+from .arrays import (ArrayConfig, _gain_kernel, aoa_coords, db_to_power,
+                     dpv_coords, element_gain_angles)
 from .signal import OffsetSet, fit_gains, observe_fast
 
 AOA_REGIONS = {

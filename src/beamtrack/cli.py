@@ -129,9 +129,9 @@ def _bound_flags(args, sweep: str, text) -> list:
     ``di-*`` objectives take and which must not exceed the ceiling of the
     finite direction bound at any size the command evaluates that bound
     at."""
+    from .arrays import db_to_power
     from .estimation import snr_beta_db_ceiling
     from .harness import ConfigError
-    from .offsets import db_to_power
     if text:
         _unused(args, sweep, ("m", "n"))
     args.m = _size(8 if args.m is None else args.m, "--m")

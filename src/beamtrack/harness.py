@@ -48,14 +48,14 @@ from typing import List, Optional
 
 import numpy as np
 
-from .arrays import ETA_MAX_DB, ArrayConfig, _gain_kernel
+from .arrays import ETA_MAX_DB, ArrayConfig, _gain_kernel, db_to_power
 from .channels import (ChannelBatch, DynamicI, DynamicII, QuasiStatic,
                        ScenarioConfig, estimated_gain_variance, evolve_chunk,
                        evolve_normals, init_channel_batch, initial_draws,
                        initial_estimate_batch)
 from .estimation import (di_offsets_crlb, snr_beta_db_ceiling,
                          static_offsets_crlb)
-from .offsets import OFFSET_PRESETS, STATIC_OFFSETS, db_to_power
+from .offsets import OFFSET_PRESETS, STATIC_OFFSETS
 from .signal import OffsetSet, observe_fast
 from .trackers import (BeamSwitchBatch, ConstantStep, DiminishingStep,
                        EkfBatch, JbctBatch, RbtBatch, TrackerRun)

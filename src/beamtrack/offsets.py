@@ -46,7 +46,7 @@ from typing import Union
 
 import numpy as np
 
-from .arrays import probe_kernels, probe_kernels_limit
+from .arrays import db_to_power, probe_kernels, probe_kernels_limit
 from .estimation import (crlb_di_asymptotic, crlb_static_asymptotic,
                          di_offsets_crlb, static_offsets_crlb)
 from .signal import OffsetSet
@@ -68,17 +68,6 @@ OFFSET_PRESETS = {"tableII": STATIC_OFFSETS, "tableIII": FADING_OFFSETS}
 
 class NoImprovement(RuntimeError):
     """Every refinement start failed to produce a finite objective value."""
-
-
-def db_to_power(db: float) -> float:
-    """The power ratio 10^(db/10) of a level in dB.  ValueError for a level
-    that is not finite or whose ratio overflows a float."""
-    if not math.isfinite(db):
-        raise ValueError(f"expected a finite number, got {db!r}")
-    try:
-        return 10.0 ** (float(db) / 10.0)
-    except OverflowError:
-        raise ValueError(f"{db!r} dB overflows a float power ratio") from None
 
 
 @dataclass(frozen=True)
@@ -387,12 +376,12 @@ def _lex_key(p, *indices):
     return key
 
 
-def _slice_seeds(sc: SearchConfig):
-    """Candidate sets from two 4D families on the grid of ``_grid_axis``,
-    swap-symmetric {(a,b), (c,d), (b,a)} and axis-mirror
+def _slice_seeds(points: int, swap: bool):
+    """Candidate sets from two 4D families on the ``points``-point grid of
+    ``_grid_axis``, swap-symmetric {(a,b), (c,d), (b,a)} and axis-mirror
     {(a,b), (-a,b), (c,d)}: one image of each class of each family under
     the invariance group (``_symmetry_images``, with the swap where
-    ``swap_applies``).
+    ``swap``, the objective's ``swap_applies``, is true).
 
     Inequalities on the grid indices cut out the classes; index i maps to
     p - 1 - i under negation.  Each map named in the code takes its family
@@ -413,11 +402,10 @@ def _slice_seeds(sc: SearchConfig):
     exact.  The index is filled by broadcast assignment from the (a, b),
     (c, d) and (b, d) pairs, without temporaries of the families' size.
     """
-    p = sc.grid_points_per_axis
+    p = points
     q, w = p - 1, 2 * p
     g = _grid_axis(p)
     values = np.concatenate([g, -g])
-    swap = swap_applies(sc.objective)
     # swap family: a <-> b is the identity, and the swap, where it
     # applies, maps (c, d) to (d, c)
     ab = np.triu_indices(p)
@@ -464,21 +452,20 @@ def _distinct_rows(sets, count, swap):
     return picked
 
 
-def _grid_starts(configs, count: int):
-    """For each of ``configs``, searches of one objective at several sizes
-    on one grid (objectives that differ in size only, as in
-    :func:`_at_sizes`): the ``count`` best grid seeds that are pairwise
-    distinct up to symmetry, and the best grid value.  Every config's seeds
-    are evaluated in one call, from one seed index per swap rule into one
-    table of offsets with a block of the grid's pairs per distinct size."""
+def _grid_starts(objectives, points: int, count: int):
+    """For each of ``objectives`` (one objective at several sizes, as in
+    :func:`_at_sizes`), on the ``points``-point grid: the ``count`` best
+    grid seeds that are pairwise distinct up to symmetry, and the best grid
+    value.  Every objective's seeds are evaluated in one call, from one
+    seed index per swap rule into one table of offsets with a block of the
+    grid's pairs per distinct size."""
     seeds = {}
-    for sc in configs:
-        swap = swap_applies(sc.objective)
+    for o in objectives:
+        swap = swap_applies(o)
         if swap not in seeds:
-            table, seeds[swap] = _slice_seeds(sc)
-    objectives = [sc.objective for sc in configs]
+            table, seeds[swap] = _slice_seeds(points, swap)
     sizes = list(dict.fromkeys(objectives))
-    # each config's seeds as rows of its size's block; a single search's
+    # each objective's seeds as rows of its size's block; a single search's
     # index as it is, not a copy (1.3 MB at grid 21)
     parts = []
     for o in objectives:
@@ -490,9 +477,9 @@ def _grid_starts(configs, count: int):
     vals = _batched(_at_sizes(sizes, blocks),
                     np.tile(table, (len(sizes), 1)), index)
     out = []
-    for sc, v in zip(configs, np.split(vals, np.cumsum(lengths)[:-1])):
+    for o, v in zip(objectives, np.split(vals, np.cumsum(lengths)[:-1])):
         order = np.argsort(v)
-        swap = swap_applies(sc.objective)
+        swap = swap_applies(o)
         out.append((_distinct_rows(table[seeds[swap][order[:4096]]], count,
                                    swap), float(v[order[0]])))
     return out
@@ -564,7 +551,8 @@ def _search(objectives, starts, refine_iters, incumbents):
 
 def optimize_offsets(sc: SearchConfig) -> SearchResult:
     """Best offset set from grid-seeded multi-start Newton."""
-    starts, best = _grid_starts([sc], 16)[0]
+    starts, best = _grid_starts([sc.objective], sc.grid_points_per_axis,
+                                16)[0]
     return _search([sc.objective], [starts], sc.refine_iters, [best])[0]
 
 
@@ -573,21 +561,19 @@ def robustness_sweep(offsets: OffsetSet, objective, sizes):
 
     ``objective`` is a :class:`StaticFinite` or :class:`DiFinite`.  For each
     (m, n) in ``sizes`` searches the same objective at that size (any SNR
-    kept), seeded from that size's grid and from the fixed set, with every
-    size's search in one lockstep run, and reports
+    kept), seeded from that size's 13-point grid and from the fixed set,
+    with every size's search in one lockstep run, and reports
     ``((m, n), crlb_at_offsets, crlb_min, rel_gap)``.
     """
     if not sizes:
         return []
-    configs = [SearchConfig(replace(objective, m=m, n=n),
-                            grid_points_per_axis=13) for m, n in sizes]
-    at = [float(sc.objective.evaluate(offsets.deltas)) for sc in configs]
-    grids = _grid_starts(configs, 8)
+    objectives = [replace(objective, m=m, n=n) for m, n in sizes]
+    at = [float(o.evaluate(offsets.deltas)) for o in objectives]
+    grids = _grid_starts(objectives, 13, 8)
     # the fixed set is a legitimate incumbent: include it as a restart, and
     # hold the lower of its value and the grid's best against Newton's
     starts = [[offsets.deltas] + seeds for seeds, _ in grids]
-    best = _search([sc.objective for sc in configs], starts,
-                   configs[0].refine_iters,
+    best = _search(objectives, starts, SearchConfig.refine_iters,
                    [min(grid, a) for (_, grid), a in zip(grids, at)])
     return [((m, n), a, b.crlb_value, (a - b.crlb_value) / b.crlb_value)
             for (m, n), a, b in zip(sizes, at, best)]

@@ -20,7 +20,8 @@ from .arrays import ArrayConfig, _gain_kernel, _xy, probe_kernels
 
 
 class NoSolution(ValueError):
-    """The amplitude system has no root at the required tolerance."""
+    """No direction in the search box fits the observation model to the
+    required tolerance."""
 
 
 class AmbiguousSolution(ValueError):
@@ -167,113 +168,85 @@ def real_observation_jacobian(cfg: ArrayConfig, psi: ChannelParams, ebm: Ebm,
     return np.vstack([cols.real, cols.imag])
 
 
-def _amplitude_residual(cfg, ebm, x, ratios):
-    """Residuals of the relative-amplitude equations |g_i|/|g_0| - |y_i|/|y_0|
-    (i = 1, 2) and their (2, 2) Jacobian in the direction, from the same
-    kernels: d|g_i|/dx_p = Re(conj(g_i) k_p,i)/|g_i|, then the quotient
-    rule.  The Jacobian is None where |g_0| vanishes."""
-    g, k1, k2 = observation_kernels(cfg, x, ebm)
-    mag = np.abs(g)
-    if mag[0] < 1e-12:
-        return np.array([np.inf, np.inf]), None
-    dmag = (g.conj()[:, None] * np.stack([k1, k2], 1)).real / mag[:, None]
-    rel = mag[1:] / mag[0]
-    return rel - ratios, (dmag[1:] - rel[:, None] * dmag[0]) / mag[0]
-
-
 def recover_from_noiseless(cfg: ArrayConfig, ebm: Ebm, y: np.ndarray,
                            search_box) -> ChannelParams:
     """Invert an exact noiseless three-probe observation.
 
-    Solves the two relative-amplitude equations for the direction by a dense
-    grid over ``search_box`` (((x1_lo, x1_hi), (x2_lo, x2_hi))) followed by
-    damped Newton, then reads the complex gain off the first observation.
-    Raises :class:`NoSolution` when no root fits to 1e-6 and
+    Fits the observation model |s| beta W^H a(x) to ``y`` in all four
+    parameters by damped Gauss-Newton on the real form of |s| W^H J
+    (:func:`real_observation_jacobian`, the matrix whose rank shows that
+    three probes are needed).  Each start is one of the best points of a
+    41 x 41 grid over ``search_box`` (((x1_lo, x1_hi), (x2_lo, x2_hi))),
+    with the gain that matches its first probe to ``y``.  Raises
+    :class:`NoSolution` when no root fits to 1e-6 relative to ``y`` and
     :class:`AmbiguousSolution` when two distinct roots do.
     """
     y = np.asarray(y, complex)
     if abs(y[0]) <= 1e-9:
         raise NoSolution("reference observation is too weak to set a phase")
-    ratios = np.abs(y[1:]) / abs(y[0])
+    s = cfg.pilot_amp
     (lo1, hi1), (lo2, hi2) = search_box
-
-    # dense grid seed over the box, ranked by full complex reproduction error
-    # (the amplitude-ratio system alone admits spurious sign-flipped roots)
-    g1 = np.linspace(lo1, hi1, 41)
-    g2 = np.linspace(lo2, hi2, 41)
-    xx, yy = np.meshgrid(g1, g2, indexing="ij")
+    xx, yy = np.meshgrid(np.linspace(lo1, hi1, 41), np.linspace(lo2, hi2, 41),
+                         indexing="ij")
     pts = np.stack([xx.ravel(), yy.ravel()], axis=1)
-    deltas = ebm.directions[None, :, :] - pts[:, None, :]
-    gk = _gain_kernel(deltas, cfg.m, cfg.n)
+    gk = _gain_kernel(ebm.directions[None, :, :] - pts[:, None, :],
+                      cfg.m, cfg.n)
     ok = np.abs(gk[:, 0]) > 1e-12
-    res = np.full(len(pts), np.inf)
-    beta_fit = y[0] / np.where(ok, cfg.pilot_amp * gk[:, 0], 1.0)
-    res[ok] = np.linalg.norm(
-        cfg.pilot_amp * beta_fit[ok, None] * gk[ok] - y[None, :], axis=1)
-    order = np.argsort(res)
+    beta_fit = y[0] / np.where(ok, s * gk[:, 0], 1.0)
+    res = np.where(ok, np.linalg.norm(s * beta_fit[:, None] * gk - y, axis=1),
+                   np.inf)
 
-    def newton(x0):
-        x = np.asarray(x0, float).copy()
-        r, jac = _amplitude_residual(cfg, ebm, x, ratios)
-        for _ in range(60):
-            if not np.all(np.isfinite(r)):
-                return None
-            if np.dot(r, r) < 1e-26:
-                break
-            try:
-                step = np.linalg.solve(jac, r)
-            except np.linalg.LinAlgError:
-                return None
-            lam = 1.0
-            for _ in range(30):
-                xn = x - lam * step
-                rn, jn = _amplitude_residual(cfg, ebm, xn, ratios)
-                if np.all(np.isfinite(rn)) and np.dot(rn, rn) <= np.dot(r, r):
-                    x, r, jac = xn, rn, jn
+    y_real = np.concatenate([y.real, y.imag])
+    scale = np.linalg.norm(y_real)
+
+    def fit(v):
+        """Relative residual of the model at v, its real residual and real
+        Jacobian, from one evaluation of the observation matrix: the model
+        is linear in the gain, so its mean is the gain columns times it."""
+        jac = real_observation_jacobian(cfg, ChannelParams.from_vector(v), ebm)
+        r = jac[:, :2] @ v[:2] - y_real
+        return np.linalg.norm(r) / scale, r, jac
+
+    def gauss_newton(v):
+        # damped steps: the step or its half, whichever first halves the
+        # residual, is taken, and the seed ends when neither does or when
+        # the residual is down to rounding; an exact root draws it down
+        # quadratically
+        err, r, jac = fit(v)
+        while err > 1e-15:
+            step = np.linalg.lstsq(jac, r, rcond=None)[0]
+            for lam in (1.0, 0.5):
+                trial = fit(v - lam * step)
+                if trial[0] < 0.5 * err:
                     break
-                lam *= 0.5
             else:
-                return None
-        if np.dot(r, r) >= 1e-12:  # residual tolerance 1e-6 per equation
-            return None
-        if not (lo1 - 1e-9 <= x[0] <= hi1 + 1e-9 and lo2 - 1e-9 <= x[1] <= hi2 + 1e-9):
-            return None
-        return x
-
-    def reproduction(x_hat):
-        """Gain fit from the reference probe plus the full complex residual;
-        moduli alone admit spurious roots whose beams have sign-flipped
-        (out-of-lobe) kernels, so the complex equations are the arbiter."""
-        g, _, _ = observation_kernels(cfg, x_hat, ebm)
-        beta = y[0] / (cfg.pilot_amp * g[0])
-        mean = cfg.pilot_amp * beta * g
-        return beta, np.linalg.norm(mean - y) / max(np.linalg.norm(y), 1e-30)
+                break
+            v, (err, r, jac) = v - lam * step, trial
+        return v, err
 
     roots = []
-    for idx in order[:8]:
-        root = newton(pts[idx])
-        if root is None:
-            continue
+    for idx in np.argsort(res)[:8]:
+        v, err = gauss_newton(np.array([beta_fit[idx].real, beta_fit[idx].imag,
+                                        *pts[idx]]))
+        x = v[2:]
         # uniqueness holds on the positive-kernel branch: every probe must
         # stay within the candidate's main lobe.  Outside it, sign-flipped
         # kernels admit exact far-off duplicates (absorbed into the gain
         # phase), which are solutions of a different sign branch.
-        if np.max(np.abs(ebm.directions - root[None, :])) >= 1.0:
+        if (err > 1e-6 or np.max(np.abs(ebm.directions - x)) >= 1.0
+                or not (lo1 - 1e-9 <= x[0] <= hi1 + 1e-9
+                        and lo2 - 1e-9 <= x[1] <= hi2 + 1e-9)):
             continue
-        beta, err = reproduction(root)
-        if err > 1e-6:
-            continue
-        if not any(np.linalg.norm(root - r0) < 1e-6 for r0, _, _ in roots):
-            roots.append((root, beta, err))
+        if not any(np.linalg.norm(x - r0[2:]) < 1e-6 for r0, _ in roots):
+            roots.append((v, err))
     if not roots:
         raise NoSolution("no direction in the search box reproduces the observation")
     # an essentially-exact root dominates inexact near-collisions (sidelobe
     # impostors can fit an exact observation to ~1e-8 but never exactly);
     # ambiguity is only declared between comparable fits
-    best_err = min(err for _, _, err in roots)
-    roots = [r for r in roots if r[2] <= max(100.0 * best_err, 1e-13)]
+    best_err = min(err for _, err in roots)
+    roots = [r for r in roots if r[1] <= max(100.0 * best_err, 1e-13)]
     if len(roots) > 1:
         raise AmbiguousSolution(f"{len(roots)} distinct directions reproduce "
                                 "the observation comparably well")
-    x_hat, beta, _ = roots[0]
-    return ChannelParams.from_parts(beta, x_hat)
+    return ChannelParams.from_vector(roots[0][0])

@@ -9,6 +9,7 @@ CSV must be byte-identical at any batch split.
 """
 
 import hashlib
+import json
 import os
 import pathlib
 import subprocess
@@ -354,8 +355,13 @@ class TestCsvPins:
     meant to alter them (such as a cancellation-free channel error)
     updates the hashes here and lists the old and new values in
     CHANGES.md.  The CSV bytes hold on each x86-64 loop family of numpy
-    2.4; the raw arrays' bytes only on the CPU and numpy build they were
-    recorded with (numpy 2.4, AVX-512 x86-64)."""
+    2.4.  The raw arrays' bytes differ between loop families, so they are
+    hashed on numpy's baseline x86-64 loops, which every x86-64 CPU runs:
+    they hold for one numpy build (numpy 2.4, x86-64)."""
+
+    # numpy 2 names of the dispatched SIMD targets; disabling them leaves
+    # the baseline loops (numpy ignores names a build does not dispatch)
+    BASELINE_LOOPS = "AVX512_SPR AVX512_ICL X86_V4 X86_V3"
 
     DII = ScenarioConfig(DynamicII(0.995, np.deg2rad(0.3)))
     CASES = {
@@ -381,37 +387,37 @@ class TestCsvPins:
     }
     # of the little-endian float64 bytes of err_h, err_x, then crlb
     RAW_SHA256 = {
-        "9a-JBCT_S": "ab63350396bcd7ce45c6935ea1597b09"
-                     "dc45da8904352b0f0a6a1f59ba4f24fd",
-        "9b-RBT_DI": "0287b7fe8df69f0f95299b68734b4181"
-                     "c01a1713d9e2507fdb0cb602c968b5fe",
-        "11-JBCT_DII": "d1f4f560507c2eff853bf3dfc25d0d52"
-                       "1a723b1696e2d7e25f59dd01fec8874d",
-        "11-BeamSwitch": "b696a6b54d66ef9ab7d45aa1ac7108da"
-                         "7d73d28bd64b5cdbe284e9eb2b4a2a0b",
-        "11-EKF": "acb10cb5ee7c03b9a520dfae7b82d6f0"
-                  "87a78a525d9d2d6d7d7a6c58d7c18163",
+        "9a-JBCT_S": "425dec179871744657338d99d54ccd5c"
+                     "3349684a98ea03055c78374faeb5ff8a",
+        "9b-RBT_DI": "4ad9c7a22d857333372ea375cdd83e9d"
+                     "a1bd9f07bb90a7baaad2be36b381e28d",
+        "11-JBCT_DII": "5e62fb8692f55af8e18f329dd937ad4b"
+                       "0d1faa25589882a524e5c29ac20de639",
+        "11-BeamSwitch": "b81d77606ce9037f3dce7aaf01591ed0"
+                         "63181a73daa2b53e261a183575f30b4e",
+        "11-EKF": "61426042d4b7276755ac913ab0e15286"
+                  "17d81c459beda91e09f98ba42f789477",
         # at 20 dB, where the pilot amplitude is 10 and not 1, so that a
         # reordered pilot product shows
-        "9a-JBCT_S@20dB": "6aba841e4c1d846cc9114e397504014d"
-                          "5217089d78791f53869f5730be27808a",
-        "9b-RBT_DI@20dB": "aa3be61b5a77a341c39075cb9f48febd"
-                          "08274983a1c1d3a5efd82893f1ccaa00",
-        "11-JBCT_DII@20dB": "3806b3260a9033d63041ca3568e43e2c"
-                            "999410381cd48d6f8881f1f819b72efd",
-        "11-BeamSwitch@20dB": "1f00adee9f89f3a66fd00836117de9de"
-                              "d9977362d70c0c0c8f569cdcc9284e77",
-        "11-EKF@20dB": "eb41b2cbfd495082c15924a855cd09ec"
-                       "beed820ac9bd2da0dc06827f9390dac6",
+        "9a-JBCT_S@20dB": "abcb2e708349bb10d6c45250d2d1b486"
+                          "fa09f13bf88bbe4e50986ac99f8d592a",
+        "9b-RBT_DI@20dB": "313e66e6aa24816d614e7743ccba6a73"
+                          "070bf6339707c1cdc21b806e4605d88b",
+        "11-JBCT_DII@20dB": "5b6d3df6de4333f0bd8310b79b6f5af8"
+                            "e838077387d3d6cd9d39cfa3af4aaca5",
+        "11-BeamSwitch@20dB": "f55792aef7a078522da16c54f55e89c7"
+                              "2e38162a5f741fcb6339387c8f13557c",
+        "11-EKF@20dB": "9e4d52c70ed8e613946165d8acadef6e"
+                       "e838a0af79acd90d6afb1b3d7cf5bd36",
     }
 
     # RBT_DI with the gain variance estimated at its direction estimates,
     # which rebuilds the update terms every cycle; of the raw arrays
     ESTIMATED_RAW_SHA256 = {
-        "9b-RBT_DI": "83149d5b071efbb88324cb3b78b37a58"
-                     "718bc8d769691c2d1d831699ea005e12",
-        "11-RBT_DI": "bef3e42e92e246d7b788169d58dd3a1d"
-                     "967d2a2c4a2a482663fad2b9e4a6f07a",
+        "9b-RBT_DI": "8e448462b5eef28ac4191a79d8cdd2b7"
+                     "df10d419e4870409e9dc30408cc01472",
+        "11-RBT_DI": "8e497b20a8134279bf5a3ffb79bb6990"
+                     "69f2dbf65061a1a3372e69bd22ab1635",
     }
     ESTIMATED_SCENARIOS = {"9b-RBT_DI": ScenarioConfig(DynamicI(1.0)),
                            "11-RBT_DI": DII}
@@ -434,30 +440,54 @@ class TestCsvPins:
         text = format_csv(run_experiment(self._config(name)))
         assert hashlib.sha256(text.encode()).hexdigest() == self.SHA256[name]
 
+    def _raw_hashes(self):
+        """The raw-array hash of every pinned case, keyed by its name, the
+        estimated-mode cases' prefixed with "estimated "."""
+        hashes = {}
+        for name in self.RAW_SHA256:
+            case, _, at_20_db = name.partition("@")
+            hashes[name] = self._raw_sha256(replace(
+                self._config(case), snr_db=20.0 if at_20_db else 0.0))
+        for name, scenario in self.ESTIMATED_SCENARIOS.items():
+            hashes["estimated " + name] = self._raw_sha256(replace(
+                self._config("9b-RBT_DI"), scenario=scenario,
+                rbt_sigma_mode="estimated"))
+        return hashes
+
+    @pytest.fixture(scope="class")
+    def baseline_raw_sha256(self):
+        """``_raw_hashes`` computed once, in a subprocess on numpy's
+        baseline loops."""
+        import beamtrack
+        here = pathlib.Path(__file__)
+        path = [str(pathlib.Path(beamtrack.__file__).parents[1]),
+                str(here.parent), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=self.BASELINE_LOOPS,
+                   PYTHONPATH=os.pathsep.join(filter(None, path)))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import json, test_engine; print(json."
+             "dumps(test_engine.TestCsvPins()._raw_hashes()))"],
+            env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
     @pytest.mark.parametrize("name", sorted(RAW_SHA256))
-    def test_raw_arrays_sha256(self, name):
-        case, _, at_20_db = name.partition("@")
-        ec = replace(self._config(case), snr_db=20.0 if at_20_db else 0.0)
-        assert self._raw_sha256(ec) == self.RAW_SHA256[name]
+    def test_raw_arrays_sha256(self, name, baseline_raw_sha256):
+        assert baseline_raw_sha256[name] == self.RAW_SHA256[name]
 
     @pytest.mark.parametrize("name", sorted(ESTIMATED_RAW_SHA256))
-    def test_estimated_mode_raw_arrays_sha256(self, name):
-        ec = replace(self._config("9b-RBT_DI"),
-                     scenario=self.ESTIMATED_SCENARIOS[name],
-                     rbt_sigma_mode="estimated")
-        assert self._raw_sha256(ec) == self.ESTIMATED_RAW_SHA256[name]
+    def test_estimated_mode_raw_arrays_sha256(self, name,
+                                              baseline_raw_sha256):
+        assert (baseline_raw_sha256["estimated " + name]
+                == self.ESTIMATED_RAW_SHA256[name])
 
     def test_csv_and_cli_pins_on_baseline_loops(self):
         """The 12-digit CSV pins and the golden bound-command stdout hold
         on numpy's baseline x86-64 loops too: both run again in a
-        subprocess with the dispatched SIMD targets disabled (numpy 2
-        target names; numpy ignores names a build does not dispatch).
-        The raw-array pins are not run there: their bits differ across
-        loop families."""
+        subprocess with the dispatched SIMD targets disabled."""
         from test_harness import GOLDEN_CLI
         here = pathlib.Path(__file__)
-        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="AVX512_SPR "
-                   "AVX512_ICL X86_V4 X86_V3")
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=self.BASELINE_LOOPS)
         proc = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
              f"{here}::TestCsvPins::test_csv_sha256",

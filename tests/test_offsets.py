@@ -196,11 +196,11 @@ class TestKernelWork:
         log = []
         spy = _work_spy(StaticAsymptotic() if sizes == [None]
                         else DiFinite(8, 8, 1.0), log)
-        configs = [SearchConfig(spy if size is None else replace(
-            spy, m=size[0], n=size[1]), grid_points_per_axis=points)
-            for size in sizes]
-        _grid_starts(configs, 4)
-        seeds = sum(len(_slice_seeds(sc)[1]) for sc in configs)
+        objectives = [spy if size is None else replace(
+            spy, m=size[0], n=size[1]) for size in sizes]
+        _grid_starts(objectives, points, 4)
+        seeds = sum(len(_slice_seeds(points, swap_applies(o))[1])
+                    for o in objectives)
         chunks = [_CHUNK_SETS] * (seeds // _CHUNK_SETS) + [seeds % _CHUNK_SETS]
         distinct = len(set(sizes))
         assert log == [("rows", (2 * points) ** 2 * distinct)] + [
@@ -319,8 +319,7 @@ class TestLockstepNelderMead:
     def test_real_objective(self):
         """On grid starts of the static limit the lockstep search equals
         scipy's bit for bit."""
-        sc = SearchConfig(StaticAsymptotic(), grid_points_per_axis=9)
-        starts, _ = _grid_starts([sc], 4)[0]
+        starts, _ = _grid_starts([StaticAsymptotic()], 9, 4)[0]
 
         def values(points):
             vals = StaticAsymptotic().evaluate(points.reshape(-1, 3, 2))
@@ -426,7 +425,7 @@ class TestSliceSeeds:
         negations."""
         for points in range(2, 22):
             sc = SearchConfig(objective, grid_points_per_axis=points)
-            table, index = _slice_seeds(sc)
+            table, index = _slice_seeds(points, swap_applies(objective))
             values = np.concatenate([_grid_axis(points), -_grid_axis(points)])
             pairs = np.stack(np.meshgrid(values, values, indexing="ij"), -1)
             assert np.array_equal(table, pairs.reshape(-1, 2))
@@ -445,7 +444,7 @@ class TestSliceSeeds:
         swap = swap_applies(objective)
         for points in range(2, 22):
             sc = SearchConfig(objective, grid_points_per_axis=points)
-            table, index = _slice_seeds(sc)
+            table, index = _slice_seeds(points, swap)
             whole, seeds = reference._slice_seeds(sc), table[index]
             whole_vals = _batched(objective, table, _rows_in(table, whole))
             best = np.argsort(whole_vals)[:4096]
@@ -476,8 +475,7 @@ class TestDistinctStarts:
     def test_restarts_are_distinct_up_to_symmetry(self, objective, points,
                                                   count):
         """No grid start is within 0.05 of an image of another one."""
-        starts, _ = _grid_starts([SearchConfig(
-            objective, grid_points_per_axis=points)], count)[0]
+        starts, _ = _grid_starts([objective], points, count)[0]
         assert len(starts) == count
         assert _distinct_up_to_symmetry(starts, swap_applies(objective))
 
@@ -635,8 +633,7 @@ class TestNewton:
         """From the same grid starts the searched minimum is at most the
         oracle's; at 2x2 and 3x3, where the optimum can sit on the box
         edge, within 1e-8."""
-        starts, _ = _grid_starts([SearchConfig(
-            objective, grid_points_per_axis=13)], 8)[0]
+        starts, _ = _grid_starts([objective], 13, 8)[0]
         res = _search_from(SearchConfig(objective), starts)
         assert res.crlb_value <= _oracle_minimum(objective, starts) * (1 + rel)
 
@@ -678,8 +675,7 @@ class TestNewton:
         """Each restart's final point and value are the same bits run
         alone, in a split batch and in the whole batch: grid starts, starts
         on the box edge and a singular start."""
-        grid, _ = _grid_starts([SearchConfig(DiFinite(8, 8, 0.0),
-                                             grid_points_per_axis=9)], 6)[0]
+        grid, _ = _grid_starts([DiFinite(8, 8, 0.0)], 9, 6)[0]
         edge = np.clip(3 * FADING_OFFSETS.deltas, -BOX_HALFWIDTH,
                        BOX_HALFWIDTH)
         starts = np.reshape(grid + [edge, -edge, np.full((3, 2), 0.2)],
@@ -713,8 +709,7 @@ class TestNewtonCalls:
 
         monkeypatch.setattr(beamtrack.offsets, "_newton", spied)
         objective = DiFinite(8, 8, 0.0)
-        grid, _ = _grid_starts([SearchConfig(objective,
-                                             grid_points_per_axis=9)], 6)[0]
+        grid, _ = _grid_starts([objective], 9, 6)[0]
         # a singular start takes the wide stencil of step _ESCAPE
         starts = grid + [np.full((3, 2), 0.2)]
         _search_from(SearchConfig(objective), starts)
@@ -820,7 +815,7 @@ class TestRobustnessSweep:
             calls.clear()
             phases.clear()
             at = float(sc.objective.evaluate(preset.deltas))
-            starts, _ = _grid_starts([sc], 8)[0]
+            starts, _ = _grid_starts([sc.objective], 13, 8)[0]
             best = _search_from(sc, [preset.deltas] + starts)
             gap = (at - best.crlb_value) / best.crlb_value
             expected.append(((m, n), at, best.crlb_value, gap))
