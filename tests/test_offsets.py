@@ -811,7 +811,7 @@ class TestRobustnessSweep:
         assert all(len(phase) == 1 for phase in swept[1:])
         expected = []
         for m, n in sizes:
-            sc = SearchConfig(replace(spy, m=m, n=n), grid_points_per_axis=13)
+            sc = SearchConfig(replace(spy, m=m, n=n))
             calls.clear()
             phases.clear()
             at = float(sc.objective.evaluate(preset.deltas))
