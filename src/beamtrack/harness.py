@@ -6,8 +6,11 @@ runs the cycles in chunks of at most ``CYCLE_CHUNK``.  Per chunk it draws
 the normals, then simulates the chunk's ground-truth channels in one call
 (:func:`~.channels.evolve_chunk`; the channel does not depend on the
 tracker), then runs each cycle as one numpy pass over the batch: build the
-probe pattern at the current estimates, observe the cycle's channel,
-update and, at the cycles the CSV records, compute the errors.  Each trial
+probe pattern at the current estimates, observe the cycle's channel and
+update.  A cycle the CSV records has its errors computed one cycle late:
+its error kernel, at x_hat - x, is evaluated in the same kernel call as
+the next cycle's observation kernels, and only the run's last cycle takes
+a call of its own for its error.  Each trial
 first draws its channel and an in-main-lobe initial estimate (one
 bootstrap probing cycle fits the initial gain).  Trackers are reached
 through one batched interface (:class:`~.trackers.BatchTracker`) looked up
@@ -56,7 +59,7 @@ from .channels import (ChannelBatch, DynamicI, DynamicII, QuasiStatic,
 from .estimation import (di_offsets_crlb, snr_beta_db_ceiling,
                          static_offsets_crlb)
 from .offsets import OFFSET_PRESETS, STATIC_OFFSETS
-from .signal import OffsetSet, observe_fast
+from .signal import OffsetSet, observe_kernels
 from .trackers import (BeamSwitchBatch, ConstantStep, DiminishingStep,
                        EkfBatch, JbctBatch, RbtBatch, TrackerRun)
 
@@ -70,6 +73,9 @@ TRACKERS = {
     "EKF": (EkfBatch, None),
 }
 TRACKER_NAMES = tuple(TRACKERS)
+
+# the config keys each step schedule is read from
+_SCHEDULE_KEYS = {DiminishingStep: "epsilon, k0", ConstantStep: "step"}
 
 CYCLE_CHUNK = 256   # cycles of normals drawn per trial at a time
 NOISE_NORMALS = 6   # real then imaginary parts of three noise values
@@ -151,6 +157,17 @@ def _validate(ec: ExperimentConfig):
                           f"stream word per trial")
     if ec.num_eccs < 1:
         raise ConfigError("num_eccs: must be at least 1")
+    # a schedule's steps fall or stay level, so its last is its smallest;
+    # below the smallest normal float a step underflows and moves nothing
+    schedule = ec.schedule or default_schedule
+    if schedule is not None:
+        smallest = schedule.at(ec.num_eccs)
+        if not smallest >= sys.float_info.min:
+            raise ConfigError(
+                f"{_SCHEDULE_KEYS.get(type(schedule), 'schedule')}: the step "
+                f"at cycle {ec.num_eccs} is {smallest!r}, below the smallest "
+                f"normal float {sys.float_info.min!r}, under which the "
+                f"tracker's steps underflow")
     if ec.seed < 0:
         raise ConfigError("seed: must be nonnegative")
     if ec.record_every < 1:
@@ -286,20 +303,35 @@ def _trial_rngs(seed: int, trials: range) -> List[np.random.Generator]:
             for row in words]
 
 
-def _channel_errors(cfg: ArrayConfig, x: np.ndarray, beta: np.ndarray,
-                    x_hat: np.ndarray, beta_hat: Optional[np.ndarray]):
+def _channel_errors(cfg: ArrayConfig, dx: np.ndarray, g, beta: np.ndarray,
+                    beta_hat: Optional[np.ndarray]):
     """Per-trial (per-element channel-vector SE, direction SE) of a cycle
-    whose true channels are ``x`` (T, 2) and ``beta`` (T,), equivalent
-    gains; the first is NaN for a direction-only tracker."""
-    dx = x_hat - x
-    err_x = dx[:, 0] * dx[:, 0] + dx[:, 1] * dx[:, 1]
+    whose direction estimates miss the true channels by ``dx`` (T, 2),
+    x_hat - x, and whose true equivalent gains are ``beta`` (T,); ``g``
+    (T,) is the gain kernel at ``dx``.  The first is NaN for a
+    direction-only tracker (``beta_hat`` None), which needs no kernel."""
+    err_x = dx[:, 0] * dx[:, 0]
+    err_x += dx[:, 1] * dx[:, 1]
     if beta_hat is None:
         return np.full(len(dx), np.nan), err_x
-    g = _gain_kernel(dx, cfg.m, cfg.n)
-    cross = np.sqrt(cfg.size) * g
-    err_h = (cfg.size * (np.abs(beta_hat) ** 2 + np.abs(beta) ** 2)
-             - 2.0 * np.real(np.conj(beta_hat) * beta * cross))
-    return np.maximum(err_h, 0.0) / cfg.size, err_x
+    # size (|beta_hat|^2 + |beta|^2) - 2 Re(conj(beta_hat) beta sqrt(size)
+    # g), clipped at 0, over size: the real passes in place (2 of 12 us a
+    # call at 200 trials), the complex products not, since an in-place
+    # complex product can take other bits
+    size = cfg.size
+    cross = np.conj(beta_hat) * beta * (math.sqrt(size) * g)
+    err_h = np.abs(beta_hat)
+    err_h *= err_h
+    b2 = np.abs(beta)
+    b2 *= b2
+    err_h += b2
+    err_h *= size
+    twice = cross.real
+    twice *= 2.0
+    err_h -= twice
+    np.maximum(err_h, 0.0, out=err_h)
+    err_h /= size
+    return err_h, err_x
 
 
 def _crlb_refs(ec: ExperimentConfig, cfg: ArrayConfig,
@@ -328,12 +360,21 @@ def _run_batch(ec: ExperimentConfig, trials: range):
     """Run trials ``trials`` as one batch.  Returns the per-trial errors
     (err_h, err_x) at the recorded cycles, each (B, R) for the R cycles of
     :func:`_recorded_cycles`, and the per-trial bounds (B,).  Errors are
-    computed only at those cycles.
+    computed only for those cycles.
 
     Per chunk of at most ``CYCLE_CHUNK`` cycles: the normals are drawn
     first, then the chunk's channel trajectory is computed
     (:func:`~.channels.evolve_chunk`), then the cycles run, each reading
-    its channel at its index into the trajectory."""
+    its channel at its index into the trajectory.  Each cycle makes one
+    gain-kernel call (:func:`~.arrays._gain_kernel`).  After a recorded
+    cycle of a gain-estimating tracker, that call also holds the recorded
+    cycle's error offset x_hat - x, behind the three probe offsets, and
+    :func:`_channel_errors` then takes the recorded cycle's true channel,
+    carried over from it (across a chunk boundary too).  The run's last
+    cycle, always recorded, takes a kernel call of its own for its error;
+    a direction-only tracker's errors need no kernel and are computed at
+    their cycle.  Every operation is elementwise, so the errors have the
+    bits they had when each recorded cycle made its own error call."""
     cfg = effective_array(ec)
     sc = ec.scenario
     tracker_cls, default_schedule = TRACKERS[ec.tracker]
@@ -354,11 +395,18 @@ def _run_batch(ec: ExperimentConfig, trials: range):
     cycles = ec.num_eccs
     recorded = _recorded_cycles(ec)
     evolve = evolve_normals(sc.kind)
-    err_h = np.empty((len(rngs), len(recorded)))
-    err_x = np.empty((len(rngs), len(recorded)))
+    batch = len(rngs)
+    err_h = np.empty((batch, len(recorded)))
+    err_x = np.empty((batch, len(recorded)))
     col = 0
-    block = np.empty((len(rngs), min(CYCLE_CHUNK, cycles),
+    block = np.empty((batch, min(CYCLE_CHUNK, cycles),
                       evolve + NOISE_NORMALS))
+    # a cycle's kernel offsets, each part contiguous: the (B, 3, 2) probe
+    # offsets, then, while a recorded cycle's errors are due, its x_hat - x
+    offsets = np.empty((4 * batch, 2))
+    probe_offsets = offsets[:3 * batch].reshape(batch, 3, 2)
+    dx = offsets[3 * batch:]
+    due = None      # (column, true gains, gain estimates) of that cycle
     for first in range(0, cycles, CYCLE_CHUNK):
         count = min(CYCLE_CHUNK, cycles - first)
         for rng, rows in zip(rngs, block):
@@ -367,14 +415,29 @@ def _run_batch(ec: ExperimentConfig, trials: range):
         x, beta_eff, ch = evolve_chunk(ch, sc, cfg,
                                        block[:, :count, :evolve])
         for j, k in enumerate(range(first + 1, first + count + 1)):
-            dirs = tracker.probes()
-            y = observe_fast(cfg, x[j], beta_eff[j], dirs,
-                             block[:, j, evolve:])
+            np.subtract(tracker.probes(), x[j][:, None, :], out=probe_offsets)
+            g = _gain_kernel(offsets[:3 * batch] if due is None else offsets,
+                             cfg.m, cfg.n)
+            if due is not None:
+                err_h[:, due[0]], err_x[:, due[0]] = _channel_errors(
+                    cfg, dx, g[3 * batch:], *due[1:])
+                due = None
+            y = observe_kernels(cfg, beta_eff[j],
+                                g[:3 * batch].reshape(batch, 3),
+                                block[:, j, evolve:])
             tracker.update(y)
             if k == recorded[col]:      # the last cycle is always recorded
-                err_h[:, col], err_x[:, col] = _channel_errors(
-                    cfg, x[j], beta_eff[j], *tracker.estimate())
+                x_hat, beta_hat = tracker.estimate()
+                np.subtract(x_hat, x[j], out=dx)
+                if beta_hat is None:
+                    err_h[:, col], err_x[:, col] = _channel_errors(
+                        cfg, dx, None, None, None)
+                else:
+                    due = (col, beta_eff[j], beta_hat)
                 col += 1
+    if due is not None:     # the last cycle's error kernel, on its own
+        err_h[:, -1], err_x[:, -1] = _channel_errors(
+            cfg, dx, _gain_kernel(dx, cfg.m, cfg.n), *due[1:])
     return err_h, err_x, crlb
 
 

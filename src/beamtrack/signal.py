@@ -122,6 +122,14 @@ def observe_fast(cfg: ArrayConfig, x, beta, dirs, normals) -> np.ndarray:
     """
     x = np.asarray(x, float)
     g = _gain_kernel(np.asarray(dirs, float) - x[..., None, :], cfg.m, cfg.n)
+    return observe_kernels(cfg, beta, g, normals)
+
+
+def observe_kernels(cfg: ArrayConfig, beta, g, normals) -> np.ndarray:
+    """The noisy observations of :func:`observe_fast` from the channels'
+    equivalent gains ``beta`` (...) and the gain kernels ``g`` (..., 3) at
+    the probe-minus-channel offsets, for a caller that evaluates the
+    kernels together with others."""
     normals = np.asarray(normals, float)
     noise = np.sqrt(0.5) * (normals[..., :3] + 1j * normals[..., 3:])
     return cfg.pilot_amp * np.asarray(beta)[..., None] * g + noise

@@ -964,6 +964,47 @@ class TestExtentCeiling:
         assert len(err) == 1 and err[0].startswith(f"error: {key}: ")
 
 
+class TestStepDomain:
+    """A step schedule's smallest step, epsilon / (eccs + k0) for
+    ``diminishing`` and ``step`` for ``constant``, is at least the smallest
+    normal float: at it a run exits 0, below it a run whose every step
+    underflows to (nearly) 0, and whose tracker therefore never moves, is a
+    configuration error naming the schedule's keys."""
+
+    TINY = sys.float_info.min
+
+    @pytest.mark.parametrize("tracker, schedule, key", [
+        # the step underflows to 0.0 at every cycle
+        ("JBCT_S", 'schedule = "diminishing"\nepsilon = 1e-200\n'
+                   'k0 = 1e300\n', "epsilon, k0"),
+        ("JBCT_S", 'schedule = "diminishing"\nepsilon = 5e-324\nk0 = 0\n',
+         "epsilon, k0"),
+        ("RBT_DI", 'schedule = "diminishing"\nepsilon = 1e-300\n'
+                   'k0 = 1e10\n', "epsilon, k0"),
+        ("JBCT_DII", f'schedule = "constant"\nstep = '
+                     f'{math.nextafter(TINY, 0)!r}\n', "step"),
+        ("JBCT_S", 'schedule = "constant"\nstep = 5e-324\n', "step")],
+        ids=["epsilon-1e-200-k0-1e300", "epsilon-5e-324", "rbt-k0-1e10",
+             "step-below-tiny", "step-5e-324"])
+    def test_below_the_smallest_normal_exits_1(self, tmp_path, capsys,
+                                               tracker, schedule, key):
+        code, _ = _track(tmp_path, 0.0, tracker, extra=schedule)
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith(f"error: {key}: ")
+
+    @pytest.mark.parametrize("schedule, code", [
+        # _track runs 6 cycles, so the last step is epsilon / 6
+        (f'schedule = "diminishing"\nepsilon = {6 * TINY!r}\n', 0),
+        (f'schedule = "diminishing"\n'
+         f'epsilon = {math.nextafter(6 * TINY, 0)!r}\n', 1),
+        (f'schedule = "constant"\nstep = {TINY!r}\n', 0)],
+        ids=["epsilon-at", "epsilon-below", "step-at"])
+    def test_at_the_smallest_normal(self, tmp_path, capsys, schedule, code):
+        assert _track(tmp_path, 0.0, "JBCT_S", extra=schedule)[0] == code
+        assert len(capsys.readouterr().err.splitlines()) == code
+
+
 # argv of the crlb/offsets/verify subcommands; each has one input the
 # command cannot use: an array size, a grid or iteration count, a gain SNR,
 # a seed, an output path, or a flag given to a sweep that does not use it
