@@ -26,7 +26,7 @@ import numpy as np
 
 from .arrays import (ArrayConfig, _gain_kernel, aoa_coords, db_to_power,
                      dpv_coords, element_gain_angles)
-from .signal import OffsetSet, fit_gains, observe_fast
+from .signal import OffsetSet, fit_gains, observe_kernels
 
 AOA_REGIONS = {
     "central": ((-np.pi / 6, np.pi / 6), (np.pi / 3, 2 * np.pi / 3)),
@@ -39,6 +39,7 @@ class QuasiStatic:
     """Fixed arrival and fixed Rician path gain (unit mean power)."""
 
     rician_k_db: float = 15.0
+    sigma_beta_c_sq = 1.0   # the gain's mean power: a constant, not a field
 
     def __post_init__(self):
         db_to_power(self.rician_k_db)
@@ -65,6 +66,7 @@ class DynamicII:
 
     rho: float = 0.995
     delta_a: float = np.deg2rad(0.3)
+    sigma_beta_c_sq = 1.0   # the stationary gain variance: not a field
 
     def __post_init__(self):
         if not 0 < self.rho <= 1:
@@ -94,14 +96,17 @@ def bootstrap_gains(cfg: ArrayConfig, offsets: OffsetSet, x, beta_eff, x0,
     """Bootstrap gain fits from one probing cycle centred at ``x0``.
 
     Observes channels (``x`` (..., 2), ``beta_eff`` (...)) with probes at
-    ``x0 + offsets`` and noise from ``normals`` (..., 6), then fits the
-    gains with :func:`~.signal.fit_gains`, e being the probe kernels at the
-    offsets: by the shift property, the least-squares fit through an EBM
-    built at ``x0``, from the gain kernel alone: O(1) per probe.
+    ``x0 + offsets`` and noise from ``normals`` (..., 6), from the gain
+    kernels at the probe-minus-channel offsets
+    (:func:`~.signal.observe_kernels`), then fits the gains with
+    :func:`~.signal.fit_gains`, e being the gain kernels at the offsets: by
+    the shift property, the least-squares fit through an EBM built at
+    ``x0``, from the gain kernel alone: O(1) per probe.
     """
     x0 = np.asarray(x0, float)
-    y0 = observe_fast(cfg, x, beta_eff, x0[..., None, :] + offsets.deltas,
-                      normals)
+    g = _gain_kernel(x0[..., None, :] + offsets.deltas
+                     - np.asarray(x, float)[..., None, :], cfg.m, cfg.n)
+    y0 = observe_kernels(cfg, beta_eff, g, normals)
     e = _gain_kernel(offsets.deltas, cfg.m, cfg.n)
     return fit_gains(e, y0, cfg.pilot_amp)
 
@@ -178,19 +183,17 @@ def init_channel_batch(sc: ScenarioConfig, cfg: ArrayConfig,
     """Channels of a batch from rows of :func:`initial_draws`: the arrival
     from columns 0-1 and the path gain from z = d3 + j d4, Rician
     sqrt(K/(K+1)) exp(j d2) + z sqrt(1/(2(K+1))) (unit mean power),
-    Rayleigh z sqrt(sigma^2/2), Gauss-Markov (stationary start)
-    z sqrt(1/2); then the direction coordinates and the element gain at
-    the arrival."""
+    else z sqrt(sigma^2/2) at the kind's gain variance (Rayleigh, or
+    Gauss-Markov at its stationary unit variance); then the direction
+    coordinates and the element gain at the arrival."""
     kind = sc.kind
     z = draws[:, 3] + 1j * draws[:, 4]
     if isinstance(kind, QuasiStatic):
         kappa = db_to_power(kind.rician_k_db)
         los = np.sqrt(kappa / (kappa + 1.0)) * np.exp(1j * draws[:, 2])
         beta_c = los + z * np.sqrt(1.0 / (kappa + 1.0) / 2.0)
-    elif isinstance(kind, DynamicI):
-        beta_c = z * np.sqrt(kind.sigma_beta_c_sq / 2.0)
     else:
-        beta_c = z * np.sqrt(1.0 / 2.0)
+        beta_c = z * np.sqrt(kind.sigma_beta_c_sq / 2.0)
     theta, phi = draws[:, 0].copy(), draws[:, 1].copy()
     x1, x2 = dpv_coords(cfg, theta, phi)
     eta = element_gain_angles(theta, phi)

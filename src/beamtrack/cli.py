@@ -72,8 +72,10 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _positive_int(token, key: str, least: int = 1) -> int:
-    """An integer of at least ``least`` (an array size, grid or iteration
+def _bounded_int(token, key: str, least: int = 1, most=None,
+                 unit: str = "") -> int:
+    """An integer of at least ``least`` and, unless ``most`` is None, at
+    most ``most`` ``unit`` per axis (an array size, grid or iteration
     count), else a ConfigError naming ``key``."""
     from .harness import ConfigError
     try:
@@ -83,31 +85,9 @@ def _positive_int(token, key: str, least: int = 1) -> int:
     if value < least:
         want = "a positive integer" if least == 1 else f"an integer >= {least}"
         raise ConfigError(f"{key}: expected {want}, got {token!r}")
-    return value
-
-
-def _size(token, key: str) -> int:
-    """Elements per array axis: a positive integer of at most
-    ``arrays.MAX_AXIS``, the bound of the config keys ``m`` and ``n``."""
-    from .arrays import MAX_AXIS
-    from .harness import ConfigError
-    value = _positive_int(token, key)
-    if value > MAX_AXIS:
-        raise ConfigError(f"{key}: at most {MAX_AXIS} elements per axis, "
-                          f"got {token!r}")
-    return value
-
-
-def _grid(token) -> int:
-    """Seed grid points per offset axis: at least 2 (one point makes the
-    three offsets of every grid seed equal) and at most
-    ``offsets.MAX_GRID_POINTS``."""
-    from .harness import ConfigError
-    from .offsets import MAX_GRID_POINTS
-    value = _positive_int(token, "--grid", least=2)
-    if value > MAX_GRID_POINTS:
-        raise ConfigError(f"--grid: at most {MAX_GRID_POINTS} points per "
-                          f"axis, got {token!r}")
+    if most is not None and value > most:
+        raise ConfigError(f"{key}: at most {most} {unit} per axis, got "
+                          f"{token!r}")
     return value
 
 
@@ -129,14 +109,16 @@ def _bound_flags(args, sweep: str, text) -> list:
     ``di-*`` objectives take and which must not exceed the ceiling of the
     finite direction bound at any size the command evaluates that bound
     at."""
-    from .arrays import db_to_power
+    from .arrays import MAX_AXIS, db_to_power
     from .estimation import snr_beta_db_ceiling
     from .harness import ConfigError
+    # elements per array axis, at most the bound of the config keys m and n
+    size = functools.partial(_bounded_int, most=MAX_AXIS, unit="elements")
     if text:
         _unused(args, sweep, ("m", "n"))
-    args.m = _size(8 if args.m is None else args.m, "--m")
-    args.n = _size(8 if args.n is None else args.n, "--n")
-    sizes = [_size(token, sweep) for token in text.split(",")] if text else []
+    args.m = size(8 if args.m is None else args.m, "--m")
+    args.n = size(8 if args.n is None else args.n, "--n")
+    sizes = [size(token, sweep) for token in text.split(",")] if text else []
     model, form = args.objective.split("-")
     if model == "static":
         _unused(args, args.objective, ("snr_beta_db",))
@@ -161,12 +143,15 @@ def _search_flags(args) -> None:
     (defaults 21 and 400), and that a ``--robustness`` sweep, which has its
     own grid and iteration count and prints a table, is given none of
     ``--grid``, ``--iters`` and ``--out``."""
+    from .offsets import MAX_GRID_POINTS
     if args.robustness:
         _unused(args, "--robustness", ("grid", "iters", "out"))
         return
-    args.grid = _grid(21 if args.grid is None else args.grid)
-    args.iters = _positive_int(400 if args.iters is None else args.iters,
-                               "--iters")
+    # at least 2 grid points: one makes the three offsets of every seed equal
+    args.grid = _bounded_int(21 if args.grid is None else args.grid, "--grid",
+                             2, MAX_GRID_POINTS, "points")
+    args.iters = _bounded_int(400 if args.iters is None else args.iters,
+                              "--iters")
 
 
 def _objectives(args) -> dict:

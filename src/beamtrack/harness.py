@@ -7,10 +7,11 @@ the normals, then simulates the chunk's ground-truth channels in one call
 (:func:`~.channels.evolve_chunk`; the channel does not depend on the
 tracker), then runs each cycle as one numpy pass over the batch: build the
 probe pattern at the current estimates, observe the cycle's channel and
-update.  A cycle the CSV records has its errors computed one cycle late:
-its error kernel, at x_hat - x, is evaluated in the same kernel call as
-the next cycle's observation kernels, and only the run's last cycle takes
-a call of its own for its error.  Each trial
+update.  A cycle the CSV records has both its errors taken at that cycle.
+The exception is a gain-estimating tracker's channel-vector error: its
+kernel, at x_hat - x, rides in the next cycle's kernel call, with that
+cycle's observation kernels (the run's last cycle takes a call of its
+own).  A direction-only tracker takes no error kernel.  Each trial
 first draws its channel and an in-main-lobe initial estimate (one
 bootstrap probing cycle fits the initial gain).  Trackers are reached
 through one batched interface (:class:`~.trackers.BatchTracker`) looked up
@@ -190,7 +191,7 @@ def _validate(ec: ExperimentConfig):
     # the floor holds for the pilot and, below unit gain variance, for the
     # gain SNR snr x sigma_beta_c_sq, on which the direction bound rests
     floor = snr_db_floor()
-    var = _stationary_gain_var(ec.scenario.kind)
+    var = ec.scenario.kind.sigma_beta_c_sq
     var_db = 10.0 * math.log10(var)
     if ec.snr_db + min(0.0, var_db) < floor:
         raise ConfigError(f"snr_db: {ec.snr_db!r} with sigma_beta_c_sq = "
@@ -237,12 +238,6 @@ def effective_array(ec: ExperimentConfig) -> ArrayConfig:
     run's results depend on that SNR alone, so its ``array`` keeps
     ``pilot_amp`` at 1.0."""
     return replace(ec.array, pilot_amp=math.sqrt(db_to_power(ec.snr_db)))
-
-
-def _stationary_gain_var(kind) -> float:
-    if isinstance(kind, DynamicI):
-        return kind.sigma_beta_c_sq
-    return 1.0  # Rician (unit mean power) and Gauss-Markov stationary
 
 
 # numpy's SeedSequence hash: multiplier and mixing constants, 32-bit words
@@ -303,22 +298,16 @@ def _trial_rngs(seed: int, trials: range) -> List[np.random.Generator]:
             for row in words]
 
 
-def _channel_errors(cfg: ArrayConfig, dx: np.ndarray, g, beta: np.ndarray,
-                    beta_hat: Optional[np.ndarray]):
-    """Per-trial (per-element channel-vector SE, direction SE) of a cycle
-    whose direction estimates miss the true channels by ``dx`` (T, 2),
-    x_hat - x, and whose true equivalent gains are ``beta`` (T,); ``g``
-    (T,) is the gain kernel at ``dx``.  The first is NaN for a
-    direction-only tracker (``beta_hat`` None), which needs no kernel."""
-    err_x = dx[:, 0] * dx[:, 0]
-    err_x += dx[:, 1] * dx[:, 1]
-    if beta_hat is None:
-        return np.full(len(dx), np.nan), err_x
+def _gain_errors(size: int, g, beta: np.ndarray,
+                 beta_hat: np.ndarray) -> np.ndarray:
+    """Per-trial per-element channel-vector SE of a cycle whose true
+    equivalent gains are ``beta`` (T,) and gain estimates ``beta_hat``
+    (T,), at an array of ``size`` elements; ``g`` (T,) is the gain kernel
+    at the direction misses x_hat - x."""
     # size (|beta_hat|^2 + |beta|^2) - 2 Re(conj(beta_hat) beta sqrt(size)
     # g), clipped at 0, over size: the real passes in place (2 of 12 us a
     # call at 200 trials), the complex products not, since an in-place
     # complex product can take other bits
-    size = cfg.size
     cross = np.conj(beta_hat) * beta * (math.sqrt(size) * g)
     err_h = np.abs(beta_hat)
     err_h *= err_h
@@ -331,7 +320,7 @@ def _channel_errors(cfg: ArrayConfig, dx: np.ndarray, g, beta: np.ndarray,
     err_h -= twice
     np.maximum(err_h, 0.0, out=err_h)
     err_h /= size
-    return err_h, err_x
+    return err_h
 
 
 def _crlb_refs(ec: ExperimentConfig, cfg: ArrayConfig,
@@ -345,7 +334,7 @@ def _crlb_refs(ec: ExperimentConfig, cfg: ArrayConfig,
         value = static_offsets_crlb(deltas, cfg.m, cfg.n, cfg.pilot_amp)
         return np.full(len(ch.x), float(value))
     if isinstance(kind, DynamicI):
-        snr_b = cfg.pilot_amp**2 * ch.eta**2 * _stationary_gain_var(kind)
+        snr_b = cfg.pilot_amp**2 * ch.eta**2 * kind.sigma_beta_c_sq
         return np.asarray(di_offsets_crlb(deltas, cfg.m, cfg.n, snr_b), float)
     return np.full(len(ch.x), np.nan)
 
@@ -366,15 +355,16 @@ def _run_batch(ec: ExperimentConfig, trials: range):
     first, then the chunk's channel trajectory is computed
     (:func:`~.channels.evolve_chunk`), then the cycles run, each reading
     its channel at its index into the trajectory.  Each cycle makes one
-    gain-kernel call (:func:`~.arrays._gain_kernel`).  After a recorded
-    cycle of a gain-estimating tracker, that call also holds the recorded
-    cycle's error offset x_hat - x, behind the three probe offsets, and
-    :func:`_channel_errors` then takes the recorded cycle's true channel,
-    carried over from it (across a chunk boundary too).  The run's last
-    cycle, always recorded, takes a kernel call of its own for its error;
-    a direction-only tracker's errors need no kernel and are computed at
-    their cycle.  Every operation is elementwise, so the errors have the
-    bits they had when each recorded cycle made its own error call."""
+    gain-kernel call (:func:`~.arrays._gain_kernel`).  A recorded cycle
+    takes its direction error at once.  A gain-estimating tracker's
+    channel-vector error waits: the next cycle's call also holds the
+    recorded cycle's direction misses x_hat - x, behind the three probe
+    offsets, and :func:`_gain_errors` then takes the recorded cycle's true
+    gains, carried over from it (across a chunk boundary too).  The run's
+    last cycle, always recorded, takes a kernel call of its own for it.  A
+    direction-only tracker takes no error kernel; its channel-vector
+    errors stay NaN.  Every operation is elementwise, so the errors have
+    the bits they had when each recorded cycle made its own error call."""
     cfg = effective_array(ec)
     sc = ec.scenario
     tracker_cls, default_schedule = TRACKERS[ec.tracker]
@@ -382,7 +372,7 @@ def _run_batch(ec: ExperimentConfig, trials: range):
     draws = initial_draws(sc, rngs, ec.init_halfwidth)
     ch = init_channel_batch(sc, cfg, draws)
     x0, beta0 = initial_estimate_batch(ch, cfg, ec.offsets, draws)
-    sigma_c_sq = _stationary_gain_var(sc.kind)
+    sigma_c_sq = sc.kind.sigma_beta_c_sq
     gain_var_at = None
     if ec.rbt_sigma_mode == "estimated":
         def gain_var_at(x):
@@ -396,13 +386,14 @@ def _run_batch(ec: ExperimentConfig, trials: range):
     recorded = _recorded_cycles(ec)
     evolve = evolve_normals(sc.kind)
     batch = len(rngs)
-    err_h = np.empty((batch, len(recorded)))
+    err_h = np.full((batch, len(recorded)), np.nan)
     err_x = np.empty((batch, len(recorded)))
     col = 0
     block = np.empty((batch, min(CYCLE_CHUNK, cycles),
                       evolve + NOISE_NORMALS))
     # a cycle's kernel offsets, each part contiguous: the (B, 3, 2) probe
-    # offsets, then, while a recorded cycle's errors are due, its x_hat - x
+    # offsets, then, while a recorded cycle's gain errors are due, its
+    # x_hat - x
     offsets = np.empty((4 * batch, 2))
     probe_offsets = offsets[:3 * batch].reshape(batch, 3, 2)
     dx = offsets[3 * batch:]
@@ -419,8 +410,8 @@ def _run_batch(ec: ExperimentConfig, trials: range):
             g = _gain_kernel(offsets[:3 * batch] if due is None else offsets,
                              cfg.m, cfg.n)
             if due is not None:
-                err_h[:, due[0]], err_x[:, due[0]] = _channel_errors(
-                    cfg, dx, g[3 * batch:], *due[1:])
+                err_h[:, due[0]] = _gain_errors(cfg.size, g[3 * batch:],
+                                                *due[1:])
                 due = None
             y = observe_kernels(cfg, beta_eff[j],
                                 g[:3 * batch].reshape(batch, 3),
@@ -429,15 +420,14 @@ def _run_batch(ec: ExperimentConfig, trials: range):
             if k == recorded[col]:      # the last cycle is always recorded
                 x_hat, beta_hat = tracker.estimate()
                 np.subtract(x_hat, x[j], out=dx)
-                if beta_hat is None:
-                    err_h[:, col], err_x[:, col] = _channel_errors(
-                        cfg, dx, None, None, None)
-                else:
+                err_x[:, col] = dx[:, 0] * dx[:, 0]
+                err_x[:, col] += dx[:, 1] * dx[:, 1]
+                if beta_hat is not None:
                     due = (col, beta_eff[j], beta_hat)
                 col += 1
     if due is not None:     # the last cycle's error kernel, on its own
-        err_h[:, -1], err_x[:, -1] = _channel_errors(
-            cfg, dx, _gain_kernel(dx, cfg.m, cfg.n), *due[1:])
+        err_h[:, -1] = _gain_errors(cfg.size, _gain_kernel(dx, cfg.m, cfg.n),
+                                    *due[1:])
     return err_h, err_x, crlb
 
 

@@ -110,26 +110,13 @@ def noiseless_mean(cfg: ArrayConfig, psi: ChannelParams, ebm: Ebm) -> np.ndarray
     return cfg.pilot_amp * psi.beta * g
 
 
-def observe_fast(cfg: ArrayConfig, x, beta, dirs, normals) -> np.ndarray:
-    """Noisy observations of a batch of channels on the kernel path.
-
-    ``x`` (..., 2) and ``beta`` (...) are the channels' directions and
-    equivalent gains, ``dirs`` (..., 3, 2) the probe directions and
-    ``normals`` (..., 6) standard normals: the real parts of the three noise
-    values, then their imaginary parts.  Equal to the noiseless mean of an
-    EBM pointing at ``dirs`` (shift property) plus CN(0, 1) noise, from
-    the gain kernel alone: O(1) per probe.
-    """
-    x = np.asarray(x, float)
-    g = _gain_kernel(np.asarray(dirs, float) - x[..., None, :], cfg.m, cfg.n)
-    return observe_kernels(cfg, beta, g, normals)
-
-
 def observe_kernels(cfg: ArrayConfig, beta, g, normals) -> np.ndarray:
-    """The noisy observations of :func:`observe_fast` from the channels'
-    equivalent gains ``beta`` (...) and the gain kernels ``g`` (..., 3) at
-    the probe-minus-channel offsets, for a caller that evaluates the
-    kernels together with others."""
+    """Noisy observations of a batch of channels on the kernel path, from
+    the channels' equivalent gains ``beta`` (...), the gain kernels ``g``
+    (..., 3) at the probe-minus-channel offsets and standard ``normals``
+    (..., 6): the real parts of the three noise values, then their
+    imaginary parts.  Equal to the noiseless mean of an EBM pointing at the
+    probes (shift property) plus CN(0, 1) noise: O(1) per probe."""
     normals = np.asarray(normals, float)
     noise = np.sqrt(0.5) * (normals[..., :3] + 1j * normals[..., 3:])
     return cfg.pilot_amp * np.asarray(beta)[..., None] * g + noise

@@ -25,9 +25,9 @@ from beamtrack.arrays import Aoa, ArrayConfig, aoa_coords, probe_kernels
 from beamtrack.channels import DynamicI, DynamicII, QuasiStatic, ScenarioConfig
 from beamtrack.estimation import di_offsets_crlb, static_offsets_crlb
 from beamtrack.harness import (TRACKERS, ExperimentConfig, _recorded_cycles,
-                               _records, _run_batch, _stationary_gain_var,
-                               _trial_rngs, effective_array, emit_csv,
-                               format_csv, run_experiment)
+                               _records, _run_batch, _trial_rngs,
+                               effective_array, emit_csv, format_csv,
+                               run_experiment)
 from beamtrack.offsets import FADING_OFFSETS, STATIC_OFFSETS
 from beamtrack.signal import ChannelParams, build_ebm
 from beamtrack.trackers import (STEP_CAP, ConstantStep, DiminishingStep,
@@ -80,7 +80,7 @@ def reference_trial(ec, trial, hits=None):
     state = init_channel(sc, cfg, rng)
     psi0 = initial_estimate(state, cfg, rng, ec.init_halfwidth, offsets)
     schedule = ec.schedule or TRACKERS[ec.tracker][1]
-    sigma_c_sq = _stationary_gain_var(sc.kind)
+    sigma_c_sq = sc.kind.sigma_beta_c_sq
 
     tracker = ec.tracker
     crlb_ref = np.nan
@@ -560,6 +560,38 @@ class TestKernelPasses:
             return len(calls)
 
         assert count(25) - count(15) == passes
+
+
+class TestKernelRows:
+    """The rows of each gain-kernel call of the cycle loop, per trial: a
+    cycle's three probes, one more in the call after a recorded cycle of a
+    gain-estimating tracker (that cycle's channel-vector error), and one
+    call of its own for the last cycle's after the loop.  A direction-only
+    tracker's calls hold its probes alone, recorded or not."""
+
+    @pytest.mark.parametrize("case, record_every, later, last", [
+        ("RBT_DI-perfect", 1, 3, None),
+        ("RBT_DI-perfect", 10**6, 3, None),
+        ("JBCT_DII-dii", 1, 4, 1),
+        ("JBCT_DII-dii", 10**6, 3, 1),
+    ])
+    def test_rows_per_call(self, monkeypatch, case, record_every, later,
+                           last):
+        from beamtrack import harness
+        rows = []
+        kernel = harness._gain_kernel
+
+        def counted(offsets, m, n):
+            rows.append(len(offsets))
+            return kernel(offsets, m, n)
+
+        monkeypatch.setattr(harness, "_gain_kernel", counted)
+        # past a chunk boundary: a recorded cycle's gains ride across it
+        ec = _config(case, num_trials=3, num_eccs=harness.CYCLE_CHUNK + 5,
+                     record_every=record_every)
+        run_experiment(ec)
+        want = [3] + [later] * (ec.num_eccs - 1) + ([last] if last else [])
+        assert rows == [r * ec.num_trials for r in want]
 
 
 class TestChannelPasses:

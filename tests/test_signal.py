@@ -6,11 +6,12 @@ import pytest
 import reference
 from reference import observe
 
-from beamtrack.arrays import PILOT_AMP_RANGE, ArrayConfig, probe_kernels
+from beamtrack.arrays import (PILOT_AMP_RANGE, ArrayConfig, _gain_kernel,
+                              probe_kernels)
 from beamtrack.offsets import FADING_OFFSETS, OFFSET_PRESETS, STATIC_OFFSETS
 from beamtrack.signal import (AmbiguousSolution, ChannelParams, NoSolution,
                               OffsetSet, build_ebm, fit_gains, noiseless_mean,
-                              observation_matrix, observe_fast,
+                              observation_matrix, observe_kernels,
                               real_observation_jacobian,
                               recover_from_noiseless)
 
@@ -83,13 +84,15 @@ class TestObserve:
 
     def test_noise_mean_and_variance(self):
         """With beta = 0 the draws are pure CN(0, 1) noise.  The 1e5
-        draws of ``observe`` run as one ``observe_fast`` call on the same
-        normals: ``observe`` takes three real parts, then three imaginary
-        parts, per call, which is the row layout of ``observe_fast``."""
+        draws of ``observe`` run as one ``observe_kernels`` call on the same
+        normals, with the gain kernels of a channel at the origin:
+        ``observe`` takes three real parts, then three imaginary parts, per
+        call, which is the row layout of ``observe_kernels``."""
         psi0 = ChannelParams.from_parts(0.0, (0.0, 0.0))
         ebm = build_ebm(CFG, (0.0, 0.0), STATIC_OFFSETS)
         normals = np.random.default_rng(1).standard_normal((100_000, 6))
-        draws = observe_fast(CFG, np.zeros(2), 0.0, ebm.directions, normals)
+        g = _gain_kernel(ebm.directions, CFG.m, CFG.n)
+        draws = observe_kernels(CFG, 0.0, g, normals)
         rng = np.random.default_rng(1)
         first = np.stack([observe(CFG, psi0, ebm, rng) for _ in range(20)])
         assert np.array_equal(first, draws[:20])
