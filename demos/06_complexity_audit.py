@@ -32,7 +32,7 @@ psis = [ChannelParams.from_parts(
 ys = 2 * (rng.standard_normal((cycles, 3)) + 1j * rng.standard_normal((cycles, 3)))
 # one batched kernel call for all cycles, one explicit build and solve each
 fast = _jbct_direction_batch(build_fast_cache(cfg, STATIC_OFFSETS),
-                             np.array([p.beta for p in psis]), ys)
+                             np.array([p.beta for p in psis]), ys.T).T
 naive = np.array([jbct_direction(cfg, p, build_ebm(cfg, p.x, STATIC_OFFSETS), y)
                   for p, y in zip(psis, ys)])
 print(f"\nbatched kernel vs explicit Fisher build over {cycles} random cycles: "

@@ -376,12 +376,13 @@ def probe_kernels(deltas, m, n):
 
 def _gain_kernel(deltas, m: int, n: int):
     """The first of :func:`probe_kernels`, w^H a, without the derivative
-    sums; equal to it bit for bit."""
+    sums, of axis-first offsets ``deltas`` (2, ...): each output has the
+    trailing shape.  Equal to it bit for bit."""
     # probe_kernels(...)[0] instead made in-process mc-converge and
     # mc-dynamic passes 14-16% slower (12 interleaved pairs), same CSVs
     d = np.asarray(deltas, float)
-    s, _ = _axis_sums(_by_axis(d), _sizes(m, n), False)
-    return (s[0] * s[1] / np.sqrt(m * n)).reshape(d.shape[:-1])
+    s, _ = _axis_sums(d.reshape(2, -1), _sizes(m, n), False)
+    return (s[0] * s[1] / np.sqrt(m * n)).reshape(d.shape[1:])
 
 
 def _phase_deriv_kernel(x, s, c):

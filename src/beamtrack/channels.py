@@ -6,8 +6,9 @@ gain redrawn each cycle with a fixed arrival; Gauss-Markov gain with a
 reflected random walk over the arrival angles.  The per-element pattern
 attenuates the path gain into the equivalent gain actually observed.
 
-Channels are simulated for a batch of trials at once, one row per trial,
-from random numbers drawn beforehand: each trial's ``INITIAL_DRAWS``
+Channels are simulated for a batch of trials at once, the trials on the
+last axis of every array (x (2, T)), from random numbers drawn
+beforehand, one row per trial: each trial's ``INITIAL_DRAWS``
 numbers of :func:`initial_draws` set up its channel
 (:func:`init_channel_batch`) and its initial estimate
 (:func:`initial_estimate_batch`), and each cycle's transition takes
@@ -95,34 +96,36 @@ def bootstrap_gains(cfg: ArrayConfig, offsets: OffsetSet, x, beta_eff, x0,
                     normals):
     """Bootstrap gain fits from one probing cycle centred at ``x0``.
 
-    Observes channels (``x`` (..., 2), ``beta_eff`` (...)) with probes at
-    ``x0 + offsets`` and noise from ``normals`` (..., 6), from the gain
-    kernels at the probe-minus-channel offsets
+    Observes channels (``x`` (2,) or (2, T), ``beta_eff`` () or (T,)) with
+    probes at ``x0 + offsets`` and noise from ``normals`` (6,) or (6, T),
+    from the gain kernels at the probe-minus-channel offsets
     (:func:`~.signal.observe_kernels`), then fits the gains with
     :func:`~.signal.fit_gains`, e being the gain kernels at the offsets: by
     the shift property, the least-squares fit through an EBM built at
     ``x0``, from the gain kernel alone: O(1) per probe.
     """
     x0 = np.asarray(x0, float)
-    g = _gain_kernel(x0[..., None, :] + offsets.deltas
-                     - np.asarray(x, float)[..., None, :], cfg.m, cfg.n)
+    deltas = offsets.deltas.T.reshape((2, 3) + (1,) * (x0.ndim - 1))
+    g = _gain_kernel(x0[:, None] + deltas - np.asarray(x, float)[:, None],
+                     cfg.m, cfg.n)
     y0 = observe_kernels(cfg, beta_eff, g, normals)
-    e = _gain_kernel(offsets.deltas, cfg.m, cfg.n)
+    e = _gain_kernel(offsets.deltas.T, cfg.m, cfg.n)
     return fit_gains(e, y0, cfg.pilot_amp)
 
 
 def estimated_gain_variance(cfg: ArrayConfig, x_hat, sigma_beta_c_sq: float):
     """Equivalent-gain variance inferred from the pattern at direction
-    estimates ``x_hat`` (..., 2), clamped to the physical cone (the angles of
+    estimates ``x_hat`` (2, ...), clamped to the physical cone (the angles of
     :func:`~.arrays.aoa_coords`)."""
     x = np.asarray(x_hat, float)
-    theta, phi = aoa_coords(cfg, x[..., 0], x[..., 1])
+    theta, phi = aoa_coords(cfg, x[0], x[1])
     eta = element_gain_angles(theta, phi)
     return eta**2 * sigma_beta_c_sq
 
 
 # ---------------------------------------------------------------------------
-# batches of trials: one row per trial, drawn from per-trial streams
+# batches of trials: the trials on the last axis, drawn from per-trial
+# streams
 # ---------------------------------------------------------------------------
 
 INITIAL_DRAWS = 13
@@ -168,11 +171,11 @@ def evolve_normals(kind: ScenarioKind) -> int:
 
 @dataclass(frozen=True)
 class ChannelBatch:
-    """Ground truth of a batch of trials at one cycle, one row per trial."""
+    """Ground truth of a batch of trials at one cycle, trials last."""
 
     theta: np.ndarray     # (T,) arrival elevation
     phi: np.ndarray       # (T,) arrival azimuth
-    x: np.ndarray         # (T, 2) direction coordinates
+    x: np.ndarray         # (2, T) direction coordinates
     beta_c: np.ndarray    # (T,) complex path gain
     eta: np.ndarray       # (T,) element gain at the arrival
     beta_eff: np.ndarray  # (T,) eta * beta_c
@@ -197,19 +200,19 @@ def init_channel_batch(sc: ScenarioConfig, cfg: ArrayConfig,
     theta, phi = draws[:, 0].copy(), draws[:, 1].copy()
     x1, x2 = dpv_coords(cfg, theta, phi)
     eta = element_gain_angles(theta, phi)
-    return ChannelBatch(theta, phi, np.stack([x1, x2], axis=-1), beta_c,
-                        eta, eta * beta_c)
+    return ChannelBatch(theta, phi, np.stack([x1, x2]), beta_c, eta,
+                        eta * beta_c)
 
 
 def initial_estimate_batch(ch: ChannelBatch, cfg: ArrayConfig,
                            offsets: OffsetSet, draws: np.ndarray):
-    """In-main-lobe initial estimates (x0 (T, 2), beta0 (T,)) from rows of
+    """In-main-lobe initial estimates (x0 (2, T), beta0 (T,)) from rows of
     :func:`initial_draws`: x0 is the true direction plus columns 5-6, and
     beta0 the :func:`bootstrap_gains` fit of one probing cycle centred at
     x0, with the noise of columns 7-12."""
-    x0 = ch.x + draws[:, 5:7]
+    x0 = ch.x + draws[:, 5:7].T
     return x0, bootstrap_gains(cfg, offsets, ch.x, ch.beta_eff, x0,
-                               draws[:, 7:])
+                               draws[:, 7:].T)
 
 
 def _reflect(value: np.ndarray, lo, hi) -> None:
@@ -232,7 +235,7 @@ def evolve_chunk(ch: ChannelBatch, sc: ScenarioConfig, cfg: ArrayConfig,
     """The ground truth over a chunk of K cycles that follows channel
     ``ch``, from standard ``normals`` (T, K, evolve_normals(kind)), cycle
     k's transition reading ``normals[:, k]``.  Returns the direction
-    coordinates x (K, T, 2) and equivalent gains beta_eff (K, T) at each
+    coordinates x (K, 2, T) and equivalent gains beta_eff (K, T) at each
     cycle, and the channel after the last cycle, from which the next chunk
     goes on.
 
@@ -276,7 +279,7 @@ def evolve_chunk(ch: ChannelBatch, sc: ScenarioConfig, cfg: ArrayConfig,
         prev = gain
     theta, phi = walk[:, 0], walk[:, 1]
     x1, x2 = dpv_coords(cfg, theta, phi)
-    x = np.stack([x1, x2], axis=-1)
+    x = np.stack([x1, x2], axis=1)
     eta = element_gain_angles(theta, phi)
     # only x and beta_eff outlive the call: the gains turn into beta_eff in
     # place, and the channel after the chunk copies its other rows

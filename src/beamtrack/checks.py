@@ -105,9 +105,10 @@ def check_op_counts(seed: int = 0, pairs: int = 100):
         psi_hat = _random_params(rng)
         ebm = build_ebm(cfg, psi_hat.x, STATIC_OFFSETS)
         y = (rng.standard_normal(3) + 1j * rng.standard_normal(3)) * 2
-        fast = _jbct_direction_batch(cache, np.array([psi_hat.beta]), y[None])
+        fast = _jbct_direction_batch(cache, np.array([psi_hat.beta]),
+                                     y[:, None])
         naive = jbct_direction(cfg, psi_hat, ebm, y)
-        worst = max(worst, float(np.abs(fast[0] - naive).max()))
+        worst = max(worst, float(np.abs(fast[:, 0] - naive).max()))
     ok = counts["jbct_static"] == counts["jbct_dii"] == 39 \
         and counts["rbt"] == 28 and worst < 1e-10
     detail = (f"joint tracker {counts['jbct_static']} ops, direction tracker "

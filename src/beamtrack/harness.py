@@ -1,8 +1,9 @@
 """Monte-Carlo experiment orchestration: the trial-batched tracking engine,
 metric aggregation, CSV emission, and flat config-file parsing.
 
-The engine holds a batch of trials as arrays with one row per trial and
-runs the cycles in chunks of at most ``CYCLE_CHUNK``.  Per chunk it draws
+The engine holds a batch of trials as arrays with the trials on the last
+axis, so that each numpy loop of a cycle runs along the batch, and runs
+the cycles in chunks of at most ``CYCLE_CHUNK``.  Per chunk it draws
 the normals, then simulates the chunk's ground-truth channels in one call
 (:func:`~.channels.evolve_chunk`; the channel does not depend on the
 tracker), then runs each cycle as one numpy pass over the batch: build the
@@ -36,10 +37,10 @@ fading gain the two gain normals; Gauss-Markov the theta and phi steps,
 scaled by ``delta_a``, then the two gain normals), then the real and the
 imaginary parts of the three noise values.  The chunk's channel
 trajectory reads the transition columns of all K cycles, and cycle k
-reads its noise columns from ``block[:, k]``.  A trial's numbers
-therefore do not depend on the batch, and the per-trial errors are
-reduced in trial order, so for a fixed seed the CSV is byte-identical at
-any batch split.
+reads its noise columns from ``block[:, k]``, copied trials last, (6, B).
+A trial's numbers therefore do not depend on the batch, and the
+per-trial errors are reduced in trial order, so for a fixed seed the CSV
+is byte-identical at any batch split.
 """
 
 from __future__ import annotations
@@ -332,11 +333,11 @@ def _crlb_refs(ec: ExperimentConfig, cfg: ArrayConfig,
     deltas = ec.offsets.deltas
     if isinstance(kind, QuasiStatic):
         value = static_offsets_crlb(deltas, cfg.m, cfg.n, cfg.pilot_amp)
-        return np.full(len(ch.x), float(value))
+        return np.full(len(ch.eta), float(value))
     if isinstance(kind, DynamicI):
         snr_b = cfg.pilot_amp**2 * ch.eta**2 * kind.sigma_beta_c_sq
         return np.asarray(di_offsets_crlb(deltas, cfg.m, cfg.n, snr_b), float)
-    return np.full(len(ch.x), np.nan)
+    return np.full(len(ch.eta), np.nan)
 
 
 def _recorded_cycles(ec: ExperimentConfig) -> List[int]:
@@ -351,14 +352,17 @@ def _run_batch(ec: ExperimentConfig, trials: range):
     :func:`_recorded_cycles`, and the per-trial bounds (B,).  Errors are
     computed only for those cycles.
 
-    Per chunk of at most ``CYCLE_CHUNK`` cycles: the normals are drawn
-    first, then the chunk's channel trajectory is computed
-    (:func:`~.channels.evolve_chunk`), then the cycles run, each reading
-    its channel at its index into the trajectory.  Each cycle makes one
-    gain-kernel call (:func:`~.arrays._gain_kernel`).  A recorded cycle
-    takes its direction error at once.  A gain-estimating tracker's
-    channel-vector error waits: the next cycle's call also holds the
-    recorded cycle's direction misses x_hat - x, behind the three probe
+    Every per-cycle array holds the batch on its last axis.  Per chunk of
+    at most ``CYCLE_CHUNK`` cycles: the normals are drawn first, then the
+    chunk's channel trajectory is computed (:func:`~.channels.evolve_chunk`),
+    then the cycles run, each reading its channel at its index into the
+    trajectory and copying its noise normals trials last, (6, B).  Each
+    cycle makes one gain-kernel call
+    (:func:`~.arrays._gain_kernel`) on an axis-first (2, 4B) offset
+    buffer: the (2, 3, B) probe offsets, then the (2, B) error offsets.
+    A recorded cycle takes its direction error at once.  A gain-estimating
+    tracker's channel-vector error waits: the next cycle's call also holds
+    the recorded cycle's direction misses x_hat - x, behind the probe
     offsets, and :func:`_gain_errors` then takes the recorded cycle's true
     gains, carried over from it (across a chunk boundary too).  The run's
     last cycle, always recorded, takes a kernel call of its own for it.  A
@@ -386,17 +390,17 @@ def _run_batch(ec: ExperimentConfig, trials: range):
     recorded = _recorded_cycles(ec)
     evolve = evolve_normals(sc.kind)
     batch = len(rngs)
-    err_h = np.full((batch, len(recorded)), np.nan)
-    err_x = np.empty((batch, len(recorded)))
+    # trials last while the loop writes them, (B, R) views for the caller
+    err_h = np.full((len(recorded), batch), np.nan)
+    err_x = np.empty((len(recorded), batch))
     col = 0
     block = np.empty((batch, min(CYCLE_CHUNK, cycles),
                       evolve + NOISE_NORMALS))
-    # a cycle's kernel offsets, each part contiguous: the (B, 3, 2) probe
-    # offsets, then, while a recorded cycle's gain errors are due, its
-    # x_hat - x
-    offsets = np.empty((4 * batch, 2))
-    probe_offsets = offsets[:3 * batch].reshape(batch, 3, 2)
-    dx = offsets[3 * batch:]
+    # a cycle's kernel offsets, axis first: the (2, 3, B) probe offsets,
+    # then, while a recorded cycle's gain errors are due, its x_hat - x
+    offsets = np.empty((2, 4 * batch))
+    probe_offsets = offsets[:, :3 * batch].reshape(2, 3, batch)
+    dx = offsets[:, 3 * batch:]
     due = None      # (column, true gains, gain estimates) of that cycle
     for first in range(0, cycles, CYCLE_CHUNK):
         count = min(CYCLE_CHUNK, cycles - first)
@@ -406,29 +410,31 @@ def _run_batch(ec: ExperimentConfig, trials: range):
         x, beta_eff, ch = evolve_chunk(ch, sc, cfg,
                                        block[:, :count, :evolve])
         for j, k in enumerate(range(first + 1, first + count + 1)):
-            np.subtract(tracker.probes(), x[j][:, None, :], out=probe_offsets)
-            g = _gain_kernel(offsets[:3 * batch] if due is None else offsets,
-                             cfg.m, cfg.n)
+            np.subtract(tracker.probes(), x[j][:, None], out=probe_offsets)
+            g = _gain_kernel(offsets[:, :3 * batch] if due is None
+                             else offsets, cfg.m, cfg.n)
             if due is not None:
-                err_h[:, due[0]] = _gain_errors(cfg.size, g[3 * batch:],
-                                                *due[1:])
+                err_h[due[0]] = _gain_errors(cfg.size, g[3 * batch:],
+                                             *due[1:])
                 due = None
+            # a (K, 6, B) copy per chunk saved 1-2 us a cycle but raised
+            # peak RSS by its size
+            noise = np.ascontiguousarray(block[:, j, evolve:].T)
             y = observe_kernels(cfg, beta_eff[j],
-                                g[:3 * batch].reshape(batch, 3),
-                                block[:, j, evolve:])
+                                g[:3 * batch].reshape(3, batch), noise)
             tracker.update(y)
             if k == recorded[col]:      # the last cycle is always recorded
                 x_hat, beta_hat = tracker.estimate()
                 np.subtract(x_hat, x[j], out=dx)
-                err_x[:, col] = dx[:, 0] * dx[:, 0]
-                err_x[:, col] += dx[:, 1] * dx[:, 1]
+                np.multiply(dx[0], dx[0], out=err_x[col])
+                err_x[col] += dx[1] * dx[1]
                 if beta_hat is not None:
                     due = (col, beta_eff[j], beta_hat)
                 col += 1
     if due is not None:     # the last cycle's error kernel, on its own
-        err_h[:, -1] = _gain_errors(cfg.size, _gain_kernel(dx, cfg.m, cfg.n),
-                                    *due[1:])
-    return err_h, err_x, crlb
+        err_h[-1] = _gain_errors(cfg.size, _gain_kernel(dx, cfg.m, cfg.n),
+                                 *due[1:])
+    return err_h.T, err_x.T, crlb
 
 
 def _records(ec: ExperimentConfig, err_h: np.ndarray, err_x: np.ndarray,
@@ -436,21 +442,18 @@ def _records(ec: ExperimentConfig, err_h: np.ndarray, err_x: np.ndarray,
     """Reduce per-trial errors (T, R) at the recorded cycles and bounds (T,)
     in trial order by sequential accumulation, so the sums do not depend on
     the batches."""
-    sum_h = np.add.accumulate(err_h, axis=0)[-1]
-    sum_x = np.add.accumulate(err_x, axis=0)[-1]
+    trials = ec.num_trials
+    mse_h = (np.add.accumulate(err_h, axis=0)[-1] / trials).tolist()
+    mse_x = (np.add.accumulate(err_x, axis=0)[-1] / trials).tolist()
     # NaN marks no bound; an infinite bound is one and stays in the mean
     known = crlb[~np.isnan(crlb)]
     mean_crlb = (np.add.accumulate(known)[-1] / len(known) if len(known)
                  else np.nan)
-    trials = ec.num_trials
-    return [MetricsRecord(
-        ecc=k,
-        explorations_total=3 * (k + 1),
-        mse_h=float(sum_h[col] / trials),
-        mse_x=float(sum_x[col] / trials),
-        crlb_ref=float(mean_crlb / k),
-        trials=trials,
-    ) for col, k in enumerate(_recorded_cycles(ec))]
+    cycles = _recorded_cycles(ec)
+    crlb_ref = (mean_crlb / np.array(cycles, float)).tolist()
+    return [MetricsRecord(ecc=k, explorations_total=3 * (k + 1),
+                          mse_h=h, mse_x=x, crlb_ref=c, trials=trials)
+            for k, h, x, c in zip(cycles, mse_h, mse_x, crlb_ref)]
 
 
 def run_experiment(ec: ExperimentConfig) -> List[MetricsRecord]:

@@ -111,32 +111,35 @@ def noiseless_mean(cfg: ArrayConfig, psi: ChannelParams, ebm: Ebm) -> np.ndarray
 
 
 def observe_kernels(cfg: ArrayConfig, beta, g, normals) -> np.ndarray:
-    """Noisy observations of a batch of channels on the kernel path, from
-    the channels' equivalent gains ``beta`` (...), the gain kernels ``g``
-    (..., 3) at the probe-minus-channel offsets and standard ``normals``
-    (..., 6): the real parts of the three noise values, then their
-    imaginary parts.  Equal to the noiseless mean of an EBM pointing at the
-    probes (shift property) plus CN(0, 1) noise: O(1) per probe."""
+    """Noisy observations (3, ...) of a batch of channels on the kernel
+    path, from the channels' equivalent gains ``beta`` (...), the gain
+    kernels ``g`` (3, ...) at the probe-minus-channel offsets and standard
+    ``normals`` (6, ...): the real parts of the three noise values, then
+    their imaginary parts.  Equal to the noiseless mean of an EBM pointing
+    at the probes (shift property) plus CN(0, 1) noise: O(1) per probe."""
     normals = np.asarray(normals, float)
-    noise = np.sqrt(0.5) * (normals[..., :3] + 1j * normals[..., 3:])
-    return cfg.pilot_amp * np.asarray(beta)[..., None] * g + noise
+    noise = np.sqrt(0.5) * (normals[:3] + 1j * normals[3:])
+    return cfg.pilot_amp * np.asarray(beta) * g + noise
 
 
 def _sum3(x):
     """Sum over a last axis of length 3, in one fixed order: numpy's sum
     over that axis without a reduction pass, bit for bit but for the sign
-    of a zero sum of three negative zeros (numpy's reads +0)."""
+    of a zero sum of three negative zeros (numpy's reads +0).  The probe
+    sum of a trials-last (3, T) array ``a`` is ``_sum3(a.T)``, a view."""
     return (x[..., 0] + x[..., 1]) + x[..., 2]
 
 
 def fit_gains(e, y, pilot_amp: float) -> np.ndarray:
     """Least-squares gains beta = e^H y / (s ||e||^2) of observations
-    ``y`` (..., 3) whose responses per unit gain are s * ``e`` (3,); zero
-    where ``e`` vanishes, at any pilot amplitude s."""
+    ``y`` (3,) or trials last (3, T) whose responses per unit gain are
+    s * ``e`` (3,); zero where ``e`` vanishes, at any pilot amplitude s."""
     energy = float(np.vdot(e, e).real)
+    y = np.asarray(y)
     if energy < 1e-30:
-        return np.zeros(np.shape(y)[:-1], complex)
-    return _sum3(e.conj() * y) / (pilot_amp * energy)
+        return np.zeros(y.shape[1:], complex)
+    ec = np.reshape(e.conj(), (3,) + (1,) * (y.ndim - 1))
+    return _sum3((ec * y).T) / (pilot_amp * energy)
 
 
 def observation_kernels(cfg: ArrayConfig, x, ebm: Ebm):
@@ -184,7 +187,7 @@ def recover_from_noiseless(cfg: ArrayConfig, ebm: Ebm, y: np.ndarray,
     xx, yy = np.meshgrid(np.linspace(lo1, hi1, 41), np.linspace(lo2, hi2, 41),
                          indexing="ij")
     pts = np.stack([xx.ravel(), yy.ravel()], axis=1)
-    gk = _gain_kernel(ebm.directions[None, :, :] - pts[:, None, :],
+    gk = _gain_kernel(ebm.directions.T[:, None, :] - pts.T[:, :, None],
                       cfg.m, cfg.n)
     ok = np.abs(gk[:, 0]) > 1e-12
     beta_fit = y[0] / np.where(ok, s * gk[:, 0], 1.0)

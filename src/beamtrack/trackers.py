@@ -5,10 +5,11 @@ mean-field map, and two reference baselines (grid beam switching, EKF).
 Batched trackers
 ----------------
 The Monte-Carlo harness runs the ``*Batch`` classes at the end of this
-module: each update over a batch of trials, one row per trial, behind one
-interface (``BatchTracker``).  Each update exists only there; the tests
-check the joint and direction-only updates against the explicit-matrix
-routes, and the baselines against per-trial reference steps.
+module: each update over a batch of trials, the trials on the last axis of
+every array, behind one interface (``BatchTracker``).  Each update exists
+only there; the tests check the joint and direction-only updates against
+the explicit-matrix routes, and the baselines against per-trial reference
+steps.
 
 Update kernels and operation audit
 ----------------------------------
@@ -19,14 +20,13 @@ audited by counting every multiplication and division executed while
 computing the update direction -- real or complex alike, additions and
 Re/Im/conjugate extractions free.  Cache construction is offline and
 excluded; so is the final step-size scale-and-add.  ``count_ops`` counts by
-running the batched kernels on one row of ``_OpTally`` arrays: one cycle
+running the batched kernels on one trial of ``_OpTally`` arrays: one cycle
 costs 39 operations for the joint tracker and 28 for the direction-only
 tracker.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable, Optional, Protocol
 
@@ -92,13 +92,13 @@ def _sym_inv2(a, b, d):
 class FastUpdateCache:
     """Offset-only terms for the joint tracker's update, all independent of
     the running estimate: probe kernels, the Fisher blocks they induce, and
-    pilot-folded copies used by the gradient inner products."""
+    pilot-folded copies used by the gradient inner products, shaped
+    against trials-last (3, T) observations."""
 
-    se: np.ndarray       # pilot_amp * e, e (3,) the probe gains w^H a
-    e_s: np.ndarray      # e / pilot_amp  (gradient weights, scale folded)
-    d1_s: np.ndarray     # w^H da/dx1 / pilot_amp
-    d2_s: np.ndarray     # w^H da/dx2 / pilot_amp
-    r12: np.ndarray      # (2,) e^H [d1, d2]; the gain-direction coupling row
+    se: np.ndarray       # (3, 1) pilot_amp * e, e the probe gains w^H a
+    e_s: np.ndarray      # (3, 1) e / pilot_amp (gradient weights)
+    d_s: np.ndarray      # (3, 2, 1) w^H da/dx1 and w^H da/dx2 / pilot_amp
+    r12: np.ndarray      # (2, 1) e^H [d1, d2]; the gain-direction coupling
     a_inv: float         # 1 / ||e||^2  (inverse of the gain block / I2)
     is_inv: np.ndarray   # (2, 2) inverse of the direction Schur block
     gain_floor_sq: float  # |gain|^2 floor for the direction Schur scale
@@ -112,7 +112,9 @@ def build_fast_cache(cfg: ArrayConfig, offsets: OffsetSet) -> FastUpdateCache:
         raise SingularFisher("static Fisher is singular: degenerate offsets "
                              "or a one-element axis")
     a, s = float(a), cfg.pilot_amp
-    return FastUpdateCache(s * e, e / s, d1 / s, d2 / s, np.array(u), 1.0 / a,
+    return FastUpdateCache((s * e)[:, None], (e / s)[:, None],
+                           np.stack([d1 / s, d2 / s], axis=1)[..., None],
+                           np.array(u)[:, None], 1.0 / a,
                            _sym2(_sym_inv2(*(x / a for x in w))),
                            GAIN_FLOOR_MULT / (s**2 * a))
 
@@ -120,7 +122,7 @@ def build_fast_cache(cfg: ArrayConfig, offsets: OffsetSet) -> FastUpdateCache:
 def _jbct_direction_batch(cache: FastUpdateCache, beta: np.ndarray,
                           y: np.ndarray) -> np.ndarray:
     """Update direction I^-1 grad-log-likelihood via a block solve, for a
-    batch: beta (T,), y (T, 3) -> (T, 4).
+    batch: beta (T,), y (3, T) -> (4, T).
 
     The 4x4 Fisher has blocks [[||e||^2 I2, B(beta)], [B^T, |beta|^2 D]];
     only scalar functions of beta enter online, everything else is cached.
@@ -129,25 +131,22 @@ def _jbct_direction_batch(cache: FastUpdateCache, beta: np.ndarray,
     updates through deep gain fades instead of letting the near-singular
     preconditioner amplify pure noise; inactive at healthy gains.
     """
-    # gradient of the log-likelihood (pilot scale folded into the caches)
-    resid = y - beta[:, None] * cache.se
-    ip0 = _sum3(cache.e_s.conj() * resid)
-    ub0 = _sum3(((beta[:, None] * cache.d1_s).conj() * resid).real)
-    ub1 = _sum3(((beta[:, None] * cache.d2_s).conj() * resid).real)
+    # gradient of the log-likelihood (pilot scale folded into the caches);
+    # the two direction coordinates, and the real and imaginary parts, go
+    # through each operation as one (2, T) pair
+    resid = y - beta * cache.se
+    ip0 = _sum3((cache.e_s.conj() * resid).T)
+    ip = ip0.view(float).reshape(-1, 2).T                     # Re, Im
+    ub = _sum3(((beta * cache.d_s).conj() * resid[:, None]).real.T).T
     # block solve: gain block is ||e||^2 I2, coupling rows are Re/Im of
     # beta * r12, direction Schur block is |beta|^2 * Is
-    br0 = beta * cache.r12[0]
-    br1 = beta * cache.r12[1]
-    t0 = cache.a_inv * ip0.real
-    t1 = cache.a_inv * ip0.imag
-    v0 = ub0 - (br0.real * t0 + br0.imag * t1)
-    v1 = ub1 - (br1.real * t0 + br1.imag * t1)
+    br = (beta * cache.r12).view(float).reshape(2, -1, 2)    # (2, T, Re/Im)
+    t = cache.a_inv * ip
+    v = ub - (br[..., 0] * t[0] + br[..., 1] * t[1])
     b2 = np.maximum((beta * beta.conjugate()).real, cache.gain_floor_sq)
-    w0 = (cache.is_inv[0, 0] * v0 + cache.is_inv[0, 1] * v1) / b2
-    w1 = (cache.is_inv[1, 0] * v0 + cache.is_inv[1, 1] * v1) / b2
-    xa0 = cache.a_inv * (ip0.real - (br0.real * w0 + br1.real * w1))
-    xa1 = cache.a_inv * (ip0.imag - (br0.imag * w0 + br1.imag * w1))
-    return np.stack([xa0, xa1, w0, w1], axis=1)
+    w = (cache.is_inv[:, :1] * v[0] + cache.is_inv[:, 1:] * v[1]) / b2
+    xa = cache.a_inv * (ip - (br[0].T * w[0] + br[1].T * w[1]))
+    return np.concatenate([xa, w])
 
 
 def jbct_direction(cfg: ArrayConfig, psi_hat: ChannelParams, ebm: Ebm,
@@ -201,9 +200,10 @@ def _rbt_terms(e, d1, d2, c):
 
 def _rbt_direction_batch(q_mats, c0, i_inv, y: np.ndarray) -> np.ndarray:
     """Fisher-preconditioned score step direction of the direction tracker
-    for a batch, y (T, 3) -> (T, 2), from the per-row terms of
+    for a batch, y (T, 3) -> (T, 2), from the per-trial terms of
     :func:`_rbt_terms`: the score of :func:`~.estimation._di_score`, then
-    I^-1 times it."""
+    I^-1 times it.  Trials first: the batched matmuls take other bits on
+    other operand layouts."""
     return (i_inv @ _di_score(q_mats, c0, y)[..., None])[..., 0]
 
 
@@ -227,12 +227,13 @@ EKF_PRIOR_VAR = 0.1
 
 
 # ---------------------------------------------------------------------------
-# batched trackers: one row per trial, one numpy pass per cycle
+# batched trackers: trials on the last axis, one numpy pass per cycle
 # ---------------------------------------------------------------------------
 #
-# Each class runs its tracker's update on a batch of independent trials.
-# The safeguards are per-trial masks: a trial whose update is skipped or
-# dropped keeps its estimate while the others move.
+# Each class runs its tracker's update on a batch of independent trials,
+# each array's trials on its contiguous last axis, so that every numpy loop
+# runs along the batch.  The safeguards are per-trial masks: a trial whose
+# update is skipped or dropped keeps its estimate while the others move.
 
 
 @dataclass(frozen=True)
@@ -243,16 +244,17 @@ class TrackerRun:
     offsets: OffsetSet
     schedule: object
     gain_var: np.ndarray      # (T,) equivalent-gain variance per trial
-    # variance estimated at the direction estimates, x (T, 2) -> (T,);
+    # variance estimated at the direction estimates, x (2, T) -> (T,);
     # None means the direction tracker uses ``gain_var``
     gain_var_at: Optional[Callable] = None
 
 
 class BatchTracker(Protocol):
-    """The interface the Monte-Carlo harness drives: construct from the run
-    and the initial estimates (x0 (T, 2), beta0 (T,)), then each cycle
-    ``probes`` (T, 3, 2), ``update(y)`` with y (T, 3), and ``estimate`` ->
-    (x_hat (T, 2), beta_hat (T,) or None for a direction-only tracker)."""
+    """The interface the Monte-Carlo harness drives, the trials on the last
+    axis: construct from the run and the initial estimates (x0 (2, T),
+    beta0 (T,)), then each cycle ``probes`` (2, 3, T), ``update(y)`` with
+    y (3, T), and ``estimate`` -> (x_hat (2, T), beta_hat (T,) or None for
+    a direction-only tracker)."""
 
     def __init__(self, run: TrackerRun, x0: np.ndarray,
                  beta0: np.ndarray): ...
@@ -264,6 +266,12 @@ class BatchTracker(Protocol):
     def estimate(self): ...
 
 
+def _probe_offsets(deltas) -> np.ndarray:
+    """Probe offsets (3, 2) as the (2, 3, 1) block that forms the probes
+    (2, 3, T) of trials-last estimates (2, T)."""
+    return np.asarray(deltas, float).T[:, :, None]
+
+
 def _as_complex(re, im) -> np.ndarray:
     out = np.empty(np.shape(re), complex)
     out.real = re
@@ -271,49 +279,37 @@ def _as_complex(re, im) -> np.ndarray:
     return out
 
 
-def _row_max(a: np.ndarray) -> np.ndarray:
-    """Row maxima of a (T, c) array: np.maximum over its columns in order,
-    the short-axis ``max(axis=1)`` without a reduction pass."""
-    return functools.reduce(np.maximum, a.T)
-
-
-def _rows_finite(a: np.ndarray) -> np.ndarray:
-    """Rows of a (T, c) array whose entries are all finite: the short-axis
-    ``isfinite(a).all(axis=1)`` as a chain of column ands."""
-    return functools.reduce(np.logical_and, np.isfinite(a).T)
-
-
 def _stepped(state: np.ndarray, schedule, k: int, direction: np.ndarray,
              usable=True) -> np.ndarray:
-    """The stochastic-approximation step of both trackers: ``state`` (T, c)
+    """The stochastic-approximation step of both trackers: ``state`` (c, T)
     moved by the schedule's step at cycle ``k`` along ``direction``, each
-    row's step truncated to STEP_CAP in max-norm.  A row keeps its state
+    trial's step truncated to STEP_CAP in max-norm.  A trial keeps its state
     where its step is not finite (its direction is not, or the step
     overflows) or ``usable`` (T,) is False."""
     with np.errstate(all="ignore"):
         step = schedule.at(k) * direction
-        largest = _row_max(np.abs(step))
-        step *= np.where(largest > STEP_CAP, STEP_CAP / largest, 1.0)[:, None]
-    apply = usable & _rows_finite(step)
-    return np.where(apply[:, None], state + step, state)
+        largest = np.abs(step).max(axis=0)
+        step *= np.where(largest > STEP_CAP, STEP_CAP / largest, 1.0)
+    apply = usable & np.isfinite(step).all(axis=0)
+    return np.where(apply, state + step, state)
 
 
 class JbctBatch:
     """Joint gain + direction tracker (both step configurations)."""
 
     def __init__(self, run: TrackerRun, x0, beta0):
-        self.psi = np.column_stack([beta0.real, beta0.imag, x0])
+        self.psi = np.vstack([beta0.real, beta0.imag, x0])
         self.k = 0
         self.schedule = run.schedule
-        self.deltas = run.offsets.deltas
+        self.deltas = _probe_offsets(run.offsets.deltas)
         self.cache = build_fast_cache(run.cfg, run.offsets)
 
     def probes(self) -> np.ndarray:
-        return self.psi[:, None, 2:] + self.deltas
+        return self.psi[2:, None] + self.deltas
 
     def update(self, y: np.ndarray) -> None:
         self.k += 1
-        beta = _as_complex(self.psi[:, 0], self.psi[:, 1])
+        beta = _as_complex(self.psi[0], self.psi[1])
         b2 = np.abs(beta) ** 2
         with np.errstate(all="ignore"):
             direction = _jbct_direction_batch(self.cache, beta, y)
@@ -322,7 +318,7 @@ class JbctBatch:
                             np.isfinite(b2) & (b2 >= 1e-24))
 
     def estimate(self):
-        return self.psi[:, 2:], _as_complex(self.psi[:, 0], self.psi[:, 1])
+        return self.psi[2:], _as_complex(self.psi[0], self.psi[1])
 
 
 class RbtBatch:
@@ -332,6 +328,7 @@ class RbtBatch:
         self.x = np.array(x0, float)
         self.k = 0
         self.run = run
+        self.deltas = _probe_offsets(run.offsets.deltas)
         self.kernels = probe_kernels(run.offsets.deltas, run.cfg.m, run.cfg.n)
         self.q_mats, self.c0, self.i_inv = self._terms(run.gain_var)
 
@@ -339,17 +336,21 @@ class RbtBatch:
         return _rbt_terms(*self.kernels, self.run.cfg.pilot_amp**2 * var)
 
     def probes(self) -> np.ndarray:
-        return self.x[:, None, :] + self.run.offsets.deltas
+        return self.x[:, None] + self.deltas
 
     def update(self, y: np.ndarray) -> None:
         if self.run.gain_var_at is not None:
-            # every row: rebuilding only the rows whose variance changed
+            # every trial: rebuilding only the trials whose variance changed
             # (52-100% per cycle) timed alike on 200-trial runs
             self.q_mats, self.c0, self.i_inv = self._terms(
                 self.run.gain_var_at(self.x))
-        direction = _rbt_direction_batch(self.q_mats, self.c0, self.i_inv, y)
+        # trials first through the kernel's matmuls, whose bits depend on
+        # their operands' layout; trials last again for the step
+        direction = _rbt_direction_batch(self.q_mats, self.c0, self.i_inv,
+                                         np.ascontiguousarray(y.T))
         self.k += 1
-        self.x = _stepped(self.x, self.run.schedule, self.k, direction)
+        self.x = _stepped(self.x, self.run.schedule, self.k,
+                          np.ascontiguousarray(direction.T))
 
     def estimate(self):
         return self.x, None
@@ -360,75 +361,85 @@ class BeamSwitchBatch:
 
     def __init__(self, run: TrackerRun, x0, beta0):
         cfg = run.cfg
-        self.limits = np.array([cfg.m / 2.0, cfg.n / 2.0])
+        self.limits = np.array([[cfg.m / 2.0], [cfg.n / 2.0]])
         snapped = np.round(np.asarray(x0, float) / BEAM_SPACING) * BEAM_SPACING
         self.x = np.clip(snapped, -self.limits, self.limits)
-        self.beta_hat = np.zeros(len(self.x), complex)
+        self.beta_hat = np.zeros(self.x.shape[1], complex)
         self.k = 0
         self.gain_scale = cfg.pilot_amp * np.sqrt(cfg.size)
 
     def probes(self) -> np.ndarray:
-        step = np.zeros(2)
+        step = np.zeros((2, 1))
         step[self.k % 2] = BEAM_SPACING
         probes = np.stack([self.x, self.x + step, self.x - step], axis=1)
-        self.pattern = np.clip(probes, -self.limits, self.limits)
+        limits = self.limits[:, None]
+        self.pattern = np.clip(probes, -limits, limits)
         return self.pattern
 
     def update(self, y: np.ndarray) -> None:
         """Switch to the strongest beam of this cycle's :meth:`probes`."""
-        rows = np.arange(len(y))
-        best = np.argmax(np.abs(y), axis=1)
-        self.x = self.pattern[rows, best]
-        self.beta_hat = y[rows, best] / self.gain_scale
+        trials = np.arange(y.shape[1])
+        best = np.argmax(np.abs(y), axis=0)
+        self.x = self.pattern[:, best, trials]
+        self.beta_hat = y[best, trials] / self.gain_scale
         self.k += 1
 
     def estimate(self):
         return self.x, self.beta_hat
 
 
+# the entries (11, 12, 22) of the EKF's prior covariance, as a column
+_EKF_PRIOR = np.array([[EKF_PRIOR_VAR], [0.0], [EKF_PRIOR_VAR]])
+
+
 class EkfBatch:
     """Identity-dynamics EKF baseline in information form: with R = r I,
     r = 1/2 at CN(0, 1) noise, and H = [Re h; Im h] for h = s beta [k1, k2]
-    (3, 2), P+ = (P_pred^-1 + Re(h^H h)/r)^-1 and x += P+ Re(h^H resid)/r."""
+    (3, 2), P+ = (P_pred^-1 + Re(h^H h)/r)^-1 and x += P+ Re(h^H resid)/r.
+    ``p`` (3, T) holds each trial's P by its entries (11, 12, 22)."""
 
     def __init__(self, run: TrackerRun, x0, beta0):
         self.cfg = cfg = run.cfg
         self.x = np.array(x0, float)
-        self.p = np.tile(EKF_PRIOR_VAR * np.eye(2), (len(self.x), 1, 1))
+        self.p = np.repeat(_EKF_PRIOR, self.x.shape[1], axis=1)
         self.beta_hat = np.array(beta0, complex)
-        self.g, self.k1, self.k2 = probe_kernels(EKF_PROBE_OFFSETS, cfg.m,
-                                                 cfg.n)
+        self.deltas = _probe_offsets(EKF_PROBE_OFFSETS)
+        self.g, k1, k2 = probe_kernels(EKF_PROBE_OFFSETS, cfg.m, cfg.n)
+        self.k1, self.k2 = k1[:, None], k2[:, None]
 
     def probes(self) -> np.ndarray:
-        return self.x[:, None, :] + EKF_PROBE_OFFSETS
+        return self.x[:, None] + self.deltas
 
     def update(self, y: np.ndarray) -> None:
         s, r = self.cfg.pilot_amp, 0.5
-        # a row with a non-finite observation updates on y = 0, which moves
-        # nothing; it keeps its gain estimate and its covariance is reset
-        finite = _rows_finite(y)
-        y = np.where(finite[:, None], y, 0.0)
+        # a trial with a non-finite observation updates on y = 0, which
+        # moves nothing; it keeps its gain estimate and its covariance is
+        # reset
+        finite = np.isfinite(y).all(axis=0)
+        y = np.where(finite, y, 0.0)
         beta = fit_gains(self.g, y, s)
         self.beta_hat = np.where(finite, beta, self.beta_hat)
         sb = s * beta
-        resid = y - sb[:, None] * self.g
-        h1 = sb[:, None] * self.k1                                # (T, 3)
-        h2 = sb[:, None] * self.k2
+        resid = y - sb * self.g[:, None]
+        h1 = sb * self.k1                                         # (3, T)
+        h2 = sb * self.k2
         c1, c2 = h1.conj(), h2.conj()
         # entries (11, 12, 22) of Re(h^H h) and Re(h^H resid), per probe
         # products summed in probe order
-        f11, f12, f22, u1, u2 = (_sum3((p * q).real) / r for p, q in (
+        f11, f12, f22, u1, u2 = (_sum3((p * q).real.T) / r for p, q in (
             (c1, h1), (c1, h2), (c2, h2), (c1, resid), (c2, resid)))
-        p_pred = self.p + EKF_PROCESS_NOISE * np.eye(2)
-        ia, ib, id_ = _sym_inv2(p_pred[:, 0, 0], p_pred[:, 0, 1], p_pred[:, 1, 1])
+        # P + q I by its entries; the off-diagonal + 0.0 turns a -0.0 into
+        # +0.0, as adding q I to the matrix does
+        p11, p12, p22 = self.p
+        ia, ib, id_ = _sym_inv2(p11 + EKF_PROCESS_NOISE, p12 + 0.0,
+                                p22 + EKF_PROCESS_NOISE)
         a, b, d = _sym_inv2(ia + f11, ib + f12, id_ + f22)
-        self.x = self.x + np.stack([a * u1 + b * u2, b * u1 + d * u2], axis=1)
+        self.x = self.x + np.stack([a * u1 + b * u2, b * u1 + d * u2])
         # covariance reset where the observation was not finite or P+ is not
         # positive definite (a non-finite P+ fails the same test)
         det = a * d - b * b
         ok = finite & (a > 0) & (det > 0) & np.isfinite(det)
-        self.p = np.where(ok[:, None, None], _sym2((a, b, d)),
-                          EKF_PRIOR_VAR * np.eye(2))
+        self.p = np.where(ok, (a, b, d), _EKF_PRIOR)
 
     def estimate(self):
         return self.x, self.beta_hat
@@ -482,14 +493,14 @@ def count_ops(step_kind: str, cfg: Optional[ArrayConfig] = None) -> int:
     run = TrackerRun(cfg or ArrayConfig(8, 8),
                      STATIC_OFFSETS if joint else FADING_OFFSETS,
                      DiminishingStep(1.0), np.ones(1))
-    tracker = (JbctBatch if joint else RbtBatch)(run, np.zeros((1, 2)),
+    tracker = (JbctBatch if joint else RbtBatch)(run, np.zeros((2, 1)),
                                                  np.array([1.0 + 0.2j]))
     ops = [0]
     # the kernels do not branch on values, so any observation counts the same
-    y = _OpTally(np.full((1, 3), 0.5 - 1.0j), ops)
+    y = _OpTally(np.full((3, 1), 0.5 - 1.0j), ops)
     if joint:
         beta = _OpTally(tracker.estimate()[1], ops)
         _jbct_direction_batch(tracker.cache, beta, y)
     else:
-        _rbt_direction_batch(tracker.q_mats, tracker.c0, tracker.i_inv, y)
+        _rbt_direction_batch(tracker.q_mats, tracker.c0, tracker.i_inv, y.T)
     return ops[0]

@@ -139,7 +139,8 @@ def probe_kernels_per_axis(deltas, m: int, n: int):
 
 
 def gain_kernel_per_axis(deltas, m: int, n: int):
-    """``arrays._gain_kernel`` with one :func:`axis_sums` pass per axis."""
+    """``arrays._gain_kernel`` of (..., 2) offsets, with one
+    :func:`axis_sums` pass per axis."""
     d = np.asarray(deltas, float)
     s1, _ = axis_sums(d[..., 0], m, False)
     s2, _ = axis_sums(d[..., 1], n, False)

@@ -277,7 +277,7 @@ class TestCriterion10OperationCounts:
             ebm = build_ebm(CFG, psi_hat.x, STATIC_OFFSETS)
             y = 2 * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
             fast = _jbct_direction_batch(cache, np.array([psi_hat.beta]),
-                                         y[None])[0]
+                                         y[:, None])[:, 0]
             naive = jbct_direction(CFG, psi_hat, ebm, y)
             worst = max(worst, float(np.abs(fast - naive).max()))
         elapsed = time.monotonic() - t0

@@ -236,7 +236,8 @@ class TestClosedForm:
         assert np.abs(got[0] - want[0]).max() <= tol
         assert np.abs(got[1] - want[1]).max() <= np.pi * tol
         assert np.abs(got[2] - want[2]).max() <= np.pi * tol
-        assert np.array_equal(_gain_kernel(d, m, n), got[0])
+        assert np.array_equal(_gain_kernel(np.moveaxis(d, -1, 0), m, n),
+                              got[0])
 
     def test_ratio_series_matches_power_sums(self):
         """The series of sin(size u)/sin(u) equals, bit for bit, the exact
@@ -311,7 +312,8 @@ class TestOnePassKernels:
         for got, want in zip(probe_kernels(d, m, n),
                              probe_kernels_per_axis(d, m, n)):
             assert _same_bits(got, want)
-        assert _same_bits(_gain_kernel(d, m, n), gain_kernel_per_axis(d, m, n))
+        assert _same_bits(_gain_kernel(np.moveaxis(d, -1, 0), m, n),
+                          gain_kernel_per_axis(d, m, n))
         assert _same_bits(beam_gain_kernel(d, m, n),
                           beam_gain_kernel_per_axis(d, m, n))
         for got, want in zip(probe_kernels_limit(d / m),

@@ -167,7 +167,7 @@ class TestInitChannel:
             aoa = Aoa(ch.theta[row], ch.phi[row])
             expected = element_gain(aoa)
             assert abs(abs(ch.beta_eff[row] / ch.beta_c[row]) - expected) < 1e-9
-            assert np.allclose(ch.x[row], dpv_from_aoa(CFG, aoa))
+            assert np.allclose(ch.x[:, row], dpv_from_aoa(CFG, aoa))
 
 
 class TestEvolve:
@@ -175,10 +175,10 @@ class TestEvolve:
         """The channel after the chunk is the channel before it, and the
         trajectory is broadcast views of it, not copies."""
         sc = ScenarioConfig(QuasiStatic())
-        ch = _many_inits(sc, 2, seed=4)
-        x, beta_eff, end = evolve_chunk(ch, sc, CFG, np.empty((2, 5, 0)))
+        ch = _many_inits(sc, 3, seed=4)
+        x, beta_eff, end = evolve_chunk(ch, sc, CFG, np.empty((3, 5, 0)))
         assert end is ch
-        assert x.shape == (5, 2, 2) and beta_eff.shape == (5, 2)
+        assert x.shape == (5, 2, 3) and beta_eff.shape == (5, 3)
         assert np.shares_memory(x, ch.x) and x.strides[0] == 0
         assert np.shares_memory(beta_eff, ch.beta_eff)
         assert beta_eff.strides[0] == 0
@@ -248,7 +248,7 @@ class TestEvolve:
         np.testing.assert_allclose(nxt.beta_c, beta_c, rtol=1e-15)
         for row in range(2):
             aoa = Aoa(theta[row], phi[row])
-            np.testing.assert_allclose(nxt.x[row],
+            np.testing.assert_allclose(nxt.x[:, row],
                                        dpv_from_aoa(CFG, aoa),
                                        rtol=1e-12, atol=1e-15)
             eta = element_gain(aoa)
@@ -291,7 +291,7 @@ class TestChunkContract:
         ch = init_channel_batch(sc, CFG, _draws(sc, rows, rng))
         normals = rng.standard_normal((rows, cycles, evolve_normals(kind)))
         x, beta_eff, end = evolve_chunk(ch, sc, CFG, normals)
-        assert x.shape == (cycles, rows, 2)
+        assert x.shape == (cycles, 2, rows)
         assert beta_eff.shape == (cycles, rows)
 
         one = ch
@@ -332,7 +332,7 @@ class TestInitialEstimate:
         ch, x0, _ = _estimates(ScenarioConfig(QuasiStatic()), 4000, 12, 0.5)
         off = x0 - ch.x
         for axis in range(2):
-            p = stats.kstest(off[:, axis], stats.uniform(-0.5, 1.0).cdf).pvalue
+            p = stats.kstest(off[axis], stats.uniform(-0.5, 1.0).cdf).pvalue
             assert p > 0.01
 
     def test_bootstrap_gain_near_truth_noiselessly(self):
@@ -360,7 +360,7 @@ class TestInitialEstimate:
             ebm = build_ebm(cfg, x0_ref, STATIC_OFFSETS)
             want = bootstrap_gain(cfg, ebm, x0_ref,
                                   observe(cfg, st.params, ebm, rng))
-            assert np.array_equal(x0[0], x0_ref)
+            assert np.array_equal(x0[:, 0], x0_ref)
             assert abs(beta0[0] - want) <= 1e-12 * max(1.0, abs(want))
 
     def test_halfwidth_validation(self):
@@ -376,7 +376,7 @@ class TestEstimatedGainVariance:
     def test_matches_pattern_at_physical_estimate(self):
         sc = ScenarioConfig(QuasiStatic())
         ch = _many_inits(sc, 1, seed=15)
-        got = estimated_gain_variance(CFG, ch.x[0], 1.0)
+        got = estimated_gain_variance(CFG, ch.x[:, 0], 1.0)
         eta = element_gain(Aoa(ch.theta[0], ch.phi[0]))
         assert abs(got - eta**2) < 1e-9
 

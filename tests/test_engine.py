@@ -92,14 +92,14 @@ def reference_trial(ec, trial, hits=None):
         gain_var_at = None
         if ec.rbt_sigma_mode == "estimated":
             def gain_var_at(x):
-                return np.array([_estimated_gain_variance(cfg, x[0],
+                return np.array([_estimated_gain_variance(cfg, x[:, 0],
                                                           sigma_c_sq)])
         run = TrackerRun(cfg, offsets, schedule,
                          np.array([eta**2 * sigma_c_sq]), gain_var_at)
-        ts = TRACKERS[tracker][0](run, psi0.x[None],
+        ts = TRACKERS[tracker][0](run, psi0.x[:, None],
                                   np.array([psi0.beta]))
-        probes_of = lambda: ts.probes()[0]
-        estimate_of = lambda: tuple(None if v is None else v[0]
+        probes_of = lambda: ts.probes()[..., 0].T
+        estimate_of = lambda: tuple(None if v is None else v[..., 0]
                                     for v in ts.estimate())
     elif tracker == "BeamSwitch":
         ts = beam_switch_tracker(cfg, psi0.x)
@@ -129,7 +129,7 @@ def reference_trial(ec, trial, hits=None):
         else:
             if hits is not None:
                 _count_safeguards(ts, y, hits)
-            ts.update(y[None])
+            ts.update(y[:, None])
         x_hat, beta_hat = estimate_of()
         err_h[k], err_x[k] = _errors(cfg, state, x_hat, beta_hat)
     return err_h, err_x, crlb_ref
@@ -142,7 +142,7 @@ def _count_safeguards(ts, y, hits):
     cycle = ts.k + 1
     if (beta[0] * beta[0].conjugate()).real < ts.cache.gain_floor_sq:
         hits["floor"].append(cycle)
-    direction = _jbct_direction_batch(ts.cache, beta, y[None])[0]
+    direction = _jbct_direction_batch(ts.cache, beta, y[:, None])[:, 0]
     if (np.all(np.isfinite(direction))
             and np.abs(ts.schedule.at(cycle) * direction).max() > STEP_CAP):
         hits["cap"].append(cycle)
@@ -563,11 +563,12 @@ class TestKernelPasses:
 
 
 class TestKernelRows:
-    """The rows of each gain-kernel call of the cycle loop, per trial: a
-    cycle's three probes, one more in the call after a recorded cycle of a
-    gain-estimating tracker (that cycle's channel-vector error), and one
-    call of its own for the last cycle's after the loop.  A direction-only
-    tracker's calls hold its probes alone, recorded or not."""
+    """The rows of each gain-kernel call of the cycle loop, per trial, the
+    length of its axis-first offsets' last axis: a cycle's three probes,
+    one more in the call after a recorded cycle of a gain-estimating
+    tracker (that cycle's channel-vector error), and one call of its own
+    for the last cycle's after the loop.  A direction-only tracker's calls
+    hold its probes alone, recorded or not."""
 
     @pytest.mark.parametrize("case, record_every, later, last", [
         ("RBT_DI-perfect", 1, 3, None),
@@ -582,7 +583,8 @@ class TestKernelRows:
         kernel = harness._gain_kernel
 
         def counted(offsets, m, n):
-            rows.append(len(offsets))
+            assert offsets.shape[0] == 2
+            rows.append(offsets.shape[-1])
             return kernel(offsets, m, n)
 
         monkeypatch.setattr(harness, "_gain_kernel", counted)
@@ -592,6 +594,34 @@ class TestKernelRows:
         run_experiment(ec)
         want = [3] + [later] * (ec.num_eccs - 1) + ([last] if last else [])
         assert rows == [r * ec.num_trials for r in want]
+
+
+class TestTrackerContract:
+    """Every registered tracker holds its trials on the last axis: it is
+    built from x0 (2, T) and beta0 (T,), and each cycle gives probes
+    (2, 3, T), takes y (3, T) and estimates x_hat (2, T) with beta_hat (T,),
+    or None for the direction-only tracker; at one trial and at five."""
+
+    @pytest.mark.parametrize("trials", [1, 5])
+    @pytest.mark.parametrize("name", sorted(TRACKERS))
+    def test_shapes(self, name, trials):
+        tracker_cls, schedule = TRACKERS[name]
+        offsets = FADING_OFFSETS if name == "RBT_DI" else STATIC_OFFSETS
+        run = TrackerRun(ArrayConfig(8, 8), offsets,
+                         schedule or DiminishingStep(1.0), np.ones(trials))
+        rng = np.random.default_rng(trials)
+        tracker = tracker_cls(run, rng.uniform(-0.3, 0.3, (2, trials)),
+                              rng.standard_normal(trials) + 0.5j)
+        for _ in range(2):
+            assert tracker.probes().shape == (2, 3, trials)
+            tracker.update(rng.standard_normal((3, trials))
+                           + 1j * rng.standard_normal((3, trials)))
+            x_hat, beta_hat = tracker.estimate()
+            assert x_hat.shape == (2, trials)
+            if name == "RBT_DI":
+                assert beta_hat is None
+            else:
+                assert beta_hat.shape == (trials,)
 
 
 class TestChannelPasses:
@@ -628,9 +658,16 @@ class TestSafeguardMasks:
     CFG = ArrayConfig(8, 8)
 
     def _run(self, tracker_cls, x0, beta0):
+        """A tracker started at the rows of ``x0`` (T, 2)."""
         return tracker_cls(TrackerRun(self.CFG, STATIC_OFFSETS,
                                       DiminishingStep(1.0), np.ones(len(x0))),
-                           np.array(x0, float), np.array(beta0, complex))
+                           np.array(x0, float).T, np.array(beta0, complex))
+
+    @staticmethod
+    def _cov(tracker, trial):
+        """The EKF covariance (2, 2) of one trial, from its entries."""
+        p11, p12, p22 = tracker.p[:, trial]
+        return np.array([[p11, p12], [p12, p22]])
 
     def test_joint_tracker_rows(self):
         """Healthy, vanishing (skipped), faded (floored), non-finite
@@ -640,7 +677,7 @@ class TestSafeguardMasks:
         y = np.array([[0.3 + 0.1j, -0.2j, 0.5], [1.0, 0.2, 0.1j],
                       [0.4, -0.4j, 0.3], [0.1, 0.1, 0.1], [40.0, -35j, 20]])
         batch = self._run(JbctBatch, x0, betas)
-        batch.update(y)
+        batch.update(y.T)
         for row, beta in enumerate(betas):
             psi = ChannelParams.from_parts(beta, x0[row])
             want = psi.as_vector()
@@ -650,10 +687,10 @@ class TestSafeguardMasks:
                     self.CFG, psi, ebm, y[row])
                 step *= min(1.0, STEP_CAP / np.abs(step).max())
                 want = want + step
-            np.testing.assert_allclose(batch.psi[row], want, rtol=1e-12,
+            np.testing.assert_allclose(batch.psi[:, row], want, rtol=1e-12,
                                        atol=1e-15)
-        assert np.array_equal(batch.psi[1], [0.0, 0.0, 0.1, -0.2])
-        assert np.abs(batch.psi[4] - [0.0, 0.05, 0.1, -0.2]).max() \
+        assert np.array_equal(batch.psi[:, 1], [0.0, 0.0, 0.1, -0.2])
+        assert np.abs(batch.psi[:, 4] - [0.0, 0.05, 0.1, -0.2]).max() \
             == pytest.approx(STEP_CAP)
 
     def test_ekf_covariance_reset_rows(self):
@@ -661,21 +698,22 @@ class TestSafeguardMasks:
         prior; a healthy row is not."""
         x0 = [(0.1, 0.2)] * 2
         batch = self._run(EkfBatch, x0, [0.5, 0.5])
-        batch.p[1] = np.diag([0.1, -5.0])
+        batch.p[:, 1] = (0.1, 0.0, -5.0)
         # a near-silent row: the gain fit is small, so P barely moves
         y = np.array([[0.3, 0.2j, 0.1], [1e-6, 0.0, 0.0]])
         scalars = []
         for row in range(2):
             ts = ekf_tracker(self.CFG, x0[row])
-            ts.p = batch.p[row].copy()
+            ts.p = self._cov(batch, row)
             baseline_ekf_step(ts, self.CFG, y[row])
             scalars.append(ts)
-        batch.update(y)
+        batch.update(y.T)
         for row, ts in enumerate(scalars):
-            np.testing.assert_allclose(batch.p[row], ts.p, rtol=1e-12)
-            np.testing.assert_allclose(batch.x[row], ts.x, rtol=1e-12)
-        assert np.array_equal(batch.p[1], 0.1 * np.eye(2))
-        assert not np.array_equal(batch.p[0], 0.1 * np.eye(2))
+            np.testing.assert_allclose(self._cov(batch, row), ts.p,
+                                       rtol=1e-12)
+            np.testing.assert_allclose(batch.x[:, row], ts.x, rtol=1e-12)
+        assert np.array_equal(self._cov(batch, 1), 0.1 * np.eye(2))
+        assert not np.array_equal(self._cov(batch, 0), 0.1 * np.eye(2))
 
     def test_ekf_non_finite_observation_rows(self):
         """A row with a non-finite observation keeps its estimate and
@@ -687,18 +725,19 @@ class TestSafeguardMasks:
         batch = self._run(EkfBatch, x0, [0.5, 0.4j, 0.3])
         healthy = self._run(EkfBatch, [x0[0], x0[2]], [0.5, 0.3])
         for tracker in (batch, healthy):
-            tracker.p[:] = np.diag([0.05, 0.02])
-        batch.update(y)
-        healthy.update(y[[0, 2]])
+            tracker.p[:] = [[0.05], [0.0], [0.02]]
+        batch.update(y.T)
+        healthy.update(y[[0, 2]].T)
         for row, pair_row in ((0, 0), (2, 1)):
             ts = ekf_tracker(self.CFG, x0[row])
             ts.p = np.diag([0.05, 0.02])
             baseline_ekf_step(ts, self.CFG, y[row])
-            np.testing.assert_allclose(batch.x[row], ts.x, rtol=1e-12)
-            np.testing.assert_allclose(batch.p[row], ts.p, rtol=1e-12)
+            np.testing.assert_allclose(batch.x[:, row], ts.x, rtol=1e-12)
+            np.testing.assert_allclose(self._cov(batch, row), ts.p,
+                                       rtol=1e-12)
             assert batch.beta_hat[row] == pytest.approx(ts.beta_hat, rel=1e-12)
-            assert np.array_equal(batch.x[row], healthy.x[pair_row])
-            assert np.array_equal(batch.p[row], healthy.p[pair_row])
-        assert np.array_equal(batch.x[1], x0[1])
+            assert np.array_equal(batch.x[:, row], healthy.x[:, pair_row])
+            assert np.array_equal(batch.p[:, row], healthy.p[:, pair_row])
+        assert np.array_equal(batch.x[:, 1], x0[1])
         assert batch.beta_hat[1] == 0.4j
-        assert np.array_equal(batch.p[1], 0.1 * np.eye(2))
+        assert np.array_equal(self._cov(batch, 1), 0.1 * np.eye(2))

@@ -44,11 +44,11 @@ class TestFitGains:
         e = probe_kernels(STATIC_OFFSETS.deltas, 8, 8)[0]
         beta = np.array([0.8 - 0.3j, 1e-3j, -5.0])
         y = pilot_amp * beta[:, None] * e
-        np.testing.assert_allclose(fit_gains(e, y, pilot_amp), beta,
+        np.testing.assert_allclose(fit_gains(e, y.T, pilot_amp), beta,
                                    rtol=1e-13)
 
     def test_zero_where_the_responses_vanish(self):
-        assert np.array_equal(fit_gains(np.zeros(3), np.ones((2, 3)), 1.0),
+        assert np.array_equal(fit_gains(np.zeros(3), np.ones((3, 2)), 1.0),
                               np.zeros(2))
 
 
@@ -87,12 +87,12 @@ class TestObserve:
         draws of ``observe`` run as one ``observe_kernels`` call on the same
         normals, with the gain kernels of a channel at the origin:
         ``observe`` takes three real parts, then three imaginary parts, per
-        call, which is the row layout of ``observe_kernels``."""
+        call, which is the column layout of ``observe_kernels``."""
         psi0 = ChannelParams.from_parts(0.0, (0.0, 0.0))
         ebm = build_ebm(CFG, (0.0, 0.0), STATIC_OFFSETS)
         normals = np.random.default_rng(1).standard_normal((100_000, 6))
-        g = _gain_kernel(ebm.directions, CFG.m, CFG.n)
-        draws = observe_kernels(CFG, 0.0, g, normals)
+        g = _gain_kernel(ebm.directions.T, CFG.m, CFG.n)
+        draws = observe_kernels(CFG, 0.0, g[:, None], normals.T).T
         rng = np.random.default_rng(1)
         first = np.stack([observe(CFG, psi0, ebm, rng) for _ in range(20)])
         assert np.array_equal(first, draws[:20])

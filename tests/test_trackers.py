@@ -18,9 +18,8 @@ from beamtrack import trackers
 from beamtrack.trackers import (BEAM_SPACING, BeamSwitchBatch, ConstantStep,
                                 DiminishingStep, EkfBatch, JbctBatch, RbtBatch,
                                 TrackerRun, _OpTally, _jbct_direction_batch,
-                                _rbt_direction_batch, _row_max, _rows_finite,
-                                build_fast_cache, count_ops, jbct_direction,
-                                mean_field)
+                                _rbt_direction_batch, build_fast_cache,
+                                count_ops, jbct_direction, mean_field)
 
 CFG = ArrayConfig(8, 8)
 PSI = ChannelParams.from_parts(0.8 - 0.3j, (0.0, 0.0))
@@ -33,9 +32,9 @@ def _observe_noiseless(psi_true, x_hat, offsets=STATIC_OFFSETS):
 
 
 def _joint(psi0, schedule, cfg=CFG):
-    """One-row joint tracker started at ``psi0``."""
+    """One-trial joint tracker started at ``psi0``."""
     return JbctBatch(TrackerRun(cfg, STATIC_OFFSETS, schedule, np.ones(1)),
-                     psi0.x[None], np.array([psi0.beta]))
+                     psi0.x[:, None], np.array([psi0.beta]))
 
 
 def _direction(x0, schedule, gain_var=1.0, gain_var_at=None, cfg=CFG):
@@ -44,7 +43,7 @@ def _direction(x0, schedule, gain_var=1.0, gain_var_at=None, cfg=CFG):
     run = TrackerRun(cfg, FADING_OFFSETS, schedule,
                      np.broadcast_to(np.asarray(gain_var, float), len(x0)),
                      gain_var_at)
-    return RbtBatch(run, x0, np.zeros(len(x0), complex))
+    return RbtBatch(run, x0.T, np.zeros(len(x0), complex))
 
 
 def _baseline(cls, x0, cfg=CFG):
@@ -52,14 +51,26 @@ def _baseline(cls, x0, cfg=CFG):
     x0 = np.array(x0, float).reshape(-1, 2)
     run = TrackerRun(cfg, STATIC_OFFSETS, DiminishingStep(1.0),
                      np.ones(len(x0)))
-    return cls(run, x0, np.zeros(len(x0), complex))
+    return cls(run, x0.T, np.zeros(len(x0), complex))
+
+
+def _probe_rows(tracker, trial=0):
+    """The probes (3, 2) of one trial of a tracker's (2, 3, T) probes."""
+    return tracker.probes()[..., trial].T
+
+
+def _cov(tracker, trial=0):
+    """The EKF covariance (2, 2) of one trial, from its entries."""
+    p11, p12, p22 = tracker.p[:, trial]
+    return np.array([[p11, p12], [p12, p22]])
 
 
 def _noiseless_cycle(tracker, beta, x_true, cfg=CFG):
     """One cycle observing, without noise, channels of gain ``beta`` at
     ``x_true`` (T, 2) through the tracker's probes."""
-    probes = tracker.probes() - np.reshape(x_true, (-1, 1, 2))
-    g, _, _ = probe_kernels(probes, cfg.m, cfg.n)
+    x_true = np.reshape(x_true, (-1, 2)).T
+    probes = tracker.probes() - x_true[:, None]
+    g, _, _ = probe_kernels(np.moveaxis(probes, 0, -1), cfg.m, cfg.n)
     tracker.update(cfg.pilot_amp * beta * g)
 
 
@@ -97,16 +108,16 @@ class TestJbctFixedPoint:
         tracker = _joint(PSI, DiminishingStep(1.0))
         y = _observe_noiseless(PSI, PSI.x)
         before = tracker.psi.copy()
-        tracker.update(y[None])
+        tracker.update(y[:, None])
         assert np.abs(tracker.psi - before).max() < 1e-12
         assert tracker.k == 1
 
     def test_singular_gain_skips_but_counts_cycle(self):
         psi0 = ChannelParams.from_parts(0.0, (0.1, 0.1))
         tracker = _joint(psi0, DiminishingStep(1.0))
-        tracker.update(np.ones((1, 3), complex))
+        tracker.update(np.ones((3, 1), complex))
         assert tracker.k == 1
-        assert np.array_equal(tracker.psi[0], psi0.as_vector())
+        assert np.array_equal(tracker.psi[:, 0], psi0.as_vector())
 
 
 class TestJbctNoiselessConvergence:
@@ -116,9 +127,10 @@ class TestJbctNoiselessConvergence:
         tracker = _joint(self.PSI0, schedule)
         errs = {}
         for k in range(1, kmax + 1):
-            y = _observe_noiseless(PSI, tracker.psi[0, 2:])
-            tracker.update(y[None])
-            errs[k] = float(np.linalg.norm(tracker.psi[0] - PSI.as_vector()))
+            y = _observe_noiseless(PSI, tracker.psi[2:, 0])
+            tracker.update(y[:, None])
+            errs[k] = float(np.linalg.norm(tracker.psi[:, 0]
+                                           - PSI.as_vector()))
         return errs
 
     def test_diminishing_step_converges_like_one_over_k(self):
@@ -171,8 +183,9 @@ class TestFastEqualsNaive:
 
     @staticmethod
     def _fast(cache, beta, y):
-        """The joint kernel on one row."""
-        return _jbct_direction_batch(cache, np.array([beta]), y[None])[0]
+        """The joint kernel on one trial."""
+        return _jbct_direction_batch(cache, np.array([beta]),
+                                     y[:, None])[:, 0]
 
     def test_hundred_random_steps(self):
         """Cached block-solve equals the explicit Fisher build to 1e-10."""
@@ -232,8 +245,8 @@ class TestFastEqualsNaive:
                 for mag, phase, x1, x2, _ in rows]
         ys = _complex_rows([r[4] for r in rows]) / np.sqrt(noise)
         fast = _jbct_direction_batch(build_fast_cache(cfg, STATIC_OFFSETS),
-                                     np.array([p.beta for p in psis]), ys)
-        for psi, y, got in zip(psis, ys, fast):
+                                     np.array([p.beta for p in psis]), ys.T)
+        for psi, y, got in zip(psis, ys, fast.T):
             ebm = build_ebm(cfg, psi.x, STATIC_OFFSETS)
             assert _close(got, jbct_direction(cfg, psi, ebm, y))
 
@@ -303,14 +316,14 @@ class TestRbt:
         rng = np.random.default_rng(4)
         x_true = np.array([0.4, -0.6])
         tracker = _direction(x_true + [0.2, -0.2], DiminishingStep(1.0, 5.0))
-        g_err0 = np.linalg.norm(tracker.x[0] - x_true)
+        g_err0 = np.linalg.norm(tracker.x[:, 0] - x_true)
         for k in range(400):
-            dirs = tracker.probes()[0]
+            dirs = _probe_rows(tracker)
             g, _, _ = probe_kernels(dirs - x_true, 8, 8)
             beta = np.sqrt(0.5) * complex(*rng.standard_normal(2))
             z = np.sqrt(0.5) * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
-            tracker.update((beta * g + z)[None])
-        assert np.linalg.norm(tracker.x[0] - x_true) < 0.2 * g_err0
+            tracker.update((beta * g + z)[:, None])
+        assert np.linalg.norm(tracker.x[:, 0] - x_true) < 0.2 * g_err0
 
     def test_zero_variance_is_singular(self):
         with pytest.raises(SingularFisher):
@@ -329,12 +342,12 @@ class TestRbt:
             build_fast_cache(CFG, offsets)
 
     def test_cache_rebuilds_on_new_variance(self):
-        """An estimated gain variance that moves rebuilds the row's terms
+        """An estimated gain variance that moves rebuilds the trial's terms
         before the step; they equal terms built at that variance."""
         tracker = _direction((0.0, 0.0), DiminishingStep(1.0),
-                             gain_var_at=lambda x: np.full(len(x), 0.5))
+                             gain_var_at=lambda x: np.full(x.shape[1], 0.5))
         first = tracker.i_inv.copy()
-        tracker.update(np.ones((1, 3), complex))
+        tracker.update(np.ones((3, 1), complex))
         assert not np.array_equal(tracker.i_inv, first)
         fresh = _direction((0.0, 0.0), DiminishingStep(1.0), gain_var=0.5)
         for name in ("q_mats", "c0", "i_inv"):
@@ -374,24 +387,24 @@ class TestOpCounts:
         for _ in range(5):
             y = rng.standard_normal((1, 3)) + 1j * rng.standard_normal((1, 3))
             beta = joint.estimate()[1]
-            count, out = _tally(_jbct_direction_batch, joint.cache, beta, y,
+            count, out = _tally(_jbct_direction_batch, joint.cache, beta, y.T,
                                 counted=(1, 2))
             assert np.array_equal(out, _jbct_direction_batch(joint.cache,
-                                                             beta, y))
+                                                             beta, y.T))
             counts.add(("joint", count))
             terms = (direction.q_mats, direction.c0, direction.i_inv)
             count, out = _tally(_rbt_direction_batch, *terms, y, counted=(3,))
             assert np.array_equal(out, _rbt_direction_batch(*terms, y))
             counts.add(("direction", count))
-            joint.update(y)
-            direction.update(y)
+            joint.update(y.T)
+            direction.update(y.T)
         assert counts == {("joint", 39), ("direction", 28)}
 
     def test_cache_construction_not_counted(self):
         """Offline term rebuilding leaves the per-cycle audit unchanged."""
         tracker = _direction((0.0, 0.0), DiminishingStep(1.0),
-                             gain_var_at=lambda x: np.full(len(x), 0.25))
-        tracker.update(np.ones((1, 3), complex))            # rebuild
+                             gain_var_at=lambda x: np.full(x.shape[1], 0.25))
+        tracker.update(np.ones((3, 1), complex))            # rebuild
         count, _ = _tally(_rbt_direction_batch, tracker.q_mats, tracker.c0,
                           tracker.i_inv, np.ones((1, 3), complex), counted=(3,))
         assert count == 28
@@ -412,13 +425,13 @@ class TestBeamSwitch:
         tracker = _baseline(BeamSwitchBatch, (2.0, -0.5))
         for _ in range(30):
             _noiseless_cycle(tracker, truth.beta, x_true)
-        assert np.allclose(tracker.x[0], x_true)
+        assert np.allclose(tracker.x[:, 0], x_true)
         for _ in range(4):
             _noiseless_cycle(tracker, truth.beta, x_true)
-            assert np.allclose(tracker.x[0], x_true)
+            assert np.allclose(tracker.x[:, 0], x_true)
 
     def test_probe_budget_is_three(self):
-        assert _baseline(BeamSwitchBatch, (0.0, 0.0)).probes().shape == (1, 3, 2)
+        assert _baseline(BeamSwitchBatch, (0.0, 0.0)).probes().shape == (2, 3, 1)
 
     def test_one_pattern_build_per_cycle(self, monkeypatch):
         """The harness asks for the probe pattern once per cycle, and the
@@ -451,7 +464,7 @@ class TestBeamSwitch:
         tracker = _baseline(BeamSwitchBatch, x0)
         for _ in range(25):
             _noiseless_cycle(tracker, 1.0, x_true)
-        per_axis = np.mean((tracker.x - x_true) ** 2, axis=0)
+        per_axis = np.mean((tracker.x.T - x_true) ** 2, axis=0)
         floor = spacing**2 / 12
         assert np.all(per_axis > 0.7 * floor)
         assert np.all(per_axis < 1.5 * floor)
@@ -461,7 +474,7 @@ class TestEkf:
     def test_probe_triangle_circumradius(self):
         """Probes form an equilateral triangle of circumradius 0.5."""
         tracker = _baseline(EkfBatch, (0.3, -0.4))
-        rel = tracker.probes()[0] - tracker.x[0]
+        rel = _probe_rows(tracker) - tracker.x[:, 0]
         assert np.allclose(np.linalg.norm(rel, axis=1), 0.5)
         d01 = np.linalg.norm(rel[0] - rel[1])
         d12 = np.linalg.norm(rel[1] - rel[2])
@@ -486,13 +499,13 @@ class TestEkf:
         truth = ChannelParams.from_parts(0.9 + 0.2j, (0.6, -0.8))
         x_true = truth.x
         tracker = _baseline(EkfBatch, x_true + [0.1, -0.1], cfg)
-        covs = [tracker.p[0]]
+        covs = [_cov(tracker)]
         for _ in range(100):
             _noiseless_cycle(tracker, truth.beta, x_true, cfg)
-            covs.append(tracker.p[0])
+            covs.append(_cov(tracker))
             shrink = np.linalg.eigvalsh(covs[-2] - covs[-1]).min()
             assert shrink >= -1e-12 * np.linalg.eigvalsh(covs[-2]).max()
-        assert np.linalg.norm(tracker.x[0] - x_true) < 1e-3
+        assert np.linalg.norm(tracker.x[:, 0] - x_true) < 1e-3
         assert np.linalg.eigvalsh(covs[1] / 50 - covs[-1]).min() > 0
 
     def test_default_process_noise_recovers_far_start(self):
@@ -502,7 +515,7 @@ class TestEkf:
         tracker = _baseline(EkfBatch, x_true + [0.3, -0.2], cfg)
         for _ in range(100):
             _noiseless_cycle(tracker, truth.beta, x_true, cfg)
-        assert np.linalg.norm(tracker.x[0] - x_true) < 1e-3
+        assert np.linalg.norm(tracker.x[:, 0] - x_true) < 1e-3
 
     @pytest.mark.parametrize("snr_db", [20.0, 40.0, 60.0])
     def test_update_matches_mpmath_kalman(self, snr_db):
@@ -516,14 +529,15 @@ class TestEkf:
         rng = np.random.default_rng(int(snr_db))
         cfg = ArrayConfig(8, 8, pilot_amp=10.0 ** (snr_db / 20.0))
         tracker = _baseline(EkfBatch, rng.uniform(-0.5, 0.5, (8, 2)), cfg)
-        x0, p0 = tracker.x.copy(), tracker.p.copy()
+        x0 = tracker.x.T.copy()
+        p0 = [_cov(tracker, row) for row in range(8)]
         x_true = x0 + rng.uniform(-0.05, 0.05, x0.shape)
         beta = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        g_true, _, _ = probe_kernels(tracker.probes() - x_true[:, None],
-                                     8, 8)
-        y = cfg.pilot_amp * beta[:, None] * g_true + np.sqrt(0.5) * (
+        g_true, _, _ = probe_kernels(
+            np.moveaxis(tracker.probes(), 0, -1) - x_true, 8, 8)
+        y = cfg.pilot_amp * beta[:, None] * g_true.T + np.sqrt(0.5) * (
             rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3)))
-        tracker.update(y)
+        tracker.update(y.T)
 
         def mp(a):
             return mpmath.matrix([[mpmath.mpc(complex(v)) for v in row]
@@ -531,7 +545,8 @@ class TestEkf:
 
         with mpmath.workdps(50):
             s, r = mpmath.mpf(cfg.pilot_amp), mpmath.mpf(1) / 2
-            g, k1, k2 = (mp(k).T for k in (tracker.g, tracker.k1, tracker.k2))
+            g, k1, k2 = (mp(np.ravel(k)).T
+                         for k in (tracker.g, tracker.k1, tracker.k2))
             for row in range(8):
                 yv = mp(y[row]).T
                 b = (g.H * yv)[0] / (s * (g.H * g)[0])
@@ -547,8 +562,8 @@ class TestEkf:
                 ikh = mpmath.eye(2) - gain * hr
                 p_new = ikh * pp * ikh.T + r * gain * gain.T
                 x_new = mp(x0[row]).T + gain * rv
-                for got, want in ((tracker.x[row], x_new),
-                                  (tracker.p[row], p_new),
+                for got, want in ((tracker.x[:, row], x_new),
+                                  (_cov(tracker, row), p_new),
                                   (tracker.beta_hat[row], b)):
                     want = np.array(want.tolist() if isinstance(
                         want, mpmath.matrix) else want, complex)
@@ -562,11 +577,11 @@ class TestEkf:
         truth = ChannelParams.from_parts(0.8, (0.0, 0.0))
         tracker = _baseline(EkfBatch, (0.2, 0.2))
         for _ in range(2000):
-            g, _, _ = probe_kernels(tracker.probes() - truth.x, 8, 8)
+            g, _, _ = probe_kernels(_probe_rows(tracker) - truth.x, 8, 8)
             y = truth.beta * g + np.sqrt(0.5) * (
                 rng.standard_normal(3) + 1j * rng.standard_normal(3))
-            tracker.update(y)
-            p = tracker.p[0]
+            tracker.update(y[:, None])
+            p = _cov(tracker)
             assert np.array_equal(p, p.T)
             assert np.linalg.eigvalsh(p).min() >= -1e-12
 
@@ -616,12 +631,9 @@ def _same_values(got, want):
 
 
 class TestFixedOrderReductions:
-    """The per-cycle short-axis reductions are column chains in a fixed
-    order that reproduce numpy's ``sum``, ``max`` and ``all`` over the
-    short axis.  The sum runs over the three probes (real and complex, and
-    the strided real part of a complex array); the maximum runs over
-    absolute step entries, so over real values; ``all`` over finite
-    checks of real and complex rows."""
+    """The per-cycle sum over the three probes is a chain in a fixed order
+    that reproduces numpy's ``sum`` over the short axis, on real and complex
+    rows and on the strided real part of a complex array."""
 
     @settings(max_examples=300, deadline=None)
     @given(x=_short_rows([3], False) | _short_rows([3], True))
@@ -629,14 +641,3 @@ class TestFixedOrderReductions:
         with np.errstate(invalid="ignore"):
             _same_values(_sum3(x), x.sum(1))
             _same_values(_sum3(x.real), x.real.sum(1))
-
-    @settings(max_examples=300, deadline=None)
-    @given(x=_short_rows([2, 3, 4], False))
-    def test_row_max_is_numpy_max(self, x):
-        _same_values(_row_max(x), x.max(axis=1))
-        _same_values(_row_max(np.abs(x)), np.abs(x).max(axis=1))
-
-    @settings(max_examples=300, deadline=None)
-    @given(x=_short_rows([2, 3, 4], False) | _short_rows([3, 4], True))
-    def test_rows_finite_is_numpy_all(self, x):
-        assert np.array_equal(_rows_finite(x), np.isfinite(x).all(axis=1))
